@@ -16,12 +16,12 @@
 //! be bit-identical across jobs *and* across modes; a mismatch fails the
 //! bench.
 
-use crate::trajectory::{fnv1a_64, sink_stream, JobsCell};
+use crate::trajectory::JobsCell;
 use sage_core::{model_from_sexpr, model_io, Placement, Project};
 use sage_fleet::{parse_fleet_banner, reports_to_outcomes, SchedConfig, Scheduler, SubmitSpec};
 use sage_model::HardwareShelf;
 use sage_net::{launch, LaunchOptions};
-use sage_runtime::{GlueProgram, SinkResults};
+use sage_runtime::{fnv1a_64, GlueProgram, SinkResults};
 use std::io::{BufRead, BufReader};
 use std::process::Child;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -196,7 +196,7 @@ fn submit_one(sched: &Scheduler, model: &str, program: &GlueProgram) -> Result<u
             results.insert(f, i, t, bytes);
         }
     }
-    Ok(fnv1a_64(&sink_stream(program, &results, JOBS_ITERATIONS)))
+    Ok(fnv1a_64(&results.stream(program, JOBS_ITERATIONS)))
 }
 
 /// Benches fork-per-job: every job is a full `launch` — spawn
@@ -213,18 +213,15 @@ pub fn bench_fork_jobs(
             iterations: JOBS_ITERATIONS,
             optimized: false,
             probes: false,
-            copy_baseline: false,
             race_detect: false,
             heartbeat_ms: None,
             pipeline: None,
             pipeline_depths: Vec::new(),
         };
         let outcome = launch(&model, &opts, spawn_worker).map_err(|e| e.to_string())?;
-        Ok(fnv1a_64(&sink_stream(
-            &outcome.program,
-            &outcome.results,
-            JOBS_ITERATIONS,
-        )))
+        Ok(fnv1a_64(
+            &outcome.results.stream(&outcome.program, JOBS_ITERATIONS),
+        ))
     };
     let mut cells = Vec::new();
     for &conc in concurrency {

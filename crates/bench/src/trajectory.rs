@@ -1,21 +1,19 @@
 //! The `sage bench` performance-trajectory harness.
 //!
 //! Runs the four committed example models on both transports (in-process
-//! local fabric, multi-process loopback TCP) and both data planes (the
-//! copy-heavy baseline the executor shipped with, and the zero-copy
-//! shared-payload path), reporting wall-clock latency per iteration, bytes
-//! moved, and effective bandwidth from the fabric's own counters. The
-//! results serialize to `BENCH_runtime.json` (hand-rolled writer/parser —
-//! the workspace is offline, no serde), and committed snapshots gate CI:
-//! a quick re-run must stay within [`DEFAULT_TOLERANCE`] of the recorded
-//! bandwidth.
+//! local fabric, multi-process loopback TCP), reporting wall-clock latency
+//! per iteration, bytes moved, and effective bandwidth from the fabric's
+//! own counters. The results serialize to `BENCH_runtime.json`
+//! (hand-rolled writer/parser — the workspace is offline, no serde), and
+//! committed snapshots gate CI: a quick re-run must stay within
+//! [`DEFAULT_TOLERANCE`] of the recorded bandwidth.
 
 use sage_atot::TaskMapping;
 use sage_core::{model_from_sexpr, Placement, Project};
 use sage_fabric::TimePolicy;
 use sage_model::{HardwareShelf, ProcId};
 use sage_net::{launch, LaunchOptions, Spawner};
-use sage_runtime::{FnRole, GlueProgram, RuntimeOptions, SinkResults};
+use sage_runtime::{fnv1a_64, GlueProgram, RuntimeOptions};
 
 /// The committed example models `sage bench` sweeps, as
 /// `(name, path from the repo root)`.
@@ -72,15 +70,13 @@ pub fn pipeline_iterations() -> u32 {
     bench_iterations().max(2 * PIPELINE_BENCH_DEPTH)
 }
 
-/// One measured (model, transport, data-plane) cell.
+/// One measured (model, transport) cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchResult {
     /// Model name (`fft2d_64`, ...).
     pub model: String,
     /// `"local"` or `"tcp"`.
     pub transport: String,
-    /// `"copy"` (baseline) or `"zero-copy"`.
-    pub data_plane: String,
     /// Ranks the run used.
     pub nodes: usize,
     /// Iterations (data sets) executed.
@@ -99,44 +95,8 @@ pub struct BenchResult {
     /// Assembled sink output length over all iterations.
     pub sink_bytes: u64,
     /// FNV-1a-64 over the assembled sink output — bit-identical across
-    /// transports and data planes or the run is wrong.
+    /// transports or the run is wrong.
     pub checksum: u64,
-}
-
-/// FNV-1a 64-bit (same fingerprint the `sage` CLI prints after runs).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Concatenates every sink's assembled output over all iterations in
-/// (function id, iteration) order — the canonical byte stream every
-/// backend must agree on bit-for-bit.
-pub fn sink_stream(program: &GlueProgram, results: &SinkResults, iterations: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in &program.functions {
-        if f.role != FnRole::Sink {
-            continue;
-        }
-        for iter in 0..iterations {
-            if let Some(full) = results.assemble(program, f.id, iter) {
-                out.extend_from_slice(&full);
-            }
-        }
-    }
-    out
-}
-
-fn data_plane_name(copy_baseline: bool) -> &'static str {
-    if copy_baseline {
-        "copy"
-    } else {
-        "zero-copy"
-    }
 }
 
 /// The raw quantities one timed run yields before derivation.
@@ -149,7 +109,6 @@ struct RawRun {
 fn make_result(
     model: &str,
     transport: &str,
-    copy_baseline: bool,
     iterations: u32,
     raw: RawRun,
     sink: &[u8],
@@ -158,7 +117,6 @@ fn make_result(
     BenchResult {
         model: model.to_string(),
         transport: transport.to_string(),
-        data_plane: data_plane_name(copy_baseline).to_string(),
         nodes: BENCH_NODES,
         iterations,
         wall_secs: raw.wall_secs,
@@ -172,16 +130,11 @@ fn make_result(
 }
 
 /// Benches one model on the in-process local fabric (real clock).
-pub fn bench_local(
-    name: &str,
-    model_text: &str,
-    iterations: u32,
-    copy_baseline: bool,
-) -> Result<BenchResult, String> {
+pub fn bench_local(name: &str, model_text: &str, iterations: u32) -> Result<BenchResult, String> {
     let model = model_from_sexpr(model_text).map_err(|e| e.to_string())?;
     let mut project = Project::new(model, HardwareShelf::cspi_with_nodes(BENCH_NODES));
     sage_apps::kernels::register_kernels(&mut project.registry);
-    let options = RuntimeOptions::paper_faithful().with_copy_baseline(copy_baseline);
+    let options = RuntimeOptions::paper_faithful();
     let (program, _) = project
         .generate(&Placement::Aligned)
         .map_err(|e| e.to_string())?;
@@ -203,20 +156,13 @@ pub fn bench_local(
         }
     }
     let exec = best.expect("at least one timed bench run");
-    let sink = sink_stream(&program, &exec.results, iterations);
+    let sink = exec.results.stream(&program, iterations);
     let raw = RawRun {
         wall_secs: exec.report.wall.as_secs_f64(),
         bytes_moved: exec.report.metrics.total_bytes(),
         messages: exec.report.metrics.total_messages(),
     };
-    Ok(make_result(
-        name,
-        "local",
-        copy_baseline,
-        iterations,
-        raw,
-        &sink,
-    ))
+    Ok(make_result(name, "local", iterations, raw, &sink))
 }
 
 /// Benches one model across worker processes over loopback TCP. `spawn`
@@ -225,7 +171,6 @@ pub fn bench_tcp(
     name: &str,
     model_text: &str,
     iterations: u32,
-    copy_baseline: bool,
     spawn: &Spawner<'_>,
 ) -> Result<BenchResult, String> {
     let opts = LaunchOptions {
@@ -233,14 +178,13 @@ pub fn bench_tcp(
         iterations,
         optimized: false,
         probes: false,
-        copy_baseline,
         race_detect: false,
         heartbeat_ms: None,
         pipeline: None,
         pipeline_depths: Vec::new(),
     };
     let outcome = launch(model_text, &opts, spawn).map_err(|e| e.to_string())?;
-    let sink = sink_stream(&outcome.program, &outcome.results, iterations);
+    let sink = outcome.results.stream(&outcome.program, iterations);
     // Wall time is the slowest rank's executor time, not the launcher's
     // end-to-end wall (which is dominated by process spawn + mesh setup).
     let raw = RawRun {
@@ -248,14 +192,7 @@ pub fn bench_tcp(
         bytes_moved: outcome.report.metrics.wire_bytes(),
         messages: outcome.report.metrics.wire_messages(),
     };
-    Ok(make_result(
-        name,
-        "tcp",
-        copy_baseline,
-        iterations,
-        raw,
-        &sink,
-    ))
+    Ok(make_result(name, "tcp", iterations, raw, &sink))
 }
 
 /// One measured streaming-pipeline cell (`sage bench --pipeline`):
@@ -299,7 +236,7 @@ fn best_virtual_run(
         let exec = project
             .execute(program, TimePolicy::Virtual, options, iterations)
             .map_err(|e| e.to_string())?;
-        let sink = sink_stream(program, &exec.results, iterations);
+        let sink = exec.results.stream(program, iterations);
         checksum = fnv1a_64(&sink);
         if rep == 0 {
             continue;
@@ -379,7 +316,7 @@ pub fn bench_pipeline(
         None => (Vec::new(), PIPELINE_BENCH_DEPTH),
     };
     let depth = proven.clamp(1, PIPELINE_BENCH_DEPTH);
-    let base = RuntimeOptions::paper_faithful().with_copy_baseline(false);
+    let base = RuntimeOptions::paper_faithful();
     let (lock_mk, lock_sum) = best_virtual_run(&project, &program, &base, iterations)?;
     let streaming = base.clone().with_pipeline(depth).with_pipeline_depths(caps);
     let (pipe_mk, pipe_sum) = best_virtual_run(&project, &program, &streaming, iterations)?;
@@ -432,18 +369,16 @@ pub struct JobsCell {
 }
 
 /// A whole `BENCH_runtime.json` document: the trajectory sweep plus the
-/// (possibly empty) job-service sweep.
+/// (possibly empty) job-service and streaming-pipeline sweeps.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchDoc {
     /// Whether the run was a quick (`SAGE_QUICK=1`) sweep.
     pub quick: bool,
-    /// The per-(model, transport, data-plane) trajectory cells.
+    /// The per-(model, transport) trajectory cells.
     pub results: Vec<BenchResult>,
-    /// The job-service throughput cells (empty in v1 documents and in
-    /// runs without `--jobs`).
+    /// The job-service throughput cells (empty in runs without `--jobs`).
     pub jobs: Vec<JobsCell>,
-    /// The streaming-pipeline cells (empty in v1/v2 documents and in runs
-    /// without `--pipeline`).
+    /// The streaming-pipeline cells (empty in runs without `--pipeline`).
     pub pipeline: Vec<PipelineResult>,
 }
 
@@ -461,17 +396,16 @@ pub const PIPELINE_TOLERANCE: f64 = 0.25;
 pub const JOBS_TOLERANCE: f64 = 0.5;
 
 /// Serializes results as the `BENCH_runtime.json` document (schema
-/// `sage-bench/v3`; v1 lacked the `jobs` array, v2 lacked `pipeline`).
+/// `sage-bench/v4`: v3 minus the per-cell `data_plane` axis).
 pub fn to_json_doc(doc: &BenchDoc) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"sage-bench/v3\",\n");
+    out.push_str("  \"schema\": \"sage-bench/v4\",\n");
     out.push_str(&format!("  \"quick\": {},\n", doc.quick));
     out.push_str("  \"results\": [\n");
     for (i, r) in doc.results.iter().enumerate() {
         out.push_str("    {");
         out.push_str(&format!("\"model\": \"{}\", ", r.model));
         out.push_str(&format!("\"transport\": \"{}\", ", r.transport));
-        out.push_str(&format!("\"data_plane\": \"{}\", ", r.data_plane));
         out.push_str(&format!("\"nodes\": {}, ", r.nodes));
         out.push_str(&format!("\"iterations\": {}, ", r.iterations));
         out.push_str(&format!("\"wall_secs\": {}, ", r.wall_secs));
@@ -525,16 +459,6 @@ pub fn to_json_doc(doc: &BenchDoc) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Serializes trajectory results alone (no job or pipeline cells).
-pub fn to_json(results: &[BenchResult], quick: bool) -> String {
-    to_json_doc(&BenchDoc {
-        quick,
-        results: results.to_vec(),
-        jobs: Vec::new(),
-        pipeline: Vec::new(),
-    })
 }
 
 /// Pulls one `"key": value` out of a flat JSON object body. Strings come
@@ -597,25 +521,21 @@ fn objects(body: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Parses a `BENCH_runtime.json` document — the schema validation CI runs
-/// on every generated file. Accepts `sage-bench/v3` and the older v2/v1
-/// schemas (v1 had no `jobs` array, v2 no `pipeline`; older documents
-/// parse with those cell lists empty).
+/// on every generated file. Accepts `sage-bench/v4` only: the one committed
+/// baseline is regenerated whenever the schema moves.
 pub fn parse_doc(json: &str) -> Result<BenchDoc, String> {
-    let schema = field(json, "schema")?;
-    let version = match schema {
-        "sage-bench/v3" => 3,
-        "sage-bench/v2" => 2,
-        "sage-bench/v1" => 1,
-        _ => return Err("bench json: unknown schema (want sage-bench/v1|v2|v3)".into()),
-    };
+    if field(json, "schema")? != "sage-bench/v4" {
+        return Err("bench json: unknown schema (want sage-bench/v4)".into());
+    }
     let quick = field(json, "quick")? == "true";
-    let body = array_body(json, "results").ok_or("bench json: missing `results` array")?;
+    let section = |key: &str| {
+        array_body(json, key).ok_or_else(|| format!("bench json: missing `{key}` array"))
+    };
     let mut results = Vec::new();
-    for obj in objects(body) {
+    for obj in objects(section("results")?) {
         results.push(BenchResult {
             model: field(obj, "model")?.to_string(),
             transport: field(obj, "transport")?.to_string(),
-            data_plane: field(obj, "data_plane")?.to_string(),
             nodes: num(obj, "nodes")?,
             iterations: num(obj, "iterations")?,
             wall_secs: num(obj, "wall_secs")?,
@@ -631,37 +551,30 @@ pub fn parse_doc(json: &str) -> Result<BenchDoc, String> {
         return Err("bench json: empty results".into());
     }
     let mut jobs = Vec::new();
-    if version >= 2 {
-        let body = array_body(json, "jobs").ok_or("bench json: v2+ document missing `jobs`")?;
-        for obj in objects(body) {
-            jobs.push(JobsCell {
-                mode: field(obj, "mode")?.to_string(),
-                concurrency: num(obj, "concurrency")?,
-                jobs: num(obj, "jobs")?,
-                ranks: num(obj, "ranks")?,
-                iterations: num(obj, "iterations")?,
-                wall_secs: num(obj, "wall_secs")?,
-                jobs_per_sec: num(obj, "jobs_per_sec")?,
-                checksum: parse_checksum(obj)?,
-            });
-        }
+    for obj in objects(section("jobs")?) {
+        jobs.push(JobsCell {
+            mode: field(obj, "mode")?.to_string(),
+            concurrency: num(obj, "concurrency")?,
+            jobs: num(obj, "jobs")?,
+            ranks: num(obj, "ranks")?,
+            iterations: num(obj, "iterations")?,
+            wall_secs: num(obj, "wall_secs")?,
+            jobs_per_sec: num(obj, "jobs_per_sec")?,
+            checksum: parse_checksum(obj)?,
+        });
     }
     let mut pipeline = Vec::new();
-    if version >= 3 {
-        let body =
-            array_body(json, "pipeline").ok_or("bench json: v3 document missing `pipeline`")?;
-        for obj in objects(body) {
-            pipeline.push(PipelineResult {
-                model: field(obj, "model")?.to_string(),
-                nodes: num(obj, "nodes")?,
-                iterations: num(obj, "iterations")?,
-                depth: num(obj, "depth")?,
-                lockstep_fps: num(obj, "lockstep_fps")?,
-                pipelined_fps: num(obj, "pipelined_fps")?,
-                speedup: num(obj, "speedup")?,
-                checksum: parse_checksum(obj)?,
-            });
-        }
+    for obj in objects(section("pipeline")?) {
+        pipeline.push(PipelineResult {
+            model: field(obj, "model")?.to_string(),
+            nodes: num(obj, "nodes")?,
+            iterations: num(obj, "iterations")?,
+            depth: num(obj, "depth")?,
+            lockstep_fps: num(obj, "lockstep_fps")?,
+            pipelined_fps: num(obj, "pipelined_fps")?,
+            speedup: num(obj, "speedup")?,
+            checksum: parse_checksum(obj)?,
+        });
     }
     Ok(BenchDoc {
         quick,
@@ -671,104 +584,96 @@ pub fn parse_doc(json: &str) -> Result<BenchDoc, String> {
     })
 }
 
-/// Parses just the trajectory cells of a `BENCH_runtime.json` document.
-pub fn parse_results(json: &str) -> Result<Vec<BenchResult>, String> {
-    Ok(parse_doc(json)?.results)
+/// One section's regression gate: every baseline cell that `same` pairs
+/// with a cell of this run must have kept at least `1 - tolerance` of its
+/// committed `metric`. A run with cells the baseline has no counterpart for
+/// — a disjoint baseline, or one missing the whole section — is an error,
+/// not a silent pass; a section this run did not produce gates nothing.
+fn gate<C>(
+    what: &str,
+    current: &[C],
+    baseline: &[C],
+    tolerance: f64,
+    same: impl Fn(&C, &C) -> bool,
+    metric: impl Fn(&C) -> f64,
+    label: impl Fn(&C) -> String,
+) -> Result<(), String> {
+    let mut checked = 0usize;
+    for b in baseline {
+        let Some(c) = current.iter().find(|c| same(c, b)) else {
+            continue;
+        };
+        checked += 1;
+        let floor = metric(b) * (1.0 - tolerance);
+        if metric(c) < floor {
+            return Err(format!(
+                "{what} regression: {} measured {:.1}, committed {:.1} (floor {floor:.1})",
+                label(c),
+                metric(c),
+                metric(b)
+            ));
+        }
+    }
+    if checked == 0 && !current.is_empty() {
+        return Err(format!(
+            "bench baseline has no {what} cells in common with this run"
+        ));
+    }
+    Ok(())
 }
 
-/// Fails if any `(model, transport, data_plane)` cell present in both runs
-/// lost more than `tolerance` of its committed effective bandwidth.
+/// Fails if any `(model, transport)` cell present in both runs lost more
+/// than `tolerance` of its committed effective bandwidth (MiB/s).
 pub fn check_regression(
     current: &[BenchResult],
     baseline: &[BenchResult],
     tolerance: f64,
 ) -> Result<(), String> {
-    let mut checked = 0usize;
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| {
-            c.model == b.model && c.transport == b.transport && c.data_plane == b.data_plane
-        }) else {
-            continue;
-        };
-        checked += 1;
-        let floor = b.bandwidth_mib_s * (1.0 - tolerance);
-        if c.bandwidth_mib_s < floor {
-            return Err(format!(
-                "bandwidth regression: {} {} {} measured {:.1} MiB/s, committed {:.1} MiB/s \
-                 (floor {:.1})",
-                c.model, c.transport, c.data_plane, c.bandwidth_mib_s, b.bandwidth_mib_s, floor
-            ));
-        }
-    }
-    if checked == 0 {
-        return Err("bench baseline shares no cells with this run".into());
-    }
-    Ok(())
+    gate(
+        "bandwidth (MiB/s)",
+        current,
+        baseline,
+        tolerance,
+        |c, b| c.model == b.model && c.transport == b.transport,
+        |c| c.bandwidth_mib_s,
+        |c| format!("{} {}", c.model, c.transport),
+    )
 }
 
-/// Fails if any `(mode, concurrency)` job cell present in both runs lost
-/// more than `tolerance` of its committed jobs/sec. A baseline without job
-/// cells (a v1 document, or a run without `--jobs`) gates nothing.
+/// Fails if any `(mode, concurrency, ranks)` job cell present in both runs
+/// lost more than `tolerance` of its committed jobs/sec.
 pub fn check_jobs_regression(
     current: &[JobsCell],
     baseline: &[JobsCell],
     tolerance: f64,
 ) -> Result<(), String> {
-    let mut checked = 0usize;
-    for b in baseline {
-        let Some(c) = current
-            .iter()
-            .find(|c| c.mode == b.mode && c.concurrency == b.concurrency && c.ranks == b.ranks)
-        else {
-            continue;
-        };
-        checked += 1;
-        let floor = b.jobs_per_sec * (1.0 - tolerance);
-        if c.jobs_per_sec < floor {
-            return Err(format!(
-                "job-throughput regression: {} x{} measured {:.1} jobs/s, committed {:.1} jobs/s \
-                 (floor {:.1})",
-                c.mode, c.concurrency, c.jobs_per_sec, b.jobs_per_sec, floor
-            ));
-        }
-    }
-    if checked == 0 && !baseline.is_empty() {
-        return Err("bench baseline job cells share nothing with this run".into());
-    }
-    Ok(())
+    gate(
+        "job-throughput (jobs/s)",
+        current,
+        baseline,
+        tolerance,
+        |c, b| c.mode == b.mode && c.concurrency == b.concurrency && c.ranks == b.ranks,
+        |c| c.jobs_per_sec,
+        |c| format!("{} x{}", c.mode, c.concurrency),
+    )
 }
 
 /// Fails if any streaming-pipeline cell present in both runs lost more
-/// than `tolerance` of its committed frames/sec, or fell below its
-/// committed speedup floored the same way. A baseline without pipeline
-/// cells (a v1/v2 document, or a run without `--pipeline`) gates nothing.
+/// than `tolerance` of its committed frames/sec.
 pub fn check_pipeline_regression(
     current: &[PipelineResult],
     baseline: &[PipelineResult],
     tolerance: f64,
 ) -> Result<(), String> {
-    let mut checked = 0usize;
-    for b in baseline {
-        let Some(c) = current
-            .iter()
-            .find(|c| c.model == b.model && c.nodes == b.nodes)
-        else {
-            continue;
-        };
-        checked += 1;
-        let floor = b.pipelined_fps * (1.0 - tolerance);
-        if c.pipelined_fps < floor {
-            return Err(format!(
-                "pipeline regression: {} measured {:.1} frames/s, committed {:.1} frames/s \
-                 (floor {:.1})",
-                c.model, c.pipelined_fps, b.pipelined_fps, floor
-            ));
-        }
-    }
-    if checked == 0 && !baseline.is_empty() {
-        return Err("bench baseline pipeline cells share nothing with this run".into());
-    }
-    Ok(())
+    gate(
+        "pipeline (frames/s)",
+        current,
+        baseline,
+        tolerance,
+        |c, b| c.model == b.model && c.nodes == b.nodes,
+        |c| c.pipelined_fps,
+        |c| c.model.clone(),
+    )
 }
 
 #[cfg(test)]
@@ -779,7 +684,6 @@ mod tests {
         BenchResult {
             model: model.into(),
             transport: "local".into(),
-            data_plane: "zero-copy".into(),
             nodes: 4,
             iterations: 3,
             wall_secs: 0.125,
@@ -818,17 +722,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trips() {
-        let rs = vec![sample("fft2d_64", 8.0), sample("corner_turn_256", 80.5)];
-        let json = to_json(&rs, true);
-        assert_eq!(parse_results(&json).unwrap(), rs);
+    fn doc(results: Vec<BenchResult>) -> BenchDoc {
+        BenchDoc {
+            results,
+            ..BenchDoc::default()
+        }
     }
 
     #[test]
-    fn v3_doc_round_trips_with_job_and_pipeline_cells() {
-        let doc = BenchDoc {
-            quick: false,
+    fn doc_round_trips_with_job_and_pipeline_cells() {
+        let bare = doc(vec![
+            sample("fft2d_64", 8.0),
+            sample("corner_turn_256", 80.5),
+        ]);
+        assert_eq!(parse_doc(&to_json_doc(&bare)).unwrap(), bare);
+        let full = BenchDoc {
+            quick: true,
             results: vec![sample("fft2d_64", 8.0)],
             jobs: vec![
                 jobs_sample("fleet", 64, 120.0),
@@ -839,46 +748,20 @@ mod tests {
                 pipeline_sample("beamformer_64", 300.0),
             ],
         };
-        assert_eq!(parse_doc(&to_json_doc(&doc)).unwrap(), doc);
-    }
-
-    #[test]
-    fn v1_documents_still_parse() {
-        // A committed pre-jobs baseline: v1 schema, no `jobs` array.
-        let json = to_json(&[sample("m", 1.0)], false)
-            .replace("sage-bench/v3", "sage-bench/v1")
-            .replace("  \"jobs\": [\n  ],\n", "")
-            .replace("  \"pipeline\": [\n  ]\n", "");
-        let doc = parse_doc(&json).unwrap();
-        assert_eq!(doc.results.len(), 1);
-        assert!(doc.jobs.is_empty());
-        assert!(doc.pipeline.is_empty());
-    }
-
-    #[test]
-    fn v2_documents_still_parse() {
-        // A committed pre-pipeline baseline: v2 schema with job cells but
-        // no `pipeline` array.
-        let doc = BenchDoc {
-            quick: false,
-            results: vec![sample("m", 1.0)],
-            jobs: vec![jobs_sample("fleet", 8, 100.0)],
-            pipeline: Vec::new(),
-        };
-        let json = to_json_doc(&doc)
-            .replace("sage-bench/v3", "sage-bench/v2")
-            .replace("  \"pipeline\": [\n  ]\n", "");
-        let parsed = parse_doc(&json).unwrap();
-        assert_eq!(parsed.jobs, doc.jobs);
-        assert!(parsed.pipeline.is_empty());
+        assert_eq!(parse_doc(&to_json_doc(&full)).unwrap(), full);
     }
 
     #[test]
     fn schema_is_validated() {
-        assert!(parse_results("{}").is_err());
-        assert!(parse_results("{\"schema\": \"other/v9\", \"results\": []}").is_err());
-        let json = to_json(&[sample("m", 1.0)], false).replace("sage-bench/v3", "bogus");
-        assert!(parse_results(&json).unwrap_err().contains("schema"));
+        assert!(parse_doc("{}").is_err());
+        assert!(parse_doc("{\"schema\": \"other/v9\", \"results\": []}").is_err());
+        let json = to_json_doc(&doc(vec![sample("m", 1.0)]));
+        for older in ["sage-bench/v3", "bogus"] {
+            let err = parse_doc(&json.replace("sage-bench/v4", older)).unwrap_err();
+            assert!(err.contains("schema"), "{err}");
+        }
+        let err = parse_doc(&json.replace("\"jobs\"", "\"jbos\"")).unwrap_err();
+        assert!(err.contains("missing `jobs`"), "{err}");
     }
 
     #[test]
@@ -888,11 +771,13 @@ mod tests {
         let bad = vec![pipeline_sample("fft2d_64", 70.0)];
         assert!(check_pipeline_regression(&ok, &committed, 0.25).is_ok());
         assert!(check_pipeline_regression(&bad, &committed, 0.25).is_err());
-        // Disjoint cells are an error when the baseline has pipeline cells...
+        // Disjoint cells are an error, and so is a baseline without the
+        // section: a gate that compares nothing must not pass.
         let other = vec![pipeline_sample("stap_128", 99.0)];
         assert!(check_pipeline_regression(&other, &committed, 0.25).is_err());
-        // ...but a pre-pipeline (v1/v2) baseline gates nothing.
-        assert!(check_pipeline_regression(&bad, &[], 0.25).is_ok());
+        assert!(check_pipeline_regression(&ok, &[], 0.25).is_err());
+        // A run without `--pipeline` has nothing to gate.
+        assert!(check_pipeline_regression(&[], &committed, 0.25).is_ok());
     }
 
     #[test]
@@ -900,10 +785,13 @@ mod tests {
         let committed = vec![jobs_sample("fleet", 8, 100.0)];
         assert!(check_jobs_regression(&[jobs_sample("fleet", 8, 60.0)], &committed, 0.5).is_ok());
         assert!(check_jobs_regression(&[jobs_sample("fleet", 8, 40.0)], &committed, 0.5).is_err());
-        // Disjoint cells are an error when the baseline has job cells...
+        // Disjoint cells are an error, and so is a baseline whose `jobs`
+        // section is empty (the state the committed file was in when this
+        // gate passed vacuously).
         assert!(check_jobs_regression(&[jobs_sample("fork", 8, 99.0)], &committed, 0.5).is_err());
-        // ...but a pre-jobs (v1) baseline gates nothing.
-        assert!(check_jobs_regression(&[jobs_sample("fleet", 8, 1.0)], &[], 0.5).is_ok());
+        assert!(check_jobs_regression(&[jobs_sample("fleet", 8, 100.0)], &[], 0.5).is_err());
+        // A run without `--jobs` has nothing to gate.
+        assert!(check_jobs_regression(&[], &committed, 0.5).is_ok());
     }
 
     #[test]

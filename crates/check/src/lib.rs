@@ -68,6 +68,11 @@ pub fn check_program(
     spans: Option<&ModelSpans>,
 ) -> Diagnostics {
     let mut diags = Diagnostics::new();
+    // Tag-width overflow also fails `validate`; report it under its own
+    // code (with the offending block's span) rather than as a bare SAGE041.
+    if structure::check_tag_widths(program, spans, &mut diags) {
+        return diags;
+    }
     if let Err(e) = program.validate() {
         diags.push(
             Diagnostic::error("SAGE041", format!("malformed glue program: {e}")).with_note(
@@ -93,12 +98,9 @@ pub fn check_program(
         return diags;
     }
     let plans = structure::plan_buffers(program, spans, &mut diags);
-    let tag_overflow = structure::check_tag_widths(program, spans, &mut diags);
     structure::check_wiring(program, &plans, spans, &mut diags);
     structure::check_kernel_contracts(program, &plans, spans, &mut diags);
-    if !tag_overflow {
-        transfers::check(program, &plans, spans, &mut diags);
-    }
+    transfers::check(program, &plans, spans, &mut diags);
     memory::check(program, hw, &plans, spans, &mut diags);
     let races = race::check(program, &plans, spans, &mut diags);
     pipeline::check(program, hw, &plans, &races.capped, None, spans, &mut diags);

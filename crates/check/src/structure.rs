@@ -11,12 +11,8 @@
 use crate::{buffer_label, BufferPlans};
 use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
 use sage_model::Striping;
+use sage_runtime::glue::{MAX_BUFFERS, MAX_THREADS};
 use sage_runtime::{FunctionDescriptor, GlueProgram, Layout, Redistribution};
-
-/// Maximum logical buffers the 20-bit tag field can address.
-const MAX_BUFFERS: usize = 1 << 20;
-/// Maximum threads per function the 10-bit tag fields can address.
-const MAX_THREADS: u32 = 1 << 10;
 
 /// Plans every buffer's redistribution, reporting degenerate descriptors
 /// (`SAGE054`) and unstripeable layouts (`SAGE019`) instead of planning
@@ -100,8 +96,8 @@ pub fn plan_buffers(
 }
 
 /// Checks the program against the transfer-tag field widths (`SAGE057`).
-/// Returns `true` when tags would alias, in which case the transfer ledger
-/// is meaningless and must be skipped.
+/// Returns `true` when tags would alias, in which case nothing the later
+/// passes say about transfers means anything.
 pub fn check_tag_widths(
     program: &GlueProgram,
     spans: Option<&ModelSpans>,

@@ -47,8 +47,7 @@ pub struct NodeMetrics {
     /// Peak live logical-buffer bytes observed by the executor on this
     /// node: task input and output stripes plus pending same-node
     /// hand-offs, sampled while each kernel runs. Comparable across
-    /// backends and data planes (it counts logical bytes, not
-    /// allocations), and the dynamic counterpart of `sage-check`'s
+    /// backends (it counts logical bytes, not allocations), and the dynamic counterpart of `sage-check`'s
     /// `SAGE055` static high-water prediction.
     pub mem_high_water: u64,
 }

@@ -34,8 +34,6 @@ pub struct SubmitSpec {
     pub iterations: u32,
     /// Use the optimized (shared-buffer) run-time options.
     pub optimized: bool,
-    /// Run the copy-heavy baseline data plane.
-    pub copy_baseline: bool,
     /// The application model, as s-expression text.
     pub model: String,
 }
@@ -49,7 +47,6 @@ impl SubmitSpec {
             ranks,
             iterations,
             optimized: false,
-            copy_baseline: false,
             model: model.into(),
         }
     }
@@ -68,8 +65,6 @@ pub struct FleetJob {
     pub iterations: u32,
     /// Use the optimized (shared-buffer) run-time options.
     pub optimized: bool,
-    /// Run the copy-heavy baseline data plane.
-    pub copy_baseline: bool,
     /// The application model, as s-expression text.
     pub model: String,
 }
@@ -189,7 +184,6 @@ impl FleetMsg {
                 }
                 w.u32(j.iterations);
                 w.u8(u8::from(j.optimized));
-                w.u8(u8::from(j.copy_baseline));
                 w.string(&j.model);
             }
             FleetMsg::JobResult { job, report } => {
@@ -209,7 +203,6 @@ impl FleetMsg {
                 w.u32(s.ranks);
                 w.u32(s.iterations);
                 w.u8(u8::from(s.optimized));
-                w.u8(u8::from(s.copy_baseline));
                 w.string(&s.model);
             }
             FleetMsg::Outcome {
@@ -284,7 +277,6 @@ impl FleetMsg {
                 },
                 iterations: r.u32()?,
                 optimized: r.u8()? != 0,
-                copy_baseline: r.u8()? != 0,
                 model: r.string()?,
             }),
             6 => FleetMsg::JobResult {
@@ -295,15 +287,26 @@ impl FleetMsg {
             8 => FleetMsg::DrainDone {
                 jobs_completed: r.u64()?,
             },
-            9 => FleetMsg::Submit(SubmitSpec {
-                proto_version: r.u32()?,
-                tenant: r.string()?,
-                ranks: r.u32()?,
-                iterations: r.u32()?,
-                optimized: r.u8()? != 0,
-                copy_baseline: r.u8()? != 0,
-                model: r.string()?,
-            }),
+            9 => {
+                let proto_version = r.u32()?;
+                if proto_version != PROTO_VERSION {
+                    // Another revision lays the remaining fields out
+                    // differently; the version alone is what the scheduler
+                    // refuses (typed), so carry only that.
+                    return Ok(FleetMsg::Submit(SubmitSpec {
+                        proto_version,
+                        ..SubmitSpec::new("", 0, 0)
+                    }));
+                }
+                FleetMsg::Submit(SubmitSpec {
+                    proto_version,
+                    tenant: r.string()?,
+                    ranks: r.u32()?,
+                    iterations: r.u32()?,
+                    optimized: r.u8()? != 0,
+                    model: r.string()?,
+                })
+            }
             10 => FleetMsg::Outcome {
                 job: r.u32()?,
                 wall_secs: r.f64()?,
@@ -438,7 +441,6 @@ mod tests {
                 rank_map: vec![2, 0],
                 iterations: 8,
                 optimized: true,
-                copy_baseline: false,
                 model: "(app demo)".into(),
             }),
             FleetMsg::JobResult {
@@ -480,6 +482,25 @@ mod tests {
         ];
         for msg in msgs {
             assert_eq!(FleetMsg::decode(&msg.encode()).unwrap(), msg);
+        }
+    }
+
+    /// A v4 client's `Submit` carries one more byte before the model; the
+    /// decoder must hand the scheduler its version, not choke on the layout.
+    #[test]
+    fn submit_from_the_previous_revision_decodes_to_its_version() {
+        let mut w = Writer::new();
+        w.u8(9);
+        w.u32(PROTO_VERSION - 1);
+        w.string("tenant");
+        w.u32(2);
+        w.u32(8);
+        w.u8(0);
+        w.u8(0); // the retired data-plane byte
+        w.string("(app demo)");
+        match FleetMsg::decode(&w.0).unwrap() {
+            FleetMsg::Submit(spec) => assert_eq!(spec.proto_version, PROTO_VERSION - 1),
+            other => panic!("decoded {other:?}"),
         }
     }
 

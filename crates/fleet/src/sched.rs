@@ -441,7 +441,6 @@ impl Scheduler {
                 rank_map: rank_map.clone(),
                 iterations: spec.iterations,
                 optimized: spec.optimized,
-                copy_baseline: spec.copy_baseline,
                 model: spec.model.clone(),
             });
             let sent = {

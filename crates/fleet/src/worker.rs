@@ -205,8 +205,7 @@ fn run_fleet_job(
         RuntimeOptions::optimized()
     } else {
         RuntimeOptions::paper_faithful()
-    }
-    .with_copy_baseline(spec.copy_baseline);
+    };
 
     let rank_map: Vec<usize> = spec.rank_map.iter().map(|&m| m as usize).collect();
     let mut transport = JobTransport::new(core, spec.job, rank as usize, rank_map);

@@ -1,9 +1,8 @@
 //! The differential executor: one generated model, every configuration.
 //!
 //! A lint/check-clean model must produce **bit-identical** sink bytes in
-//! every cell of the {local, tcp} × {zero-copy, copy-baseline} lattice,
-//! and again along the {lock-step, pipeline-validate, streaming}
-//! scheduling axis: when the pipeline-safety pass proves a depth >= 2
+//! both cells of the {local, tcp} lattice, and again along the
+//! {lock-step, pipeline-validate, streaming} scheduling axis: when the pipeline-safety pass proves a depth >= 2
 //! safe, a block-interleaved run at that depth must reproduce the
 //! lock-step checksum exactly (an unsound depth proof shows up here as
 //! silent corruption), and the streaming dataflow executor must do the
@@ -39,87 +38,13 @@ use sage_core::{checked_program, Placement, Project, ProjectError};
 use sage_fabric::{FaultPlan, TimePolicy};
 use sage_model::HardwareShelf;
 use sage_net::{LaunchOptions, Spawner};
-use sage_runtime::{FnRole, GlueProgram, RuntimeOptions, SinkResults};
+use sage_runtime::{fnv1a_64, RuntimeOptions};
 
-/// One cell of the configuration lattice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Cell {
-    /// Multi-process TCP backend instead of the in-process local one.
-    pub tcp: bool,
-    /// Copy-heavy baseline data plane instead of the zero-copy one.
-    pub copy_baseline: bool,
-}
-
-impl Cell {
-    /// Stable display label, e.g. `local/zero-copy`.
-    pub fn label(&self) -> &'static str {
-        match (self.tcp, self.copy_baseline) {
-            (false, false) => "local/zero-copy",
-            (false, true) => "local/copy",
-            (true, false) => "tcp/zero-copy",
-            (true, true) => "tcp/copy",
-        }
-    }
-}
-
-/// The local half of the lattice (always runnable, in-process).
-pub const LOCAL_CELLS: [Cell; 2] = [
-    Cell {
-        tcp: false,
-        copy_baseline: false,
-    },
-    Cell {
-        tcp: false,
-        copy_baseline: true,
-    },
-];
-
-/// The full lattice, TCP cells last (they spawn real worker processes).
-pub const ALL_CELLS: [Cell; 4] = [
-    Cell {
-        tcp: false,
-        copy_baseline: false,
-    },
-    Cell {
-        tcp: false,
-        copy_baseline: true,
-    },
-    Cell {
-        tcp: true,
-        copy_baseline: false,
-    },
-    Cell {
-        tcp: true,
-        copy_baseline: true,
-    },
-];
-
-/// FNV-1a 64-bit — the checksum pinned throughout the test suite.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Every sink's assembled output over all iterations, in (function id,
-/// iteration) order — the byte stream all backends must agree on.
-pub fn sink_bytes(program: &GlueProgram, results: &SinkResults, iterations: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in &program.functions {
-        if f.role != FnRole::Sink {
-            continue;
-        }
-        for iter in 0..iterations {
-            if let Some(full) = results.assemble(program, f.id, iter) {
-                out.extend_from_slice(&full);
-            }
-        }
-    }
-    out
-}
+/// Display labels of the two lattice cells. The `/zero-copy` suffix dates
+/// from when the lattice had a data-plane axis; saved bundles carry it, so
+/// it stays.
+const LOCAL_CELL: &str = "local/zero-copy";
+const TCP_CELL: &str = "tcp/zero-copy";
 
 /// How one differential property failed.
 #[derive(Clone, Debug)]
@@ -166,6 +91,17 @@ pub struct DiffOutcome {
     pub failures: Vec<Failure>,
 }
 
+impl DiffOutcome {
+    /// Records a property violation of a fault-free run in `cell`.
+    fn fail(&mut self, cell: &str, message: impl Into<String>) {
+        self.failures.push(Failure {
+            cell: cell.into(),
+            message: message.into(),
+            plan: None,
+        });
+    }
+}
+
 /// Per-model knobs for [`run_diff`].
 #[derive(Clone, Copy, Debug)]
 pub struct DiffConfig {
@@ -202,7 +138,6 @@ fn run_local(
     source: &str,
     nodes: usize,
     iterations: u32,
-    copy_baseline: bool,
     race_detect: bool,
     plan: Option<FaultPlan>,
     mode: PipeMode,
@@ -215,7 +150,6 @@ fn run_local(
         .map_err(|e| format!("codegen: {e}"))?;
     let mut options = RuntimeOptions::paper_faithful()
         .with_probes(false)
-        .with_copy_baseline(copy_baseline)
         .with_race_detect(race_detect);
     if let Some(plan) = plan {
         options = options.with_faults(plan);
@@ -243,7 +177,7 @@ fn run_local(
             exec.stream.credits_issued, exec.stream.credits_retired
         ));
     }
-    let bytes = sink_bytes(&program, &exec.results, iterations);
+    let bytes = exec.results.stream(&program, iterations);
     if bytes.is_empty() {
         return Err("sink produced no bytes".into());
     }
@@ -261,7 +195,6 @@ fn run_tcp(
     source: &str,
     nodes: usize,
     iterations: u32,
-    copy_baseline: bool,
     spawner: &Spawner<'_>,
 ) -> Result<(u64, Vec<u64>), String> {
     let opts = LaunchOptions {
@@ -269,7 +202,6 @@ fn run_tcp(
         iterations,
         optimized: false,
         probes: false,
-        copy_baseline,
         // Per-process degraded mode over TCP: each rank validates its own
         // serial order and stamp handling, never cross-rank pairs.
         race_detect: true,
@@ -278,7 +210,7 @@ fn run_tcp(
         pipeline_depths: Vec::new(),
     };
     let outcome = sage_net::launch(source, &opts, spawner).map_err(|e| format!("launch: {e}"))?;
-    let bytes = sink_bytes(&outcome.program, &outcome.results, iterations);
+    let bytes = outcome.results.stream(&outcome.program, iterations);
     if bytes.is_empty() {
         return Err("sink produced no bytes".into());
     }
@@ -292,35 +224,27 @@ fn run_tcp(
     Ok((fnv1a_64(&bytes), mems))
 }
 
-/// Runs one lattice cell and returns (sink checksum, per-node measured
-/// memory high-waters). Fault plans are local-only — the soak injects
-/// faults through the in-process backend — so a `plan` forces the local
-/// path regardless of `cell.tcp`.
-pub fn run_cell(
+/// Runs the local lock-step cell, optionally under a fault plan, and
+/// returns (sink checksum, per-node measured memory high-waters) — the
+/// replay entry point (fault plans are local-only, exactly as the soak
+/// injects them).
+pub fn run_local_cell(
     source: &str,
     nodes: usize,
     iterations: u32,
-    cell: Cell,
     plan: Option<FaultPlan>,
-    spawner: Option<&Spawner<'_>>,
 ) -> Result<(u64, Vec<u64>), String> {
-    if cell.tcp && plan.is_none() {
-        let spawner = spawner.ok_or("tcp cell needs a worker spawner")?;
-        run_tcp(source, nodes, iterations, cell.copy_baseline, spawner)
-    } else {
-        // Fault-free runs carry the race detector; faulted runs drop it so
-        // an injected failure never masquerades as an ordering bug.
-        let race_detect = plan.is_none();
-        run_local(
-            source,
-            nodes,
-            iterations,
-            cell.copy_baseline,
-            race_detect,
-            plan,
-            PipeMode::LockStep,
-        )
-    }
+    // Fault-free runs carry the race detector; faulted runs drop it so an
+    // injected failure never masquerades as an ordering bug.
+    let race_detect = plan.is_none();
+    run_local(
+        source,
+        nodes,
+        iterations,
+        race_detect,
+        plan,
+        PipeMode::LockStep,
+    )
 }
 
 /// Checks direction A on one cell's run: the static per-node prediction
@@ -424,20 +348,17 @@ pub fn run_diff(
                 nodes,
                 cfg.iterations,
                 false,
-                false,
                 None,
                 PipeMode::LockStep,
             ) {
                 Err(_) => outcome.verdict = Verdict::CheckRejected,
                 Ok(_) => {
                     outcome.verdict = Verdict::Failed;
-                    outcome.failures.push(Failure {
-                        cell: "local/zero-copy".into(),
-                        message: "sage check rejected this model (SAGE054) but it ran clean \
-                                  — static/dynamic disagreement"
-                            .into(),
-                        plan: None,
-                    });
+                    outcome.fail(
+                        LOCAL_CELL,
+                        "sage check rejected this model (SAGE054) but it ran clean \
+                                  — static/dynamic disagreement",
+                    );
                 }
             }
         } else if error_codes.iter().all(|c| c == "SAGE070") {
@@ -447,7 +368,6 @@ pub fn run_diff(
                 source,
                 nodes,
                 cfg.iterations,
-                false,
                 true,
                 None,
                 PipeMode::LockStep,
@@ -455,24 +375,21 @@ pub fn run_diff(
                 Err(e) if e.contains("data race") => outcome.verdict = Verdict::CheckRejected,
                 Err(e) => {
                     outcome.verdict = Verdict::Failed;
-                    outcome.failures.push(Failure {
-                        cell: "local/zero-copy".into(),
-                        message: format!(
+                    outcome.fail(
+                        LOCAL_CELL,
+                        format!(
                             "sage check proved a race (SAGE070) but the run failed with \
                              `{e}` instead of RaceDetected"
                         ),
-                        plan: None,
-                    });
+                    );
                 }
                 Ok(_) => {
                     outcome.verdict = Verdict::Failed;
-                    outcome.failures.push(Failure {
-                        cell: "local/zero-copy".into(),
-                        message: "sage check proved a race (SAGE070) but the run was \
-                                  detector-clean — static/dynamic disagreement"
-                            .into(),
-                        plan: None,
-                    });
+                    outcome.fail(
+                        LOCAL_CELL,
+                        "sage check proved a race (SAGE070) but the run was \
+                                  detector-clean — static/dynamic disagreement",
+                    );
                 }
             }
         } else {
@@ -483,59 +400,40 @@ pub fn run_diff(
 
     // ---- Fault-free lattice: bit-identical checksums everywhere ----
     let predicted = sage_check::predicted_peaks(&program);
-    let cells: &[Cell] = if cfg.tcp && spawner.is_some() {
-        &ALL_CELLS
-    } else {
-        &LOCAL_CELLS
-    };
+    // The TCP cell runs last: it spawns real worker processes.
+    let mut cells: Vec<(&'static str, Option<&Spawner<'_>>)> = vec![(LOCAL_CELL, None)];
+    if let (true, Some(spawner)) = (cfg.tcp, spawner) {
+        cells.push((TCP_CELL, Some(spawner)));
+    }
     let mut baseline: Option<u64> = None;
-    for cell in cells {
-        let run = if cell.tcp {
-            run_tcp(
-                source,
-                nodes,
-                cfg.iterations,
-                cell.copy_baseline,
-                spawner.expect("tcp cell without spawner"),
-            )
-        } else {
+    for (cell, tcp) in cells {
+        let run = match tcp {
+            Some(spawner) => run_tcp(source, nodes, cfg.iterations, spawner),
             // Direction A (races): fault-free cells run detector-armed.
-            run_local(
+            None => run_local(
                 source,
                 nodes,
                 cfg.iterations,
-                cell.copy_baseline,
                 true,
                 None,
                 PipeMode::LockStep,
-            )
+            ),
         };
-        outcome.cells_run.push(cell.label());
+        outcome.cells_run.push(cell);
         match run {
-            Err(e) => outcome.failures.push(Failure {
-                cell: cell.label().into(),
-                message: format!("check-clean model failed to execute: {e}"),
-                plan: None,
-            }),
+            Err(e) => outcome.fail(cell, format!("check-clean model failed to execute: {e}")),
             Ok((checksum, mems)) => {
                 match baseline {
                     None => baseline = Some(checksum),
-                    Some(want) if want != checksum => outcome.failures.push(Failure {
-                        cell: cell.label().into(),
-                        message: format!(
-                            "sink checksum {checksum:016x} differs from baseline {want:016x}"
-                        ),
-                        plan: None,
-                    }),
+                    Some(want) if want != checksum => outcome.fail(
+                        cell,
+                        format!("sink checksum {checksum:016x} differs from baseline {want:016x}"),
+                    ),
                     Some(_) => {}
                 }
                 if let Some(predicted) = &predicted {
                     if let Some(msg) = mem_violation(predicted, &mems) {
-                        outcome.failures.push(Failure {
-                            cell: cell.label().into(),
-                            message: msg,
-                            plan: None,
-                        });
+                        outcome.fail(cell, msg);
                     }
                 }
             }
@@ -555,29 +453,24 @@ pub fn run_diff(
                     source,
                     nodes,
                     cfg.iterations,
-                    false,
                     true,
                     None,
                     PipeMode::Validate(depth),
                 ) {
-                    Err(e) => outcome.failures.push(Failure {
-                        cell: "local/pipelined".into(),
-                        message: format!(
-                            "proven-safe pipeline depth {depth} failed to execute: {e}"
-                        ),
-                        plan: None,
-                    }),
+                    Err(e) => outcome.fail(
+                        "local/pipelined",
+                        format!("proven-safe pipeline depth {depth} failed to execute: {e}"),
+                    ),
                     Ok((checksum, mems)) => {
                         if checksum != want {
-                            outcome.failures.push(Failure {
-                                cell: "local/pipelined".into(),
-                                message: format!(
+                            outcome.fail(
+                                "local/pipelined",
+                                format!(
                                     "pipeline depth {depth} produced checksum {checksum:016x} \
                                      instead of lock-step {want:016x} — the static depth proof \
                                      is unsound"
                                 ),
-                                plan: None,
-                            });
+                            );
                         }
                         // Direction A, scaled: a depth-d run keeps at most d
                         // lock-step working sets (d-slot rings) live at once.
@@ -587,11 +480,10 @@ pub fn run_diff(
                                 .map(|p| p.saturating_mul(depth as usize))
                                 .collect();
                             if let Some(msg) = mem_violation(&scaled, &mems) {
-                                outcome.failures.push(Failure {
-                                    cell: "local/pipelined".into(),
-                                    message: format!("at pipeline depth {depth}: {msg}"),
-                                    plan: None,
-                                });
+                                outcome.fail(
+                                    "local/pipelined",
+                                    format!("at pipeline depth {depth}: {msg}"),
+                                );
                             }
                         }
                     }
@@ -607,27 +499,24 @@ pub fn run_diff(
                 source,
                 nodes,
                 cfg.iterations,
-                false,
                 true,
                 None,
                 PipeMode::Streaming(sdepth, caps),
             ) {
-                Err(e) => outcome.failures.push(Failure {
-                    cell: "local/streaming".into(),
-                    message: format!("streaming at proven depth {sdepth} failed to execute: {e}"),
-                    plan: None,
-                }),
+                Err(e) => outcome.fail(
+                    "local/streaming",
+                    format!("streaming at proven depth {sdepth} failed to execute: {e}"),
+                ),
                 Ok((checksum, mems)) => {
                     if checksum != want {
-                        outcome.failures.push(Failure {
-                            cell: "local/streaming".into(),
-                            message: format!(
+                        outcome.fail(
+                            "local/streaming",
+                            format!(
                                 "streaming depth {sdepth} produced checksum {checksum:016x} \
                                  instead of lock-step {want:016x} — the dataflow schedule \
                                  reordered a visible effect"
                             ),
-                            plan: None,
-                        });
+                        );
                     }
                     // Direction A, scaled: per-tag FIFO queues hold up to
                     // `depth` ring slots plus a window's worth of frames
@@ -638,11 +527,10 @@ pub fn run_diff(
                             .map(|p| p.saturating_mul(sdepth as usize + 2))
                             .collect();
                         if let Some(msg) = mem_violation(&scaled, &mems) {
-                            outcome.failures.push(Failure {
-                                cell: "local/streaming".into(),
-                                message: format!("at streaming depth {sdepth}: {msg}"),
-                                plan: None,
-                            });
+                            outcome.fail(
+                                "local/streaming",
+                                format!("at streaming depth {sdepth}: {msg}"),
+                            );
                         }
                     }
                 }
@@ -663,13 +551,12 @@ pub fn run_diff(
                 nodes,
                 cfg.iterations,
                 false,
-                false,
                 Some(plan.clone()),
                 PipeMode::LockStep,
             ) {
                 Ok((checksum, _)) if checksum == want => outcome.fault_ok += 1,
                 Ok((checksum, _)) => outcome.failures.push(Failure {
-                    cell: "local/zero-copy".into(),
+                    cell: LOCAL_CELL.into(),
                     message: format!(
                         "faulted run completed but produced checksum {checksum:016x} \
                          instead of {want:016x} — silent corruption"
@@ -717,12 +604,7 @@ mod tests {
         assert!(out.checksum.is_some());
         assert_eq!(
             out.cells_run,
-            vec![
-                "local/zero-copy",
-                "local/copy",
-                "local/pipelined",
-                "local/streaming"
-            ]
+            vec!["local/zero-copy", "local/pipelined", "local/streaming"]
         );
     }
 

@@ -183,6 +183,18 @@ pub fn load_repro(stem: &Path) -> io::Result<Repro> {
             })
     };
     let parse_err = |k: &str| io::Error::new(io::ErrorKind::InvalidData, format!("bad `{k}`"));
+    let cell = field("cell")?;
+    if cell.ends_with("/copy") {
+        // Replaying it on the surviving plane would silently test
+        // something else than what failed.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "bundle ran in cell `{cell}`: the copy-heavy data plane retired in PR 12 \
+                 (check out the commit that saved the bundle to replay it)"
+            ),
+        ));
+    }
     let plan_path = stem.with_extension("plan");
     let plan = if plan_path.exists() {
         Some(plan_from_text(&std::fs::read_to_string(plan_path)?)?)
@@ -195,7 +207,7 @@ pub fn load_repro(stem: &Path) -> io::Result<Repro> {
         iterations: field("iterations")?
             .parse()
             .map_err(|_| parse_err("iterations"))?,
-        cell: field("cell")?,
+        cell,
         message: field("message")?,
         source,
         plan,

@@ -3,8 +3,8 @@
 //! The SAGE toolchain makes a layered promise: whatever the Designer can
 //! express, `sage lint` vets, `sage check` abstractly interprets,
 //! codegen turns into a glue program, and the run-time executes — on one
-//! process or many, with or without the zero-copy data plane, through
-//! faults — without changing the answer. Hand-written example models
+//! process or many, in order or streamed, through faults — without
+//! changing the answer. Hand-written example models
 //! exercise a handful of points in that space; this crate sweeps it.
 //!
 //! - [`gen`] derives whole Designer models from a `u64` seed: layered
@@ -12,9 +12,9 @@
 //!   element types, 2-D and 3-D extents, varied striping dimensions and
 //!   thread/node counts — emitted as real `.sexpr` source that flows
 //!   through the same front door as committed models.
-//! - [`diff`] runs every lint/check-clean model across the
-//!   {local, tcp} × {zero-copy, copy} lattice demanding bit-identical
-//!   sink checksums, soaks it under seeded [`sage_fabric::FaultPlan`]s
+//! - [`diff`] runs every lint/check-clean model across the {local, tcp}
+//!   lattice and the scheduling axis demanding bit-identical sink
+//!   checksums, soaks it under seeded [`sage_fabric::FaultPlan`]s
 //!   demanding bit-exact-or-typed-error, and cross-validates `sage
 //!   check` against reality in both directions (static memory
 //!   prediction ≥ measured high-water; static rejection ⇒ dynamic

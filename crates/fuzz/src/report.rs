@@ -82,7 +82,7 @@ impl FuzzReport {
         );
         let _ = writeln!(
             s,
-            "lattice: {} x {{zero-copy, copy}}  iterations/run: {}",
+            "lattice: {}  iterations/run: {}",
             if self.tcp { "{local, tcp}" } else { "{local}" },
             self.iterations
         );

@@ -25,9 +25,6 @@ pub struct LaunchOptions {
     pub optimized: bool,
     /// Collect probe events from every rank into the merged trace.
     pub probes: bool,
-    /// Run the copy-heavy baseline data plane on every rank (see
-    /// `RuntimeOptions::copy_baseline`).
-    pub copy_baseline: bool,
     /// Arm the per-process vector-clock race detector on every rank (see
     /// `RuntimeOptions::race_detect`).
     pub race_detect: bool,
@@ -135,7 +132,6 @@ pub fn launch(
             iterations: opts.iterations,
             optimized: opts.optimized,
             probes: opts.probes,
-            copy_baseline: opts.copy_baseline,
             race_detect: opts.race_detect,
             heartbeat_ms: opts.heartbeat_ms,
             pipeline: opts.pipeline,

@@ -18,8 +18,9 @@ use sage_visualizer::{EventKind, ProbeEvent};
 /// < 2^16 in practice, while v2+ leads with this constant). v2 added the
 /// version field, the per-job heartbeat override, and the fleet messages.
 /// v3 added the per-job `race_detect` switch. v4 added the streaming
-/// pipeline knob (`pipeline` + per-buffer `pipeline_depths`).
-pub const PROTO_VERSION: u32 = 4;
+/// pipeline knob (`pipeline` + per-buffer `pipeline_depths`). v5 dropped
+/// the data-plane byte when the copy-heavy plane it selected was retired.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Everything one worker needs to run one rank of a job.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,9 +37,6 @@ pub struct JobSpec {
     pub optimized: bool,
     /// Record probe events and ship them back in the report.
     pub probes: bool,
-    /// Run the copy-heavy baseline data plane instead of the zero-copy
-    /// shared-payload path (see `RuntimeOptions::copy_baseline`).
-    pub copy_baseline: bool,
     /// Arm the vector-clock race detector on every rank (see
     /// `RuntimeOptions::race_detect`). Each worker process only observes
     /// its own rank's accesses, so over TCP the detector runs in degraded
@@ -244,7 +242,6 @@ impl JobSpec {
         w.u32(self.iterations);
         w.u8(u8::from(self.optimized));
         w.u8(u8::from(self.probes));
-        w.u8(u8::from(self.copy_baseline));
         w.u8(u8::from(self.race_detect));
         w.opt_u64(self.heartbeat_ms);
         w.opt_u64(self.pipeline.map(u64::from));
@@ -281,7 +278,6 @@ impl JobSpec {
             iterations: r.u32()?,
             optimized: r.u8()? != 0,
             probes: r.u8()? != 0,
-            copy_baseline: r.u8()? != 0,
             race_detect: r.u8()? != 0,
             heartbeat_ms: r.opt_u64()?,
             pipeline: r.opt_u64()?.map(|d| d as u32),
@@ -437,7 +433,6 @@ mod tests {
             iterations: 7,
             optimized: true,
             probes: false,
-            copy_baseline: true,
             race_detect: true,
             heartbeat_ms: Some(50),
             pipeline: Some(3),
@@ -455,15 +450,19 @@ mod tests {
 
     #[test]
     fn job_version_mismatch_is_typed() {
-        let mut j = spec();
-        j.proto_version = 1;
-        assert_eq!(
-            JobSpec::decode(&j.encode()).unwrap_err(),
-            NetError::VersionMismatch {
-                ours: PROTO_VERSION,
-                theirs: 1
-            }
-        );
+        // Any other revision, including the immediately previous one
+        // (whose layout differs by a single byte), is refused by number.
+        for theirs in [1, PROTO_VERSION - 1] {
+            let mut j = spec();
+            j.proto_version = theirs;
+            assert_eq!(
+                JobSpec::decode(&j.encode()).unwrap_err(),
+                NetError::VersionMismatch {
+                    ours: PROTO_VERSION,
+                    theirs
+                }
+            );
+        }
     }
 
     #[test]

@@ -160,7 +160,6 @@ fn run_job(spec: &JobSpec, listener: &TcpListener, register: &dyn Fn(&mut Regist
         sage_runtime::RuntimeOptions::paper_faithful()
     }
     .with_probes(spec.probes)
-    .with_copy_baseline(spec.copy_baseline)
     .with_race_detect(spec.race_detect)
     .with_pipeline(spec.pipeline.unwrap_or(0))
     .with_pipeline_depths(spec.pipeline_depths.clone());

@@ -2,8 +2,8 @@
 //! and buffer management, and moves data over the fabric.
 //!
 //! Per paper §2, the run-time kernel "is responsible for all sequencing of
-//! functions, data striping, and buffer management". Each node walks its
-//! generated schedule once per iteration; for every task it
+//! functions, data striping, and buffer management". Each node runs every
+//! slot of its generated schedule once per iteration; for every task it
 //!
 //! 1. assembles the thread-local input stripes of each input logical buffer
 //!    (receiving redistribution messages from producer threads on other
@@ -12,23 +12,30 @@
 //!    private copies, or the improved shared scheme),
 //! 3. dispatches the kernel through the function table (charging dispatch
 //!    overhead), and
-//! 4. stripes the outputs toward the consumer threads (extract → send, or
+//! 4. stripes the outputs toward the consumer threads (pack → send, or
 //!    local hand-off when producer and consumer stripes align).
 //!
 //! Aligned, node-local transfers are pointer hand-offs in both schemes; the
 //! striping engine's pack/unpack copies are only performed — and only
 //! charged — when the redistribution is nontrivial, mirroring what the real
 //! run-time's DMA descriptors would do.
+//!
+//! One scheduler sequences every real workload: the staircase loop of
+//! [`execute_rank`]. Lock-step is that loop with a one-iteration horizon
+//! and no credit protocol; streaming (`--pipeline`) widens the horizon and
+//! bounds each buffer's ring with credits. `--pipeline-validate` is an
+//! oracle, not a mode: a different issue order and a fixed-slot store over
+//! the same task body, kept because it is the only dynamic model of the
+//! physical rings the static pipeline pass proves things about.
 
 use crate::function::{FnThreadCtx, Registry, RuntimeError, StripePayload};
-use crate::glue::{xfer_tag, FnRole, GlueProgram};
+use crate::glue::{xfer_tag, FnRole, GlueProgram, Task, TAG_ITERATIONS};
 use crate::options::{BufferScheme, RuntimeOptions};
 use crate::race::{fnv1a_64, Intervals, RaceState};
 use crate::striping::{Layout, PairOps, Redistribution};
 use sage_fabric::{
     Cluster, FabricError, MachineSpec, Payload, RunReport, TimePolicy, Transport, Work,
 };
-use sage_mpi::MpiConfig;
 use sage_visualizer::{Collector, Probe, Trace};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -117,6 +124,23 @@ impl SinkResults {
             }
         }
         Ok(full)
+    }
+
+    /// Every sink's assembled output over `iterations` iterations, in
+    /// (function id, iteration) order — the canonical byte stream all
+    /// backends and execution modes must agree on bit-for-bit (frames that
+    /// fail to assemble are skipped). [`crate::fnv1a_64`] of it is the
+    /// fingerprint the CLI prints and the test suite pins.
+    pub fn stream(&self, program: &GlueProgram, iterations: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in program.functions.iter().filter(|f| f.role == FnRole::Sink) {
+            for iter in 0..iterations {
+                if let Some(full) = self.assemble(program, f.id, iter) {
+                    out.extend_from_slice(&full);
+                }
+            }
+        }
+        out
     }
 
     /// Records a deposited stripe. Distributed launchers use this to merge
@@ -461,53 +485,17 @@ pub fn fabric_to_runtime(e: FabricError) -> RuntimeError {
     }
 }
 
-/// Sends one redistribution message, retrying dropped transfers per the
-/// MPI retry policy (backoff charged as lost time, each retry recorded in
-/// the node metrics and trace).
-#[allow(clippy::too_many_arguments)]
-fn send_with_retry<T: Transport>(
-    ctx: &mut T,
-    probe: &Probe,
-    dst: usize,
-    tag: u64,
-    payload: &Payload,
-    mpi: &MpiConfig,
-    bid: u32,
-    iter: u32,
-) -> Result<(), RuntimeError> {
-    ctx.advance(mpi.send_overhead);
-    let rp = mpi.retry;
-    let mut backoff = rp.backoff_secs;
-    for attempt in 0..=rp.max_retries {
-        if attempt > 0 {
-            ctx.note_retry();
-            probe.xfer_retry(ctx.now(), bid, iter);
-            ctx.advance_lost(backoff);
-            backoff *= rp.backoff_factor;
-        }
-        match ctx.try_send(dst, tag, payload) {
-            Ok(()) => return Ok(()),
-            Err(FabricError::TransferDropped { .. }) => continue,
-            Err(e) => return Err(fabric_to_runtime(e)),
-        }
-    }
-    Err(RuntimeError::TransferFailed {
-        node: ctx.rank() as u32,
-        peer: dst as u32,
-        attempts: rp.max_retries + 1,
-    })
-}
-
 /// A sink deposit: `(fn_id, iteration, thread)` -> absorbed stripe.
 pub type Deposit = ((u32, u32, u32), Payload);
 
-/// Streaming-executor credit counters for one rank (or summed over ranks).
+/// Credit counters for one rank (or summed over ranks).
 ///
 /// A credit is *issued* when a consumer retires an iteration and frees a
 /// ring slot of one of its input buffers, and *retired* when the producer
 /// spends it to emit into that slot again. Conservation — per-pair issued
 /// == retired == `max(0, iterations - window)` — is an executor invariant
-/// the streaming proptests pin down.
+/// the streaming proptests pin down. Lock-step and pipeline-validate runs
+/// have an infinite window, so both counters stay zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Credits returned by consumers on retiring an iteration.
@@ -516,8 +504,8 @@ pub struct StreamStats {
     pub credits_retired: u64,
 }
 
-/// Everything one rank produced: its sink deposits plus streaming credit
-/// counters (zero outside streaming mode).
+/// Everything one rank produced: its sink deposits plus credit counters
+/// (zero outside streaming mode).
 #[derive(Debug, Default)]
 pub struct RankOutcome {
     /// Sink stripes this rank absorbed.
@@ -535,18 +523,20 @@ const CREDIT_BIT: u64 = 1 << 62;
 /// The credit-channel tag for one (buffer, producer thread, consumer
 /// thread) pair. Iteration-independent: credits are fungible within a
 /// pair, so a single per-pair FIFO counts them.
-fn credit_tag(bid: u32, producer_thread: u32, consumer_thread: u32) -> u64 {
+fn credit_tag((bid, producer_thread, consumer_thread): (u32, u32, u32)) -> u64 {
     CREDIT_BIT | xfer_tag(bid, 0, producer_thread, consumer_thread)
 }
 
 /// Node-local hand-off store: tag -> payload (shared, not copied).
 ///
-/// Lock-step and pipeline-validate keep the historical overwrite map — a
-/// ring slot holds one live payload, and *reusing a slot before its reader
-/// got there* is exactly the corruption the validation mode exists to
-/// surface. Streaming instead queues per tag: per-pair hand-offs are
-/// produced and consumed in iteration order, so a FIFO keeps ring-masked
-/// tags unambiguous at any depth while credits bound each queue's length.
+/// Streaming queues per tag: per-pair hand-offs are produced and consumed
+/// in iteration order, so a FIFO keeps ring-masked tags unambiguous at any
+/// depth while credits bound each queue's length. Otherwise a ring slot
+/// holds one live payload. Lock-step rings are far deeper than the one
+/// iteration (plus any `delay`) it keeps live, so no slot is rewritten
+/// before it is read and the plain map is exact, with no queue to allocate
+/// per hand-off; in the pipeline-validate oracle *reusing a slot before its
+/// reader got there* is exactly the corruption it exists to surface.
 enum LocalStore {
     Overwrite(HashMap<u64, Payload>),
     Queued(HashMap<u64, VecDeque<Payload>>),
@@ -586,33 +576,64 @@ impl LocalStore {
     }
 }
 
-/// Per-rank streaming state: ring depths, credit windows, counters.
-struct StreamCtx {
-    /// Ring depth per buffer id: the buffer's proven cap bounded by the
-    /// global pipeline knob, min 1.
+/// Everything one rank's run reads and mutates. The execution modes differ
+/// only in the policy [`execute_rank`] fills in — issue order, hand-off
+/// store, per-buffer ring depth and credit window; the task body
+/// ([`RankState::run_task`]) is the same for all of them.
+struct RankState<'a, T: Transport> {
+    ctx: &'a mut T,
+    program: &'a GlueProgram,
+    prepared: &'a Prepared,
+    options: &'a RuntimeOptions,
+    probe: &'a Probe,
+    race: Option<&'a RaceState>,
+    node: u32,
+    /// Total iterations in the run (for the credit-return skip rule).
+    iterations: u32,
+    store: LocalStore,
+    /// Per-(buffer, src thread, dst thread) staging buffers for packed
+    /// redistribution messages, reused across iterations whenever the
+    /// previous iteration's receiver has already released its handle.
+    staging: HashMap<(u32, u32, u32), Payload>,
+    deposits: Vec<Deposit>,
+    /// Ring depth per buffer id: a transfer tag's iteration field is
+    /// `iteration % depth`.
     depths: Vec<u32>,
     /// Credit window per buffer id: ring depth + delay. A producer needs a
     /// credit to emit iteration `p >= window`; the consumer that frees the
     /// slot is reading producer-iteration `p - window`, `delay` arcs
-    /// included.
+    /// included. `u32::MAX` (lock-step, validate) disables the protocol:
+    /// no credit is ever awaited or sent.
     window: Vec<u32>,
-    /// Total iterations in the run (for the issue-side skip rule).
-    iterations: u32,
     /// Outstanding credits for same-node (buffer, producer thread,
     /// consumer thread) pairs; remote pairs ride the credit tag channel.
     local_credits: HashMap<(u32, u32, u32), u32>,
-    /// Conservation counters.
     stats: StreamStats,
 }
 
-/// One rank's program: walk the schedule for every iteration, over any
-/// [`Transport`] backend.
+/// One rank's program: run every schedule slot for every iteration, over
+/// any [`Transport`] backend.
 ///
 /// The in-process `execute` calls this once per cluster thread; `sage-net`
 /// workers call it once per OS process with a `TcpTransport`. Unrecoverable
 /// injected faults surface as `Err(RuntimeError)` instead of panics; the
 /// fault site is also recorded in the trace when probes are on.
-#[allow(clippy::too_many_arguments)]
+///
+/// There is one issue loop, `RankState::run_staircase`, and the modes are
+/// policies on it:
+///
+/// * **streaming** (`options.pipeline = Some(h)`): horizon `h`, each
+///   buffer a ring of its proven depth (capped by `h`), credit window =
+///   depth + delay;
+/// * **lock-step** (the default): horizon 1, so exactly one slot is ever
+///   issuable and issue order is schedule order; the ring is as deep as the
+///   tag's iteration field ([`TAG_ITERATIONS`]) and the credit window is
+///   infinite, so no credit message exists and traffic and virtual-clock
+///   charges are those of a plain in-order walk. (`--pipeline 1` is *not*
+///   this: it has one-slot rings and pays for credits.)
+///
+/// `options.pipeline_validate` swaps in the block-interleaved oracle order
+/// (`RankState::run_block_interleaved`) over fixed-slot rings.
 pub fn execute_rank<T: Transport>(
     ctx: &mut T,
     program: &GlueProgram,
@@ -622,7 +643,6 @@ pub fn execute_rank<T: Transport>(
     probe: &Probe,
     race: Option<&RaceState>,
 ) -> Result<RankOutcome, RuntimeError> {
-    let node = ctx.rank() as u32;
     if options.pipeline.is_some() && options.pipeline_validate.is_some() {
         return Err(RuntimeError::BadProgram(
             "streaming execution (--pipeline) and pipeline cross-validation \
@@ -630,527 +650,420 @@ pub fn execute_rank<T: Transport>(
                 .into(),
         ));
     }
-    // Node-local hand-off store: tag -> payload (shared, not copied).
-    let mut local_store = if options.pipeline.is_some() {
-        LocalStore::Queued(HashMap::new())
-    } else {
-        LocalStore::Overwrite(HashMap::new())
+    let horizon = options.pipeline.map(|h| h.max(1));
+    let (depths, window) = program
+        .buffers
+        .iter()
+        .map(|b| match (horizon, options.pipeline_validate) {
+            // The buffer's proven cap bounded by the global knob, min 1.
+            (Some(horizon), _) => {
+                let cap = options.pipeline_depths.get(b.id as usize);
+                let depth = cap.map_or(horizon, |&c| c.min(horizon).max(1));
+                (depth, depth.saturating_add(b.delay))
+            }
+            (None, Some(depth)) => (depth, u32::MAX),
+            (None, None) => (TAG_ITERATIONS, u32::MAX),
+        })
+        .unzip();
+    let mut rank = RankState {
+        node: ctx.rank() as u32,
+        ctx,
+        program,
+        prepared,
+        options,
+        probe,
+        race,
+        iterations,
+        store: match horizon {
+            Some(_) => LocalStore::Queued(HashMap::new()),
+            None => LocalStore::Overwrite(HashMap::new()),
+        },
+        staging: HashMap::new(),
+        deposits: Vec::new(),
+        depths,
+        window,
+        local_credits: HashMap::new(),
+        stats: StreamStats::default(),
     };
-    // Per-(buffer, src thread, dst thread) staging buffers for packed
-    // redistribution messages, reused across iterations whenever the
-    // previous iteration's receiver has already released its handle.
-    let mut staging: HashMap<(u32, u32, u32), Payload> = HashMap::new();
-    let mut deposits = Vec::new();
-    let mut stats = StreamStats::default();
-
-    if let Some(horizon) = options.pipeline {
-        // Streaming dataflow: continuous issue with credit backpressure.
-        let horizon = horizon.max(1);
-        let depths: Vec<u32> = program
-            .buffers
-            .iter()
-            .map(|b| {
-                let cap = options
-                    .pipeline_depths
-                    .get(b.id as usize)
-                    .copied()
-                    .unwrap_or(horizon);
-                cap.min(horizon).max(1)
-            })
-            .collect();
-        let window: Vec<u32> = program
-            .buffers
-            .iter()
-            .zip(&depths)
-            .map(|(b, &d)| d.saturating_add(b.delay))
-            .collect();
-        let mut st = StreamCtx {
-            depths,
-            window,
-            iterations,
-            local_credits: HashMap::new(),
-            stats: StreamStats::default(),
-        };
-        run_streaming(
-            ctx,
-            program,
-            prepared,
-            options,
-            iterations,
-            probe,
-            node,
-            horizon,
-            &mut st,
-            &mut local_store,
-            &mut staging,
-            &mut deposits,
-            race,
-        )?;
-        stats = st.stats;
-        return Ok(RankOutcome {
-            deposits,
-            stream: stats,
-        });
-    }
-
     match options.pipeline_validate {
-        // Lock-step: iteration i retires before iteration i+1 starts.
-        None => {
-            for iter in 0..iterations {
-                for task in &program.schedules[node as usize] {
-                    run_task(
-                        ctx,
-                        program,
-                        prepared,
-                        options,
-                        probe,
-                        node,
-                        iter,
-                        task,
-                        &mut local_store,
-                        &mut staging,
-                        &mut deposits,
-                        race,
-                        None,
-                    )?;
-                }
-            }
-        }
-        // Pipeline cross-validation: `depth` iterations in flight,
-        // block-interleaved — for each block of `depth` iterations, every
-        // schedule slot runs all of the block's iterations before the next
-        // slot starts. The final block is simply the `iterations % depth`
-        // tail (`end` is clamped), so every tail iteration executes and
-        // retires exactly once. Transfer tags are ring-masked (iteration
-        // mod depth), so a logical buffer has exactly `depth` slots: a
-        // program whose proven safe depth is >= `depth` is bit-identical
-        // to lock-step, while an over-deep run reuses a slot before its
-        // reader got there and corrupts or fails typed — exactly what the
-        // static pipeline pass (SAGE060/061/062) predicts.
-        Some(depth) => {
-            let mut start = 0;
-            while start < iterations {
-                let end = (start + depth).min(iterations);
-                for task in &program.schedules[node as usize] {
-                    for iter in start..end {
-                        run_task(
-                            ctx,
-                            program,
-                            prepared,
-                            options,
-                            probe,
-                            node,
-                            iter,
-                            task,
-                            &mut local_store,
-                            &mut staging,
-                            &mut deposits,
-                            race,
-                            None,
-                        )?;
-                    }
-                }
-                start = end;
-            }
-        }
+        None => rank.run_staircase(horizon.unwrap_or(1))?,
+        Some(depth) => rank.run_block_interleaved(depth)?,
     }
     Ok(RankOutcome {
-        deposits,
-        stream: stats,
+        deposits: rank.deposits,
+        stream: rank.stats,
     })
 }
 
-/// The streaming scheduler: a continuous-issue dataflow loop over this
-/// rank's schedule slots.
-///
-/// `next[s]` is the next iteration schedule slot `s` has yet to run. Each
-/// round picks the lowest-(iteration, slot) *ready* task among the
-/// "staircase" candidates — slots strictly ahead of every earlier slot
-/// (preserving intra-iteration schedule order) and within `horizon`
-/// iterations of the global minimum (bounding run-ahead). Readiness is a
-/// nonblocking probe: every input hand-off landed and every downstream
-/// ring slot has a credit. When nothing is ready the loop falls back to
-/// the *minimal* pending task with ordinary blocking receives — that task
-/// provably never deadlocks (its same-node inputs and credits are already
-/// present; cross-rank waits are on strictly earlier frontier points and
-/// bounded by the fabric's receive deadline), so a killed peer surfaces
-/// as a typed error, never a hang.
-#[allow(clippy::too_many_arguments)]
-fn run_streaming<T: Transport>(
-    ctx: &mut T,
-    program: &GlueProgram,
-    prepared: &Prepared,
-    options: &RuntimeOptions,
-    iterations: u32,
-    probe: &Probe,
-    node: u32,
-    horizon: u32,
-    st: &mut StreamCtx,
-    local_store: &mut LocalStore,
-    staging: &mut HashMap<(u32, u32, u32), Payload>,
-    deposits: &mut Vec<Deposit>,
-    race: Option<&RaceState>,
-) -> Result<(), RuntimeError> {
-    let sched = &program.schedules[node as usize];
-    // This rank's tasks by (fn, thread) -> schedule slot, for same-node
-    // producer progress checks.
-    let slot_of: HashMap<(u32, u32), usize> = sched
-        .iter()
-        .enumerate()
-        .map(|(s, t)| ((t.fn_id, t.thread), s))
-        .collect();
-    let mut next: Vec<u32> = vec![0; sched.len()];
-    let mut candidates: Vec<(u32, usize)> = Vec::with_capacity(sched.len());
-    // Until every slot has retired every iteration:
-    while let Some(i_min) = next.iter().copied().filter(|&i| i < iterations).min() {
-        candidates.clear();
-        let mut prefix_min = u32::MAX;
-        for (s, &i) in next.iter().enumerate() {
-            if i < prefix_min && i < iterations && i - i_min < horizon {
-                candidates.push((i, s));
+impl<T: Transport> RankState<'_, T> {
+    /// The scheduler: a continuous-issue dataflow loop over this rank's
+    /// schedule slots.
+    ///
+    /// `next[s]` is the next iteration schedule slot `s` has yet to run.
+    /// Each round picks the lowest-(iteration, slot) *ready* task among the
+    /// "staircase" candidates — slots strictly ahead of every earlier slot
+    /// (preserving intra-iteration schedule order) and within `horizon`
+    /// iterations of the global minimum (bounding run-ahead). Readiness is
+    /// a nonblocking probe: every input hand-off landed and every
+    /// downstream ring slot has a credit. When nothing is ready the loop
+    /// falls back to the *minimal* pending task with ordinary blocking
+    /// receives — that task provably never deadlocks (its same-node inputs
+    /// and credits are already present; cross-rank waits are on strictly
+    /// earlier frontier points and bounded by the fabric's receive
+    /// deadline), so a killed peer surfaces as a typed error, never a hang.
+    ///
+    /// At `horizon == 1` the staircase admits exactly one slot — the first
+    /// one still at the minimum iteration — so this is the in-order
+    /// lock-step walk.
+    fn run_staircase(&mut self, horizon: u32) -> Result<(), RuntimeError> {
+        let sched = &self.program.schedules[self.node as usize];
+        // This rank's tasks by (fn, thread) -> schedule slot, for same-node
+        // producer progress checks.
+        let slot_of: HashMap<(u32, u32), usize> = sched
+            .iter()
+            .enumerate()
+            .map(|(s, t)| ((t.fn_id, t.thread), s))
+            .collect();
+        let iterations = self.iterations;
+        let mut next: Vec<u32> = vec![0; sched.len()];
+        let mut candidates: Vec<(u32, usize)> = Vec::with_capacity(sched.len());
+        // Until every slot has retired every iteration:
+        while let Some(i_min) = next.iter().copied().filter(|&i| i < iterations).min() {
+            candidates.clear();
+            let mut prefix_min = u32::MAX;
+            for (s, &i) in next.iter().enumerate() {
+                if i < prefix_min && i < iterations && i - i_min < horizon {
+                    candidates.push((i, s));
+                }
+                prefix_min = prefix_min.min(i);
             }
-            prefix_min = prefix_min.min(i);
-        }
-        candidates.sort_unstable();
-        let mut chosen = None;
-        for &(i, s) in &candidates {
-            if task_ready(
-                ctx, program, prepared, st, &slot_of, &next, &sched[s], i, node,
-            ) {
-                chosen = Some((i, s));
-                break;
-            }
-        }
-        let (i, s) = match chosen.or_else(|| candidates.first().copied()) {
-            Some(c) => c,
-            None => break, // unreachable: pending slots imply a candidate
-        };
-        run_task(
-            ctx,
-            program,
-            prepared,
-            options,
-            probe,
-            node,
-            i,
-            &sched[s],
-            local_store,
-            staging,
-            deposits,
-            race,
-            Some(st),
-        )?;
-        next[s] = i + 1;
-    }
-    Ok(())
-}
-
-/// Nonblocking readiness probe for running schedule slot `task` at
-/// iteration `iter`: have all its input hand-offs landed, and does every
-/// downstream ring have a free slot (a credit)? Purely advisory — `false`
-/// only demotes the task in the issue order; the blocking fallback keeps
-/// forward progress when a backend cannot peek its mailbox.
-#[allow(clippy::too_many_arguments)]
-fn task_ready<T: Transport>(
-    ctx: &mut T,
-    program: &GlueProgram,
-    prepared: &Prepared,
-    st: &StreamCtx,
-    slot_of: &HashMap<(u32, u32), usize>,
-    next: &[u32],
-    task: &crate::glue::Task,
-    iter: u32,
-    node: u32,
-) -> bool {
-    let tid = task.thread as usize;
-    // Inputs: every nonempty (producer thread -> this thread) pair of every
-    // input buffer must have its iteration `iter - delay` hand-off
-    // available (produced locally, or arrived in the mailbox).
-    for group in &prepared.input_groups[task.fn_id as usize] {
-        for &bid in &group.buffers {
-            let bp = &prepared.plans[bid as usize];
-            let desc = &program.buffers[bid as usize];
-            let Some(src_iter) = iter.checked_sub(desc.delay) else {
-                continue; // delay arc before its first payload: zero-fill
+            candidates.sort_unstable();
+            let (i, s) = match candidates[..] {
+                [] => break, // unreachable: pending slots imply a candidate
+                // A lone candidate runs whatever the probe would say, so
+                // don't ask: lock-step never peeks the mailbox.
+                [only] => only,
+                [minimal, ..] => candidates
+                    .iter()
+                    .copied()
+                    .find(|&(i, s)| self.task_ready(&slot_of, &next, sched[s], i))
+                    .unwrap_or(minimal),
             };
-            let producer = &program.functions[desc.producer as usize];
-            for (t, row) in bp.plan.pairs.iter().enumerate() {
-                if row[tid].is_empty() {
-                    continue;
+            self.run_task(sched[s], i)?;
+            next[s] = i + 1;
+        }
+        Ok(())
+    }
+
+    /// The pipeline cross-validation oracle's issue order: `depth`
+    /// iterations in flight, block-interleaved — for each block of `depth`
+    /// iterations, every schedule slot runs all of the block's iterations
+    /// before the next slot starts. The final block is simply the
+    /// `iterations % depth` tail (`end` is clamped), so every tail
+    /// iteration executes and retires exactly once. Every ring is `depth`
+    /// fixed slots in an overwrite store: a program whose proven safe depth
+    /// is >= `depth` is bit-identical to lock-step, while an over-deep run
+    /// reuses a slot before its reader got there and corrupts or fails
+    /// typed — exactly what the static pipeline pass (SAGE060/061/062)
+    /// predicts, and what the staircase's per-tag FIFOs can never show.
+    fn run_block_interleaved(&mut self, depth: u32) -> Result<(), RuntimeError> {
+        let mut start = 0;
+        while start < self.iterations {
+            let end = start.saturating_add(depth).min(self.iterations);
+            for &task in &self.program.schedules[self.node as usize] {
+                for iter in start..end {
+                    self.run_task(task, iter)?;
                 }
-                let src_node = producer.placement[t];
-                if src_node == node {
-                    match slot_of.get(&(desc.producer, t as u32)) {
-                        Some(&sp) => {
-                            if next[sp] <= src_iter {
-                                return false;
-                            }
-                        }
-                        // Producer absent from this rank's schedule: let
-                        // the blocking path surface the typed error.
-                        None => return false,
+            }
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// The transfer tag of iteration `iter` of one (producer thread,
+    /// consumer thread) pair of buffer `bid`: the iteration field is the
+    /// buffer's ring slot.
+    fn tag(&self, bid: u32, iter: u32, src_thread: u32, dst_thread: u32) -> u64 {
+        xfer_tag(
+            bid,
+            iter % self.depths[bid as usize],
+            src_thread,
+            dst_thread,
+        )
+    }
+
+    /// Nonblocking readiness probe for running schedule slot `task` at
+    /// iteration `iter`: have all its input hand-offs landed, and does
+    /// every downstream ring have a free slot (a credit)? Purely advisory —
+    /// `false` only demotes the task in the issue order; the blocking
+    /// fallback keeps forward progress when a backend cannot peek its
+    /// mailbox.
+    fn task_ready(
+        &mut self,
+        slot_of: &HashMap<(u32, u32), usize>,
+        next: &[u32],
+        task: Task,
+        iter: u32,
+    ) -> bool {
+        let (program, prepared, node) = (self.program, self.prepared, self.node);
+        let tid = task.thread as usize;
+        // Inputs: every nonempty (producer thread -> this thread) pair of
+        // every input buffer must have its iteration `iter - delay`
+        // hand-off available (produced locally, or arrived in the mailbox).
+        for group in &prepared.input_groups[task.fn_id as usize] {
+            for &bid in &group.buffers {
+                let bp = &prepared.plans[bid as usize];
+                let desc = &program.buffers[bid as usize];
+                let Some(src_iter) = iter.checked_sub(desc.delay) else {
+                    continue; // delay arc before its first payload: zero-fill
+                };
+                let producer = &program.functions[desc.producer as usize];
+                for (t, row) in bp.plan.pairs.iter().enumerate() {
+                    if row[tid].is_empty() {
+                        continue;
                     }
-                } else {
-                    let tag = xfer_tag(
-                        bid,
-                        src_iter % st.depths[bid as usize],
-                        t as u32,
-                        task.thread,
-                    );
-                    if !ctx.try_recv_ready(src_node as usize, tag) {
-                        return false;
+                    let src_node = producer.placement[t];
+                    if src_node == node {
+                        match slot_of.get(&(desc.producer, t as u32)) {
+                            Some(&sp) => {
+                                if next[sp] <= src_iter {
+                                    return false;
+                                }
+                            }
+                            // Producer absent from this rank's schedule:
+                            // let the blocking path surface the typed
+                            // error.
+                            None => return false,
+                        }
+                    } else {
+                        let tag = self.tag(bid, src_iter, t as u32, task.thread);
+                        if !self.ctx.try_recv_ready(src_node as usize, tag) {
+                            return false;
+                        }
                     }
                 }
             }
         }
-    }
-    // Outputs: past a buffer's credit window, every nonempty (this thread
-    // -> consumer thread) pair must hold a credit.
-    let f = &program.functions[task.fn_id as usize];
-    for &bid in &f.outputs {
-        if iter < st.window[bid as usize] {
-            continue;
-        }
-        let bp = &prepared.plans[bid as usize];
-        let desc = &program.buffers[bid as usize];
-        let consumer = &program.functions[desc.consumer as usize];
-        for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
-            if intervals.is_empty() {
+        // Outputs: past a buffer's credit window, every nonempty (this
+        // thread -> consumer thread) pair must hold a credit.
+        let f = &program.functions[task.fn_id as usize];
+        for &bid in &f.outputs {
+            if iter < self.window[bid as usize] {
                 continue;
             }
-            let dst_node = consumer.placement[j];
-            if dst_node == node {
-                let have = st
-                    .local_credits
-                    .get(&(bid, task.thread, j as u32))
-                    .copied()
-                    .unwrap_or(0);
-                if have == 0 {
-                    return false;
-                }
-            } else if !ctx.try_recv_ready(dst_node as usize, credit_tag(bid, task.thread, j as u32))
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Runs one schedule slot of one iteration: assemble inputs, invoke the
-/// kernel, deposit sink stripes, emit outputs. Factored out of
-/// [`execute_rank`] so the lock-step, pipeline-validate and streaming
-/// loops share the exact same task body — the modes change iteration
-/// order, the ring masking of transfer tags, and (streaming only) the
-/// credit protocol.
-#[allow(clippy::too_many_arguments)]
-fn run_task<T: Transport>(
-    ctx: &mut T,
-    program: &GlueProgram,
-    prepared: &Prepared,
-    options: &RuntimeOptions,
-    probe: &Probe,
-    node: u32,
-    iter: u32,
-    task: &crate::glue::Task,
-    local_store: &mut LocalStore,
-    staging: &mut HashMap<(u32, u32, u32), Payload>,
-    deposits: &mut Vec<Deposit>,
-    race: Option<&RaceState>,
-    stream: Option<&mut StreamCtx>,
-) -> Result<(), RuntimeError> {
-    let plans = &prepared.plans;
-    let kernels = &prepared.kernels;
-    let mut stream = stream;
-    if let Some(race) = race {
-        race.task_begin(node);
-    }
-    // Ring-slot mapping for transfer tags: pipeline validation gives every
-    // buffer a `depth`-slot ring and streaming gives each buffer its own
-    // per-buffer ring depth, so the tag's iteration field is the ring
-    // slot. Lock-step tags carry the iteration itself.
-    let ring = |stream: &Option<&mut StreamCtx>, bid: u32, i: u32| -> u32 {
-        match (stream, options.pipeline_validate) {
-            (Some(st), _) => i % st.depths[bid as usize],
-            (None, Some(depth)) => i % depth,
-            (None, None) => i,
-        }
-    };
-    let f = &program.functions[task.fn_id as usize];
-    let threads = f.threads as usize;
-    let tid = task.thread as usize;
-
-    // Function-table dispatch.
-    ctx.advance(options.dispatch_overhead);
-    let t_start = ctx.now();
-    if f.role == FnRole::Source && task.thread == 0 {
-        probe.source_emit(t_start, iter);
-    }
-    probe.fn_start(t_start, f.id, iter);
-
-    // ---- Assemble inputs -------------------------------------
-    // One kernel-visible stripe per input *port*: the buffers of a fan-in
-    // group merge into a shared buffer in `f.inputs` order, so the merge
-    // result is deterministic regardless of arrival order.
-    let groups = &prepared.input_groups[task.fn_id as usize];
-    let mut inputs: Vec<StripePayload> = Vec::with_capacity(groups.len());
-    for (gi, group) in groups.iter().enumerate() {
-        let multi = group.buffers.len() > 1;
-        let first_bp = &plans[group.buffers[0] as usize];
-        let mut local: Option<Payload> = None;
-        for &bid in &group.buffers {
-            let bp = &plans[bid as usize];
+            let bp = &prepared.plans[bid as usize];
             let desc = &program.buffers[bid as usize];
-            let producer = &program.functions[desc.producer as usize];
-            let dst_layout = &bp.plan.dst[tid];
-            // A `delay` arc carries the payload the producer emitted
-            // `delay` iterations earlier; while `iter < delay` there is
-            // nothing to read yet and the consumer sees the zeroed
-            // stripe the fallback below synthesizes.
-            let src_iter = iter.checked_sub(desc.delay);
-            for (i, row) in bp.plan.pairs.iter().enumerate() {
-                let Some(src_iter) = src_iter else { break };
-                let intervals = &row[tid];
+            let consumer = &program.functions[desc.consumer as usize];
+            for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
                 if intervals.is_empty() {
                     continue;
                 }
-                let src_node = producer.placement[i];
-                let tag = xfer_tag(bid, ring(&stream, bid, src_iter), i as u32, task.thread);
-                let msg = if src_node == node {
-                    match local_store.remove(tag) {
-                        Some(m) => m,
-                        None => {
-                            // The producing task has not run yet on this
-                            // node: the schedule is out of order. Nothing
-                            // was ever sent, so zero attempts were made.
-                            probe.fault(ctx.now(), bid, iter);
-                            return Err(RuntimeError::TransferFailed {
-                                node,
-                                peer: src_node,
-                                attempts: 0,
-                            });
-                        }
-                    }
+                let dst_node = consumer.placement[j];
+                let pair = (bid, task.thread, j as u32);
+                let have = if dst_node == node {
+                    self.local_credits.get(&pair).is_some_and(|&c| c > 0)
                 } else {
-                    let m = ctx.try_recv(src_node as usize, tag).map_err(|e| {
-                        probe.fault(ctx.now(), bid, iter);
-                        fabric_to_runtime(e)
-                    })?;
-                    if let Some(race) = race {
-                        race.join_recv(node, tag);
-                    }
-                    ctx.advance(options.mpi.recv_overhead);
-                    if options.copy_baseline {
-                        // The old path materialized every received
-                        // message out of the mailbox.
-                        Payload::from(&m[..])
-                    } else {
-                        m
-                    }
+                    self.ctx.try_recv_ready(dst_node as usize, credit_tag(pair))
                 };
-                if bp.aligned && !multi {
-                    // Whole stripe arrives as one piece: hand it off.
-                    local = Some(msg);
-                } else if bp.aligned {
-                    // Fan-in keeps the hand-off but merges it into the
-                    // port's shared buffer with a charged copy; later
-                    // buffers in the group overwrite earlier ones.
-                    ctx.compute(Work::copy(msg.len()));
-                    let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
-                    buf.to_mut().copy_from_slice(&msg);
-                } else {
-                    // Unpack into the consuming function's logical
-                    // buffer (interpreted descriptor walk: per-run
-                    // overhead). Under the paper's unique-buffer scheme
-                    // this is a full read+write pass into the
-                    // function's own buffer; the improved shared scheme
-                    // scatters write-only into the buffer the function
-                    // reads directly (DMA-style).
-                    ctx.advance(options.per_run_overhead * intervals.len() as f64);
-                    match options.buffer_scheme {
-                        BufferScheme::UniquePerFunction => ctx.compute(Work::copy(msg.len())),
-                        BufferScheme::Shared => ctx.compute(Work {
-                            flops: 0.0,
-                            mem_bytes: msg.len() as f64,
-                            overhead_secs: 0.0,
-                        }),
+                if !have {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Runs one schedule slot of one iteration: dispatch, assemble inputs,
+    /// invoke the kernel, emit outputs, return credits. Every issue order
+    /// shares this exact body.
+    fn run_task(&mut self, task: Task, iter: u32) -> Result<(), RuntimeError> {
+        if let Some(race) = self.race {
+            race.task_begin(self.node);
+        }
+        let f = &self.program.functions[task.fn_id as usize];
+        // Function-table dispatch.
+        self.ctx.advance(self.options.dispatch_overhead);
+        let t_start = self.ctx.now();
+        if f.role == FnRole::Source && task.thread == 0 {
+            self.probe.source_emit(t_start, iter);
+        }
+        self.probe.fn_start(t_start, f.id, iter);
+        let inputs = self.assemble_inputs(task, iter)?;
+        let outputs = self.invoke(task, iter, &inputs)?;
+        self.emit_outputs(task, iter, &outputs)?;
+        self.return_credits(task, iter)?;
+        self.probe.fn_end(self.ctx.now(), f.id, iter);
+        Ok(())
+    }
+
+    /// Builds one kernel-visible stripe per input *port* of `task`: the
+    /// buffers of a fan-in group merge into a shared buffer in `f.inputs`
+    /// order, so the merge result is deterministic regardless of arrival
+    /// order.
+    fn assemble_inputs(
+        &mut self,
+        task: Task,
+        iter: u32,
+    ) -> Result<Vec<StripePayload>, RuntimeError> {
+        let (program, options, node) = (self.program, self.options, self.node);
+        let plans = &self.prepared.plans;
+        let f = &program.functions[task.fn_id as usize];
+        let tid = task.thread as usize;
+        let groups = &self.prepared.input_groups[task.fn_id as usize];
+        let mut inputs: Vec<StripePayload> = Vec::with_capacity(groups.len());
+        for (gi, group) in groups.iter().enumerate() {
+            let multi = group.buffers.len() > 1;
+            let first_bp = &plans[group.buffers[0] as usize];
+            let mut local: Option<Payload> = None;
+            for &bid in &group.buffers {
+                let bp = &plans[bid as usize];
+                let desc = &program.buffers[bid as usize];
+                let producer = &program.functions[desc.producer as usize];
+                let dst_layout = &bp.plan.dst[tid];
+                // A `delay` arc carries the payload the producer emitted
+                // `delay` iterations earlier; while `iter < delay` there is
+                // nothing to read yet and the consumer sees the zeroed
+                // stripe the fallback below synthesizes.
+                let Some(src_iter) = iter.checked_sub(desc.delay) else {
+                    continue;
+                };
+                for (i, row) in bp.plan.pairs.iter().enumerate() {
+                    let intervals = &row[tid];
+                    if intervals.is_empty() {
+                        continue;
                     }
-                    let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
-                    if options.copy_baseline {
-                        // Interpreted per-interval scatter with a
-                        // to_local scan per interval.
-                        dst_layout.inject(buf.to_mut(), intervals, &msg);
+                    let src_node = producer.placement[i];
+                    let tag = self.tag(bid, src_iter, i as u32, task.thread);
+                    let msg = if src_node == node {
+                        match self.store.remove(tag) {
+                            Some(m) => m,
+                            None => {
+                                // The producing task has not run yet on
+                                // this node: the schedule is out of order.
+                                // Nothing was ever sent, so zero attempts
+                                // were made.
+                                self.probe.fault(self.ctx.now(), bid, iter);
+                                return Err(RuntimeError::TransferFailed {
+                                    node,
+                                    peer: src_node,
+                                    attempts: 0,
+                                });
+                            }
+                        }
                     } else {
+                        let m = self.recv(src_node, tag, bid, iter)?;
+                        if let Some(race) = self.race {
+                            race.join_recv(node, tag);
+                        }
+                        self.ctx.advance(options.mpi.recv_overhead);
+                        m
+                    };
+                    if bp.aligned && !multi {
+                        // Whole stripe arrives as one piece: hand it off.
+                        local = Some(msg);
+                    } else if bp.aligned {
+                        // Fan-in keeps the hand-off but merges it into the
+                        // port's shared buffer with a charged copy; later
+                        // buffers in the group overwrite earlier ones.
+                        self.ctx.compute(Work::copy(msg.len()));
+                        let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
+                        buf.to_mut().copy_from_slice(&msg);
+                    } else {
+                        // Unpack into the consuming function's logical
+                        // buffer (interpreted descriptor walk: per-run
+                        // overhead). Under the paper's unique-buffer scheme
+                        // this is a full read+write pass into the
+                        // function's own buffer; the improved shared scheme
+                        // scatters write-only into the buffer the function
+                        // reads directly (DMA-style).
+                        self.ctx
+                            .advance(options.per_run_overhead * intervals.len() as f64);
+                        match options.buffer_scheme {
+                            BufferScheme::UniquePerFunction => {
+                                self.ctx.compute(Work::copy(msg.len()))
+                            }
+                            BufferScheme::Shared => self.ctx.compute(Work {
+                                flops: 0.0,
+                                mem_bytes: msg.len() as f64,
+                                overhead_secs: 0.0,
+                            }),
+                        }
+                        let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
                         // Compiled, coalesced scatter.
                         bp.ops[i][tid].unpack_into(&msg, buf.to_mut());
                     }
                 }
             }
-        }
-        let mut local = local.unwrap_or_else(|| Payload::zeroed(first_bp.plan.dst[tid].len()));
-        // Aligned hand-offs land in the *producer's* buffer; the
-        // unique-per-function scheme gives the compute function a
-        // private copy ("assigns unique logical buffers to the data
-        // per function", paper §3.4). The shared scheme passes the
-        // pointer through. Inputs are read-only, so the zero-copy
-        // plane keeps the charge but shares the bytes; the baseline
-        // physically duplicates them as the run-time shipped. Fan-in
-        // groups already merged into a private buffer above.
-        if options.buffer_scheme == BufferScheme::UniquePerFunction
-            && f.role == FnRole::Compute
-            && first_bp.aligned
-            && !multi
-        {
-            ctx.compute(Work::copy(local.len()));
-            if options.copy_baseline {
-                local = Payload::from(&local[..]);
+            let local = local.unwrap_or_else(|| Payload::zeroed(first_bp.plan.dst[tid].len()));
+            // Aligned hand-offs land in the *producer's* buffer; the
+            // unique-per-function scheme gives the compute function a
+            // private copy ("assigns unique logical buffers to the data
+            // per function", paper §3.4). The shared scheme passes the
+            // pointer through. Inputs are read-only, so the copy is
+            // charged but the bytes stay shared. Fan-in groups already
+            // merged into a private buffer above.
+            if options.buffer_scheme == BufferScheme::UniquePerFunction
+                && f.role == FnRole::Compute
+                && first_bp.aligned
+                && !multi
+            {
+                self.ctx.compute(Work::copy(local.len()));
             }
-        }
-        if let Some(race) = race {
-            let region = &group.read_regions[tid];
-            if !region.is_empty() {
-                race.read(
-                    node,
-                    (f.id, gi as u32, iter),
-                    &format!("{}.{}", f.name, group.port),
-                    program.task_path(*task),
-                    iter,
-                    region.clone(),
-                )
-                .inspect_err(|_| probe.fault(ctx.now(), f.id, iter))?;
+            if let Some(race) = self.race {
+                let region = &group.read_regions[tid];
+                if !region.is_empty() {
+                    race.read(
+                        node,
+                        (f.id, gi as u32, iter),
+                        &format!("{}.{}", f.name, group.port),
+                        program.task_path(task),
+                        iter,
+                        region.clone(),
+                    )
+                    .inspect_err(|_| self.probe.fault(self.ctx.now(), f.id, iter))?;
+                }
             }
+            inputs.push(StripePayload {
+                bytes: local,
+                shape: first_bp.dst_local_shape.clone(),
+                elem_bytes: program.buffers[group.buffers[0] as usize].elem_bytes,
+            });
         }
-        inputs.push(StripePayload {
-            bytes: local,
-            shape: first_bp.dst_local_shape.clone(),
-            elem_bytes: program.buffers[group.buffers[0] as usize].elem_bytes,
-        });
+        Ok(inputs)
     }
 
-    // ---- Pre-size outputs ------------------------------------
-    let mut outputs: Vec<StripePayload> = f
-        .outputs
-        .iter()
-        .map(|&bid| {
-            let bp = &plans[bid as usize];
-            let desc = &program.buffers[bid as usize];
-            StripePayload::zeroed(bp.src_local_shape.clone(), desc.elem_bytes)
-        })
-        .collect();
+    /// Charges and runs `task`'s kernel over `inputs` into freshly sized
+    /// output stripes, samples the memory high-water mark, and records the
+    /// deposit if the function is a sink. Returns the filled outputs.
+    fn invoke(
+        &mut self,
+        task: Task,
+        iter: u32,
+        inputs: &[StripePayload],
+    ) -> Result<Vec<StripePayload>, RuntimeError> {
+        let f = &self.program.functions[task.fn_id as usize];
+        let threads = f.threads as usize;
+        let tid = task.thread as usize;
+        let mut outputs: Vec<StripePayload> = f
+            .outputs
+            .iter()
+            .map(|&bid| {
+                let bp = &self.prepared.plans[bid as usize];
+                let desc = &self.program.buffers[bid as usize];
+                StripePayload::zeroed(bp.src_local_shape.clone(), desc.elem_bytes)
+            })
+            .collect();
 
-    // ---- Invoke the kernel -----------------------------------
-    ctx.compute(Work {
-        flops: f.flops / threads as f64,
-        mem_bytes: f.mem_bytes / threads as f64,
-        overhead_secs: 0.0,
-    });
-    {
+        self.ctx.compute(Work {
+            flops: f.flops / threads as f64,
+            mem_bytes: f.mem_bytes / threads as f64,
+            overhead_secs: 0.0,
+        });
         // Fault injection: a plan entry matching (block, iteration,
         // thread) overrides the kernel with its injected error.
-        let injected = ctx.kernel_fault(&f.name, iter, task.thread);
-        let invocation = match injected {
+        let invocation = match self.ctx.kernel_fault(&f.name, iter, task.thread) {
             Some(message) => {
-                ctx.note_fault();
+                self.ctx.note_fault();
                 Err(message)
             }
             None => {
@@ -1160,90 +1073,94 @@ fn run_task<T: Transport>(
                     threads,
                     iteration: iter,
                     params: &f.params,
-                    inputs: &inputs,
+                    inputs,
                     outputs: &mut outputs,
                 };
-                kernels[task.fn_id as usize].invoke(&mut fctx)
+                self.prepared.kernels[task.fn_id as usize].invoke(&mut fctx)
             }
         };
         if let Err(message) = invocation {
-            probe.fault(ctx.now(), f.id, iter);
+            self.probe.fault(self.ctx.now(), f.id, iter);
             return Err(RuntimeError::Kernel {
                 block: f.name.clone(),
                 message: format!("(thread {tid}): {message}"),
             });
         }
+
+        // Memory high-water sample: live logical bytes while the kernel
+        // holds its working set — input and output stripes plus same-node
+        // hand-offs pending for later tasks. Counted in logical bytes
+        // (Arc-shared payloads count their full length) so the figure is
+        // comparable across backends, and directly against `sage-check`'s
+        // static per-node prediction.
+        let live = inputs.iter().map(|p| p.bytes.len()).sum::<usize>()
+            + outputs.iter().map(|p| p.bytes.len()).sum::<usize>()
+            + self.store.live_bytes();
+        self.ctx.note_mem_use(live as u64);
+
+        if f.role == FnRole::Sink {
+            if let Some(first) = inputs.first() {
+                // The deposit shares the stripe's allocation (an Arc bump).
+                self.deposits
+                    .push(((f.id, iter, task.thread), first.bytes.clone()));
+            }
+            self.probe.sink_absorb(self.ctx.now(), iter);
+        }
+        Ok(outputs)
     }
 
-    // ---- Memory high-water sample ----------------------------
-    // Live logical bytes while the kernel holds its working set:
-    // input and output stripes plus same-node hand-offs pending
-    // for later tasks. Counted in logical bytes (Arc-shared
-    // payloads count their full length) so the figure is
-    // comparable across data planes and backends, and directly
-    // against `sage-check`'s static per-node prediction.
-    let live = inputs.iter().map(|p| p.bytes.len()).sum::<usize>()
-        + outputs.iter().map(|p| p.bytes.len()).sum::<usize>()
-        + local_store.live_bytes();
-    ctx.note_mem_use(live as u64);
-
-    // ---- Sink deposit ----------------------------------------
-    if f.role == FnRole::Sink {
-        if let Some(first) = inputs.first() {
-            // Zero-copy: the deposit shares the stripe's allocation
-            // (an Arc bump); baseline duplicates it byte-for-byte.
-            let bytes = if options.copy_baseline {
-                Payload::from(&first.bytes[..])
-            } else {
-                first.bytes.clone()
-            };
-            deposits.push(((f.id, iter, task.thread), bytes));
-        }
-        probe.sink_absorb(ctx.now(), iter);
-    }
-
-    // ---- Emit outputs ----------------------------------------
-    for (oi, &bid) in f.outputs.iter().enumerate() {
-        let bp = &plans[bid as usize];
-        let desc = &program.buffers[bid as usize];
-        let consumer = &program.functions[desc.consumer as usize];
-        let src_layout = &bp.plan.src[tid];
-        if let Some(race) = race {
-            // The write lands on the consumer-iteration version the delay
-            // shifts it to; checked before any byte leaves this rank.
-            let region = &bp.write_regions[tid];
-            if !region.is_empty() {
-                let (cf, gi) = prepared.buffer_group[bid as usize];
-                race.write(
-                    node,
-                    (cf, gi, iter + desc.delay),
-                    &format!("{}.{}", consumer.name, desc.consumer_port),
-                    program.task_path(*task),
-                    iter,
-                    region.clone(),
-                    fnv1a_64(&outputs[oi].bytes),
-                )
-                .inspect_err(|_| probe.fault(ctx.now(), bid, iter))?;
+    /// Stripes `task`'s outputs toward their consumer threads: spend a
+    /// credit where the window demands one, pack (or hand off whole when
+    /// aligned), then store locally or send.
+    fn emit_outputs(
+        &mut self,
+        task: Task,
+        iter: u32,
+        outputs: &[StripePayload],
+    ) -> Result<(), RuntimeError> {
+        let (program, node) = (self.program, self.node);
+        let f = &program.functions[task.fn_id as usize];
+        let tid = task.thread as usize;
+        for (&bid, output) in f.outputs.iter().zip(outputs) {
+            let bp = &self.prepared.plans[bid as usize];
+            let desc = &program.buffers[bid as usize];
+            let consumer = &program.functions[desc.consumer as usize];
+            if let Some(race) = self.race {
+                // The write lands on the consumer-iteration version the
+                // delay shifts it to; checked before any byte leaves this
+                // rank.
+                let region = &bp.write_regions[tid];
+                if !region.is_empty() {
+                    let (cf, gi) = self.prepared.buffer_group[bid as usize];
+                    race.write(
+                        node,
+                        (cf, gi, iter + desc.delay),
+                        &format!("{}.{}", consumer.name, desc.consumer_port),
+                        program.task_path(task),
+                        iter,
+                        region.clone(),
+                        fnv1a_64(&output.bytes),
+                    )
+                    .inspect_err(|_| self.probe.fault(self.ctx.now(), bid, iter))?;
+                }
             }
-        }
-        for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
-            if intervals.is_empty() {
-                continue;
-            }
-            let dst_node = consumer.placement[j];
-            let tag = xfer_tag(bid, ring(&stream, bid, iter), task.thread, j as u32);
-            // Backpressure: past the buffer's credit window the producer
-            // must spend one credit per pair before emitting — proof the
-            // consumer has retired the iteration whose ring slot this emit
-            // reuses. Local pairs decrement a counter (underflow is an
-            // executor invariant violation, typed); remote pairs block on
-            // the pair's credit channel, bounded by the fabric's receive
-            // deadline, so a consumer killed mid-stream surfaces as a
-            // typed error, never a hang.
-            if let Some(st) = stream.as_deref_mut() {
-                if iter >= st.window[bid as usize] {
+            for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
+                if intervals.is_empty() {
+                    continue;
+                }
+                let dst_node = consumer.placement[j];
+                let pair = (bid, task.thread, j as u32);
+                // Backpressure: past the buffer's credit window the
+                // producer must spend one credit per pair before emitting —
+                // proof the consumer has retired the iteration whose ring
+                // slot this emit reuses. Local pairs decrement a counter
+                // (underflow is an executor invariant violation, typed);
+                // remote pairs block on the pair's credit channel, bounded
+                // by the fabric's receive deadline, so a consumer killed
+                // mid-stream surfaces as a typed error, never a hang.
+                if iter >= self.window[bid as usize] {
                     if dst_node == node {
-                        match st.local_credits.get_mut(&(bid, task.thread, j as u32)) {
+                        match self.local_credits.get_mut(&pair) {
                             Some(c) if *c > 0 => *c -= 1,
                             _ => {
                                 return Err(RuntimeError::BadProgram(
@@ -1253,105 +1170,81 @@ fn run_task<T: Transport>(
                             }
                         }
                     } else {
-                        ctx.try_recv(dst_node as usize, credit_tag(bid, task.thread, j as u32))
-                            .map_err(|e| {
-                                probe.fault(ctx.now(), bid, iter);
-                                fabric_to_runtime(e)
-                            })?;
+                        self.recv(dst_node, credit_tag(pair), bid, iter)?;
                     }
-                    st.stats.credits_retired += 1;
+                    self.stats.credits_retired += 1;
                 }
-            }
-            let msg = if bp.aligned {
-                // Whole-stripe hand-off; no pack. Sharing the
-                // kernel's output buffer is safe because outputs
-                // are rebuilt fresh every task.
-                if options.copy_baseline {
-                    Payload::from(&outputs[oi].bytes[..])
+                let msg = if bp.aligned {
+                    // Whole-stripe hand-off; no pack. Sharing the kernel's
+                    // output buffer is safe because outputs are rebuilt
+                    // fresh every task.
+                    output.bytes.clone()
                 } else {
-                    outputs[oi].bytes.clone()
-                }
-            } else {
-                ctx.advance(options.per_run_overhead * intervals.len() as f64);
-                if options.copy_baseline {
-                    let m = src_layout.extract(&outputs[oi].bytes, intervals);
-                    ctx.compute(Work::copy(m.len()));
-                    Payload::from_vec(m)
-                } else {
-                    // Pack into a per-pair staging buffer, reused
-                    // across iterations once the previous receiver
-                    // has dropped its handle.
+                    self.ctx
+                        .advance(self.options.per_run_overhead * intervals.len() as f64);
+                    // Pack into a per-pair staging buffer, reused across
+                    // iterations once the previous receiver has dropped its
+                    // handle.
                     let ops = &bp.ops[tid][j];
-                    let slot = staging.entry((bid, task.thread, j as u32)).or_default();
+                    let slot = self.staging.entry(pair).or_default();
                     if !slot.is_unique() || slot.len() != ops.bytes {
                         *slot = Payload::zeroed(ops.bytes);
                     }
-                    ops.pack_into(&outputs[oi].bytes, slot.to_mut());
-                    ctx.compute(Work::copy(ops.bytes));
+                    ops.pack_into(&output.bytes, slot.to_mut());
+                    self.ctx.compute(Work::copy(ops.bytes));
                     slot.clone()
+                };
+                self.probe.xfer_start(self.ctx.now(), bid, iter);
+                let tag = self.tag(bid, iter, task.thread, j as u32);
+                if dst_node == node {
+                    self.store.insert(tag, msg);
+                } else {
+                    if let Some(race) = self.race {
+                        race.stamp_send(node, tag);
+                    }
+                    self.send_with_retry(dst_node, tag, &msg, bid, iter)?;
                 }
-            };
-            probe.xfer_start(ctx.now(), bid, iter);
-            if dst_node == node {
-                local_store.insert(tag, msg);
-            } else {
-                if let Some(race) = race {
-                    race.stamp_send(node, tag);
-                }
-                send_with_retry(
-                    ctx,
-                    probe,
-                    dst_node as usize,
-                    tag,
-                    &msg,
-                    &options.mpi,
-                    bid,
-                    iter,
-                )?;
             }
         }
+        Ok(())
     }
 
-    // ---- Return credits --------------------------------------
-    // Streaming backpressure, consumer side: retiring iteration `iter`
-    // frees one ring slot of every input buffer, so return one credit per
-    // nonempty (producer thread, this thread) pair — except credits no
-    // producer iteration will ever spend (`src_iter + window >=
-    // iterations`), so per-pair issued == retired == `max(0, iterations -
-    // window)` exactly. Remote credits ride the retried send path: a
-    // fault-plan drop backs off and resends, exhaustion is a typed
-    // transfer failure.
-    if let Some(st) = stream {
+    /// Backpressure, consumer side: retiring iteration `iter` frees one
+    /// ring slot of every input buffer, so return one credit per nonempty
+    /// (producer thread, this thread) pair — except credits no producer
+    /// iteration will ever spend (`src_iter + window >= iterations`), so
+    /// per-pair issued == retired == `max(0, iterations - window)` exactly;
+    /// with an infinite window that is never. Remote credits ride the
+    /// retried send path: a fault-plan drop backs off and resends,
+    /// exhaustion is a typed transfer failure.
+    fn return_credits(&mut self, task: Task, iter: u32) -> Result<(), RuntimeError> {
+        let (program, prepared) = (self.program, self.prepared);
+        let tid = task.thread as usize;
         for group in &prepared.input_groups[task.fn_id as usize] {
             for &bid in &group.buffers {
-                let bp = &plans[bid as usize];
                 let desc = &program.buffers[bid as usize];
                 let Some(src_iter) = iter.checked_sub(desc.delay) else {
                     continue;
                 };
-                let window = st.window[bid as usize];
-                if src_iter as u64 + window as u64 >= st.iterations as u64 {
+                let window = self.window[bid as usize];
+                if src_iter as u64 + window as u64 >= self.iterations as u64 {
                     continue;
                 }
                 let producer = &program.functions[desc.producer as usize];
-                for (t, row) in bp.plan.pairs.iter().enumerate() {
+                for (t, row) in prepared.plans[bid as usize].plan.pairs.iter().enumerate() {
                     if row[tid].is_empty() {
                         continue;
                     }
-                    st.stats.credits_issued += 1;
+                    self.stats.credits_issued += 1;
                     let src_node = producer.placement[t];
-                    if src_node == node {
-                        *st.local_credits
-                            .entry((bid, t as u32, task.thread))
-                            .or_insert(0) += 1;
+                    let pair = (bid, t as u32, task.thread);
+                    if src_node == self.node {
+                        *self.local_credits.entry(pair).or_insert(0) += 1;
                     } else {
-                        send_with_retry(
-                            ctx,
-                            probe,
-                            src_node as usize,
-                            credit_tag(bid, t as u32, task.thread),
+                        self.send_with_retry(
+                            src_node,
+                            credit_tag(pair),
                             &Payload::zeroed(0),
-                            &options.mpi,
                             bid,
                             iter,
                         )?;
@@ -1359,9 +1252,52 @@ fn run_task<T: Transport>(
                 }
             }
         }
+        Ok(())
     }
-    probe.fn_end(ctx.now(), f.id, iter);
-    Ok(())
+
+    /// Blocking receive from `peer`, bounded by the fabric's deadline; a
+    /// failure is recorded against `(bid, iter)` in the trace and typed.
+    fn recv(&mut self, peer: u32, tag: u64, bid: u32, iter: u32) -> Result<Payload, RuntimeError> {
+        self.ctx.try_recv(peer as usize, tag).map_err(|e| {
+            self.probe.fault(self.ctx.now(), bid, iter);
+            fabric_to_runtime(e)
+        })
+    }
+
+    /// Sends one message, retrying dropped transfers per the MPI retry
+    /// policy (backoff charged as lost time, each retry recorded in the
+    /// node metrics and trace).
+    fn send_with_retry(
+        &mut self,
+        dst: u32,
+        tag: u64,
+        payload: &Payload,
+        bid: u32,
+        iter: u32,
+    ) -> Result<(), RuntimeError> {
+        let mpi = &self.options.mpi;
+        self.ctx.advance(mpi.send_overhead);
+        let rp = mpi.retry;
+        let mut backoff = rp.backoff_secs;
+        for attempt in 0..=rp.max_retries {
+            if attempt > 0 {
+                self.ctx.note_retry();
+                self.probe.xfer_retry(self.ctx.now(), bid, iter);
+                self.ctx.advance_lost(backoff);
+                backoff *= rp.backoff_factor;
+            }
+            match self.ctx.try_send(dst as usize, tag, payload) {
+                Ok(()) => return Ok(()),
+                Err(FabricError::TransferDropped { .. }) => continue,
+                Err(e) => return Err(fabric_to_runtime(e)),
+            }
+        }
+        Err(RuntimeError::TransferFailed {
+            node: self.node,
+            peer: dst,
+            attempts: rp.max_retries + 1,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1463,6 +1399,66 @@ mod tests {
             Ok(())
         });
         reg
+    }
+
+    /// src striped by rows -> sink striped by cols on 2 nodes: every
+    /// (producer thread, consumer thread) pair overlaps, so half the pairs
+    /// cross nodes.
+    fn row_to_col_program() -> GlueProgram {
+        let mk_fn = |id: u32, name: &str, function: &str, role: FnRole| FunctionDescriptor {
+            id,
+            name: name.into(),
+            function: function.into(),
+            role,
+            threads: 2,
+            placement: vec![0, 1],
+            flops: 0.0,
+            mem_bytes: 0.0,
+            inputs: if role == FnRole::Sink {
+                vec![0]
+            } else {
+                vec![]
+            },
+            outputs: if role == FnRole::Source {
+                vec![0]
+            } else {
+                vec![]
+            },
+            params: Properties::new(),
+        };
+        GlueProgram {
+            app_name: "ct".into(),
+            functions: vec![
+                mk_fn(0, "src", "test.fill", FnRole::Source),
+                mk_fn(1, "snk", "sink.null", FnRole::Sink),
+            ],
+            buffers: vec![LogicalBufferDesc {
+                id: 0,
+                producer: 0,
+                producer_port: "out".into(),
+                consumer: 1,
+                consumer_port: "in".into(),
+                shape: vec![4, 4],
+                elem_bytes: 1,
+                send_striping: Striping::BY_ROWS,
+                recv_striping: Striping::BY_COLS,
+                delay: 0,
+            }],
+            schedules: (0..2)
+                .map(|t| {
+                    vec![
+                        Task {
+                            fn_id: 0,
+                            thread: t,
+                        },
+                        Task {
+                            fn_id: 1,
+                            thread: t,
+                        },
+                    ]
+                })
+                .collect(),
+        }
     }
 
     #[test]
@@ -1605,70 +1601,52 @@ mod tests {
         }
     }
 
+    /// Lock-step is the scheduler at horizon 1 with no credit protocol:
+    /// default options exchange no credits, move exactly the messages the
+    /// in-order walk always did (pinned at the commit before the loops
+    /// merged), and start functions in schedule order — even though each
+    /// rank's source slot is ready for iteration `i + 1` the whole time its
+    /// later slots are still on `i`.
+    #[test]
+    fn default_options_issue_in_schedule_order_without_credits() {
+        let opts = RuntimeOptions::paper_faithful().with_probes(true);
+        for (program, nodes, iters, messages, bytes) in [
+            (pipeline_program(4, 8, 4), 4, 6u32, 0, 0),
+            (row_to_col_program(), 2, 5, 10, 40),
+        ] {
+            let exec = execute(
+                &program,
+                &machine(nodes),
+                TimePolicy::Virtual,
+                &fill_registry(),
+                &opts,
+                iters,
+            )
+            .unwrap();
+            assert_eq!(exec.stream, StreamStats::default());
+            assert_eq!(exec.report.metrics.total_messages(), messages);
+            assert_eq!(exec.report.metrics.total_bytes(), bytes);
+            for (node, sched) in program.schedules.iter().enumerate() {
+                let started: Vec<(u32, u32)> = exec
+                    .trace
+                    .of_kind(sage_visualizer::EventKind::FnStart)
+                    .filter(|e| e.node == node as u32)
+                    .map(|e| (e.iteration, e.id))
+                    .collect();
+                let expect: Vec<(u32, u32)> = (0..iters)
+                    .flat_map(|i| sched.iter().map(move |t| (i, t.fn_id)))
+                    .collect();
+                assert_eq!(started, expect, "node {node}");
+            }
+        }
+    }
+
     /// Streaming across a real redistribution (rows -> cols on 2 nodes):
     /// cross-node pairs exercise the remote credit channel, and per-buffer
     /// depth caps below the global knob still replay bit-identically.
     #[test]
     fn streaming_remote_credits_match_lock_step() {
-        let n = 2u32;
-        let shape = vec![4usize, 4];
-        let program = GlueProgram {
-            app_name: "ct".into(),
-            functions: vec![
-                FunctionDescriptor {
-                    id: 0,
-                    name: "src".into(),
-                    function: "test.fill".into(),
-                    role: FnRole::Source,
-                    threads: n,
-                    placement: vec![0, 1],
-                    flops: 0.0,
-                    mem_bytes: 0.0,
-                    inputs: vec![],
-                    outputs: vec![0],
-                    params: Properties::new(),
-                },
-                FunctionDescriptor {
-                    id: 1,
-                    name: "snk".into(),
-                    function: "sink.null".into(),
-                    role: FnRole::Sink,
-                    threads: n,
-                    placement: vec![0, 1],
-                    flops: 0.0,
-                    mem_bytes: 0.0,
-                    inputs: vec![0],
-                    outputs: vec![],
-                    params: Properties::new(),
-                },
-            ],
-            buffers: vec![LogicalBufferDesc {
-                id: 0,
-                producer: 0,
-                producer_port: "out".into(),
-                consumer: 1,
-                consumer_port: "in".into(),
-                shape: shape.clone(),
-                elem_bytes: 1,
-                send_striping: Striping::BY_ROWS,
-                recv_striping: Striping::BY_COLS,
-                delay: 0,
-            }],
-            schedules: (0..n)
-                .map(|t| {
-                    vec![
-                        Task {
-                            fn_id: 0,
-                            thread: t,
-                        },
-                        Task {
-                            fn_id: 1,
-                            thread: t,
-                        },
-                    ]
-                })
-                .collect(),
-        };
+        let program = row_to_col_program();
         let reg = fill_registry();
         let iters = 5;
         let lock = execute(
@@ -1942,73 +1920,7 @@ mod tests {
     fn row_to_col_redistribution_transposes_ownership() {
         // src striped by rows -> sink striped by cols: the runtime must
         // deliver column stripes that reassemble into the original matrix.
-        let n = 2u32;
-        let shape = vec![4usize, 4];
-        let program = GlueProgram {
-            app_name: "ct".into(),
-            functions: vec![
-                FunctionDescriptor {
-                    id: 0,
-                    name: "src".into(),
-                    function: "test.fill".into(),
-                    role: FnRole::Source,
-                    threads: n,
-                    placement: vec![0, 1],
-                    flops: 0.0,
-                    mem_bytes: 0.0,
-                    inputs: vec![],
-                    outputs: vec![0],
-                    params: Properties::new(),
-                },
-                FunctionDescriptor {
-                    id: 1,
-                    name: "snk".into(),
-                    function: "sink.null".into(),
-                    role: FnRole::Sink,
-                    threads: n,
-                    placement: vec![0, 1],
-                    flops: 0.0,
-                    mem_bytes: 0.0,
-                    inputs: vec![0],
-                    outputs: vec![],
-                    params: Properties::new(),
-                },
-            ],
-            buffers: vec![LogicalBufferDesc {
-                id: 0,
-                producer: 0,
-                producer_port: "out".into(),
-                consumer: 1,
-                consumer_port: "in".into(),
-                shape: shape.clone(),
-                elem_bytes: 1,
-                send_striping: Striping::BY_ROWS,
-                recv_striping: Striping::BY_COLS,
-                delay: 0,
-            }],
-            schedules: vec![
-                vec![
-                    Task {
-                        fn_id: 0,
-                        thread: 0,
-                    },
-                    Task {
-                        fn_id: 1,
-                        thread: 0,
-                    },
-                ],
-                vec![
-                    Task {
-                        fn_id: 0,
-                        thread: 1,
-                    },
-                    Task {
-                        fn_id: 1,
-                        thread: 1,
-                    },
-                ],
-            ],
-        };
+        let program = row_to_col_program();
         let exec = execute(
             &program,
             &machine(2),

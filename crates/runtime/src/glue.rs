@@ -155,9 +155,23 @@ impl GlueProgram {
     /// task set, buffer endpoints valid.
     pub fn validate(&self) -> Result<(), String> {
         let nodes = self.schedules.len() as u32;
+        // Transfer tags pack ids into fixed-width fields; past them two
+        // pairs share a tag and the mailbox mis-delivers silently.
+        if self.buffers.len() > MAX_BUFFERS {
+            return Err(format!(
+                "the buffer table has {} entries; transfer tags encode at most {MAX_BUFFERS}",
+                self.buffers.len()
+            ));
+        }
         for (i, f) in self.functions.iter().enumerate() {
             if f.id as usize != i {
                 return Err(format!("function {i} has id {}", f.id));
+            }
+            if f.threads > MAX_THREADS {
+                return Err(format!(
+                    "function {} has {} threads; transfer tags encode at most {MAX_THREADS}",
+                    f.name, f.threads
+                ));
             }
             if f.placement.len() != f.threads as usize {
                 return Err(format!("function {} placement/threads mismatch", f.name));
@@ -206,15 +220,25 @@ impl GlueProgram {
     }
 }
 
+/// Maximum logical buffers [`xfer_tag`]'s 20-bit buffer field can address.
+pub const MAX_BUFFERS: usize = 1 << 20;
+/// Maximum threads per function [`xfer_tag`]'s 10-bit thread fields can
+/// address.
+pub const MAX_THREADS: u32 = 1 << 10;
+/// Iterations [`xfer_tag`]'s 20-bit iteration field tells apart: the
+/// deepest ring a logical buffer can have.
+pub const TAG_ITERATIONS: u32 = 1 << 20;
+
 /// Message tags for redistribution traffic: `buffer | iteration | src thread
 /// | dst thread`, all packed into the fabric's 64-bit tag space (top bit
 /// clear — the MPI layer's user/collective spaces are disjoint by
 /// construction since the runtime sends through the raw fabric context).
+/// [`GlueProgram::validate`] rejects programs whose ids overflow a field.
 pub fn xfer_tag(buffer: u32, iteration: u32, src_thread: u32, dst_thread: u32) -> u64 {
-    debug_assert!(buffer < (1 << 20));
-    debug_assert!(src_thread < (1 << 10) && dst_thread < (1 << 10));
+    debug_assert!((buffer as usize) < MAX_BUFFERS);
+    debug_assert!(src_thread < MAX_THREADS && dst_thread < MAX_THREADS);
     ((buffer as u64) << 40)
-        | ((iteration as u64 & 0xFFFFF) << 20)
+        | (((iteration % TAG_ITERATIONS) as u64) << 20)
         | ((src_thread as u64) << 10)
         | dst_thread as u64
 }
@@ -324,6 +348,17 @@ mod tests {
         let mut p = tiny_program();
         p.functions[0].placement[0] = 9;
         assert!(p.validate().is_err());
+    }
+
+    /// Ids past a tag field's width alias another pair's tag; `validate` is
+    /// the only gate `--unchecked` runs and library callers pass through.
+    #[test]
+    fn ids_wider_than_a_tag_field_rejected() {
+        let mut p = tiny_program();
+        p.functions[0].threads = MAX_THREADS + 1;
+        p.functions[0].placement = vec![0; MAX_THREADS as usize + 1];
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("src") && err.contains("1024"), "{err}");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`options`] — buffer-management schemes: the paper's
 //!   unique-logical-buffer-per-function scheme and the improved shared
 //!   scheme ("work underway ... to reach 90% of hand-coded");
-//! * [`executor`] — the per-node sequencer that walks the schedule,
-//!   assembles stripes, dispatches kernels, and transmits outputs, on either
-//!   the real or virtual clock;
+//! * [`executor`] — the per-node scheduler that issues schedule slots
+//!   (in order, or streamed under credit backpressure), assembles stripes,
+//!   dispatches kernels, and transmits outputs, on either the real or
+//!   virtual clock;
 //! * [`race`] — the vector-clock race detector that cross-validates the
 //!   static `sage race` happens-before proofs at run time.
 
@@ -37,5 +38,5 @@ pub use executor::{
 pub use function::{FnThreadCtx, Kernel, Registry, RuntimeError, StripePayload};
 pub use glue::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};
 pub use options::{BufferScheme, RuntimeOptions};
-pub use race::RaceState;
+pub use race::{fnv1a_64, RaceState};
 pub use striping::{CopyOp, Layout, PairOps, Redistribution};

@@ -40,33 +40,27 @@ pub struct RuntimeOptions {
     pub probes: bool,
     /// Deterministic fault plan for the run (empty = fault-free).
     pub faults: FaultPlan,
-    /// Run the copy-heavy data plane the executor shipped with (deep-copied
-    /// hand-offs, per-run interpreted pack/unpack) instead of the zero-copy
-    /// shared-payload path. Virtual-clock charges are identical either way
-    /// — only the *physical* copies differ — so this exists to let
-    /// `sage bench` measure the wall-clock win and to let tests assert the
-    /// two paths are bit-identical.
-    pub copy_baseline: bool,
-    /// Pipeline cross-validation depth. `Some(n)` runs the executor
-    /// block-interleaved with `n` iterations in flight, giving every
-    /// logical buffer and hand-off an `n`-slot ring (slot = iteration mod
-    /// `n`). Used to validate the static pipeline-safety pass: executing at
-    /// any depth up to the proven safe depth must be bit-identical to
-    /// lock-step, while a deliberately over-deep run on a hazardous program
-    /// corrupts or fails typed. `None` (the default) is ordinary lock-step
-    /// execution.
+    /// Pipeline cross-validation depth: the oracle for the static
+    /// pipeline-safety pass. `Some(n)` issues block-interleaved with `n`
+    /// iterations in flight over fixed-slot rings — every logical buffer
+    /// and hand-off has exactly `n` slots (slot = iteration mod `n`) and a
+    /// write replaces whatever the slot held. Executing at any depth up to
+    /// the proven safe depth must be bit-identical to lock-step, while a
+    /// deliberately over-deep run on a hazardous program corrupts or fails
+    /// typed. `None` (the default) runs the scheduler proper.
     pub pipeline_validate: Option<u32>,
-    /// Streaming pipeline execution. `Some(n)` replaces the lock-step walk
-    /// with a continuous-issue dataflow loop: every logical buffer becomes
-    /// an N-deep ring (N = the buffer's cap from
-    /// [`RuntimeOptions::pipeline_depths`], bounded by `n`), a schedule
-    /// slot issues iteration `i` as soon as its inputs for `i` have landed
-    /// and every downstream ring has a free slot, and per-pair credits
-    /// (one per downstream ring slot, returned when the consumer retires an
-    /// iteration) provide backpressure. At most `n` iterations are in
-    /// flight per rank. Hand-offs ride per-tag FIFO queues, so the sink
-    /// stream is bit-identical to lock-step at any depth; the knob only
-    /// bounds memory and run-ahead. `None` (the default) is lock-step.
+    /// The scheduler's issue horizon. `Some(n)` is streaming execution:
+    /// every logical buffer becomes an N-deep ring (N = the buffer's cap
+    /// from [`RuntimeOptions::pipeline_depths`], bounded by `n`), a
+    /// schedule slot issues iteration `i` as soon as its inputs for `i`
+    /// have landed and every downstream ring has a free slot, and per-pair
+    /// credits (one per downstream ring slot, returned when the consumer
+    /// retires an iteration) provide backpressure. At most `n` iterations
+    /// are in flight per rank. Hand-offs ride per-tag FIFO queues, so the
+    /// sink stream is bit-identical to lock-step at any depth; the knob
+    /// only bounds memory and run-ahead. `None` (the default) is lock-step:
+    /// the same scheduler at horizon 1 with unbounded rings, so it issues
+    /// in schedule order and exchanges no credits.
     pub pipeline: Option<u32>,
     /// Per-buffer ring-depth caps for streaming execution, indexed by
     /// buffer id — normally the proven `safe_depth`s from the static
@@ -98,7 +92,6 @@ impl RuntimeOptions {
             per_run_overhead: 0.25e-6,
             probes: false,
             faults: FaultPlan::default(),
-            copy_baseline: false,
             pipeline_validate: None,
             pipeline: None,
             pipeline_depths: Vec::new(),
@@ -116,7 +109,6 @@ impl RuntimeOptions {
             per_run_overhead: 0.1e-6,
             probes: false,
             faults: FaultPlan::default(),
-            copy_baseline: false,
             pipeline_validate: None,
             pipeline: None,
             pipeline_depths: Vec::new(),
@@ -139,13 +131,6 @@ impl RuntimeOptions {
     /// Builder: attach a fault plan for the run.
     pub fn with_faults(mut self, plan: FaultPlan) -> RuntimeOptions {
         self.faults = plan;
-        self
-    }
-
-    /// Builder: select the copy-heavy baseline data plane (see
-    /// [`RuntimeOptions::copy_baseline`]).
-    pub fn with_copy_baseline(mut self, on: bool) -> RuntimeOptions {
-        self.copy_baseline = on;
         self
     }
 
@@ -213,11 +198,8 @@ mod tests {
     fn builders() {
         let o = RuntimeOptions::paper_faithful()
             .with_probes(true)
-            .with_scheme(BufferScheme::Shared)
-            .with_copy_baseline(true);
+            .with_scheme(BufferScheme::Shared);
         assert!(o.probes);
         assert_eq!(o.buffer_scheme, BufferScheme::Shared);
-        assert!(o.copy_baseline);
-        assert!(!RuntimeOptions::optimized().copy_baseline);
     }
 }

@@ -11,18 +11,18 @@
 //! $ sage inspect  model.sexpr                 # validate + DOT view
 //! $ sage codegen  model.sexpr --nodes 8       # emit the glue source files
 //! $ sage run      model.sexpr --nodes 8 --iters 10 [--optimized] [--real] [--ga]
-//!                 [--transport local|tcp] [--copy-baseline] [--pipeline D]
+//!                 [--transport local|tcp] [--pipeline D]
 //!                 [--pipeline-validate D] [--race-detect] [--unchecked]
 //!                 [--dump-sink F] [--trace F]
 //! $ sage worker   --listen 127.0.0.1:0        # host one rank of a distributed job
-//! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized] [--copy-baseline]
+//! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized]
 //!                 [--pipeline D] [--heartbeat-ms MS] [--dump-sink F] [--trace F]
 //! $ sage fleet    [--listen ADDR]             # persistent multi-job worker daemon
 //! $ sage fleet    drain|stats --sched ADDR    # drain the fleet / print service metrics
 //! $ sage sched    [--spawn N | --workers A,B,...] [--listen ADDR] [--queue-depth D]
 //!                 [--slots S] [--heartbeat-ms MS]
 //! $ sage submit   model.sexpr --sched ADDR --ranks N --iters I [--tenant T]
-//!                 [--optimized] [--copy-baseline] [--dump-sink F]
+//!                 [--optimized] [--dump-sink F]
 //! $ sage bench    [--transport local|tcp] [--pipeline] [--jobs] [--json PATH]
 //!                 [--check BASELINE]
 //! $ sage export   fft2d|corner_turn|stap|image_filter --size 256 --threads 8 > model.sexpr
@@ -51,7 +51,7 @@ use sage::prelude::*;
 use sage_core::{check_model_source, lint_model_source, model_from_sexpr, model_io, Project};
 use sage_lint::Diagnostics;
 use sage_net::{LaunchOptions, LaunchOutcome};
-use sage_runtime::{FnRole, GlueProgram, SinkResults};
+use sage_runtime::{fnv1a_64, GlueProgram, SinkResults};
 use sage_visualizer::{export, gantt, report, Analysis, Trace};
 use std::process::ExitCode;
 
@@ -64,16 +64,16 @@ fn usage() -> ExitCode {
          sage explain [SAGE0xx]...\n  \
          sage inspect <model.sexpr>\n  sage codegen <model.sexpr> [--nodes N]\n  \
          sage run <model.sexpr> [--nodes N] [--iters I] [--optimized] [--real] [--ga]\n           \
-         [--transport local|tcp] [--copy-baseline] [--pipeline D] [--pipeline-validate D]\n           \
+         [--transport local|tcp] [--pipeline D] [--pipeline-validate D]\n           \
          [--race-detect] [--unchecked] [--dump-sink FILE] [--trace FILE]\n  \
          sage worker [--listen ADDR]\n  \
-         sage launch <model.sexpr> [--workers N] [--iters I] [--optimized] [--copy-baseline]\n              \
+         sage launch <model.sexpr> [--workers N] [--iters I] [--optimized]\n              \
          [--pipeline D] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage fleet [--listen ADDR] | sage fleet drain|stats --sched ADDR\n  \
          sage sched [--spawn N | --workers ADDR,ADDR,...] [--listen ADDR]\n             \
          [--queue-depth D] [--slots S] [--heartbeat-ms MS]\n  \
          sage submit <model.sexpr> --sched ADDR [--ranks N] [--iters I] [--tenant T]\n              \
-         [--optimized] [--copy-baseline] [--dump-sink FILE]\n  \
+         [--optimized] [--dump-sink FILE]\n  \
          sage bench [--transport local|tcp] [--pipeline] [--jobs] [--json PATH] [--check BASELINE]\n  \
          sage export <fft2d|corner_turn|stap|image_filter|beamformer|range_doppler> [--size S] [--threads T]\n  \
          sage fuzz [--seed S] [--count N] [--iters I] [--transport local|tcp]\n            \
@@ -542,35 +542,6 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// FNV-1a 64: the sink-output fingerprint printed after every run, so
-/// local and distributed executions can be compared at a glance.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Concatenates every sink's assembled output over all iterations, in
-/// (function id, iteration) order — the canonical byte stream two backends
-/// must agree on bit-for-bit.
-fn sink_bytes(program: &GlueProgram, results: &SinkResults, iterations: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in &program.functions {
-        if f.role != FnRole::Sink {
-            continue;
-        }
-        for iter in 0..iterations {
-            if let Some(full) = results.assemble(program, f.id, iter) {
-                out.extend_from_slice(&full);
-            }
-        }
-    }
-    out
-}
-
 /// Shared `--dump-sink` / `--trace` / checksum tail for run and launch.
 fn finish_run(
     args: &Args,
@@ -579,7 +550,7 @@ fn finish_run(
     trace: &Trace,
     iterations: u32,
 ) -> Result<(), String> {
-    let bytes = sink_bytes(program, results, iterations);
+    let bytes = results.stream(program, iterations);
     println!(
         "sink output: {} bytes, checksum {:#018x}",
         bytes.len(),
@@ -634,7 +605,6 @@ fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(
         iterations: iters,
         optimized: args.has("optimized"),
         probes: true,
-        copy_baseline: args.has("copy-baseline"),
         race_detect: args.has("race-detect"),
         heartbeat_ms: args.heartbeat_ms()?,
         pipeline,
@@ -706,7 +676,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         RuntimeOptions::paper_faithful()
     }
     .with_probes(true)
-    .with_copy_baseline(args.has("copy-baseline"))
     .with_race_detect(args.has("race-detect"));
     let policy = if args.has("real") {
         TimePolicy::Real
@@ -769,8 +738,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 iters,
             )
             .map_err(|e| format!("pipeline depth {depth}: {e}"))?;
-        let lockstep = sink_bytes(&program, &exec.results, iters);
-        let streamed = sink_bytes(&program, &streaming.results, iters);
+        let lockstep = exec.results.stream(&program, iters);
+        let streamed = streaming.results.stream(&program, iters);
         if lockstep != streamed {
             return Err(format!(
                 "pipeline depth {depth}: sink stream diverged from lock-step \
@@ -825,8 +794,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 iters,
             )
             .map_err(|e| format!("pipeline-validate depth {depth}: {e}"))?;
-        let lockstep = sink_bytes(&program, &exec.results, iters);
-        let pipelined = sink_bytes(&program, &piped.results, iters);
+        let lockstep = exec.results.stream(&program, iters);
+        let pipelined = piped.results.stream(&program, iters);
         if lockstep != pipelined {
             return Err(format!(
                 "pipeline-validate depth {depth}: sink stream diverged from \
@@ -1013,7 +982,6 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let spec = sage::fleet::SubmitSpec {
         tenant: args.get("tenant").unwrap_or("").to_string(),
         optimized: args.has("optimized"),
-        copy_baseline: args.has("copy-baseline"),
         ..sage::fleet::SubmitSpec::new(text.clone(), ranks as u32, iters)
     };
     let outcome = sage::fleet::submit(addr, &spec).map_err(|e| e.to_string())?;
@@ -1049,8 +1017,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
 }
 
 /// `sage bench`: the performance-trajectory sweep over the four committed
-/// example models — copy-heavy baseline vs zero-copy data plane, on the
-/// local fabric and (optionally) the multi-process TCP transport.
+/// example models, on the local fabric and (optionally) the multi-process
+/// TCP transport.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     use sage_bench::trajectory as tj;
     let transports: Vec<&str> = match args.get("transport") {
@@ -1063,30 +1031,27 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let quick = std::env::var("SAGE_QUICK").is_ok();
     let mut results = Vec::new();
     println!(
-        "{:<18} {:>9} {:>10} {:>12} {:>12} {:>12}  checksum",
-        "model", "transport", "plane", "ms/iter", "MiB moved", "MiB/s"
+        "{:<18} {:>9} {:>12} {:>12} {:>12}  checksum",
+        "model", "transport", "ms/iter", "MiB moved", "MiB/s"
     );
     for (name, path) in tj::BENCH_MODELS {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path} (run from the repo root): {e}"))?;
         for &transport in &transports {
-            for copy_baseline in [true, false] {
-                let r = match transport {
-                    "local" => tj::bench_local(name, &text, iters, copy_baseline)?,
-                    _ => tj::bench_tcp(name, &text, iters, copy_baseline, &spawn_local_worker)?,
-                };
-                println!(
-                    "{:<18} {:>9} {:>10} {:>12.3} {:>12.2} {:>12.1}  {:#018x}",
-                    r.model,
-                    r.transport,
-                    r.data_plane,
-                    r.ms_per_iter,
-                    r.bytes_moved as f64 / (1024.0 * 1024.0),
-                    r.bandwidth_mib_s,
-                    r.checksum
-                );
-                results.push(r);
-            }
+            let r = match transport {
+                "local" => tj::bench_local(name, &text, iters)?,
+                _ => tj::bench_tcp(name, &text, iters, &spawn_local_worker)?,
+            };
+            println!(
+                "{:<18} {:>9} {:>12.3} {:>12.2} {:>12.1}  {:#018x}",
+                r.model,
+                r.transport,
+                r.ms_per_iter,
+                r.bytes_moved as f64 / (1024.0 * 1024.0),
+                r.bandwidth_mib_s,
+                r.checksum
+            );
+            results.push(r);
         }
     }
     // Every cell of one model must assemble bit-identical sink output.
@@ -1222,20 +1187,9 @@ fn fuzz_replay(stem: &str, iters_override: Option<u32>) -> Result<(), String> {
         // Fault-induced failure: establish the fault-free checksum in the
         // saved cell, then re-attach the exact saved plan (fault plans are
         // local-only, exactly as the soak runs them).
-        let cell = diff::Cell {
-            tcp: false,
-            copy_baseline: repro.cell.ends_with("/copy"),
-        };
-        let (want, _) = diff::run_cell(&repro.source, repro.nodes, iters, cell, None, None)
+        let (want, _) = diff::run_local_cell(&repro.source, repro.nodes, iters, None)
             .map_err(|e| format!("fault-free baseline run failed: {e}"))?;
-        return match diff::run_cell(
-            &repro.source,
-            repro.nodes,
-            iters,
-            cell,
-            Some(plan.clone()),
-            None,
-        ) {
+        return match diff::run_local_cell(&repro.source, repro.nodes, iters, Some(plan.clone())) {
             Err(e) => {
                 println!("  !! [{}] typed failure reproduced: {e}", repro.cell);
                 Err("replay reproduced the failure".into())

@@ -95,7 +95,6 @@ proptest! {
             iterations: iters,
             optimized: false,
             probes: false,
-            copy_baseline: false,
             race_detect: false,
             heartbeat_ms: None,
             pipeline: None,

@@ -6,7 +6,7 @@
 //! of its own; each suite pulls it in with `mod common;`.
 #![allow(dead_code)]
 
-use sage_runtime::{FnRole, GlueProgram, SinkResults};
+use sage_runtime::{GlueProgram, SinkResults};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
@@ -82,32 +82,11 @@ pub fn assert_parity(model: &str, ranks: usize) {
     );
 }
 
-/// FNV-1a-64, matching the fingerprint the CLI prints after every run.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Concatenates every sink's assembled output over all iterations, in
 /// (function id, iteration) order — the canonical byte stream two
 /// backends must agree on bit-for-bit.
 pub fn sink_bytes(program: &GlueProgram, results: &SinkResults, iterations: u32) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in &program.functions {
-        if f.role != FnRole::Sink {
-            continue;
-        }
-        for iter in 0..iterations {
-            if let Some(full) = results.assemble(program, f.id, iter) {
-                out.extend_from_slice(&full);
-            }
-        }
-    }
-    out
+    results.stream(program, iterations)
 }
 
 /// The directory failing fuzz/chaos artifacts are saved under, per the

@@ -3,6 +3,7 @@
 //! with reduced averaging.
 
 use sage::prelude::*;
+use sage_apps::experiment::{table1_cell, BenchApp};
 use sage_apps::{corner_turn, fft2d};
 
 #[test]
@@ -86,4 +87,53 @@ fn iterations_scale_makespan_linearly() {
         (4.0..=6.0).contains(&ratio),
         "5 iterations should take ~5x one ({ratio})"
     );
+}
+
+/// Table 1.0 virtual times, pinned to the bit at the commit before the
+/// lock-step loop folded into the scheduler (PR 12). The cost model is the
+/// reproduction's result; an executor refactor that moves a single charge
+/// — one extra message, one reordered `advance` — shows up here.
+#[test]
+fn table1_virtual_times_are_pinned() {
+    if std::env::var("SAGE_FULL_ITERS").is_ok() {
+        return; // pins are for the default (2 x 5) repetition schedule
+    }
+    let paper = RuntimeOptions::paper_faithful();
+    let optimized = RuntimeOptions::optimized();
+    for (app, options, hand, sage) in [
+        (
+            BenchApp::Fft2d,
+            &paper,
+            0x3f6b4f10df4b548a_u64,
+            0x3f6dd6aa9c205ca0_u64,
+        ),
+        (
+            BenchApp::Fft2d,
+            &optimized,
+            0x3f6b4f10df4b548a,
+            0x3f6bba70a9b6474e,
+        ),
+        (
+            BenchApp::CornerTurn,
+            &paper,
+            0x3f3e90e4bf31d998,
+            0x3f453a23e83c94e6,
+        ),
+        (
+            BenchApp::CornerTurn,
+            &optimized,
+            0x3f3e90e4bf31d998,
+            0x3f40b2d5aac1e010,
+        ),
+    ] {
+        let cell = table1_cell(app, 128, 4, options);
+        assert_eq!(
+            (cell.hand_secs.to_bits(), cell.sage_secs.to_bits()),
+            (hand, sage),
+            "{} 128x128 on 4 nodes moved: hand {} s, SAGE {} s",
+            app.name(),
+            cell.hand_secs,
+            cell.sage_secs
+        );
+    }
 }

@@ -7,10 +7,10 @@
 
 mod common;
 
-use common::{fnv1a_64, out_path, sage_bin, sink_bytes, sink_dump};
+use common::{out_path, sage_bin, sink_bytes, sink_dump};
 use sage::fleet::{reports_to_outcomes, SchedConfig, Scheduler, SubmitSpec};
 use sage::net::{NetError, RejectReason};
-use sage_runtime::SinkResults;
+use sage_runtime::{fnv1a_64, SinkResults};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -55,8 +55,8 @@ fn campaign_report_is_deterministic() {
     assert_eq!(a, b, "same seed must render the same bytes");
 }
 
-/// A tiny corpus through the full {local, tcp} × {copy, zero-copy}
-/// lattice: each clean model spawns real worker processes twice.
+/// A tiny corpus through the full {local, tcp} lattice: each clean model
+/// spawns real worker processes.
 #[test]
 fn tcp_lattice_stays_bit_identical() {
     let opts = FuzzOptions {
@@ -141,7 +141,7 @@ fn saved_failure_replays_bit_identically() {
         ) {
             Ok(exec) => format!(
                 "ok:{:016x}",
-                common::fnv1a_64(&common::sink_bytes(&program, &exec.results, r.iterations))
+                sage_runtime::fnv1a_64(&common::sink_bytes(&program, &exec.results, r.iterations))
             ),
             Err(e) => format!("err:{e}"),
         }
@@ -153,4 +153,35 @@ fn saved_failure_replays_bit_identically() {
         first.starts_with("err:") && first.contains("soak repro fault"),
         "replay must reproduce the injected failure, got: {first}"
     );
+}
+
+/// A bundle saved in a cell of the retired copy-heavy data plane must be
+/// refused with a one-line error: replaying it on the surviving plane
+/// would report on a run that is not the one that failed.
+#[test]
+fn replay_of_a_retired_plane_bundle_is_refused() {
+    for (seed, cell) in [(0xc0b1, "local/copy"), (0xc0b2, "tcp/copy")] {
+        let repro = failure::Repro {
+            seed,
+            nodes: 2,
+            iterations: 1,
+            cell: cell.into(),
+            message: "checksum mismatch".into(),
+            source: "(app \"x\")".into(),
+            plan: None,
+        };
+        let stem = failure::save_repro(&common::failures_dir(), &repro).expect("save");
+        let out = std::process::Command::new(common::sage_bin())
+            .args(["fuzz", "--replay"])
+            .arg(&stem)
+            .output()
+            .expect("spawn sage");
+        assert!(!out.status.success(), "{cell}: replay must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{cell}: {stderr}");
+        assert!(
+            stderr.contains(cell) && stderr.contains("data plane retired in PR 12"),
+            "{cell}: {stderr}"
+        );
+    }
 }

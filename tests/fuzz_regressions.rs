@@ -101,8 +101,8 @@ fn ooo_transfer_fixture_reproduces_the_failure() {
         .execute(&program, TimePolicy::Virtual, &options, 1)
         .expect("fixture runs clean as scheduled");
     assert_eq!(
-        common::fnv1a_64(&common::sink_bytes(&program, &a.results, 1)),
-        common::fnv1a_64(&common::sink_bytes(&program, &b.results, 1)),
+        sage_runtime::fnv1a_64(&common::sink_bytes(&program, &a.results, 1)),
+        sage_runtime::fnv1a_64(&common::sink_bytes(&program, &b.results, 1)),
         "clean runs must be bit-identical"
     );
 

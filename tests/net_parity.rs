@@ -10,17 +10,18 @@
 
 mod common;
 
-use common::{assert_parity, fnv1a_64, model_path, sink_dump};
+use common::{assert_parity, model_path, sink_dump};
 use sage_net::{LaunchOptions, NetError};
-use sage_runtime::RuntimeError;
+use sage_runtime::{fnv1a_64, RuntimeError};
 use std::process::{Command, Stdio};
 
 /// Sink output fingerprints pinned at the build each model first landed
 /// in (4 nodes, 2 iterations, local transport). The first four were
-/// recorded from the copy-heavy build *before* the zero-copy data plane;
-/// the beamformer and range-doppler pipelines were pinned when they were
-/// added. The zero-copy path — and the `--copy-baseline` escape hatch —
-/// must keep reproducing these bytes exactly.
+/// recorded from the copy-heavy build *before* the zero-copy data plane
+/// (which has since retired — these pins are what is left of it as a
+/// reference); the beamformer and range-doppler pipelines were pinned when
+/// they were added. The executor must keep reproducing these bytes
+/// exactly.
 const PINNED_SINKS: [(&str, usize, u64); 6] = [
     ("fft2d_64.sexpr", 65536, 0x106286f4fa7ffcfd),
     ("corner_turn_256.sexpr", 1048576, 0x5f7c4d9797348e85),
@@ -31,38 +32,21 @@ const PINNED_SINKS: [(&str, usize, u64); 6] = [
 ];
 
 /// Every committed model still produces its pinned sink bytes on the
-/// local transport, on both data planes.
+/// local transport.
 #[test]
 fn sink_checksums_match_pinned_builds() {
     for (model, len, sum) in PINNED_SINKS {
         let path = model_path(model);
-        let zero_copy = sink_dump(
+        let sink = sink_dump(
             &["run", &path, "--nodes", "4", "--iters", "2"],
-            &format!("pin_zc_{model}"),
+            &format!("pin_{model}"),
         );
-        assert_eq!(zero_copy.len(), len, "{model}: sink size drifted");
+        assert_eq!(sink.len(), len, "{model}: sink size drifted");
         assert_eq!(
-            fnv1a_64(&zero_copy),
+            fnv1a_64(&sink),
             sum,
-            "{model}: zero-copy sink differs from the pinned build \
-             (got {:#018x})",
-            fnv1a_64(&zero_copy)
-        );
-        let baseline = sink_dump(
-            &[
-                "run",
-                &path,
-                "--nodes",
-                "4",
-                "--iters",
-                "2",
-                "--copy-baseline",
-            ],
-            &format!("pin_cb_{model}"),
-        );
-        assert!(
-            baseline == zero_copy,
-            "{model}: --copy-baseline and zero-copy data planes disagree"
+            "{model}: sink differs from the pinned build (got {:#018x})",
+            fnv1a_64(&sink)
         );
     }
 }
@@ -118,7 +102,6 @@ fn killed_worker_surfaces_typed_failure() {
         iterations: 200,
         optimized: false,
         probes: false,
-        copy_baseline: false,
         race_detect: false,
         heartbeat_ms: None,
         pipeline: None,
