@@ -14,13 +14,14 @@
 //!   the unique-buffer scheme and the ≥90% optimized run-time;
 //! * `cross_vendor` — the MITRE-style cross-vendor comparison (reference
 //!   [2]) over the CSPI/Mercury/SKY/SIGI platform models;
-//! * `mapping_study` — AToT's GA against baseline mappers (§1.1 ablation).
+//! * `mapping_study` — AToT's GA against baseline mappers (§1.1 ablation);
+//! * `pipeline_speedup` — lock-step vs depth-8 streaming in virtual time on
+//!   five committed models (see [`pipeline`]).
 //!
-//! Criterion benches (`cargo bench`) cover the same points with
-//! statistical repetition.
+//! Wall-clock measurement lives in the repo's `benchmark/` package, not
+//! here: everything in this crate runs on the virtual clock.
 
-pub mod jobs;
-pub mod trajectory;
+pub mod pipeline;
 
 use sage_apps::experiment::{BenchApp, Table1Cell};
 
@@ -30,7 +31,7 @@ pub const PAPER_SIZES: [usize; 3] = [256, 512, 1024];
 /// The paper's node configurations for Table 1.0.
 pub const PAPER_NODES: [usize; 2] = [4, 8];
 
-/// Reduced sizes used by quick (`SAGE_QUICK=1`) runs and Criterion loops.
+/// Reduced sizes used by quick (`SAGE_QUICK=1`) runs.
 pub const QUICK_SIZES: [usize; 2] = [128, 256];
 
 /// Returns the sweep sizes honouring `SAGE_QUICK`.

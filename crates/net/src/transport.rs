@@ -14,10 +14,9 @@
 //!   logical ranks are mapped to mesh peer indices through a rank map, so
 //!   many concurrent jobs — each with its own dense rank namespace — ride
 //!   one set of sockets.
-//! * [`TcpTransport`] — the classic one-job-per-process transport, now a
-//!   thin wrapper over a private core in job namespace 0 with an identity
-//!   rank map. API and semantics are unchanged from the
-//!   thread-per-link era.
+//! * [`TcpTransport`] — the classic one-job-per-process transport: a
+//!   [`JobTransport`] over a private core in job namespace 0 with an
+//!   identity rank map, whose `finish` also tears the mesh down.
 //!
 //! Semantics mirror the in-process cluster so the executor cannot tell the
 //! backends apart: per-`(src, tag)` FIFO ordering (TCP ordering + one
@@ -919,11 +918,9 @@ impl Transport for JobTransport {
 }
 
 /// The classic one-job-per-process TCP [`Transport`] for one rank: a
-/// private [`MeshCore`] in job namespace 0 with an identity rank map.
-pub struct TcpTransport {
-    core: Arc<MeshCore>,
-    counters: Counters,
-}
+/// [`JobTransport`] over a private [`MeshCore`], in job namespace 0 with an
+/// identity rank map.
+pub struct TcpTransport(JobTransport);
 
 impl TcpTransport {
     /// Establishes the full mesh for `rank` out of `peers` (one data-plane
@@ -936,85 +933,45 @@ impl TcpTransport {
         probe: Probe,
     ) -> Result<TcpTransport, NetError> {
         let core = MeshCore::connect(rank, peers, listener, config, probe)?;
-        let counters = Counters::new(peers.len());
-        Ok(TcpTransport { core, counters })
+        let identity = (0..peers.len()).collect();
+        Ok(TcpTransport(JobTransport::new(core, 0, rank, identity)))
     }
 
     /// Clean shutdown: tell every peer we are done and return this rank's
     /// traffic counters. The I/O thread is joined (it is nonblocking, so
     /// the join is prompt); already-written frames stay deliverable to
-    /// peers through normal TCP buffering.
+    /// peers through normal TCP buffering. The link-level `Goodbye` ends
+    /// the one job with the mesh, so no `JobDone` is sent.
     pub fn finish(self) -> (NodeMetrics, Vec<LinkMetrics>) {
-        self.core.shutdown();
-        self.counters.finish(self.core.mesh_rank())
+        let counters = self.0.counters.finish(self.0.rank);
+        self.0.core.shutdown();
+        counters
     }
 }
 
 impl Transport for TcpTransport {
     fn rank(&self) -> usize {
-        self.core.mesh_rank()
+        self.0.rank()
     }
 
     fn size(&self) -> usize {
-        self.core.mesh_size()
+        self.0.size()
     }
 
     fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
-        let rank = self.core.mesh_rank();
-        if self.core.mailbox.poisoned.load(Ordering::SeqCst) {
-            // A thread died holding the mailbox: local state is suspect.
-            return Err(FabricError::NodeFailed { node: rank as u32 });
-        }
-        if dst == rank {
-            self.core.local_enqueue(0, dst as u32, tag, payload.clone());
-            return Ok(());
-        }
-        match self
-            .core
-            .send_data(0, rank as u32, dst as u32, dst, tag, payload)
-        {
-            Ok(()) => {
-                let s = &mut self.counters.sent[dst];
-                s.0 += 1;
-                s.1 += payload.len() as u64;
-                Ok(())
-            }
-            Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed { node: rank as u32 }),
-            Err(_) => Err(FabricError::PeerFailed {
-                node: rank as u32,
-                peer: dst as u32,
-            }),
-        }
+        self.0.try_send(dst, tag, payload)
     }
 
     fn note_mem_use(&mut self, bytes: u64) {
-        self.counters.mem_high_water = self.counters.mem_high_water.max(bytes);
+        self.0.note_mem_use(bytes);
     }
 
     fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
-        let rank = self.core.mesh_rank();
-        let mesh = if src == rank { None } else { Some(src) };
-        match self.core.recv(0, src as u32, mesh, tag) {
-            Ok(payload) => {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += payload.len() as u64;
-                Ok(payload)
-            }
-            Err(CoreFail::PeerGone) => Err(FabricError::PeerFailed {
-                node: rank as u32,
-                peer: src as u32,
-            }),
-            Err(CoreFail::Timeout) => Err(FabricError::RecvTimeout {
-                node: rank as u32,
-                src: src as u32,
-                tag,
-            }),
-            Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed { node: rank as u32 }),
-        }
+        self.0.try_recv(src, tag)
     }
 
     fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
-        self.core.ready(0, src as u32, tag)
+        self.0.try_recv_ready(src, tag)
     }
 }
 

@@ -102,11 +102,6 @@ pub fn serve(listen: &str, register: &dyn Fn(&mut Registry)) -> Result<(), NetEr
     Ok(())
 }
 
-/// Failure report scaffold: everything zeroed except the error.
-pub fn failed_report(rank: u32, error: RuntimeError) -> RankReport {
-    failed(rank, error)
-}
-
 /// Regenerates and prepares one job's program from its model text: parse,
 /// place, generate, rank-count check, kernel binding. Shared by the
 /// one-shot worker and the fleet daemon — both must derive identical
@@ -135,7 +130,7 @@ pub fn prepare_job(
 }
 
 /// Failure report scaffold: everything zeroed except the error.
-fn failed(rank: u32, error: RuntimeError) -> RankReport {
+pub fn failed_report(rank: u32, error: RuntimeError) -> RankReport {
     RankReport {
         rank,
         error: Some(error),
@@ -152,7 +147,7 @@ fn run_job(spec: &JobSpec, listener: &TcpListener, register: &dyn Fn(&mut Regist
     let rank = spec.rank;
     let (program, prepared) = match prepare_job(&spec.model, spec.ranks as usize, register) {
         Ok(p) => p,
-        Err(e) => return failed(rank, e),
+        Err(e) => return failed_report(rank, e),
     };
     let options = if spec.optimized {
         sage_runtime::RuntimeOptions::optimized()
@@ -175,7 +170,7 @@ fn run_job(spec: &JobSpec, listener: &TcpListener, register: &dyn Fn(&mut Regist
     ) {
         Ok(t) => t,
         // A peer that never came up is indistinguishable from a dead one.
-        Err(_) => return failed(rank, RuntimeError::NodeFailed { node: rank }),
+        Err(_) => return failed_report(rank, RuntimeError::NodeFailed { node: rank }),
     };
 
     let t0 = Instant::now();

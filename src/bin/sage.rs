@@ -13,18 +13,17 @@
 //! $ sage run      model.sexpr --nodes 8 --iters 10 [--optimized] [--real] [--ga]
 //!                 [--transport local|tcp] [--pipeline D]
 //!                 [--pipeline-validate D] [--race-detect] [--unchecked]
-//!                 [--dump-sink F] [--trace F]
+//!                 [--heartbeat-ms MS] [--dump-sink F] [--trace F]
 //! $ sage worker   --listen 127.0.0.1:0        # host one rank of a distributed job
 //! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized]
-//!                 [--pipeline D] [--heartbeat-ms MS] [--dump-sink F] [--trace F]
+//!                 [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink F]
+//!                 [--trace F]
 //! $ sage fleet    [--listen ADDR]             # persistent multi-job worker daemon
 //! $ sage fleet    drain|stats --sched ADDR    # drain the fleet / print service metrics
 //! $ sage sched    [--spawn N | --workers A,B,...] [--listen ADDR] [--queue-depth D]
 //!                 [--slots S] [--heartbeat-ms MS]
 //! $ sage submit   model.sexpr --sched ADDR --ranks N --iters I [--tenant T]
-//!                 [--optimized] [--dump-sink F]
-//! $ sage bench    [--transport local|tcp] [--pipeline] [--jobs] [--json PATH]
-//!                 [--check BASELINE]
+//!                 [--optimized] [--dump-sink F] [--trace F]
 //! $ sage export   fft2d|corner_turn|stap|image_filter --size 256 --threads 8 > model.sexpr
 //! $ sage fuzz     --seed 42 --count 50 [--iters I] [--transport local|tcp]
 //!                 [--fault-rounds R] [--minimize] [--save-failing DIR] [--replay STEM]
@@ -65,21 +64,77 @@ fn usage() -> ExitCode {
          sage inspect <model.sexpr>\n  sage codegen <model.sexpr> [--nodes N]\n  \
          sage run <model.sexpr> [--nodes N] [--iters I] [--optimized] [--real] [--ga]\n           \
          [--transport local|tcp] [--pipeline D] [--pipeline-validate D]\n           \
-         [--race-detect] [--unchecked] [--dump-sink FILE] [--trace FILE]\n  \
+         [--race-detect] [--unchecked] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage worker [--listen ADDR]\n  \
          sage launch <model.sexpr> [--workers N] [--iters I] [--optimized]\n              \
-         [--pipeline D] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
+         [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage fleet [--listen ADDR] | sage fleet drain|stats --sched ADDR\n  \
          sage sched [--spawn N | --workers ADDR,ADDR,...] [--listen ADDR]\n             \
          [--queue-depth D] [--slots S] [--heartbeat-ms MS]\n  \
          sage submit <model.sexpr> --sched ADDR [--ranks N] [--iters I] [--tenant T]\n              \
-         [--optimized] [--dump-sink FILE]\n  \
-         sage bench [--transport local|tcp] [--pipeline] [--jobs] [--json PATH] [--check BASELINE]\n  \
+         [--optimized] [--dump-sink FILE] [--trace FILE]\n  \
          sage export <fft2d|corner_turn|stap|image_filter|beamformer|range_doppler> [--size S] [--threads T]\n  \
          sage fuzz [--seed S] [--count N] [--iters I] [--transport local|tcp]\n            \
          [--fault-rounds R] [--minimize] [--save-failing DIR] [--replay STEM]"
     );
     ExitCode::from(2)
+}
+
+/// One subcommand: its entry point and the flags it reads, as
+/// space-separated names — switches take no value, valued flags exactly
+/// one. Anything else on the command line is a typo and is rejected, never
+/// ignored.
+struct Subcommand {
+    run: fn(&Args) -> Result<(), String>,
+    switches: &'static str,
+    valued: &'static str,
+}
+
+/// The subcommand table; `None` for an unknown name.
+fn subcommand(cmd: &str) -> Option<Subcommand> {
+    let sub = |run, switches, valued| Subcommand {
+        run,
+        switches,
+        valued,
+    };
+    Some(match cmd {
+        "lint" => sub(cmd_lint, "deny-warnings explain", "nodes format"),
+        "check" => sub(cmd_check, "deny-warnings explain", "nodes format"),
+        "pipeline" => sub(cmd_pipeline, "deny-warnings", "nodes depth format plan"),
+        "race" => sub(cmd_race, "deny-warnings", "nodes format"),
+        "explain" => sub(cmd_explain, "", ""),
+        "inspect" => sub(cmd_inspect, "", ""),
+        "codegen" => sub(cmd_codegen, "", "nodes"),
+        "run" => sub(
+            cmd_run,
+            "optimized real ga race-detect unchecked",
+            "nodes iters transport pipeline pipeline-validate heartbeat-ms dump-sink trace",
+        ),
+        "worker" => sub(cmd_worker, "", "listen"),
+        "launch" => sub(
+            cmd_launch,
+            "optimized race-detect",
+            "workers iters pipeline heartbeat-ms dump-sink trace",
+        ),
+        "fleet" => sub(cmd_fleet, "", "listen sched"),
+        "sched" => sub(
+            cmd_sched,
+            "",
+            "spawn workers listen queue-depth slots heartbeat-ms",
+        ),
+        "submit" => sub(
+            cmd_submit,
+            "optimized",
+            "sched ranks iters tenant dump-sink trace",
+        ),
+        "export" => sub(cmd_export, "", "size threads"),
+        "fuzz" => sub(
+            cmd_fuzz,
+            "minimize",
+            "seed count iters transport fault-rounds save-failing replay",
+        ),
+        _ => return None,
+    })
 }
 
 /// Tiny flag parser: `--key value` pairs plus boolean switches.
@@ -89,22 +144,30 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Parses `raw` against the flags subcommand `cmd` reads.
+    fn parse(cmd: &str, sub: &Subcommand, raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
-                    _ => None,
-                };
-                flags.push((name.to_string(), value));
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 positional.push(a.clone());
-            }
+                continue;
+            };
+            let lists = |flags: &str| flags.split_whitespace().any(|f| f == name);
+            let value = if lists(sub.switches) {
+                None
+            } else if lists(sub.valued) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("--{name} needs a value")),
+                }
+            } else {
+                return Err(format!("unknown flag `--{name}` for `sage {cmd}`"));
+            };
+            flags.push((name.to_string(), value));
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -118,10 +181,19 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    fn usize_or(&self, name: &str, default: usize) -> usize {
+    /// A numeric flag's value; an unparsable one is an error, never the
+    /// default.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} needs a non-negative integer, got `{v}`"))
+            })
+            .transpose()
+    }
+
+    fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.num(name)?.unwrap_or(default))
     }
 
     /// The `--heartbeat-ms` transport knob: `None` leaves the transport's
@@ -143,16 +215,12 @@ impl Args {
     /// absence already means lock-step, and depth 1 is a real streaming
     /// mode (a one-iteration window per buffer).
     fn pipeline_depth(&self) -> Result<Option<u32>, String> {
-        if !self.has("pipeline") {
-            return Ok(None);
-        }
-        match self.get("pipeline").and_then(|v| v.parse::<u32>().ok()) {
-            Some(d) if d >= 1 => Ok(Some(d)),
-            Some(_) => Err("--pipeline 0 is not a mode: omit the flag for lock-step \
+        match self.num::<u32>("pipeline")? {
+            Some(0) => Err("--pipeline 0 is not a mode: omit the flag for lock-step \
                  execution, or pass a depth >= 1 to stream (depth 1 streams \
                  with a one-iteration window per buffer)"
                 .into()),
-            None => Err("--pipeline needs a positive ring depth (iterations in flight)".into()),
+            depth => Ok(depth),
         }
     }
 }
@@ -191,7 +259,7 @@ fn analyze_files(
     if args.positional.is_empty() {
         return Err(format!("{what} needs at least one model file"));
     }
-    let nodes = args.usize_or("nodes", 4);
+    let nodes: usize = args.num_or("nodes", 4)?;
     let deny_warnings = args.has("deny-warnings");
     let json = match args.get("format") {
         None | Some("text") => false,
@@ -252,7 +320,7 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
     if args.positional.is_empty() {
         return Err("pipeline needs at least one model file".into());
     }
-    let nodes = args.usize_or("nodes", 4);
+    let nodes: usize = args.num_or("nodes", 4)?;
     let deny_warnings = args.has("deny-warnings");
     let depth = match args.get("depth") {
         None => None,
@@ -346,7 +414,7 @@ fn cmd_race(args: &Args) -> Result<(), String> {
     if args.positional.is_empty() {
         return Err("race needs at least one model file".into());
     }
-    let nodes = args.usize_or("nodes", 4);
+    let nodes: usize = args.num_or("nodes", 4)?;
     let deny_warnings = args.has("deny-warnings");
     let json = match args.get("format") {
         None | Some("text") => false,
@@ -525,7 +593,7 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
         .first()
         .ok_or("codegen needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let nodes = args.usize_or("nodes", 4);
+    let nodes: usize = args.num_or("nodes", 4)?;
     auto_lint(path, &text, nodes)?;
     let model = model_from_sexpr(&text).map_err(|e| e.to_string())?;
     let project = Project::new(model, HardwareShelf::cspi_with_nodes(nodes));
@@ -634,7 +702,7 @@ fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(
 fn cmd_run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("run needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let nodes = args.usize_or("nodes", 4);
+    let nodes: usize = args.num_or("nodes", 4)?;
     auto_lint(path, &text, nodes)?;
     if args.has("unchecked") {
         // Escape hatch for cross-validating the static gates against the
@@ -644,7 +712,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         auto_check(path, &text, nodes)?;
     }
-    let iters = args.usize_or("iters", 3) as u32;
+    let iters: u32 = args.num_or("iters", 3)?;
     if args.has("pipeline") && args.has("pipeline-validate") {
         return Err(
             "--pipeline and --pipeline-validate are mutually exclusive: \
@@ -766,20 +834,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             fnv1a_64(&lockstep)
         );
     }
-    if args.has("pipeline-validate") {
-        let depth = match args
-            .get("pipeline-validate")
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            Some(d) if d >= 1 => d,
-            Some(_) => {
-                return Err("--pipeline-validate 0 is not a mode: omit the flag for a \
-                     plain lock-step run, or pass depth 1, which validates in \
-                     lock-step order and is bit-equivalent to lock-step"
-                    .into())
-            }
-            None => return Err("--pipeline-validate needs a positive depth".into()),
-        };
+    if let Some(depth) = args.num::<u32>("pipeline-validate")? {
+        if depth == 0 {
+            return Err("--pipeline-validate 0 is not a mode: omit the flag for a \
+                 plain lock-step run, or pass depth 1, which validates in \
+                 lock-step order and is bit-equivalent to lock-step"
+                .into());
+        }
         if let Some(plan) = sage_check::pipeline_plan(&program, &project.hardware) {
             println!(
                 "statically proven safe pipeline depth: {}",
@@ -827,10 +888,10 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let workers = args.usize_or("workers", 4);
+    let workers: usize = args.num_or("workers", 4)?;
     auto_lint(path, &text, workers)?;
     auto_check(path, &text, workers)?;
-    let iters = args.usize_or("iters", 3) as u32;
+    let iters: u32 = args.num_or("iters", 3)?;
     run_over_tcp(args, &text, workers, iters)
 }
 
@@ -922,8 +983,8 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
 /// protocol until a client drains it — then exit 0.
 fn cmd_sched(args: &Args) -> Result<(), String> {
     let cfg = sage::fleet::SchedConfig {
-        queue_depth: args.usize_or("queue-depth", 128),
-        slots_per_worker: args.usize_or("slots", 64),
+        queue_depth: args.num_or("queue-depth", 128)?,
+        slots_per_worker: args.num_or("slots", 64)?,
         heartbeat_ms: args.heartbeat_ms()?,
     };
     let mut children: Vec<std::process::Child> = Vec::new();
@@ -933,7 +994,7 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
             .filter(|s| !s.is_empty())
             .collect()
     } else {
-        let n = args.usize_or("spawn", 4);
+        let n: usize = args.num_or("spawn", 4)?;
         let mut addrs = Vec::with_capacity(n);
         for i in 0..n {
             let mut child =
@@ -975,10 +1036,10 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("submit needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let addr = args.get("sched").ok_or("submit needs --sched ADDR")?;
-    let ranks = args.usize_or("ranks", 4);
+    let ranks: usize = args.num_or("ranks", 4)?;
     auto_lint(path, &text, ranks)?;
     auto_check(path, &text, ranks)?;
-    let iters = args.usize_or("iters", 3) as u32;
+    let iters: u32 = args.num_or("iters", 3)?;
     let spec = sage::fleet::SubmitSpec {
         tenant: args.get("tenant").unwrap_or("").to_string(),
         optimized: args.has("optimized"),
@@ -1014,162 +1075,6 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         m.wire_bytes() / 1024
     );
     finish_run(args, &merged.program, &merged.results, &merged.trace, iters)
-}
-
-/// `sage bench`: the performance-trajectory sweep over the four committed
-/// example models, on the local fabric and (optionally) the multi-process
-/// TCP transport.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use sage_bench::trajectory as tj;
-    let transports: Vec<&str> = match args.get("transport") {
-        None => vec!["local", "tcp"],
-        Some("local") => vec!["local"],
-        Some("tcp") => vec!["tcp"],
-        Some(other) => return Err(format!("unknown --transport `{other}` (local|tcp)")),
-    };
-    let iters = tj::bench_iterations();
-    let quick = std::env::var("SAGE_QUICK").is_ok();
-    let mut results = Vec::new();
-    println!(
-        "{:<18} {:>9} {:>12} {:>12} {:>12}  checksum",
-        "model", "transport", "ms/iter", "MiB moved", "MiB/s"
-    );
-    for (name, path) in tj::BENCH_MODELS {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path} (run from the repo root): {e}"))?;
-        for &transport in &transports {
-            let r = match transport {
-                "local" => tj::bench_local(name, &text, iters)?,
-                _ => tj::bench_tcp(name, &text, iters, &spawn_local_worker)?,
-            };
-            println!(
-                "{:<18} {:>9} {:>12.3} {:>12.2} {:>12.1}  {:#018x}",
-                r.model,
-                r.transport,
-                r.ms_per_iter,
-                r.bytes_moved as f64 / (1024.0 * 1024.0),
-                r.bandwidth_mib_s,
-                r.checksum
-            );
-            results.push(r);
-        }
-    }
-    // Every cell of one model must assemble bit-identical sink output.
-    for (name, _) in tj::BENCH_MODELS {
-        let sums: Vec<u64> = results
-            .iter()
-            .filter(|r| r.model == name)
-            .map(|r| r.checksum)
-            .collect();
-        if sums.windows(2).any(|w| w[0] != w[1]) {
-            return Err(format!(
-                "sink checksum mismatch across `{name}` runs: {sums:#018x?}"
-            ));
-        }
-    }
-    // --jobs: the job-service throughput sweep — a persistent fleet vs
-    // forking a full launch per job, at each concurrency level.
-    let mut jobs_cells = Vec::new();
-    if args.has("jobs") {
-        use sage_bench::jobs;
-        let conc = jobs::jobs_concurrency();
-        let total = jobs::jobs_total();
-        println!(
-            "\n{:<7} {:>11} {:>6} {:>7} {:>10} {:>10}  checksum",
-            "mode", "concurrency", "jobs", "ranks", "wall s", "jobs/s"
-        );
-        let fleet = jobs::bench_fleet_jobs(&spawn_local_fleet, &conc, total)?;
-        let fork = jobs::bench_fork_jobs(&spawn_local_worker, &conc, total)?;
-        for cell in fleet.iter().chain(&fork) {
-            println!(
-                "{:<7} {:>11} {:>6} {:>7} {:>10.2} {:>10.1}  {:#018x}",
-                cell.mode,
-                cell.concurrency,
-                cell.jobs,
-                cell.ranks,
-                cell.wall_secs,
-                cell.jobs_per_sec,
-                cell.checksum
-            );
-        }
-        // Bit-identical across modes, concurrency levels, and every job.
-        let sums: Vec<u64> = fleet.iter().chain(&fork).map(|c| c.checksum).collect();
-        if sums.windows(2).any(|w| w[0] != w[1]) {
-            return Err(format!(
-                "sink checksum mismatch across job cells: {sums:#018x?}"
-            ));
-        }
-        for (fl, fo) in fleet.iter().zip(&fork) {
-            println!(
-                "concurrency {}: fleet {:.1} jobs/s vs fork {:.1} jobs/s ({:.1}x)",
-                fl.concurrency,
-                fl.jobs_per_sec,
-                fo.jobs_per_sec,
-                fl.jobs_per_sec / fo.jobs_per_sec.max(1e-9)
-            );
-        }
-        jobs_cells = fleet;
-        jobs_cells.extend(fork);
-    }
-    // --pipeline: the streaming-executor sweep — lock-step vs pipelined
-    // frames per virtual second at the statically proven safe depth.
-    let mut pipeline_cells = Vec::new();
-    if args.has("pipeline") {
-        println!(
-            "\n{:<18} {:>6} {:>14} {:>14} {:>8}  checksum",
-            "model", "depth", "lockstep f/s", "pipelined f/s", "speedup"
-        );
-        for (name, path) in tj::PIPELINE_MODELS {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path} (run from the repo root): {e}"))?;
-            let p = tj::bench_pipeline(name, &text, tj::pipeline_iterations())?;
-            println!(
-                "{:<18} {:>6} {:>14.1} {:>14.1} {:>7.2}x  {:#018x}",
-                p.model, p.depth, p.lockstep_fps, p.pipelined_fps, p.speedup, p.checksum
-            );
-            pipeline_cells.push(p);
-        }
-    }
-    let json = tj::to_json_doc(&tj::BenchDoc {
-        quick,
-        results,
-        jobs: jobs_cells,
-        pipeline: pipeline_cells,
-    });
-    let path = args.get("json").unwrap_or("BENCH_runtime.json");
-    std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("wrote {path}");
-    if let Some(baseline_path) = args.get("check") {
-        let baseline_text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-        let baseline = tj::parse_doc(&baseline_text)?;
-        // Re-parse what we just wrote: the schema gate CI relies on.
-        let reread = tj::parse_doc(&json)?;
-        tj::check_regression(&reread.results, &baseline.results, tj::DEFAULT_TOLERANCE)?;
-        eprintln!(
-            "bandwidth within {:.0}% of {baseline_path} for all shared cells",
-            tj::DEFAULT_TOLERANCE * 100.0
-        );
-        if !reread.jobs.is_empty() {
-            tj::check_jobs_regression(&reread.jobs, &baseline.jobs, tj::JOBS_TOLERANCE)?;
-            eprintln!(
-                "job throughput within {:.0}% of {baseline_path} for all shared cells",
-                tj::JOBS_TOLERANCE * 100.0
-            );
-        }
-        if !reread.pipeline.is_empty() {
-            tj::check_pipeline_regression(
-                &reread.pipeline,
-                &baseline.pipeline,
-                tj::PIPELINE_TOLERANCE,
-            )?;
-            eprintln!(
-                "pipelined frame rate within {:.0}% of {baseline_path} for all shared cells",
-                tj::PIPELINE_TOLERANCE * 100.0
-            );
-        }
-    }
-    Ok(())
 }
 
 /// Replays one saved failure bundle (`<stem>.sexpr` / `.plan` / `.meta`)
@@ -1237,8 +1142,7 @@ fn fuzz_replay(stem: &str, iters_override: Option<u32>) -> Result<(), String> {
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
     use sage::fuzz::{run_fuzz, FuzzOptions};
     if let Some(stem) = args.get("replay") {
-        let iters = args.get("iters").and_then(|v| v.parse().ok());
-        return fuzz_replay(stem, iters);
+        return fuzz_replay(stem, args.num("iters")?);
     }
     let tcp = match args.get("transport") {
         None | Some("local") => false,
@@ -1246,19 +1150,13 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         Some(other) => return Err(format!("unknown --transport `{other}` (local|tcp)")),
     };
     let opts = FuzzOptions {
-        seed: args.usize_or("seed", 1) as u64,
-        count: args.usize_or("count", 16),
-        iterations: args.usize_or("iters", 2) as u32,
+        seed: args.num_or("seed", 1)?,
+        count: args.num_or("count", 16)?,
+        iterations: args.num_or("iters", 2)?,
         tcp,
-        fault_rounds: args.usize_or("fault-rounds", 2),
+        fault_rounds: args.num_or("fault-rounds", 2)?,
         minimize: args.has("minimize"),
-        save_failing: args
-            .get("save-failing")
-            .map(std::path::PathBuf::from)
-            .or_else(|| {
-                args.has("save-failing")
-                    .then(|| "target/fuzz-failures".into())
-            }),
+        save_failing: args.get("save-failing").map(std::path::PathBuf::from),
         ..FuzzOptions::default()
     };
     let report = run_fuzz(&opts, tcp.then_some(&spawn_local_worker));
@@ -1275,8 +1173,8 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
 
 fn cmd_export(args: &Args) -> Result<(), String> {
     let which = args.positional.first().ok_or("export needs an app name")?;
-    let size = args.usize_or("size", 256);
-    let threads = args.usize_or("threads", 8);
+    let size: usize = args.num_or("size", 256)?;
+    let threads: usize = args.num_or("threads", 8)?;
     let model = match which.as_str() {
         "fft2d" => sage::apps::fft2d::sage_model(size, threads),
         "corner_turn" => sage::apps::corner_turn::sage_model(size, threads),
@@ -1292,30 +1190,13 @@ fn cmd_export(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
+    let Some((cmd, rest)) = raw.split_first() else {
         return usage();
     };
-    let args = Args::parse(&raw[1..]);
-    let result = match cmd.as_str() {
-        "lint" => cmd_lint(&args),
-        "check" => cmd_check(&args),
-        "pipeline" => cmd_pipeline(&args),
-        "race" => cmd_race(&args),
-        "explain" => cmd_explain(&args),
-        "inspect" => cmd_inspect(&args),
-        "codegen" => cmd_codegen(&args),
-        "run" => cmd_run(&args),
-        "worker" => cmd_worker(&args),
-        "launch" => cmd_launch(&args),
-        "fleet" => cmd_fleet(&args),
-        "sched" => cmd_sched(&args),
-        "submit" => cmd_submit(&args),
-        "bench" => cmd_bench(&args),
-        "export" => cmd_export(&args),
-        "fuzz" => cmd_fuzz(&args),
-        _ => return usage(),
+    let Some(sub) = subcommand(cmd) else {
+        return usage();
     };
-    match result {
+    match Args::parse(cmd, &sub, rest).and_then(|args| (sub.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

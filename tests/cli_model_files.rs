@@ -188,3 +188,24 @@ fn sage_pipeline_rejects_over_deep_request() {
     );
     assert!(all.contains("SAGE060"), "{all}");
 }
+
+/// A mistyped flag or an unparsable number fails the CLI with a one-line
+/// error naming the flag — never a silent run with the default.
+#[test]
+fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
+    let model = common::model_path("fft2d_64.sexpr");
+    for (args, needle) in [
+        (&["run", &model, "--pipline", "4"][..], "--pipline"),
+        (&["run", &model, "--iters", "x"], "--iters"),
+        (&["launch", &model, "--copy-baseline"], "--copy-baseline"),
+    ] {
+        let out = std::process::Command::new(common::sage_bin())
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "sage {args:?} must fail");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}

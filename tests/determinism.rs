@@ -137,3 +137,58 @@ fn table1_virtual_times_are_pinned() {
         );
     }
 }
+
+/// The streaming speed-up experiment (`pipeline_speedup`): five committed
+/// models at 4 nodes, 24 frames, depth `min(proven, 8)` on the
+/// stage-pipelined placement. Lock-step frames per virtual second are
+/// pinned to the bit (identical at PR 10, PR 12 and the commit that retired
+/// `sage bench`); the streaming makespan moves a little with the
+/// scheduler's host-timing-dependent issue order, so the speed-up is held
+/// to 75% of the committed value. `bench_pipeline` itself fails if the
+/// streaming sink checksum differs from the lock-step one.
+#[test]
+fn pipeline_speedup_is_pinned() {
+    for (name, lockstep_fps, speedup, checksum) in [
+        (
+            "fft2d_64",
+            0x40806cd89908b26e_u64,
+            1.71,
+            0xe91aa01d7650d305_u64,
+        ),
+        (
+            "corner_turn_256",
+            0x406444cbe8f6eabb,
+            1.47,
+            0x4d530ae090a280a5,
+        ),
+        (
+            "image_filter_128",
+            0x405009592ed58a2a,
+            1.52,
+            0xd06c6c9d9f8636b5,
+        ),
+        ("stap_128", 0x405d64715397be21, 1.69, 0x60b59dba3c0edda5),
+        (
+            "beamformer_64",
+            0x407e6e6cb2377714,
+            1.39,
+            0xfb63c60a240327a5,
+        ),
+    ] {
+        let cell = sage_bench::pipeline::bench_pipeline(name).expect("cell runs");
+        assert_eq!(cell.depth, 8, "{name}: proven depth fell below the cap");
+        assert_eq!(
+            (cell.lockstep_fps.to_bits(), cell.checksum),
+            (lockstep_fps, checksum),
+            "{name} moved: lock-step {} frames/s ({:#018x}), checksum {:#018x}",
+            cell.lockstep_fps,
+            cell.lockstep_fps.to_bits(),
+            cell.checksum
+        );
+        assert!(
+            cell.speedup >= 0.75 * speedup,
+            "{name}: streaming speed-up {:.2}x fell below 75% of the committed {speedup}x",
+            cell.speedup
+        );
+    }
+}

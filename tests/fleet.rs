@@ -87,16 +87,19 @@ fn write_model(name: &str, app: &sage::model::AppGraph) -> String {
     path.to_string_lossy().into_owned()
 }
 
-/// The small job every in-process test submits: the same 2-rank 2-D FFT
-/// the jobs benchmark uses.
+/// The small job every in-process test submits: a 64-point 2-D FFT over
+/// two ranks, the job `benchmark/`'s fleet workload also runs.
 fn small_spec(iterations: u32) -> SubmitSpec {
-    SubmitSpec::new(sage_bench::jobs::jobs_model_text(), 2, iterations)
+    let model = sage::apps::fft2d::sage_model(64, 2);
+    SubmitSpec::new(sage::core::model_io::model_to_sexpr(&model), 2, iterations)
 }
 
 /// Sink checksum of one successful fleet outcome, asserting every rank
 /// reported cleanly.
 fn outcome_checksum(outcome: &sage::fleet::JobOutcome, iterations: u32) -> u64 {
-    let program = sage_bench::jobs::jobs_program(&sage_bench::jobs::jobs_model_text()).unwrap();
+    let (program, _) = sage::apps::fft2d::sage_project(64, 2)
+        .generate(&sage::core::Placement::Aligned)
+        .expect("codegen");
     let mut results = SinkResults::default();
     for report in reports_to_outcomes(outcome.reports.clone()) {
         let report = report.expect("rank reported");
