@@ -1,15 +1,15 @@
 //! # sage-fleet
 //!
-//! Persistent multi-tenant job service for the SAGE run-time: long-lived
-//! worker daemons keep their TCP mesh warm across jobs, and a scheduler
+//! The distributed job path for the SAGE run-time: long-lived worker
+//! daemons keep their TCP mesh warm across jobs, and a scheduler
 //! multiplexes many concurrent jobs over that one fabric.
 //!
 //! The paper's run-time infrastructure assumed a *standing* machine — CSPI
-//! nodes that boot once and then serve application after application. The
-//! classic `sage launch` path reproduces one run end-to-end but pays
-//! process spawn + mesh establishment per job; this crate reproduces the
-//! standing-machine model: pay mesh setup once, then amortize it over
-//! every job the fleet serves.
+//! nodes that boot once and then serve application after application — with
+//! one kernel on every node, configured only by the generated tables. So
+//! there is one daemon and one control protocol here: a standing fleet pays
+//! mesh setup once and amortizes it over every job it serves, and
+//! `sage launch` is the same fleet stood up for exactly one job.
 //!
 //! * [`worker`] — the `sage fleet` daemon: one mesh endpoint
 //!   ([`sage_net::MeshCore`]), many concurrent jobs, each over a
@@ -23,21 +23,26 @@
 //! * [`metrics`] — the service-level counters ([`FleetStats`]).
 //! * [`client`] — what `sage submit` / `sage fleet drain` /
 //!   `sage fleet stats` call.
+//! * [`launch`](mod@launch) — the `sage launch` body: spawn daemons, submit
+//!   one job through an in-process scheduler, drain, merge.
 //!
 //! Parity bar: a job through the fleet produces sink output bit-identical
-//! to the same model under `sage run --transport tcp` — the fleet changes
-//! job *delivery*, never job *results*.
+//! to the same model on the in-process backend — the fleet changes job
+//! *delivery*, never job *results*.
 
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod launch;
 pub mod metrics;
 pub mod proto;
 pub mod sched;
 pub mod worker;
 
 pub use client::{drain_fleet, fleet_stats, parse_sched_banner, reports_to_outcomes, submit};
+pub use launch::{launch, spawn_daemons, LaunchOptions, Spawner};
 pub use metrics::{FleetStats, TenantStats};
 pub use proto::{FleetJob, FleetMsg, SubmitSpec};
+pub use sage_net::JobParams;
 pub use sched::{serve_sched, JobOutcome, SchedConfig, Scheduler};
-pub use worker::{parse_fleet_banner, serve_fleet};
+pub use worker::{parse_fleet_banner, serve_fleet, CHAOS_EXIT_ENV};

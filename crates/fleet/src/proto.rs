@@ -4,7 +4,8 @@
 //! All messages travel as [`FrameKind::Fleet`] frames whose payload leads
 //! with a message-type byte; typed refusals travel as `Reject` frames
 //! carrying a [`RejectReason`]. Codec primitives come from
-//! [`sage_net::codec`] — same framing rules as the one-shot job protocol.
+//! [`sage_net::codec`], and the job description inside `Submit` and `Job` is
+//! the one [`JobParams`] codec.
 //!
 //! Link lifecycles:
 //!
@@ -18,7 +19,9 @@
 
 use crate::metrics::FleetStats;
 use sage_net::codec::{Reader, Writer};
-use sage_net::{Frame, FrameKind, NetError, RankReport, RejectReason, WireError, PROTO_VERSION};
+use sage_net::{
+    Frame, FrameKind, JobParams, NetError, RankReport, RejectReason, WireError, PROTO_VERSION,
+};
 use std::io::{Read, Write};
 
 /// A job submission, as the client hands it to the scheduler.
@@ -30,24 +33,23 @@ pub struct SubmitSpec {
     pub tenant: String,
     /// Ranks the job needs.
     pub ranks: u32,
-    /// Iterations (data sets) to run.
-    pub iterations: u32,
-    /// Use the optimized (shared-buffer) run-time options.
-    pub optimized: bool,
-    /// The application model, as s-expression text.
-    pub model: String,
+    /// What to run and how.
+    pub params: JobParams,
 }
 
 impl SubmitSpec {
-    /// A v2 spec with the defaults a plain `sage submit` would use.
+    /// An anonymous submission of [`JobParams::new`]'s default job.
     pub fn new(model: impl Into<String>, ranks: u32, iterations: u32) -> SubmitSpec {
+        SubmitSpec::with_params(JobParams::new(model, iterations), ranks)
+    }
+
+    /// An anonymous submission of `params` at this build's protocol version.
+    pub fn with_params(params: JobParams, ranks: u32) -> SubmitSpec {
         SubmitSpec {
             proto_version: PROTO_VERSION,
             tenant: String::new(),
             ranks,
-            iterations,
-            optimized: false,
-            model: model.into(),
+            params,
         }
     }
 }
@@ -61,12 +63,8 @@ pub struct FleetJob {
     pub rank: u32,
     /// Logical rank -> mesh index for every rank of the job.
     pub rank_map: Vec<u32>,
-    /// Iterations (data sets) to run.
-    pub iterations: u32,
-    /// Use the optimized (shared-buffer) run-time options.
-    pub optimized: bool,
-    /// The application model, as s-expression text.
-    pub model: String,
+    /// What to run and how, exactly as submitted.
+    pub params: JobParams,
 }
 
 /// A fleet control-plane message.
@@ -164,10 +162,7 @@ impl FleetMsg {
             } => {
                 w.u8(3);
                 w.u32(*worker_index);
-                w.u32(peers.len() as u32);
-                for p in peers {
-                    w.string(p);
-                }
+                w.seq(peers, |w, p| w.string(p));
                 w.opt_u64(*heartbeat_ms);
             }
             FleetMsg::InitDone { worker_index } => {
@@ -178,13 +173,8 @@ impl FleetMsg {
                 w.u8(5);
                 w.u32(j.job);
                 w.u32(j.rank);
-                w.u32(j.rank_map.len() as u32);
-                for &m in &j.rank_map {
-                    w.u32(m);
-                }
-                w.u32(j.iterations);
-                w.u8(u8::from(j.optimized));
-                w.string(&j.model);
+                w.seq(&j.rank_map, |w, &m| w.u32(m));
+                j.params.encode_into(&mut w);
             }
             FleetMsg::JobResult { job, report } => {
                 w.u8(6);
@@ -201,9 +191,7 @@ impl FleetMsg {
                 w.u32(s.proto_version);
                 w.string(&s.tenant);
                 w.u32(s.ranks);
-                w.u32(s.iterations);
-                w.u8(u8::from(s.optimized));
-                w.string(&s.model);
+                s.params.encode_into(&mut w);
             }
             FleetMsg::Outcome {
                 job,
@@ -213,16 +201,13 @@ impl FleetMsg {
                 w.u8(10);
                 w.u32(*job);
                 w.f64(*wall_secs);
-                w.u32(reports.len() as u32);
-                for r in reports {
-                    match r {
-                        None => w.u8(0),
-                        Some(rep) => {
-                            w.u8(1);
-                            rep.encode_into(&mut w);
-                        }
+                w.seq(reports, |w, r| match r {
+                    None => w.u8(0),
+                    Some(rep) => {
+                        w.u8(1);
+                        rep.encode_into(w);
                     }
-                }
+                });
             }
             FleetMsg::DrainFleet => w.u8(11),
             FleetMsg::Drained { jobs_completed } => {
@@ -251,14 +236,7 @@ impl FleetMsg {
             },
             3 => FleetMsg::Init {
                 worker_index: r.u32()?,
-                peers: {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        v.push(r.string()?);
-                    }
-                    v
-                },
+                peers: r.seq(|r| r.string())?,
                 heartbeat_ms: r.opt_u64()?,
             },
             4 => FleetMsg::InitDone {
@@ -267,17 +245,8 @@ impl FleetMsg {
             5 => FleetMsg::Job(FleetJob {
                 job: r.u32()?,
                 rank: r.u32()?,
-                rank_map: {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        v.push(r.u32()?);
-                    }
-                    v
-                },
-                iterations: r.u32()?,
-                optimized: r.u8()? != 0,
-                model: r.string()?,
+                rank_map: r.seq(|r| r.u32())?,
+                params: JobParams::decode_from(&mut r)?,
             }),
             6 => FleetMsg::JobResult {
                 job: r.u32()?,
@@ -302,25 +271,18 @@ impl FleetMsg {
                     proto_version,
                     tenant: r.string()?,
                     ranks: r.u32()?,
-                    iterations: r.u32()?,
-                    optimized: r.u8()? != 0,
-                    model: r.string()?,
+                    params: JobParams::decode_from(&mut r)?,
                 })
             }
             10 => FleetMsg::Outcome {
                 job: r.u32()?,
                 wall_secs: r.f64()?,
-                reports: {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        v.push(match r.u8()? {
-                            0 => None,
-                            _ => Some(RankReport::decode_from(&mut r)?),
-                        });
-                    }
-                    v
-                },
+                reports: r.seq(|r| {
+                    Ok(match r.u8()? {
+                        0 => None,
+                        _ => Some(RankReport::decode_from(r)?),
+                    })
+                })?,
             },
             11 => FleetMsg::DrainFleet,
             12 => FleetMsg::Drained {
@@ -439,9 +401,13 @@ mod tests {
                 job: 7,
                 rank: 1,
                 rank_map: vec![2, 0],
-                iterations: 8,
-                optimized: true,
-                model: "(app demo)".into(),
+                params: JobParams {
+                    optimized: true,
+                    probes: true,
+                    pipeline: Some(4),
+                    pipeline_depths: vec![4, 1],
+                    ..JobParams::new("(app demo)", 8)
+                },
             }),
             FleetMsg::JobResult {
                 job: 7,
@@ -485,8 +451,9 @@ mod tests {
         }
     }
 
-    /// A v4 client's `Submit` carries one more byte before the model; the
-    /// decoder must hand the scheduler its version, not choke on the layout.
+    /// A v5 client's `Submit` carries only `optimized` between the
+    /// iteration count and the model; the decoder must hand the scheduler
+    /// its version, not choke on the layout.
     #[test]
     fn submit_from_the_previous_revision_decodes_to_its_version() {
         let mut w = Writer::new();
@@ -496,7 +463,6 @@ mod tests {
         w.u32(2);
         w.u32(8);
         w.u8(0);
-        w.u8(0); // the retired data-plane byte
         w.string("(app demo)");
         match FleetMsg::decode(&w.0).unwrap() {
             FleetMsg::Submit(spec) => assert_eq!(spec.proto_version, PROTO_VERSION - 1),

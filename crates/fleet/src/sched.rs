@@ -111,8 +111,8 @@ struct SchedState {
 impl SchedState {
     fn new(workers: usize) -> SchedState {
         SchedState {
-            // Job id 0 is the classic one-shot namespace; fleet jobs start
-            // above it.
+            // Job id 0 is `TcpTransport`'s private-mesh namespace; fleet
+            // jobs start above it.
             next_job: 1,
             drain_done: vec![None; workers],
             ..SchedState::default()
@@ -439,9 +439,7 @@ impl Scheduler {
                 job,
                 rank: rank as u32,
                 rank_map: rank_map.clone(),
-                iterations: spec.iterations,
-                optimized: spec.optimized,
-                model: spec.model.clone(),
+                params: spec.params.clone(),
             });
             let sent = {
                 let mut wr = self.workers[w]

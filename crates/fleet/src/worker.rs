@@ -13,27 +13,38 @@
 //! 3. on `Init`, build the warm mesh with the other fleet workers
 //!    ([`MeshCore`]) and ack with `InitDone`;
 //! 4. serve jobs: each `Job` message runs on its own thread over a
-//!    [`JobTransport`] view of the shared mesh (per-job rank namespace),
-//!    reporting back with `JobResult` — run failures travel in-band;
+//!    [`JobTransport`] view of the shared mesh (per-job rank namespace)
+//!    with its own probe collector, reporting back with `JobResult` — run
+//!    failures travel in-band;
 //! 5. on `Drain` (or scheduler EOF): finish in-flight jobs, ack with
 //!    `DrainDone`, tear the mesh down, and return `Ok` — exit code 0.
 //!
 //! Thread count is O(1) in peers and jobs-in-flight bounded only by the
 //! scheduler's slot accounting: one mesh I/O thread, one control reader
 //! (the main thread), plus one short-lived thread per *executing* job.
+//!
+//! Set `SAGE_NET_CHAOS_EXIT_MS=<millis>` to make the daemon kill its own
+//! process that long after its first job arrives — the chaos hook the
+//! kill-a-worker-mid-run tests use.
 
 use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetMsg};
 use sage_net::{
-    failed_report, prepare_job, JobTransport, MeshCore, NetConfig, NetError, RankReport,
+    failed_report, prepare_job, JobParams, JobTransport, MeshCore, NetConfig, NetError, RankReport,
     RejectReason, PROTO_VERSION,
 };
-use sage_runtime::{execute_rank, Registry, RuntimeOptions};
-use sage_visualizer::Probe;
+use sage_runtime::{execute_rank, GlueProgram, Registry, RuntimeError, RuntimeOptions};
+use sage_visualizer::{Collector, Probe};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Environment variable: if set to a millisecond count, the daemon exits
+/// the whole process that long after its first job arrives
+/// (fault-injection for the distributed layer: a real crash, not a
+/// simulated one).
+pub const CHAOS_EXIT_ENV: &str = "SAGE_NET_CHAOS_EXIT_MS";
 
 /// Runs one fleet worker daemon: binds `listen`, serves jobs until
 /// drained (or the scheduler disconnects), and returns.
@@ -104,6 +115,7 @@ pub fn serve_fleet(
     let active = ActiveJobs::default();
     let completed = AtomicU64::new(0);
 
+    let mut chaos_armed = false;
     let served = std::thread::scope(|s| -> Result<(), NetError> {
         loop {
             let msg = match read_fleet(&mut &control) {
@@ -116,6 +128,9 @@ pub fn serve_fleet(
             };
             match msg {
                 FleetMsg::Job(job) => {
+                    if !std::mem::replace(&mut chaos_armed, true) {
+                        arm_chaos_exit();
+                    }
                     active.begin();
                     let core = core.clone();
                     let writer = &writer;
@@ -189,38 +204,87 @@ fn send_result(writer: &Mutex<TcpStream>, job: u32, report: RankReport) {
     let _ = send_fleet(&mut *w, &FleetMsg::JobResult { job, report });
 }
 
+/// Starts the [`CHAOS_EXIT_ENV`] countdown, if the variable asks for one.
+fn arm_chaos_exit() {
+    let Some(ms) = std::env::var(CHAOS_EXIT_ENV)
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+    else {
+        return;
+    };
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(ms));
+        eprintln!("sage-fleet: chaos exit after {ms} ms");
+        std::process::exit(101);
+    });
+}
+
+/// The run-time options a job asks for, checked against the program its
+/// model generated. The per-buffer depths arrive from a client, so a list
+/// that does not cover the program's buffers is a malformed job — the
+/// executor would quietly fall back to the global depth for the rest.
+fn runtime_options(
+    params: &JobParams,
+    program: &GlueProgram,
+) -> Result<RuntimeOptions, RuntimeError> {
+    let depths = &params.pipeline_depths;
+    if !depths.is_empty() && depths.len() != program.buffers.len() {
+        return Err(RuntimeError::BadProgram(format!(
+            "job carries {} pipeline depths, program has {} buffers",
+            depths.len(),
+            program.buffers.len()
+        )));
+    }
+    Ok(if params.optimized {
+        RuntimeOptions::optimized()
+    } else {
+        RuntimeOptions::paper_faithful()
+    }
+    .with_probes(params.probes)
+    .with_race_detect(params.race_detect)
+    .with_pipeline(params.pipeline.unwrap_or(0))
+    .with_pipeline_depths(depths.clone()))
+}
+
 /// Executes one rank of one job over a job-scoped view of the warm mesh.
 fn run_fleet_job(
     core: Arc<MeshCore>,
     spec: FleetJob,
     register: &(dyn Fn(&mut Registry) + Sync),
 ) -> RankReport {
-    let rank = spec.rank;
-    let (program, prepared) = match prepare_job(&spec.model, spec.rank_map.len(), &|r| register(r))
-    {
+    let FleetJob {
+        job,
+        rank,
+        rank_map,
+        params,
+    } = spec;
+    let ranks = rank_map.len();
+    let prepared =
+        prepare_job(&params.model, ranks, &|r| register(r)).and_then(|(program, prepared)| {
+            Ok((runtime_options(&params, &program)?, program, prepared))
+        });
+    let (options, program, prepared) = match prepared {
         Ok(p) => p,
         Err(e) => return failed_report(rank, e),
     };
-    let options = if spec.optimized {
-        RuntimeOptions::optimized()
-    } else {
-        RuntimeOptions::paper_faithful()
-    };
 
-    let rank_map: Vec<usize> = spec.rank_map.iter().map(|&m| m as usize).collect();
-    let mut transport = JobTransport::new(core, spec.job, rank as usize, rank_map);
-    let probe = Probe::disabled();
+    let collector = Arc::new(Collector::new(ranks, params.probes));
+    let probe = Probe::new(collector.clone(), rank);
+    let rank_map: Vec<usize> = rank_map.iter().map(|&m| m as usize).collect();
+    let mut transport = JobTransport::new(core, job, rank as usize, rank_map, probe.clone());
     let t0 = Instant::now();
-    // Degraded per-process detector (only this rank's serial accesses).
+    // Degraded per-process detector: it only sees this rank's serial
+    // accesses, so it is trivially clean — cross-rank race validation runs
+    // on the in-process backend.
     let race = options
         .race_detect
-        .then(|| sage_runtime::RaceState::new(spec.rank_map.len()));
+        .then(|| sage_runtime::RaceState::new(ranks));
     let outcome = execute_rank(
         &mut transport,
         &program,
         &prepared,
         &options,
-        spec.iterations,
+        params.iterations,
         &probe,
         race.as_ref(),
     );
@@ -229,29 +293,32 @@ fn run_fleet_job(
     // the job (success or failure), while the mesh link stays warm for
     // every other job on the daemon.
     let (metrics, links) = transport.finish();
-    match outcome {
-        Ok(outcome) => RankReport {
-            rank,
-            error: None,
-            deposits: outcome
+    drop(probe);
+    let events = Arc::into_inner(collector)
+        .map(|c| c.into_trace().events().to_vec())
+        .unwrap_or_default();
+    let (error, deposits) = match outcome {
+        // Deposits leave the shared-payload world here: the report codec
+        // ships plain bytes. `into_vec` is free when the run-time handed
+        // over the sole reference.
+        Ok(outcome) => (
+            None,
+            outcome
                 .deposits
                 .into_iter()
                 .map(|(key, payload)| (key, payload.into_vec()))
                 .collect(),
-            wall_secs,
-            metrics,
-            links,
-            events: Vec::new(),
-        },
-        Err(e) => RankReport {
-            rank,
-            error: Some(e),
-            deposits: Vec::new(),
-            wall_secs,
-            metrics,
-            links,
-            events: Vec::new(),
-        },
+        ),
+        Err(e) => (Some(e), Vec::new()),
+    };
+    RankReport {
+        rank,
+        error,
+        deposits,
+        wall_secs,
+        metrics,
+        links,
+        events,
     }
 }
 
@@ -272,5 +339,24 @@ mod tests {
             Some("127.0.0.1:4099")
         );
         assert_eq!(parse_fleet_banner("something else"), None);
+    }
+
+    #[test]
+    fn pipeline_depths_must_cover_the_programs_buffers() {
+        let program = GlueProgram {
+            app_name: "demo".into(),
+            functions: Vec::new(),
+            buffers: Vec::new(),
+            schedules: Vec::new(),
+        };
+        let mut params = JobParams::new("(app demo)", 1);
+        params.pipeline = Some(2);
+        let options = runtime_options(&params, &program).expect("no depths: global depth");
+        assert_eq!(options.pipeline, Some(2));
+        params.pipeline_depths = vec![2];
+        assert!(matches!(
+            runtime_options(&params, &program),
+            Err(RuntimeError::BadProgram(m)) if m.contains("1 pipeline depths")
+        ));
     }
 }

@@ -36,8 +36,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sage_core::{checked_program, Placement, Project, ProjectError};
 use sage_fabric::{FaultPlan, TimePolicy};
+use sage_fleet::{JobParams, LaunchOptions, Spawner};
 use sage_model::HardwareShelf;
-use sage_net::{LaunchOptions, Spawner};
 use sage_runtime::{fnv1a_64, RuntimeOptions};
 
 /// Display labels of the two lattice cells. The `/zero-copy` suffix dates
@@ -199,17 +199,15 @@ fn run_tcp(
 ) -> Result<(u64, Vec<u64>), String> {
     let opts = LaunchOptions {
         workers: nodes,
-        iterations,
-        optimized: false,
-        probes: false,
-        // Per-process degraded mode over TCP: each rank validates its own
-        // serial order and stamp handling, never cross-rank pairs.
-        race_detect: true,
         heartbeat_ms: None,
-        pipeline: None,
-        pipeline_depths: Vec::new(),
+        params: JobParams {
+            // Per-process degraded mode over TCP: each rank validates its
+            // own serial order and stamp handling, never cross-rank pairs.
+            race_detect: true,
+            ..JobParams::new(source, iterations)
+        },
     };
-    let outcome = sage_net::launch(source, &opts, spawner).map_err(|e| format!("launch: {e}"))?;
+    let outcome = sage_fleet::launch(&opts, spawner).map_err(|e| format!("launch: {e}"))?;
     let bytes = outcome.results.stream(&outcome.program, iterations);
     if bytes.is_empty() {
         return Err("sink produced no bytes".into());

@@ -96,7 +96,7 @@ pub fn layered_model(
 /// A single-chain pipeline: `workload.matrix` source (row-striped, as its
 /// kernel contract requires), `id` pass-through stages with the given
 /// stripings — each boundary a potential corner turn — and a sink. Only
-/// kernels the `sage worker` binary registers, so every chain is
+/// kernels the `sage fleet` daemon registers, so every chain is
 /// runnable as a real distributed job.
 pub fn chain_model(
     dtype: &DataType,

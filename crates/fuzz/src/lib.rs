@@ -40,7 +40,7 @@ use diff::{DiffConfig, Verdict};
 use gen::{derive_seed, gen_model, GenConfig};
 use report::{FuzzReport, ModelReport};
 use sage_core::model_io;
-use sage_net::Spawner;
+use sage_fleet::Spawner;
 use std::path::PathBuf;
 
 /// Campaign configuration for [`run_fuzz`].

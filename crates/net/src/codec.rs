@@ -52,6 +52,13 @@ impl Writer {
             }
         }
     }
+    /// Appends a u32 count followed by each item as `item` writes it.
+    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Writer, &T)) {
+        self.u32(items.len() as u32);
+        for it in items {
+            item(self, it);
+        }
+    }
 }
 
 impl Default for Writer {
@@ -59,6 +66,9 @@ impl Default for Writer {
         Writer::new()
     }
 }
+
+/// Most elements [`Reader::seq`] allocates for before it has read any.
+const SEQ_PREALLOC: usize = 4096;
 
 /// Bounds-checked payload cursor; every read is a typed `NetError` on
 /// truncation, never a panic.
@@ -124,6 +134,20 @@ impl<'a> Reader<'a> {
             _ => Some(self.u64()?),
         })
     }
+    /// Reads a sequence written by [`Writer::seq`]. The count comes off the
+    /// wire, so it bounds the up-front allocation only up to
+    /// [`SEQ_PREALLOC`]; a lying count runs into `payload truncated`.
+    pub fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, NetError>,
+    ) -> Result<Vec<T>, NetError> {
+        let n = self.u32()? as usize;
+        let mut v = Vec::with_capacity(n.min(SEQ_PREALLOC));
+        for _ in 0..n {
+            v.push(item(self)?);
+        }
+        Ok(v)
+    }
     /// Asserts the payload was consumed exactly.
     pub fn done(&self) -> Result<(), NetError> {
         if self.pos == self.buf.len() {
@@ -149,6 +173,7 @@ mod tests {
         w.string("héllo");
         w.opt_u64(None);
         w.opt_u64(Some(42));
+        w.seq(&["a", "bc"], |w, s| w.string(s));
         let mut r = Reader::new(&w.0);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
@@ -158,6 +183,7 @@ mod tests {
         assert_eq!(r.string().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), None);
         assert_eq!(r.opt_u64().unwrap(), Some(42));
+        assert_eq!(r.seq(|r| r.string()).unwrap(), vec!["a", "bc"]);
         r.done().unwrap();
     }
 
@@ -178,5 +204,10 @@ mod tests {
         w.u32(u32::MAX);
         let mut r = Reader::new(&w.0);
         assert!(matches!(r.bytes().unwrap_err(), NetError::Protocol(_)));
+        let mut r = Reader::new(&w.0);
+        assert!(matches!(
+            r.seq(|r| r.u64()).unwrap_err(),
+            NetError::Protocol(_)
+        ));
     }
 }

@@ -22,15 +22,18 @@
 //!   endpoint feeding a `(job, src, tag)` mailbox, heartbeat liveness — a
 //!   silent peer is declared dead after `max_retries + 2` missed beats),
 //!   [`JobTransport`] (a per-job rank-namespace view over a shared warm
-//!   core, for the fleet), and [`TcpTransport`] (the classic one-job
-//!   wrapper), all feeding [`sage_fabric::LinkMetrics`].
-//! * [`proto`] — the control plane: [`JobSpec`] (launcher → worker) and
-//!   [`RankReport`] (worker → launcher), carrying an explicit protocol
-//!   version checked first in the handshake.
-//! * [`worker`] — the `sage worker` daemon body: host one rank, report
-//!   in-band.
-//! * [`launch`] — the `sage launch` body: spawn workers, ship the job,
-//!   merge deposits/metrics/traces, surface the root-cause error.
+//!   core, for the fleet), and [`TcpTransport`] (a one-job wrapper over a
+//!   private core), all feeding [`sage_fabric::LinkMetrics`].
+//! * [`proto`] — the control-plane payloads: [`JobParams`] (the one
+//!   description of a job every job message embeds) and [`RankReport`]
+//!   (what each rank sends back), under an explicit protocol version.
+//! * [`worker`] — what a rank does before it executes: regenerate the glue
+//!   program from the model text and bind kernels ([`prepare_job`]).
+//! * [`launch`] — [`merge_outcomes`]: fold per-rank reports into one
+//!   outcome, root-cause error first.
+//!
+//! The daemon, scheduler and launcher that speak this protocol live in
+//! `sage-fleet`; this crate has no process of its own.
 //!
 //! Parity bar: a model executed over TCP produces sink output bit-identical
 //! to the in-process backend — kernels compute the same bytes either way;
@@ -47,8 +50,8 @@ pub mod wire;
 pub mod worker;
 
 pub use error::{NetError, RejectReason};
-pub use launch::{launch, merge_outcomes, LaunchOptions, LaunchOutcome, Spawner};
-pub use proto::{JobSpec, RankReport, PROTO_VERSION};
+pub use launch::{merge_outcomes, LaunchOutcome};
+pub use proto::{JobParams, RankReport, PROTO_VERSION};
 pub use transport::{JobTransport, MeshCore, NetConfig, TcpTransport};
 pub use wire::{Frame, FrameKind, WireError};
-pub use worker::{failed_report, parse_banner, prepare_job, serve, CHAOS_EXIT_ENV};
+pub use worker::{failed_report, generate_job, prepare_job};

@@ -1,9 +1,9 @@
-//! Control-plane payloads: the job description the launcher ships to each
-//! worker, and the report each worker sends back.
+//! Control-plane payloads: the job parameters every job message carries,
+//! and the report each rank sends back.
 //!
 //! Serialization rides the shared [`crate::codec`] primitives. The
 //! control protocol carries its own explicit version ([`PROTO_VERSION`]),
-//! checked as the *first* field of the Job handshake — so a speaker of a
+//! exchanged before any layout-dependent field — so a speaker of a
 //! different revision gets a typed [`NetError::VersionMismatch`] instead
 //! of a codec parse failure deep in some unrelated field.
 
@@ -13,24 +13,20 @@ use sage_fabric::{LinkMetrics, NodeMetrics};
 use sage_runtime::RuntimeError;
 use sage_visualizer::{EventKind, ProbeEvent};
 
-/// Control-protocol version. v1 had no version field (its absence is how
-/// v1 is detected: the first u32 of a v1 JobSpec is the rank, which is
-/// < 2^16 in practice, while v2+ leads with this constant). v2 added the
-/// version field, the per-job heartbeat override, and the fleet messages.
-/// v3 added the per-job `race_detect` switch. v4 added the streaming
-/// pipeline knob (`pipeline` + per-buffer `pipeline_depths`). v5 dropped
-/// the data-plane byte when the copy-heavy plane it selected was retired.
-pub const PROTO_VERSION: u32 = 5;
+/// Control-protocol version. v2 added the version field, the per-job
+/// heartbeat override, and the fleet messages. v3 added the per-job
+/// `race_detect` switch. v4 added the streaming pipeline knob (`pipeline`
+/// and per-buffer `pipeline_depths`). v5 dropped the data-plane byte when the
+/// copy-heavy plane it selected was retired. v6 retired the one-shot
+/// worker protocol (its two frame kinds and the per-rank job struct they
+/// carried): every job travels as one [`JobParams`] inside the fleet's
+/// `Submit` and `Job` messages.
+pub const PROTO_VERSION: u32 = 6;
 
-/// Everything one worker needs to run one rank of a job.
+/// What to run and how, independent of where: the one description of a
+/// job that the submitter, the scheduler and every rank share.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Control-protocol version the sender speaks (see [`PROTO_VERSION`]).
-    pub proto_version: u32,
-    /// The rank this worker hosts.
-    pub rank: u32,
-    /// Total ranks in the job.
-    pub ranks: u32,
+pub struct JobParams {
     /// Iterations (data sets) to run.
     pub iterations: u32,
     /// Use the optimized (shared-buffer) run-time options.
@@ -38,31 +34,68 @@ pub struct JobSpec {
     /// Record probe events and ship them back in the report.
     pub probes: bool,
     /// Arm the vector-clock race detector on every rank (see
-    /// `RuntimeOptions::race_detect`). Each worker process only observes
-    /// its own rank's accesses, so over TCP the detector runs in degraded
+    /// `RuntimeOptions::race_detect`). Each daemon only observes its own
+    /// rank's accesses, so over TCP the detector runs in degraded
     /// per-process mode; full cross-rank validation is the in-process
     /// backend's job.
     pub race_detect: bool,
-    /// Heartbeat period override in milliseconds (`None` = transport
-    /// default). Lets soak tests and the fleet drain path tune the
-    /// staleness window from the CLI.
-    pub heartbeat_ms: Option<u64>,
     /// Streaming pipeline depth (`None` = lock-step; see
     /// `RuntimeOptions::pipeline`). Every rank must run the same mode or
-    /// their transfer tags disagree, so the launcher ships it in the spec.
+    /// their transfer tags disagree, so it ships with the job.
     pub pipeline: Option<u32>,
     /// Per-buffer ring-depth caps for streaming, indexed by buffer id
     /// (empty = global depth; see `RuntimeOptions::pipeline_depths`).
-    /// Computed by the launcher from the static pipeline-safety plan — the
+    /// Computed by the submitter from the static pipeline-safety plan — the
     /// net layer ships the numbers without depending on the checker.
     pub pipeline_depths: Vec<u32>,
-    /// The application model, as s-expression text. Each worker
-    /// regenerates the glue program from this deterministically, so every
-    /// rank — and the launcher — agrees on tables and schedules without
-    /// shipping compiled structures.
+    /// The application model, as s-expression text. Each rank regenerates
+    /// the glue program from this deterministically, so every rank — and
+    /// the submitter — agrees on tables and schedules without shipping
+    /// compiled structures.
     pub model: String,
-    /// Data-plane listen addresses of all ranks, indexed by rank.
-    pub peers: Vec<String>,
+}
+
+impl JobParams {
+    /// A lock-step, paper-faithful, unprobed job.
+    pub fn new(model: impl Into<String>, iterations: u32) -> JobParams {
+        JobParams {
+            iterations,
+            optimized: false,
+            probes: false,
+            race_detect: false,
+            pipeline: None,
+            pipeline_depths: Vec::new(),
+            model: model.into(),
+        }
+    }
+
+    /// Appends the parameters to a message under construction.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.u32(self.iterations);
+        w.u8(u8::from(self.optimized));
+        w.u8(u8::from(self.probes));
+        w.u8(u8::from(self.race_detect));
+        w.opt_u64(self.pipeline.map(u64::from));
+        w.seq(&self.pipeline_depths, |w, &d| w.u32(d));
+        w.string(&self.model);
+    }
+
+    /// Reads the parameters from a reader positioned at their first field.
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<JobParams, NetError> {
+        Ok(JobParams {
+            iterations: r.u32()?,
+            optimized: r.u8()? != 0,
+            probes: r.u8()? != 0,
+            race_detect: r.u8()? != 0,
+            pipeline: r
+                .opt_u64()?
+                .map(u32::try_from)
+                .transpose()
+                .map_err(|_| NetError::Protocol("pipeline depth out of range".into()))?,
+            pipeline_depths: r.seq(|r| r.u32())?,
+            model: r.string()?,
+        })
+    }
 }
 
 /// What one rank produced.
@@ -230,90 +263,10 @@ fn event_kind_from(code: u8) -> Result<EventKind, NetError> {
     })
 }
 
-// ---- JobSpec / RankReport ---------------------------------------------
-
-impl JobSpec {
-    /// Serializes the job for a `Job` frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.proto_version);
-        w.u32(self.rank);
-        w.u32(self.ranks);
-        w.u32(self.iterations);
-        w.u8(u8::from(self.optimized));
-        w.u8(u8::from(self.probes));
-        w.u8(u8::from(self.race_detect));
-        w.opt_u64(self.heartbeat_ms);
-        w.opt_u64(self.pipeline.map(u64::from));
-        w.u32(self.pipeline_depths.len() as u32);
-        for &d in &self.pipeline_depths {
-            w.u32(d);
-        }
-        w.string(&self.model);
-        w.u32(self.peers.len() as u32);
-        for p in &self.peers {
-            w.string(p);
-        }
-        w.0
-    }
-
-    /// Decodes a `Job` frame payload.
-    ///
-    /// The version field is checked *first*: a mismatched speaker gets a
-    /// typed [`NetError::VersionMismatch`] before any layout-dependent
-    /// field is touched.
-    pub fn decode(buf: &[u8]) -> Result<JobSpec, NetError> {
-        let mut r = Reader::new(buf);
-        let proto_version = r.u32()?;
-        if proto_version != PROTO_VERSION {
-            return Err(NetError::VersionMismatch {
-                ours: PROTO_VERSION,
-                theirs: proto_version,
-            });
-        }
-        let spec = JobSpec {
-            proto_version,
-            rank: r.u32()?,
-            ranks: r.u32()?,
-            iterations: r.u32()?,
-            optimized: r.u8()? != 0,
-            probes: r.u8()? != 0,
-            race_detect: r.u8()? != 0,
-            heartbeat_ms: r.opt_u64()?,
-            pipeline: r.opt_u64()?.map(|d| d as u32),
-            pipeline_depths: {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    v.push(r.u32()?);
-                }
-                v
-            },
-            model: r.string()?,
-            peers: {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    v.push(r.string()?);
-                }
-                v
-            },
-        };
-        r.done()?;
-        Ok(spec)
-    }
-}
+// ---- RankReport ------------------------------------------------------
 
 impl RankReport {
-    /// Serializes the report for a `Result` frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.0
-    }
-
-    /// Appends the report to an existing writer (lets fleet messages embed
-    /// reports without an intermediate copy).
+    /// Appends the report to a message under construction.
     pub fn encode_into(&self, w: &mut Writer) {
         w.u32(self.rank);
         match &self.error {
@@ -323,13 +276,12 @@ impl RankReport {
                 write_runtime_error(w, e);
             }
         }
-        w.u32(self.deposits.len() as u32);
-        for ((f, i, t), bytes) in &self.deposits {
+        w.seq(&self.deposits, |w, ((f, i, t), bytes)| {
             w.u32(*f);
             w.u32(*i);
             w.u32(*t);
             w.bytes(bytes);
-        }
+        });
         w.f64(self.wall_secs);
         let m = &self.metrics;
         w.u64(m.messages_sent);
@@ -339,29 +291,19 @@ impl RankReport {
         w.u64(m.retries);
         w.u64(m.faults_observed);
         w.u64(m.mem_high_water);
-        w.u32(self.links.len() as u32);
-        for l in &self.links {
+        w.seq(&self.links, |w, l| {
             w.u32(l.src);
             w.u32(l.dst);
             w.u64(l.messages);
             w.u64(l.bytes);
-        }
-        w.u32(self.events.len() as u32);
-        for e in &self.events {
+        });
+        w.seq(&self.events, |w, e| {
             w.f64(e.time);
             w.u32(e.node);
             w.u8(event_kind_code(e.kind));
             w.u32(e.id);
             w.u32(e.iteration);
-        }
-    }
-
-    /// Decodes a `Result` frame payload.
-    pub fn decode(buf: &[u8]) -> Result<RankReport, NetError> {
-        let mut r = Reader::new(buf);
-        let report = RankReport::decode_from(&mut r)?;
-        r.done()?;
-        Ok(report)
+        });
     }
 
     /// Reads one report from a reader positioned at its first field.
@@ -371,12 +313,7 @@ impl RankReport {
             0 => None,
             _ => Some(read_runtime_error(r)?),
         };
-        let n_dep = r.u32()? as usize;
-        let mut deposits = Vec::with_capacity(n_dep.min(4096));
-        for _ in 0..n_dep {
-            let key = (r.u32()?, r.u32()?, r.u32()?);
-            deposits.push((key, r.bytes()?));
-        }
+        let deposits = r.seq(|r| Ok(((r.u32()?, r.u32()?, r.u32()?), r.bytes()?)))?;
         let wall_secs = r.f64()?;
         let metrics = NodeMetrics {
             messages_sent: r.u64()?,
@@ -388,27 +325,23 @@ impl RankReport {
             mem_high_water: r.u64()?,
             ..NodeMetrics::default()
         };
-        let n_links = r.u32()? as usize;
-        let mut links = Vec::with_capacity(n_links.min(4096));
-        for _ in 0..n_links {
-            links.push(LinkMetrics {
+        let links = r.seq(|r| {
+            Ok(LinkMetrics {
                 src: r.u32()?,
                 dst: r.u32()?,
                 messages: r.u64()?,
                 bytes: r.u64()?,
-            });
-        }
-        let n_ev = r.u32()? as usize;
-        let mut events = Vec::with_capacity(n_ev.min(65536));
-        for _ in 0..n_ev {
-            events.push(ProbeEvent {
+            })
+        })?;
+        let events = r.seq(|r| {
+            Ok(ProbeEvent {
                 time: r.f64()?,
                 node: r.u32()?,
                 kind: event_kind_from(r.u8()?)?,
                 id: r.u32()?,
                 iteration: r.u32()?,
-            });
-        }
+            })
+        })?;
         Ok(RankReport {
             rank,
             error,
@@ -425,44 +358,47 @@ impl RankReport {
 mod tests {
     use super::*;
 
-    fn spec() -> JobSpec {
-        JobSpec {
-            proto_version: PROTO_VERSION,
-            rank: 3,
-            ranks: 4,
-            iterations: 7,
+    fn params() -> JobParams {
+        JobParams {
             optimized: true,
-            probes: false,
             race_detect: true,
-            heartbeat_ms: Some(50),
             pipeline: Some(3),
             pipeline_depths: vec![2, 3],
-            model: "(app demo)".into(),
-            peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+            ..JobParams::new("(app demo)", 7)
         }
     }
 
-    #[test]
-    fn job_round_trip() {
-        let j = spec();
-        assert_eq!(JobSpec::decode(&j.encode()).unwrap(), j);
+    fn encoded(p: &JobParams) -> Vec<u8> {
+        let mut w = Writer::new();
+        p.encode_into(&mut w);
+        w.0
     }
 
     #[test]
-    fn job_version_mismatch_is_typed() {
-        // Any other revision, including the immediately previous one
-        // (whose layout differs by a single byte), is refused by number.
-        for theirs in [1, PROTO_VERSION - 1] {
-            let mut j = spec();
-            j.proto_version = theirs;
-            assert_eq!(
-                JobSpec::decode(&j.encode()).unwrap_err(),
-                NetError::VersionMismatch {
-                    ours: PROTO_VERSION,
-                    theirs
-                }
-            );
-        }
+    fn params_round_trip() {
+        let p = params();
+        let enc = encoded(&p);
+        let mut r = Reader::new(&enc);
+        assert_eq!(JobParams::decode_from(&mut r).unwrap(), p);
+        r.done().unwrap();
+    }
+
+    /// The depth rides the wire as a u64; a value a u32 cannot hold is a
+    /// malformed job, not a depth to truncate.
+    #[test]
+    fn oversized_pipeline_depth_is_typed_error() {
+        let mut w = Writer::new();
+        w.u32(7);
+        w.u8(0);
+        w.u8(0);
+        w.u8(0);
+        w.opt_u64(Some(u64::from(u32::MAX) + 2));
+        w.seq(&[] as &[u32], |w, &d| w.u32(d));
+        w.string("(app demo)");
+        assert!(matches!(
+            JobParams::decode_from(&mut Reader::new(&w.0)).unwrap_err(),
+            NetError::Protocol(m) if m.contains("pipeline depth")
+        ));
     }
 
     #[test]
@@ -486,7 +422,11 @@ mod tests {
             }],
             events: vec![ProbeEvent::new(0.5, 2, EventKind::NetSend, 0, 1)],
         };
-        assert_eq!(RankReport::decode(&rep.encode()).unwrap(), rep);
+        let mut w = Writer::new();
+        rep.encode_into(&mut w);
+        let mut r = Reader::new(&w.0);
+        assert_eq!(RankReport::decode_from(&mut r).unwrap(), rep);
+        r.done().unwrap();
     }
 
     #[test]
@@ -525,9 +465,9 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_typed_error() {
-        let enc = spec().encode();
+        let enc = encoded(&params());
         assert!(matches!(
-            JobSpec::decode(&enc[..enc.len() - 1]).unwrap_err(),
+            JobParams::decode_from(&mut Reader::new(&enc[..enc.len() - 1])).unwrap_err(),
             NetError::Protocol(_)
         ));
     }

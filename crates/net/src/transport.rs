@@ -14,9 +14,9 @@
 //!   logical ranks are mapped to mesh peer indices through a rank map, so
 //!   many concurrent jobs — each with its own dense rank namespace — ride
 //!   one set of sockets.
-//! * [`TcpTransport`] — the classic one-job-per-process transport: a
-//!   [`JobTransport`] over a private core in job namespace 0 with an
-//!   identity rank map, whose `finish` also tears the mesh down.
+//! * [`TcpTransport`] — one job over a private core: a [`JobTransport`] in
+//!   job namespace 0 with an identity rank map, whose `finish` also tears
+//!   the mesh down.
 //!
 //! Semantics mirror the in-process cluster so the executor cannot tell the
 //! backends apart: per-`(src, tag)` FIFO ordering (TCP ordering + one
@@ -352,12 +352,11 @@ impl MeshCore {
                 .filter_map(|(j, l)| l.as_ref().map(|l| (j, l.clone())))
                 .collect();
             let mb = mailbox.clone();
-            let pr = probe.clone();
             let stop = stop.clone();
             let interval = config.heartbeat;
             let rank = rank as u32;
             std::thread::spawn(move || {
-                io_loop(reads, beat_links, mb, pr, stop, interval, rank, start);
+                io_loop(reads, beat_links, mb, stop, interval, rank);
             })
         };
         Ok(Arc::new(MeshCore {
@@ -434,8 +433,6 @@ impl MeshCore {
             self.mailbox.mark_dead(mesh_dst);
             return Err(CoreFail::PeerGone);
         }
-        self.probe
-            .net_send(self.start.elapsed().as_secs_f64(), mesh_dst as u32, 0);
         Ok(())
     }
 
@@ -583,16 +580,13 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// The one I/O thread: polls every peer socket nonblockingly, parses
 /// frames incrementally, feeds the mailbox, and emits heartbeats.
-#[allow(clippy::too_many_arguments)]
 fn io_loop(
     mut reads: Vec<PeerRead>,
     links: Vec<(usize, Arc<PeerLink>)>,
     mailbox: Arc<Mailbox>,
-    probe: Probe,
     stop: Arc<AtomicBool>,
     heartbeat: Duration,
     rank: u32,
-    start: Instant,
 ) {
     let mut last_beat = Instant::now();
     loop {
@@ -642,7 +636,7 @@ fn io_loop(
                 match Frame::decode(&pr.buf[consumed..]) {
                     Ok((frame, used)) => {
                         consumed += used;
-                        if !handle_frame(pr, frame, &mailbox, &probe, start) {
+                        if !handle_frame(pr, frame, &mailbox) {
                             pr.open = false;
                             break;
                         }
@@ -680,13 +674,7 @@ fn io_loop(
 }
 
 /// Processes one received frame; returns `false` to stop reading the peer.
-fn handle_frame(
-    pr: &mut PeerRead,
-    frame: Frame,
-    mailbox: &Mailbox,
-    probe: &Probe,
-    start: Instant,
-) -> bool {
+fn handle_frame(pr: &mut PeerRead, frame: Frame, mailbox: &Mailbox) -> bool {
     // Per-link sequence numbers are strictly increasing whatever the job;
     // a replayed or reordered frame means the link cannot be trusted. For
     // job 0 — where logical ranks equal mesh indices — the source
@@ -716,7 +704,6 @@ fn handle_frame(
                     .push_back(payload);
             }
             drop(m);
-            probe.net_recv(start.elapsed().as_secs_f64(), pr.peer as u32, 0);
             mailbox.cv.notify_all();
             true
         }
@@ -806,13 +793,24 @@ pub struct JobTransport {
     rank: usize,
     rank_map: Vec<usize>,
     counters: Counters,
+    /// The job's own probe: the one place wire sends and receives are
+    /// recorded (the shared core cannot know which job's trace a frame
+    /// belongs in).
+    probe: Probe,
 }
 
 impl JobTransport {
     /// A transport for logical `rank` of `job`, whose logical ranks map to
     /// mesh indices through `rank_map` (so `rank_map[rank]` must be the
-    /// core's own mesh index).
-    pub fn new(core: Arc<MeshCore>, job: u32, rank: usize, rank_map: Vec<usize>) -> JobTransport {
+    /// core's own mesh index). `probe` records the job's `NetSend`/`NetRecv`
+    /// events, timed from the mesh's epoch.
+    pub fn new(
+        core: Arc<MeshCore>,
+        job: u32,
+        rank: usize,
+        rank_map: Vec<usize>,
+        probe: Probe,
+    ) -> JobTransport {
         debug_assert_eq!(rank_map[rank], core.mesh_rank());
         let ranks = rank_map.len();
         JobTransport {
@@ -821,6 +819,7 @@ impl JobTransport {
             rank,
             rank_map,
             counters: Counters::new(ranks),
+            probe,
         }
     }
 
@@ -875,6 +874,10 @@ impl Transport for JobTransport {
                 let s = &mut self.counters.sent[dst];
                 s.0 += 1;
                 s.1 += payload.len() as u64;
+                if self.probe.enabled() {
+                    self.probe
+                        .net_send(self.core.start.elapsed().as_secs_f64(), dst as u32, 0);
+                }
                 Ok(())
             }
             Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed {
@@ -898,6 +901,10 @@ impl Transport for JobTransport {
             Ok(payload) => {
                 self.counters.recv_messages += 1;
                 self.counters.recv_bytes += payload.len() as u64;
+                if mesh.is_some() && self.probe.enabled() {
+                    self.probe
+                        .net_recv(self.core.start.elapsed().as_secs_f64(), src as u32, 0);
+                }
                 Ok(payload)
             }
             Err(CoreFail::PeerGone) => Err(self.peer_failed(src)),
@@ -917,9 +924,8 @@ impl Transport for JobTransport {
     }
 }
 
-/// The classic one-job-per-process TCP [`Transport`] for one rank: a
-/// [`JobTransport`] over a private [`MeshCore`], in job namespace 0 with an
-/// identity rank map.
+/// A one-job TCP [`Transport`] for one rank: a [`JobTransport`] over a
+/// private [`MeshCore`], in job namespace 0 with an identity rank map.
 pub struct TcpTransport(JobTransport);
 
 impl TcpTransport {
@@ -932,9 +938,11 @@ impl TcpTransport {
         config: NetConfig,
         probe: Probe,
     ) -> Result<TcpTransport, NetError> {
-        let core = MeshCore::connect(rank, peers, listener, config, probe)?;
+        let core = MeshCore::connect(rank, peers, listener, config, probe.clone())?;
         let identity = (0..peers.len()).collect();
-        Ok(TcpTransport(JobTransport::new(core, 0, rank, identity)))
+        Ok(TcpTransport(JobTransport::new(
+            core, 0, rank, identity, probe,
+        )))
     }
 
     /// Clean shutdown: tell every peer we are done and return this rank's
@@ -1006,9 +1014,15 @@ pub(crate) fn connect_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_visualizer::{Collector, EventKind};
 
     /// Builds an N-rank loopback mesh, one transport per thread.
     fn mesh(n: usize) -> Vec<TcpTransport> {
+        mesh_probed(n, &Arc::new(Collector::new(n, false)))
+    }
+
+    /// [`mesh`] with every rank's probe bound to `collector`.
+    fn mesh_probed(n: usize, collector: &Arc<Collector>) -> Vec<TcpTransport> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
             .collect();
@@ -1021,15 +1035,10 @@ mod tests {
             .enumerate()
             .map(|(rank, listener)| {
                 let peers = peers.clone();
+                let probe = Probe::new(collector.clone(), rank as u32);
                 std::thread::spawn(move || {
-                    TcpTransport::connect(
-                        rank,
-                        &peers,
-                        &listener,
-                        NetConfig::default(),
-                        Probe::disabled(),
-                    )
-                    .expect("mesh")
+                    TcpTransport::connect(rank, &peers, &listener, NetConfig::default(), probe)
+                        .expect("mesh")
                 })
             })
             .collect();
@@ -1104,6 +1113,37 @@ mod tests {
         );
     }
 
+    /// One wire message is one `NetSend` row on the sender and one `NetRecv`
+    /// row on the receiver — the job transport is the only recording site,
+    /// and self-sends never hit the wire.
+    #[test]
+    fn wire_events_are_recorded_once_per_message() {
+        let collector = Arc::new(Collector::new(2, true));
+        let mut ts = mesh_probed(2, &collector);
+        let mut t1 = ts.pop().expect("rank 1");
+        let mut t0 = ts.pop().expect("rank 0");
+        t0.try_send(1, 7, &Payload::from(b"ping")).expect("send");
+        t0.try_send(0, 7, &Payload::from(b"self"))
+            .expect("self-send");
+        assert_eq!(t1.try_recv(0, 7).expect("recv"), b"ping");
+        assert_eq!(t0.try_recv(0, 7).expect("self-recv"), b"self");
+        t0.finish();
+        t1.finish();
+        let trace = Arc::into_inner(collector)
+            .expect("probes dropped with their transports")
+            .into_trace();
+        let rows = |kind, node| {
+            trace
+                .events()
+                .iter()
+                .filter(|e| e.kind == kind && e.node == node)
+                .count()
+        };
+        assert_eq!(rows(EventKind::NetSend, 0), 1);
+        assert_eq!(rows(EventKind::NetRecv, 1), 1);
+        assert_eq!(rows(EventKind::NetSend, 1) + rows(EventKind::NetRecv, 0), 0);
+    }
+
     #[test]
     fn four_rank_all_to_all_fifo() {
         let ts = mesh(4);
@@ -1175,10 +1215,10 @@ mod tests {
         // src — the job field is the only thing keeping them apart.
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
-        let j1_r0 = JobTransport::new(c0.clone(), 1, 0, vec![0, 1]);
-        let j1_r1 = JobTransport::new(c1.clone(), 1, 1, vec![0, 1]);
-        let j2_r1 = JobTransport::new(c0.clone(), 2, 1, vec![1, 0]);
-        let j2_r0 = JobTransport::new(c1.clone(), 2, 0, vec![1, 0]);
+        let j1_r0 = JobTransport::new(c0.clone(), 1, 0, vec![0, 1], Probe::disabled());
+        let j1_r1 = JobTransport::new(c1.clone(), 1, 1, vec![0, 1], Probe::disabled());
+        let j2_r1 = JobTransport::new(c0.clone(), 2, 1, vec![1, 0], Probe::disabled());
+        let j2_r0 = JobTransport::new(c1.clone(), 2, 0, vec![1, 0], Probe::disabled());
         let a = std::thread::spawn(move || {
             let mut t = j1_r0;
             t.try_send(1, 5, &Payload::from(b"job1")).expect("send");
@@ -1228,14 +1268,14 @@ mod tests {
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
         // Job 7's rank on endpoint 1 finishes immediately.
-        JobTransport::new(c1.clone(), 7, 1, vec![0, 1]).finish();
-        let mut waiter = JobTransport::new(c0.clone(), 7, 0, vec![0, 1]);
+        JobTransport::new(c1.clone(), 7, 1, vec![0, 1], Probe::disabled()).finish();
+        let mut waiter = JobTransport::new(c0.clone(), 7, 0, vec![0, 1], Probe::disabled());
         // A recv from the finished rank fails typed, promptly.
         let err = waiter.try_recv(1, 3).expect_err("job peer done");
         assert_eq!(err, FabricError::PeerFailed { node: 0, peer: 1 });
         // The *link* is still alive: a fresh job runs over the same mesh.
-        let mut j8_r0 = JobTransport::new(c0.clone(), 8, 0, vec![0, 1]);
-        let mut j8_r1 = JobTransport::new(c1.clone(), 8, 1, vec![0, 1]);
+        let mut j8_r0 = JobTransport::new(c0.clone(), 8, 0, vec![0, 1], Probe::disabled());
+        let mut j8_r1 = JobTransport::new(c1.clone(), 8, 1, vec![0, 1], Probe::disabled());
         let h = std::thread::spawn(move || {
             let got = j8_r1.try_recv(0, 1).expect("warm link");
             assert_eq!(got, b"warm");
@@ -1255,7 +1295,7 @@ mod tests {
     fn purged_job_drops_late_frames() {
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
-        let mut sender = JobTransport::new(c1.clone(), 3, 1, vec![0, 1]);
+        let mut sender = JobTransport::new(c1.clone(), 3, 1, vec![0, 1], Probe::disabled());
         c0.purge_job(3);
         sender
             .try_send(0, 2, &Payload::from(b"late"))
@@ -1380,16 +1420,7 @@ mod tests {
             let mb = mailbox.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
-                io_loop(
-                    reads,
-                    Vec::new(),
-                    mb,
-                    Probe::disabled(),
-                    stop,
-                    Duration::from_secs(3600),
-                    0,
-                    Instant::now(),
-                );
+                io_loop(reads, Vec::new(), mb, stop, Duration::from_secs(3600), 0);
             })
         };
         // One valid data frame from peer 1, delivered in two halves with a

@@ -12,7 +12,7 @@
 //!     16     4  src        sending rank
 //!     20     4  dst        receiving rank
 //!     24     4  job        job namespace the frame belongs to (0 outside
-//!                          the fleet: one-shot jobs and control traffic)
+//!                          the fleet: private meshes and control traffic)
 //!     28     8  seq        per-link sequence number, strictly increasing
 //!     36     4  len        payload length in bytes
 //!     40     4  checksum   FNV-1a-32 over header (checksum field zeroed)
@@ -52,10 +52,9 @@ pub enum FrameKind {
     Data = 2,
     /// Periodic liveness beacon.
     Heartbeat = 3,
-    /// Launcher -> worker: the serialized job description.
-    Job = 4,
-    /// Worker -> launcher: the serialized rank report.
-    Result = 5,
+    // 4 and 5 belonged to the one-shot worker protocol (retired with
+    // control protocol v6); they stay unassigned so an old speaker gets
+    // `BadKind`, not a misread frame.
     /// Clean shutdown: the sender will transmit nothing further.
     Goodbye = 6,
     /// Job-scoped goodbye: the sender will transmit nothing further *for
@@ -75,8 +74,6 @@ impl FrameKind {
             1 => FrameKind::Hello,
             2 => FrameKind::Data,
             3 => FrameKind::Heartbeat,
-            4 => FrameKind::Job,
-            5 => FrameKind::Result,
             6 => FrameKind::Goodbye,
             7 => FrameKind::JobDone,
             8 => FrameKind::Reject,
@@ -327,7 +324,7 @@ fn write_all_vectored<W: Write>(
 }
 
 impl Frame {
-    /// A data frame in job namespace 0 (one-shot jobs).
+    /// A data frame in job namespace 0 (a private mesh's one job).
     pub fn data(src: u32, dst: u32, tag: u64, seq: u64, payload: Vec<u8>) -> Frame {
         Frame {
             kind: FrameKind::Data,

@@ -14,8 +14,6 @@ fn kinds() -> impl Strategy<Value = FrameKind> {
         Just(FrameKind::Hello),
         Just(FrameKind::Data),
         Just(FrameKind::Heartbeat),
-        Just(FrameKind::Job),
-        Just(FrameKind::Result),
         Just(FrameKind::Goodbye),
         Just(FrameKind::JobDone),
         Just(FrameKind::Reject),

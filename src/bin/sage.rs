@@ -14,7 +14,6 @@
 //!                 [--transport local|tcp] [--pipeline D]
 //!                 [--pipeline-validate D] [--race-detect] [--unchecked]
 //!                 [--heartbeat-ms MS] [--dump-sink F] [--trace F]
-//! $ sage worker   --listen 127.0.0.1:0        # host one rank of a distributed job
 //! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized]
 //!                 [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink F]
 //!                 [--trace F]
@@ -37,19 +36,21 @@
 //! findings; `run` and `launch` then abstractly interpret the generated
 //! glue program (`sage check`) before executing it, on either transport.
 //! `run --transport tcp` and `launch` execute each rank in its own OS
-//! process over loopback TCP; `worker` is the per-rank daemon they spawn
-//! (it can also be started by hand on remote hosts).
+//! process over loopback TCP: they spawn one `fleet` daemon per rank, run
+//! the one job through an in-process scheduler, and drain the daemons.
 //!
-//! The fleet commands run the persistent job service: `fleet` daemons keep
-//! their mesh warm across jobs, `sched` multiplexes many concurrent jobs
-//! over it with typed admission control, and `submit` is the client —
-//! results merge exactly as `launch` merges them, so sink output is
-//! bit-identical to a one-shot run of the same model.
+//! The fleet commands run the same path as a persistent job service:
+//! `fleet` daemons keep their mesh warm across jobs (one started by hand on
+//! a remote host is reached via `sched --workers`), `sched` multiplexes
+//! many concurrent jobs over it with typed admission control, and `submit`
+//! is the client — a submitted job and a launched one are the same
+//! messages, so their sink output is bit-identical.
 
 use sage::prelude::*;
 use sage_core::{check_model_source, lint_model_source, model_from_sexpr, model_io, Project};
+use sage_fleet::{JobParams, LaunchOptions};
 use sage_lint::Diagnostics;
-use sage_net::{LaunchOptions, LaunchOutcome};
+use sage_net::LaunchOutcome;
 use sage_runtime::{fnv1a_64, GlueProgram, SinkResults};
 use sage_visualizer::{export, gantt, report, Analysis, Trace};
 use std::process::ExitCode;
@@ -65,7 +66,6 @@ fn usage() -> ExitCode {
          sage run <model.sexpr> [--nodes N] [--iters I] [--optimized] [--real] [--ga]\n           \
          [--transport local|tcp] [--pipeline D] [--pipeline-validate D]\n           \
          [--race-detect] [--unchecked] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
-         sage worker [--listen ADDR]\n  \
          sage launch <model.sexpr> [--workers N] [--iters I] [--optimized]\n              \
          [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage fleet [--listen ADDR] | sage fleet drain|stats --sched ADDR\n  \
@@ -110,7 +110,6 @@ fn subcommand(cmd: &str) -> Option<Subcommand> {
             "optimized real ga race-detect unchecked",
             "nodes iters transport pipeline pipeline-validate heartbeat-ms dump-sink trace",
         ),
-        "worker" => sub(cmd_worker, "", "listen"),
         "launch" => sub(
             cmd_launch,
             "optimized race-detect",
@@ -636,29 +635,26 @@ fn finish_run(
     Ok(())
 }
 
-/// Spawns `sage worker --listen 127.0.0.1:0` child processes out of the
+/// Spawns `sage fleet --listen 127.0.0.1:0` daemon processes out of the
 /// currently running binary.
-fn spawn_local_worker(_rank: usize) -> std::io::Result<std::process::Child> {
+fn spawn_local_fleet(_index: usize) -> std::io::Result<std::process::Child> {
     std::process::Command::new(std::env::current_exe()?)
-        .args(["worker", "--listen", "127.0.0.1:0"])
+        .args(["fleet", "--listen", "127.0.0.1:0"])
         .stdout(std::process::Stdio::piped())
         .spawn()
 }
 
-/// Runs a model across worker processes over loopback TCP and prints the
-/// merged summary. Used by both `launch` and `run --transport tcp`.
-fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(), String> {
+/// The job a distributed subcommand's flags describe (`launch`,
+/// `run --transport tcp`, `submit`). Probe events ship back exactly when
+/// `--trace` asks for them.
+fn job_params(args: &Args, text: &str, ranks: usize, iters: u32) -> Result<JobParams, String> {
     let pipeline = args.pipeline_depth()?;
     let mut pipeline_depths = Vec::new();
     if pipeline.is_some() {
         // Regenerate the program locally (the same deterministic pipeline
         // every rank runs) to compute the per-buffer ring caps the static
-        // safety plan proves; the workers receive them with the job.
-        let model = model_from_sexpr(text).map_err(|e| e.to_string())?;
-        let project = Project::new(model, HardwareShelf::cspi_with_nodes(workers));
-        let (program, _) = project
-            .generate(&Placement::Aligned)
-            .map_err(|e| e.to_string())?;
+        // safety plan proves; the daemons receive them with the job.
+        let (project, program) = sage::net::generate_job(text, ranks).map_err(|e| e.to_string())?;
         let (caps, proven) = pipeline_caps(&program, &project.hardware);
         if let Some(depth) = proven {
             println!(
@@ -668,35 +664,53 @@ fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(
         }
         pipeline_depths = caps;
     }
-    let opts = LaunchOptions {
-        workers,
-        iterations: iters,
+    Ok(JobParams {
         optimized: args.has("optimized"),
-        probes: true,
+        probes: args.has("trace"),
         race_detect: args.has("race-detect"),
-        heartbeat_ms: args.heartbeat_ms()?,
         pipeline,
         pipeline_depths,
-    };
-    let outcome: LaunchOutcome =
-        sage::net::launch(text, &opts, &spawn_local_worker).map_err(|e| e.to_string())?;
-    let m = &outcome.report.metrics;
-    let slowest = outcome.rank_walls.iter().copied().fold(0.0, f64::max);
+        ..JobParams::new(text, iters)
+    })
+}
+
+/// Prints a merged distributed run's summary, then the shared
+/// [`finish_run`] tail. `job` is the scheduler's id for a submitted job.
+fn finish_distributed(
+    args: &Args,
+    job: Option<u32>,
+    hosts: &str,
+    merged: &LaunchOutcome,
+    iters: u32,
+) -> Result<(), String> {
+    let m = &merged.report.metrics;
+    let slowest = merged.rank_walls.iter().copied().fold(0.0, f64::max);
+    let lead = job.map_or(String::new(), |j| format!("job {j} "));
     println!(
-        "ran `{}` on {workers} worker processes for {iters} iterations: \
-         {:.3} ms/data set (wall, slowest rank), {} framed messages, {} KB on the wire\n",
-        outcome.program.app_name,
+        "{lead}ran `{}` on {} {hosts} for {iters} iterations: \
+         {:.3} ms/data set (wall, slowest rank), {:.1} ms in service, \
+         {} framed messages, {} KB on the wire\n",
+        merged.program.app_name,
+        merged.rank_walls.len(),
         slowest * 1e3 / iters.max(1) as f64,
+        merged.report.wall.as_secs_f64() * 1e3,
         m.wire_messages(),
         m.wire_bytes() / 1024
     );
-    finish_run(
-        args,
-        &outcome.program,
-        &outcome.results,
-        &outcome.trace,
-        iters,
-    )
+    finish_run(args, &merged.program, &merged.results, &merged.trace, iters)
+}
+
+/// Runs a model across freshly spawned daemon processes over loopback TCP
+/// and prints the merged summary. Used by both `launch` and
+/// `run --transport tcp`.
+fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(), String> {
+    let opts = LaunchOptions {
+        workers,
+        heartbeat_ms: args.heartbeat_ms()?,
+        params: job_params(args, text, workers, iters)?,
+    };
+    let outcome = sage::fleet::launch(&opts, &spawn_local_fleet).map_err(|e| e.to_string())?;
+    finish_distributed(args, None, "worker processes", &outcome, iters)
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -875,16 +889,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     finish_run(args, &program, &exec.results, &exec.trace, iters)
 }
 
-/// `sage worker`: host one rank of a distributed job, then exit.
-fn cmd_worker(args: &Args) -> Result<(), String> {
-    let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-    sage::net::serve(listen, &|reg| {
-        sage::apps::kernels::register_kernels(reg);
-    })
-    .map_err(|e| e.to_string())
-}
-
-/// `sage launch`: spawn local workers and run a model across them.
+/// `sage launch`: spawn local daemons and run a model across them.
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -893,36 +898,6 @@ fn cmd_launch(args: &Args) -> Result<(), String> {
     auto_check(path, &text, workers)?;
     let iters: u32 = args.num_or("iters", 3)?;
     run_over_tcp(args, &text, workers, iters)
-}
-
-/// Spawns `sage fleet --listen 127.0.0.1:0` daemon processes out of the
-/// currently running binary.
-fn spawn_local_fleet(_index: usize) -> std::io::Result<std::process::Child> {
-    std::process::Command::new(std::env::current_exe()?)
-        .args(["fleet", "--listen", "127.0.0.1:0"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-}
-
-/// Reads one fleet daemon's listen banner off its piped stdout.
-fn read_fleet_banner(child: &mut std::process::Child) -> Result<String, String> {
-    use std::io::BufRead;
-    let stdout = child
-        .stdout
-        .take()
-        .ok_or("fleet worker spawned without piped stdout")?;
-    let mut line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut line)
-        .map_err(|e| format!("reading fleet banner: {e}"))?;
-    sage::fleet::parse_fleet_banner(&line)
-        .map(str::to_string)
-        .ok_or_else(|| {
-            format!(
-                "fleet worker announced `{}` instead of a banner",
-                line.trim()
-            )
-        })
 }
 
 /// `sage fleet`: with no subcommand, run one persistent worker daemon
@@ -987,31 +962,16 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
         slots_per_worker: args.num_or("slots", 64)?,
         heartbeat_ms: args.heartbeat_ms()?,
     };
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let addrs: Vec<String> = if let Some(list) = args.get("workers") {
-        list.split(',')
+    let (children, addrs) = if let Some(list) = args.get("workers") {
+        let addrs = list
+            .split(',')
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
-            .collect()
+            .collect();
+        (Vec::new(), addrs)
     } else {
-        let n: usize = args.num_or("spawn", 4)?;
-        let mut addrs = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut child =
-                spawn_local_fleet(i).map_err(|e| format!("spawning fleet worker {i}: {e}"))?;
-            match read_fleet_banner(&mut child) {
-                Ok(addr) => addrs.push(addr),
-                Err(e) => {
-                    for c in &mut children {
-                        let _ = c.kill();
-                    }
-                    let _ = child.kill();
-                    return Err(e);
-                }
-            }
-            children.push(child);
-        }
-        addrs
+        sage::fleet::spawn_daemons(args.num_or("spawn", 4)?, &spawn_local_fleet)
+            .map_err(|e| e.to_string())?
     };
     let result = (|| {
         let sched = sage::fleet::Scheduler::connect(&addrs, cfg).map_err(|e| e.to_string())?;
@@ -1031,7 +991,7 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
 }
 
 /// `sage submit`: ship one job to a running scheduler and merge the
-/// per-rank reports exactly as `launch` would.
+/// per-rank reports exactly as `launch` does.
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("submit needs a model file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1042,39 +1002,20 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let iters: u32 = args.num_or("iters", 3)?;
     let spec = sage::fleet::SubmitSpec {
         tenant: args.get("tenant").unwrap_or("").to_string(),
-        optimized: args.has("optimized"),
-        ..sage::fleet::SubmitSpec::new(text.clone(), ranks as u32, iters)
+        ..sage::fleet::SubmitSpec::with_params(job_params(args, &text, ranks, iters)?, ranks as u32)
     };
     let outcome = sage::fleet::submit(addr, &spec).map_err(|e| e.to_string())?;
     // Regenerate the program locally (same deterministic pipeline the
-    // workers ran) to merge reports and assemble sink output.
-    let model = model_from_sexpr(&text).map_err(|e| e.to_string())?;
-    let project = Project::new(model, HardwareShelf::cspi_with_nodes(ranks));
-    let (program, _) = project
-        .generate(&Placement::Aligned)
-        .map_err(|e| e.to_string())?;
-    let job = outcome.job;
-    let wall = outcome.wall_secs;
+    // daemons ran) to merge reports and assemble sink output.
+    let (_, program) = sage::net::generate_job(&text, ranks).map_err(|e| e.to_string())?;
     let merged = sage::net::merge_outcomes(
         program,
         sage::fleet::reports_to_outcomes(outcome.reports),
-        std::time::Duration::from_secs_f64(wall),
+        std::time::Duration::from_secs_f64(outcome.wall_secs),
         ranks,
     )
     .map_err(|e| e.to_string())?;
-    let m = &merged.report.metrics;
-    let slowest = merged.rank_walls.iter().copied().fold(0.0, f64::max);
-    println!(
-        "job {job} ran `{}` on {ranks} fleet ranks for {iters} iterations: \
-         {:.3} ms/data set (wall, slowest rank), {:.1} ms in service, \
-         {} framed messages, {} KB on the wire\n",
-        merged.program.app_name,
-        slowest * 1e3 / iters.max(1) as f64,
-        wall * 1e3,
-        m.wire_messages(),
-        m.wire_bytes() / 1024
-    );
-    finish_run(args, &merged.program, &merged.results, &merged.trace, iters)
+    finish_distributed(args, Some(outcome.job), "fleet ranks", &merged, iters)
 }
 
 /// Replays one saved failure bundle (`<stem>.sexpr` / `.plan` / `.meta`)
@@ -1123,7 +1064,7 @@ fn fuzz_replay(stem: &str, iters_override: Option<u32>) -> Result<(), String> {
         repro.nodes,
         &cfg,
         repro.seed,
-        Some(&spawn_local_worker),
+        Some(&spawn_local_fleet),
     );
     for f in &outcome.failures {
         println!("  !! [{}] {}", f.cell, f.message);
@@ -1159,7 +1100,7 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         save_failing: args.get("save-failing").map(std::path::PathBuf::from),
         ..FuzzOptions::default()
     };
-    let report = run_fuzz(&opts, tcp.then_some(&spawn_local_worker));
+    let report = run_fuzz(&opts, tcp.then_some(&spawn_local_fleet));
     print!("{}", report.render());
     if report.failed() > 0 {
         return Err(format!(

@@ -6,7 +6,7 @@
 //! bit-identical sink output.
 //!
 //! The chain builder lives in `sage_fuzz::gen` (shared with the `sage
-//! fuzz` corpus generator) and only uses kernels the `sage worker` binary
+//! fuzz` corpus generator) and only uses kernels the `sage fleet` daemon
 //! registers (`workload.matrix`, the built-in `id`), so every case is a
 //! real distributed run of the real binary.
 
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use sage::fuzz::gen::{chain_model, Stage};
 use sage::prelude::*;
 use sage_core::model_io;
-use sage_net::LaunchOptions;
+use sage_fleet::{JobParams, LaunchOptions};
 
 fn dt() -> DataType {
     DataType::complex_matrix(8, 8)
@@ -92,15 +92,10 @@ proptest! {
         // Distributed backend: one OS process per rank over loopback TCP.
         let opts = LaunchOptions {
             workers: nodes,
-            iterations: iters,
-            optimized: false,
-            probes: false,
-            race_detect: false,
             heartbeat_ms: None,
-            pipeline: None,
-            pipeline_depths: Vec::new(),
+            params: JobParams::new(source, iters),
         };
-        let outcome = sage::net::launch(&source, &opts, &common::spawn_worker).unwrap();
+        let outcome = sage::fleet::launch(&opts, &common::spawn_worker).unwrap();
         let tcp = common::sink_bytes(&outcome.program, &outcome.results, iters);
         prop_assert_eq!(
             local, tcp,

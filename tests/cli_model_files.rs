@@ -208,4 +208,12 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
         assert!(stderr.contains(needle), "{stderr}");
     }
+    // A retired subcommand is an unknown one: usage, exit 2 — `sage fleet`
+    // is the only daemon.
+    let out = std::process::Command::new(common::sage_bin())
+        .args(["worker", "--listen", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "sage worker must exit 2");
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
 }

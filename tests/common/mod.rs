@@ -27,13 +27,19 @@ pub fn out_path(stem: &str) -> PathBuf {
     p
 }
 
-/// Spawns one `sage worker` rank out of the binary under test, stdout
-/// piped so the launcher can read the listen banner.
+/// The command line of one `sage fleet` daemon out of the binary under
+/// test, stdout piped so the launcher can read the listen banner.
+pub fn fleet_daemon_command() -> Command {
+    let mut cmd = Command::new(sage_bin());
+    cmd.args(["fleet", "--listen", "127.0.0.1:0"])
+        .stdout(Stdio::piped());
+    cmd
+}
+
+/// Spawns one `sage fleet` daemon (the spawner `launch` and
+/// `spawn_daemons` take).
 pub fn spawn_worker(_rank: usize) -> std::io::Result<Child> {
-    Command::new(sage_bin())
-        .args(["worker", "--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
+    fleet_daemon_command().spawn()
 }
 
 /// Runs the CLI with `--dump-sink`, asserts success, and returns the sink
@@ -60,17 +66,21 @@ pub fn sink_dump(args: &[&str], stem: &str) -> Vec<u8> {
 
 /// local vs tcp at a given rank count, over the real binary.
 pub fn assert_parity(model: &str, ranks: usize) {
+    assert_parity_with(model, ranks, "2", &[]);
+}
+
+/// Local lock-step `run` vs `launch` with `launch_flags` added (e.g.
+/// `--pipeline 4`), over the real binary.
+pub fn assert_parity_with(model: &str, ranks: usize, iters: &str, launch_flags: &[&str]) {
     let path = model_path(model);
-    let iters = "2";
     let n = ranks.to_string();
     let local = sink_dump(
         &["run", &path, "--nodes", &n, "--iters", iters],
-        &format!("local_{model}_{ranks}"),
+        &format!("local_{model}_{ranks}_{iters}"),
     );
-    let tcp = sink_dump(
-        &["launch", &path, "--workers", &n, "--iters", iters],
-        &format!("tcp_{model}_{ranks}"),
-    );
+    let mut launch = vec!["launch", &path, "--workers", &n, "--iters", iters];
+    launch.extend_from_slice(launch_flags);
+    let tcp = sink_dump(&launch, &format!("tcp_{model}_{ranks}_{iters}"));
     assert_eq!(
         local.len(),
         tcp.len(),
@@ -78,7 +88,7 @@ pub fn assert_parity(model: &str, ranks: usize) {
     );
     assert!(
         local == tcp,
-        "{model} at {ranks} ranks: sink bytes differ between local and tcp"
+        "{model} at {ranks} ranks, launch {launch_flags:?}: sink bytes differ between local and tcp"
     );
 }
 

@@ -1,14 +1,16 @@
 //! Integration tests for the persistent fleet: concurrent mixed jobs
-//! through one scheduler are bit-identical to the one-shot TCP transport,
-//! a worker killed mid-queue fails only its in-flight job (typed) while
-//! queued jobs complete on the survivors, drain under load finishes the
-//! admitted work and exits 0, and a fleet daemon's thread count does not
-//! grow with the number of peers.
+//! through one scheduler are bit-identical to a one-job `launch`, a
+//! submitted job's trace carries every rank's events, concurrent streaming
+//! jobs stay inside their job namespaces, a worker killed mid-queue fails
+//! only its in-flight job (typed) while queued jobs complete on the
+//! survivors, drain under load finishes the admitted work and exits 0, and
+//! a fleet daemon's thread count does not grow with the number of peers.
 
 mod common;
 
 use common::{out_path, sage_bin, sink_bytes, sink_dump};
-use sage::fleet::{reports_to_outcomes, SchedConfig, Scheduler, SubmitSpec};
+use sage::core::{Placement, Project};
+use sage::fleet::{reports_to_outcomes, JobOutcome, SchedConfig, Scheduler, SubmitSpec};
 use sage::net::{NetError, RejectReason};
 use sage_runtime::{fnv1a_64, SinkResults};
 use std::io::{BufRead, BufReader};
@@ -40,35 +42,42 @@ impl Drop for KillGuard {
     }
 }
 
-/// Spawns one `sage fleet` daemon and returns (child, data-plane address).
-fn spawn_fleet_daemon() -> (Child, String) {
-    let mut child = Command::new(sage_bin())
-        .args(["fleet", "--listen", "127.0.0.1:0"])
+/// Spawns a fleet of `n` daemons plus an in-process scheduler.
+fn spawn_fleet(n: usize, cfg: SchedConfig) -> (KillGuard, Arc<Scheduler>) {
+    let (children, addrs) =
+        sage::fleet::spawn_daemons(n, &common::spawn_worker).expect("fleet daemons come up");
+    let guard = KillGuard(children);
+    let sched = Scheduler::connect(&addrs, cfg).expect("scheduler connects");
+    (guard, sched)
+}
+
+/// Spawns `sage sched --spawn 2` and returns (guard, scheduler address).
+fn spawn_cli_sched() -> (KillGuard, String) {
+    let mut sched_child = Command::new(sage_bin())
+        .args(["sched", "--spawn", "2", "--listen", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .spawn()
-        .expect("spawn fleet daemon");
-    let stdout = child.stdout.take().expect("piped stdout");
+        .expect("spawn sched");
+    let stdout = sched_child.stdout.take().expect("piped stdout");
+    let guard = KillGuard(vec![sched_child]);
     let mut line = String::new();
     BufReader::new(stdout)
         .read_line(&mut line)
-        .expect("read fleet banner");
-    let addr = sage::fleet::parse_fleet_banner(&line)
-        .unwrap_or_else(|| panic!("not a fleet banner: `{}`", line.trim()))
+        .expect("read sched banner");
+    let addr = sage::fleet::parse_sched_banner(&line)
+        .unwrap_or_else(|| panic!("not a sched banner: `{}`", line.trim()))
         .to_string();
-    (child, addr)
+    (guard, addr)
 }
 
-/// Spawns a fleet of `n` daemons plus an in-process scheduler.
-fn spawn_fleet(n: usize, cfg: SchedConfig) -> (KillGuard, Arc<Scheduler>) {
-    let mut children = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (child, addr) = spawn_fleet_daemon();
-        children.push(child);
-        addrs.push(addr);
-    }
-    let sched = Scheduler::connect(&addrs, cfg).expect("scheduler connects");
-    (KillGuard(children), sched)
+/// Drains a CLI scheduler through `sage fleet drain` and waits for exit 0.
+fn drain_cli_sched(guard: KillGuard, addr: &str) {
+    let status = Command::new(sage_bin())
+        .args(["fleet", "drain", "--sched", addr])
+        .status()
+        .expect("run fleet drain");
+    assert!(status.success(), "fleet drain failed");
+    guard.wait_all_exit_zero("sched");
 }
 
 /// Polls `probe` until it returns true or the deadline passes.
@@ -94,12 +103,15 @@ fn small_spec(iterations: u32) -> SubmitSpec {
     SubmitSpec::new(sage::core::model_io::model_to_sexpr(&model), 2, iterations)
 }
 
-/// Sink checksum of one successful fleet outcome, asserting every rank
-/// reported cleanly.
-fn outcome_checksum(outcome: &sage::fleet::JobOutcome, iterations: u32) -> u64 {
-    let (program, _) = sage::apps::fft2d::sage_project(64, 2)
-        .generate(&sage::core::Placement::Aligned)
-        .expect("codegen");
+/// Sink checksum of one successful [`small_spec`] outcome.
+fn outcome_checksum(outcome: &JobOutcome, iterations: u32) -> u64 {
+    project_checksum(&sage::apps::fft2d::sage_project(64, 2), outcome, iterations)
+}
+
+/// Sink checksum of one successful fleet outcome of `project`'s model,
+/// asserting every rank reported cleanly.
+fn project_checksum(project: &Project, outcome: &JobOutcome, iterations: u32) -> u64 {
+    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
     let mut results = SinkResults::default();
     for report in reports_to_outcomes(outcome.reports.clone()) {
         let report = report.expect("rank reported");
@@ -149,20 +161,7 @@ fn concurrent_mixed_jobs_match_one_shot_tcp() {
         })
         .collect();
 
-    let mut sched_child = Command::new(sage_bin())
-        .args(["sched", "--spawn", "2", "--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn sched");
-    let stdout = sched_child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read sched banner");
-    let addr = sage::fleet::parse_sched_banner(&line)
-        .unwrap_or_else(|| panic!("not a sched banner: `{}`", line.trim()))
-        .to_string();
-    let guard = KillGuard(vec![sched_child]);
+    let (guard, addr) = spawn_cli_sched();
 
     // Three concurrent submitters per model, all through the one fleet.
     std::thread::scope(|s| {
@@ -178,22 +177,103 @@ fn concurrent_mixed_jobs_match_one_shot_tcp() {
                     );
                     assert_eq!(
                         &dump, reference,
-                        "{name} via fleet differs from one-shot tcp"
+                        "{name} via a standing fleet differs from `run --transport tcp`"
                     );
                 });
             }
         }
     });
 
-    let status = Command::new(sage_bin())
-        .args(["fleet", "drain", "--sched", &addr])
-        .status()
-        .expect("run fleet drain");
-    assert!(status.success(), "fleet drain failed");
-    guard.wait_all_exit_zero("sched");
+    drain_cli_sched(guard, &addr);
     for (_, path) in &models {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// `sage submit --trace` ships probe events back from every rank: the CSV
+/// carries function and wire rows from both daemons, not just a header.
+#[test]
+fn submit_trace_carries_events_from_every_rank() {
+    let model = write_model("trace", &sage::apps::fft2d::sage_model(64, 2));
+    let trace = out_path("fleet_trace_csv");
+    let (guard, addr) = spawn_cli_sched();
+    sink_dump(
+        &[
+            "submit",
+            &model,
+            "--sched",
+            &addr,
+            "--ranks",
+            "2",
+            "--iters",
+            "2",
+            "--trace",
+            &trace.to_string_lossy(),
+        ],
+        "fleet_trace_sink",
+    );
+    drain_cli_sched(guard, &addr);
+    let csv = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&model);
+    for node in ["0", "1"] {
+        for kind in ["FnStart", "FnEnd", "XferStart", "NetSend", "NetRecv"] {
+            assert!(
+                csv.lines().any(|l| {
+                    let mut cols = l.split(',').skip(1);
+                    cols.next() == Some(node) && cols.next() == Some(kind)
+                }),
+                "no {kind} row from rank {node} in:\n{csv}"
+            );
+        }
+    }
+}
+
+/// Two streaming jobs of different models run concurrently on one 2-daemon
+/// fleet, each bit-identical to its own local lock-step sink: credit and
+/// data tags of one job must never satisfy a receive of the other.
+#[test]
+fn concurrent_streaming_jobs_match_their_lock_step_sinks() {
+    let iters = 8;
+    let projects = [
+        sage::apps::fft2d::sage_project(64, 2),
+        sage::apps::beamformer::sage_project(64, 2),
+    ];
+    let (guard, sched) = spawn_fleet(2, SchedConfig::default());
+    let together = std::sync::Barrier::new(projects.len());
+    std::thread::scope(|s| {
+        for project in &projects {
+            let (sched, together) = (&sched, &together);
+            s.spawn(move || {
+                let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+                let lock_step = project
+                    .execute(
+                        &program,
+                        sage::fabric::TimePolicy::Virtual,
+                        &sage::runtime::RuntimeOptions::paper_faithful(),
+                        iters,
+                    )
+                    .expect("local lock-step run");
+                let want = fnv1a_64(&sink_bytes(&program, &lock_step.results, iters));
+                let plan =
+                    sage::check::pipeline_plan(&program, &project.hardware).expect("pipeline plan");
+                let mut spec =
+                    SubmitSpec::new(sage::core::model_io::model_to_sexpr(&project.app), 2, iters);
+                spec.params.pipeline = Some(4);
+                spec.params.pipeline_depths = plan.buffers.iter().map(|b| b.safe_depth).collect();
+                together.wait();
+                let outcome = sched.submit(&spec).expect("streaming job completes");
+                assert_eq!(
+                    project_checksum(project, &outcome, iters),
+                    want,
+                    "`{}` streamed through the fleet differs from lock-step",
+                    project.app.name
+                );
+            });
+        }
+    });
+    sched.drain().expect("drain");
+    guard.wait_all_exit_zero("fleet worker");
 }
 
 /// Killing a worker mid-queue fails the in-flight job with a typed error

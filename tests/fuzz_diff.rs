@@ -18,7 +18,7 @@ use sage_model::Striping;
 /// failure the rendered report (seeds, cells, messages) is the panic
 /// text, and the repro bundles are already on disk.
 fn assert_campaign_clean(opts: &FuzzOptions, tcp: bool) {
-    let spawner: &sage_net::Spawner<'_> = &common::spawn_worker;
+    let spawner: &sage_fleet::Spawner<'_> = &common::spawn_worker;
     let report = run_fuzz(opts, tcp.then_some(spawner));
     assert_eq!(
         report.failed(),

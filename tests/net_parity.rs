@@ -3,17 +3,18 @@
 //! in-process local backend — same model, same seed, same bytes.
 //!
 //! These tests drive the real `sage` binary (`run --transport local` vs
-//! `launch --workers N`) end to end, including the worker banner handshake,
-//! the framed wire protocol, and the launcher's report merge. A final test
-//! kills one worker mid-run with the `SAGE_NET_CHAOS_EXIT_MS` chaos hook
-//! and requires a *typed* failure, not a hang.
+//! `launch --workers N`) end to end, including the daemon banner handshake,
+//! the framed wire protocol, the one-job fleet `launch` stands up, and its
+//! report merge — in lock-step and streaming. A final test kills one daemon
+//! mid-run with the `SAGE_NET_CHAOS_EXIT_MS` chaos hook and requires a
+//! *typed* failure, not a hang.
 
 mod common;
 
-use common::{assert_parity, model_path, sink_dump};
-use sage_net::{LaunchOptions, NetError};
+use common::{assert_parity, assert_parity_with, model_path, sink_dump};
+use sage_fleet::{JobParams, LaunchOptions};
+use sage_net::NetError;
 use sage_runtime::{fnv1a_64, RuntimeError};
-use std::process::{Command, Stdio};
 
 /// Sink output fingerprints pinned at the build each model first landed
 /// in (4 nodes, 2 iterations, local transport). The first four were
@@ -91,6 +92,22 @@ fn range_doppler_parity_four_ranks() {
     assert_parity("range_doppler_64.sexpr", 4);
 }
 
+/// `launch --pipeline 4` streams over TCP (per-buffer caps from the static
+/// plan ride the job) and must reproduce the local lock-step sink exactly.
+fn assert_streaming_parity(model: &str) {
+    assert_parity_with(model, 4, "6", &["--pipeline", "4"]);
+}
+
+#[test]
+fn fft2d_streaming_launch_matches_local_lock_step() {
+    assert_streaming_parity("fft2d_64.sexpr");
+}
+
+#[test]
+fn beamformer_streaming_launch_matches_local_lock_step() {
+    assert_streaming_parity("beamformer_64.sexpr");
+}
+
 /// Kill rank 1's process shortly after it accepts the job: the launcher
 /// must come back with a typed node/peer failure — never hang, never
 /// report success.
@@ -99,24 +116,17 @@ fn killed_worker_surfaces_typed_failure() {
     let text = std::fs::read_to_string(model_path("corner_turn_256.sexpr")).unwrap();
     let opts = LaunchOptions {
         workers: 2,
-        iterations: 200,
-        optimized: false,
-        probes: false,
-        race_detect: false,
         heartbeat_ms: None,
-        pipeline: None,
-        pipeline_depths: Vec::new(),
+        params: JobParams::new(text, 200),
     };
     let spawn = |rank: usize| {
-        let mut cmd = Command::new(common::sage_bin());
-        cmd.args(["worker", "--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped());
+        let mut cmd = common::fleet_daemon_command();
         if rank == 1 {
-            cmd.env(sage_net::CHAOS_EXIT_ENV, "5");
+            cmd.env(sage_fleet::CHAOS_EXIT_ENV, "5");
         }
         cmd.spawn()
     };
-    let err = sage_net::launch(&text, &opts, &spawn).expect_err("run must fail");
+    let err = sage_fleet::launch(&opts, &spawn).expect_err("run must fail");
     match err {
         NetError::Runtime(
             RuntimeError::NodeFailed { .. }
