@@ -8,19 +8,17 @@
 //! * **program-order edges** — a task waits for the task scheduled
 //!   immediately before it on the same node;
 //! * **communication edges** — a consumer thread waits for every producer
-//!   thread that sends it a non-empty stripe, per the same
-//!   [`Redistribution::plan`] the executor uses.
+//!   thread that sends it a non-empty stripe, per the session's
+//!   redistribution plans (the executor's own).
 //!
 //! Any cycle in the union means no task on the cycle can ever run: a
 //! communication deadlock (`SAGE040`), reported with the full blocking
-//! chain. Striping that cannot be laid out at all is reported first
-//! (`SAGE019`) since no plan exists for it, and structurally broken
-//! programs short-circuit as `SAGE041`.
+//! chain. A buffer the preamble could not plan (`SAGE054`/`SAGE019`)
+//! moves no stripes and contributes no edges.
 
-use crate::diag::{Diagnostic, Diagnostics};
-use crate::model_spans::ModelSpans;
-use sage_model::Striping;
-use sage_runtime::{GlueProgram, Redistribution, Task};
+use crate::{stripes, BufferPlans, Checker};
+use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
+use sage_runtime::{GlueProgram, Task};
 use std::collections::HashMap;
 
 /// Why one task waits for another.
@@ -32,17 +30,9 @@ enum Wait {
     Recv { buffer: u32 },
 }
 
-/// Lints a generated glue program for communication deadlocks.
-pub fn lint_program(program: &GlueProgram, spans: Option<&ModelSpans>) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-    if let Err(e) = program.validate() {
-        diags.push(
-            Diagnostic::error("SAGE041", format!("malformed glue program: {e}"))
-                .with_note("the program fails its structural self-checks; deadlock analysis needs a well-formed schedule"),
-        );
-        return diags;
-    }
-
+/// Reports a wait-for cycle among a validated program's tasks (`SAGE040`).
+pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
+    let (program, spans) = (cx.program, cx.spans);
     // Vertices: every scheduled task.
     let mut tasks: Vec<Task> = Vec::new();
     let mut index: HashMap<(u32, u32), usize> = HashMap::new();
@@ -64,86 +54,20 @@ pub fn lint_program(program: &GlueProgram, spans: Option<&ModelSpans>) -> Diagno
         }
     }
 
-    // Communication edges from the executor's own redistribution plans.
+    // Communication edges from the session's redistribution plans.
     // `delay` arcs cross the iteration boundary: the consumer reads the
     // payload emitted `delay` iterations earlier (zeros at start-up), so
     // it never waits on this iteration's producer and contributes no
     // wait-for edge.
-    for b in &program.buffers {
-        if b.delay > 0 {
-            continue;
-        }
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
-        let mut layout_ok = true;
-        for (striping, threads, who) in [
-            (b.send_striping, pf.threads as usize, &pf.name),
-            (b.recv_striping, cf.threads as usize, &cf.name),
-        ] {
-            if let Striping::Striped { dim } = striping {
-                if dim >= b.shape.len() {
-                    diags.push(
-                        Diagnostic::error(
-                            "SAGE019",
-                            format!(
-                                "buffer {} (`{}` -> `{}`): `{who}` stripes \
-                                 dimension {dim} of a {}-D payload",
-                                b.id,
-                                pf.name,
-                                cf.name,
-                                b.shape.len()
-                            ),
-                        )
-                        .with_span_opt(spans.and_then(|s| s.block(who))),
-                    );
-                    layout_ok = false;
-                    continue;
-                }
-                let extent = b.shape[dim];
-                if threads == 0 || extent % threads != 0 {
-                    diags.push(
-                        Diagnostic::error(
-                            "SAGE019",
-                            format!(
-                                "buffer {} (`{}` -> `{}`): dimension {dim} of \
-                                 extent {extent} cannot stripe over `{who}`'s \
-                                 {threads} threads",
-                                b.id, pf.name, cf.name
-                            ),
-                        )
-                        .with_span_opt(spans.and_then(|s| s.block(who))),
-                    );
-                    layout_ok = false;
-                }
-            }
-        }
-        if !layout_ok {
-            continue; // no layout exists, so no plan (and no edges) either
-        }
-        let plan = Redistribution::plan(
-            &b.shape,
-            b.elem_bytes,
-            b.send_striping,
-            pf.threads as usize,
-            b.recv_striping,
-            cf.threads as usize,
-        );
-        for (i, row) in plan.pairs.iter().enumerate() {
-            for (j, intervals) in row.iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let producer = index[&(b.producer, i as u32)];
-                let consumer = index[&(b.consumer, j as u32)];
-                edges[consumer].push((producer, Wait::Recv { buffer: b.id }));
-            }
-        }
+    for s in stripes(program, plans).filter(|s| s.b.delay == 0) {
+        let producer = index[&(s.b.producer, s.i)];
+        let consumer = index[&(s.b.consumer, s.j)];
+        edges[consumer].push((producer, Wait::Recv { buffer: s.b.id }));
     }
 
     if let Some(cycle) = find_cycle(&edges) {
         diags.push(cycle_diag(program, &tasks, &cycle, spans));
     }
-    diags
 }
 
 /// Finds one cycle in the wait-for graph: returns the chain
@@ -171,21 +95,12 @@ fn find_cycle(edges: &[Vec<(usize, Wait)>]) -> Option<Vec<(usize, Wait)>> {
                     1 => {
                         // Back edge u -> v: the cycle is v..=u on the stack
                         // plus this edge. Frame k+1's stored wait labels the
-                        // edge from frame k, so `plain[k]` waits for
-                        // `plain[k+1]` via `inner[k]`, and the back edge
-                        // closes `u` -> `v` via `wait`.
+                        // edge from frame k, and the back edge closes `u` ->
+                        // `v` via `wait`.
                         let pos = stack.iter().position(|&(w, _, _)| w == v).unwrap();
-                        let plain: Vec<usize> = stack[pos..].iter().map(|&(w, _, _)| w).collect();
-                        let inner: Vec<Wait> = stack[pos + 1..]
-                            .iter()
-                            .map(|&(_, _, w)| w.unwrap())
-                            .collect();
-                        let mut result = Vec::with_capacity(plain.len());
-                        for (k, &vtx) in plain.iter().enumerate() {
-                            let w = if k < inner.len() { inner[k] } else { wait };
-                            result.push((vtx, w));
-                        }
-                        return Some(result);
+                        let waits = stack[pos + 1..].iter().map(|&(_, _, w)| w.unwrap());
+                        let on_cycle = stack[pos..].iter().map(|&(w, _, _)| w);
+                        return Some(on_cycle.zip(waits.chain([wait])).collect());
                     }
                     _ => {}
                 }
@@ -221,7 +136,7 @@ fn cycle_diag(
             names.join(" -> "),
         ),
     );
-    for (k, &(v, wait)) in cycle.iter().enumerate() {
+    for (k, &(_, wait)) in cycle.iter().enumerate() {
         let waiter = &names[k];
         let waited = &names[(k + 1) % names.len()];
         let note = match wait {
@@ -239,7 +154,6 @@ fn cycle_diag(
             }
         };
         d = d.with_note(note);
-        let _ = v;
     }
     d = d.with_note(
         "every task on the cycle waits forever; reorder the schedule or \
@@ -252,8 +166,14 @@ fn cycle_diag(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_model::Properties;
+    use crate::Checker;
+    use sage_model::{HardwareShelf, Properties, Striping};
     use sage_runtime::{FnRole, FunctionDescriptor, LogicalBufferDesc};
+
+    fn deadlock_pass(program: &GlueProgram, spans: Option<&ModelSpans>) -> Diagnostics {
+        let hw = HardwareShelf::cspi_with_nodes(program.node_count());
+        Checker::new(program, &hw, spans).deadlock()
+    }
 
     /// src (2 threads on nodes 0/1) -> snk (2 threads on nodes 0/1), one
     /// 4x4 complex buffer striped by rows on both sides. `order(node)`
@@ -325,13 +245,13 @@ mod tests {
 
     #[test]
     fn well_ordered_program_is_clean() {
-        let d = lint_program(&two_stage([true, true]), None);
+        let d = deadlock_pass(&two_stage([true, true]), None);
         assert!(d.is_empty(), "{:?}", d.diags);
     }
 
     #[test]
     fn reversed_schedule_deadlocks() {
-        let d = lint_program(&two_stage([true, false]), None);
+        let d = deadlock_pass(&two_stage([true, false]), None);
         assert_eq!(d.diags.len(), 1, "{:?}", d.diags);
         let diag = &d.diags[0];
         assert_eq!(diag.code, "SAGE040");
@@ -353,7 +273,7 @@ mod tests {
         // whole machine.
         let mut p = two_stage([true, false]);
         p.buffers[0].recv_striping = Striping::BY_COLS;
-        let d = lint_program(&p, None);
+        let d = deadlock_pass(&p, None);
         assert_eq!(d.diags.len(), 1);
         assert_eq!(d.diags[0].code, "SAGE040");
     }
@@ -362,7 +282,7 @@ mod tests {
     fn unstripeable_buffer_reports_sage019_not_a_panic() {
         let mut p = two_stage([true, true]);
         p.buffers[0].shape = vec![5, 4]; // 5 rows over 2 threads
-        let d = lint_program(&p, None);
+        let d = deadlock_pass(&p, None);
         assert_eq!(d.diags.len(), 2, "{:?}", d.diags); // send and recv side
         assert!(d.diags.iter().all(|x| x.code == "SAGE019"));
     }
@@ -371,7 +291,7 @@ mod tests {
     fn out_of_range_stripe_dim_reports_sage019_not_a_panic() {
         let mut p = two_stage([true, true]);
         p.buffers[0].send_striping = Striping::Striped { dim: 7 };
-        let d = lint_program(&p, None);
+        let d = deadlock_pass(&p, None);
         assert_eq!(d.diags.len(), 1, "{:?}", d.diags);
         assert_eq!(d.diags[0].code, "SAGE019");
         assert!(d.diags[0].message.contains("dimension 7 of a 2-D payload"));
@@ -381,7 +301,7 @@ mod tests {
     fn malformed_program_reports_sage041() {
         let mut p = two_stage([true, true]);
         p.schedules[0].clear(); // schedules no longer cover the task set
-        let d = lint_program(&p, None);
+        let d = deadlock_pass(&p, None);
         assert_eq!(d.diags.len(), 1);
         assert_eq!(d.diags[0].code, "SAGE041");
     }
@@ -395,7 +315,7 @@ mod tests {
         // replicated producer only src[0] transmits, so snk[1] never waits
         // on src[1] and nothing deadlocks.
         p.schedules[1].reverse();
-        let d = lint_program(&p, None);
+        let d = deadlock_pass(&p, None);
         assert!(d.is_empty(), "{:?}", d.diags);
     }
 }

@@ -5,40 +5,48 @@
 //! generation — the function table, the logical buffer table, the per-node
 //! schedules, and the redistribution plans the executor will follow.
 //!
-//! `sage-lint` proves properties of the *input* (the Designer model and the
-//! Alter scripts); this crate proves properties of the *output*, without
-//! executing it. Three passes walk the program exactly the way the run-time
-//! kernel does:
+//! `sage-lint` proves properties of the *input* (the Designer model, the
+//! mapping and the Alter scripts); this crate proves properties of the
+//! *output*, without executing it — every pass over the generated program
+//! lives here.
 //!
-//! * [`structure`] — symbolic shape/element-count propagation: degenerate
-//!   or unstripeable [`LogicalBufferDesc`]s, function-table wiring
-//!   (use-before-init `SAGE052`, double-write `SAGE053`), kernel shape and
-//!   dtype contracts (`SAGE054`), and transfer-tag field widths
-//!   (`SAGE057`);
-//! * [`transfers`] — cross-rank transfer matching over the same
-//!   [`Redistribution`] plans the executor uses: every send must have
-//!   exactly one compatible receive (`SAGE050`), with tag collisions and
-//!   byte mismatches as `SAGE051`, each finding naming both endpoints'
-//!   task paths;
-//! * [`memory`] — per-node memory high-water-mark from buffer live ranges
-//!   against the hardware model's DRAM (`SAGE055`) and a per-iteration
-//!   bandwidth-feasibility estimate against the link capacities
-//!   (`SAGE056`);
-//! * [`pipeline`] — cross-iteration hazard analysis over the `delay` arcs:
-//!   per-buffer maximum safe pipeline depths (`SAGE060` WAR hazards,
-//!   `SAGE061` feedback cycles, `SAGE062` depth-infeasible memory),
-//!   emitted as a [`pipeline::PipelinePlan`] artifact that gates the
-//!   executor's block-interleaved pipeline-validate mode;
-//! * [`race`] — static happens-before race proofs over every input-port
-//!   group: unordered overlapping writes (`SAGE070`), read/write races
-//!   (`SAGE071`), depth-conditional orderings that cap the pipeline plan
-//!   (`SAGE072`), and benign same-value splats (`SAGE073`) — all
-//!   cross-validated by the run-time's vector-clock detector
-//!   (`sage run --race-detect`).
+//! One front door, [`Checker`]: a validated session over one program, the
+//! hardware it was generated for, and (optionally) the span index of the
+//! model source its findings point back into. [`Checker::new`] runs the one
+//! preamble — transfer-tag field widths (`SAGE057`),
+//! [`GlueProgram::validate`] and the program/hardware node count
+//! (`SAGE041`), then every buffer's redistribution plan through the
+//! run-time's own planner (`SAGE054` degenerate, `SAGE019` unstripeable) —
+//! exactly once, and owns the plans. Every method is a pass over them and
+//! reports the preamble's findings followed by its own:
+//!
+//! * [`Checker::deadlock`] — [`deadlock`]: wait-for cycles over the
+//!   per-node schedules and the planned transfers (`SAGE040`);
+//! * [`Checker::race`] — [`race`]: static happens-before race proofs over
+//!   every input-port group: unordered overlapping writes (`SAGE070`),
+//!   read/write races (`SAGE071`), depth-conditional orderings that cap the
+//!   pipeline plan (`SAGE072`), and benign same-value splats (`SAGE073`) —
+//!   all cross-validated by the run-time's vector-clock detector
+//!   (`sage run --race-detect`);
+//! * [`Checker::pipeline`] — [`pipeline`]: cross-iteration hazard analysis
+//!   over the `delay` arcs: per-buffer maximum safe pipeline depths
+//!   (`SAGE060` WAR hazards, `SAGE061` feedback cycles, `SAGE062`
+//!   depth-infeasible memory), emitted as a [`pipeline::PipelinePlan`]
+//!   artifact that caps the executor's per-buffer rings;
+//! * [`Checker::check`] — the full battery `sage check` runs: [`structure`]
+//!   (function-table wiring: use-before-init `SAGE052`, double-write
+//!   `SAGE053`; kernel shape and dtype contracts `SAGE054`), [`transfers`]
+//!   (every send has exactly one compatible receive `SAGE050`, tag
+//!   collisions and byte mismatches `SAGE051`), [`memory`] (per-node
+//!   high-water-mark against DRAM `SAGE055`, per-iteration wire time
+//!   against the link capacities `SAGE056`), then the race and pipeline
+//!   passes above — the race proof is computed once per session and shared;
+//! * [`Checker::peaks`] — the memory walk's per-node prediction, for
+//!   cross-validation against a real run.
 //!
 //! Findings render through `sage-lint`'s diagnostics engine (rustc-style
-//! and JSON), with spans back into the model source when a
-//! [`ModelSpans`] index is supplied.
+//! and JSON), with spans back into the model source when the session holds
+//! a [`ModelSpans`] index.
 //!
 //! [`LogicalBufferDesc`]: sage_runtime::LogicalBufferDesc
 //! [`Redistribution`]: sage_runtime::Redistribution
@@ -46,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod deadlock;
 pub mod memory;
 pub mod pipeline;
 pub mod race;
@@ -54,197 +63,225 @@ pub mod transfers;
 
 use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
 use sage_model::HardwareSpec;
-use sage_runtime::{GlueProgram, Redistribution};
+use sage_runtime::{GlueProgram, LogicalBufferDesc, Redistribution, Task};
+use std::cell::OnceCell;
 
-/// Checks a generated glue program against the hardware model it was
-/// generated for, without executing it.
-///
-/// The program must be structurally sound ([`GlueProgram::validate`]) and
-/// match the hardware's node count; otherwise a single `SAGE041` is
-/// reported and the deeper passes are skipped.
+/// Per-buffer redistribution plans; `None` where the descriptor is
+/// degenerate or unstripeable (reported by the preamble).
+pub(crate) type BufferPlans = Vec<Option<Redistribution>>;
+
+/// One validated analysis session over a generated program, the hardware
+/// model it was generated for, and (optionally) the span index of the model
+/// source its findings point into (see the crate docs).
+pub struct Checker<'a> {
+    program: &'a GlueProgram,
+    hw: &'a HardwareSpec,
+    spans: Option<&'a ModelSpans>,
+    preamble: Diagnostics,
+    /// `None` when the program is malformed or disagrees with the hardware:
+    /// the passes have nothing sound to walk.
+    plans: Option<BufferPlans>,
+    races: OnceCell<race::RaceAnalysis>,
+}
+
+impl<'a> Checker<'a> {
+    /// Runs the preamble: tag widths, structural self-checks, node count,
+    /// then every buffer's redistribution plan.
+    pub fn new(
+        program: &'a GlueProgram,
+        hw: &'a HardwareSpec,
+        spans: Option<&'a ModelSpans>,
+    ) -> Checker<'a> {
+        let mut preamble = Diagnostics::new();
+        let plans = plan(program, hw, spans, &mut preamble);
+        Checker {
+            program,
+            hw,
+            spans,
+            preamble,
+            plans,
+            races: OnceCell::new(),
+        }
+    }
+
+    /// The preamble's findings (all errors) — how every pass's report
+    /// begins. A caller staging several passes of one session (the CLI's
+    /// pre-flight) looks here to report them once.
+    pub fn preamble(&self) -> &Diagnostics {
+        &self.preamble
+    }
+
+    fn races(&self, plans: &BufferPlans) -> &race::RaceAnalysis {
+        self.races
+            .get_or_init(|| race::analyze(self.program, plans))
+    }
+
+    /// The full battery (`sage check`): wiring, kernel contracts, transfer
+    /// matching, capacity feasibility, races, pipeline hazards.
+    pub fn check(&self) -> Diagnostics {
+        let mut diags = self.preamble.clone();
+        let Some(plans) = &self.plans else {
+            return diags;
+        };
+        structure::check_wiring(self, plans, &mut diags);
+        structure::check_kernel_contracts(self, plans, &mut diags);
+        transfers::check(self, plans, &mut diags);
+        memory::check(self, plans, &mut diags);
+        let races = self.races(plans);
+        race::report(self, races, &mut diags);
+        pipeline::check(self, plans, &races.capped, None, &mut diags);
+        diags
+    }
+
+    /// The communication-deadlock pass (`SAGE040`) — what `sage lint` runs
+    /// over the program a model generates.
+    pub fn deadlock(&self) -> Diagnostics {
+        let mut diags = self.preamble.clone();
+        if let Some(plans) = &self.plans {
+            deadlock::check(self, plans, &mut diags);
+        }
+        diags
+    }
+
+    /// The pipeline-safety pass (`sage pipeline`): proves the
+    /// [`pipeline::PipelinePlan`] and reports `SAGE060`/`SAGE061`/`SAGE062`
+    /// with `requested` as the depth the caller intends to run at
+    /// (depth-infeasibility is judged against it). Race caps feed the depth
+    /// proof but report through [`Checker::race`] / [`Checker::check`].
+    ///
+    /// The plan is `None` only when the preamble stopped at `SAGE057` or
+    /// `SAGE041`.
+    pub fn pipeline(
+        &self,
+        requested: Option<u32>,
+    ) -> (Option<pipeline::PipelinePlan>, Diagnostics) {
+        let mut diags = self.preamble.clone();
+        let plan = self.plans.as_ref().map(|plans| {
+            let capped = &self.races(plans).capped;
+            pipeline::check(self, plans, capped, requested, &mut diags)
+        });
+        (plan, diags)
+    }
+
+    /// The happens-before race pass (`sage race`): `SAGE070`..`SAGE073`
+    /// plus the proven [`race::RaceAnalysis`], `None` only when the
+    /// preamble stopped at `SAGE057` or `SAGE041`.
+    pub fn race(&self) -> (Option<race::RaceAnalysis>, Diagnostics) {
+        let mut diags = self.preamble.clone();
+        let races = self.plans.as_ref().map(|plans| {
+            let races = self.races(plans);
+            race::report(self, races, &mut diags);
+            races.clone()
+        });
+        (races, diags)
+    }
+
+    /// Predicted per-node memory high-water marks (bytes): the static walk
+    /// behind `SAGE055`, exposed so a dynamic run can be cross-validated
+    /// against it (the prediction is a documented lower bound for any
+    /// buffer scheme, so measured peaks must never exceed it —
+    /// `predicted[node] >= measured[node]` for every node).
+    ///
+    /// `None` unless the preamble is clean.
+    pub fn peaks(&self) -> Option<Vec<usize>> {
+        let plans = self.plans.as_ref().filter(|_| self.preamble.is_empty())?;
+        let peaks = memory::node_peaks(self.program, plans);
+        Some(peaks.into_iter().map(|(peak, _)| peak).collect())
+    }
+}
+
+/// The one preamble. `None`: the program is malformed or generated for
+/// another machine, and `diags` says how.
+fn plan(
+    program: &GlueProgram,
+    hw: &HardwareSpec,
+    spans: Option<&ModelSpans>,
+    diags: &mut Diagnostics,
+) -> Option<BufferPlans> {
+    // Tag-width overflow also fails `validate`; report it under its own
+    // code (with the offending block's span) rather than as a bare SAGE041.
+    if structure::check_tag_widths(program, spans, diags) {
+        return None;
+    }
+    let (nodes, machine) = (program.node_count(), hw.node_count());
+    let malformed = match program.validate() {
+        Err(e) => Some((
+            format!("malformed glue program: {e}"),
+            "the program fails its structural self-checks; abstract \
+             interpretation needs a well-formed program",
+        )),
+        Ok(()) if nodes != machine => Some((
+            format!(
+                "program generated for {nodes} nodes, hardware model `{}` has {machine}",
+                hw.name
+            ),
+            "capacity checks need the program and the hardware to agree on the machine",
+        )),
+        Ok(()) => None,
+    };
+    if let Some((message, note)) = malformed {
+        diags.push(Diagnostic::error("SAGE041", message).with_note(note));
+        return None;
+    }
+    Some(structure::plan_buffers(program, spans, diags))
+}
+
+/// [`Checker::check`] for a caller with one question: checks a generated
+/// glue program against the hardware model it was generated for, without
+/// executing it.
 pub fn check_program(
     program: &GlueProgram,
     hw: &HardwareSpec,
     spans: Option<&ModelSpans>,
 ) -> Diagnostics {
-    let mut diags = Diagnostics::new();
-    // Tag-width overflow also fails `validate`; report it under its own
-    // code (with the offending block's span) rather than as a bare SAGE041.
-    if structure::check_tag_widths(program, spans, &mut diags) {
-        return diags;
-    }
-    if let Err(e) = program.validate() {
-        diags.push(
-            Diagnostic::error("SAGE041", format!("malformed glue program: {e}")).with_note(
-                "the program fails its structural self-checks; abstract \
-                 interpretation needs a well-formed program",
-            ),
-        );
-        return diags;
-    }
-    if program.node_count() != hw.node_count() {
-        diags.push(
-            Diagnostic::error(
-                "SAGE041",
-                format!(
-                    "program generated for {} nodes, hardware model `{}` has {}",
-                    program.node_count(),
-                    hw.name,
-                    hw.node_count()
-                ),
-            )
-            .with_note("capacity checks need the program and the hardware to agree on the machine"),
-        );
-        return diags;
-    }
-    let plans = structure::plan_buffers(program, spans, &mut diags);
-    structure::check_wiring(program, &plans, spans, &mut diags);
-    structure::check_kernel_contracts(program, &plans, spans, &mut diags);
-    transfers::check(program, &plans, spans, &mut diags);
-    memory::check(program, hw, &plans, spans, &mut diags);
-    let races = race::check(program, &plans, spans, &mut diags);
-    pipeline::check(program, hw, &plans, &races.capped, None, spans, &mut diags);
-    diags
+    Checker::new(program, hw, spans).check()
 }
 
-/// Runs only the pipeline-safety pass over a generated program, proving
-/// its [`pipeline::PipelinePlan`] and reporting `SAGE060`/`SAGE061`/
-/// `SAGE062` findings — with `requested` as the depth the caller intends
-/// to run at (depth-infeasibility is judged against it). This is the
-/// `sage pipeline` engine; [`check_program`] runs the same pass with no
-/// requested depth as part of the full battery.
-///
-/// The plan is `None` only when the program fails its structural
-/// self-checks or disagrees with the hardware model (`SAGE041`).
-pub fn check_pipeline(
-    program: &GlueProgram,
-    hw: &HardwareSpec,
-    requested: Option<u32>,
-    spans: Option<&ModelSpans>,
-) -> (Option<pipeline::PipelinePlan>, Diagnostics) {
-    let mut diags = Diagnostics::new();
-    if let Err(e) = program.validate() {
-        diags.push(Diagnostic::error(
-            "SAGE041",
-            format!("malformed glue program: {e}"),
-        ));
-        return (None, diags);
-    }
-    if program.node_count() != hw.node_count() {
-        diags.push(Diagnostic::error(
-            "SAGE041",
-            format!(
-                "program generated for {} nodes, hardware model `{}` has {}",
-                program.node_count(),
-                hw.name,
-                hw.node_count()
-            ),
-        ));
-        return (None, diags);
-    }
-    let plans = structure::plan_buffers(program, spans, &mut diags);
-    // Race caps feed the depth proof but report through `sage race` /
-    // `check_program`, not here.
-    let races = race::analyze(program, &plans);
-    let plan = pipeline::check(
-        program,
-        hw,
-        &plans,
-        &races.capped,
-        requested,
-        spans,
-        &mut diags,
-    );
-    (Some(plan), diags)
-}
-
-/// Runs only the happens-before race pass over a generated program,
-/// reporting `SAGE070`..`SAGE073` findings plus the proven
-/// [`race::RaceAnalysis`] artifact. This is the `sage race` engine;
-/// [`check_program`] runs the same pass as part of the full battery.
-///
-/// The analysis is `None` only when the program fails its structural
-/// self-checks (`SAGE041`).
-pub fn check_race(
-    program: &GlueProgram,
-    spans: Option<&ModelSpans>,
-) -> (Option<race::RaceAnalysis>, Diagnostics) {
-    let mut diags = Diagnostics::new();
-    if let Err(e) = program.validate() {
-        diags.push(Diagnostic::error(
-            "SAGE041",
-            format!("malformed glue program: {e}"),
-        ));
-        return (None, diags);
-    }
-    let plans = structure::plan_buffers(program, spans, &mut diags);
-    let races = race::check(program, &plans, spans, &mut diags);
-    (Some(races), diags)
-}
-
-/// The proven [`pipeline::PipelinePlan`] for a well-formed program, with
-/// no diagnostics — the artifact-only front door the fuzz harness uses to
-/// pick a depth for its pipelined scheduling cell.
-///
-/// Returns `None` when the program fails its structural self-checks,
-/// disagrees with the hardware's node count, or any buffer descriptor is
-/// degenerate (all already reported by [`check_program`] as errors).
+/// The proven [`pipeline::PipelinePlan`] of a program the preamble passes
+/// clean, with no diagnostics — what a runner caps its per-buffer ring
+/// depths with. `None` otherwise: the pipeline pass itself only warns, so
+/// any error is a preamble finding [`check_program`] reports.
 pub fn pipeline_plan(program: &GlueProgram, hw: &HardwareSpec) -> Option<pipeline::PipelinePlan> {
-    if program.validate().is_err() || program.node_count() != hw.node_count() {
-        return None;
-    }
-    let mut scratch = Diagnostics::new();
-    let plans = structure::plan_buffers(program, None, &mut scratch);
-    if scratch.error_count() > 0 || plans.iter().any(Option::is_none) {
-        return None;
-    }
-    let races = race::analyze(program, &plans);
-    Some(pipeline::analyze(program, hw, &plans, &races.capped))
+    let (plan, diags) = Checker::new(program, hw, None).pipeline(None);
+    plan.filter(|_| diags.error_count() == 0)
 }
 
-/// The proven [`race::RaceAnalysis`] for a well-formed program, with no
-/// diagnostics — the artifact-only front door for `sage race --format
-/// json` and the fuzz harness's race axis.
-///
-/// Returns `None` when the program fails its structural self-checks or
-/// any buffer descriptor is degenerate (already reported by
-/// [`check_program`] as errors).
-pub fn race_analysis(program: &GlueProgram) -> Option<race::RaceAnalysis> {
-    if program.validate().is_err() {
-        return None;
-    }
-    let mut scratch = Diagnostics::new();
-    let plans = structure::plan_buffers(program, None, &mut scratch);
-    if scratch.error_count() > 0 || plans.iter().any(Option::is_none) {
-        return None;
-    }
-    Some(race::analyze(program, &plans))
+/// One planned stripe: `bytes` moving from producer thread `i` of buffer
+/// `b` to its consumer thread `j`.
+pub(crate) struct Stripe<'a> {
+    pub b: &'a LogicalBufferDesc,
+    pub i: u32,
+    pub j: u32,
+    pub bytes: usize,
 }
 
-/// Predicted per-node memory high-water marks (bytes) for a well-formed
-/// program: the static walk behind `SAGE055`, exposed so a dynamic run
-/// can be cross-validated against it (the prediction is a documented
-/// lower bound for any buffer scheme, so measured peaks must never
-/// exceed it — `predicted[node] >= measured[node]` for every node).
-///
-/// Returns `None` when the program fails its structural self-checks or
-/// any buffer descriptor is degenerate (those cases are already reported
-/// by [`check_program`] as errors).
-pub fn predicted_peaks(program: &GlueProgram) -> Option<Vec<usize>> {
-    if program.validate().is_err() {
-        return None;
+impl Stripe<'_> {
+    /// The nodes the stripe leaves and lands on.
+    pub fn nodes(&self, program: &GlueProgram) -> (usize, usize) {
+        let on = |fn_id, thread| program.node_of(Task { fn_id, thread }) as usize;
+        (on(self.b.producer, self.i), on(self.b.consumer, self.j))
     }
-    let mut scratch = Diagnostics::new();
-    let plans = structure::plan_buffers(program, None, &mut scratch);
-    if scratch.error_count() > 0 || plans.iter().any(Option::is_none) {
-        return None;
-    }
-    Some(
-        memory::node_peaks(program, &plans)
-            .into_iter()
-            .map(|(peak, _)| peak)
-            .collect(),
-    )
+}
+
+/// Every non-empty stripe the session's plans move, in (buffer, producer
+/// thread, consumer thread) order — the walk the passes start from.
+pub(crate) fn stripes<'a>(
+    program: &'a GlueProgram,
+    plans: &'a BufferPlans,
+) -> impl Iterator<Item = Stripe<'a>> {
+    let planned = program.buffers.iter().zip(plans);
+    planned.flat_map(|(b, plan)| {
+        let rows = plan.iter().flat_map(|plan| plan.pairs.iter().enumerate());
+        rows.flat_map(move |(i, row)| {
+            let moved = row.iter().enumerate().filter(|(_, iv)| !iv.is_empty());
+            moved.map(move |(j, iv)| Stripe {
+                b,
+                i: i as u32,
+                j: j as u32,
+                bytes: iv.iter().map(|(s, e)| e - s).sum(),
+            })
+        })
+    })
 }
 
 /// A human-readable label for a logical buffer: id and both endpoints.
@@ -257,7 +294,3 @@ pub(crate) fn buffer_label(program: &GlueProgram, bid: u32) -> String {
         b.id, pf.name, b.producer_port, cf.name, b.consumer_port
     )
 }
-
-/// Per-buffer redistribution plans; `None` where the descriptor is
-/// degenerate or unstripeable (already reported by the structure pass).
-pub(crate) type BufferPlans = Vec<Option<Redistribution>>;

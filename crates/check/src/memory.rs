@@ -8,9 +8,8 @@
 //! `SAGE055`; the per-iteration wire time of a node's off-node
 //! redistribution traffic against the link capacities is `SAGE056`.
 
-use crate::{buffer_label, BufferPlans};
-use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
-use sage_model::HardwareSpec;
+use crate::{buffer_label, stripes, BufferPlans, Checker};
+use sage_lint::{Diagnostic, Diagnostics};
 use sage_runtime::{GlueProgram, Layout};
 use std::collections::HashMap;
 
@@ -47,34 +46,22 @@ pub(crate) fn node_peaks(program: &GlueProgram, plans: &BufferPlans) -> Vec<(usi
                 .map(move |(slot, t)| ((t.fn_id, t.thread), (node, slot)))
         })
         .collect();
-    for (bid, plan) in plans.iter().enumerate() {
-        let Some(plan) = plan else { continue };
-        let b = &program.buffers[bid];
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
-        for (i, row) in plan.pairs.iter().enumerate() {
-            for (j, intervals) in row.iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let bytes: usize = intervals.iter().map(|(s, e)| e - s).sum();
-                let src_node = pf.placement[i] as usize;
-                let dst_node = cf.placement[j] as usize;
-                if src_node == dst_node {
-                    if b.delay > 0 {
-                        resident[src_node] += bytes * b.delay as usize;
-                        continue;
-                    }
-                    let (Some(&(_, ps)), Some(&(_, cs))) = (
-                        slot_of.get(&(b.producer, i as u32)),
-                        slot_of.get(&(b.consumer, j as u32)),
-                    ) else {
-                        continue;
-                    };
-                    handoffs[src_node].push((ps, cs, bytes));
-                }
-            }
+    for s in stripes(program, plans) {
+        let (src_node, dst_node) = s.nodes(program);
+        if src_node != dst_node {
+            continue;
         }
+        if s.b.delay > 0 {
+            resident[src_node] += s.bytes * s.b.delay as usize;
+            continue;
+        }
+        let (Some(&(_, ps)), Some(&(_, cs))) = (
+            slot_of.get(&(s.b.producer, s.i)),
+            slot_of.get(&(s.b.consumer, s.j)),
+        ) else {
+            continue;
+        };
+        handoffs[src_node].push((ps, cs, s.bytes));
     }
 
     program
@@ -115,13 +102,8 @@ pub(crate) fn node_peaks(program: &GlueProgram, plans: &BufferPlans) -> Vec<(usi
 
 /// Checks per-node memory high-water-marks (`SAGE055`) and bandwidth
 /// feasibility (`SAGE056`) against the hardware model.
-pub fn check(
-    program: &GlueProgram,
-    hw: &HardwareSpec,
-    plans: &BufferPlans,
-    spans: Option<&ModelSpans>,
-    diags: &mut Diagnostics,
-) {
+pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
+    let (program, hw, spans) = (cx.program, cx.hw, cx.spans);
     let caps = hw.capacities();
     let flat = hw.flatten();
 
@@ -130,28 +112,15 @@ pub fn check(
     let mut wire_secs = vec![0.0f64; program.node_count()];
     let mut wire_bytes = vec![0usize; program.node_count()];
 
-    for (bid, plan) in plans.iter().enumerate() {
-        let Some(plan) = plan else { continue };
-        let b = &program.buffers[bid];
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
-        for (i, row) in plan.pairs.iter().enumerate() {
-            for (j, intervals) in row.iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let bytes: usize = intervals.iter().map(|(s, e)| e - s).sum();
-                let src_node = pf.placement[i] as usize;
-                let dst_node = cf.placement[j] as usize;
-                if src_node != dst_node {
-                    let secs = hw
-                        .link_between(&flat[src_node], &flat[dst_node])
-                        .transfer_secs(bytes);
-                    for node in [src_node, dst_node] {
-                        wire_secs[node] += secs;
-                        wire_bytes[node] += bytes;
-                    }
-                }
+    for s in stripes(program, plans) {
+        let (src_node, dst_node) = s.nodes(program);
+        if src_node != dst_node {
+            let secs = hw
+                .link_between(&flat[src_node], &flat[dst_node])
+                .transfer_secs(s.bytes);
+            for node in [src_node, dst_node] {
+                wire_secs[node] += secs;
+                wire_bytes[node] += s.bytes;
             }
         }
     }
@@ -215,27 +184,16 @@ pub fn check(
     }
 }
 
-/// The buffer moving the most cross-node bytes through `node`, if any.
+/// The buffer moving the most cross-node bytes through `node`, if any
+/// (the lowest id on a tie).
 fn heaviest_buffer(program: &GlueProgram, plans: &BufferPlans, node: usize) -> Option<u32> {
-    let mut best: Option<(usize, u32)> = None;
-    for (bid, plan) in plans.iter().enumerate() {
-        let Some(plan) = plan else { continue };
-        let b = &program.buffers[bid];
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
-        let mut bytes = 0usize;
-        for (i, row) in plan.pairs.iter().enumerate() {
-            for (j, intervals) in row.iter().enumerate() {
-                let src = pf.placement[i] as usize;
-                let dst = cf.placement[j] as usize;
-                if src != dst && (src == node || dst == node) {
-                    bytes += intervals.iter().map(|(s, e)| e - s).sum::<usize>();
-                }
-            }
-        }
-        if bytes > 0 && best.map(|(b0, _)| bytes > b0).unwrap_or(true) {
-            best = Some((bytes, bid as u32));
+    let mut through = vec![0usize; plans.len()];
+    for s in stripes(program, plans) {
+        let (src, dst) = s.nodes(program);
+        if src != dst && (src == node || dst == node) {
+            through[s.b.id as usize] += s.bytes;
         }
     }
-    best.map(|(_, bid)| bid)
+    let heaviest = (0..through.len()).rev().max_by_key(|&bid| through[bid])?;
+    (through[heaviest] > 0).then_some(heaviest as u32)
 }

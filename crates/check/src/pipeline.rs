@@ -30,8 +30,8 @@
 //! harness's pipelined scheduling axis, and `sage run
 //! --pipeline-validate`.
 
-use crate::{buffer_label, memory, BufferPlans};
-use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
+use crate::{buffer_label, memory, stripes, BufferPlans, Checker};
+use sage_lint::{json_string, Diagnostic, Diagnostics};
 use sage_model::HardwareSpec;
 use sage_runtime::{GlueProgram, Task};
 use std::io;
@@ -216,9 +216,8 @@ impl PipelinePlan {
         Ok(plan)
     }
 
-    /// Hand-rolled JSON rendering (`UNBOUNDED` depths become `null`).
+    /// JSON rendering (`UNBOUNDED` depths become `null`).
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let depth_json = |d: u32| {
             if d == UNBOUNDED {
                 "null".to_owned()
@@ -226,28 +225,29 @@ impl PipelinePlan {
                 d.to_string()
             }
         };
-        let buffers: Vec<String> = self
-            .buffers
-            .iter()
-            .map(|b| {
-                format!(
-                    "{{\"buffer\":{},\"safe_depth\":{},\"limit\":\"{}\"}}",
-                    b.buffer,
-                    depth_json(b.safe_depth),
-                    esc(&b.limit.encode())
-                )
-            })
-            .collect();
-        format!(
-            "{{\"app\":\"{}\",\"nodes\":{},\"hazard_depth\":{},\"mem_depth\":{},\
-             \"safe_depth\":{},\"buffers\":[{}]}}",
-            esc(&self.app_name),
+        let mut out = String::from("{\"app\":");
+        json_string(&mut out, &self.app_name);
+        out.push_str(&format!(
+            ",\"nodes\":{},\"hazard_depth\":{},\"mem_depth\":{},\"safe_depth\":{},\"buffers\":[",
             self.nodes,
             depth_json(self.hazard_depth),
             depth_json(self.mem_depth),
             depth_json(self.safe_depth),
-            buffers.join(",")
-        )
+        ));
+        for (i, b) in self.buffers.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"buffer\":{},\"safe_depth\":{},\"limit\":",
+                b.buffer,
+                depth_json(b.safe_depth)
+            ));
+            json_string(&mut out, &b.limit.encode());
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -295,10 +295,10 @@ fn path_between(program: &GlueProgram, from: u32, to: u32) -> Option<Vec<String>
 /// pass proved depth-conditional (`SAGE072`); each is capped at lock-step
 /// with [`DepthLimit::Race`] unless a delay hazard already caps it. Pure
 /// analysis — no diagnostics; see [`check`] for the reporting pass.
-pub fn analyze(
+fn analyze(
     program: &GlueProgram,
     hw: &HardwareSpec,
-    plans: &BufferPlans,
+    peaks: &[(usize, usize)],
     race_capped: &[u32],
 ) -> PipelinePlan {
     let mut buffers = Vec::with_capacity(program.buffers.len());
@@ -325,7 +325,7 @@ pub fn analyze(
 
     let caps = hw.capacities();
     let mut mem_depth = UNBOUNDED;
-    for (node, (peak, _)) in memory::node_peaks(program, plans).into_iter().enumerate() {
+    for (node, &(peak, _)) in peaks.iter().enumerate() {
         if peak == 0 {
             continue;
         }
@@ -349,55 +349,46 @@ pub fn analyze(
 }
 
 /// The node whose DRAM bounds the pipeline depth, with its lock-step peak
-/// bytes and capacity.
+/// bytes, the slot the peak occurs at, and its capacity.
 fn limiting_node(
-    program: &GlueProgram,
     hw: &HardwareSpec,
-    plans: &BufferPlans,
-) -> Option<(usize, usize, f64)> {
+    peaks: &[(usize, usize)],
+) -> Option<(usize, usize, usize, f64)> {
     let caps = hw.capacities();
-    memory::node_peaks(program, plans)
-        .into_iter()
+    peaks
+        .iter()
         .enumerate()
-        .filter(|&(_, (peak, _))| peak > 0)
-        .map(|(node, (peak, _))| (node, peak, caps[node].mem_bytes))
-        .min_by(|a, b| {
-            (a.2 / a.1 as f64)
-                .partial_cmp(&(b.2 / b.1 as f64))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .filter(|&(_, &(peak, _))| peak > 0)
+        .map(|(node, &(peak, slot))| (node, peak, slot, caps[node].mem_bytes))
+        .min_by(|a, b| (a.3 / a.1 as f64).total_cmp(&(b.3 / b.1 as f64)))
 }
 
 /// Runs the pipeline-safety pass: proves the [`PipelinePlan`] and reports
 /// `SAGE060` (cross-iteration WAR hazard), `SAGE061` (feedback cycle
 /// forces lock-step), and `SAGE062` (depth-infeasible memory: `requested`
 /// — or even double-buffering — does not fit the hardware model's DRAM).
-#[allow(clippy::too_many_arguments)]
-pub fn check(
-    program: &GlueProgram,
-    hw: &HardwareSpec,
+pub(crate) fn check(
+    cx: &Checker<'_>,
     plans: &BufferPlans,
     race_capped: &[u32],
     requested: Option<u32>,
-    spans: Option<&ModelSpans>,
     diags: &mut Diagnostics,
 ) -> PipelinePlan {
-    let plan = analyze(program, hw, plans, race_capped);
+    let (program, hw, spans) = (cx.program, cx.hw, cx.spans);
+    let peaks = memory::node_peaks(program, plans);
+    let plan = analyze(program, hw, &peaks, race_capped);
 
-    for (idx, bd) in plan.buffers.iter().enumerate() {
-        let b = &program.buffers[idx];
+    for (b, bd) in program.buffers.iter().zip(&plan.buffers) {
+        // Only delay arcs report here; race caps carry their own `SAGE072`
+        // from the race pass.
+        if matches!(bd.limit, DepthLimit::Unbounded | DepthLimit::Race) {
+            continue;
+        }
         let label = buffer_label(program, b.id);
         // Name one concrete endpoint pair: the first planned stripe.
-        let (pi, cj) = plans[idx]
-            .as_ref()
-            .and_then(|p| {
-                p.pairs.iter().enumerate().find_map(|(i, row)| {
-                    row.iter()
-                        .position(|iv| !iv.is_empty())
-                        .map(|j| (i as u32, j as u32))
-                })
-            })
-            .unwrap_or((0, 0));
+        let (pi, cj) = stripes(program, plans)
+            .find(|s| s.b.id == b.id)
+            .map_or((0, 0), |s| (s.i, s.j));
         let producer = program.task_path(Task {
             fn_id: b.producer,
             thread: pi,
@@ -411,7 +402,6 @@ pub fn check(
                 .or_else(|| s.block(&program.functions[b.consumer as usize].name))
         });
         match &bd.limit {
-            // Race caps carry their own `SAGE072` from the race pass.
             DepthLimit::Unbounded | DepthLimit::Race => {}
             DepthLimit::Hazard { delay } => diags.push(
                 Diagnostic::warning(
@@ -458,12 +448,10 @@ pub fn check(
         None => plan.mem_depth < 2 && plan.hazard_depth >= 2,
     };
     if infeasible {
-        if let Some((node, peak, cap)) = limiting_node(program, hw, plans) {
+        if let Some((node, peak, peak_slot, cap)) = limiting_node(hw, &peaks) {
             if (peak as f64) <= cap {
                 let want = requested.unwrap_or(2);
-                let sched = &program.schedules[node];
-                let peak_slot = memory::node_peaks(program, plans)[node].1;
-                let fname = sched
+                let fname = program.schedules[node]
                     .get(peak_slot)
                     .map(|t| program.functions[t.fn_id as usize].name.as_str());
                 diags.push(
@@ -542,6 +530,26 @@ mod tests {
         assert!(PipelinePlan::from_text("nonsense").is_err());
         assert!(PipelinePlan::from_text("sage-pipeline/v1\nbuffer=0").is_err());
         assert!(PipelinePlan::from_text("sage-pipeline/v1\nbuffer=0,9,what:ever").is_err());
+    }
+
+    #[test]
+    fn json_escapes_names_from_the_model() {
+        // App and block names are model text: quote, backslash, newline,
+        // tab and a control byte must all come out as JSON escapes.
+        let nasty = "a\"b\\c\nd\te\u{1}f";
+        let escaped = r#"a\"b\\c\nd\te\u0001f"#;
+        let mut p = plan();
+        p.app_name = nasty.into();
+        p.buffers[2].limit = DepthLimit::Cycle {
+            path: vec![nasty.into(), "m".into()],
+        };
+        let j = p.to_json();
+        assert!(j.starts_with(&format!("{{\"app\":\"{escaped}\",")), "{j}");
+        assert!(
+            j.contains(&format!("\"limit\":\"cycle:{escaped}->m\"")),
+            "{j}"
+        );
+        assert!(!j.contains(['\n', '\t', '\u{1}']), "{j:?}");
     }
 
     #[test]

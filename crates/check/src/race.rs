@@ -37,8 +37,8 @@
 //!
 //! [`Redistribution`]: sage_runtime::Redistribution
 
-use crate::{buffer_label, BufferPlans};
-use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
+use crate::{buffer_label, stripes, BufferPlans, Checker};
+use sage_lint::{Diagnostic, Diagnostics};
 use sage_runtime::race::{overlaps, union_intervals};
 use sage_runtime::{GlueProgram, Task};
 use std::cmp::Reverse;
@@ -77,6 +77,19 @@ pub struct RaceAnalysis {
 }
 
 impl RaceAnalysis {
+    /// JSON rendering of the artefact's sizes (`sage race --format json`);
+    /// the findings themselves travel as diagnostics.
+    pub fn to_json(&self) -> String {
+        let capped: Vec<String> = self.capped.iter().map(u32::to_string).collect();
+        format!(
+            "{{\"positions\":{},\"sync_edges\":{},\"capped\":[{}],\"findings\":{}}}",
+            self.positions,
+            self.sync_edges,
+            capped.join(","),
+            self.findings.len()
+        )
+    }
+
     /// `true` when no error-severity race was found (`SAGE070`/`SAGE071`).
     pub fn is_clean(&self) -> bool {
         !self
@@ -157,7 +170,7 @@ fn describe(program: &GlueProgram, a: &Access) -> String {
 /// Proves the happens-before relation and scans every input-port group for
 /// conflicting access pairs. Pure analysis — no diagnostics; see [`check`]
 /// for the reporting pass.
-pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
+pub(crate) fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
     // ---- Positions: one per scheduled task --------------------------
     let mut pos_of: HashMap<(u32, u32), usize> = HashMap::new();
     let mut node_slots: Vec<Vec<usize>> = Vec::with_capacity(program.schedules.len());
@@ -194,26 +207,16 @@ pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
     // producer thread's write at iteration `s` before the consumer
     // thread's read at iteration `s + delay`.
     let mut sync_edges = 0usize;
-    for b in &program.buffers {
-        let Some(plan) = &plans[b.id as usize] else {
+    for s in stripes(program, plans) {
+        let (Some(&pu), Some(&pv)) = (
+            pos_of.get(&(s.b.producer, s.i)),
+            pos_of.get(&(s.b.consumer, s.j)),
+        ) else {
             continue;
         };
-        for (i, row) in plan.pairs.iter().enumerate() {
-            for (j, intervals) in row.iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let (Some(&pu), Some(&pv)) = (
-                    pos_of.get(&(b.producer, i as u32)),
-                    pos_of.get(&(b.consumer, j as u32)),
-                ) else {
-                    continue;
-                };
-                lockstep[pu].push((pv, b.delay));
-                product[pu].push((pv, b.delay));
-                sync_edges += 1;
-            }
-        }
+        lockstep[pu].push((pv, s.b.delay));
+        product[pu].push((pv, s.b.delay));
+        sync_edges += 1;
     }
     let hb_lock = HbGraph::new(&lockstep);
     let hb_prod = HbGraph::new(&product);
@@ -376,16 +379,9 @@ pub fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
     }
 }
 
-/// Runs the race pass and reports `SAGE070`..`SAGE073` diagnostics. The
-/// returned analysis feeds the pipeline pass (its `capped` buffers force
-/// `DepthLimit::Race`).
-pub fn check(
-    program: &GlueProgram,
-    plans: &BufferPlans,
-    spans: Option<&ModelSpans>,
-    diags: &mut Diagnostics,
-) -> RaceAnalysis {
-    let analysis = analyze(program, plans);
+/// Reports a proven analysis as `SAGE070`..`SAGE073` diagnostics.
+pub(crate) fn report(cx: &Checker<'_>, analysis: &RaceAnalysis, diags: &mut Diagnostics) {
+    let (program, spans) = (cx.program, cx.spans);
     for f in &analysis.findings {
         let labels = f
             .buffers
@@ -461,7 +457,6 @@ pub fn check(
         };
         diags.push(diag.with_span_opt(span));
     }
-    analysis
 }
 
 #[cfg(test)]

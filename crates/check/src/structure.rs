@@ -8,134 +8,77 @@
 //! shape/dtype contracts of the registered kernels, and the transfer-tag
 //! field widths the runtime packs ids into.
 
-use crate::{buffer_label, BufferPlans};
+use crate::{buffer_label, BufferPlans, Checker};
 use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
 use sage_model::Striping;
 use sage_runtime::glue::{MAX_BUFFERS, MAX_THREADS};
-use sage_runtime::{FunctionDescriptor, GlueProgram, Layout, Redistribution};
+use sage_runtime::{FunctionDescriptor, GlueProgram, Layout, LogicalBufferDesc};
 
-/// Plans every buffer's redistribution, reporting degenerate descriptors
-/// (`SAGE054`) and unstripeable layouts (`SAGE019`) instead of planning
-/// them.
-pub fn plan_buffers(
+/// Plans every buffer's redistribution through the run-time's planner,
+/// reporting degenerate descriptors (`SAGE054`) and unstripeable layouts
+/// (`SAGE019`) instead of planning them.
+pub(crate) fn plan_buffers(
     program: &GlueProgram,
     spans: Option<&ModelSpans>,
     diags: &mut Diagnostics,
 ) -> BufferPlans {
-    let mut plans: BufferPlans = Vec::with_capacity(program.buffers.len());
-    for b in &program.buffers {
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
+    let at = |block: &str| spans.and_then(|s| s.block(block));
+    let plan_one = |b: &LogicalBufferDesc| {
+        let label = buffer_label(program, b.id);
         if b.elem_bytes == 0 || b.shape.is_empty() || b.shape.contains(&0) {
-            diags.push(
-                Diagnostic::error(
-                    "SAGE054",
-                    format!(
-                        "{}: degenerate payload (shape {:?}, {} bytes per element)",
-                        buffer_label(program, b.id),
-                        b.shape,
-                        b.elem_bytes
-                    ),
-                )
-                .with_note("every dimension extent and the element size must be nonzero")
-                .with_span_opt(spans.and_then(|s| s.block(&pf.name))),
+            let message = format!(
+                "{label}: degenerate payload (shape {:?}, {} bytes per element)",
+                b.shape, b.elem_bytes
             );
-            plans.push(None);
-            continue;
+            diags.push(
+                Diagnostic::error("SAGE054", message)
+                    .with_note("every dimension extent and the element size must be nonzero")
+                    .with_span_opt(at(&program.functions[b.producer as usize].name)),
+            );
+            return None;
         }
-        let mut layout_ok = true;
-        for (striping, threads, who) in [
-            (b.send_striping, pf.threads as usize, &pf.name),
-            (b.recv_striping, cf.threads as usize, &cf.name),
-        ] {
-            if let Striping::Striped { dim } = striping {
-                if dim >= b.shape.len() {
-                    diags.push(
-                        Diagnostic::error(
-                            "SAGE019",
-                            format!(
-                                "{}: `{who}` stripes dimension {dim} of a {}-D payload",
-                                buffer_label(program, b.id),
-                                b.shape.len()
-                            ),
-                        )
-                        .with_span_opt(spans.and_then(|s| s.block(who))),
-                    );
-                    layout_ok = false;
-                } else if threads == 0 || b.shape[dim] % threads != 0 {
-                    diags.push(
-                        Diagnostic::error(
-                            "SAGE019",
-                            format!(
-                                "{}: dimension {dim} of extent {} cannot stripe \
-                                 over `{who}`'s {threads} threads",
-                                buffer_label(program, b.id),
-                                b.shape[dim]
-                            ),
-                        )
-                        .with_span_opt(spans.and_then(|s| s.block(who))),
-                    );
-                    layout_ok = false;
-                }
-            }
+        let faults = match program.plan_buffer(b) {
+            Ok(plan) => return Some(plan),
+            Err(faults) => faults,
+        };
+        for (who, fault) in faults {
+            let message = format!("{label}: {fault}");
+            diags.push(Diagnostic::error("SAGE019", message).with_span_opt(at(who)));
         }
-        if !layout_ok {
-            plans.push(None);
-            continue;
-        }
-        plans.push(Some(Redistribution::plan(
-            &b.shape,
-            b.elem_bytes,
-            b.send_striping,
-            pf.threads as usize,
-            b.recv_striping,
-            cf.threads as usize,
-        )));
-    }
-    plans
+        None
+    };
+    program.buffers.iter().map(plan_one).collect()
 }
 
 /// Checks the program against the transfer-tag field widths (`SAGE057`).
 /// Returns `true` when tags would alias, in which case nothing the later
 /// passes say about transfers means anything.
-pub fn check_tag_widths(
+pub(crate) fn check_tag_widths(
     program: &GlueProgram,
     spans: Option<&ModelSpans>,
     diags: &mut Diagnostics,
 ) -> bool {
-    let mut overflow = false;
-    if program.buffers.len() > MAX_BUFFERS {
-        diags.push(
-            Diagnostic::error(
-                "SAGE057",
-                format!(
-                    "the buffer table has {} entries; transfer tags encode at \
-                     most {MAX_BUFFERS}",
-                    program.buffers.len()
-                ),
-            )
-            .with_note("tags would alias between distinct logical buffers"),
+    let before = diags.diags.len();
+    let buffers = program.buffers.len();
+    if buffers > MAX_BUFFERS {
+        let message = format!(
+            "the buffer table has {buffers} entries; transfer tags encode at most {MAX_BUFFERS}"
         );
-        overflow = true;
+        let note = "tags would alias between distinct logical buffers";
+        diags.push(Diagnostic::error("SAGE057", message).with_note(note));
     }
-    for f in &program.functions {
-        if f.threads > MAX_THREADS {
-            diags.push(
-                Diagnostic::error(
-                    "SAGE057",
-                    format!(
-                        "function `{}` has {} threads; transfer tags encode at \
-                         most {MAX_THREADS}",
-                        f.name, f.threads
-                    ),
-                )
+    for f in program.functions.iter().filter(|f| f.threads > MAX_THREADS) {
+        let message = format!(
+            "function `{}` has {} threads; transfer tags encode at most {MAX_THREADS}",
+            f.name, f.threads
+        );
+        diags.push(
+            Diagnostic::error("SAGE057", message)
                 .with_note("thread indices above the field width alias lower threads' transfers")
                 .with_span_opt(spans.and_then(|s| s.block(&f.name))),
-            );
-            overflow = true;
-        }
+        );
     }
-    overflow
+    diags.diags.len() > before
 }
 
 /// Checks function-table wiring against the buffer table: an input listing
@@ -143,51 +86,34 @@ pub fn check_tag_widths(
 /// an output listing a buffer another function produces is a double-write
 /// (`SAGE053`). A plan whose producer intervals do not cover a consumer
 /// stripe is also a use-before-init.
-pub fn check_wiring(
-    program: &GlueProgram,
-    plans: &BufferPlans,
-    spans: Option<&ModelSpans>,
-    diags: &mut Diagnostics,
-) {
+pub(crate) fn check_wiring(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
+    let (program, spans) = (cx.program, cx.spans);
     for f in &program.functions {
-        for &bid in &f.inputs {
-            let b = &program.buffers[bid as usize];
-            if b.consumer != f.id {
-                let owner = &program.functions[b.consumer as usize];
-                diags.push(
-                    Diagnostic::error(
-                        "SAGE052",
-                        format!(
-                            "function `{}` lists {} as an input, but the \
-                             buffer's consumer is `{}`",
-                            f.name,
-                            buffer_label(program, bid),
-                            owner.name
-                        ),
-                    )
-                    .with_note("no transfer delivers the buffer here; the kernel would read uninitialized bytes")
-                    .with_span_opt(spans.and_then(|s| s.block(&f.name))),
-                );
-            }
-        }
-        for &bid in &f.outputs {
-            let b = &program.buffers[bid as usize];
-            if b.producer != f.id {
-                let owner = &program.functions[b.producer as usize];
-                diags.push(
-                    Diagnostic::error(
-                        "SAGE053",
-                        format!(
-                            "function `{}` lists {} as an output, but the \
-                             buffer's producer is `{}`",
-                            f.name,
-                            buffer_label(program, bid),
-                            owner.name
-                        ),
-                    )
-                    .with_note("two writers would race on the buffer and its transfer tags")
-                    .with_span_opt(spans.and_then(|s| s.block(&f.name))),
-                );
+        for (input, listed) in [(true, &f.inputs), (false, &f.outputs)] {
+            let (code, what, role, note) = if input {
+                let note = "no transfer delivers the buffer here; the kernel would read \
+                            uninitialized bytes";
+                ("SAGE052", "an input", "consumer", note)
+            } else {
+                let note = "two writers would race on the buffer and its transfer tags";
+                ("SAGE053", "an output", "producer", note)
+            };
+            for &bid in listed {
+                let b = &program.buffers[bid as usize];
+                let owner = if input { b.consumer } else { b.producer };
+                if owner != f.id {
+                    let message = format!(
+                        "function `{}` lists {} as {what}, but the buffer's {role} is `{}`",
+                        f.name,
+                        buffer_label(program, bid),
+                        program.functions[owner as usize].name
+                    );
+                    diags.push(
+                        Diagnostic::error(code, message)
+                            .with_note(note)
+                            .with_span_opt(spans.and_then(|s| s.block(&f.name))),
+                    );
+                }
             }
         }
     }
@@ -268,12 +194,12 @@ fn stripe_bytes(port: &PortShape) -> usize {
 /// Checks every function invocation against its kernel's shape and dtype
 /// contract (`SAGE054`): the conditions under which the registered kernel
 /// would fail or panic at run time, decided from the descriptors alone.
-pub fn check_kernel_contracts(
-    program: &GlueProgram,
+pub(crate) fn check_kernel_contracts(
+    cx: &Checker<'_>,
     plans: &BufferPlans,
-    spans: Option<&ModelSpans>,
     diags: &mut Diagnostics,
 ) {
+    let (program, spans) = (cx.program, cx.spans);
     for f in &program.functions {
         let Some((ins, outs)) = local_port_shapes(program, plans, f) else {
             continue;

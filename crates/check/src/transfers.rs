@@ -8,9 +8,9 @@
 //! executor's local hand-off store has no other ordering). Everything else
 //! is a `SAGE050`/`SAGE051`, reported with both endpoints' task paths.
 
-use crate::{buffer_label, BufferPlans};
-use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
-use sage_runtime::{GlueProgram, Task};
+use crate::{buffer_label, BufferPlans, Checker};
+use sage_lint::{Diagnostic, Diagnostics};
+use sage_runtime::Task;
 use std::collections::BTreeMap;
 
 /// One transfer endpoint: the task, where it is scheduled, and how many
@@ -29,12 +29,8 @@ type Ledger = BTreeMap<(u32, u32, u32), (Vec<Endpoint>, Vec<Endpoint>)>;
 
 /// Matches every send against every receive over the planned
 /// redistributions.
-pub fn check(
-    program: &GlueProgram,
-    plans: &BufferPlans,
-    spans: Option<&ModelSpans>,
-    diags: &mut Diagnostics,
-) {
+pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
+    let (program, spans) = (cx.program, cx.spans);
     let mut ledger: Ledger = BTreeMap::new();
     for (node, sched) in program.schedules.iter().enumerate() {
         for (slot, &task) in sched.iter().enumerate() {

@@ -1,12 +1,13 @@
-//! Golden-file tests: the exact rendered output for each stable `SAGE05x`
-//! code the abstract interpreter produces on hand-built glue programs.
+//! Golden-file tests: the exact rendered output for each stable code the
+//! passes over the generated program produce on hand-built glue programs.
 //! Model-source-level goldens (driving `sage check` end to end) live in the
 //! workspace-level test suite because they need the `sage-core` front end.
 //!
 //! Regenerate after an intentional rendering change with
 //! `UPDATE_GOLDEN=1 cargo test -p sage-check --test golden`.
 
-use sage_check::check_program;
+use sage_check::{check_program, pipeline_plan, Checker};
+use sage_lint::Diagnostics;
 use sage_model::{HardwareShelf, Properties, Striping};
 use sage_runtime::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};
 
@@ -35,8 +36,18 @@ fn check_golden(name: &str, actual: &str) {
 /// golden-checks the rendering; every fixture must actually contain
 /// `expect_code`.
 fn check_program_golden(name: &str, program: &GlueProgram, expect_code: &str) {
+    pass_golden(name, program, expect_code, |c| c.check());
+}
+
+/// [`check_program_golden`] for any one pass of the session.
+fn pass_golden(
+    name: &str,
+    program: &GlueProgram,
+    expect_code: &str,
+    pass: fn(&Checker<'_>) -> Diagnostics,
+) {
     let hw = HardwareShelf::cspi_with_nodes(program.node_count());
-    let mut diags = check_program(program, &hw, None);
+    let mut diags = pass(&Checker::new(program, &hw, None));
     diags.sort();
     assert!(
         diags.diags.iter().any(|d| d.code == expect_code),
@@ -540,6 +551,67 @@ fn sage073_benign_splat() {
         vec![t(0, 1), t(1, 0), t(2, 1)],
     ];
     check_program_golden("sage073_benign_splat", &program, "SAGE073");
+}
+
+#[test]
+fn sage040_schedule_deadlock() {
+    // Node 1 runs the consumer before the producer — the canonical
+    // schedule-induced deadlock.
+    let mut program = two_stage();
+    program.schedules[1].reverse();
+    pass_golden("sage040_deadlock", &program, "SAGE040", |c| c.deadlock());
+}
+
+#[test]
+fn sage019_unstripeable_buffer() {
+    let mut program = two_stage();
+    program.buffers[0].shape = vec![5, 4]; // 5 rows over 2 threads
+    pass_golden("sage019_unstripeable", &program, "SAGE019", |c| {
+        c.deadlock()
+    });
+}
+
+#[test]
+fn sage041_malformed_program() {
+    let mut program = two_stage();
+    program.schedules[1].clear(); // schedules no longer cover the task set
+    pass_golden("sage041_malformed", &program, "SAGE041", |c| c.deadlock());
+}
+
+/// Every consumer of a session reports the one preamble: the codes each
+/// pass (and the `pipeline_plan` wrapper) yields on `program`.
+fn preamble_codes(program: &GlueProgram, nodes: usize) -> Vec<Vec<&'static str>> {
+    let hw = HardwareShelf::cspi_with_nodes(nodes);
+    assert_eq!(pipeline_plan(program, &hw), None);
+    let c = Checker::new(program, &hw, None);
+    assert_eq!(c.peaks(), None);
+    let (plan, pipeline) = c.pipeline(None);
+    let (races, race) = c.race();
+    assert!(plan.is_none() && races.is_none());
+    [c.check(), c.deadlock(), pipeline, race]
+        .iter()
+        .map(|d| d.diags.iter().map(|x| x.code).collect())
+        .collect()
+}
+
+#[test]
+fn tag_overflow_is_sage057_from_every_pass() {
+    // More threads than the tag's thread field: also fails `validate`, but
+    // no pass may report it as a bare SAGE041.
+    let mut program = two_stage();
+    let threads = sage_runtime::glue::MAX_THREADS + 1;
+    program.functions[0].threads = threads;
+    program.functions[0].placement = vec![0; threads as usize];
+    for codes in preamble_codes(&program, 2) {
+        assert_eq!(codes, ["SAGE057"]);
+    }
+}
+
+#[test]
+fn node_count_mismatch_is_sage041_from_every_pass() {
+    for codes in preamble_codes(&two_stage(), 3) {
+        assert_eq!(codes, ["SAGE041"]);
+    }
 }
 
 /// Every golden fixture uses only codes from the published registry.

@@ -15,20 +15,26 @@
 //!    generator did;
 //! 4. "the actual execution" — [`Project::execute`] runs the program on the
 //!    fabric under either clock policy.
+//!
+//! The static side has one front door, [`front`]: [`load`] (parse, span
+//! index, model-layer lint gate) → [`Loaded::generate`] (mapping lint,
+//! codegen for the placement that will run) → one `sage_check::Checker`
+//! session; `sage lint|check|pipeline|race` are four views of it.
 
 #![warn(missing_docs)]
 
 pub mod alter_gen;
-pub mod check;
 pub mod codegen;
 pub mod emit;
-pub mod lint;
+pub mod front;
 pub mod model_io;
 pub mod project;
 
-pub use check::{check_model_source, checked_program, pipeline_model_source, race_model_source};
 pub use codegen::{generate, CodegenError, Placement};
 pub use emit::render_glue_source;
-pub use lint::lint_model_source;
+pub use front::{
+    check_model_source, checked_program, lint_model_source, load, pipeline_model_source,
+    race_model_source, Loaded,
+};
 pub use model_io::{model_from_sexpr, model_to_sexpr};
 pub use project::{Project, ProjectError};

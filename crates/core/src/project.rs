@@ -2,9 +2,10 @@
 
 use crate::codegen::{generate, CodegenError, Placement};
 use crate::emit::render_glue_source;
+use crate::model_io::{model_from_sexpr, ModelIoError};
 use sage_atot::{GaConfig, Scheduler, TaskGraph, TaskMapping};
 use sage_fabric::{MachineSpec, TimePolicy};
-use sage_model::{AppGraph, HardwareSpec};
+use sage_model::{AppGraph, HardwareShelf, HardwareSpec};
 use sage_runtime::{execute, Execution, GlueProgram, Registry, RuntimeError, RuntimeOptions};
 
 /// A SAGE design project: application model + target hardware + function
@@ -60,6 +61,15 @@ impl Project {
         }
     }
 
+    /// Loads a project from Designer model text onto the `nodes`-processor
+    /// CSPI machine: parse and wrap, nothing else. This is the un-gated
+    /// half of [`crate::load`] — for callers handed text that already went
+    /// through the gate (a fleet daemon regenerating a submitted job).
+    pub fn from_sexpr(src: &str, nodes: usize) -> Result<Project, ModelIoError> {
+        let app = model_from_sexpr(src)?;
+        Ok(Project::new(app, HardwareShelf::cspi_with_nodes(nodes)))
+    }
+
     /// Step 2 (automatic variant): let AToT's GA choose the task mapping.
     pub fn auto_map(&self, ga: &GaConfig) -> Result<TaskMapping, CodegenError> {
         let flat = self.app.flatten()?;
@@ -113,7 +123,6 @@ impl Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_model::HardwareShelf;
     use sage_runtime::FnThreadCtx;
 
     fn project() -> Project {

@@ -8,7 +8,7 @@ use crate::proto::SubmitSpec;
 use crate::sched::{SchedConfig, Scheduler};
 use crate::worker::parse_fleet_banner;
 use sage_net::{generate_job, merge_outcomes, JobParams, LaunchOutcome, NetError};
-use sage_runtime::RuntimeError;
+use sage_runtime::{GlueProgram, RuntimeError};
 use std::io::{BufRead, BufReader};
 use std::process::Child;
 use std::time::Instant;
@@ -86,19 +86,30 @@ fn kill_all(children: &mut [Child]) {
 /// Runs `opts.params` across `opts.workers` freshly spawned daemons and
 /// merges the per-rank reports.
 ///
-/// The glue program is regenerated locally (same deterministic pipeline the
-/// daemons use) to validate the model up front and to let callers assemble
-/// sink output from the merged deposits. A daemon that dies mid-run leaves
-/// its rank's report missing, which merges as the typed node failure it is.
+/// The glue program is generated locally first (same deterministic pipeline
+/// the daemons use) to validate the model up front and to let callers
+/// assemble sink output from the merged deposits.
 pub fn launch(opts: &LaunchOptions, spawn: &Spawner<'_>) -> Result<LaunchOutcome, NetError> {
-    if opts.workers == 0 {
-        return Err(NetError::BadJob("need at least one worker".into()));
-    }
-    let t0 = Instant::now();
     let (_, program) = generate_job(&opts.params.model, opts.workers).map_err(|e| match e {
         RuntimeError::BadProgram(why) => NetError::BadJob(why),
         other => NetError::Runtime(other),
     })?;
+    launch_program(opts, program, spawn)
+}
+
+/// [`launch`] for a caller that already holds `program`, the glue program
+/// `opts.params.model` generates for `opts.workers` ranks (the CLI's
+/// pre-flight generated and checked it). A daemon that dies mid-run leaves
+/// its rank's report missing, which merges as the typed node failure it is.
+pub fn launch_program(
+    opts: &LaunchOptions,
+    program: GlueProgram,
+    spawn: &Spawner<'_>,
+) -> Result<LaunchOutcome, NetError> {
+    if opts.workers == 0 {
+        return Err(NetError::BadJob("need at least one worker".into()));
+    }
+    let t0 = Instant::now();
     let (mut children, addrs) = spawn_daemons(opts.workers, spawn)?;
     let cfg = SchedConfig {
         heartbeat_ms: opts.heartbeat_ms,

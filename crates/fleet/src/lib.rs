@@ -40,7 +40,7 @@ pub mod sched;
 pub mod worker;
 
 pub use client::{drain_fleet, fleet_stats, parse_sched_banner, reports_to_outcomes, submit};
-pub use launch::{launch, spawn_daemons, LaunchOptions, Spawner};
+pub use launch::{launch, launch_program, spawn_daemons, LaunchOptions, Spawner};
 pub use metrics::{FleetStats, TenantStats};
 pub use proto::{FleetJob, FleetMsg, SubmitSpec};
 pub use sage_net::JobParams;

@@ -14,7 +14,7 @@
 //! Two cross-validations tie `sage check`'s static story to reality:
 //!
 //! - **Direction A (memory)**: the abstract interpreter's per-node
-//!   memory high-water prediction ([`sage_check::predicted_peaks`]) must
+//!   memory high-water prediction ([`sage_check::Checker::peaks`]) must
 //!   dominate the executor's measured `mem_high_water` on every node of
 //!   every cell. A measured peak above the prediction means the static
 //!   walk missed live bytes.
@@ -142,8 +142,7 @@ fn run_local(
     plan: Option<FaultPlan>,
     mode: PipeMode,
 ) -> Result<(u64, Vec<u64>), String> {
-    let app = sage_core::model_from_sexpr(source).map_err(|e| format!("parse: {e}"))?;
-    let mut project = Project::new(app, HardwareShelf::cspi_with_nodes(nodes));
+    let mut project = Project::from_sexpr(source, nodes).map_err(|e| format!("parse: {e}"))?;
     sage_apps::kernels::register_kernels(&mut project.registry);
     let (program, _) = project
         .generate(&Placement::Aligned)
@@ -397,7 +396,10 @@ pub fn run_diff(
     }
 
     // ---- Fault-free lattice: bit-identical checksums everywhere ----
-    let predicted = sage_check::predicted_peaks(&program);
+    // One session answers every static question the lattice cross-checks.
+    let hw = HardwareShelf::cspi_with_nodes(nodes);
+    let checker = sage_check::Checker::new(&program, &hw, None);
+    let predicted = checker.peaks();
     // The TCP cell runs last: it spawns real worker processes.
     let mut cells: Vec<(&'static str, Option<&Spawner<'_>>)> = vec![(LOCAL_CELL, None)];
     if let (true, Some(spawner)) = (cfg.tcp, spawner) {
@@ -442,8 +444,7 @@ pub fn run_diff(
     // ---- Pipelined scheduling axis: a statically proven depth >= 2
     // must reproduce the lock-step stream bit-for-bit ---------------
     if let Some(want) = baseline {
-        let hw = HardwareShelf::cspi_with_nodes(nodes);
-        if let Some(pplan) = sage_check::pipeline_plan(&program, &hw) {
+        if let (Some(pplan), _) = checker.pipeline(None) {
             let depth = pplan.safe_depth.min(3);
             if depth >= 2 {
                 outcome.cells_run.push("local/pipelined");

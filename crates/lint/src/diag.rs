@@ -1,9 +1,9 @@
 //! The unified diagnostics engine: stable `SAGE0xx` codes, severities,
 //! source spans, rustc-style rendered output, and machine-readable JSON.
 //!
-//! Every analysis pass in this crate reports through [`Diagnostics`], so the
-//! Designer-era model checks, the Alter script analyzer, and the
-//! communication-deadlock detector all speak one language.
+//! Every analysis pass in the tool suite reports through [`Diagnostics`], so
+//! the Designer-era model checks, the Alter script analyzer, and
+//! `sage-check`'s passes over the generated program all speak one language.
 
 use sage_alter::Span;
 use std::fmt;
@@ -710,8 +710,9 @@ fn render_one(out: &mut String, d: &Diagnostic, file: &str, source: Option<&str>
     out.push('\n');
 }
 
-/// Appends `s` to `out` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal — the one escaper every
+/// hand-assembled JSON artefact in the tool suite goes through.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

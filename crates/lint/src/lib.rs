@@ -1,11 +1,11 @@
 //! # sage-lint
 //!
-//! Whole-model static analysis for SAGE: everything that can be checked
-//! **without executing anything**, reported through one diagnostics engine
+//! The diagnostics engine plus static analysis of SAGE's **inputs**:
+//! everything that can be checked before a glue program exists, reported
 //! with stable `SAGE0xx` codes, severities, source spans, rustc-style
 //! rendering, and machine-readable JSON.
 //!
-//! Three analysis passes cover the three layers of the tool flow:
+//! Two analysis passes cover the two input layers of the tool flow:
 //!
 //! * [`lint_script`] — static analysis of **Alter** glue-generator scripts:
 //!   unbound symbols, builtin/user arity mismatches, unknown model property
@@ -13,25 +13,27 @@
 //! * [`lint_model`] / [`lint_mapping`] — **model and mapping consistency**
 //!   beyond first-error-wins validation: every Designer error at once,
 //!   cycle paths, striping-vs-node-count divisibility, idle nodes, bulky
-//!   fan-out, mapping coverage and range;
-//! * [`lint_program`] — a **communication-deadlock detector** over the
-//!   generated glue program's per-node schedules and redistribution plans,
-//!   reporting any wait-for cycle with its full blocking chain.
+//!   fan-out, mapping coverage and range.
+//!
+//! Every pass over the *generated program* — the communication-deadlock
+//! detector included — lives in `sage-check` and reports through the
+//! [`Diagnostics`] defined here; this crate never sees a glue program and
+//! does not depend on the run-time.
 //!
 //! The paper's pitch is that generated glue code removes a class of manual
 //! integration errors; this crate closes the loop by rejecting the model
-//! and schedule errors that code generation alone cannot prevent.
+//! and mapping errors that code generation alone cannot prevent.
 
 #![warn(missing_docs)]
 
 pub mod alter_check;
-pub mod deadlock;
 pub mod diag;
 pub mod model_check;
 pub mod model_spans;
 
 pub use alter_check::lint_script;
-pub use deadlock::lint_program;
-pub use diag::{code_explanation, code_summary, Diagnostic, Diagnostics, Severity, CODE_TABLE};
+pub use diag::{
+    code_explanation, code_summary, json_string, Diagnostic, Diagnostics, Severity, CODE_TABLE,
+};
 pub use model_check::{lint_mapping, lint_model, model_error_diag};
 pub use model_spans::ModelSpans;

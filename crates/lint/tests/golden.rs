@@ -1,14 +1,13 @@
 //! Golden-file tests: the exact rendered output for each stable `SAGE0xx`
-//! code this crate produces on its own — Alter script analysis and glue
-//! program analysis. Model-file goldens (SAGE030 and friends) live in the
-//! workspace-level test suite because they need the `sage-core` front end.
+//! code this crate produces on its own — Alter script analysis. Model-file
+//! goldens (SAGE030 and friends) live in the workspace-level test suite
+//! because they need the `sage-core` front end; glue-program goldens
+//! (SAGE019/040/041 included) live in `sage-check`.
 //!
 //! Regenerate after an intentional rendering change with
 //! `UPDATE_GOLDEN=1 cargo test -p sage-lint --test golden`.
 
-use sage_lint::{lint_program, lint_script};
-use sage_model::{Properties, Striping};
-use sage_runtime::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};
+use sage_lint::lint_script;
 
 fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -68,104 +67,6 @@ fn sage005_unreachable_branch() {
 #[test]
 fn sage006_syntax_error() {
     check_script_golden("sage006_syntax", "SAGE006");
-}
-
-/// A two-stage pipeline (src -> snk, two threads each, one thread per
-/// node) whose node-1 schedule runs the consumer before the producer —
-/// the canonical schedule-induced deadlock.
-fn deadlocked_program() -> GlueProgram {
-    let functions = vec![
-        FunctionDescriptor {
-            id: 0,
-            name: "src".into(),
-            function: "test.fill".into(),
-            role: FnRole::Source,
-            threads: 2,
-            placement: vec![0, 1],
-            flops: 0.0,
-            mem_bytes: 0.0,
-            inputs: vec![],
-            outputs: vec![0],
-            params: Properties::new(),
-        },
-        FunctionDescriptor {
-            id: 1,
-            name: "snk".into(),
-            function: "sink.null".into(),
-            role: FnRole::Sink,
-            threads: 2,
-            placement: vec![0, 1],
-            flops: 0.0,
-            mem_bytes: 0.0,
-            inputs: vec![0],
-            outputs: vec![],
-            params: Properties::new(),
-        },
-    ];
-    let buffers = vec![LogicalBufferDesc {
-        id: 0,
-        producer: 0,
-        producer_port: "out".into(),
-        consumer: 1,
-        consumer_port: "in".into(),
-        shape: vec![4, 4],
-        elem_bytes: 8,
-        send_striping: Striping::BY_ROWS,
-        recv_striping: Striping::BY_ROWS,
-        delay: 0,
-    }];
-    let t = |fn_id: u32, thread: u32| Task { fn_id, thread };
-    GlueProgram {
-        app_name: "golden".into(),
-        functions,
-        buffers,
-        schedules: vec![
-            vec![t(0, 0), t(1, 0)], // node 0: producer first — fine
-            vec![t(1, 1), t(0, 1)], // node 1: consumer first — deadlock
-        ],
-    }
-}
-
-#[test]
-fn sage040_schedule_deadlock() {
-    let program = deadlocked_program();
-    let mut diags = lint_program(&program, None);
-    diags.sort();
-    assert!(
-        diags.diags.iter().any(|d| d.code == "SAGE040"),
-        "{:?}",
-        diags.diags
-    );
-    check_golden("sage040_deadlock", &diags.render("golden.glue", None));
-}
-
-#[test]
-fn sage019_unstripeable_buffer() {
-    let mut program = deadlocked_program();
-    program.schedules[1].reverse(); // well ordered again
-    program.buffers[0].shape = vec![5, 4]; // 5 rows over 2 threads
-    let mut diags = lint_program(&program, None);
-    diags.sort();
-    assert!(
-        diags.diags.iter().all(|d| d.code == "SAGE019") && !diags.is_empty(),
-        "{:?}",
-        diags.diags
-    );
-    check_golden("sage019_unstripeable", &diags.render("golden.glue", None));
-}
-
-#[test]
-fn sage041_malformed_program() {
-    let mut program = deadlocked_program();
-    program.schedules[1].clear(); // schedules no longer cover the task set
-    let mut diags = lint_program(&program, None);
-    diags.sort();
-    assert!(
-        diags.diags.iter().any(|d| d.code == "SAGE041"),
-        "{:?}",
-        diags.diags
-    );
-    check_golden("sage041_malformed", &diags.render("golden.glue", None));
 }
 
 /// Every golden fixture uses only codes from the published registry.

@@ -5,22 +5,21 @@
 //! calls this lives in `sage-fleet`.
 
 use crate::proto::RankReport;
-use sage_core::{model_from_sexpr, Placement, Project};
+use sage_core::{Placement, Project};
 use sage_fabric::NodeMetrics;
-use sage_model::HardwareShelf;
 use sage_runtime::{prepare, GlueProgram, Prepared, Registry, RuntimeError};
 
-/// Regenerates one job's glue program from its model text: parse, place,
-/// generate, rank-count check. The project comes back too — its registry is
-/// where the job's kernels bind, its hardware what static plans are proved
-/// against.
+/// Regenerates one job's glue program from its model text through the
+/// un-gated loader ([`Project::from_sexpr`] — the submitter ran the lint
+/// gate): parse, place, generate, rank-count check. The project comes back
+/// too — its registry is where the job's kernels bind, its hardware what
+/// static plans are proved against.
 pub fn generate_job(
     model_text: &str,
     ranks: usize,
 ) -> Result<(Project, GlueProgram), RuntimeError> {
-    let model = model_from_sexpr(model_text)
+    let project = Project::from_sexpr(model_text, ranks)
         .map_err(|e| RuntimeError::BadProgram(format!("model: {e}")))?;
-    let project = Project::new(model, HardwareShelf::cspi_with_nodes(ranks));
     let (program, _) = project
         .generate(&Placement::Aligned)
         .map_err(|e| RuntimeError::BadProgram(format!("codegen: {e}")))?;

@@ -32,7 +32,7 @@ use crate::function::{FnThreadCtx, Registry, RuntimeError, StripePayload};
 use crate::glue::{xfer_tag, FnRole, GlueProgram, Task, TAG_ITERATIONS};
 use crate::options::{BufferScheme, RuntimeOptions};
 use crate::race::{fnv1a_64, Intervals, RaceState};
-use crate::striping::{Layout, PairOps, Redistribution};
+use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
 use sage_fabric::{
     Cluster, FabricError, MachineSpec, Payload, RunReport, TimePolicy, Transport, Work,
 };
@@ -88,14 +88,9 @@ impl SinkResults {
             .buffers
             .get(bid as usize)
             .ok_or_else(|| err(format!("input buffer {bid} not in the buffer table")))?;
-        if let sage_model::Striping::Striped { dim } = desc.recv_striping {
-            let threads = f.threads as usize;
-            if dim >= desc.shape.len() || threads == 0 || desc.shape[dim] % threads != 0 {
-                return Err(err(format!(
-                    "stripe dimension {dim} of shape {:?} does not divide over {} threads",
-                    desc.shape, f.threads
-                )));
-            }
+        let threads = f.threads as usize;
+        if let Some(fault) = stripe_fault(&desc.shape, desc.recv_striping, threads, &f.name) {
+            return Err(err(fault));
         }
         let total = desc.total_bytes();
         let mut full = vec![0u8; total];
@@ -236,34 +231,17 @@ pub struct Prepared {
 /// every buffer's redistribution.
 pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, RuntimeError> {
     program.validate().map_err(RuntimeError::BadProgram)?;
-    // Striping must be plannable before Redistribution::plan walks it; a
-    // hand-built program with an out-of-range or indivisible stripe is a
-    // typed error, not a panic.
-    for b in &program.buffers {
-        let pf = &program.functions[b.producer as usize];
-        let cf = &program.functions[b.consumer as usize];
-        for (who, striping, threads) in [
-            ("producer", b.send_striping, pf.threads as usize),
-            ("consumer", b.recv_striping, cf.threads as usize),
-        ] {
-            if let sage_model::Striping::Striped { dim } = striping {
-                if dim >= b.shape.len() {
-                    return Err(RuntimeError::BadProgram(format!(
-                        "buffer {}: {who} stripes dimension {dim} of a {}-D payload",
-                        b.id,
-                        b.shape.len()
-                    )));
-                }
-                if threads == 0 || b.shape[dim] % threads != 0 {
-                    return Err(RuntimeError::BadProgram(format!(
-                        "buffer {}: dimension {dim} extent {} not divisible by \
-                         {who}'s {threads} threads",
-                        b.id, b.shape[dim]
-                    )));
-                }
-            }
-        }
-    }
+    // A hand-built program with an out-of-range or indivisible stripe is a
+    // typed error, not a panic in the layout walk.
+    let planned = program
+        .buffers
+        .iter()
+        .map(|b| {
+            program.plan_buffer(b).map_err(|faults| {
+                RuntimeError::BadProgram(format!("buffer {}: {}", b.id, faults[0].1))
+            })
+        })
+        .collect::<Result<Vec<Redistribution>, _>>()?;
     // Resolve every kernel up front.
     let mut kernels = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
@@ -275,21 +253,14 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
             })?;
         kernels.push(k);
     }
-    // Plan every buffer's redistribution.
+    // Compile every buffer's redistribution plan.
     let plans: Vec<BufferPlan> = program
         .buffers
         .iter()
-        .map(|b| {
+        .zip(planned)
+        .map(|(b, plan)| {
             let pf = &program.functions[b.producer as usize];
             let cf = &program.functions[b.consumer as usize];
-            let plan = Redistribution::plan(
-                &b.shape,
-                b.elem_bytes,
-                b.send_striping,
-                pf.threads as usize,
-                b.recv_striping,
-                cf.threads as usize,
-            );
             let aligned = pf.threads == cf.threads
                 && (0..pf.threads as usize).all(|t| plan.src[t] == plan.dst[t]);
             let ops = if aligned {
@@ -1855,7 +1826,10 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RuntimeError::BadProgram(_)), "{err}");
-        assert!(err.to_string().contains("not divisible"), "{err}");
+        assert!(
+            err.to_string().contains("cannot stripe over `src`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! glue-code *generator* (in `sage-core`) produces it by traversing the
 //! Designer model, alongside a human-readable source rendering.
 
+use crate::striping::{stripe_fault, Redistribution};
 use sage_model::Striping;
 
 /// Role of a function-table entry.
@@ -149,6 +150,38 @@ impl GlueProgram {
             }
             None => format!("`{name}[{}]` (unscheduled)", t.thread),
         }
+    }
+
+    /// Plans buffer `b`'s redistribution between its producer's and its
+    /// consumer's threads — the one planner `prepare` and the static checker
+    /// share. `Err` carries, per side that has no layout, the striping
+    /// function's name and why. `b`'s endpoints must be in range
+    /// ([`GlueProgram::validate`]).
+    pub fn plan_buffer(
+        &self,
+        b: &LogicalBufferDesc,
+    ) -> Result<Redistribution, Vec<(&str, String)>> {
+        let pf = &self.functions[b.producer as usize];
+        let cf = &self.functions[b.consumer as usize];
+        let sides = [(pf, b.send_striping), (cf, b.recv_striping)];
+        let faults: Vec<_> = sides
+            .into_iter()
+            .filter_map(|(f, striping)| {
+                let fault = stripe_fault(&b.shape, striping, f.threads as usize, &f.name)?;
+                Some((f.name.as_str(), fault))
+            })
+            .collect();
+        if !faults.is_empty() {
+            return Err(faults);
+        }
+        Ok(Redistribution::plan(
+            &b.shape,
+            b.elem_bytes,
+            b.send_striping,
+            pf.threads as usize,
+            b.recv_striping,
+            cf.threads as usize,
+        ))
     }
 
     /// Consistency checks: placements in range, schedules cover exactly the

@@ -74,13 +74,9 @@ impl Layout {
                 },
             },
             Striping::Striped { dim } => {
-                assert!(dim < shape.len(), "striping dim {dim} of {shape:?}");
-                assert_eq!(
-                    shape[dim] % threads,
-                    0,
-                    "dim {dim} extent {} not divisible by {threads} threads",
-                    shape[dim]
-                );
+                if let Some(fault) = stripe_fault(shape, striping, threads, "the port") {
+                    panic!("{fault}");
+                }
                 let inner: usize = shape[dim + 1..].iter().product::<usize>() * elem;
                 let outer: usize = shape[..dim].iter().product();
                 let slice = shape[dim] / threads; // elements of dim each thread owns
@@ -257,6 +253,32 @@ fn push_coalesced(ops: &mut Vec<CopyOp>, op: CopyOp) {
         }
     }
     ops.push(op);
+}
+
+/// Why the port of function `who` cannot stripe a `shape` payload over its
+/// `threads`, if it cannot — the conditions [`Layout::of_thread`] panics on,
+/// as a message. The one statement of the rule: `prepare` and the static
+/// checker both plan through [`crate::GlueProgram::plan_buffer`], which
+/// asks here.
+pub(crate) fn stripe_fault(
+    shape: &[usize],
+    striping: Striping,
+    threads: usize,
+    who: &str,
+) -> Option<String> {
+    let Striping::Striped { dim } = striping else {
+        return None;
+    };
+    match shape.get(dim) {
+        None => Some(format!(
+            "`{who}` stripes dimension {dim} of a {}-D payload",
+            shape.len()
+        )),
+        Some(&extent) if threads == 0 || extent % threads != 0 => Some(format!(
+            "dimension {dim} of extent {extent} cannot stripe over `{who}`'s {threads} threads"
+        )),
+        Some(_) => None,
+    }
 }
 
 /// The full redistribution plan for one logical buffer: for every (producer

@@ -31,10 +31,12 @@
 //! Models are the s-expression files written by `sage_core::model_io`
 //! (`export` produces ready-made ones for the built-in applications).
 //! `run` registers the ISSPL kernel library, so any model whose blocks
-//! reference those kernels executes end to end. `codegen`, `run`, and
-//! `launch` lint the model first and refuse to proceed past error-severity
-//! findings; `run` and `launch` then abstractly interpret the generated
-//! glue program (`sage check`) before executing it, on either transport.
+//! reference those kernels executes end to end. `codegen`, `run`, `launch`
+//! and `submit` go through one pre-flight: the model is loaded and linted
+//! once, the glue program is generated once for the placement that will
+//! execute (`--ga` included), and `run`, `launch` and `submit` then
+//! abstractly interpret that very program (`sage check`) before executing
+//! it, on either transport; error-severity findings refuse the command.
 //! `run --transport tcp` and `launch` execute each rank in its own OS
 //! process over loopback TCP: they spawn one `fleet` daemon per rank, run
 //! the one job through an in-process scheduler, and drain the daemons.
@@ -47,6 +49,7 @@
 //! messages, so their sink output is bit-identical.
 
 use sage::prelude::*;
+use sage_check::pipeline::{depth_str, PipelinePlan};
 use sage_core::{check_model_source, lint_model_source, model_from_sexpr, model_io, Project};
 use sage_fleet::{JobParams, LaunchOptions};
 use sage_lint::Diagnostics;
@@ -195,18 +198,18 @@ impl Args {
         Ok(self.num(name)?.unwrap_or(default))
     }
 
-    /// The `--heartbeat-ms` transport knob: `None` leaves the transport's
-    /// default period in force.
-    fn heartbeat_ms(&self) -> Result<Option<u64>, String> {
-        match self.get("heartbeat-ms") {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .ok()
-                .filter(|&ms| ms >= 1)
-                .map(Some)
-                .ok_or_else(|| format!("--heartbeat-ms must be a positive integer, got `{v}`")),
-        }
+    /// A flag that counts from 1 (`--depth`; `--heartbeat-ms`, whose absence
+    /// leaves the transport's default period in force).
+    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        let parsed = |v: &str| v.parse().ok().filter(|n| *n >= T::from(1));
+        self.get(name)
+            .map(|v| {
+                parsed(v).ok_or_else(|| format!("--{name} must be a positive integer, got `{v}`"))
+            })
+            .transpose()
     }
 
     /// The `--pipeline` streaming knob: `None` means lock-step execution.
@@ -224,36 +227,32 @@ impl Args {
     }
 }
 
-/// Per-buffer ring-depth caps from the static pipeline-safety plan
-/// (`sage pipeline`'s hazard analysis), plus the whole-program proven
-/// depth for the progress message. Empty caps mean the planner had no
-/// opinion and every buffer uses the global `--pipeline` depth.
-fn pipeline_caps(
-    program: &GlueProgram,
-    hardware: &sage::model::HardwareSpec,
-) -> (Vec<u32>, Option<u32>) {
-    match sage_check::pipeline_plan(program, hardware) {
-        Some(plan) => (
-            plan.buffers.iter().map(|b| b.safe_depth).collect(),
-            Some(plan.safe_depth),
-        ),
-        None => (Vec::new(), None),
-    }
+/// Per-buffer ring-depth caps from a proven pipeline plan.
+fn ring_caps(plan: &PipelinePlan) -> Vec<u32> {
+    plan.buffers.iter().map(|b| b.safe_depth).collect()
 }
 
-fn load_model(path: &str) -> Result<AppGraph, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    model_from_sexpr(&text).map_err(|e| e.to_string())
+/// What a static pass proves beyond its findings (`sage pipeline`'s plan,
+/// `sage race`'s analysis) and how the analysis driver publishes it.
+struct Artefact<'a, T> {
+    /// The JSON key it travels under, beside `"diagnostics"`.
+    key: &'static str,
+    to_json: fn(&T) -> String,
+    /// Called once per file that produced one: prints the text table
+    /// unless `json`, writes any side output, and returns whether the
+    /// artefact itself fails the file.
+    show: &'a dyn Fn(&str, &T, bool) -> Result<bool, String>,
 }
 
-/// Shared driver for `sage lint` and `sage check`: run `analyze` over one
-/// or more model files. Errors (and warnings under `--deny-warnings`) fail
-/// the run; `--explain` appends the long-form description of every code
-/// that fired.
-fn analyze_files(
+/// The per-file driver behind `sage lint|check|pipeline|race`: run
+/// `analyze` over one or more model files and report text or JSON. Errors
+/// (and warnings under `--deny-warnings`) fail the run; `--explain` appends
+/// the long-form description of every code that fired.
+fn analyze_files<T>(
     what: &str,
     args: &Args,
-    analyze: &dyn Fn(&str, usize) -> Diagnostics,
+    analyze: impl Fn(&str, usize) -> (Option<T>, Diagnostics),
+    artefact: Option<Artefact<'_, T>>,
 ) -> Result<(), String> {
     if args.positional.is_empty() {
         return Err(format!("{what} needs at least one model file"));
@@ -270,19 +269,31 @@ fn analyze_files(
     for path in &args.positional {
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let diags = analyze(&source, nodes);
-        if json {
-            println!("{}", diags.to_json(path, Some(&source)));
-        } else if diags.is_empty() {
-            eprintln!("{path}: clean");
-        } else {
-            eprint!("{}", diags.render(path, Some(&source)));
-            eprintln!("{path}: {}", diags.summary());
+        let (proven, diags) = analyze(&source, nodes);
+        match (&artefact, json) {
+            (None, true) => println!("{}", diags.to_json(path, Some(&source))),
+            (Some(a), true) => println!(
+                "{{\"{}\":{},\"diagnostics\":{}}}",
+                a.key,
+                proven.as_ref().map_or("null".to_owned(), a.to_json),
+                diags.to_json(path, Some(&source))
+            ),
+            (None, false) if diags.is_empty() => eprintln!("{path}: clean"),
+            (_, false) => {
+                eprint!("{}", diags.render(path, Some(&source)));
+                if artefact.is_none() {
+                    eprintln!("{path}: {}", diags.summary());
+                }
+            }
+        }
+        let mut fails = diags.fails(deny_warnings);
+        if let (Some(a), Some(proven)) = (&artefact, &proven) {
+            fails |= (a.show)(path, proven, json)?;
         }
         if args.has("explain") {
             fired.extend(diags.diags.iter().map(|d| d.code.to_string()));
         }
-        if diags.fails(deny_warnings) {
+        if fails {
             failed += 1;
         }
     }
@@ -301,13 +312,15 @@ fn analyze_files(
 
 /// `sage lint`: the model- and script-layer static-analysis suite.
 fn cmd_lint(args: &Args) -> Result<(), String> {
-    analyze_files("lint", args, &|src, nodes| lint_model_source(src, nodes))
+    let lint = |src: &str, nodes| (None::<()>, lint_model_source(src, nodes));
+    analyze_files("lint", args, lint, None)
 }
 
 /// `sage check`: abstract interpretation of the glue program the model
 /// generates — transfer matching, shape propagation, capacity feasibility.
 fn cmd_check(args: &Args) -> Result<(), String> {
-    analyze_files("check", args, &|src, nodes| check_model_source(src, nodes))
+    let check = |src: &str, nodes| (None::<()>, check_model_source(src, nodes));
+    analyze_files("check", args, check, None)
 }
 
 /// `sage pipeline`: the pipeline-safety pass — per-buffer maximum safe
@@ -315,94 +328,64 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 /// `PipelinePlan` artifact, printed as a table (or JSON) and optionally
 /// written in the `sage-pipeline/v1` format with `--plan`.
 fn cmd_pipeline(args: &Args) -> Result<(), String> {
-    use sage_check::pipeline::{depth_str, DepthLimit, UNBOUNDED};
-    if args.positional.is_empty() {
-        return Err("pipeline needs at least one model file".into());
-    }
-    let nodes: usize = args.num_or("nodes", 4)?;
-    let deny_warnings = args.has("deny-warnings");
-    let depth = match args.get("depth") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u32>()
-                .ok()
-                .filter(|&d| d >= 1)
-                .ok_or_else(|| format!("--depth must be a positive integer, got `{v}`"))?,
-        ),
-    };
-    let json = match args.get("format") {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => return Err(format!("unknown --format `{other}` (text|json)")),
-    };
-    let mut failed = 0usize;
-    for path in &args.positional {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (plan, diags) = sage_core::pipeline_model_source(&source, nodes, depth);
-        if json {
-            let plan_json = plan.as_ref().map_or("null".to_owned(), |p| p.to_json());
+    use sage_check::pipeline::{DepthLimit, UNBOUNDED};
+    let depth: Option<u32> = args.positive("depth")?;
+    let table = |path: &str, plan: &PipelinePlan| {
+        println!("{path}: `{}` on {} nodes", plan.app_name, plan.nodes);
+        for bd in &plan.buffers {
+            let why = match &bd.limit {
+                DepthLimit::Unbounded => "no cross-iteration constraint".to_owned(),
+                DepthLimit::Hazard { delay } => {
+                    format!("delay {delay} arc: WAR hazard past lock-step")
+                }
+                DepthLimit::Cycle { path } => {
+                    format!("feedback cycle {}", path.join(" -> "))
+                }
+                DepthLimit::Race => {
+                    "ordering holds only at the lock-step boundary (SAGE072)".to_owned()
+                }
+            };
             println!(
-                "{{\"plan\":{plan_json},\"diagnostics\":{}}}",
-                diags.to_json(path, Some(&source))
+                "  buffer {:<3} depth {:<9} {why}",
+                bd.buffer,
+                depth_str(bd.safe_depth)
             );
-        } else {
-            if !diags.is_empty() {
-                eprint!("{}", diags.render(path, Some(&source)));
-            }
-            if let Some(plan) = &plan {
-                println!("{path}: `{}` on {} nodes", plan.app_name, plan.nodes);
-                for bd in &plan.buffers {
-                    let why = match &bd.limit {
-                        DepthLimit::Unbounded => "no cross-iteration constraint".to_owned(),
-                        DepthLimit::Hazard { delay } => {
-                            format!("delay {delay} arc: WAR hazard past lock-step")
-                        }
-                        DepthLimit::Cycle { path } => {
-                            format!("feedback cycle {}", path.join(" -> "))
-                        }
-                        DepthLimit::Race => {
-                            "ordering holds only at the lock-step boundary (SAGE072)".to_owned()
-                        }
-                    };
-                    println!(
-                        "  buffer {:<3} depth {:<9} {why}",
-                        bd.buffer,
-                        depth_str(bd.safe_depth)
-                    );
-                }
-                println!(
-                    "  hazard depth {} * memory depth {} -> safe pipeline depth {}",
-                    depth_str(plan.hazard_depth),
-                    depth_str(plan.mem_depth),
-                    depth_str(plan.safe_depth)
-                );
-                if let Some(want) = depth {
-                    let verdict = if plan.safe_depth == UNBOUNDED || want <= plan.safe_depth {
-                        "proven safe"
-                    } else {
-                        "NOT proven safe"
-                    };
-                    println!("  requested depth {want}: {verdict}");
-                }
-            }
         }
-        if let (Some(plan), Some(out)) = (&plan, args.get("plan")) {
+        println!(
+            "  hazard depth {} * memory depth {} -> safe pipeline depth {}",
+            depth_str(plan.hazard_depth),
+            depth_str(plan.mem_depth),
+            depth_str(plan.safe_depth)
+        );
+        if let Some(want) = depth {
+            let verdict = if plan.safe_depth == UNBOUNDED || want <= plan.safe_depth {
+                "proven safe"
+            } else {
+                "NOT proven safe"
+            };
+            println!("  requested depth {want}: {verdict}");
+        }
+    };
+    let show = |path: &str, plan: &PipelinePlan, json: bool| {
+        if !json {
+            table(path, plan);
+        }
+        if let Some(out) = args.get("plan") {
             std::fs::write(out, plan.to_text()).map_err(|e| format!("cannot write {out}: {e}"))?;
             eprintln!("wrote pipeline plan to {out}");
         }
-        let over_requested = matches!((&plan, depth), (Some(p), Some(want)) if want > p.safe_depth);
-        if diags.fails(deny_warnings) || over_requested {
-            failed += 1;
-        }
-    }
-    if failed > 0 {
-        return Err(format!(
-            "pipeline failed for {failed} of {} file(s)",
-            args.positional.len()
-        ));
-    }
-    Ok(())
+        Ok(depth.is_some_and(|want| want > plan.safe_depth))
+    };
+    analyze_files(
+        "pipeline",
+        args,
+        |src, nodes| sage_core::pipeline_model_source(src, nodes, depth),
+        Some(Artefact {
+            key: "plan",
+            to_json: PipelinePlan::to_json,
+            show: &show,
+        }),
+    )
 }
 
 /// `sage race`: the static happens-before race pass — unordered
@@ -410,80 +393,46 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
 /// depth-conditional orderings (`SAGE072`), benign splats (`SAGE073`) —
 /// plus the proven analysis artifact (graph sizes, capped buffers).
 fn cmd_race(args: &Args) -> Result<(), String> {
-    if args.positional.is_empty() {
-        return Err("race needs at least one model file".into());
-    }
-    let nodes: usize = args.num_or("nodes", 4)?;
-    let deny_warnings = args.has("deny-warnings");
-    let json = match args.get("format") {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => return Err(format!("unknown --format `{other}` (text|json)")),
-    };
-    let mut failed = 0usize;
-    for path in &args.positional {
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (analysis, diags) = sage_core::race_model_source(&source, nodes);
+    use sage_check::race::RaceAnalysis;
+    let show = |path: &str, a: &RaceAnalysis, json: bool| {
         if json {
-            let analysis_json = analysis.as_ref().map_or("null".to_owned(), |a| {
-                format!(
-                    "{{\"positions\":{},\"sync_edges\":{},\"capped\":[{}],\"findings\":{}}}",
-                    a.positions,
-                    a.sync_edges,
-                    a.capped
-                        .iter()
-                        .map(u32::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    a.findings.len()
-                )
-            });
-            println!(
-                "{{\"race\":{analysis_json},\"diagnostics\":{}}}",
-                diags.to_json(path, Some(&source))
-            );
+            return Ok(false);
+        }
+        println!(
+            "{path}: happens-before graph of {} positions, {} sync edges",
+            a.positions, a.sync_edges
+        );
+        if a.is_clean() && a.findings.is_empty() {
+            println!("  race-free: every overlapping access pair is ordered");
+        } else if a.is_clean() {
+            println!("  no races; {} warning finding(s)", a.findings.len());
         } else {
-            if !diags.is_empty() {
-                eprint!("{}", diags.render(path, Some(&source)));
-            }
-            if let Some(a) = &analysis {
-                println!(
-                    "{path}: happens-before graph of {} positions, {} sync edges",
-                    a.positions, a.sync_edges
-                );
-                if a.is_clean() && a.findings.is_empty() {
-                    println!("  race-free: every overlapping access pair is ordered");
-                } else if a.is_clean() {
-                    println!("  no races; {} warning finding(s)", a.findings.len());
-                } else {
-                    println!("  {} race finding(s) — see diagnostics above", {
-                        a.findings
-                            .iter()
-                            .filter(|f| f.code == "SAGE070" || f.code == "SAGE071")
-                            .count()
-                    });
-                }
-                if !a.capped.is_empty() {
-                    let ids: Vec<String> = a.capped.iter().map(u32::to_string).collect();
-                    println!(
-                        "  pipeline depth capped at 1 for buffer(s) {} (SAGE072)",
-                        ids.join(", ")
-                    );
-                }
-            }
+            println!("  {} race finding(s) — see diagnostics above", {
+                a.findings
+                    .iter()
+                    .filter(|f| f.code == "SAGE070" || f.code == "SAGE071")
+                    .count()
+            });
         }
-        if diags.fails(deny_warnings) {
-            failed += 1;
+        if !a.capped.is_empty() {
+            let ids: Vec<String> = a.capped.iter().map(u32::to_string).collect();
+            println!(
+                "  pipeline depth capped at 1 for buffer(s) {} (SAGE072)",
+                ids.join(", ")
+            );
         }
-    }
-    if failed > 0 {
-        return Err(format!(
-            "race failed for {failed} of {} file(s)",
-            args.positional.len()
-        ));
-    }
-    Ok(())
+        Ok(false)
+    };
+    analyze_files(
+        "race",
+        args,
+        sage_core::race_model_source,
+        Some(Artefact {
+            key: "race",
+            to_json: RaceAnalysis::to_json,
+            show: &show,
+        }),
+    )
 }
 
 /// Prints one code's registry entry and long-form description to stderr.
@@ -494,10 +443,6 @@ fn explain_code(code: &str) -> Result<(), String> {
         return Err(format!(
             "unknown diagnostic code `{code}` (run `sage explain` for the full registry)"
         ));
-    };
-    let severity = match severity {
-        sage_lint::Severity::Error => "error",
-        sage_lint::Severity::Warning => "warning",
     };
     eprintln!("{code} ({severity}): {summary}");
     if let Some(text) = sage_lint::code_explanation(&code) {
@@ -511,10 +456,6 @@ fn explain_code(code: &str) -> Result<(), String> {
 fn cmd_explain(args: &Args) -> Result<(), String> {
     if args.positional.is_empty() {
         for (code, severity, summary) in sage_lint::CODE_TABLE {
-            let severity = match severity {
-                sage_lint::Severity::Error => "error",
-                sage_lint::Severity::Warning => "warning",
-            };
             eprintln!("{code} ({severity}): {summary}");
         }
         eprintln!("\nrun `sage explain <code>` for the long-form description");
@@ -529,17 +470,18 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Pre-flight lint before `codegen`/`run`: errors abort, warnings print to
-/// stderr and execution proceeds.
-fn auto_lint(path: &str, source: &str, nodes: usize) -> Result<(), String> {
-    let diags = lint_model_source(source, nodes);
+/// One pre-flight stage's verdict: prints the stage's findings; errors
+/// abort the command as `what` (the program would not generate, or would
+/// fail or deadlock at run time), warnings let it proceed. `cmd` is the
+/// subcommand that reports the stage in full.
+fn gate(path: &str, text: &str, diags: &Diagnostics, what: &str, cmd: &str) -> Result<(), String> {
     if diags.is_empty() {
         return Ok(());
     }
-    eprint!("{}", diags.render(path, Some(source)));
+    eprint!("{}", diags.render(path, Some(text)));
     if diags.error_count() > 0 {
         return Err(format!(
-            "model fails lint ({}); fix the findings above or run `sage lint {path}` for details",
+            "{what} ({}); fix the findings above or run `sage {cmd} {path}` for details",
             diags.summary()
         ));
     }
@@ -547,24 +489,76 @@ fn auto_lint(path: &str, source: &str, nodes: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Pre-flight abstract interpretation of the generated glue program before
-/// `run`/`launch`, on either transport: errors abort (the program would
-/// fail or deadlock at run time), warnings print and execution proceeds.
-fn auto_check(path: &str, source: &str, nodes: usize) -> Result<(), String> {
-    let diags = check_model_source(source, nodes);
-    if diags.is_empty() {
-        return Ok(());
+/// What [`preflight`] hands on to execution: the one parse, the one
+/// generated program, and the plan proved about it.
+struct Preflight {
+    /// The model file's text (what a distributed job ships).
+    text: String,
+    project: Project,
+    /// The program for the placement that executes.
+    program: GlueProgram,
+    /// Its statically proven pipeline plan: the per-buffer ring-depth caps
+    /// of a streaming run.
+    plan: Option<PipelinePlan>,
+}
+
+/// The static gate in front of `codegen`, `run`, `launch` and `submit`:
+/// load the model once, generate once *for the placement that will
+/// execute* (`--ga` maps first, and the mapping is linted), then run the
+/// deadlock pass and — when `check` — the full `sage check` battery over
+/// that very program, on one session.
+fn preflight(args: &Args, path: &str, nodes: usize, check: bool) -> Result<Preflight, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    // A model that does not load or generate carries the error that says
+    // why: the lint gate refuses it.
+    let lint_gate = |diags: &Diagnostics| gate(path, &text, diags, "model fails lint", "lint");
+    let loaded = match sage_core::load(&text, nodes) {
+        Ok(loaded) => loaded,
+        Err(diags) => return lint_gate(&diags).and(Err("model does not load".into())),
+    };
+    let placement = if args.has("ga") {
+        let mapping = loaded.project.auto_map(&GaConfig::default());
+        Placement::Tasks(mapping.map_err(|e| e.to_string())?)
+    } else {
+        Placement::Aligned
+    };
+    let (program, generated) = loaded.generate(&placement);
+    let mut lint = loaded.warnings;
+    lint.extend(generated);
+    lint.sort();
+    let Some(program) = program else {
+        return lint_gate(&lint).and(Err("model does not generate".into()));
+    };
+    let checker = sage_check::Checker::new(&program, &loaded.project.hardware, Some(&loaded.spans));
+    // With a check stage to follow, what the session's preamble faults (a
+    // malformed or unplannable program) is that stage's to report, once —
+    // and `--unchecked`'s to skip; the deadlock pass then has nothing sound
+    // to add to it.
+    if !check || checker.preamble().is_empty() {
+        lint.extend(checker.deadlock());
+        lint.sort();
     }
-    eprint!("{}", diags.render(path, Some(source)));
-    if diags.error_count() > 0 {
-        return Err(format!(
-            "generated program fails check ({}); fix the findings above or run \
-             `sage check {path}` for details",
-            diags.summary()
-        ));
+    lint_gate(&lint)?;
+    if args.has("unchecked") {
+        // Escape hatch for cross-validating the static gates against the
+        // run-time's own defenses (e.g. a statically proven race against
+        // `--race-detect`): skip the pre-run abstract interpretation.
+        eprintln!("warning: --unchecked skips `sage check`; the program may fail at run time");
+    } else if check {
+        let mut diags = checker.check();
+        diags.sort();
+        let what = "generated program fails check";
+        gate(path, &text, &diags, what, "check")?;
     }
-    eprintln!("warning: continuing despite {}", diags.summary());
-    Ok(())
+    // Only a streaming or pipeline-validate run reads the plan.
+    let wants_plan = args.has("pipeline") || args.has("pipeline-validate");
+    let plan = wants_plan.then(|| checker.pipeline(None).0).flatten();
+    Ok(Preflight {
+        text,
+        project: loaded.project,
+        program,
+        plan,
+    })
 }
 
 fn cmd_inspect(args: &Args) -> Result<(), String> {
@@ -572,7 +566,8 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("inspect needs a model file")?;
-    let model = load_model(path)?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let model = model_from_sexpr(&text).map_err(|e| e.to_string())?;
     let flat = model.flatten().map_err(|e| e.to_string())?;
     sage_model::validate(&flat).map_err(|e| e.to_string())?;
     println!(
@@ -591,18 +586,11 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("codegen needs a model file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let nodes: usize = args.num_or("nodes", 4)?;
-    auto_lint(path, &text, nodes)?;
-    let model = model_from_sexpr(&text).map_err(|e| e.to_string())?;
-    let project = Project::new(model, HardwareShelf::cspi_with_nodes(nodes));
-    let (_, source) = project
-        .generate(&Placement::Aligned)
-        .map_err(|e| e.to_string())?;
-    println!("{source}");
+    let pre = preflight(args, path, args.num_or("nodes", 4)?, false)?;
+    println!("{}", sage::core::render_glue_source(&pre.program));
     println!("; Alter-generated view:");
     let alter =
-        sage::core::alter_gen::generate_via_alter(&project.app).map_err(|e| e.to_string())?;
+        sage::core::alter_gen::generate_via_alter(&pre.project.app).map_err(|e| e.to_string())?;
     for line in alter.lines() {
         println!("; {line}");
     }
@@ -646,23 +634,17 @@ fn spawn_local_fleet(_index: usize) -> std::io::Result<std::process::Child> {
 
 /// The job a distributed subcommand's flags describe (`launch`,
 /// `run --transport tcp`, `submit`). Probe events ship back exactly when
-/// `--trace` asks for them.
-fn job_params(args: &Args, text: &str, ranks: usize, iters: u32) -> Result<JobParams, String> {
+/// `--trace` asks for them; a streaming job carries the per-buffer ring
+/// caps its pre-flight proved.
+fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, String> {
     let pipeline = args.pipeline_depth()?;
     let mut pipeline_depths = Vec::new();
-    if pipeline.is_some() {
-        // Regenerate the program locally (the same deterministic pipeline
-        // every rank runs) to compute the per-buffer ring caps the static
-        // safety plan proves; the daemons receive them with the job.
-        let (project, program) = sage::net::generate_job(text, ranks).map_err(|e| e.to_string())?;
-        let (caps, proven) = pipeline_caps(&program, &project.hardware);
-        if let Some(depth) = proven {
-            println!(
-                "statically proven safe pipeline depth: {}",
-                sage_check::pipeline::depth_str(depth)
-            );
-        }
-        pipeline_depths = caps;
+    if let (Some(_), Some(plan)) = (pipeline, &pre.plan) {
+        println!(
+            "statically proven safe pipeline depth: {}",
+            depth_str(plan.safe_depth)
+        );
+        pipeline_depths = ring_caps(plan);
     }
     Ok(JobParams {
         optimized: args.has("optimized"),
@@ -670,7 +652,7 @@ fn job_params(args: &Args, text: &str, ranks: usize, iters: u32) -> Result<JobPa
         race_detect: args.has("race-detect"),
         pipeline,
         pipeline_depths,
-        ..JobParams::new(text, iters)
+        ..JobParams::new(&pre.text, iters)
     })
 }
 
@@ -700,32 +682,32 @@ fn finish_distributed(
     finish_run(args, &merged.program, &merged.results, &merged.trace, iters)
 }
 
-/// Runs a model across freshly spawned daemon processes over loopback TCP
-/// and prints the merged summary. Used by both `launch` and
+/// Runs a pre-flighted model across freshly spawned daemon processes over
+/// loopback TCP and prints the merged summary. Used by both `launch` and
 /// `run --transport tcp`.
-fn run_over_tcp(args: &Args, text: &str, workers: usize, iters: u32) -> Result<(), String> {
+fn run_over_tcp(args: &Args, pre: Preflight, workers: usize, iters: u32) -> Result<(), String> {
     let opts = LaunchOptions {
         workers,
-        heartbeat_ms: args.heartbeat_ms()?,
-        params: job_params(args, text, workers, iters)?,
+        heartbeat_ms: args.positive("heartbeat-ms")?,
+        params: job_params(args, &pre, iters)?,
     };
-    let outcome = sage::fleet::launch(&opts, &spawn_local_fleet).map_err(|e| e.to_string())?;
+    let outcome = sage::fleet::launch_program(&opts, pre.program, &spawn_local_fleet)
+        .map_err(|e| e.to_string())?;
     finish_distributed(args, None, "worker processes", &outcome, iters)
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("run needs a model file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let nodes: usize = args.num_or("nodes", 4)?;
-    auto_lint(path, &text, nodes)?;
-    if args.has("unchecked") {
-        // Escape hatch for cross-validating the static gates against the
-        // run-time's own defenses (e.g. a statically proven race against
-        // `--race-detect`): skip the pre-run abstract interpretation.
-        eprintln!("warning: --unchecked skips `sage check`; the program may fail at run time");
-    } else {
-        auto_check(path, &text, nodes)?;
-    }
+    let tcp = match args.get("transport") {
+        None | Some("local") => false,
+        Some("tcp") if args.has("ga") => {
+            return Err("--transport tcp supports aligned placement only (no --ga)".into());
+        }
+        Some("tcp") => true,
+        Some(other) => return Err(format!("unknown --transport `{other}` (local|tcp)")),
+    };
+    let mut pre = preflight(args, path, nodes, true)?;
     let iters: u32 = args.num_or("iters", 3)?;
     if args.has("pipeline") && args.has("pipeline-validate") {
         return Err(
@@ -734,24 +716,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    match args.get("transport") {
-        None | Some("local") => {}
-        Some("tcp") => {
-            if args.has("ga") {
-                return Err("--transport tcp supports aligned placement only (no --ga)".into());
-            }
-            if args.has("pipeline-validate") {
-                return Err("--pipeline-validate runs on the local transport only".into());
-            }
-            // TCP ranks run on real hardware; the virtual clock does not
-            // apply, so --real is implied.
-            return run_over_tcp(args, &text, nodes, iters);
+    if tcp {
+        if args.has("pipeline-validate") {
+            return Err("--pipeline-validate runs on the local transport only".into());
         }
-        Some(other) => return Err(format!("unknown --transport `{other}` (local|tcp)")),
+        // TCP ranks run on real hardware; the virtual clock does not
+        // apply, so --real is implied.
+        return run_over_tcp(args, pre, nodes, iters);
     }
-    let model = model_from_sexpr(&text).map_err(|e| e.to_string())?;
-    let mut project = Project::new(model, HardwareShelf::cspi_with_nodes(nodes));
-    sage::apps::kernels::register_kernels(&mut project.registry);
+    sage::apps::kernels::register_kernels(&mut pre.project.registry);
+    let (project, program, plan) = (&pre.project, &pre.program, &pre.plan);
     let options = if args.has("optimized") {
         RuntimeOptions::optimized()
     } else {
@@ -764,18 +738,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         TimePolicy::Virtual
     };
-    let placement = if args.has("ga") {
-        Placement::Tasks(
-            project
-                .auto_map(&GaConfig::default())
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        Placement::Aligned
-    };
-    let (program, _) = project.generate(&placement).map_err(|e| e.to_string())?;
     let exec = project
-        .execute(&program, policy, &options, iters)
+        .execute(program, policy, &options, iters)
         .map_err(|e| e.to_string())?;
     println!(
         "ran `{}` on {nodes} nodes for {iters} iterations: {:.3} ms/data set \
@@ -797,39 +761,38 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     print!("{}", gantt::render(&exec.trace, 72));
-    if let Some(depth) = args.pipeline_depth()? {
-        // Streaming run: per-buffer rings capped by the static safety
-        // plan, continuous issue with credit-based backpressure. The
-        // lock-step execution above is the oracle — the sink stream must
-        // be bit-identical at any proven depth.
-        let (caps, proven) = pipeline_caps(&program, &project.hardware);
-        if let Some(p) = proven {
-            println!(
-                "statically proven safe pipeline depth: {} (requested {depth})",
-                sage_check::pipeline::depth_str(p)
-            );
-        }
-        let streaming = project
-            .execute(
-                &program,
-                policy,
-                &options
-                    .clone()
-                    .with_pipeline(depth)
-                    .with_pipeline_depths(caps),
-                iters,
-            )
-            .map_err(|e| format!("pipeline depth {depth}: {e}"))?;
-        let lockstep = exec.results.stream(&program, iters);
-        let streamed = streaming.results.stream(&program, iters);
-        if lockstep != streamed {
+    // Both pipelined modes re-execute the program and hold the sink stream
+    // to the lock-step run above, the oracle: it must be bit-identical.
+    let replay = |what: &str, options: RuntimeOptions, hint: &str| {
+        let run = project
+            .execute(program, policy, &options, iters)
+            .map_err(|e| format!("{what}: {e}"))?;
+        let lockstep = exec.results.stream(program, iters);
+        let replayed = run.results.stream(program, iters);
+        if lockstep != replayed {
             return Err(format!(
-                "pipeline depth {depth}: sink stream diverged from lock-step \
-                 ({:#018x} vs {:#018x})",
+                "{what}: sink stream diverged from lock-step ({:#018x} vs {:#018x}){hint}",
                 fnv1a_64(&lockstep),
-                fnv1a_64(&streamed)
+                fnv1a_64(&replayed)
             ));
         }
+        Ok((run, fnv1a_64(&lockstep)))
+    };
+    if let Some(depth) = args.pipeline_depth()? {
+        // Streaming run: per-buffer rings capped by the static safety
+        // plan, continuous issue with credit-based backpressure.
+        if let Some(plan) = plan {
+            println!(
+                "statically proven safe pipeline depth: {} (requested {depth})",
+                depth_str(plan.safe_depth)
+            );
+        }
+        let caps = plan.as_ref().map(ring_caps).unwrap_or_default();
+        let streamed = options
+            .clone()
+            .with_pipeline(depth)
+            .with_pipeline_depths(caps);
+        let (streaming, checksum) = replay(&format!("pipeline depth {depth}"), streamed, "")?;
         let frames = |e: &sage_runtime::Execution| {
             let secs = match policy {
                 TimePolicy::Virtual => e.report.makespan,
@@ -841,11 +804,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!(
             "pipeline depth {depth}: {fps:.1} frames/s vs {base:.1} lock-step \
              ({:.2}x), {} credits issued / {} retired, bit-identical to \
-             lock-step (checksum {:#018x})",
+             lock-step (checksum {checksum:#018x})",
             fps / base.max(1e-9),
             streaming.stream.credits_issued,
             streaming.stream.credits_retired,
-            fnv1a_64(&lockstep)
         );
     }
     if let Some(depth) = args.num::<u32>("pipeline-validate")? {
@@ -855,49 +817,32 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                  lock-step order and is bit-equivalent to lock-step"
                 .into());
         }
-        if let Some(plan) = sage_check::pipeline_plan(&program, &project.hardware) {
+        if let Some(plan) = plan {
             println!(
                 "statically proven safe pipeline depth: {}",
-                sage_check::pipeline::depth_str(plan.safe_depth)
+                depth_str(plan.safe_depth)
             );
         }
-        let piped = project
-            .execute(
-                &program,
-                policy,
-                &options.clone().with_pipeline_validate(depth),
-                iters,
-            )
-            .map_err(|e| format!("pipeline-validate depth {depth}: {e}"))?;
-        let lockstep = exec.results.stream(&program, iters);
-        let pipelined = piped.results.stream(&program, iters);
-        if lockstep != pipelined {
-            return Err(format!(
-                "pipeline-validate depth {depth}: sink stream diverged from \
-                 lock-step ({:#018x} vs {:#018x}) — the depth exceeds what the \
-                 program can sustain",
-                fnv1a_64(&lockstep),
-                fnv1a_64(&pipelined)
-            ));
-        }
+        let (_, checksum) = replay(
+            &format!("pipeline-validate depth {depth}"),
+            options.clone().with_pipeline_validate(depth),
+            " — the depth exceeds what the program can sustain",
+        )?;
         println!(
             "pipeline-validate depth {depth}: bit-identical to lock-step \
-             (checksum {:#018x})",
-            fnv1a_64(&lockstep)
+             (checksum {checksum:#018x})"
         );
     }
-    finish_run(args, &program, &exec.results, &exec.trace, iters)
+    finish_run(args, program, &exec.results, &exec.trace, iters)
 }
 
 /// `sage launch`: spawn local daemons and run a model across them.
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let workers: usize = args.num_or("workers", 4)?;
-    auto_lint(path, &text, workers)?;
-    auto_check(path, &text, workers)?;
+    let pre = preflight(args, path, workers, true)?;
     let iters: u32 = args.num_or("iters", 3)?;
-    run_over_tcp(args, &text, workers, iters)
+    run_over_tcp(args, pre, workers, iters)
 }
 
 /// `sage fleet`: with no subcommand, run one persistent worker daemon
@@ -960,7 +905,7 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
     let cfg = sage::fleet::SchedConfig {
         queue_depth: args.num_or("queue-depth", 128)?,
         slots_per_worker: args.num_or("slots", 64)?,
-        heartbeat_ms: args.heartbeat_ms()?,
+        heartbeat_ms: args.positive("heartbeat-ms")?,
     };
     let (children, addrs) = if let Some(list) = args.get("workers") {
         let addrs = list
@@ -994,22 +939,19 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
 /// per-rank reports exactly as `launch` does.
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("submit needs a model file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let addr = args.get("sched").ok_or("submit needs --sched ADDR")?;
     let ranks: usize = args.num_or("ranks", 4)?;
-    auto_lint(path, &text, ranks)?;
-    auto_check(path, &text, ranks)?;
+    let pre = preflight(args, path, ranks, true)?;
     let iters: u32 = args.num_or("iters", 3)?;
     let spec = sage::fleet::SubmitSpec {
         tenant: args.get("tenant").unwrap_or("").to_string(),
-        ..sage::fleet::SubmitSpec::with_params(job_params(args, &text, ranks, iters)?, ranks as u32)
+        ..sage::fleet::SubmitSpec::with_params(job_params(args, &pre, iters)?, ranks as u32)
     };
     let outcome = sage::fleet::submit(addr, &spec).map_err(|e| e.to_string())?;
-    // Regenerate the program locally (same deterministic pipeline the
-    // daemons ran) to merge reports and assemble sink output.
-    let (_, program) = sage::net::generate_job(&text, ranks).map_err(|e| e.to_string())?;
+    // The daemons regenerated this same program (the pipeline is
+    // deterministic): merge their reports and assemble sink output on it.
     let merged = sage::net::merge_outcomes(
-        program,
+        pre.program,
         sage::fleet::reports_to_outcomes(outcome.reports),
         std::time::Duration::from_secs_f64(outcome.wall_secs),
         ranks,

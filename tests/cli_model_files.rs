@@ -189,6 +189,68 @@ fn sage_pipeline_rejects_over_deep_request() {
     assert!(all.contains("SAGE060"), "{all}");
 }
 
+/// `run --ga` goes through the same gate as any run — the mapping is
+/// linted and the GA-mapped program is the one checked and executed — and
+/// reproduces the aligned run's sink bit for bit.
+#[test]
+fn sage_run_ga_is_checked_and_matches_the_aligned_sink() {
+    let model = common::model_path("fft2d_64.sexpr");
+    let sink_line = |extra: &[&str]| {
+        let out = std::process::Command::new(common::sage_bin())
+            .args(["run", &model, "--nodes", "4", "--iters", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "sage run {extra:?}: {stderr}");
+        assert!(stderr.is_empty(), "clean model, clean gate: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout.lines().find(|l| l.starts_with("sink output:"));
+        line.expect("sink checksum line").to_owned()
+    };
+    assert_eq!(sink_line(&["--ga"]), sink_line(&[]));
+}
+
+/// A program the checker's preamble faults (here a zero-extent payload,
+/// `SAGE054`) is reported once, by the check stage of `run` — so
+/// `--unchecked` still bypasses it — and by the lint stage of `codegen`,
+/// which has no check stage.
+#[test]
+fn sage_run_reports_a_preamble_fault_once_in_the_check_stage() {
+    let model = std::env::temp_dir().join(format!("sage_zero_{}.sexpr", std::process::id()));
+    std::fs::write(
+        &model,
+        r#"(model "zero"
+  (block "src" (source 2)
+    (port out "out" (array (complex) 0 8) (striped 0))
+    (props ("kernel" "workload.bytes") ("seed" 3)))
+  (block "snk" (sink 2)
+    (port in "in" (array (complex) 0 8) (striped 0)))
+  (connect "src" "out" "snk" "in"))"#,
+    )
+    .unwrap();
+    let sage = |sub: &str, extra: &[&str]| {
+        let out = std::process::Command::new(common::sage_bin())
+            .args([sub, model.to_str().unwrap(), "--nodes", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.success(), stderr)
+    };
+    let (ok, stderr) = sage("run", &["--iters", "1"]);
+    assert!(!ok && stderr.contains("generated program fails check (1 error)"));
+    assert_eq!(stderr.matches("error[SAGE054]").count(), 1, "{stderr}");
+    let (ok, stderr) = sage("run", &["--iters", "1", "--unchecked"]);
+    assert!(ok && !stderr.contains("SAGE054"), "{stderr}");
+    let (ok, stderr) = sage("codegen", &[]);
+    assert!(
+        !ok && stderr.contains("model fails lint (1 error)"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&model);
+}
+
 /// A mistyped flag or an unparsable number fails the CLI with a one-line
 /// error naming the flag — never a silent run with the default.
 #[test]
