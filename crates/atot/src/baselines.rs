@@ -224,7 +224,7 @@ mod sa_tests {
                 .collect(),
             edges: vec![],
         };
-        let s = Scheduler::new(&graph, &hw(2));
+        let s = Scheduler::new(&graph, &hw(2)).unwrap();
         let rr_cost = s.estimate(&graph, &round_robin(&graph, 2)).makespan;
         let sa = simulated_annealing(&graph, &s, 2, 400, 11);
         let sa_cost = s.estimate(&graph, &sa).makespan;
@@ -249,7 +249,7 @@ mod sa_tests {
                 .collect(),
             edges: vec![],
         };
-        let s = Scheduler::new(&graph, &hw(3));
+        let s = Scheduler::new(&graph, &hw(3)).unwrap();
         let a = simulated_annealing(&graph, &s, 3, 200, 5);
         let b = simulated_annealing(&graph, &s, 3, 200, 5);
         assert_eq!(a, b);

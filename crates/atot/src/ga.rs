@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn ga_finds_balanced_mapping() {
         let graph = balanced_problem();
-        let s = Scheduler::new(&graph, &hw(4));
+        let s = Scheduler::new(&graph, &hw(4)).unwrap();
         let r = optimize(&graph, &s, &GaConfig::default());
         // Perfect balance: makespan 2 s.
         assert!((r.makespan - 2.0).abs() < 1e-9, "got {}", r.makespan);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn elitism_makes_fitness_monotone() {
         let graph = balanced_problem();
-        let s = Scheduler::new(&graph, &hw(4));
+        let s = Scheduler::new(&graph, &hw(4)).unwrap();
         let r = optimize(
             &graph,
             &s,
@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let graph = balanced_problem();
-        let s = Scheduler::new(&graph, &hw(4));
+        let s = Scheduler::new(&graph, &hw(4)).unwrap();
         let cfg = GaConfig {
             generations: 20,
             ..GaConfig::default()
@@ -265,9 +265,10 @@ mod tests {
                 from: 0,
                 to: 1,
                 bytes: 1e8,
+                feedback: false,
             }],
         };
-        let s = Scheduler::new(&graph, &hw(2));
+        let s = Scheduler::new(&graph, &hw(2)).unwrap();
         let r = optimize(
             &graph,
             &s,
@@ -291,10 +292,11 @@ mod tests {
                     from: i,
                     to: i + 1,
                     bytes: 1e5,
+                    feedback: false,
                 })
                 .collect(),
         };
-        let s = Scheduler::new(&graph, &hw(4));
+        let s = Scheduler::new(&graph, &hw(4)).unwrap();
         let ga = optimize(&graph, &s, &GaConfig::default());
         let rand_m = baselines::random(&graph, 4, 99);
         let rand_est = s.estimate(&graph, &rand_m);
@@ -304,7 +306,7 @@ mod tests {
     #[test]
     fn latency_constraint_penalizes_fitness() {
         let graph = balanced_problem();
-        let s = Scheduler::new(&graph, &hw(1)); // 1 node: makespan 8 s
+        let s = Scheduler::new(&graph, &hw(1)).unwrap(); // 1 node: makespan 8 s
         let unconstrained = optimize(&graph, &s, &GaConfig::default());
         let constrained = optimize(
             &graph,

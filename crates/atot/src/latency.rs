@@ -78,7 +78,7 @@ mod tests {
                 latency_us: 1.0,
             },
         );
-        let s = Scheduler::new(&graph, &hw);
+        let s = Scheduler::new(&graph, &hw).unwrap();
         let m = baselines::round_robin(&graph, 1);
         let (ok, _) = check(&s, &graph, &m, 2.0);
         assert!(ok.satisfied());

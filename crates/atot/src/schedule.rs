@@ -2,7 +2,7 @@
 //! ("scheduling of CPUs and busses").
 
 use crate::taskgraph::{TaskGraph, TaskMapping};
-use sage_model::HardwareSpec;
+use sage_model::{HardwareSpec, ModelError};
 
 /// The estimate produced for one candidate mapping.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,12 +51,9 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Prepares a scheduler for `graph` on `hw`.
-    ///
-    /// # Panics
-    /// Panics if the task graph has a dependency cycle (impossible for
-    /// graphs expanded from validated models).
-    pub fn new(graph: &TaskGraph, hw: &HardwareSpec) -> Scheduler {
+    /// Prepares a scheduler for `graph` on `hw`: [`ModelError::Cycle`] if
+    /// the graph's precedence edges have a cycle ([`TaskGraph::topo_order`]).
+    pub fn new(graph: &TaskGraph, hw: &HardwareSpec) -> Result<Scheduler, ModelError> {
         let flat = hw.flatten();
         let n = flat.len();
         let flops_rate: Vec<f64> = flat.iter().map(|p| p.proc.flops_per_sec()).collect();
@@ -72,38 +69,19 @@ impl Scheduler {
                 }
             }
         }
-        // Topological order (Kahn).
-        let t = graph.len();
-        let mut indeg = vec![0usize; t];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); t];
-        let mut preds: Vec<Vec<(usize, f64)>> = vec![Vec::new(); t];
-        for e in &graph.edges {
-            indeg[e.to] += 1;
-            succ[e.from].push(e.to);
+        let topo = graph.topo_order()?;
+        let mut preds: Vec<Vec<(usize, f64)>> = vec![Vec::new(); graph.len()];
+        for e in graph.precedence_edges() {
             preds[e.to].push((e.from, e.bytes));
         }
-        let mut ready: Vec<usize> = (0..t).filter(|&i| indeg[i] == 0).collect();
-        ready.sort_unstable_by(|a, b| b.cmp(a));
-        let mut topo = Vec::with_capacity(t);
-        while let Some(i) = ready.pop() {
-            topo.push(i);
-            for &s in &succ[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.push(s);
-                }
-            }
-            ready.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        assert_eq!(topo.len(), t, "task graph has a cycle");
-        Scheduler {
+        Ok(Scheduler {
             flops_rate,
             mem_bw,
             lat,
             inv_bw,
             topo,
             preds,
-        }
+        })
     }
 
     /// Number of nodes in the hardware model.
@@ -230,7 +208,7 @@ mod tests {
             tasks: vec![task(1e8), task(1e8)],
             edges: vec![],
         };
-        let s = Scheduler::new(&graph, &hw(2));
+        let s = Scheduler::new(&graph, &hw(2)).unwrap();
         let together = s.estimate(
             &graph,
             &TaskMapping {
@@ -257,9 +235,10 @@ mod tests {
                 from: 0,
                 to: 1,
                 bytes: 1e7, // 1 second at 10 MB/s
+                feedback: false,
             }],
         };
-        let s = Scheduler::new(&graph, &hw(2));
+        let s = Scheduler::new(&graph, &hw(2)).unwrap();
         let local = s.estimate(
             &graph,
             &TaskMapping {
@@ -287,15 +266,17 @@ mod tests {
                     from: 0,
                     to: 1,
                     bytes: 0.0,
+                    feedback: false,
                 },
                 TaskEdge {
                     from: 1,
                     to: 2,
                     bytes: 0.0,
+                    feedback: false,
                 },
             ],
         };
-        let s = Scheduler::new(&graph, &hw(3));
+        let s = Scheduler::new(&graph, &hw(3)).unwrap();
         // Spread over 3 nodes: still serial because of the chain (zero-byte
         // edges still pay latency).
         let e = s.estimate(
@@ -319,7 +300,7 @@ mod tests {
             }],
             edges: vec![],
         };
-        let s = Scheduler::new(&graph, &hw(1));
+        let s = Scheduler::new(&graph, &hw(1)).unwrap();
         let e = s.estimate(
             &graph,
             &TaskMapping {
@@ -381,15 +362,17 @@ mod bus_tests {
                     from: 0,
                     to: 1,
                     bytes: 1e7,
+                    feedback: false,
                 },
                 TaskEdge {
                     from: 0,
                     to: 2,
                     bytes: 1e7,
+                    feedback: false,
                 },
             ],
         };
-        let s = Scheduler::new(&graph, &hw(3));
+        let s = Scheduler::new(&graph, &hw(3)).unwrap();
         let m = TaskMapping {
             nodes: vec![ProcId(0), ProcId(1), ProcId(2)],
         };
@@ -407,14 +390,63 @@ mod bus_tests {
                 from: 0,
                 to: 1,
                 bytes: 1e6,
+                feedback: false,
             }],
         };
-        let s = Scheduler::new(&graph, &hw(2));
+        let s = Scheduler::new(&graph, &hw(2)).unwrap();
         let m = TaskMapping {
             nodes: vec![ProcId(0), ProcId(1)],
         };
         let a = s.estimate(&graph, &m).makespan;
         let b = s.estimate_with_bus(&graph, &m).makespan;
         assert!((a - b).abs() < 1e-12);
+    }
+    /// A feedback arc (one leaving a `delay` block) crosses the iteration
+    /// boundary: it orders nothing within an iteration, so a delay-cycle
+    /// model schedules and maps, and its bytes still count when a mapping
+    /// cuts it. A cycle that no delay breaks is a typed error, not a panic.
+    #[test]
+    fn delay_cycles_schedule_and_true_cycles_are_typed() {
+        use sage_model::{AppGraph, Block, CostModel, DataType, Port, PropValue, Striping};
+        let dt = DataType::complex_matrix(4, 4);
+        let input = |name: &str| Port::input(name, dt.clone(), Striping::BY_ROWS);
+        let output = || Port::output("out", dt.clone(), Striping::BY_ROWS);
+        let cost = CostModel::new(16.0, 0.0);
+        let mut g = AppGraph::new("feedback");
+        let m = g.add_block(Block::primitive(
+            "m",
+            "id",
+            2,
+            cost,
+            vec![input("fb"), output()],
+        ));
+        let d = g.add_block(
+            Block::primitive("d", "id", 2, cost, vec![input("in"), output()])
+                .with_prop("delay", PropValue::Int(1)),
+        );
+        g.connect(m, "out", d, "in").unwrap();
+        g.connect(d, "out", m, "fb").unwrap();
+        let graph = TaskGraph::from_model(&g);
+        assert_eq!(graph.edges.iter().filter(|e| e.feedback).count(), 2);
+        let s = Scheduler::new(&graph, &hw(2)).expect("the delay arc breaks the cycle");
+        let quick = crate::GaConfig {
+            population: 8,
+            generations: 4,
+            ..crate::GaConfig::default()
+        };
+        let mapped = crate::ga::optimize(&graph, &s, &quick).mapping;
+        assert!(mapped.check(&graph, 2).is_empty());
+        // m on node 0, d on node 1: both arcs (128 bytes each) are cut.
+        let split = TaskMapping {
+            nodes: vec![ProcId(0), ProcId(0), ProcId(1), ProcId(1)],
+        };
+        assert_eq!(s.estimate(&graph, &split).cut_bytes, 256.0);
+
+        let mut cyclic = graph.clone();
+        cyclic.edges.iter_mut().for_each(|e| e.feedback = false);
+        assert!(matches!(
+            Scheduler::new(&cyclic, &hw(2)),
+            Err(ModelError::Cycle)
+        ));
     }
 }

@@ -6,7 +6,7 @@
 //! striping conventions — AToT optimizes against these estimates, not
 //! against measured executions, exactly as the paper's tool flow does.
 
-use sage_model::{AppGraph, BlockId, ProcId, Striping};
+use sage_model::{AppGraph, BlockId, ModelError, ProcId, Striping};
 
 /// One schedulable task (a function thread).
 #[derive(Clone, Debug, PartialEq)]
@@ -32,6 +32,10 @@ pub struct TaskEdge {
     pub to: usize,
     /// Estimated bytes that move along this edge per iteration.
     pub bytes: f64,
+    /// `true` for an arc leaving a `delay` block: its consumer reads what
+    /// an earlier iteration produced, so the edge costs bytes when cut but
+    /// orders nothing within an iteration.
+    pub feedback: bool,
 }
 
 /// A task-level mapping: node per task (what AToT produces and the glue-code
@@ -147,33 +151,30 @@ impl TaskGraph {
             let sc = cb.ports[c.to.port].striping;
             let pbase = base[c.from.block.index()];
             let cbase = base[c.to.block.index()];
+            let feedback = pb.delay() > 0;
+            let mut edge = |i: usize, j: usize, bytes: f64| {
+                tg.edges.push(TaskEdge {
+                    from: pbase + i,
+                    to: cbase + j,
+                    bytes,
+                    feedback,
+                })
+            };
             match (sp, sc) {
                 (Striping::Replicated, Striping::Replicated) => {
                     for j in 0..tc {
-                        tg.edges.push(TaskEdge {
-                            from: pbase,
-                            to: cbase + j,
-                            bytes: total,
-                        });
+                        edge(0, j, total);
                     }
                 }
                 (Striping::Replicated, Striping::Striped { .. }) => {
                     for j in 0..tc {
-                        tg.edges.push(TaskEdge {
-                            from: pbase,
-                            to: cbase + j,
-                            bytes: total / tc as f64,
-                        });
+                        edge(0, j, total / tc as f64);
                     }
                 }
                 (Striping::Striped { .. }, Striping::Replicated) => {
                     for i in 0..tp {
                         for j in 0..tc {
-                            tg.edges.push(TaskEdge {
-                                from: pbase + i,
-                                to: cbase + j,
-                                bytes: total / tp as f64,
-                            });
+                            edge(i, j, total / tp as f64);
                         }
                     }
                 }
@@ -182,11 +183,7 @@ impl TaskGraph {
                         // Aligned or nested distribution along one dim.
                         if tp == tc {
                             for t in 0..tp {
-                                tg.edges.push(TaskEdge {
-                                    from: pbase + t,
-                                    to: cbase + t,
-                                    bytes: total / tp as f64,
-                                });
+                                edge(t, t, total / tp as f64);
                             }
                         } else {
                             // Coarser/finer stripes: each consumer reads from
@@ -195,11 +192,7 @@ impl TaskGraph {
                                 let lo = j * tp / tc;
                                 let hi = ((j + 1) * tp).div_ceil(tc);
                                 for i in lo..hi.max(lo + 1).min(tp) {
-                                    tg.edges.push(TaskEdge {
-                                        from: pbase + i,
-                                        to: cbase + j,
-                                        bytes: total / (tc as f64 * (hi - lo).max(1) as f64),
-                                    });
+                                    edge(i, j, total / (tc as f64 * (hi - lo).max(1) as f64));
                                 }
                             }
                         }
@@ -207,11 +200,7 @@ impl TaskGraph {
                         // Corner turn: all-to-all tiles.
                         for i in 0..tp {
                             for j in 0..tc {
-                                tg.edges.push(TaskEdge {
-                                    from: pbase + i,
-                                    to: cbase + j,
-                                    bytes: total / (tp * tc) as f64,
-                                });
+                                edge(i, j, total / (tp * tc) as f64);
                             }
                         }
                     }
@@ -219,6 +208,45 @@ impl TaskGraph {
             }
         }
         tg
+    }
+
+    /// The edges that order tasks within an iteration: all but the
+    /// feedback arcs, which cross the iteration boundary.
+    pub fn precedence_edges(&self) -> impl Iterator<Item = &TaskEdge> {
+        self.edges.iter().filter(|e| !e.feedback)
+    }
+
+    /// A topological order of the tasks under
+    /// [`TaskGraph::precedence_edges`] (Kahn, lowest ready index first).
+    /// [`ModelError::Cycle`] if those edges have a cycle — impossible for
+    /// graphs expanded from validated models, whose every cycle passes
+    /// through a `delay` block.
+    pub fn topo_order(&self) -> Result<Vec<usize>, ModelError> {
+        let t = self.len();
+        let mut indeg = vec![0usize; t];
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); t];
+        for e in self.precedence_edges() {
+            indeg[e.to] += 1;
+            succ[e.from].push(e.to);
+        }
+        let mut ready: Vec<usize> = (0..t).filter(|&i| indeg[i] == 0).collect();
+        ready.sort_unstable_by(|a, b| b.cmp(a));
+        let mut topo = Vec::with_capacity(t);
+        while let Some(i) = ready.pop() {
+            topo.push(i);
+            for &s in &succ[i] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+            ready.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        if topo.len() == t {
+            Ok(topo)
+        } else {
+            Err(ModelError::Cycle)
+        }
     }
 
     /// Number of tasks.

@@ -6,7 +6,7 @@
 use crate::ga::{optimize, GaConfig};
 use crate::schedule::Scheduler;
 use crate::taskgraph::TaskGraph;
-use sage_model::HardwareShelf;
+use sage_model::{HardwareShelf, ModelError};
 use std::fmt::Write;
 
 /// One evaluated design point.
@@ -36,20 +36,21 @@ impl TradeStudy {
     /// names) and `node_counts`.
     ///
     /// Unknown platform names are skipped (the shelf only stocks the four
-    /// vendors of the paper's comparison).
+    /// vendors of the paper's comparison). [`ModelError::Cycle`] if `graph`
+    /// cannot be scheduled.
     pub fn run(
         graph: &TaskGraph,
         platforms: &[&str],
         node_counts: &[usize],
         ga: &GaConfig,
-    ) -> TradeStudy {
+    ) -> Result<TradeStudy, ModelError> {
         let mut study = TradeStudy::default();
         for &platform in platforms {
             for &nodes in node_counts {
                 let Some(hw) = HardwareShelf::by_name(platform, nodes) else {
                     continue;
                 };
-                let scheduler = Scheduler::new(graph, &hw);
+                let scheduler = Scheduler::new(graph, &hw)?;
                 let result = optimize(graph, &scheduler, ga);
                 let est = scheduler.estimate(graph, &result.mapping);
                 study.points.push(TradePoint {
@@ -61,7 +62,7 @@ impl TradeStudy {
                 });
             }
         }
-        study
+        Ok(study)
     }
 
     /// The point with the smallest makespan.
@@ -116,6 +117,7 @@ mod tests {
                     from: i,
                     to: i + 1,
                     bytes: 1.0e4,
+                    feedback: false,
                 })
                 .collect(),
         }
@@ -131,7 +133,7 @@ mod tests {
 
     #[test]
     fn study_covers_the_sweep() {
-        let s = TradeStudy::run(&graph(), &["CSPI", "Mercury"], &[2, 4], &quick_ga());
+        let s = TradeStudy::run(&graph(), &["CSPI", "Mercury"], &[2, 4], &quick_ga()).unwrap();
         assert_eq!(s.points.len(), 4);
         assert!(s.best().is_some());
         let table = s.render();
@@ -141,7 +143,7 @@ mod tests {
 
     #[test]
     fn unknown_platforms_skipped() {
-        let s = TradeStudy::run(&graph(), &["Cray", "CSPI"], &[2], &quick_ga());
+        let s = TradeStudy::run(&graph(), &["Cray", "CSPI"], &[2], &quick_ga()).unwrap();
         assert_eq!(s.points.len(), 1);
         assert_eq!(s.points[0].platform, "CSPI");
     }
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn faster_platform_wins_compute_bound_study() {
         // A serial chain cannot use more nodes, so the fastest CPU wins.
-        let s = TradeStudy::run(&graph(), &["Mercury", "SIGI"], &[4], &quick_ga());
+        let s = TradeStudy::run(&graph(), &["Mercury", "SIGI"], &[4], &quick_ga()).unwrap();
         let best = s.best().unwrap();
         assert_eq!(best.platform, "Mercury");
     }

@@ -15,7 +15,7 @@ fn main() {
         .expect("model flattens");
     let graph = TaskGraph::from_model(&flat);
     let hw = HardwareShelf::cspi_with_nodes(nodes);
-    let scheduler = Scheduler::new(&graph, &hw);
+    let scheduler = Scheduler::new(&graph, &hw).expect("the STAP task graph is acyclic");
 
     println!(
         "AToT mapping study — STAP pipeline ({} tasks) on {} CSPI nodes\n",
@@ -76,7 +76,8 @@ fn main() {
         &["CSPI", "Mercury", "SKY", "SIGI"],
         &[4, 8, 16],
         &quick,
-    );
+    )
+    .expect("the STAP task graph is acyclic");
     print!("{}", study.render());
     let best = study.best().expect("non-empty study");
     println!(

@@ -75,7 +75,7 @@ impl Project {
         let flat = self.app.flatten()?;
         sage_model::validate(&flat)?;
         let tg = TaskGraph::from_model(&flat);
-        let scheduler = Scheduler::new(&tg, &self.hardware);
+        let scheduler = Scheduler::new(&tg, &self.hardware)?;
         Ok(sage_atot::ga::optimize(&tg, &scheduler, ga).mapping)
     }
 

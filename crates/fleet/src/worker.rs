@@ -352,7 +352,7 @@ mod tests {
         let mut params = JobParams::new("(app demo)", 1);
         params.pipeline = Some(2);
         let options = runtime_options(&params, &program).expect("no depths: global depth");
-        assert_eq!(options.pipeline, Some(2));
+        assert_eq!(options.issue, sage_runtime::IssuePolicy::Streaming(2));
         params.pipeline_depths = vec![2];
         assert!(matches!(
             runtime_options(&params, &program),

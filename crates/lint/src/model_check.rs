@@ -52,8 +52,9 @@ pub fn lint_model(app: &AppGraph, nodes: usize, spans: Option<&ModelSpans>) -> D
 }
 
 /// Lints an explicit AToT task mapping for a flattened model on `nodes`
-/// processors: coverage (`SAGE020`), node range (`SAGE021`), and idle nodes
-/// (`SAGE031`).
+/// processors: coverage (`SAGE020`), node range (`SAGE021`), a task graph no
+/// mapping can schedule (`SAGE015`: a cycle that no `delay` block breaks),
+/// and idle nodes (`SAGE031`).
 pub fn lint_mapping(flat: &AppGraph, mapping: &TaskMapping, nodes: usize) -> Diagnostics {
     let mut diags = Diagnostics::new();
     let tg = TaskGraph::from_model(flat);
@@ -82,6 +83,10 @@ pub fn lint_mapping(flat: &AppGraph, mapping: &TaskMapping, nodes: usize) -> Dia
                 ),
             ));
         }
+    }
+    if let Err(cycle) = tg.topo_order() {
+        // No mapping can schedule a task graph whose precedence edges loop.
+        diags.push(model_error_diag(&cycle, None));
     }
     let idle = mapping.idle_nodes(nodes);
     if !idle.is_empty() && mapping.nodes.len() == tg.len() {
@@ -445,6 +450,12 @@ mod tests {
         let cycle = d.diags.iter().find(|x| x.code == "SAGE015").unwrap();
         assert_eq!(cycle.severity, crate::Severity::Warning);
         assert!(cycle.notes[0].contains("delay"));
+        // No mapping can schedule the true cycle; the delayed one maps.
+        let mapping = TaskMapping {
+            nodes: vec![sage_model::ProcId(0); 2],
+        };
+        assert_eq!(codes(&lint_mapping(&g, &mapping, 1)), ["SAGE015"]);
+        assert!(lint_mapping(&with_delay, &mapping, 1).is_empty());
     }
 
     #[test]

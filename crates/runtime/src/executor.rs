@@ -20,24 +20,30 @@
 //! charged — when the redistribution is nontrivial, mirroring what the real
 //! run-time's DMA descriptors would do.
 //!
+//! The kernel is table-driven, as the paper's is: [`prepare`] compiles,
+//! once per program, every task's transfers into edge lists ([`TaskEdges`])
+//! and the per-task steps only iterate them. Same-node hand-offs live in
+//! one ring store indexed by pair; the [`IssuePolicy`] sets each ring's
+//! length.
+//!
 //! One scheduler sequences every real workload: the staircase loop of
 //! [`execute_rank`]. Lock-step is that loop with a one-iteration horizon
 //! and no credit protocol; streaming (`--pipeline`) widens the horizon and
 //! bounds each buffer's ring with credits. `--pipeline-validate` is an
-//! oracle, not a mode: a different issue order and a fixed-slot store over
-//! the same task body, kept because it is the only dynamic model of the
-//! physical rings the static pipeline pass proves things about.
+//! oracle, not a mode: a different issue order over the same store and the
+//! same task body, kept because its fixed rings are the only dynamic model
+//! of the physical rings the static pipeline pass proves things about.
 
 use crate::function::{FnThreadCtx, Registry, RuntimeError, StripePayload};
-use crate::glue::{xfer_tag, FnRole, GlueProgram, Task, TAG_ITERATIONS};
-use crate::options::{BufferScheme, RuntimeOptions};
-use crate::race::{fnv1a_64, Intervals, RaceState};
+use crate::glue::{xfer_tag, FnRole, FunctionDescriptor, GlueProgram, Task, TAG_ITERATIONS};
+use crate::options::{BufferScheme, IssuePolicy, RuntimeOptions};
+use crate::race::{fnv1a_64, Intervals, PortAccess, RaceState};
 use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
 use sage_fabric::{
     Cluster, FabricError, MachineSpec, Payload, RunReport, TimePolicy, Transport, Work,
 };
 use sage_visualizer::{Collector, Probe, Trace};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Collected sink deposits: the stripes each sink thread absorbed.
@@ -190,9 +196,6 @@ struct BufferPlan {
     /// `true` when producer and consumer layouts are identical per thread:
     /// the transfer degrades to per-thread hand-offs (no pack/unpack).
     aligned: bool,
-    /// `ops[i][j]`: compiled, coalesced pack/unpack programs per (producer
-    /// thread, consumer thread) pair. Empty when `aligned` (never packed).
-    ops: Vec<Vec<PairOps>>,
     dst_local_shape: Vec<usize>,
     src_local_shape: Vec<usize>,
     /// Global byte intervals producer thread `i` contributes (union of its
@@ -205,8 +208,10 @@ struct BufferPlan {
 /// Exactly one buffer per port in canonically generated programs; fan-in
 /// (multiple producers connected to one port) puts several.
 struct PortGroup {
-    /// Consumer port name (for race reporting).
+    /// Consumer port name.
     port: String,
+    /// `"{fn}.{port}"`, the name race reports give the port.
+    label: String,
     /// Buffer ids in function-input order (the merge order).
     buffers: Vec<u32>,
     /// Per consumer thread: the global byte intervals the thread's stripe
@@ -225,6 +230,51 @@ pub struct Prepared {
     /// Per buffer: `(consumer fn, input-port group index)` — the conflict
     /// domain a write to the buffer lands in.
     buffer_group: Vec<(u32, u32)>,
+    /// Per function, per thread: the task's compiled transfers.
+    tasks: Vec<Vec<TaskEdges>>,
+    /// Per pair index: the pair's buffer and its compiled, coalesced
+    /// pack/unpack programs (empty when the buffer is aligned: never packed).
+    pair_table: Vec<(u32, PairOps)>,
+}
+
+impl Prepared {
+    /// The compiled transfers of `task`.
+    pub fn edges(&self, task: Task) -> &TaskEdges {
+        &self.tasks[task.fn_id as usize][task.thread as usize]
+    }
+}
+
+/// One compiled transfer — a nonempty (producer thread, consumer thread)
+/// pair of a logical buffer — seen from the task at one end of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Edge {
+    /// Logical buffer id.
+    pub buffer: u32,
+    /// The buffer's iteration delay: the consumer reads iteration
+    /// `i - delay`.
+    pub delay: u32,
+    /// The peer task's thread (of the buffer's other function).
+    pub peer_thread: u32,
+    /// The node the peer task is placed on.
+    pub peer_node: u32,
+    /// The pair's dense index over the whole program, shared by its two
+    /// ends: it addresses the pair's pack/unpack program, hand-off ring,
+    /// staging buffer and credit cell.
+    pub pair: u32,
+    /// Byte runs the pair moves (descriptor walks are charged per run).
+    pub runs: u32,
+}
+
+/// Every transfer of one task `(fn, thread)`, in the order the task
+/// performs them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TaskEdges {
+    /// Per input port (fan-in group): its edges in `f.inputs` order, then
+    /// producer-thread order.
+    pub inputs: Vec<Vec<Edge>>,
+    /// Per output buffer, in `f.outputs` order: its edges in
+    /// consumer-thread order.
+    pub outputs: Vec<Vec<Edge>>,
 }
 
 /// Validates `program`, resolves every kernel through `registry`, and plans
@@ -263,17 +313,6 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
             let cf = &program.functions[b.consumer as usize];
             let aligned = pf.threads == cf.threads
                 && (0..pf.threads as usize).all(|t| plan.src[t] == plan.dst[t]);
-            let ops = if aligned {
-                Vec::new()
-            } else {
-                (0..pf.threads as usize)
-                    .map(|i| {
-                        (0..cf.threads as usize)
-                            .map(|j| plan.pair_ops(i, j))
-                            .collect()
-                    })
-                    .collect()
-            };
             let write_regions = (0..pf.threads as usize)
                 .map(|i| {
                     Arc::new(crate::race::union_intervals(
@@ -294,7 +333,6 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
                 ),
                 plan,
                 aligned,
-                ops,
                 write_regions,
             }
         })
@@ -304,6 +342,7 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
     // agree on the port's layout or the merge target is ill-defined.
     let mut input_groups: Vec<Vec<PortGroup>> = Vec::with_capacity(program.functions.len());
     let mut buffer_group = vec![(0u32, 0u32); program.buffers.len()];
+    let mut tasks: Vec<Vec<TaskEdges>> = Vec::with_capacity(program.functions.len());
     for f in &program.functions {
         let mut groups: Vec<PortGroup> = Vec::new();
         for &bid in &f.inputs {
@@ -312,6 +351,7 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
                 Some(g) => g.buffers.push(bid),
                 None => groups.push(PortGroup {
                     port: port.clone(),
+                    label: format!("{}.{port}", f.name),
                     buffers: vec![bid],
                     read_regions: Vec::new(),
                 }),
@@ -346,13 +386,60 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
                 buffer_group[bid as usize] = (f.id, gi as u32);
             }
         }
+        let shape = TaskEdges {
+            inputs: vec![Vec::new(); groups.len()],
+            outputs: vec![Vec::new(); f.outputs.len()],
+        };
+        tasks.push(vec![shape; f.threads as usize]);
         input_groups.push(groups);
+    }
+    // Compile every task's transfers, the one walk of the pair matrices:
+    // each nonempty pair becomes an input edge of its consumer task and an
+    // output edge of its producer task, under one fresh pair index.
+    let mut pairs = Vec::new();
+    for (cf, groups) in program.functions.iter().zip(&input_groups) {
+        for (gi, bid) in groups
+            .iter()
+            .enumerate()
+            .flat_map(|(gi, g)| g.buffers.iter().map(move |&bid| (gi, bid)))
+        {
+            let desc = &program.buffers[bid as usize];
+            let pf = &program.functions[desc.producer as usize];
+            // Only the buffer's own consumer is sent to; a function reading
+            // a buffer routed elsewhere fails typed on its missing hand-off.
+            let output = pf.outputs.iter().position(|&o| o == bid);
+            let output = output.filter(|_| desc.consumer == cf.id);
+            let bp = &plans[bid as usize];
+            for (i, row) in bp.plan.pairs.iter().enumerate() {
+                for j in 0..cf.threads as usize {
+                    let Some(runs) = row.get(j).map(Vec::len).filter(|&n| n > 0) else {
+                        continue;
+                    };
+                    let end = |f: &FunctionDescriptor, thread: usize| Edge {
+                        buffer: bid,
+                        delay: desc.delay,
+                        peer_thread: thread as u32,
+                        peer_node: f.placement[thread],
+                        pair: pairs.len() as u32,
+                        runs: runs as u32,
+                    };
+                    tasks[cf.id as usize][j].inputs[gi].push(end(pf, i));
+                    if let Some(k) = output {
+                        tasks[pf.id as usize][i].outputs[k].push(end(cf, j));
+                    }
+                    let ops = (!bp.aligned).then(|| bp.plan.pair_ops(i, j));
+                    pairs.push((bid, ops.unwrap_or_default()));
+                }
+            }
+        }
     }
     Ok(Prepared {
         plans,
         kernels,
         input_groups,
         buffer_group,
+        tasks,
+        pair_table: pairs,
     })
 }
 
@@ -498,59 +585,67 @@ fn credit_tag((bid, producer_thread, consumer_thread): (u32, u32, u32)) -> u64 {
     CREDIT_BIT | xfer_tag(bid, 0, producer_thread, consumer_thread)
 }
 
-/// Node-local hand-off store: tag -> payload (shared, not copied).
-///
-/// Streaming queues per tag: per-pair hand-offs are produced and consumed
-/// in iteration order, so a FIFO keeps ring-masked tags unambiguous at any
-/// depth while credits bound each queue's length. Otherwise a ring slot
-/// holds one live payload. Lock-step rings are far deeper than the one
-/// iteration (plus any `delay`) it keeps live, so no slot is rewritten
-/// before it is read and the plain map is exact, with no queue to allocate
-/// per hand-off; in the pipeline-validate oracle *reusing a slot before its
-/// reader got there* is exactly the corruption it exists to surface.
-enum LocalStore {
-    Overwrite(HashMap<u64, Payload>),
-    Queued(HashMap<u64, VecDeque<Payload>>),
+/// The node-local hand-off store: one fixed ring of slots per transfer
+/// pair, payloads shared, not copied. A pair's iteration `i` lives in slot
+/// `i % len` of its ring; [`Ring::len`] is the issue policy's only store
+/// policy — long enough in lock-step and streaming that no slot is
+/// rewritten before it is read, and exactly the oracle's depth in
+/// pipeline-validate, where *reusing a slot before its reader got there* is
+/// the corruption that mode exists to surface.
+struct RingStore {
+    slots: Vec<Option<Payload>>,
+    /// Per pair: the first slot of its ring.
+    base: Vec<usize>,
+    /// Logical bytes pending in the store (for the memory high-water
+    /// sample), kept as payloads come and go.
+    live_bytes: usize,
 }
 
-impl LocalStore {
-    fn insert(&mut self, tag: u64, payload: Payload) {
-        match self {
-            LocalStore::Overwrite(m) => {
-                m.insert(tag, payload);
-            }
-            LocalStore::Queued(m) => m.entry(tag).or_default().push_back(payload),
+impl RingStore {
+    /// Stores `payload`, replacing whatever the slot held.
+    fn put(&mut self, slot: usize, payload: Payload) {
+        self.live_bytes += payload.len();
+        if let Some(old) = self.slots[slot].replace(payload) {
+            self.live_bytes -= old.len();
         }
     }
 
-    fn remove(&mut self, tag: u64) -> Option<Payload> {
-        match self {
-            LocalStore::Overwrite(m) => m.remove(&tag),
-            LocalStore::Queued(m) => {
-                let q = m.get_mut(&tag)?;
-                let p = q.pop_front();
-                if q.is_empty() {
-                    m.remove(&tag);
-                }
-                p
-            }
-        }
+    /// Takes the slot's payload, leaving it empty.
+    fn take(&mut self, slot: usize) -> Option<Payload> {
+        let payload = self.slots[slot].take()?;
+        self.live_bytes -= payload.len();
+        Some(payload)
     }
 
-    /// Live logical bytes pending in the store (for the memory high-water
-    /// sample).
+    /// Logical bytes pending in the store.
     fn live_bytes(&self) -> usize {
-        match self {
-            LocalStore::Overwrite(m) => m.values().map(|p| p.len()).sum(),
-            LocalStore::Queued(m) => m.values().flatten().map(|p| p.len()).sum(),
-        }
+        debug_assert_eq!(
+            self.live_bytes,
+            self.slots.iter().flatten().map(|p| p.len()).sum::<usize>(),
+            "the running counter drifted from the store's contents"
+        );
+        self.live_bytes
     }
+}
+
+/// One buffer's share of the issue policy.
+struct Ring {
+    /// Modulus of the iteration field of the buffer's transfer tags.
+    depth: u32,
+    /// Credit window: ring depth + delay. A producer needs a credit to emit
+    /// iteration `p >= window`; the consumer that frees the slot is reading
+    /// producer-iteration `p - window`, `delay` arcs included. `u32::MAX`
+    /// (lock-step, validate) disables the protocol: no credit is ever
+    /// awaited or sent.
+    window: u32,
+    /// Slots in each of the buffer's hand-off rings in the [`RingStore`].
+    len: u32,
 }
 
 /// Everything one rank's run reads and mutates. The execution modes differ
-/// only in the policy [`execute_rank`] fills in — issue order, hand-off
-/// store, per-buffer ring depth and credit window; the task body
-/// ([`RankState::run_task`]) is the same for all of them.
+/// only in the policy [`execute_rank`] fills in — issue order and each
+/// buffer's [`Ring`]; the edge tables, the hand-off store and the task body
+/// ([`RankState::run_task`]) are the same for all of them.
 struct RankState<'a, T: Transport> {
     ctx: &'a mut T,
     program: &'a GlueProgram,
@@ -561,24 +656,17 @@ struct RankState<'a, T: Transport> {
     node: u32,
     /// Total iterations in the run (for the credit-return skip rule).
     iterations: u32,
-    store: LocalStore,
-    /// Per-(buffer, src thread, dst thread) staging buffers for packed
-    /// redistribution messages, reused across iterations whenever the
-    /// previous iteration's receiver has already released its handle.
-    staging: HashMap<(u32, u32, u32), Payload>,
+    /// Per buffer id.
+    rings: Vec<Ring>,
+    store: RingStore,
+    /// Per pair: the staging buffer for its packed redistribution message,
+    /// reused across iterations whenever the previous iteration's receiver
+    /// has already released its handle.
+    staging: Vec<Payload>,
+    /// Per pair: outstanding credits of a same-node pair; remote pairs ride
+    /// the credit tag channel.
+    local_credits: Vec<u32>,
     deposits: Vec<Deposit>,
-    /// Ring depth per buffer id: a transfer tag's iteration field is
-    /// `iteration % depth`.
-    depths: Vec<u32>,
-    /// Credit window per buffer id: ring depth + delay. A producer needs a
-    /// credit to emit iteration `p >= window`; the consumer that frees the
-    /// slot is reading producer-iteration `p - window`, `delay` arcs
-    /// included. `u32::MAX` (lock-step, validate) disables the protocol:
-    /// no credit is ever awaited or sent.
-    window: Vec<u32>,
-    /// Outstanding credits for same-node (buffer, producer thread,
-    /// consumer thread) pairs; remote pairs ride the credit tag channel.
-    local_credits: HashMap<(u32, u32, u32), u32>,
     stats: StreamStats,
 }
 
@@ -590,21 +678,10 @@ struct RankState<'a, T: Transport> {
 /// injected faults surface as `Err(RuntimeError)` instead of panics; the
 /// fault site is also recorded in the trace when probes are on.
 ///
-/// There is one issue loop, `RankState::run_staircase`, and the modes are
-/// policies on it:
-///
-/// * **streaming** (`options.pipeline = Some(h)`): horizon `h`, each
-///   buffer a ring of its proven depth (capped by `h`), credit window =
-///   depth + delay;
-/// * **lock-step** (the default): horizon 1, so exactly one slot is ever
-///   issuable and issue order is schedule order; the ring is as deep as the
-///   tag's iteration field ([`TAG_ITERATIONS`]) and the credit window is
-///   infinite, so no credit message exists and traffic and virtual-clock
-///   charges are those of a plain in-order walk. (`--pipeline 1` is *not*
-///   this: it has one-slot rings and pays for credits.)
-///
-/// `options.pipeline_validate` swaps in the block-interleaved oracle order
-/// (`RankState::run_block_interleaved`) over fixed-slot rings.
+/// There is one issue loop, `RankState::run_staircase`, and lock-step and
+/// streaming are policies on it ([`IssuePolicy`] documents each: horizon,
+/// ring length, credit window); [`IssuePolicy::Validate`] swaps in the
+/// block-interleaved oracle order (`RankState::run_block_interleaved`).
 pub fn execute_rank<T: Transport>(
     ctx: &mut T,
     program: &GlueProgram,
@@ -614,28 +691,41 @@ pub fn execute_rank<T: Transport>(
     probe: &Probe,
     race: Option<&RaceState>,
 ) -> Result<RankOutcome, RuntimeError> {
-    if options.pipeline.is_some() && options.pipeline_validate.is_some() {
-        return Err(RuntimeError::BadProgram(
-            "streaming execution (--pipeline) and pipeline cross-validation \
-             (--pipeline-validate) are mutually exclusive"
-                .into(),
-        ));
-    }
-    let horizon = options.pipeline.map(|h| h.max(1));
-    let (depths, window) = program
+    let rings: Vec<Ring> = program
         .buffers
         .iter()
-        .map(|b| match (horizon, options.pipeline_validate) {
-            // The buffer's proven cap bounded by the global knob, min 1.
-            (Some(horizon), _) => {
-                let cap = options.pipeline_depths.get(b.id as usize);
-                let depth = cap.map_or(horizon, |&c| c.min(horizon).max(1));
-                (depth, depth.saturating_add(b.delay))
+        .map(|b| {
+            let (depth, window, len) = match options.issue {
+                // The buffer's proven cap bounded by the global knob, min 1.
+                IssuePolicy::Streaming(horizon) => {
+                    let horizon = horizon.max(1);
+                    let cap = options.pipeline_depths.get(b.id as usize);
+                    let depth = cap.map_or(horizon, |&c| c.min(horizon).max(1));
+                    let window = depth.saturating_add(b.delay);
+                    (depth, window, window)
+                }
+                IssuePolicy::Validate(depth) => (depth.max(1), u32::MAX, depth),
+                IssuePolicy::LockStep => (TAG_ITERATIONS, u32::MAX, b.delay.saturating_add(1)),
+            };
+            Ring {
+                depth,
+                window,
+                // A run never tells more than `iterations` slots apart.
+                len: len.clamp(1, iterations.max(1)),
             }
-            (None, Some(depth)) => (depth, u32::MAX),
-            (None, None) => (TAG_ITERATIONS, u32::MAX),
         })
-        .unzip();
+        .collect();
+    let mut slots = 0;
+    let base = prepared
+        .pair_table
+        .iter()
+        .map(|&(bid, _)| {
+            let base = slots;
+            slots += rings[bid as usize].len as usize;
+            base
+        })
+        .collect();
+    let pairs = prepared.pair_table.len();
     let mut rank = RankState {
         node: ctx.rank() as u32,
         ctx,
@@ -645,20 +735,21 @@ pub fn execute_rank<T: Transport>(
         probe,
         race,
         iterations,
-        store: match horizon {
-            Some(_) => LocalStore::Queued(HashMap::new()),
-            None => LocalStore::Overwrite(HashMap::new()),
+        rings,
+        store: RingStore {
+            slots: vec![None; slots],
+            base,
+            live_bytes: 0,
         },
-        staging: HashMap::new(),
+        staging: vec![Payload::default(); pairs],
+        local_credits: vec![0; pairs],
         deposits: Vec::new(),
-        depths,
-        window,
-        local_credits: HashMap::new(),
         stats: StreamStats::default(),
     };
-    match options.pipeline_validate {
-        None => rank.run_staircase(horizon.unwrap_or(1))?,
-        Some(depth) => rank.run_block_interleaved(depth)?,
+    match options.issue {
+        IssuePolicy::LockStep => rank.run_staircase(1)?,
+        IssuePolicy::Streaming(horizon) => rank.run_staircase(horizon.max(1))?,
+        IssuePolicy::Validate(depth) => rank.run_block_interleaved(depth.max(1))?,
     }
     Ok(RankOutcome {
         deposits: rank.deposits,
@@ -688,13 +779,6 @@ impl<T: Transport> RankState<'_, T> {
     /// lock-step walk.
     fn run_staircase(&mut self, horizon: u32) -> Result<(), RuntimeError> {
         let sched = &self.program.schedules[self.node as usize];
-        // This rank's tasks by (fn, thread) -> schedule slot, for same-node
-        // producer progress checks.
-        let slot_of: HashMap<(u32, u32), usize> = sched
-            .iter()
-            .enumerate()
-            .map(|(s, t)| ((t.fn_id, t.thread), s))
-            .collect();
         let iterations = self.iterations;
         let mut next: Vec<u32> = vec![0; sched.len()];
         let mut candidates: Vec<(u32, usize)> = Vec::with_capacity(sched.len());
@@ -717,7 +801,7 @@ impl<T: Transport> RankState<'_, T> {
                 [minimal, ..] => candidates
                     .iter()
                     .copied()
-                    .find(|&(i, s)| self.task_ready(&slot_of, &next, sched[s], i))
+                    .find(|&(i, s)| self.task_ready(sched[s], i))
                     .unwrap_or(minimal),
             };
             self.run_task(sched[s], i)?;
@@ -732,11 +816,11 @@ impl<T: Transport> RankState<'_, T> {
     /// before the next slot starts. The final block is simply the
     /// `iterations % depth` tail (`end` is clamped), so every tail
     /// iteration executes and retires exactly once. Every ring is `depth`
-    /// fixed slots in an overwrite store: a program whose proven safe depth
-    /// is >= `depth` is bit-identical to lock-step, while an over-deep run
-    /// reuses a slot before its reader got there and corrupts or fails
-    /// typed — exactly what the static pipeline pass (SAGE060/061/062)
-    /// predicts, and what the staircase's per-tag FIFOs can never show.
+    /// slots: a program whose proven safe depth is >= `depth` is
+    /// bit-identical to lock-step, while an over-deep run reuses a slot
+    /// before its reader got there and corrupts or fails typed — exactly
+    /// what the static pipeline pass (SAGE060/061/062) predicts, and what
+    /// the staircase's credit-guarded rings can never show.
     fn run_block_interleaved(&mut self, depth: u32) -> Result<(), RuntimeError> {
         let mut start = 0;
         while start < self.iterations {
@@ -757,10 +841,17 @@ impl<T: Transport> RankState<'_, T> {
     fn tag(&self, bid: u32, iter: u32, src_thread: u32, dst_thread: u32) -> u64 {
         xfer_tag(
             bid,
-            iter % self.depths[bid as usize],
+            iter % self.rings[bid as usize].depth,
             src_thread,
             dst_thread,
         )
+    }
+
+    /// Where iteration `iter` of the same-node pair behind `edge` lives in
+    /// the hand-off store.
+    fn slot(&self, edge: &Edge, iter: u32) -> usize {
+        let len = self.rings[edge.buffer as usize].len;
+        self.store.base[edge.pair as usize] + (iter % len) as usize
     }
 
     /// Nonblocking readiness probe for running schedule slot `task` at
@@ -769,76 +860,40 @@ impl<T: Transport> RankState<'_, T> {
     /// `false` only demotes the task in the issue order; the blocking
     /// fallback keeps forward progress when a backend cannot peek its
     /// mailbox.
-    fn task_ready(
-        &mut self,
-        slot_of: &HashMap<(u32, u32), usize>,
-        next: &[u32],
-        task: Task,
-        iter: u32,
-    ) -> bool {
-        let (program, prepared, node) = (self.program, self.prepared, self.node);
-        let tid = task.thread as usize;
-        // Inputs: every nonempty (producer thread -> this thread) pair of
-        // every input buffer must have its iteration `iter - delay`
-        // hand-off available (produced locally, or arrived in the mailbox).
-        for group in &prepared.input_groups[task.fn_id as usize] {
-            for &bid in &group.buffers {
-                let bp = &prepared.plans[bid as usize];
-                let desc = &program.buffers[bid as usize];
-                let Some(src_iter) = iter.checked_sub(desc.delay) else {
-                    continue; // delay arc before its first payload: zero-fill
-                };
-                let producer = &program.functions[desc.producer as usize];
-                for (t, row) in bp.plan.pairs.iter().enumerate() {
-                    if row[tid].is_empty() {
-                        continue;
-                    }
-                    let src_node = producer.placement[t];
-                    if src_node == node {
-                        match slot_of.get(&(desc.producer, t as u32)) {
-                            Some(&sp) => {
-                                if next[sp] <= src_iter {
-                                    return false;
-                                }
-                            }
-                            // Producer absent from this rank's schedule:
-                            // let the blocking path surface the typed
-                            // error.
-                            None => return false,
-                        }
-                    } else {
-                        let tag = self.tag(bid, src_iter, t as u32, task.thread);
-                        if !self.ctx.try_recv_ready(src_node as usize, tag) {
-                            return false;
-                        }
-                    }
-                }
+    fn task_ready(&mut self, task: Task, iter: u32) -> bool {
+        let edges = self.prepared.edges(task);
+        // Inputs: every edge must have its iteration `iter - delay`
+        // hand-off available — in its ring slot (this task has already
+        // emptied the slot's earlier laps) or in the mailbox.
+        for e in edges.inputs.iter().flatten() {
+            let Some(src_iter) = iter.checked_sub(e.delay) else {
+                continue; // delay arc before its first payload: zero-fill
+            };
+            let landed = if e.peer_node == self.node {
+                self.store.slots[self.slot(e, src_iter)].is_some()
+            } else {
+                let tag = self.tag(e.buffer, src_iter, e.peer_thread, task.thread);
+                self.ctx.try_recv_ready(e.peer_node as usize, tag)
+            };
+            if !landed {
+                return false;
             }
         }
-        // Outputs: past a buffer's credit window, every nonempty (this
-        // thread -> consumer thread) pair must hold a credit.
-        let f = &program.functions[task.fn_id as usize];
-        for &bid in &f.outputs {
-            if iter < self.window[bid as usize] {
+        // Outputs: past a buffer's credit window, every edge must hold a
+        // credit.
+        for e in edges.outputs.iter().flatten() {
+            if iter < self.rings[e.buffer as usize].window {
                 continue;
             }
-            let bp = &prepared.plans[bid as usize];
-            let desc = &program.buffers[bid as usize];
-            let consumer = &program.functions[desc.consumer as usize];
-            for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let dst_node = consumer.placement[j];
-                let pair = (bid, task.thread, j as u32);
-                let have = if dst_node == node {
-                    self.local_credits.get(&pair).is_some_and(|&c| c > 0)
-                } else {
-                    self.ctx.try_recv_ready(dst_node as usize, credit_tag(pair))
-                };
-                if !have {
-                    return false;
-                }
+            let have = if e.peer_node == self.node {
+                self.local_credits[e.pair as usize] > 0
+            } else {
+                let pair = (e.buffer, task.thread, e.peer_thread);
+                self.ctx
+                    .try_recv_ready(e.peer_node as usize, credit_tag(pair))
+            };
+            if !have {
+                return false;
             }
         }
         true
@@ -877,92 +932,84 @@ impl<T: Transport> RankState<'_, T> {
         iter: u32,
     ) -> Result<Vec<StripePayload>, RuntimeError> {
         let (program, options, node) = (self.program, self.options, self.node);
-        let plans = &self.prepared.plans;
+        let (plans, pair_table) = (&self.prepared.plans, &self.prepared.pair_table);
         let f = &program.functions[task.fn_id as usize];
         let tid = task.thread as usize;
         let groups = &self.prepared.input_groups[task.fn_id as usize];
         let mut inputs: Vec<StripePayload> = Vec::with_capacity(groups.len());
-        for (gi, group) in groups.iter().enumerate() {
+        for (gi, (group, edges)) in groups
+            .iter()
+            .zip(&self.prepared.edges(task).inputs)
+            .enumerate()
+        {
             let multi = group.buffers.len() > 1;
             let first_bp = &plans[group.buffers[0] as usize];
             let mut local: Option<Payload> = None;
-            for &bid in &group.buffers {
-                let bp = &plans[bid as usize];
-                let desc = &program.buffers[bid as usize];
-                let producer = &program.functions[desc.producer as usize];
-                let dst_layout = &bp.plan.dst[tid];
+            for e in edges {
+                let bp = &plans[e.buffer as usize];
                 // A `delay` arc carries the payload the producer emitted
                 // `delay` iterations earlier; while `iter < delay` there is
                 // nothing to read yet and the consumer sees the zeroed
                 // stripe the fallback below synthesizes.
-                let Some(src_iter) = iter.checked_sub(desc.delay) else {
+                let Some(src_iter) = iter.checked_sub(e.delay) else {
                     continue;
                 };
-                for (i, row) in bp.plan.pairs.iter().enumerate() {
-                    let intervals = &row[tid];
-                    if intervals.is_empty() {
-                        continue;
+                let msg = if e.peer_node == node {
+                    match self.store.take(self.slot(e, src_iter)) {
+                        Some(m) => m,
+                        None => {
+                            // The producing task has not run yet on this
+                            // node: the schedule is out of order. Nothing
+                            // was ever sent, so zero attempts were made.
+                            self.probe.fault(self.ctx.now(), e.buffer, iter);
+                            return Err(RuntimeError::TransferFailed {
+                                node,
+                                peer: e.peer_node,
+                                attempts: 0,
+                            });
+                        }
                     }
-                    let src_node = producer.placement[i];
-                    let tag = self.tag(bid, src_iter, i as u32, task.thread);
-                    let msg = if src_node == node {
-                        match self.store.remove(tag) {
-                            Some(m) => m,
-                            None => {
-                                // The producing task has not run yet on
-                                // this node: the schedule is out of order.
-                                // Nothing was ever sent, so zero attempts
-                                // were made.
-                                self.probe.fault(self.ctx.now(), bid, iter);
-                                return Err(RuntimeError::TransferFailed {
-                                    node,
-                                    peer: src_node,
-                                    attempts: 0,
-                                });
-                            }
-                        }
-                    } else {
-                        let m = self.recv(src_node, tag, bid, iter)?;
-                        if let Some(race) = self.race {
-                            race.join_recv(node, tag);
-                        }
-                        self.ctx.advance(options.mpi.recv_overhead);
-                        m
-                    };
-                    if bp.aligned && !multi {
-                        // Whole stripe arrives as one piece: hand it off.
-                        local = Some(msg);
-                    } else if bp.aligned {
-                        // Fan-in keeps the hand-off but merges it into the
-                        // port's shared buffer with a charged copy; later
-                        // buffers in the group overwrite earlier ones.
-                        self.ctx.compute(Work::copy(msg.len()));
-                        let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
-                        buf.to_mut().copy_from_slice(&msg);
-                    } else {
-                        // Unpack into the consuming function's logical
-                        // buffer (interpreted descriptor walk: per-run
-                        // overhead). Under the paper's unique-buffer scheme
-                        // this is a full read+write pass into the
-                        // function's own buffer; the improved shared scheme
-                        // scatters write-only into the buffer the function
-                        // reads directly (DMA-style).
-                        self.ctx
-                            .advance(options.per_run_overhead * intervals.len() as f64);
-                        match options.buffer_scheme {
-                            BufferScheme::UniquePerFunction => {
-                                self.ctx.compute(Work::copy(msg.len()))
-                            }
-                            BufferScheme::Shared => self.ctx.compute(Work {
-                                flops: 0.0,
-                                mem_bytes: msg.len() as f64,
-                                overhead_secs: 0.0,
-                            }),
-                        }
-                        let buf = local.get_or_insert_with(|| Payload::zeroed(dst_layout.len()));
-                        // Compiled, coalesced scatter.
-                        bp.ops[i][tid].unpack_into(&msg, buf.to_mut());
+                } else {
+                    let tag = self.tag(e.buffer, src_iter, e.peer_thread, task.thread);
+                    let m = self.recv(e.peer_node, tag, e.buffer, iter)?;
+                    if let Some(race) = self.race {
+                        race.join_recv(node, tag);
                     }
+                    self.ctx.advance(options.mpi.recv_overhead);
+                    m
+                };
+                if bp.aligned && !multi {
+                    // Whole stripe arrives as one piece: hand it off.
+                    local = Some(msg);
+                } else if bp.aligned {
+                    // Fan-in keeps the hand-off but merges it into the
+                    // port's shared buffer with a charged copy; later
+                    // buffers in the group overwrite earlier ones.
+                    self.ctx.compute(Work::copy(msg.len()));
+                    let buf = local.get_or_insert_with(|| Payload::zeroed(bp.plan.dst[tid].len()));
+                    buf.to_mut().copy_from_slice(&msg);
+                } else {
+                    // Unpack into the consuming function's logical buffer
+                    // (interpreted descriptor walk: per-run overhead).
+                    // Under the paper's unique-buffer scheme this is a full
+                    // read+write pass into the function's own buffer; the
+                    // improved shared scheme scatters write-only into the
+                    // buffer the function reads directly (DMA-style).
+                    self.ctx
+                        .advance(options.per_run_overhead * f64::from(e.runs));
+                    match options.buffer_scheme {
+                        BufferScheme::UniquePerFunction => self.ctx.compute(Work::copy(msg.len())),
+                        BufferScheme::Shared => self.ctx.compute(Work {
+                            flops: 0.0,
+                            mem_bytes: msg.len() as f64,
+                            overhead_secs: 0.0,
+                        }),
+                    }
+                    let buf = local.get_or_insert_with(|| Payload::zeroed(bp.plan.dst[tid].len()));
+                    // Compiled, coalesced scatter.
+                    pair_table[e.pair as usize]
+                        .1
+                        .unpack_into(&msg, buf.to_mut());
                 }
             }
             let local = local.unwrap_or_else(|| Payload::zeroed(first_bp.plan.dst[tid].len()));
@@ -983,14 +1030,14 @@ impl<T: Transport> RankState<'_, T> {
             if let Some(race) = self.race {
                 let region = &group.read_regions[tid];
                 if !region.is_empty() {
-                    race.read(
-                        node,
-                        (f.id, gi as u32, iter),
-                        &format!("{}.{}", f.name, group.port),
-                        program.task_path(task),
-                        iter,
-                        region.clone(),
-                    )
+                    race.read(PortAccess {
+                        rank: node,
+                        key: (f.id, gi as u32, iter),
+                        port: &group.label,
+                        task: program.task_path(task),
+                        iteration: iter,
+                        intervals: region.clone(),
+                    })
                     .inspect_err(|_| self.probe.fault(self.ctx.now(), f.id, iter))?;
                 }
             }
@@ -1089,38 +1136,39 @@ impl<T: Transport> RankState<'_, T> {
         iter: u32,
         outputs: &[StripePayload],
     ) -> Result<(), RuntimeError> {
-        let (program, node) = (self.program, self.node);
+        let (program, prepared, node) = (self.program, self.prepared, self.node);
         let f = &program.functions[task.fn_id as usize];
         let tid = task.thread as usize;
-        for (&bid, output) in f.outputs.iter().zip(outputs) {
-            let bp = &self.prepared.plans[bid as usize];
-            let desc = &program.buffers[bid as usize];
-            let consumer = &program.functions[desc.consumer as usize];
+        for ((&bid, output), edges) in f
+            .outputs
+            .iter()
+            .zip(outputs)
+            .zip(&prepared.edges(task).outputs)
+        {
+            let bp = &prepared.plans[bid as usize];
             if let Some(race) = self.race {
                 // The write lands on the consumer-iteration version the
                 // delay shifts it to; checked before any byte leaves this
                 // rank.
                 let region = &bp.write_regions[tid];
                 if !region.is_empty() {
-                    let (cf, gi) = self.prepared.buffer_group[bid as usize];
+                    let (cf, gi) = prepared.buffer_group[bid as usize];
                     race.write(
-                        node,
-                        (cf, gi, iter + desc.delay),
-                        &format!("{}.{}", consumer.name, desc.consumer_port),
-                        program.task_path(task),
-                        iter,
-                        region.clone(),
+                        PortAccess {
+                            rank: node,
+                            key: (cf, gi, iter + program.buffers[bid as usize].delay),
+                            port: &prepared.input_groups[cf as usize][gi as usize].label,
+                            task: program.task_path(task),
+                            iteration: iter,
+                            intervals: region.clone(),
+                        },
                         fnv1a_64(&output.bytes),
                     )
                     .inspect_err(|_| self.probe.fault(self.ctx.now(), bid, iter))?;
                 }
             }
-            for (j, intervals) in bp.plan.pairs[tid].iter().enumerate() {
-                if intervals.is_empty() {
-                    continue;
-                }
-                let dst_node = consumer.placement[j];
-                let pair = (bid, task.thread, j as u32);
+            for e in edges {
+                let pair = (bid, task.thread, e.peer_thread);
                 // Backpressure: past the buffer's credit window the
                 // producer must spend one credit per pair before emitting —
                 // proof the consumer has retired the iteration whose ring
@@ -1129,19 +1177,17 @@ impl<T: Transport> RankState<'_, T> {
                 // remote pairs block on the pair's credit channel, bounded
                 // by the fabric's receive deadline, so a consumer killed
                 // mid-stream surfaces as a typed error, never a hang.
-                if iter >= self.window[bid as usize] {
-                    if dst_node == node {
-                        match self.local_credits.get_mut(&pair) {
-                            Some(c) if *c > 0 => *c -= 1,
-                            _ => {
-                                return Err(RuntimeError::BadProgram(
-                                    "internal: streaming credit underflow on a local hand-off"
-                                        .into(),
-                                ))
-                            }
+                if iter >= self.rings[bid as usize].window {
+                    if e.peer_node == node {
+                        let credits = &mut self.local_credits[e.pair as usize];
+                        if *credits == 0 {
+                            return Err(RuntimeError::BadProgram(
+                                "internal: streaming credit underflow on a local hand-off".into(),
+                            ));
                         }
+                        *credits -= 1;
                     } else {
-                        self.recv(dst_node, credit_tag(pair), bid, iter)?;
+                        self.recv(e.peer_node, credit_tag(pair), bid, iter)?;
                     }
                     self.stats.credits_retired += 1;
                 }
@@ -1152,12 +1198,12 @@ impl<T: Transport> RankState<'_, T> {
                     output.bytes.clone()
                 } else {
                     self.ctx
-                        .advance(self.options.per_run_overhead * intervals.len() as f64);
-                    // Pack into a per-pair staging buffer, reused across
+                        .advance(self.options.per_run_overhead * f64::from(e.runs));
+                    // Pack into the pair's staging buffer, reused across
                     // iterations once the previous receiver has dropped its
                     // handle.
-                    let ops = &bp.ops[tid][j];
-                    let slot = self.staging.entry(pair).or_default();
+                    let ops = &prepared.pair_table[e.pair as usize].1;
+                    let slot = &mut self.staging[e.pair as usize];
                     if !slot.is_unique() || slot.len() != ops.bytes {
                         *slot = Payload::zeroed(ops.bytes);
                     }
@@ -1166,14 +1212,15 @@ impl<T: Transport> RankState<'_, T> {
                     slot.clone()
                 };
                 self.probe.xfer_start(self.ctx.now(), bid, iter);
-                let tag = self.tag(bid, iter, task.thread, j as u32);
-                if dst_node == node {
-                    self.store.insert(tag, msg);
+                if e.peer_node == node {
+                    let slot = self.slot(e, iter);
+                    self.store.put(slot, msg);
                 } else {
+                    let tag = self.tag(bid, iter, task.thread, e.peer_thread);
                     if let Some(race) = self.race {
                         race.stamp_send(node, tag);
                     }
-                    self.send_with_retry(dst_node, tag, &msg, bid, iter)?;
+                    self.send_with_retry(e.peer_node, tag, &msg, bid, iter)?;
                 }
             }
         }
@@ -1181,46 +1228,33 @@ impl<T: Transport> RankState<'_, T> {
     }
 
     /// Backpressure, consumer side: retiring iteration `iter` frees one
-    /// ring slot of every input buffer, so return one credit per nonempty
-    /// (producer thread, this thread) pair — except credits no producer
-    /// iteration will ever spend (`src_iter + window >= iterations`), so
-    /// per-pair issued == retired == `max(0, iterations - window)` exactly;
-    /// with an infinite window that is never. Remote credits ride the
-    /// retried send path: a fault-plan drop backs off and resends,
-    /// exhaustion is a typed transfer failure.
+    /// ring slot of every input buffer, so return one credit per input edge
+    /// — except credits no producer iteration will ever spend
+    /// (`src_iter + window >= iterations`), so per-pair issued == retired ==
+    /// `max(0, iterations - window)` exactly; with an infinite window that
+    /// is never. Remote credits ride the retried send path: a fault-plan
+    /// drop backs off and resends, exhaustion is a typed transfer failure.
     fn return_credits(&mut self, task: Task, iter: u32) -> Result<(), RuntimeError> {
-        let (program, prepared) = (self.program, self.prepared);
-        let tid = task.thread as usize;
-        for group in &prepared.input_groups[task.fn_id as usize] {
-            for &bid in &group.buffers {
-                let desc = &program.buffers[bid as usize];
-                let Some(src_iter) = iter.checked_sub(desc.delay) else {
-                    continue;
-                };
-                let window = self.window[bid as usize];
-                if src_iter as u64 + window as u64 >= self.iterations as u64 {
-                    continue;
-                }
-                let producer = &program.functions[desc.producer as usize];
-                for (t, row) in prepared.plans[bid as usize].plan.pairs.iter().enumerate() {
-                    if row[tid].is_empty() {
-                        continue;
-                    }
-                    self.stats.credits_issued += 1;
-                    let src_node = producer.placement[t];
-                    let pair = (bid, t as u32, task.thread);
-                    if src_node == self.node {
-                        *self.local_credits.entry(pair).or_insert(0) += 1;
-                    } else {
-                        self.send_with_retry(
-                            src_node,
-                            credit_tag(pair),
-                            &Payload::zeroed(0),
-                            bid,
-                            iter,
-                        )?;
-                    }
-                }
+        for e in self.prepared.edges(task).inputs.iter().flatten() {
+            let Some(src_iter) = iter.checked_sub(e.delay) else {
+                continue;
+            };
+            let window = self.rings[e.buffer as usize].window;
+            if src_iter as u64 + window as u64 >= self.iterations as u64 {
+                continue;
+            }
+            self.stats.credits_issued += 1;
+            if e.peer_node == self.node {
+                self.local_credits[e.pair as usize] += 1;
+            } else {
+                let pair = (e.buffer, e.peer_thread, task.thread);
+                self.send_with_retry(
+                    e.peer_node,
+                    credit_tag(pair),
+                    &Payload::zeroed(0),
+                    e.buffer,
+                    iter,
+                )?;
             }
         }
         Ok(())
@@ -1653,26 +1687,6 @@ mod tests {
         assert_eq!(stream.stream.credits_retired, 12);
     }
 
-    /// Combining the streaming and validation knobs is a typed error, not
-    /// an arbitrary precedence choice.
-    #[test]
-    fn streaming_and_validate_are_mutually_exclusive() {
-        let program = pipeline_program(2, 4, 4);
-        let err = execute(
-            &program,
-            &machine(2),
-            TimePolicy::Virtual,
-            &fill_registry(),
-            &RuntimeOptions::paper_faithful()
-                .with_pipeline(2)
-                .with_pipeline_validate(2),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RuntimeError::BadProgram(_)), "{err}");
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
-    }
-
     /// A delay (feedback) arc under streaming: the consumer reads
     /// `iter - delay` against ring-indexed tags and the first `delay`
     /// iterations see the zero stripe, exactly as in lock-step.
@@ -1789,24 +1803,29 @@ mod tests {
     #[test]
     fn out_of_order_schedule_is_typed_transfer_failure() {
         // Consumer scheduled before its same-node producer: the hand-off is
-        // consumed before it exists. Must be a typed error, not a panic.
+        // consumed before it exists. Must be a typed error, not a panic —
+        // and under streaming an empty ring slot, never a payload left from
+        // a previous lap of the ring.
         let mut program = pipeline_program(2, 4, 4);
         program.schedules[0].reverse();
         program.schedules[1].reverse();
-        let err = execute(
-            &program,
-            &machine(2),
-            TimePolicy::Virtual,
-            &fill_registry(),
-            &RuntimeOptions::paper_faithful(),
-            1,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::TransferFailed { attempts: 0, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("never materialized"), "{err}");
+        let base = RuntimeOptions::paper_faithful();
+        for (options, iters) in [(base.clone(), 1), (base.with_pipeline(2), 5)] {
+            let err = execute(
+                &program,
+                &machine(2),
+                TimePolicy::Virtual,
+                &fill_registry(),
+                &options,
+                iters,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::TransferFailed { attempts: 0, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("never materialized"), "{err}");
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@ pub mod race;
 pub mod striping;
 
 pub use executor::{
-    execute, execute_rank, fabric_to_runtime, prepare, Deposit, Execution, Prepared, RankOutcome,
-    SinkResults, StreamStats,
+    execute, execute_rank, fabric_to_runtime, prepare, Deposit, Edge, Execution, Prepared,
+    RankOutcome, SinkResults, StreamStats, TaskEdges,
 };
 pub use function::{FnThreadCtx, Kernel, Registry, RuntimeError, StripePayload};
 pub use glue::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};
-pub use options::{BufferScheme, RuntimeOptions};
-pub use race::{fnv1a_64, RaceState};
+pub use options::{BufferScheme, IssuePolicy, RuntimeOptions};
+pub use race::{fnv1a_64, PortAccess, RaceState};
 pub use striping::{CopyOp, Layout, PairOps, Redistribution};

@@ -21,6 +21,43 @@ pub enum BufferScheme {
     Shared,
 }
 
+/// The scheduler's issue policy: one loop, one task body and one hand-off
+/// store serve all three; the policy sets the issue order, each buffer's
+/// ring length in that store, and whether credits flow.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum IssuePolicy {
+    /// The scheduler at horizon 1: exactly one slot is ever issuable, so
+    /// tasks issue in schedule order; transfer tags count iterations up to
+    /// the width of their iteration field, a hand-off ring holds the
+    /// `1 + delay` payloads a one-iteration horizon can keep live, and the
+    /// credit window is infinite, so no credit message exists and traffic
+    /// and virtual-clock charges are those of a plain in-order walk.
+    /// (`Streaming(1)` is *not* this: it has one-slot rings and pays for
+    /// credits.)
+    #[default]
+    LockStep,
+    /// Streaming execution at issue horizon `n`: every logical buffer is a
+    /// ring of its proven depth (its cap from
+    /// [`RuntimeOptions::pipeline_depths`], bounded by `n`), a schedule
+    /// slot issues iteration `i` as soon as its inputs for `i` have landed
+    /// and every downstream ring has a free slot, and per-pair credits (one
+    /// per ring slot, returned when the consumer retires an iteration)
+    /// provide backpressure. At most `n` iterations are in flight per rank.
+    /// A hand-off ring is `depth + delay` slots — the credit window — so a
+    /// spent credit is the proof that the slot an emit reuses is free, and
+    /// the sink stream is bit-identical to lock-step at any depth; the knob
+    /// only bounds memory and run-ahead.
+    Streaming(u32),
+    /// Pipeline cross-validation, the oracle for the static pipeline-safety
+    /// pass: block-interleaved issue with `n` iterations in flight over
+    /// fixed rings of exactly `n` slots (slot = iteration mod `n`), where a
+    /// write replaces whatever the slot held. Executing at any depth up to
+    /// the proven safe depth must be bit-identical to lock-step, while a
+    /// deliberately over-deep run on a hazardous program corrupts or fails
+    /// typed.
+    Validate(u32),
+}
+
 /// Run-time kernel options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeOptions {
@@ -40,32 +77,12 @@ pub struct RuntimeOptions {
     pub probes: bool,
     /// Deterministic fault plan for the run (empty = fault-free).
     pub faults: FaultPlan,
-    /// Pipeline cross-validation depth: the oracle for the static
-    /// pipeline-safety pass. `Some(n)` issues block-interleaved with `n`
-    /// iterations in flight over fixed-slot rings — every logical buffer
-    /// and hand-off has exactly `n` slots (slot = iteration mod `n`) and a
-    /// write replaces whatever the slot held. Executing at any depth up to
-    /// the proven safe depth must be bit-identical to lock-step, while a
-    /// deliberately over-deep run on a hazardous program corrupts or fails
-    /// typed. `None` (the default) runs the scheduler proper.
-    pub pipeline_validate: Option<u32>,
-    /// The scheduler's issue horizon. `Some(n)` is streaming execution:
-    /// every logical buffer becomes an N-deep ring (N = the buffer's cap
-    /// from [`RuntimeOptions::pipeline_depths`], bounded by `n`), a
-    /// schedule slot issues iteration `i` as soon as its inputs for `i`
-    /// have landed and every downstream ring has a free slot, and per-pair
-    /// credits (one per downstream ring slot, returned when the consumer
-    /// retires an iteration) provide backpressure. At most `n` iterations
-    /// are in flight per rank. Hand-offs ride per-tag FIFO queues, so the
-    /// sink stream is bit-identical to lock-step at any depth; the knob
-    /// only bounds memory and run-ahead. `None` (the default) is lock-step:
-    /// the same scheduler at horizon 1 with unbounded rings, so it issues
-    /// in schedule order and exchanges no credits.
-    pub pipeline: Option<u32>,
+    /// How the scheduler issues iterations (see [`IssuePolicy`]).
+    pub issue: IssuePolicy,
     /// Per-buffer ring-depth caps for streaming execution, indexed by
     /// buffer id — normally the proven `safe_depth`s from the static
     /// pipeline-safety pass (`sage pipeline`). Empty means every buffer
-    /// uses the global [`RuntimeOptions::pipeline`] depth.
+    /// uses the global [`IssuePolicy::Streaming`] depth.
     pub pipeline_depths: Vec<u32>,
     /// Run the vector-clock race detector alongside execution. Every task's
     /// logical-buffer accesses are stamped with its rank's vector clock
@@ -92,8 +109,7 @@ impl RuntimeOptions {
             per_run_overhead: 0.25e-6,
             probes: false,
             faults: FaultPlan::default(),
-            pipeline_validate: None,
-            pipeline: None,
+            issue: IssuePolicy::LockStep,
             pipeline_depths: Vec::new(),
             race_detect: false,
         }
@@ -109,8 +125,7 @@ impl RuntimeOptions {
             per_run_overhead: 0.1e-6,
             probes: false,
             faults: FaultPlan::default(),
-            pipeline_validate: None,
-            pipeline: None,
+            issue: IssuePolicy::LockStep,
             pipeline_depths: Vec::new(),
             race_detect: false,
         }
@@ -135,27 +150,37 @@ impl RuntimeOptions {
     }
 
     /// Builder: run the pipeline cross-validation mode with `depth`
-    /// iterations in flight (see [`RuntimeOptions::pipeline_validate`]).
+    /// iterations in flight (see [`IssuePolicy::Validate`]). Like
+    /// [`RuntimeOptions::with_pipeline`] it sets the one issue policy, so
+    /// the last of the two calls wins.
     ///
     /// Depth 1 means one iteration in flight — by definition lock-step —
     /// so it maps to plain lock-step execution and is trivially
     /// bit-equivalent (a useful identity when sweeping depths; note a
     /// literal one-slot ring would *not* be equivalent on `delay` arcs,
     /// whose iteration `i-delay` payload must stay live while iteration
-    /// `i` emits). Depth 0 means "no validation" and also maps to `None`;
+    /// `i` emits). Depth 0 means "no validation" and is lock-step too;
     /// callers that consider 0 a user error (the CLI does) must reject it
     /// before building options.
     pub fn with_pipeline_validate(mut self, depth: u32) -> RuntimeOptions {
-        self.pipeline_validate = if depth > 1 { Some(depth) } else { None };
+        self.issue = if depth > 1 {
+            IssuePolicy::Validate(depth)
+        } else {
+            IssuePolicy::LockStep
+        };
         self
     }
 
     /// Builder: run the streaming pipeline executor with up to `depth`
-    /// iterations in flight (see [`RuntimeOptions::pipeline`]). Depth 0
-    /// disables streaming; depth 1 streams with a one-iteration window
+    /// iterations in flight (see [`IssuePolicy::Streaming`]). Depth 0 is
+    /// lock-step; depth 1 streams with a one-iteration window
     /// (lock-step issue order, with full credit accounting).
     pub fn with_pipeline(mut self, depth: u32) -> RuntimeOptions {
-        self.pipeline = if depth >= 1 { Some(depth) } else { None };
+        self.issue = if depth >= 1 {
+            IssuePolicy::Streaming(depth)
+        } else {
+            IssuePolicy::LockStep
+        };
         self
     }
 
@@ -201,5 +226,11 @@ mod tests {
             .with_scheme(BufferScheme::Shared);
         assert!(o.probes);
         assert_eq!(o.buffer_scheme, BufferScheme::Shared);
+        // One issue policy: the last of the pipeline builders wins.
+        assert_eq!(o.issue, IssuePolicy::LockStep);
+        let o = o.with_pipeline(2).with_pipeline_validate(3);
+        assert_eq!(o.issue, IssuePolicy::Validate(3));
+        assert_eq!(o.clone().with_pipeline(2).issue, IssuePolicy::Streaming(2));
+        assert_eq!(o.with_pipeline_validate(1).issue, IssuePolicy::LockStep);
     }
 }

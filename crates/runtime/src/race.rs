@@ -40,6 +40,24 @@ struct Access {
     content: u64,
 }
 
+/// One task's access to one port version, as the executor describes it to
+/// [`RaceState::write`] / [`RaceState::read`].
+pub struct PortAccess<'a> {
+    /// The accessing rank.
+    pub rank: u32,
+    /// `(consumer fn, input-port group, port version)`: the version is the
+    /// consumer iteration the bytes belong to.
+    pub key: (u32, u32, u32),
+    /// The port's `"{fn}.{port}"` label, for the report.
+    pub port: &'a str,
+    /// Task path of the accessor, e.g. `` `src[0]` (node 0, slot 0)``.
+    pub task: String,
+    /// The iteration the accessor is running.
+    pub iteration: u32,
+    /// Global byte intervals touched.
+    pub intervals: Intervals,
+}
+
 /// Accesses keyed by `(consumer fn, input-port group, port version)`.
 type Records = HashMap<(u32, u32, u32), Vec<Access>>;
 
@@ -166,48 +184,32 @@ impl RaceState {
         }
     }
 
-    /// Records a write of `intervals` (with content fingerprint `content`)
-    /// to port version `key` and checks it against every earlier access.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write(
-        &self,
-        rank: u32,
-        key: (u32, u32, u32),
-        port: &str,
-        task: String,
-        iteration: u32,
-        intervals: Intervals,
-        content: u64,
-    ) -> Result<(), RuntimeError> {
-        self.record(rank, key, port, task, iteration, intervals, true, content)
+    /// Records a write (with content fingerprint `content`) and checks it
+    /// against every earlier access to the same port version.
+    pub fn write(&self, access: PortAccess<'_>, content: u64) -> Result<(), RuntimeError> {
+        self.record(access, true, content)
     }
 
-    /// Records a read of `intervals` from port version `key` and checks it
-    /// against every earlier write.
-    pub fn read(
-        &self,
-        rank: u32,
-        key: (u32, u32, u32),
-        port: &str,
-        task: String,
-        iteration: u32,
-        intervals: Intervals,
-    ) -> Result<(), RuntimeError> {
-        self.record(rank, key, port, task, iteration, intervals, false, 0)
+    /// Records a read and checks it against every earlier write to the same
+    /// port version.
+    pub fn read(&self, access: PortAccess<'_>) -> Result<(), RuntimeError> {
+        self.record(access, false, 0)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn record(
         &self,
-        rank: u32,
-        key: (u32, u32, u32),
-        port: &str,
-        task: String,
-        iteration: u32,
-        intervals: Intervals,
+        access: PortAccess<'_>,
         write: bool,
         content: u64,
     ) -> Result<(), RuntimeError> {
+        let PortAccess {
+            rank,
+            key,
+            port,
+            task,
+            iteration,
+            intervals,
+        } = access;
         let mut g = self.lock();
         let clock = g.clocks[rank as usize].clone();
         let access = Access {
@@ -287,6 +289,24 @@ mod tests {
         Arc::new(list.to_vec())
     }
 
+    /// An access by `task` on `rank` to version `key` of port `snk.in`.
+    fn at(
+        rank: u32,
+        key: (u32, u32, u32),
+        task: &str,
+        iteration: u32,
+        list: &[(usize, usize)],
+    ) -> PortAccess<'static> {
+        PortAccess {
+            rank,
+            key,
+            port: "snk.in",
+            task: task.into(),
+            iteration,
+            intervals: iv(list),
+        }
+    }
+
     #[test]
     fn interval_overlap() {
         assert!(overlaps(&[(0, 4), (8, 12)], &[(3, 5)]));
@@ -300,11 +320,8 @@ mod tests {
         s.task_begin(0);
         s.task_begin(1);
         let key = (2, 0, 0);
-        s.write(0, key, "snk.in", "`a[0]`".into(), 0, iv(&[(0, 8)]), 1)
-            .unwrap();
-        let err = s
-            .write(1, key, "snk.in", "`b[0]`".into(), 0, iv(&[(4, 12)]), 2)
-            .unwrap_err();
+        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 1).unwrap();
+        let err = s.write(at(1, key, "`b[0]`", 0, &[(4, 12)]), 2).unwrap_err();
         match err {
             RuntimeError::RaceDetected {
                 port,
@@ -324,17 +341,14 @@ mod tests {
         let s = RaceState::new(2);
         let key = (2, 0, 0);
         s.task_begin(0);
-        s.write(0, key, "snk.in", "`a[0]`".into(), 0, iv(&[(0, 8)]), 1)
-            .unwrap();
+        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 1).unwrap();
         s.stamp_send(0, 42);
         s.task_begin(1);
         s.join_recv(1, 42);
         // Rank 1 joined rank 0's clock, so its read is ordered after the
         // write and its own later write dominates too.
-        s.read(1, key, "snk.in", "`c[1]`".into(), 0, iv(&[(0, 8)]))
-            .unwrap();
-        s.write(1, key, "snk.in", "`b[1]`".into(), 0, iv(&[(0, 8)]), 2)
-            .unwrap();
+        s.read(at(1, key, "`c[1]`", 0, &[(0, 8)])).unwrap();
+        s.write(at(1, key, "`b[1]`", 0, &[(0, 8)]), 2).unwrap();
     }
 
     #[test]
@@ -343,15 +357,11 @@ mod tests {
         let key = (2, 0, 0);
         s.task_begin(0);
         s.task_begin(1);
-        s.write(0, key, "snk.in", "`a[0]`".into(), 0, iv(&[(0, 8)]), 7)
-            .unwrap();
+        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 7).unwrap();
         // Same intervals, same content hash: benign even though unordered.
-        s.write(1, key, "snk.in", "`b[0]`".into(), 0, iv(&[(0, 8)]), 7)
-            .unwrap();
+        s.write(at(1, key, "`b[0]`", 0, &[(0, 8)]), 7).unwrap();
         // Different content on the same region is a race.
-        let err = s
-            .write(1, key, "snk.in", "`c[0]`".into(), 0, iv(&[(0, 8)]), 9)
-            .unwrap_err();
+        let err = s.write(at(1, key, "`c[0]`", 0, &[(0, 8)]), 9).unwrap_err();
         assert!(matches!(err, RuntimeError::RaceDetected { .. }));
     }
 
@@ -360,9 +370,9 @@ mod tests {
         let s = RaceState::new(2);
         s.task_begin(0);
         s.task_begin(1);
-        s.write(0, (2, 0, 0), "snk.in", "`a[0]`".into(), 0, iv(&[(0, 8)]), 1)
+        s.write(at(0, (2, 0, 0), "`a[0]`", 0, &[(0, 8)]), 1)
             .unwrap();
-        s.write(1, (2, 0, 1), "snk.in", "`b[0]`".into(), 1, iv(&[(0, 8)]), 2)
+        s.write(at(1, (2, 0, 1), "`b[0]`", 1, &[(0, 8)]), 2)
             .unwrap();
     }
 
@@ -372,9 +382,7 @@ mod tests {
         s.task_begin(0);
         s.task_begin(1);
         let key = (2, 0, 0);
-        s.read(0, key, "snk.in", "`a[0]`".into(), 0, iv(&[(0, 8)]))
-            .unwrap();
-        s.read(1, key, "snk.in", "`b[1]`".into(), 0, iv(&[(0, 8)]))
-            .unwrap();
+        s.read(at(0, key, "`a[0]`", 0, &[(0, 8)])).unwrap();
+        s.read(at(1, key, "`b[1]`", 0, &[(0, 8)])).unwrap();
     }
 }

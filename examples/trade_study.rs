@@ -31,7 +31,8 @@ fn main() {
         &["CSPI", "Mercury", "SKY", "SIGI"],
         &[2, 4, 8, 16],
         &ga,
-    );
+    )
+    .expect("the task graph of a validated model is acyclic");
     print!("{}", study.render());
 
     let best = study.best().expect("study is non-empty");

@@ -191,24 +191,38 @@ fn sage_pipeline_rejects_over_deep_request() {
 
 /// `run --ga` goes through the same gate as any run — the mapping is
 /// linted and the GA-mapped program is the one checked and executed — and
-/// reproduces the aligned run's sink bit for bit.
+/// reproduces the aligned run's sink bit for bit. A feedback (`delay`)
+/// model maps too: its feedback arc crosses the iteration boundary, so it
+/// is no cycle in the task graph AToT schedules (it used to panic there,
+/// exit 101).
 #[test]
 fn sage_run_ga_is_checked_and_matches_the_aligned_sink() {
-    let model = common::model_path("fft2d_64.sexpr");
-    let sink_line = |extra: &[&str]| {
-        let out = std::process::Command::new(common::sage_bin())
-            .args(["run", &model, "--nodes", "4", "--iters", "2"])
-            .args(extra)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "sage run {extra:?}: {stderr}");
-        assert!(stderr.is_empty(), "clean model, clean gate: {stderr}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout.lines().find(|l| l.starts_with("sink output:"));
-        line.expect("sink checksum line").to_owned()
-    };
-    assert_eq!(sink_line(&["--ga"]), sink_line(&[]));
+    let fixture = format!(
+        "{}/tests/fixtures/feedback_cycle_min.sexpr",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    for (model, nodes, clean) in [
+        (common::model_path("fft2d_64.sexpr"), "4", true),
+        (fixture, "2", false),
+    ] {
+        let sink_line = |extra: &[&str]| {
+            let out = std::process::Command::new(common::sage_bin())
+                .args(["run", &model, "--nodes", nodes, "--iters", "2"])
+                .args(extra)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "sage run {extra:?}: {stderr}");
+            if clean {
+                assert!(stderr.is_empty(), "clean model, clean gate: {stderr}");
+            }
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let line = stdout.lines().find(|l| l.starts_with("sink output:"));
+            line.expect("sink checksum line").to_owned()
+        };
+        assert_eq!(sink_line(&["--ga"]), sink_line(&[]), "{model}");
+    }
 }
 
 /// A program the checker's preamble faults (here a zero-extent payload,

@@ -156,7 +156,7 @@ fn atot_ga_prefers_fast_nodes_on_heterogeneous_machines() {
         edges: vec![],
     };
     let hw = hetero_hw();
-    let scheduler = Scheduler::new(&graph, &hw);
+    let scheduler = Scheduler::new(&graph, &hw).unwrap();
     let result = ga::optimize(
         &graph,
         &scheduler,

@@ -188,3 +188,182 @@ fn depth_one_window_still_ledgers_credits() {
     );
     assert!(exec.stream.credits_issued > 0, "chain issued no credits");
 }
+
+/// One end of a transfer as the edge tables should describe it, with the
+/// pair named by its `(buffer, producer thread, consumer thread)` key
+/// instead of its dense index.
+type EdgeKey = ((u32, u32, u32), u32, u32, u32, u32);
+
+/// The compiled edge tables are exactly a brute-force walk of every
+/// buffer's `Redistribution::pairs` against the placement — the ledger
+/// `sage check`'s transfer pass builds statically: each nonempty pair is
+/// one output edge of its producer task and one input edge of its consumer
+/// task (sharing one pair index no other pair has), inputs grouped by port
+/// in `f.inputs` then producer-thread order, outputs per buffer in
+/// consumer-thread order. Over the fuzz corpus' models, on the aligned and
+/// on a GA placement.
+#[test]
+fn edge_tables_match_a_brute_force_walk_of_the_pair_matrices() {
+    use sage::fuzz::gen::{derive_seed, gen_model, GenConfig};
+    use sage::runtime::{prepare, Edge, Task};
+    use std::collections::HashMap;
+
+    let ga = GaConfig {
+        population: 8,
+        generations: 4,
+        ..GaConfig::default()
+    };
+    let mut checked = 0;
+    for index in 0..96 {
+        let model = gen_model(derive_seed(16, index), &GenConfig::default());
+        let mut project = Project::new(model.app, HardwareShelf::cspi_with_nodes(model.nodes));
+        sage::apps::kernels::register_kernels(&mut project.registry);
+        let Ok(mapping) = project.auto_map(&ga) else {
+            continue; // a seeded violation the generator refuses
+        };
+        for placement in [Placement::Aligned, Placement::Tasks(mapping)] {
+            let Ok((program, _)) = project.generate(&placement) else {
+                continue;
+            };
+            let Ok(prepared) = prepare(&program, &project.registry) else {
+                continue;
+            };
+            // Name every pair index by the key its output edge gives it.
+            let mut key_of_pair: HashMap<u32, (u32, u32, u32)> = HashMap::new();
+            for f in &program.functions {
+                for t in 0..f.threads {
+                    let edges = prepared.edges(Task {
+                        fn_id: f.id,
+                        thread: t,
+                    });
+                    for e in edges.outputs.iter().flatten() {
+                        let key = (e.buffer, t, e.peer_thread);
+                        assert_eq!(key_of_pair.insert(e.pair, key), None, "pair index reused");
+                    }
+                }
+            }
+            let named = |edges: &[Vec<Edge>]| -> Vec<Vec<EdgeKey>> {
+                let name = |e: &Edge| {
+                    let key = key_of_pair[&e.pair];
+                    (key, e.peer_thread, e.peer_node, e.delay, e.runs)
+                };
+                edges.iter().map(|g| g.iter().map(name).collect()).collect()
+            };
+            let plans: Vec<Redistribution> = program
+                .buffers
+                .iter()
+                .map(|b| program.plan_buffer(b).expect("plannable"))
+                .collect();
+            let mut pairs = 0;
+            for f in &program.functions {
+                for t in 0..f.threads as usize {
+                    let mut inputs: Vec<(&str, Vec<EdgeKey>)> = Vec::new();
+                    for &bid in &f.inputs {
+                        let b = &program.buffers[bid as usize];
+                        let producer = &program.functions[b.producer as usize];
+                        let port = b.consumer_port.as_str();
+                        if !inputs.iter().any(|(p, _)| *p == port) {
+                            inputs.push((port, Vec::new()));
+                        }
+                        let group = inputs.iter_mut().find(|(p, _)| *p == port).unwrap();
+                        for (i, row) in plans[bid as usize].pairs.iter().enumerate() {
+                            if !row[t].is_empty() {
+                                group.1.push((
+                                    (bid, i as u32, t as u32),
+                                    i as u32,
+                                    producer.placement[i],
+                                    b.delay,
+                                    row[t].len() as u32,
+                                ));
+                            }
+                        }
+                    }
+                    let outputs: Vec<Vec<EdgeKey>> = f
+                        .outputs
+                        .iter()
+                        .map(|&bid| {
+                            let consumer =
+                                &program.functions[program.buffers[bid as usize].consumer as usize];
+                            let row = &plans[bid as usize].pairs[t];
+                            (0..row.len())
+                                .filter(|&j| !row[j].is_empty())
+                                .map(|j| {
+                                    (
+                                        (bid, t as u32, j as u32),
+                                        j as u32,
+                                        consumer.placement[j],
+                                        program.buffers[bid as usize].delay,
+                                        row[j].len() as u32,
+                                    )
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    pairs += outputs.iter().flatten().count();
+                    let edges = prepared.edges(Task {
+                        fn_id: f.id,
+                        thread: t as u32,
+                    });
+                    let what = format!("seed index {index}, `{}[{t}]`", f.name);
+                    let inputs: Vec<Vec<EdgeKey>> = inputs.into_iter().map(|(_, g)| g).collect();
+                    assert_eq!(named(&edges.inputs), inputs, "{what}: inputs");
+                    assert_eq!(named(&edges.outputs), outputs, "{what}: outputs");
+                }
+            }
+            assert_eq!(key_of_pair.len(), pairs, "seed index {index}: pair count");
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 128,
+        "only {checked} programs checked (64 seeds x 2)"
+    );
+}
+
+/// A `delay` (feedback) model's lock-step sink, pinned on the tree before
+/// the hand-off store became one ring per pair, and held by every issue
+/// policy: the consumer of a delay arc reads iteration `i - delay`, so the
+/// lock-step ring keeps `1 + delay` payloads live and the streaming ring
+/// `depth + delay`.
+#[test]
+fn feedback_model_sink_is_pinned_under_every_issue_policy() {
+    let path = format!(
+        "{}/tests/fixtures/feedback_cycle_min.sexpr",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut project = Project::from_sexpr(&std::fs::read_to_string(path).unwrap(), 2).unwrap();
+    sage::apps::kernels::register_kernels(&mut project.registry);
+    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+    let caps: Vec<u32> = sage::check::pipeline_plan(&program, &project.hardware)
+        .expect("the fixture carries a pipeline proof")
+        .buffers
+        .iter()
+        .map(|b| b.safe_depth)
+        .collect();
+    let iters = 16;
+    let base = RuntimeOptions::paper_faithful();
+    for (options, credits) in [
+        (base.clone(), 0),
+        (
+            base.clone().with_pipeline(4).with_pipeline_depths(caps),
+            100,
+        ),
+        (base.with_pipeline_validate(1), 0),
+    ] {
+        let exec = project
+            .execute(&program, TimePolicy::Virtual, &options, iters)
+            .expect("runs");
+        assert_eq!(
+            sage::runtime::fnv1a_64(&exec.results.stream(&program, iters)),
+            0xbe711c7d5587802b,
+            "{:?}",
+            options.issue
+        );
+        assert_eq!(
+            (exec.stream.credits_issued, exec.stream.credits_retired),
+            (credits, credits),
+            "{:?}",
+            options.issue
+        );
+    }
+}
