@@ -10,8 +10,11 @@
 //!
 //! * **local** — [`crate::cluster::NodeCtx`]: one OS thread per rank inside
 //!   one process, with the deterministic virtual clock and fault injection;
-//! * **tcp** — `sage_net::TcpTransport`: one OS *process* per rank,
-//!   length-prefixed framed messages over real sockets.
+//! * **tcp** — `sage_net::JobTransport`: one job's rank namespace over a
+//!   daemon's shared `MeshCore` (one daemon process per mesh endpoint,
+//!   length-prefixed framed messages over real sockets);
+//!   `sage_net::TcpTransport` is the same thing over a private one-job
+//!   mesh, for tests and the wall-clock benchmark.
 //!
 //! The timing hooks ([`Transport::compute`], [`Transport::advance`], ...)
 //! default to no-ops so real-time backends only implement the messaging

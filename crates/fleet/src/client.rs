@@ -7,20 +7,22 @@ use crate::sched::JobOutcome;
 use sage_net::{NetError, RankReport};
 use std::net::TcpStream;
 
-fn connect(addr: &str) -> Result<TcpStream, NetError> {
+/// One request/reply exchange with the scheduler at `addr`, on a
+/// connection of its own. Typed refusals come back as the matching
+/// [`NetError`] (see [`read_fleet`]).
+fn request(addr: &str, msg: &FleetMsg) -> Result<FleetMsg, NetError> {
     let stream = TcpStream::connect(addr)
         .map_err(|e| NetError::Io(format!("cannot reach scheduler {addr}: {e}")))?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    send_fleet(&mut &stream, msg)?;
+    read_fleet(&mut &stream)
 }
 
 /// Submits one job to the scheduler at `addr` and blocks until its
 /// outcome. Typed rejections (`QueueFull`, `InsufficientWorkers`,
 /// `Draining`, `VersionMismatch`) come back as the matching [`NetError`].
 pub fn submit(addr: &str, spec: &SubmitSpec) -> Result<JobOutcome, NetError> {
-    let stream = connect(addr)?;
-    send_fleet(&mut &stream, &FleetMsg::Submit(spec.clone()))?;
-    match read_fleet(&mut &stream)? {
+    match request(addr, &FleetMsg::Submit(spec.clone()))? {
         FleetMsg::Outcome {
             job,
             wall_secs,
@@ -40,9 +42,7 @@ pub fn submit(addr: &str, spec: &SubmitSpec) -> Result<JobOutcome, NetError> {
 /// jobs finish, workers ack and exit 0, the scheduler exits 0. Returns the
 /// jobs the fleet completed over its lifetime.
 pub fn drain_fleet(addr: &str) -> Result<u64, NetError> {
-    let stream = connect(addr)?;
-    send_fleet(&mut &stream, &FleetMsg::DrainFleet)?;
-    match read_fleet(&mut &stream)? {
+    match request(addr, &FleetMsg::DrainFleet)? {
         FleetMsg::Drained { jobs_completed } => Ok(jobs_completed),
         other => Err(NetError::Protocol(format!(
             "expected drain ack, got {other:?}"
@@ -52,9 +52,7 @@ pub fn drain_fleet(addr: &str) -> Result<u64, NetError> {
 
 /// Fetches a metrics snapshot from the scheduler at `addr`.
 pub fn fleet_stats(addr: &str) -> Result<FleetStats, NetError> {
-    let stream = connect(addr)?;
-    send_fleet(&mut &stream, &FleetMsg::Stats)?;
-    match read_fleet(&mut &stream)? {
+    match request(addr, &FleetMsg::Stats)? {
         FleetMsg::StatsReply(stats) => Ok(stats),
         other => Err(NetError::Protocol(format!(
             "expected stats reply, got {other:?}"

@@ -5,8 +5,7 @@
 //! reason)/completed/failed, queue depth and high-water mark, and the same
 //! counters broken out per tenant.
 
-use sage_net::codec::{Reader, Writer};
-use sage_net::NetError;
+use sage_net::wire_struct;
 
 /// Job accounting for one tenant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,59 +61,28 @@ impl FleetStats {
             + self.rejected_draining
             + self.rejected_version
     }
-
-    /// Appends the snapshot to a writer (for `StatsReply`).
-    pub fn encode_into(&self, w: &mut Writer) {
-        w.u32(self.workers);
-        w.u32(self.workers_live);
-        w.u64(self.accepted);
-        w.u64(self.completed);
-        w.u64(self.failed);
-        w.u64(self.rejected_queue_full);
-        w.u64(self.rejected_insufficient);
-        w.u64(self.rejected_draining);
-        w.u64(self.rejected_version);
-        w.u32(self.queue_depth);
-        w.u32(self.queue_high_water);
-        w.u32(self.active);
-        w.u32(self.tenants.len() as u32);
-        for t in &self.tenants {
-            w.string(&t.tenant);
-            w.u64(t.accepted);
-            w.u64(t.completed);
-            w.u64(t.failed);
-            w.u64(t.rejected);
-        }
-    }
-
-    /// Reads a snapshot from a reader positioned at its first field.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<FleetStats, NetError> {
-        let mut s = FleetStats {
-            workers: r.u32()?,
-            workers_live: r.u32()?,
-            accepted: r.u64()?,
-            completed: r.u64()?,
-            failed: r.u64()?,
-            rejected_queue_full: r.u64()?,
-            rejected_insufficient: r.u64()?,
-            rejected_draining: r.u64()?,
-            rejected_version: r.u64()?,
-            queue_depth: r.u32()?,
-            queue_high_water: r.u32()?,
-            active: r.u32()?,
-            tenants: Vec::new(),
-        };
-        let n = r.u32()? as usize;
-        s.tenants.reserve(n.min(1024));
-        for _ in 0..n {
-            s.tenants.push(TenantStats {
-                tenant: r.string()?,
-                accepted: r.u64()?,
-                completed: r.u64()?,
-                failed: r.u64()?,
-                rejected: r.u64()?,
-            });
-        }
-        Ok(s)
-    }
 }
+
+wire_struct!(TenantStats {
+    tenant,
+    accepted,
+    completed,
+    failed,
+    rejected
+});
+
+wire_struct!(FleetStats {
+    workers,
+    workers_live,
+    accepted,
+    completed,
+    failed,
+    rejected_queue_full,
+    rejected_insufficient,
+    rejected_draining,
+    rejected_version,
+    queue_depth,
+    queue_high_water,
+    active,
+    tenants,
+});

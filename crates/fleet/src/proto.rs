@@ -3,9 +3,10 @@
 //!
 //! All messages travel as [`FrameKind::Fleet`] frames whose payload leads
 //! with a message-type byte; typed refusals travel as `Reject` frames
-//! carrying a [`RejectReason`]. Codec primitives come from
-//! [`sage_net::codec`], and the job description inside `Submit` and `Job` is
-//! the one [`JobParams`] codec.
+//! carrying a [`RejectReason`]. Every layout is declared once on the
+//! [`sage_net::codec`] declarators (whose module docs give the recipe for
+//! changing one), and the job description inside `Submit` and `Job` is the
+//! one [`JobParams`] layout.
 //!
 //! Link lifecycles:
 //!
@@ -18,9 +19,10 @@
 //!   `Stats` → `StatsReply`, `DrainFleet` → `Drained`.
 
 use crate::metrics::FleetStats;
-use sage_net::codec::{Reader, Writer};
+use sage_net::codec::{self, Reader, Wire, Writer};
 use sage_net::{
-    Frame, FrameKind, JobParams, NetError, RankReport, RejectReason, WireError, PROTO_VERSION,
+    wire_enum, wire_struct, Frame, FrameKind, JobParams, NetError, RankReport, RejectReason,
+    WireError, PROTO_VERSION,
 };
 use std::io::{Read, Write};
 
@@ -138,199 +140,91 @@ pub enum FleetMsg {
     StatsReply(FleetStats),
 }
 
+wire_struct!(FleetJob {
+    job,
+    rank,
+    rank_map,
+    params
+});
+
+impl Wire for SubmitSpec {
+    fn put(&self, w: &mut Writer) {
+        self.proto_version.put(w);
+        self.tenant.put(w);
+        self.ranks.put(w);
+        self.params.put(w);
+    }
+    /// Hand-written for the version peek: another revision lays the fields
+    /// after `proto_version` out differently, and the version alone is what
+    /// the scheduler refuses (typed) — so a foreign `Submit` decodes to its
+    /// version and nothing else, whatever bytes follow.
+    fn get(r: &mut Reader<'_>) -> Result<SubmitSpec, NetError> {
+        let proto_version = u32::get(r)?;
+        if proto_version != PROTO_VERSION {
+            r.skip_rest();
+            return Ok(SubmitSpec {
+                proto_version,
+                ..SubmitSpec::new("", 0, 0)
+            });
+        }
+        Ok(SubmitSpec {
+            proto_version,
+            tenant: Wire::get(r)?,
+            ranks: Wire::get(r)?,
+            params: Wire::get(r)?,
+        })
+    }
+}
+
+wire_enum!(FleetMsg, "fleet message type" {
+    1 => Hello { proto_version },
+    2 => HelloAck { proto_version, data_addr },
+    3 => Init { worker_index, peers, heartbeat_ms },
+    4 => InitDone { worker_index },
+    5 => Job(job),
+    6 => JobResult { job, report },
+    7 => Drain,
+    8 => DrainDone { jobs_completed },
+    9 => Submit(spec),
+    10 => Outcome { job, wall_secs, reports },
+    11 => DrainFleet,
+    12 => Drained { jobs_completed },
+    13 => Stats,
+    14 => StatsReply(stats),
+});
+
 impl FleetMsg {
     /// Serializes the message for a `Fleet` frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            FleetMsg::Hello { proto_version } => {
-                w.u8(1);
-                w.u32(*proto_version);
-            }
-            FleetMsg::HelloAck {
-                proto_version,
-                data_addr,
-            } => {
-                w.u8(2);
-                w.u32(*proto_version);
-                w.string(data_addr);
-            }
-            FleetMsg::Init {
-                worker_index,
-                peers,
-                heartbeat_ms,
-            } => {
-                w.u8(3);
-                w.u32(*worker_index);
-                w.seq(peers, |w, p| w.string(p));
-                w.opt_u64(*heartbeat_ms);
-            }
-            FleetMsg::InitDone { worker_index } => {
-                w.u8(4);
-                w.u32(*worker_index);
-            }
-            FleetMsg::Job(j) => {
-                w.u8(5);
-                w.u32(j.job);
-                w.u32(j.rank);
-                w.seq(&j.rank_map, |w, &m| w.u32(m));
-                j.params.encode_into(&mut w);
-            }
-            FleetMsg::JobResult { job, report } => {
-                w.u8(6);
-                w.u32(*job);
-                report.encode_into(&mut w);
-            }
-            FleetMsg::Drain => w.u8(7),
-            FleetMsg::DrainDone { jobs_completed } => {
-                w.u8(8);
-                w.u64(*jobs_completed);
-            }
-            FleetMsg::Submit(s) => {
-                w.u8(9);
-                w.u32(s.proto_version);
-                w.string(&s.tenant);
-                w.u32(s.ranks);
-                s.params.encode_into(&mut w);
-            }
-            FleetMsg::Outcome {
-                job,
-                wall_secs,
-                reports,
-            } => {
-                w.u8(10);
-                w.u32(*job);
-                w.f64(*wall_secs);
-                w.seq(reports, |w, r| match r {
-                    None => w.u8(0),
-                    Some(rep) => {
-                        w.u8(1);
-                        rep.encode_into(w);
-                    }
-                });
-            }
-            FleetMsg::DrainFleet => w.u8(11),
-            FleetMsg::Drained { jobs_completed } => {
-                w.u8(12);
-                w.u64(*jobs_completed);
-            }
-            FleetMsg::Stats => w.u8(13),
-            FleetMsg::StatsReply(s) => {
-                w.u8(14);
-                s.encode_into(&mut w);
-            }
-        }
-        w.0
+        codec::encode(self)
     }
 
     /// Decodes a `Fleet` frame payload.
     pub fn decode(buf: &[u8]) -> Result<FleetMsg, NetError> {
-        let mut r = Reader::new(buf);
-        let msg = match r.u8()? {
-            1 => FleetMsg::Hello {
-                proto_version: r.u32()?,
-            },
-            2 => FleetMsg::HelloAck {
-                proto_version: r.u32()?,
-                data_addr: r.string()?,
-            },
-            3 => FleetMsg::Init {
-                worker_index: r.u32()?,
-                peers: r.seq(|r| r.string())?,
-                heartbeat_ms: r.opt_u64()?,
-            },
-            4 => FleetMsg::InitDone {
-                worker_index: r.u32()?,
-            },
-            5 => FleetMsg::Job(FleetJob {
-                job: r.u32()?,
-                rank: r.u32()?,
-                rank_map: r.seq(|r| r.u32())?,
-                params: JobParams::decode_from(&mut r)?,
-            }),
-            6 => FleetMsg::JobResult {
-                job: r.u32()?,
-                report: RankReport::decode_from(&mut r)?,
-            },
-            7 => FleetMsg::Drain,
-            8 => FleetMsg::DrainDone {
-                jobs_completed: r.u64()?,
-            },
-            9 => {
-                let proto_version = r.u32()?;
-                if proto_version != PROTO_VERSION {
-                    // Another revision lays the remaining fields out
-                    // differently; the version alone is what the scheduler
-                    // refuses (typed), so carry only that.
-                    return Ok(FleetMsg::Submit(SubmitSpec {
-                        proto_version,
-                        ..SubmitSpec::new("", 0, 0)
-                    }));
-                }
-                FleetMsg::Submit(SubmitSpec {
-                    proto_version,
-                    tenant: r.string()?,
-                    ranks: r.u32()?,
-                    params: JobParams::decode_from(&mut r)?,
-                })
-            }
-            10 => FleetMsg::Outcome {
-                job: r.u32()?,
-                wall_secs: r.f64()?,
-                reports: r.seq(|r| {
-                    Ok(match r.u8()? {
-                        0 => None,
-                        _ => Some(RankReport::decode_from(r)?),
-                    })
-                })?,
-            },
-            11 => FleetMsg::DrainFleet,
-            12 => FleetMsg::Drained {
-                jobs_completed: r.u64()?,
-            },
-            13 => FleetMsg::Stats,
-            14 => FleetMsg::StatsReply(FleetStats::decode_from(&mut r)?),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "bad fleet message type {other}"
-                )));
-            }
-        };
-        r.done()?;
-        Ok(msg)
+        codec::decode(buf)
     }
 }
 
-/// Writes one fleet message as a `Fleet` frame. Control links carry no
-/// sequence discipline (each message is a request or a reply), so seq is
-/// always 0.
-pub fn send_fleet<W: Write>(w: &mut W, msg: &FleetMsg) -> Result<(), NetError> {
+/// Control links carry no ranks, no job namespace and no sequence
+/// discipline (each message is a request or a reply), so every header field
+/// but the kind is 0.
+fn send<W: Write>(w: &mut W, kind: FrameKind, payload: Vec<u8>) -> Result<(), NetError> {
     Frame {
-        kind: FrameKind::Fleet,
-        tag: 0,
-        src: 0,
-        dst: 0,
-        job: 0,
-        seq: 0,
-        payload: msg.encode(),
+        payload,
+        ..Frame::control(kind, 0, 0, 0)
     }
     .write_to(w)
     .map_err(NetError::Wire)
+}
+
+/// Writes one fleet message as a `Fleet` frame.
+pub fn send_fleet<W: Write>(w: &mut W, msg: &FleetMsg) -> Result<(), NetError> {
+    send(w, FrameKind::Fleet, msg.encode())
 }
 
 /// Writes a typed refusal as a `Reject` frame.
 pub fn send_reject<W: Write>(w: &mut W, reason: RejectReason) -> Result<(), NetError> {
-    Frame {
-        kind: FrameKind::Reject,
-        tag: 0,
-        src: 0,
-        dst: 0,
-        job: 0,
-        seq: 0,
-        payload: reason.encode(),
-    }
-    .write_to(w)
-    .map_err(NetError::Wire)
+    send(w, FrameKind::Reject, reason.encode())
 }
 
 /// Reads one fleet message off a control stream.
@@ -448,25 +342,6 @@ mod tests {
         ];
         for msg in msgs {
             assert_eq!(FleetMsg::decode(&msg.encode()).unwrap(), msg);
-        }
-    }
-
-    /// A v5 client's `Submit` carries only `optimized` between the
-    /// iteration count and the model; the decoder must hand the scheduler
-    /// its version, not choke on the layout.
-    #[test]
-    fn submit_from_the_previous_revision_decodes_to_its_version() {
-        let mut w = Writer::new();
-        w.u8(9);
-        w.u32(PROTO_VERSION - 1);
-        w.string("tenant");
-        w.u32(2);
-        w.u32(8);
-        w.u8(0);
-        w.string("(app demo)");
-        match FleetMsg::decode(&w.0).unwrap() {
-            FleetMsg::Submit(spec) => assert_eq!(spec.proto_version, PROTO_VERSION - 1),
-            other => panic!("decoded {other:?}"),
         }
     }
 

@@ -104,8 +104,9 @@ const USER_TAG_BIT: u64 = 1 << 63;
 /// An MPI-like communicator bound to one rank of a communication backend.
 ///
 /// Generic over the [`Transport`] backend: the default is the in-process
-/// threaded cluster ([`NodeCtx`]); `sage-net`'s `TcpTransport` plugs in the
-/// multi-process TCP backend with no changes to calling code.
+/// threaded cluster ([`NodeCtx`]); `sage-net`'s `JobTransport` (and
+/// `TcpTransport`, its private-mesh form) plugs in the multi-process TCP
+/// backend with no changes to calling code.
 pub struct Communicator<'a, T: Transport = NodeCtx> {
     ctx: &'a mut T,
     config: MpiConfig,

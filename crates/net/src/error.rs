@@ -1,7 +1,8 @@
 //! Typed errors for the network subsystem.
 
-use crate::codec::{Reader, Writer};
+use crate::codec;
 use crate::wire::WireError;
+use crate::wire_enum;
 use sage_runtime::RuntimeError;
 
 /// Why an endpoint refused a job or a handshake. Travels on the wire in a
@@ -31,48 +32,22 @@ pub enum RejectReason {
     Draining,
 }
 
+wire_enum!(RejectReason, "reject reason" {
+    1 => VersionMismatch { ours, theirs },
+    2 => QueueFull { depth },
+    3 => InsufficientWorkers { want, have },
+    4 => Draining,
+});
+
 impl RejectReason {
     /// Serializes the reason for a `Reject` frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            RejectReason::VersionMismatch { ours, theirs } => {
-                w.u8(1);
-                w.u32(*ours);
-                w.u32(*theirs);
-            }
-            RejectReason::QueueFull { depth } => {
-                w.u8(2);
-                w.u32(*depth);
-            }
-            RejectReason::InsufficientWorkers { want, have } => {
-                w.u8(3);
-                w.u32(*want);
-                w.u32(*have);
-            }
-            RejectReason::Draining => w.u8(4),
-        }
-        w.0
+        codec::encode(self)
     }
 
     /// Decodes a `Reject` frame payload.
     pub fn decode(buf: &[u8]) -> Result<RejectReason, NetError> {
-        let mut r = Reader::new(buf);
-        let reason = match r.u8()? {
-            1 => RejectReason::VersionMismatch {
-                ours: r.u32()?,
-                theirs: r.u32()?,
-            },
-            2 => RejectReason::QueueFull { depth: r.u32()? },
-            3 => RejectReason::InsufficientWorkers {
-                want: r.u32()?,
-                have: r.u32()?,
-            },
-            4 => RejectReason::Draining,
-            other => return Err(NetError::Protocol(format!("bad reject reason {other}"))),
-        };
-        r.done()?;
-        Ok(reason)
+        codec::decode(buf)
     }
 }
 

@@ -15,8 +15,10 @@
 //!   kind, tag, src/dst rank, **job namespace**, sequence number, length)
 //!   plus an FNV-1a-32 whole-frame checksum; every decode failure is a
 //!   typed [`WireError`].
-//! * [`codec`] — the primitive byte codec every control-plane payload is
-//!   built from (shared with `sage-fleet`).
+//! * [`codec`] — the control-plane schema language: the [`codec::Wire`]
+//!   trait and the `wire_struct!` / `wire_enum!` declarators that derive a
+//!   record's encoder and decoder from one field list (shared with
+//!   `sage-fleet`); its docs give the recipe for changing a layout.
 //! * [`transport`] — the mesh: [`MeshCore`] (full-mesh establishment with
 //!   retry/backoff, a **single nonblocking poll-loop I/O thread** per
 //!   endpoint feeding a `(job, src, tag)` mailbox, heartbeat liveness — a
@@ -26,7 +28,8 @@
 //!   private core), all feeding [`sage_fabric::LinkMetrics`].
 //! * [`proto`] — the control-plane payloads: [`JobParams`] (the one
 //!   description of a job every job message embeds) and [`RankReport`]
-//!   (what each rank sends back), under an explicit protocol version.
+//!   (what each rank sends back), each declared once, under an explicit
+//!   protocol version.
 //! * [`worker`] — what a rank does before it executes: regenerate the glue
 //!   program from the model text and bind kernels ([`prepare_job`]).
 //! * [`launch`] — [`merge_outcomes`]: fold per-rank reports into one

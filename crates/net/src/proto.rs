@@ -1,14 +1,17 @@
 //! Control-plane payloads: the job parameters every job message carries,
 //! and the report each rank sends back.
 //!
-//! Serialization rides the shared [`crate::codec`] primitives. The
-//! control protocol carries its own explicit version ([`PROTO_VERSION`]),
-//! exchanged before any layout-dependent field — so a speaker of a
-//! different revision gets a typed [`NetError::VersionMismatch`] instead
-//! of a codec parse failure deep in some unrelated field.
+//! Each record's layout is declared once, at the bottom of this file, on
+//! the [`crate::codec`] declarators; [`crate::codec`]'s module docs give the
+//! recipe for changing one. The control protocol carries its own explicit
+//! version ([`PROTO_VERSION`]), exchanged before any layout-dependent field
+//! — so a speaker of a different revision gets a typed
+//! [`NetError::VersionMismatch`] instead of a codec parse failure deep in
+//! some unrelated field.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{Reader, Wire, Writer};
 use crate::error::NetError;
+use crate::{wire_enum, wire_struct};
 use sage_fabric::{LinkMetrics, NodeMetrics};
 use sage_runtime::RuntimeError;
 use sage_visualizer::{EventKind, ProbeEvent};
@@ -68,34 +71,6 @@ impl JobParams {
             model: model.into(),
         }
     }
-
-    /// Appends the parameters to a message under construction.
-    pub fn encode_into(&self, w: &mut Writer) {
-        w.u32(self.iterations);
-        w.u8(u8::from(self.optimized));
-        w.u8(u8::from(self.probes));
-        w.u8(u8::from(self.race_detect));
-        w.opt_u64(self.pipeline.map(u64::from));
-        w.seq(&self.pipeline_depths, |w, &d| w.u32(d));
-        w.string(&self.model);
-    }
-
-    /// Reads the parameters from a reader positioned at their first field.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<JobParams, NetError> {
-        Ok(JobParams {
-            iterations: r.u32()?,
-            optimized: r.u8()? != 0,
-            probes: r.u8()? != 0,
-            race_detect: r.u8()? != 0,
-            pipeline: r
-                .opt_u64()?
-                .map(u32::try_from)
-                .transpose()
-                .map_err(|_| NetError::Protocol("pipeline depth out of range".into()))?,
-            pipeline_depths: r.seq(|r| r.u32())?,
-            model: r.string()?,
-        })
-    }
 }
 
 /// What one rank produced.
@@ -118,285 +93,133 @@ pub struct RankReport {
     pub events: Vec<ProbeEvent>,
 }
 
-// ---- RuntimeError codec ----------------------------------------------
+// ---- Layouts ---------------------------------------------------------
 
-pub(crate) fn write_runtime_error(w: &mut Writer, e: &RuntimeError) {
-    match e {
-        RuntimeError::UnknownFunction { block, function } => {
-            w.u8(1);
-            w.string(block);
-            w.string(function);
-        }
-        RuntimeError::Kernel { block, message } => {
-            w.u8(2);
-            w.string(block);
-            w.string(message);
-        }
-        RuntimeError::BadProgram(m) => {
-            w.u8(3);
-            w.string(m);
-        }
-        RuntimeError::NodeFailed { node } => {
-            w.u8(4);
-            w.u32(*node);
-        }
-        RuntimeError::PeerFailed { node, peer } => {
-            w.u8(5);
-            w.u32(*node);
-            w.u32(*peer);
-        }
-        RuntimeError::TransferFailed {
-            node,
-            peer,
-            attempts,
-        } => {
-            w.u8(6);
-            w.u32(*node);
-            w.u32(*peer);
-            w.u32(*attempts);
-        }
-        RuntimeError::Timeout { node, peer } => {
-            w.u8(7);
-            w.u32(*node);
-            w.u32(*peer);
-        }
-        RuntimeError::Assembly {
-            fn_id,
-            iteration,
-            message,
-        } => {
-            w.u8(8);
-            w.u32(*fn_id);
-            w.u32(*iteration);
-            w.string(message);
-        }
-        RuntimeError::RaceDetected {
-            port,
-            first,
-            second,
-        } => {
-            w.u8(9);
-            w.string(port);
-            w.string(first);
-            w.string(second);
-        }
+/// `JobParams::pipeline` on the wire. The depth has travelled as an
+/// `Option<u64>` since v4 although the run-time takes a `u32`; a value a
+/// `u32` cannot hold is a malformed job, not a depth to truncate — hence a
+/// hand-written impl rather than `Option<u32>`'s.
+struct WideDepth(Option<u32>);
+
+impl Wire for WideDepth {
+    fn put(&self, w: &mut Writer) {
+        self.0.map(u64::from).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<WideDepth, NetError> {
+        Option::<u64>::get(r)?
+            .map(u32::try_from)
+            .transpose()
+            .map(WideDepth)
+            .map_err(|_| NetError::Protocol("pipeline depth out of range".into()))
     }
 }
 
-pub(crate) fn read_runtime_error(r: &mut Reader<'_>) -> Result<RuntimeError, NetError> {
-    Ok(match r.u8()? {
-        1 => RuntimeError::UnknownFunction {
-            block: r.string()?,
-            function: r.string()?,
-        },
-        2 => RuntimeError::Kernel {
-            block: r.string()?,
-            message: r.string()?,
-        },
-        3 => RuntimeError::BadProgram(r.string()?),
-        4 => RuntimeError::NodeFailed { node: r.u32()? },
-        5 => RuntimeError::PeerFailed {
-            node: r.u32()?,
-            peer: r.u32()?,
-        },
-        6 => RuntimeError::TransferFailed {
-            node: r.u32()?,
-            peer: r.u32()?,
-            attempts: r.u32()?,
-        },
-        7 => RuntimeError::Timeout {
-            node: r.u32()?,
-            peer: r.u32()?,
-        },
-        8 => RuntimeError::Assembly {
-            fn_id: r.u32()?,
-            iteration: r.u32()?,
-            message: r.string()?,
-        },
-        9 => RuntimeError::RaceDetected {
-            port: r.string()?,
-            first: r.string()?,
-            second: r.string()?,
-        },
-        other => return Err(NetError::Protocol(format!("bad error code {other}"))),
-    })
-}
+wire_struct!(JobParams {
+    iterations,
+    optimized,
+    probes,
+    race_detect,
+    pipeline as WideDepth,
+    pipeline_depths,
+    model,
+});
 
-// ---- EventKind codec --------------------------------------------------
+wire_struct!(RankReport {
+    rank,
+    error,
+    deposits,
+    wall_secs,
+    metrics,
+    links,
+    events,
+});
 
-fn event_kind_code(k: EventKind) -> u8 {
-    match k {
-        EventKind::FnStart => 1,
-        EventKind::FnEnd => 2,
-        EventKind::XferStart => 3,
-        EventKind::XferEnd => 4,
-        EventKind::SourceEmit => 5,
-        EventKind::SinkAbsorb => 6,
-        EventKind::BufAlloc => 7,
-        EventKind::XferRetry => 8,
-        EventKind::Fault => 9,
-        EventKind::NetConnect => 10,
-        EventKind::NetSend => 11,
-        EventKind::NetRecv => 12,
-        EventKind::NetRetry => 13,
-        EventKind::NetTimeout => 14,
-    }
-}
+wire_enum!(RuntimeError, "error code" {
+    1 => UnknownFunction { block, function },
+    2 => Kernel { block, message },
+    3 => BadProgram(message),
+    4 => NodeFailed { node },
+    5 => PeerFailed { node, peer },
+    6 => TransferFailed { node, peer, attempts },
+    7 => Timeout { node, peer },
+    8 => Assembly { fn_id, iteration, message },
+    9 => RaceDetected { port, first, second },
+});
 
-fn event_kind_from(code: u8) -> Result<EventKind, NetError> {
-    Ok(match code {
-        1 => EventKind::FnStart,
-        2 => EventKind::FnEnd,
-        3 => EventKind::XferStart,
-        4 => EventKind::XferEnd,
-        5 => EventKind::SourceEmit,
-        6 => EventKind::SinkAbsorb,
-        7 => EventKind::BufAlloc,
-        8 => EventKind::XferRetry,
-        9 => EventKind::Fault,
-        10 => EventKind::NetConnect,
-        11 => EventKind::NetSend,
-        12 => EventKind::NetRecv,
-        13 => EventKind::NetRetry,
-        14 => EventKind::NetTimeout,
-        other => return Err(NetError::Protocol(format!("bad event kind {other}"))),
-    })
-}
+// The fields only the virtual fabric fills (clock, compute/wait/lost
+// seconds, injected drops) do not travel: they read back as defaults.
+wire_struct!(NodeMetrics {
+    messages_sent,
+    bytes_sent,
+    messages_received,
+    bytes_received,
+    retries,
+    faults_observed,
+    mem_high_water,
+    ..
+});
 
-// ---- RankReport ------------------------------------------------------
+wire_struct!(LinkMetrics {
+    src,
+    dst,
+    messages,
+    bytes
+});
 
-impl RankReport {
-    /// Appends the report to a message under construction.
-    pub fn encode_into(&self, w: &mut Writer) {
-        w.u32(self.rank);
-        match &self.error {
-            None => w.u8(0),
-            Some(e) => {
-                w.u8(1);
-                write_runtime_error(w, e);
-            }
-        }
-        w.seq(&self.deposits, |w, ((f, i, t), bytes)| {
-            w.u32(*f);
-            w.u32(*i);
-            w.u32(*t);
-            w.bytes(bytes);
-        });
-        w.f64(self.wall_secs);
-        let m = &self.metrics;
-        w.u64(m.messages_sent);
-        w.u64(m.bytes_sent);
-        w.u64(m.messages_received);
-        w.u64(m.bytes_received);
-        w.u64(m.retries);
-        w.u64(m.faults_observed);
-        w.u64(m.mem_high_water);
-        w.seq(&self.links, |w, l| {
-            w.u32(l.src);
-            w.u32(l.dst);
-            w.u64(l.messages);
-            w.u64(l.bytes);
-        });
-        w.seq(&self.events, |w, e| {
-            w.f64(e.time);
-            w.u32(e.node);
-            w.u8(event_kind_code(e.kind));
-            w.u32(e.id);
-            w.u32(e.iteration);
-        });
-    }
+wire_struct!(ProbeEvent {
+    time,
+    node,
+    kind,
+    id,
+    iteration
+});
 
-    /// Reads one report from a reader positioned at its first field.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<RankReport, NetError> {
-        let rank = r.u32()?;
-        let error = match r.u8()? {
-            0 => None,
-            _ => Some(read_runtime_error(r)?),
-        };
-        let deposits = r.seq(|r| Ok(((r.u32()?, r.u32()?, r.u32()?), r.bytes()?)))?;
-        let wall_secs = r.f64()?;
-        let metrics = NodeMetrics {
-            messages_sent: r.u64()?,
-            bytes_sent: r.u64()?,
-            messages_received: r.u64()?,
-            bytes_received: r.u64()?,
-            retries: r.u64()?,
-            faults_observed: r.u64()?,
-            mem_high_water: r.u64()?,
-            ..NodeMetrics::default()
-        };
-        let links = r.seq(|r| {
-            Ok(LinkMetrics {
-                src: r.u32()?,
-                dst: r.u32()?,
-                messages: r.u64()?,
-                bytes: r.u64()?,
-            })
-        })?;
-        let events = r.seq(|r| {
-            Ok(ProbeEvent {
-                time: r.f64()?,
-                node: r.u32()?,
-                kind: event_kind_from(r.u8()?)?,
-                id: r.u32()?,
-                iteration: r.u32()?,
-            })
-        })?;
-        Ok(RankReport {
-            rank,
-            error,
-            deposits,
-            wall_secs,
-            metrics,
-            links,
-            events,
-        })
-    }
-}
+wire_enum!(EventKind, "event kind" {
+    1 => FnStart,
+    2 => FnEnd,
+    3 => XferStart,
+    4 => XferEnd,
+    5 => SourceEmit,
+    6 => SinkAbsorb,
+    7 => BufAlloc,
+    8 => XferRetry,
+    9 => Fault,
+    10 => NetConnect,
+    11 => NetSend,
+    12 => NetRecv,
+    13 => NetRetry,
+    14 => NetTimeout,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode, encode};
 
-    fn params() -> JobParams {
-        JobParams {
+    #[test]
+    fn params_round_trip() {
+        let p = JobParams {
             optimized: true,
             race_detect: true,
             pipeline: Some(3),
             pipeline_depths: vec![2, 3],
             ..JobParams::new("(app demo)", 7)
-        }
-    }
-
-    fn encoded(p: &JobParams) -> Vec<u8> {
-        let mut w = Writer::new();
-        p.encode_into(&mut w);
-        w.0
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = params();
-        let enc = encoded(&p);
-        let mut r = Reader::new(&enc);
-        assert_eq!(JobParams::decode_from(&mut r).unwrap(), p);
-        r.done().unwrap();
+        };
+        assert_eq!(decode(&encode(&p)), Ok(p));
     }
 
     /// The depth rides the wire as a u64; a value a u32 cannot hold is a
     /// malformed job, not a depth to truncate.
     #[test]
     fn oversized_pipeline_depth_is_typed_error() {
-        let mut w = Writer::new();
-        w.u32(7);
-        w.u8(0);
-        w.u8(0);
-        w.u8(0);
-        w.opt_u64(Some(u64::from(u32::MAX) + 2));
-        w.seq(&[] as &[u32], |w, &d| w.u32(d));
-        w.string("(app demo)");
+        let too_deep = Some(u64::from(u32::MAX) + 2);
+        let bytes = encode(&(
+            (7u32, false, false),
+            (false, too_deep, Vec::<u32>::new()),
+            "(app demo)".to_string(),
+        ));
         assert!(matches!(
-            JobParams::decode_from(&mut Reader::new(&w.0)).unwrap_err(),
+            decode::<JobParams>(&bytes).unwrap_err(),
             NetError::Protocol(m) if m.contains("pipeline depth")
         ));
     }
@@ -422,53 +245,6 @@ mod tests {
             }],
             events: vec![ProbeEvent::new(0.5, 2, EventKind::NetSend, 0, 1)],
         };
-        let mut w = Writer::new();
-        rep.encode_into(&mut w);
-        let mut r = Reader::new(&w.0);
-        assert_eq!(RankReport::decode_from(&mut r).unwrap(), rep);
-        r.done().unwrap();
-    }
-
-    #[test]
-    fn all_runtime_error_variants_round_trip() {
-        let errs = [
-            RuntimeError::UnknownFunction {
-                block: "b".into(),
-                function: "f".into(),
-            },
-            RuntimeError::Kernel {
-                block: "b".into(),
-                message: "m".into(),
-            },
-            RuntimeError::BadProgram("p".into()),
-            RuntimeError::NodeFailed { node: 1 },
-            RuntimeError::PeerFailed { node: 1, peer: 2 },
-            RuntimeError::TransferFailed {
-                node: 1,
-                peer: 2,
-                attempts: 3,
-            },
-            RuntimeError::Timeout { node: 1, peer: 2 },
-            RuntimeError::Assembly {
-                fn_id: 1,
-                iteration: 2,
-                message: "short stripe".into(),
-            },
-        ];
-        for e in errs {
-            let mut w = Writer::new();
-            write_runtime_error(&mut w, &e);
-            let mut r = Reader::new(&w.0);
-            assert_eq!(read_runtime_error(&mut r).unwrap(), e);
-        }
-    }
-
-    #[test]
-    fn truncated_payload_is_typed_error() {
-        let enc = encoded(&params());
-        assert!(matches!(
-            JobParams::decode_from(&mut Reader::new(&enc[..enc.len() - 1])).unwrap_err(),
-            NetError::Protocol(_)
-        ));
+        assert_eq!(decode(&encode(&rep)), Ok(rep));
     }
 }

@@ -69,17 +69,12 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
+    /// The kind a header byte names; the codes are the discriminants above.
     fn from_u8(v: u8) -> Option<FrameKind> {
-        Some(match v {
-            1 => FrameKind::Hello,
-            2 => FrameKind::Data,
-            3 => FrameKind::Heartbeat,
-            6 => FrameKind::Goodbye,
-            7 => FrameKind::JobDone,
-            8 => FrameKind::Reject,
-            9 => FrameKind::Fleet,
-            _ => return None,
-        })
+        use FrameKind::*;
+        [Hello, Data, Heartbeat, Goodbye, JobDone, Reject, Fleet]
+            .into_iter()
+            .find(|&kind| kind as u8 == v)
     }
 }
 
@@ -174,39 +169,126 @@ fn check_len(len: usize) -> Result<u32, WireError> {
     Ok(len as u32)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn header_parts(
+/// Where the checksum sits in the header; hashed as zero.
+const CHECKSUM: std::ops::Range<usize> = 40..44;
+
+/// The fields of a frame header that belong to the frame (length and
+/// checksum belong to its payload).
+#[derive(Clone, Copy)]
+struct Header {
     kind: FrameKind,
     tag: u64,
     src: u32,
     dst: u32,
     job: u32,
     seq: u64,
-    len: u32,
+}
+
+/// What [`Header::read_back`] finds in 44 received bytes: each verdict is
+/// ready, and the caller draws them in the order its stream discipline
+/// needs.
+struct Received {
+    magic: Result<(), WireError>,
+    /// Version judged first, then kind.
+    header: Result<Header, WireError>,
+    len: Result<usize, WireError>,
     checksum: u32,
-) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[0..4].copy_from_slice(&MAGIC.to_be_bytes());
-    h[4] = VERSION;
-    h[5] = kind as u8;
-    // 6..8 reserved, zero.
-    h[8..16].copy_from_slice(&tag.to_be_bytes());
-    h[16..20].copy_from_slice(&src.to_be_bytes());
-    h[20..24].copy_from_slice(&dst.to_be_bytes());
-    h[24..28].copy_from_slice(&job.to_be_bytes());
-    h[28..36].copy_from_slice(&seq.to_be_bytes());
-    h[36..40].copy_from_slice(&len.to_be_bytes());
-    h[40..44].copy_from_slice(&checksum.to_be_bytes());
-    h
+}
+
+impl Header {
+    /// The one writer of the layout in the module docs.
+    fn lay_out(&self, len: u32, checksum: u32) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[0..4].copy_from_slice(&MAGIC.to_be_bytes());
+        h[4] = VERSION;
+        h[5] = self.kind as u8;
+        // 6..8 reserved, zero.
+        h[8..16].copy_from_slice(&self.tag.to_be_bytes());
+        h[16..20].copy_from_slice(&self.src.to_be_bytes());
+        h[20..24].copy_from_slice(&self.dst.to_be_bytes());
+        h[24..28].copy_from_slice(&self.job.to_be_bytes());
+        h[28..36].copy_from_slice(&self.seq.to_be_bytes());
+        h[36..40].copy_from_slice(&len.to_be_bytes());
+        h[CHECKSUM].copy_from_slice(&checksum.to_be_bytes());
+        h
+    }
+
+    /// The header of a frame carrying `payload` (`len` is its checked
+    /// length), checksum filled in.
+    fn sealed(&self, len: u32, payload: &[u8]) -> [u8; HEADER_LEN] {
+        let mut h = self.lay_out(len, 0);
+        let checksum = fnv1a_32(&[&h, payload]);
+        h[CHECKSUM].copy_from_slice(&checksum.to_be_bytes());
+        h
+    }
+
+    /// The stream writer behind [`write_parts`] and [`Frame::write_to`].
+    fn write<W: Write>(&self, w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+        let header = self.sealed(check_len(payload.len())?, payload);
+        write_all_vectored(w, &header, payload)
+            .and_then(|()| w.flush())
+            .map_err(|e| WireError::Io(e.to_string()))
+    }
+
+    /// The one reader of the layout in the module docs.
+    fn read_back(h: &[u8; HEADER_LEN]) -> Received {
+        /// The `N` bytes at `h[at..at + N]`, in bounds by construction.
+        fn field<const N: usize>(h: &[u8; HEADER_LEN], at: usize) -> [u8; N] {
+            let mut a = [0u8; N];
+            a.copy_from_slice(&h[at..at + N]);
+            a
+        }
+        let magic = u32::from_be_bytes(field(h, 0));
+        let (version, kind) = (h[4], h[5]);
+        let len = u32::from_be_bytes(field(h, 36));
+        Received {
+            magic: (magic == MAGIC)
+                .then_some(())
+                .ok_or(WireError::BadMagic(magic)),
+            header: if version != VERSION {
+                Err(WireError::BadVersion(version))
+            } else {
+                FrameKind::from_u8(kind)
+                    .ok_or(WireError::BadKind(kind))
+                    .map(|kind| Header {
+                        kind,
+                        tag: u64::from_be_bytes(field(h, 8)),
+                        src: u32::from_be_bytes(field(h, 16)),
+                        dst: u32::from_be_bytes(field(h, 20)),
+                        job: u32::from_be_bytes(field(h, 24)),
+                        seq: u64::from_be_bytes(field(h, 28)),
+                    })
+            },
+            len: (len <= MAX_PAYLOAD)
+                .then_some(len as usize)
+                .ok_or(WireError::Oversized(len)),
+            checksum: u32::from_be_bytes(field(h, CHECKSUM.start)),
+        }
+    }
+}
+
+/// Checks a received frame against the checksum its header declared. Hashes
+/// the received bytes themselves (checksum field zeroed), not a
+/// re-serialization of the parsed fields — otherwise corruption in bytes no
+/// field covers (e.g. reserved) would go unnoticed.
+fn verify(mut h: [u8; HEADER_LEN], payload: &[u8], expected: u32) -> Result<(), WireError> {
+    h[CHECKSUM].fill(0);
+    let computed = fnv1a_32(&[&h, payload]);
+    if computed != expected {
+        return Err(WireError::Checksum { expected, computed });
+    }
+    Ok(())
 }
 
 /// Writes one frame from its parts as vectored header+payload I/O.
 ///
 /// The header lives on the stack and the payload is written straight from
 /// the caller's slice — no per-frame assembly buffer, no payload copy.
-/// This is the hot-path writer: [`Frame::write_to`] delegates here, and the
-/// transport writes queued [`Payload`](sage_fabric::Payload)s through it
+/// This is the hot-path writer: [`Frame::write_to`] goes the same way, and
+/// the transport writes queued [`Payload`](sage_fabric::Payload)s through it
 /// without ever constructing a `Frame`.
+// Eight positional arguments because `benchmark/src/cells.rs::wire_codec`
+// calls it this way and `benchmark/` is frozen.
 #[allow(clippy::too_many_arguments)]
 pub fn write_parts<W: Write>(
     w: &mut W,
@@ -218,13 +300,15 @@ pub fn write_parts<W: Write>(
     seq: u64,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    let len = check_len(payload.len())?;
-    let mut header = header_parts(kind, tag, src, dst, job, seq, len, 0);
-    let checksum = fnv1a_32(&[&header, payload]);
-    header[40..44].copy_from_slice(&checksum.to_be_bytes());
-    write_all_vectored(w, &header, payload)
-        .and_then(|()| w.flush())
-        .map_err(|e| WireError::Io(e.to_string()))
+    let header = Header {
+        kind,
+        tag,
+        src,
+        dst,
+        job,
+        seq,
+    };
+    header.write(w, payload)
 }
 
 /// Outcome of [`try_write_control`].
@@ -258,9 +342,15 @@ pub fn try_write_control<W: Write>(
     job: u32,
     seq: u64,
 ) -> TryWrite {
-    let mut header = header_parts(kind, 0, src, dst, job, seq, 0, 0);
-    let checksum = fnv1a_32(&[&header, &[]]);
-    header[40..44].copy_from_slice(&checksum.to_be_bytes());
+    let header = Header {
+        kind,
+        tag: 0,
+        src,
+        dst,
+        job,
+        seq,
+    }
+    .sealed(0, &[]);
     let mut written = 0usize;
     while written < header.len() {
         match w.write(&header[written..]) {
@@ -356,19 +446,33 @@ impl Frame {
         self
     }
 
+    fn header(&self) -> Header {
+        Header {
+            kind: self.kind,
+            tag: self.tag,
+            src: self.src,
+            dst: self.dst,
+            job: self.job,
+            seq: self.seq,
+        }
+    }
+
+    fn from_parts(h: Header, payload: Vec<u8>) -> Frame {
+        Frame {
+            kind: h.kind,
+            tag: h.tag,
+            src: h.src,
+            dst: h.dst,
+            job: h.job,
+            seq: h.seq,
+            payload,
+        }
+    }
+
     /// The frame's checksum: FNV-1a-32 over the header with the checksum
     /// field zeroed, then the payload.
     pub fn checksum(&self) -> u32 {
-        let h = header_parts(
-            self.kind,
-            self.tag,
-            self.src,
-            self.dst,
-            self.job,
-            self.seq,
-            self.payload.len() as u32,
-            0,
-        );
+        let h = self.header().lay_out(self.payload.len() as u32, 0);
         fnv1a_32(&[&h, &self.payload])
     }
 
@@ -379,18 +483,8 @@ impl Frame {
     /// field.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let len = check_len(self.payload.len())?;
-        let h = header_parts(
-            self.kind,
-            self.tag,
-            self.src,
-            self.dst,
-            self.job,
-            self.seq,
-            len,
-            self.checksum(),
-        );
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&h);
+        out.extend_from_slice(&self.header().sealed(len, &self.payload));
         out.extend_from_slice(&self.payload);
         Ok(out)
     }
@@ -398,67 +492,22 @@ impl Frame {
     /// Decodes one frame from the front of `buf`, returning the frame and
     /// the number of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-        if buf.len() < HEADER_LEN {
+        let Some((header, body)) = buf.split_first_chunk::<HEADER_LEN>() else {
             return Err(WireError::Truncated);
-        }
-        let magic = be_u32(buf, 0);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = buf[4];
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let kind = FrameKind::from_u8(buf[5]).ok_or(WireError::BadKind(buf[5]))?;
-        let tag = be_u64(buf, 8);
-        let src = be_u32(buf, 16);
-        let dst = be_u32(buf, 20);
-        let job = be_u32(buf, 24);
-        let seq = be_u64(buf, 28);
-        let len = be_u32(buf, 36);
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
-        let expected = be_u32(buf, 40);
-        let total = HEADER_LEN + len as usize;
-        if buf.len() < total {
-            return Err(WireError::Truncated);
-        }
-        // Hash the received bytes themselves (checksum field zeroed), not a
-        // re-serialization of the parsed fields — otherwise corruption in
-        // bytes no field covers (e.g. reserved) would go unnoticed.
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&buf[..HEADER_LEN]);
-        header[40..44].fill(0);
-        let computed = fnv1a_32(&[&header, &buf[HEADER_LEN..total]]);
-        if computed != expected {
-            return Err(WireError::Checksum { expected, computed });
-        }
-        let frame = Frame {
-            kind,
-            tag,
-            src,
-            dst,
-            job,
-            seq,
-            payload: buf[HEADER_LEN..total].to_vec(),
         };
-        Ok((frame, total))
+        let got = Header::read_back(header);
+        got.magic?;
+        let parsed = got.header?;
+        let payload = body.get(..got.len?).ok_or(WireError::Truncated)?;
+        verify(*header, payload, got.checksum)?;
+        let frame = Frame::from_parts(parsed, payload.to_vec());
+        Ok((frame, HEADER_LEN + payload.len()))
     }
 
     /// Writes the frame to a stream without building an assembly buffer
     /// (see [`write_parts`]).
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
-        write_parts(
-            w,
-            self.kind,
-            self.tag,
-            self.src,
-            self.dst,
-            self.job,
-            self.seq,
-            &self.payload,
-        )
+        self.header().write(w, &self.payload)
     }
 
     /// Reads exactly one frame from a stream.
@@ -473,54 +522,18 @@ impl Frame {
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact(r, &mut header)?;
-        // Parse magic and length first so we size the payload read.
-        let magic = be_u32(&header, 0);
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let len = be_u32(&header, 36);
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
-        let mut payload = vec![0u8; len as usize];
+        // Judge magic and length first so we size the payload read.
+        let got = Header::read_back(&header);
+        got.magic?;
+        let mut payload = vec![0u8; got.len?];
         read_exact(r, &mut payload)?;
         // Full frame consumed: the stream is at a frame boundary whatever
         // the verdict below, so a validation failure poisons one frame, not
         // the connection framing.
-        let version = header[4];
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let kind = FrameKind::from_u8(header[5]).ok_or(WireError::BadKind(header[5]))?;
-        let expected = be_u32(&header, 40);
-        header[40..44].fill(0);
-        let computed = fnv1a_32(&[&header, &payload]);
-        if computed != expected {
-            return Err(WireError::Checksum { expected, computed });
-        }
-        Ok(Frame {
-            kind,
-            tag: be_u64(&header, 8),
-            src: be_u32(&header, 16),
-            dst: be_u32(&header, 20),
-            job: be_u32(&header, 24),
-            seq: be_u64(&header, 28),
-            payload,
-        })
+        let parsed = got.header?;
+        verify(header, &payload, got.checksum)?;
+        Ok(Frame::from_parts(parsed, payload))
     }
-}
-
-/// Big-endian `u32` at `buf[at..at + 4]`. The callers have already
-/// length-checked the header, so the indexing is in bounds by construction.
-fn be_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_be_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
-}
-
-/// Big-endian `u64` at `buf[at..at + 8]`; same bounds contract as [`be_u32`].
-fn be_u64(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_be_bytes(b)
 }
 
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {

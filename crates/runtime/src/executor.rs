@@ -673,8 +673,9 @@ struct RankState<'a, T: Transport> {
 /// One rank's program: run every schedule slot for every iteration, over
 /// any [`Transport`] backend.
 ///
-/// The in-process `execute` calls this once per cluster thread; `sage-net`
-/// workers call it once per OS process with a `TcpTransport`. Unrecoverable
+/// The in-process `execute` calls this once per cluster thread; a
+/// `sage fleet` daemon calls it once per job rank it hosts, with a
+/// `sage_net::JobTransport` over the daemon's shared mesh. Unrecoverable
 /// injected faults surface as `Err(RuntimeError)` instead of panics; the
 /// fault site is also recorded in the trace when probes are on.
 ///
