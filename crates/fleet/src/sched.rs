@@ -19,10 +19,12 @@
 
 use crate::metrics::{FleetStats, TenantStats};
 use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetMsg, SubmitSpec};
+use sage_net::poll::{self, PollFd};
 use sage_net::{NetError, RankReport, RejectReason, PROTO_VERSION};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -557,9 +559,14 @@ pub fn serve_sched(listener: TcpListener, sched: Arc<Scheduler>) -> Result<(), N
     println!("sage-sched listening on {addr}");
     std::io::stdout().flush()?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
+    // The client that drains the fleet writes one byte to `stop`; the
+    // accept loop blocks in `poll(2)` on the listener and the other end.
+    let (stop, stopped) = UnixStream::pair()?;
+    let stop = Arc::new(stop);
     loop {
-        if stop.load(Ordering::SeqCst) {
+        let mut fds = [PollFd::readable(&listener), PollFd::readable(&stopped)];
+        poll::wait(&mut fds, None)?;
+        if fds[1].ready() {
             return Ok(());
         }
         match listener.accept() {
@@ -570,15 +577,13 @@ pub fn serve_sched(listener: TcpListener, sched: Arc<Scheduler>) -> Result<(), N
                 // must not block the drain-triggered shutdown.
                 std::thread::spawn(move || handle_client(&conn, &sched, &stop));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) => return Err(e.into()),
         }
     }
 }
 
-fn handle_client(conn: &TcpStream, sched: &Scheduler, stop: &AtomicBool) {
+fn handle_client(conn: &TcpStream, sched: &Scheduler, mut stop: &UnixStream) {
     let _ = conn.set_nodelay(true);
     let _ = conn.set_nonblocking(false);
     loop {
@@ -615,7 +620,7 @@ fn handle_client(conn: &TcpStream, sched: &Scheduler, stop: &AtomicBool) {
                     }
                 };
                 let _ = send_fleet(&mut &*conn, &FleetMsg::Drained { jobs_completed: n });
-                stop.store(true, Ordering::SeqCst);
+                let _ = stop.write(&[1]);
                 return;
             }
             other => {

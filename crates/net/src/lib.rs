@@ -19,13 +19,19 @@
 //!   trait and the `wire_struct!` / `wire_enum!` declarators that derive a
 //!   record's encoder and decoder from one field list (shared with
 //!   `sage-fleet`); its docs give the recipe for changing a layout.
-//! * [`transport`] — the mesh: [`MeshCore`] (full-mesh establishment with
-//!   retry/backoff, a **single nonblocking poll-loop I/O thread** per
-//!   endpoint feeding a `(job, src, tag)` mailbox, heartbeat liveness — a
-//!   silent peer is declared dead after `max_retries + 2` missed beats),
-//!   [`JobTransport`] (a per-job rank-namespace view over a shared warm
-//!   core, for the fleet), and [`TcpTransport`] (a one-job wrapper over a
-//!   private core), all feeding [`sage_fabric::LinkMetrics`].
+//! * `mesh` — the endpoint as a sans-I/O state machine: frame reassembly,
+//!   sequence checks, the `(job, src, tag)` mailbox, heartbeat liveness (a
+//!   silent peer is declared dead after `max_retries + 2` missed beats) —
+//!   bytes and the time in, deliveries and verdicts out.
+//! * [`transport`] — its driver: [`MeshCore`] (full-mesh establishment with
+//!   retry/backoff, a **single I/O thread** per endpoint blocked in
+//!   `poll(2)` on the peer sockets), [`JobTransport`] (a per-job
+//!   rank-namespace view over a shared warm core, for the fleet), and
+//!   [`TcpTransport`] (a one-job wrapper over a private core), all feeding
+//!   [`sage_fabric::LinkMetrics`].
+//! * [`poll`] — `poll(2)` behind a safe wrapper: the crate's only `unsafe`,
+//!   and what every wait in the mesh and the scheduler's accept loop
+//!   blocks in instead of sleeping.
 //! * [`proto`] — the control-plane payloads: [`JobParams`] (the one
 //!   description of a job every job message embeds) and [`RankReport`]
 //!   (what each rank sends back), each declared once, under an explicit
@@ -43,10 +49,14 @@
 //! only the wire underneath changes.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod error;
 pub mod launch;
+mod mesh;
+#[allow(unsafe_code)]
+pub mod poll;
 pub mod proto;
 pub mod transport;
 pub mod wire;

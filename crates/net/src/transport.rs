@@ -1,15 +1,22 @@
 //! The TCP backend: one OS process per mesh endpoint, a full mesh of
-//! framed connections, and a **single nonblocking I/O thread** per
+//! framed connections, and a **single readiness-driven I/O thread** per
 //! endpoint multiplexing every peer socket — so an endpoint scales to
 //! hundreds of peers (and, through per-job rank namespaces, hundreds of
 //! concurrent jobs) with O(1) threads instead of a reader thread per link.
 //!
+//! This module is the *driver*: it owns the sockets, the clock and the one
+//! thread, and decides nothing. What a byte, an EOF or a silence *means*
+//! is the sans-I/O state machine in [`mesh`](crate::mesh); the driver
+//! blocks in `poll(2)` until a peer socket is readable, a beat is due or
+//! it is told to stop, and hands what it read to that machine together
+//! with the time. Nothing on the data path sleeps.
+//!
 //! Layering:
 //!
 //! * [`MeshCore`] — the warm mesh itself: connection establishment with
-//!   retry/backoff, the poll-loop I/O thread feeding a `(job, src, tag)`
-//!   mailbox, heartbeat liveness, and job retirement. One core is shared
-//!   (via `Arc`) by every job executing on the endpoint.
+//!   retry/backoff, the I/O thread feeding the `(job, src, tag)` mailbox,
+//!   heartbeats, and job retirement. One core is shared (via `Arc`) by
+//!   every job executing on the endpoint.
 //! * [`JobTransport`] — a per-job [`Transport`] view over a shared core:
 //!   logical ranks are mapped to mesh peer indices through a rank map, so
 //!   many concurrent jobs — each with its own dense rank namespace — ride
@@ -20,18 +27,21 @@
 //!
 //! Semantics mirror the in-process cluster so the executor cannot tell the
 //! backends apart: per-`(src, tag)` FIFO ordering (TCP ordering + one
-//! poll loop), `PeerFailed` when a peer is gone and its queue is drained,
-//! `RecvTimeout` when a receive outlives the configured deadline.
+//! reader per link), `PeerFailed` when a peer is gone and its queue is
+//! drained, `RecvTimeout` when a receive outlives the configured deadline.
 
 use crate::error::NetError;
-use crate::wire::{try_write_control, write_parts, Frame, FrameKind, TryWrite, WireError};
+use crate::mesh::{Beats, Mailbox, PeerInput, Take};
+use crate::poll::{self, PollFd};
+use crate::wire::{try_write_control, write_parts, Frame, FrameKind, TryWrite};
 use sage_fabric::{FabricError, LinkMetrics, NodeMetrics, Payload, Transport};
 use sage_mpi::RetryPolicy;
 use sage_visualizer::Probe;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the TCP backend.
@@ -82,75 +92,62 @@ impl NetConfig {
     }
 }
 
-/// Liveness state of one peer link.
-struct PeerState {
-    /// Peer sent `Goodbye`: it will transmit nothing further, but already
-    /// queued messages remain receivable.
-    done: bool,
-    /// Connection dropped without `Goodbye`, protocol violation, or
-    /// heartbeat silence: the peer is presumed crashed.
-    dead: bool,
-    last_seen: Instant,
-}
-
-/// How many retired job ids the mailbox remembers. Late frames for a
-/// remembered id are dropped instead of accumulating in dead queues; ids
-/// are scheduler-monotonic and never reused, so forgetting ancient ones
-/// is harmless.
-const RETIRED_MEMORY: usize = 1024;
-
-/// Shared between the endpoint's caller threads and its I/O thread.
-struct MailboxInner {
-    /// Received payloads keyed `(job, logical src, tag)`.
-    queues: HashMap<(u32, u32, u64), VecDeque<Payload>>,
-    peers: Vec<PeerState>,
-    /// `(job, logical src)` pairs whose sender declared the job finished.
-    job_done: HashSet<(u32, u32)>,
-    /// Jobs purged on this endpoint (see [`RETIRED_MEMORY`]).
-    retired: HashSet<u32>,
-    retired_order: VecDeque<u32>,
-    recv_messages: u64,
-    recv_bytes: u64,
-}
-
-struct Mailbox {
-    inner: Mutex<MailboxInner>,
-    cv: Condvar,
-    /// Set when any thread panicked while holding the mailbox lock. The
-    /// transport keeps functioning (metrics, shutdown, draining) but
-    /// reports this endpoint as failed instead of cascading the panic
-    /// into every caller thread.
-    poisoned: AtomicBool,
-}
-
-impl Mailbox {
-    /// Locks the mailbox, recovering from poison instead of panicking.
-    fn lock(&self) -> MutexGuard<'_, MailboxInner> {
-        self.inner.lock().unwrap_or_else(|e| {
-            self.poisoned.store(true, Ordering::SeqCst);
-            e.into_inner()
-        })
-    }
-
-    fn mark_dead(&self, peer: usize) {
-        let mut m = self.lock();
-        m.peers[peer].dead = true;
-        drop(m);
-        self.cv.notify_all();
-    }
-}
-
 /// The write half of one established link.
 struct PeerLink {
     writer: Mutex<TcpStream>,
     seq: AtomicU64,
 }
 
+/// `Write` over a link's nonblocking socket (the fd is shared with the I/O
+/// thread's read half) that answers `WouldBlock` by blocking in `poll(2)`
+/// until the kernel send buffer drains — always when `patient`, otherwise
+/// only once a first byte is out: a beat may be skipped whole, but no
+/// frame is ever abandoned torn.
+struct LinkWriter<'a> {
+    stream: &'a TcpStream,
+    patient: bool,
+}
+
+impl LinkWriter<'_> {
+    fn drive(
+        &mut self,
+        mut op: impl FnMut(&mut &TcpStream) -> std::io::Result<usize>,
+    ) -> std::io::Result<usize> {
+        loop {
+            match op(&mut self.stream) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && self.patient => {
+                    poll::wait(&mut [PollFd::writable(self.stream)], None)?;
+                }
+                Ok(n) => {
+                    self.patient = true;
+                    return Ok(n);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Write for LinkWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.drive(|s| s.write(buf))
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        self.drive(|s| s.write_vectored(bufs))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 impl PeerLink {
     /// Frames and transmits straight from the caller's slice (vectored
     /// header+payload write, no per-frame assembly buffer or payload
-    /// copy); returns `false` if the stream is broken or its writer lock
-    /// is poisoned — the caller marks the peer dead either way.
+    /// copy), blocking on socket writability while the peer drains a full
+    /// send buffer; returns `false` if the stream is broken or its writer
+    /// lock is poisoned — the caller marks the peer dead either way.
     ///
     /// `src`/`dst` are *logical* ranks within `job` (for job 0 they equal
     /// mesh indices). Concurrent jobs sharing the link serialize on the
@@ -165,33 +162,41 @@ impl PeerLink {
         tag: u64,
         payload: &[u8],
     ) -> bool {
-        let Ok(mut w) = self.writer.lock() else {
+        let Ok(w) = self.writer.lock() else {
             // A thread panicked mid-write: the stream may hold a torn
             // frame, so the link cannot be trusted.
             return false;
         };
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        write_parts(&mut *w, kind, tag, src, dst, job, seq, payload).is_ok()
+        let mut w = LinkWriter {
+            stream: &w,
+            patient: true,
+        };
+        write_parts(&mut w, kind, tag, src, dst, job, seq, payload).is_ok()
     }
 
     /// Nonblocking heartbeat from the transport's single I/O thread.
     ///
     /// Data senders hold the writer lock across `write_parts`, which
-    /// sleep-retries while the kernel send buffer drains — potentially
-    /// for a long time on a saturated link. Blocking here would freeze
-    /// the whole I/O thread (reads *and* beats for every peer) behind
-    /// that one link, which is exactly how healthy peers used to get
-    /// declared stale under heavy data volume. Instead the beat is
-    /// skipped when the writer is busy or the buffer is full: in both
-    /// cases data frames are already in flight on this link, and any
+    /// waits for writability while the kernel send buffer drains —
+    /// potentially for a long time on a saturated link. Blocking here
+    /// would freeze the whole I/O thread (reads *and* beats for every
+    /// peer) behind that one link, which is exactly how healthy peers
+    /// used to get declared stale under heavy data volume. Instead the
+    /// beat is skipped when the writer is busy or the buffer is full: in
+    /// both cases data frames are already in flight on this link, and any
     /// bytes arriving refresh the remote's `last_seen` just like a beat.
     /// Returns `false` only when the stream itself is broken.
     fn try_beat(&self, src: u32, dst: u32) -> bool {
         match self.writer.try_lock() {
-            Ok(mut w) => {
+            Ok(w) => {
                 let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                let mut w = LinkWriter {
+                    stream: &w,
+                    patient: false,
+                };
                 !matches!(
-                    try_write_control(&mut *w, FrameKind::Heartbeat, src, dst, 0, seq),
+                    try_write_control(&mut w, FrameKind::Heartbeat, src, dst, 0, seq),
                     TryWrite::Failed
                 )
             }
@@ -213,8 +218,9 @@ enum CoreFail {
     Poisoned,
 }
 
-/// One endpoint's warm mesh: sockets, the poll-loop I/O thread, and the
-/// job-namespaced mailbox. Shared by every job executing on the endpoint.
+/// One endpoint's warm mesh: sockets, the readiness-driven I/O thread, and
+/// the job-namespaced mailbox. Shared by every job executing on the
+/// endpoint.
 pub struct MeshCore {
     rank: usize,
     size: usize,
@@ -223,8 +229,12 @@ pub struct MeshCore {
     probe: Probe,
     start: Instant,
     config: NetConfig,
-    stop: Arc<AtomicBool>,
+    /// The I/O thread blocks in `poll(2)` on the other end of this pair:
+    /// one byte (or this end closing) stops it.
+    wake: UnixStream,
     io: Mutex<Option<std::thread::JoinHandle<()>>>,
+    #[cfg(test)]
+    io_passes: Arc<AtomicU64>,
 }
 
 impl MeshCore {
@@ -250,25 +260,7 @@ impl MeshCore {
             )));
         }
         let start = Instant::now();
-        let mailbox = Arc::new(Mailbox {
-            inner: Mutex::new(MailboxInner {
-                queues: HashMap::new(),
-                peers: (0..size)
-                    .map(|_| PeerState {
-                        done: false,
-                        dead: false,
-                        last_seen: start,
-                    })
-                    .collect(),
-                job_done: HashSet::new(),
-                retired: HashSet::new(),
-                retired_order: VecDeque::new(),
-                recv_messages: 0,
-                recv_bytes: 0,
-            }),
-            cv: Condvar::new(),
-            poisoned: AtomicBool::new(false),
-        });
+        let mailbox = Arc::new(Mailbox::new(size, start));
 
         let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
         // Connect downward, with backoff: lower indices may still be binding.
@@ -311,12 +303,13 @@ impl MeshCore {
                     pending -= 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Err(NetError::Io(format!(
                             "mesh establishment timed out with {pending} peer(s) missing"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    poll::wait(&mut [PollFd::readable(listener)], Some(left))?;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -324,41 +317,39 @@ impl MeshCore {
         listener.set_nonblocking(false)?;
 
         // Go nonblocking (the fd is shared by the read clone and the write
-        // half; writers sleep-retry on WouldBlock inside `write_parts`)
-        // and hand every socket to the one I/O thread.
+        // half; writers wait for `POLLOUT` on `WouldBlock`, see
+        // `LinkWriter`) and hand every socket to the one I/O thread.
         let mut links: Vec<Option<Arc<PeerLink>>> = (0..size).map(|_| None).collect();
         let mut reads = Vec::new();
         for (j, stream) in streams.into_iter().enumerate() {
             let Some(stream) = stream else { continue };
             stream.set_nonblocking(true)?;
-            let read_half = stream.try_clone()?;
+            reads.push(PeerRead {
+                stream: stream.try_clone()?,
+                input: PeerInput::new(j),
+            });
             links[j] = Some(Arc::new(PeerLink {
                 writer: Mutex::new(stream),
                 seq: AtomicU64::new(1),
             }));
-            reads.push(PeerRead {
-                peer: j,
-                stream: read_half,
-                buf: Vec::new(),
-                last_seq: None,
-                open: true,
-            });
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let io = {
-            let beat_links: Vec<(usize, Arc<PeerLink>)> = links
+        let (wake, woken) = UnixStream::pair()?;
+        let io = IoThread {
+            reads,
+            links: links
                 .iter()
                 .enumerate()
                 .filter_map(|(j, l)| l.as_ref().map(|l| (j, l.clone())))
-                .collect();
-            let mb = mailbox.clone();
-            let stop = stop.clone();
-            let interval = config.heartbeat;
-            let rank = rank as u32;
-            std::thread::spawn(move || {
-                io_loop(reads, beat_links, mb, stop, interval, rank);
-            })
+                .collect(),
+            mailbox: mailbox.clone(),
+            woken,
+            beats: Beats::new(config.heartbeat, Instant::now()),
+            rank: rank as u32,
+            #[cfg(test)]
+            passes: Arc::default(),
         };
+        #[cfg(test)]
+        let io_passes = io.passes.clone();
         Ok(Arc::new(MeshCore {
             rank,
             size,
@@ -367,8 +358,10 @@ impl MeshCore {
             probe,
             start,
             config,
-            stop,
-            io: Mutex::new(Some(io)),
+            wake,
+            io: Mutex::new(Some(std::thread::spawn(move || io.run()))),
+            #[cfg(test)]
+            io_passes,
         }))
     }
 
@@ -384,22 +377,12 @@ impl MeshCore {
 
     /// Whether the mesh link to `peer` is currently usable.
     pub fn peer_alive(&self, peer: usize) -> bool {
-        if peer == self.rank {
-            return true;
-        }
-        let m = self.mailbox.lock();
-        let p = &m.peers[peer];
-        !p.dead && !p.done
+        peer == self.rank || self.mailbox.lock().alive(peer)
     }
 
     /// Enqueues a payload locally (self-sends never hit the wire).
     fn local_enqueue(&self, job: u32, src: u32, tag: u64, payload: Payload) {
-        let mut m = self.mailbox.lock();
-        m.queues
-            .entry((job, src, tag))
-            .or_default()
-            .push_back(payload);
-        drop(m);
+        self.mailbox.lock().enqueue(job, src, tag, payload);
         self.mailbox.cv.notify_all();
     }
 
@@ -423,11 +406,8 @@ impl MeshCore {
             // typed error a crashed peer would — callers already handle it.
             return Err(CoreFail::PeerGone);
         };
-        {
-            let m = self.mailbox.lock();
-            if m.peers[mesh_dst].dead {
-                return Err(CoreFail::PeerGone);
-            }
+        if self.mailbox.lock().dead(mesh_dst) {
+            return Err(CoreFail::PeerGone);
         }
         if !link.send(FrameKind::Data, src, dst, job, tag, payload) {
             self.mailbox.mark_dead(mesh_dst);
@@ -438,7 +418,9 @@ impl MeshCore {
 
     /// Blocking receive of `(job, src, tag)`. `mesh_src` names the mesh
     /// peer hosting logical `src` so liveness can be checked; `None` means
-    /// a self-receive (local queue only, no liveness).
+    /// a self-receive (local queue only, no liveness). Reads the clock and
+    /// waits on the condvar; [`MeshState::take`](crate::mesh::MeshState::take)
+    /// gives every verdict.
     fn recv(
         &self,
         job: u32,
@@ -446,46 +428,35 @@ impl MeshCore {
         mesh_src: Option<usize>,
         tag: u64,
     ) -> Result<Payload, CoreFail> {
-        let key = (job, src, tag);
         let deadline = Instant::now() + self.config.recv_timeout;
         let stale_after = self.config.stale_after();
         if self.mailbox.poisoned.load(Ordering::SeqCst) {
             return Err(CoreFail::Poisoned);
         }
+        let timed_out = |peer: Option<usize>| {
+            if let Some(peer) = peer {
+                self.probe
+                    .net_timeout(self.start.elapsed().as_secs_f64(), peer as u32);
+            }
+        };
         let mut m = self.mailbox.lock();
         loop {
-            if let Some(q) = m.queues.get_mut(&key) {
-                if let Some(payload) = q.pop_front() {
-                    m.recv_messages += 1;
-                    m.recv_bytes += payload.len() as u64;
-                    return Ok(payload);
-                }
-            }
-            if let Some(peer) = mesh_src {
-                let p = &m.peers[peer];
-                if p.dead || p.done || m.job_done.contains(&(job, src)) {
-                    // Mirrors the local cluster: a finished peer with an
-                    // empty queue can never satisfy this receive. A
-                    // `JobDone` for this namespace means the same thing
-                    // job-locally, with the link itself staying warm.
-                    return Err(CoreFail::PeerGone);
-                }
-                if p.last_seen.elapsed() > stale_after {
-                    m.peers[peer].dead = true;
-                    self.probe
-                        .net_timeout(self.start.elapsed().as_secs_f64(), peer as u32);
-                    return Err(CoreFail::PeerGone);
-                }
-            }
             let now = Instant::now();
-            if now >= deadline {
-                if let Some(peer) = mesh_src {
-                    self.probe
-                        .net_timeout(self.start.elapsed().as_secs_f64(), peer as u32);
+            match m.take((job, src, tag), mesh_src, now, stale_after) {
+                Take::Ready(payload) => return Ok(payload),
+                Take::Gone => return Err(CoreFail::PeerGone),
+                Take::Stale => {
+                    timed_out(mesh_src);
+                    return Err(CoreFail::PeerGone);
                 }
+                Take::Pending => {}
+            }
+            if now >= deadline {
+                timed_out(mesh_src);
                 return Err(CoreFail::Timeout);
             }
-            // Wake at least every heartbeat to re-check staleness.
+            // Deliveries notify the condvar; the timeout only re-checks
+            // staleness, at least every heartbeat.
             let wait = (deadline - now).min(self.config.heartbeat);
             match self.mailbox.cv.wait_timeout(m, wait) {
                 Ok((guard, _)) => m = guard,
@@ -503,10 +474,7 @@ impl MeshCore {
     /// streaming executor uses it to pick ready work, falling back to
     /// blocking receives for forward progress.
     fn ready(&self, job: u32, src: u32, tag: u64) -> bool {
-        let m = self.mailbox.lock();
-        m.queues
-            .get(&(job, src, tag))
-            .is_some_and(|q| !q.is_empty())
+        self.mailbox.lock().ready(job, src, tag)
     }
 
     /// Sends a job-scoped goodbye (`JobDone`) for `job` to mesh peer
@@ -522,32 +490,29 @@ impl MeshCore {
     /// Retires a finished job: drops its queues and done-markers and
     /// remembers the id so late frames are discarded instead of pooling.
     pub fn purge_job(&self, job: u32) {
-        let mut m = self.mailbox.lock();
-        m.queues.retain(|k, _| k.0 != job);
-        m.job_done.retain(|k| k.0 != job);
-        if m.retired.insert(job) {
-            m.retired_order.push_back(job);
-            if m.retired_order.len() > RETIRED_MEMORY {
-                if let Some(old) = m.retired_order.pop_front() {
-                    m.retired.remove(&old);
-                }
-            }
-        }
+        self.mailbox.lock().purge_job(job);
     }
 
     /// Tears the mesh down: tells every peer we are done (link-level
-    /// `Goodbye`), stops the I/O thread, and joins it. The I/O thread is
-    /// nonblocking, so the join is prompt regardless of peer state;
-    /// already-written frames stay deliverable through TCP buffering.
+    /// `Goodbye`), then wakes the I/O thread out of `poll(2)` and joins
+    /// it — prompt whatever the peers are doing; already-written frames
+    /// stay deliverable through TCP buffering.
     pub fn shutdown(&self) {
         for (j, link) in self.links.iter().enumerate() {
             if let Some(link) = link {
                 link.send(FrameKind::Goodbye, self.rank as u32, j as u32, 0, 0, &[]);
             }
         }
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop_io();
+    }
+
+    /// Wakes the I/O thread with the stop byte and joins it. Idempotent.
+    fn stop_io(&self) {
         let handle = self.io.lock().map(|mut h| h.take()).unwrap_or(None);
         if let Some(h) = handle {
+            // If the byte cannot be written the thread is already gone
+            // (its end of the pair is closed), and the join returns at once.
+            let _ = (&self.wake).write(&[1]);
             let _ = h.join();
         }
     }
@@ -557,184 +522,86 @@ impl Drop for MeshCore {
     fn drop(&mut self) {
         // Error-path drop: stop the I/O thread without goodbyes (peers see
         // EOF and fail over). `shutdown` already joined on the clean path.
-        self.stop.store(true, Ordering::Relaxed);
-        let handle = self.io.lock().map(|mut h| h.take()).unwrap_or(None);
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+        self.stop_io();
     }
 }
 
-/// Per-peer read state owned by the I/O thread.
+/// One peer's socket (read half) and the state machine half it feeds.
 struct PeerRead {
-    peer: usize,
     stream: TcpStream,
-    /// Incremental reassembly buffer: bytes read but not yet framed.
-    buf: Vec<u8>,
-    last_seq: Option<u64>,
-    open: bool,
+    input: PeerInput,
 }
 
-/// How much to read per socket per pass.
+/// How much to read per readable socket per pass.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// The one I/O thread: polls every peer socket nonblockingly, parses
-/// frames incrementally, feeds the mailbox, and emits heartbeats.
-fn io_loop(
-    mut reads: Vec<PeerRead>,
+/// The one I/O thread: blocks until a peer socket is readable, a heartbeat
+/// is due or the stop byte arrives; reads what is ready and hands it, with
+/// the time, to the state machine.
+struct IoThread {
+    reads: Vec<PeerRead>,
     links: Vec<(usize, Arc<PeerLink>)>,
     mailbox: Arc<Mailbox>,
-    stop: Arc<AtomicBool>,
-    heartbeat: Duration,
+    /// Readable (a byte, or the core's end closed) means stop.
+    woken: UnixStream,
+    beats: Beats,
     rank: u32,
-) {
-    let mut last_beat = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut progressed = false;
-        for pr in reads.iter_mut().filter(|p| p.open) {
-            let len = pr.buf.len();
-            pr.buf.resize(len + READ_CHUNK, 0);
-            let n = match std::io::Read::read(&mut pr.stream, &mut pr.buf[len..]) {
-                Ok(0) => {
-                    // EOF without goodbye: the peer crashed.
-                    pr.buf.truncate(len);
-                    pr.open = false;
-                    mailbox.mark_dead(pr.peer);
-                    continue;
-                }
-                Ok(n) => n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    pr.buf.truncate(len);
-                    continue;
-                }
-                Err(_) => {
-                    pr.buf.truncate(len);
-                    pr.open = false;
-                    mailbox.mark_dead(pr.peer);
-                    continue;
-                }
-            };
-            pr.buf.truncate(len + n);
-            progressed = true;
-            // Any bytes at all prove the peer's process and link are alive:
-            // a peer midway through a large frame (or trickling one through
-            // a congested path) must not be declared stale while its bytes
-            // are still arriving, even if no *complete* frame lands within
-            // the staleness window.
-            {
-                let mut m = mailbox.lock();
-                m.peers[pr.peer].last_seen = Instant::now();
-            }
-            let mut consumed = 0;
-            while pr.open {
-                match Frame::decode(&pr.buf[consumed..]) {
-                    Ok((frame, used)) => {
-                        consumed += used;
-                        if !handle_frame(pr, frame, &mailbox) {
-                            pr.open = false;
-                            break;
-                        }
-                    }
-                    Err(WireError::Truncated) => break,
-                    Err(_) => {
-                        // Garbage on the wire: the link is corrupt — same
-                        // remedy as a crash.
-                        pr.open = false;
-                        mailbox.mark_dead(pr.peer);
-                        break;
-                    }
-                }
-            }
-            pr.buf.drain(..consumed);
-        }
-        if last_beat.elapsed() >= heartbeat {
-            last_beat = Instant::now();
-            for (j, link) in &links {
-                // Nonblocking: a saturated link skips its beat (its queued
-                // data frames carry the liveness signal) instead of
-                // stalling this thread — and with it reads and beats for
-                // every other peer — behind one slow consumer.
-                if !link.try_beat(rank, *j as u32) {
-                    mailbox.mark_dead(*j);
-                }
-            }
-        }
-        if !progressed {
-            // Idle: nothing readable anywhere. A short sleep keeps latency
-            // in the hundreds of microseconds without spinning a core.
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
+    /// Returns from `poll(2)`: the tests' proof that an idle mesh blocks.
+    #[cfg(test)]
+    passes: Arc<AtomicU64>,
 }
 
-/// Processes one received frame; returns `false` to stop reading the peer.
-fn handle_frame(pr: &mut PeerRead, frame: Frame, mailbox: &Mailbox) -> bool {
-    // Per-link sequence numbers are strictly increasing whatever the job;
-    // a replayed or reordered frame means the link cannot be trusted. For
-    // job 0 — where logical ranks equal mesh indices — the source
-    // attribution is checked too (fleet jobs use per-job namespaces the
-    // link layer cannot see; their frames are checksummed and sequenced
-    // like all others).
-    if pr.last_seq.is_some_and(|s| frame.seq <= s)
-        || (frame.job == 0
-            && matches!(frame.kind, FrameKind::Data | FrameKind::JobDone)
-            && frame.src as usize != pr.peer)
-    {
-        mailbox.mark_dead(pr.peer);
-        return false;
-    }
-    pr.last_seq = Some(frame.seq);
-    match frame.kind {
-        FrameKind::Data => {
-            // The freshly read bytes move straight into the mailbox as a
-            // `Payload` — receivers take the same allocation.
-            let payload = Payload::from_vec(frame.payload);
-            let mut m = mailbox.lock();
-            m.peers[pr.peer].last_seen = Instant::now();
-            if !m.retired.contains(&frame.job) {
-                m.queues
-                    .entry((frame.job, frame.src, frame.tag))
-                    .or_default()
-                    .push_back(payload);
+impl IoThread {
+    fn run(mut self) {
+        // Reads land here and only the bytes read are appended to a peer's
+        // reassembly buffer: nothing is zero-filled per pass.
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut fds = Vec::with_capacity(self.reads.len() + 1);
+        loop {
+            fds.clear();
+            fds.push(PollFd::readable(&self.woken));
+            let open = self.reads.iter().filter(|pr| pr.input.is_open());
+            fds.extend(open.map(|pr| PollFd::readable(&pr.stream)));
+            let idle = self.beats.until_due(Instant::now());
+            if poll::wait(&mut fds, Some(idle)).is_err() {
+                // `poll` itself failed (out of memory, fd limit): nothing
+                // can be read any more, so fail typed rather than spin.
+                for pr in self.reads.iter_mut().filter(|pr| pr.input.is_open()) {
+                    pr.input.on_closed(&self.mailbox);
+                }
+                return;
             }
-            drop(m);
-            mailbox.cv.notify_all();
-            true
-        }
-        FrameKind::Heartbeat => {
-            let mut m = mailbox.lock();
-            m.peers[pr.peer].last_seen = Instant::now();
-            drop(m);
-            mailbox.cv.notify_all();
-            true
-        }
-        FrameKind::JobDone => {
-            let mut m = mailbox.lock();
-            m.peers[pr.peer].last_seen = Instant::now();
-            if !m.retired.contains(&frame.job) {
-                m.job_done.insert((frame.job, frame.src));
+            #[cfg(test)]
+            self.passes.fetch_add(1, Ordering::Relaxed);
+            if fds[0].ready() {
+                return;
             }
-            drop(m);
-            mailbox.cv.notify_all();
-            true
-        }
-        FrameKind::Goodbye => {
-            let mut m = mailbox.lock();
-            m.peers[pr.peer].done = true;
-            drop(m);
-            mailbox.cv.notify_all();
-            false
-        }
-        _ => {
-            // Control-plane kinds have no business on a data link.
-            mailbox.mark_dead(pr.peer);
-            false
+            let open = self.reads.iter_mut().filter(|pr| pr.input.is_open());
+            for (pr, _) in open.zip(&fds[1..]).filter(|(_, fd)| fd.ready()) {
+                match pr.stream.read(&mut chunk) {
+                    // EOF without goodbye: the peer crashed.
+                    Ok(0) => pr.input.on_closed(&self.mailbox),
+                    Ok(n) => pr
+                        .input
+                        .on_bytes(&chunk[..n], Instant::now(), &self.mailbox),
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => pr.input.on_closed(&self.mailbox),
+                }
+            }
+            if self.beats.due(Instant::now()) {
+                for (j, link) in &self.links {
+                    // Nonblocking: a saturated link skips its beat (its
+                    // queued data frames carry the liveness signal)
+                    // instead of stalling this thread — and with it reads
+                    // and beats for every other peer — behind one slow
+                    // consumer.
+                    if !link.try_beat(self.rank, *j as u32) {
+                        self.mailbox.mark_dead(*j);
+                    }
+                }
+            }
         }
     }
 }
@@ -946,9 +813,9 @@ impl TcpTransport {
     }
 
     /// Clean shutdown: tell every peer we are done and return this rank's
-    /// traffic counters. The I/O thread is joined (it is nonblocking, so
-    /// the join is prompt); already-written frames stay deliverable to
-    /// peers through normal TCP buffering. The link-level `Goodbye` ends
+    /// traffic counters. The I/O thread is woken out of `poll(2)` and
+    /// joined; already-written frames stay deliverable to peers through
+    /// normal TCP buffering. The link-level `Goodbye` ends
     /// the one job with the mesh, so no `JobDone` is sent.
     pub fn finish(self) -> (NodeMetrics, Vec<LinkMetrics>) {
         let counters = self.0.counters.finish(self.0.rank);
@@ -1052,6 +919,10 @@ mod tests {
 
     /// Builds an N-endpoint core mesh for job-transport tests.
     fn core_mesh(n: usize) -> Vec<Arc<MeshCore>> {
+        core_mesh_with(n, &NetConfig::default())
+    }
+
+    fn core_mesh_with(n: usize, config: &NetConfig) -> Vec<Arc<MeshCore>> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
             .collect();
@@ -1063,16 +934,10 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(rank, listener)| {
-                let peers = peers.clone();
+                let (peers, config) = (peers.clone(), config.clone());
                 std::thread::spawn(move || {
-                    MeshCore::connect(
-                        rank,
-                        &peers,
-                        &listener,
-                        NetConfig::default(),
-                        Probe::disabled(),
-                    )
-                    .expect("mesh")
+                    MeshCore::connect(rank, &peers, &listener, config, Probe::disabled())
+                        .expect("mesh")
                 })
             })
             .collect();
@@ -1385,95 +1250,116 @@ mod tests {
         );
     }
 
-    #[test]
-    fn raw_bytes_refresh_liveness_before_a_frame_completes() {
-        let (writer, reader) = tcp_pair();
-        reader.set_nonblocking(true).expect("nonblocking");
-        let mailbox = Arc::new(Mailbox {
-            inner: Mutex::new(MailboxInner {
-                queues: HashMap::new(),
-                peers: (0..2)
-                    .map(|_| PeerState {
-                        done: false,
-                        dead: false,
-                        last_seen: Instant::now(),
-                    })
-                    .collect(),
-                job_done: HashSet::new(),
-                retired: HashSet::new(),
-                retired_order: VecDeque::new(),
-                recv_messages: 0,
-                recv_bytes: 0,
-            }),
-            cv: Condvar::new(),
-            poisoned: AtomicBool::new(false),
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let io = {
-            let reads = vec![PeerRead {
-                peer: 1,
-                stream: reader,
-                buf: Vec::new(),
-                last_seq: None,
-                open: true,
-            }];
-            let mb = mailbox.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                io_loop(reads, Vec::new(), mb, stop, Duration::from_secs(3600), 0);
-            })
-        };
-        // One valid data frame from peer 1, delivered in two halves with a
-        // long pause between them — the shape of a large payload trickling
-        // through a congested path.
-        let mut frame = Vec::new();
-        write_parts(
-            &mut frame,
-            FrameKind::Data,
-            9,
-            1,
-            0,
-            0,
-            1,
-            b"slow-big-frame",
-        )
-        .expect("encode");
-        let split = frame.len() / 2;
-        let stale_before = {
-            let m = mailbox.lock();
-            m.peers[1].last_seen
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        std::io::Write::write_all(&mut &writer, &frame[..split]).expect("first half");
-        std::thread::sleep(Duration::from_millis(50));
-        {
-            let m = mailbox.lock();
-            assert!(
-                m.peers[1].last_seen > stale_before,
-                "half a frame is still proof of life"
-            );
-            assert!(
-                m.peers[1].last_seen.elapsed() < Duration::from_millis(200),
-                "liveness must track the bytes, not the frame boundary"
-            );
-            assert!(m.queues.is_empty(), "no complete frame has arrived yet");
+    /// A mesh whose I/O threads have no beat to wake for: any pass they
+    /// make is caused by a byte.
+    fn beatless() -> NetConfig {
+        NetConfig {
+            heartbeat: Duration::from_secs(3600),
+            ..NetConfig::default()
         }
-        std::io::Write::write_all(&mut &writer, &frame[split..]).expect("second half");
-        let deadline = Instant::now() + Duration::from_secs(5);
+    }
+
+    #[test]
+    fn io_thread_blocks_while_idle_and_wakes_once_per_message() {
+        let cores = core_mesh_with(2, &beatless());
+        let passes = |c: &MeshCore| c.io_passes.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(200));
+        for c in &cores {
+            assert!(
+                passes(c) <= 2,
+                "an idle I/O thread made {} passes in 200 ms: it is polling",
+                passes(c)
+            );
+        }
+        const PINGS: u64 = 200;
+        let mut t0 = JobTransport::new(cores[0].clone(), 1, 0, vec![0, 1], Probe::disabled());
+        let mut t1 = JobTransport::new(cores[1].clone(), 1, 1, vec![0, 1], Probe::disabled());
+        let echo = std::thread::spawn(move || {
+            for _ in 0..PINGS {
+                let m = t1.try_recv(0, 7).expect("recv ping");
+                t1.try_send(0, 8, &m).expect("send pong");
+            }
+            t1.finish();
+        });
+        for _ in 0..PINGS {
+            t0.try_send(1, 7, &Payload::from(b"ping")).expect("send");
+            assert_eq!(t0.try_recv(1, 8).expect("recv pong"), b"ping");
+        }
+        echo.join().expect("join");
+        t0.finish();
+        for c in &cores {
+            let n = passes(c);
+            assert!(
+                (PINGS..=2 * PINGS + 16).contains(&n),
+                "{PINGS} round trips took {n} passes"
+            );
+        }
+        for c in cores {
+            c.shutdown();
+        }
+    }
+
+    #[test]
+    fn shutdown_and_drop_wake_an_idle_io_thread() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cores = core_mesh_with(2, &beatless());
+        std::thread::spawn(move || {
+            let [c0, c1] = <[Arc<MeshCore>; 2]>::try_from(cores).ok().expect("two");
+            let started = Instant::now();
+            c0.shutdown();
+            tx.send(started.elapsed()).expect("send");
+            let started = Instant::now();
+            drop(Arc::into_inner(c1).expect("sole owner"));
+            tx.send(started.elapsed()).expect("send");
+        });
+        for what in ["shutdown", "drop"] {
+            // An hour's `poll` timeout stands behind a broken wake fd;
+            // fail long before that.
+            let took = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{what} never woke the I/O thread"));
+            assert!(took < Duration::from_millis(100), "{what} took {took:?}");
+        }
+    }
+
+    #[test]
+    fn large_send_into_a_slow_reader_waits_for_writability_and_stays_alive() {
+        let (w, mut r) = tcp_pair();
+        w.set_nonblocking(true).expect("nonblocking");
+        let link = PeerLink {
+            writer: Mutex::new(w),
+            seq: AtomicU64::new(1),
+        };
+        let payload: Vec<u8> = (0..4usize << 20).map(|i| (i % 251) as u8).collect();
+        let expected = payload.clone();
+        // Far more than the socket buffers hold, so the send spends most
+        // of its time refused — in `poll(2)`, not in a sleep loop.
+        let sender = std::thread::spawn(move || link.send(FrameKind::Data, 1, 0, 0, 9, &payload));
+        // The receiving endpoint, driven by hand: 64 KiB a millisecond, so
+        // the one frame takes several staleness windows to arrive.
+        let stale_after = Duration::from_millis(20);
+        let started = Instant::now();
+        let mailbox = Mailbox::new(2, started);
+        let mut input = PeerInput::new(1);
+        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
+            match mailbox
+                .lock()
+                .take((0, 1, 9), Some(1), Instant::now(), stale_after)
             {
-                let m = mailbox.lock();
-                if m.queues
-                    .get(&(0, 1, 9))
-                    .is_some_and(|q| q.front().is_some_and(|p| &p[..] == b"slow-big-frame"))
-                {
+                Take::Ready(got) => {
+                    assert!(got[..] == expected[..], "payload damaged in transit");
                     break;
                 }
+                Take::Pending => {}
+                _ => panic!("a sender mid-frame was declared stale"),
             }
-            assert!(Instant::now() < deadline, "reassembled frame never landed");
-            std::thread::sleep(Duration::from_millis(5));
+            let n = r.read(&mut chunk).expect("read");
+            assert!(n > 0, "sender hung up mid-frame");
+            input.on_bytes(&chunk[..n], Instant::now(), &mailbox);
+            std::thread::sleep(Duration::from_millis(1));
         }
-        stop.store(true, Ordering::Relaxed);
-        io.join().expect("join io loop");
+        assert!(started.elapsed() > 2 * stale_after);
+        assert!(sender.join().expect("join"), "send must complete");
     }
 }

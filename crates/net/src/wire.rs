@@ -319,15 +319,18 @@ pub enum TryWrite {
     /// The socket had no buffer space and *nothing* was written — the
     /// stream is untouched and the caller may simply try again later.
     Skipped,
-    /// The stream is broken (I/O error or stalled write).
+    /// The stream is broken (I/O error, stalled write, or a refusal with
+    /// the frame half out).
     Failed,
 }
 
 /// Writes a payload-less control frame, giving up *before* the first byte
 /// if the socket has no buffer space (`WouldBlock`), leaving the stream
-/// clean. Once any byte is out the remainder is driven to completion with
-/// the usual sleep-retry — abandoning a frame mid-write would poison the
-/// link for every later frame.
+/// clean. Once any byte is out the frame must complete — abandoning it
+/// mid-write would poison the link for every later frame — so a writer
+/// that can refuse mid-frame has to wait for writability itself (the
+/// transport's `LinkWriter` does, in `poll(2)`); a `WouldBlock` after the
+/// first byte is reported as [`TryWrite::Failed`]. Nothing here sleeps.
 ///
 /// Built for heartbeats out of the transport's single I/O thread: a full
 /// send buffer means queued data frames are already waiting to refresh
@@ -356,11 +359,8 @@ pub fn try_write_control<W: Write>(
         match w.write(&header[written..]) {
             Ok(0) => return TryWrite::Failed,
             Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if written == 0 {
-                    return TryWrite::Skipped;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(100));
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && written == 0 => {
+                return TryWrite::Skipped;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return TryWrite::Failed,
@@ -374,10 +374,10 @@ pub fn try_write_control<W: Write>(
 }
 
 /// Drives `write_vectored` until both slices are fully written, falling
-/// back gracefully on writers that consume partial buffers. Nonblocking
-/// sockets (the poll-loop transport shares one fd between its nonblocking
-/// read half and this writer) are handled by a brief sleep-and-retry on
-/// `WouldBlock` — the kernel send buffer drains in the background.
+/// back gracefully on writers that consume partial buffers. `WouldBlock`
+/// is an error like any other: a nonblocking socket is written through an
+/// adaptor that waits for writability (the transport's `LinkWriter`), so
+/// the framing layer neither sleeps nor knows what a socket is.
 fn write_all_vectored<W: Write>(
     w: &mut W,
     mut header: &[u8],
@@ -390,10 +390,6 @@ fn write_all_vectored<W: Write>(
         ];
         let n = match w.write_vectored(&bufs) {
             Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-                continue;
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
