@@ -25,16 +25,15 @@
 //! the hardware model's DRAM, reporting depth-infeasible requests as
 //! `SAGE062`.
 //!
-//! The result is a [`PipelinePlan`] artifact with its own line-oriented
-//! codec (like `FaultPlan`), consumed by `sage pipeline`, the fuzz
+//! The result is a [`PipelinePlan`] artifact (exported as `sage pipeline
+//! --format json`'s `"plan"`), consumed by `sage pipeline`, the fuzz
 //! harness's pipelined scheduling axis, and `sage run
 //! --pipeline-validate`.
 
 use crate::{buffer_label, memory, stripes, BufferPlans, Checker};
-use sage_lint::{json_string, Diagnostic, Diagnostics};
+use sage_lint::{Diagnostic, Diagnostics, JsonWriter};
 use sage_model::HardwareSpec;
 use sage_runtime::{GlueProgram, Task};
-use std::io;
 
 /// Sentinel depth for "safe at any depth" (no delay arc constrains it).
 pub const UNBOUNDED: u32 = u32::MAX;
@@ -64,8 +63,8 @@ pub enum DepthLimit {
 }
 
 impl DepthLimit {
-    /// Compact single-token encoding used by the text codec and the CLI
-    /// table: `ok`, `delay:<k>`, or `cycle:<a->b->a>`.
+    /// Compact single-token encoding used by the JSON plan: `ok`,
+    /// `delay:<k>`, `cycle:<a->b->a>`, or `race`.
     pub fn encode(&self) -> String {
         match self {
             DepthLimit::Unbounded => "ok".into(),
@@ -73,26 +72,6 @@ impl DepthLimit {
             DepthLimit::Cycle { path } => format!("cycle:{}", path.join("->")),
             DepthLimit::Race => "race".into(),
         }
-    }
-
-    fn decode(s: &str) -> Option<DepthLimit> {
-        if s == "ok" {
-            return Some(DepthLimit::Unbounded);
-        }
-        if s == "race" {
-            return Some(DepthLimit::Race);
-        }
-        if let Some(k) = s.strip_prefix("delay:") {
-            return Some(DepthLimit::Hazard {
-                delay: k.parse().ok()?,
-            });
-        }
-        if let Some(p) = s.strip_prefix("cycle:") {
-            return Some(DepthLimit::Cycle {
-                path: p.split("->").map(str::to_owned).collect(),
-            });
-        }
-        None
     }
 }
 
@@ -136,118 +115,34 @@ pub fn depth_str(d: u32) -> String {
     }
 }
 
-fn depth_parse(s: &str) -> Option<u32> {
-    if s == "unbounded" {
-        Some(UNBOUNDED)
-    } else {
-        s.parse().ok()
-    }
-}
-
 impl PipelinePlan {
-    /// Serialises the plan to the line-oriented `sage-pipeline/v1` format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("sage-pipeline/v1\n");
-        out.push_str(&format!("app={}\n", self.app_name));
-        out.push_str(&format!("nodes={}\n", self.nodes));
-        out.push_str(&format!("hazard_depth={}\n", depth_str(self.hazard_depth)));
-        out.push_str(&format!("mem_depth={}\n", depth_str(self.mem_depth)));
-        out.push_str(&format!("safe_depth={}\n", depth_str(self.safe_depth)));
-        for b in &self.buffers {
-            out.push_str(&format!(
-                "buffer={},{},{}\n",
-                b.buffer,
-                depth_str(b.safe_depth),
-                b.limit.encode()
-            ));
-        }
-        out
-    }
-
-    /// Parses the `sage-pipeline/v1` format back into a plan.
-    pub fn from_text(text: &str) -> io::Result<PipelinePlan> {
-        let bad = |line: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed pipeline plan line: {line}"),
-            )
-        };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        if lines.next() != Some("sage-pipeline/v1") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a sage-pipeline/v1 file",
-            ));
-        }
-        let mut plan = PipelinePlan {
-            app_name: String::new(),
-            nodes: 0,
-            buffers: Vec::new(),
-            hazard_depth: UNBOUNDED,
-            mem_depth: UNBOUNDED,
-            safe_depth: UNBOUNDED,
-        };
-        for line in lines {
-            let (key, value) = line.split_once('=').ok_or_else(|| bad(line))?;
-            match key {
-                "app" => plan.app_name = value.to_owned(),
-                "nodes" => plan.nodes = value.parse().map_err(|_| bad(line))?,
-                "hazard_depth" => {
-                    plan.hazard_depth = depth_parse(value).ok_or_else(|| bad(line))?
-                }
-                "mem_depth" => plan.mem_depth = depth_parse(value).ok_or_else(|| bad(line))?,
-                "safe_depth" => plan.safe_depth = depth_parse(value).ok_or_else(|| bad(line))?,
-                "buffer" => {
-                    let mut parts = value.splitn(3, ',');
-                    let (Some(id), Some(depth), Some(limit)) =
-                        (parts.next(), parts.next(), parts.next())
-                    else {
-                        return Err(bad(line));
-                    };
-                    plan.buffers.push(BufferDepth {
-                        buffer: id.parse().map_err(|_| bad(line))?,
-                        safe_depth: depth_parse(depth).ok_or_else(|| bad(line))?,
-                        limit: DepthLimit::decode(limit).ok_or_else(|| bad(line))?,
-                    });
-                }
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(plan)
-    }
-
     /// JSON rendering (`UNBOUNDED` depths become `null`).
     pub fn to_json(&self) -> String {
-        let depth_json = |d: u32| {
+        let depth = |j: &mut JsonWriter, d: u32| {
             if d == UNBOUNDED {
-                "null".to_owned()
+                j.null()
             } else {
-                d.to_string()
+                j.number(d)
             }
         };
-        let mut out = String::from("{\"app\":");
-        json_string(&mut out, &self.app_name);
-        out.push_str(&format!(
-            ",\"nodes\":{},\"hazard_depth\":{},\"mem_depth\":{},\"safe_depth\":{},\"buffers\":[",
-            self.nodes,
-            depth_json(self.hazard_depth),
-            depth_json(self.mem_depth),
-            depth_json(self.safe_depth),
-        ));
-        for (i, b) in self.buffers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"buffer\":{},\"safe_depth\":{},\"limit\":",
-                b.buffer,
-                depth_json(b.safe_depth)
-            ));
-            json_string(&mut out, &b.limit.encode());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let mut j = JsonWriter::default();
+        j.object(|j| {
+            j.key("app").string(&self.app_name);
+            j.key("nodes").number(self.nodes);
+            depth(j.key("hazard_depth"), self.hazard_depth);
+            depth(j.key("mem_depth"), self.mem_depth);
+            depth(j.key("safe_depth"), self.safe_depth);
+            j.key("buffers").array(|j| {
+                for b in &self.buffers {
+                    j.object(|j| {
+                        j.key("buffer").number(b.buffer);
+                        depth(j.key("safe_depth"), b.safe_depth);
+                        j.key("limit").string(&b.limit.encode());
+                    });
+                }
+            });
+        });
+        j.finish()
     }
 }
 
@@ -515,21 +410,6 @@ mod tests {
             mem_depth: 7,
             safe_depth: 1,
         }
-    }
-
-    #[test]
-    fn text_codec_round_trips() {
-        let p = plan();
-        let text = p.to_text();
-        assert!(text.starts_with("sage-pipeline/v1\n"));
-        assert_eq!(PipelinePlan::from_text(&text).unwrap(), p);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(PipelinePlan::from_text("nonsense").is_err());
-        assert!(PipelinePlan::from_text("sage-pipeline/v1\nbuffer=0").is_err());
-        assert!(PipelinePlan::from_text("sage-pipeline/v1\nbuffer=0,9,what:ever").is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! [`Redistribution`]: sage_runtime::Redistribution
 
 use crate::{buffer_label, stripes, BufferPlans, Checker};
-use sage_lint::{Diagnostic, Diagnostics};
+use sage_lint::{Diagnostic, Diagnostics, JsonWriter};
 use sage_runtime::race::{overlaps, union_intervals};
 use sage_runtime::{GlueProgram, Task};
 use std::cmp::Reverse;
@@ -80,14 +80,18 @@ impl RaceAnalysis {
     /// JSON rendering of the artefact's sizes (`sage race --format json`);
     /// the findings themselves travel as diagnostics.
     pub fn to_json(&self) -> String {
-        let capped: Vec<String> = self.capped.iter().map(u32::to_string).collect();
-        format!(
-            "{{\"positions\":{},\"sync_edges\":{},\"capped\":[{}],\"findings\":{}}}",
-            self.positions,
-            self.sync_edges,
-            capped.join(","),
-            self.findings.len()
-        )
+        let mut j = JsonWriter::default();
+        j.object(|j| {
+            j.key("positions").number(self.positions);
+            j.key("sync_edges").number(self.sync_edges);
+            j.key("capped").array(|j| {
+                for &buffer in &self.capped {
+                    j.number(buffer);
+                }
+            });
+            j.key("findings").number(self.findings.len());
+        });
+        j.finish()
     }
 
     /// `true` when no error-severity race was found (`SAGE070`/`SAGE071`).

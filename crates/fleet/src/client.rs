@@ -4,7 +4,7 @@
 use crate::metrics::FleetStats;
 use crate::proto::{read_fleet, send_fleet, FleetMsg, SubmitSpec};
 use crate::sched::JobOutcome;
-use sage_net::{NetError, RankReport};
+use sage_net::NetError;
 use std::net::TcpStream;
 
 /// One request/reply exchange with the scheduler at `addr`, on a
@@ -60,17 +60,6 @@ pub fn fleet_stats(addr: &str) -> Result<FleetStats, NetError> {
     }
 }
 
-/// Converts an outcome's per-rank reports into the per-rank results
-/// [`sage_net::merge_outcomes`] consumes: a missing report means the
-/// worker hosting that rank died before reporting.
-pub fn reports_to_outcomes(reports: Vec<Option<RankReport>>) -> Vec<Result<RankReport, NetError>> {
-    reports
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| r.ok_or(NetError::WorkerDied { rank: rank as u32 }))
-        .collect()
-}
-
 /// Reads the `sage-sched listening on <addr>` banner off the scheduler's
 /// stdout line.
 pub fn parse_sched_banner(line: &str) -> Option<&str> {
@@ -88,15 +77,5 @@ mod tests {
             Some("127.0.0.1:4100")
         );
         assert_eq!(parse_sched_banner("nope"), None);
-    }
-
-    #[test]
-    fn missing_reports_become_worker_died() {
-        let outcomes = reports_to_outcomes(vec![None]);
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(
-            outcomes[0].as_ref().unwrap_err(),
-            &NetError::WorkerDied { rank: 0 }
-        );
     }
 }

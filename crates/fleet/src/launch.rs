@@ -3,12 +3,11 @@
 //! no second protocol — a launched job travels the same `Submit` → `Job` →
 //! `JobResult` path as one submitted to a standing fleet.
 
-use crate::client::reports_to_outcomes;
 use crate::proto::SubmitSpec;
 use crate::sched::{SchedConfig, Scheduler};
 use crate::worker::parse_fleet_banner;
-use sage_net::{generate_job, merge_outcomes, JobParams, LaunchOutcome, NetError};
-use sage_runtime::{GlueProgram, RuntimeError};
+use sage_net::{JobParams, NetError};
+use sage_runtime::Execution;
 use std::io::{BufRead, BufReader};
 use std::process::Child;
 use std::time::Instant;
@@ -84,28 +83,12 @@ fn kill_all(children: &mut [Child]) {
 }
 
 /// Runs `opts.params` across `opts.workers` freshly spawned daemons and
-/// merges the per-rank reports.
-///
-/// The glue program is generated locally first (same deterministic pipeline
-/// the daemons use) to validate the model up front and to let callers
-/// assemble sink output from the merged deposits.
-pub fn launch(opts: &LaunchOptions, spawn: &Spawner<'_>) -> Result<LaunchOutcome, NetError> {
-    let (_, program) = generate_job(&opts.params.model, opts.workers).map_err(|e| match e {
-        RuntimeError::BadProgram(why) => NetError::BadJob(why),
-        other => NetError::Runtime(other),
-    })?;
-    launch_program(opts, program, spawn)
-}
-
-/// [`launch`] for a caller that already holds `program`, the glue program
-/// `opts.params.model` generates for `opts.workers` ranks (the CLI's
-/// pre-flight generated and checked it). A daemon that dies mid-run leaves
-/// its rank's report missing, which merges as the typed node failure it is.
-pub fn launch_program(
-    opts: &LaunchOptions,
-    program: GlueProgram,
-    spawn: &Spawner<'_>,
-) -> Result<LaunchOutcome, NetError> {
+/// merges the per-rank reports into the run's [`Execution`] — the caller
+/// holds the glue program `opts.params.model` generates (each daemon
+/// regenerates the same one) and assembles sink output on it. A daemon
+/// that dies mid-run leaves its rank's report missing, which merges as the
+/// typed node failure it is.
+pub fn launch(opts: &LaunchOptions, spawn: &Spawner<'_>) -> Result<Execution, NetError> {
     if opts.workers == 0 {
         return Err(NetError::BadJob("need at least one worker".into()));
     }
@@ -124,12 +107,8 @@ pub fn launch_program(
     };
     let spec = SubmitSpec::with_params(opts.params.clone(), opts.workers as u32);
     let merged = sched.submit(&spec).and_then(|outcome| {
-        merge_outcomes(
-            program,
-            reports_to_outcomes(outcome.reports),
-            t0.elapsed(),
-            opts.workers,
-        )
+        Execution::merge(outcome.reports, t0.elapsed(), opts.params.iterations)
+            .map_err(NetError::Runtime)
     });
     if merged.is_err() {
         kill_all(&mut children);

@@ -14,7 +14,10 @@
 //! * [`worker`] — the `sage fleet` daemon: one mesh endpoint
 //!   ([`sage_net::MeshCore`]), many concurrent jobs, each over a
 //!   job-scoped [`sage_net::JobTransport`] (the wire header's job field
-//!   keeps their traffic separate on shared links).
+//!   keeps their traffic separate on shared links). Each rank regenerates
+//!   its glue program from the shipped model text — the model front end
+//!   enters the distributed path here, not in `sage-net` — and answers
+//!   with one `sage_runtime::RankReport`.
 //! * [`sched`] — the `sage sched` scheduler: typed admission control
 //!   (version, drain state, fleet size, bounded queue), least-loaded rank
 //!   placement, per-job and per-tenant accounting, graceful drain.
@@ -24,7 +27,9 @@
 //! * [`client`] — what `sage submit` / `sage fleet drain` /
 //!   `sage fleet stats` call.
 //! * [`launch`](mod@launch) — the `sage launch` body: spawn daemons, submit
-//!   one job through an in-process scheduler, drain, merge.
+//!   one job through an in-process scheduler, drain, and fold the reports
+//!   with `sage_runtime::Execution::merge` — the same merge, and the same
+//!   `Execution`, an in-process run ends in.
 //!
 //! Parity bar: a job through the fleet produces sink output bit-identical
 //! to the same model on the in-process backend — the fleet changes job
@@ -39,8 +44,8 @@ pub mod proto;
 pub mod sched;
 pub mod worker;
 
-pub use client::{drain_fleet, fleet_stats, parse_sched_banner, reports_to_outcomes, submit};
-pub use launch::{launch, launch_program, spawn_daemons, LaunchOptions, Spawner};
+pub use client::{drain_fleet, fleet_stats, parse_sched_banner, submit};
+pub use launch::{launch, spawn_daemons, LaunchOptions, Spawner};
 pub use metrics::{FleetStats, TenantStats};
 pub use proto::{FleetJob, FleetMsg, SubmitSpec};
 pub use sage_net::JobParams;

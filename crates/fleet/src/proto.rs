@@ -21,9 +21,10 @@
 use crate::metrics::FleetStats;
 use sage_net::codec::{self, Reader, Wire, Writer};
 use sage_net::{
-    wire_enum, wire_struct, Frame, FrameKind, JobParams, NetError, RankReport, RejectReason,
-    WireError, PROTO_VERSION,
+    wire_enum, wire_struct, Frame, FrameKind, JobParams, NetError, RejectReason, WireError,
+    PROTO_VERSION,
 };
+use sage_runtime::RankReport;
 use std::io::{Read, Write};
 
 /// A job submission, as the client hands it to the scheduler.
@@ -266,7 +267,7 @@ mod tests {
         RankReport {
             rank,
             error: None,
-            deposits: vec![((1, 0, 0), vec![1, 2, 3])],
+            deposits: vec![((1, 0, 0), vec![1, 2, 3].into())],
             wall_secs: 0.5,
             metrics: NodeMetrics {
                 messages_sent: 2,
@@ -274,6 +275,7 @@ mod tests {
             },
             links: Vec::new(),
             events: Vec::new(),
+            stream: sage_runtime::StreamStats::default(),
         }
     }
 

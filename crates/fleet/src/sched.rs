@@ -20,7 +20,8 @@
 use crate::metrics::{FleetStats, TenantStats};
 use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetMsg, SubmitSpec};
 use sage_net::poll::{self, PollFd};
-use sage_net::{NetError, RankReport, RejectReason, PROTO_VERSION};
+use sage_net::{NetError, RejectReason, PROTO_VERSION};
+use sage_runtime::RankReport;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};

@@ -28,11 +28,13 @@
 //! kill-a-worker-mid-run tests use.
 
 use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetMsg};
+use sage_core::{Placement, Project};
 use sage_net::{
-    failed_report, prepare_job, JobParams, JobTransport, MeshCore, NetConfig, NetError, RankReport,
-    RejectReason, PROTO_VERSION,
+    JobParams, JobTransport, MeshCore, NetConfig, NetError, RejectReason, PROTO_VERSION,
 };
-use sage_runtime::{execute_rank, GlueProgram, Registry, RuntimeError, RuntimeOptions};
+use sage_runtime::{
+    execute_rank, prepare, GlueProgram, RankReport, Registry, RuntimeError, RuntimeOptions,
+};
 use sage_visualizer::{Collector, Probe};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -246,6 +248,29 @@ fn runtime_options(
     .with_pipeline_depths(depths.clone()))
 }
 
+/// Regenerates one job's glue program from its model text — what every rank
+/// does before it can execute. The generation pipeline is deterministic,
+/// so every rank and the submitter derive identical tables and schedules.
+/// It goes through the un-gated loader ([`Project::from_sexpr`] — the
+/// submitter ran the lint gate): parse, place, generate, rank-count check.
+/// The project comes back too — its registry is where the job's kernels
+/// bind.
+fn generate_job(model_text: &str, ranks: usize) -> Result<(Project, GlueProgram), RuntimeError> {
+    let project = Project::from_sexpr(model_text, ranks)
+        .map_err(|e| RuntimeError::BadProgram(format!("model: {e}")))?;
+    let (program, _) = project
+        .generate(&Placement::Aligned)
+        .map_err(|e| RuntimeError::BadProgram(format!("codegen: {e}")))?;
+    if program.node_count() != ranks {
+        return Err(RuntimeError::BadProgram(format!(
+            "program wants {} nodes, job has {} ranks",
+            program.node_count(),
+            ranks
+        )));
+    }
+    Ok((project, program))
+}
+
 /// Executes one rank of one job over a job-scoped view of the warm mesh.
 fn run_fleet_job(
     core: Arc<MeshCore>,
@@ -259,13 +284,14 @@ fn run_fleet_job(
         params,
     } = spec;
     let ranks = rank_map.len();
-    let prepared =
-        prepare_job(&params.model, ranks, &|r| register(r)).and_then(|(program, prepared)| {
-            Ok((runtime_options(&params, &program)?, program, prepared))
-        });
+    let prepared = generate_job(&params.model, ranks).and_then(|(mut project, program)| {
+        register(&mut project.registry);
+        let prepared = prepare(&program, &project.registry)?;
+        Ok((runtime_options(&params, &program)?, program, prepared))
+    });
     let (options, program, prepared) = match prepared {
         Ok(p) => p,
-        Err(e) => return failed_report(rank, e),
+        Err(e) => return RankReport::new(rank, Err(e)),
     };
 
     let collector = Arc::new(Collector::new(ranks, params.probes));
@@ -297,28 +323,12 @@ fn run_fleet_job(
     let events = Arc::into_inner(collector)
         .map(|c| c.into_trace().events().to_vec())
         .unwrap_or_default();
-    let (error, deposits) = match outcome {
-        // Deposits leave the shared-payload world here: the report codec
-        // ships plain bytes. `into_vec` is free when the run-time handed
-        // over the sole reference.
-        Ok(outcome) => (
-            None,
-            outcome
-                .deposits
-                .into_iter()
-                .map(|(key, payload)| (key, payload.into_vec()))
-                .collect(),
-        ),
-        Err(e) => (Some(e), Vec::new()),
-    };
     RankReport {
-        rank,
-        error,
-        deposits,
         wall_secs,
         metrics,
         links,
         events,
+        ..RankReport::new(rank, outcome)
     }
 }
 

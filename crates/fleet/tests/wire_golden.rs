@@ -1,8 +1,10 @@
 //! Byte-exact goldens for every control-plane layout and the frame header.
 //!
-//! `fixtures/wire_v6.hex` holds one `name hex` line per encoding. It was
-//! generated on the tree *before* the layouts became one-line declarations
-//! and must not change while `PROTO_VERSION` and `wire::VERSION` stay put: a
+//! `fixtures/wire_v7.hex` holds one `name hex` line per encoding. It was
+//! regenerated from `wire_v6.hex` (itself generated on the tree *before* the
+//! layouts became one-line declarations) when v7 added `RankReport::stream`
+//! — only the lines carrying a report or a protocol version moved — and
+//! must not change while `PROTO_VERSION` and `wire::VERSION` stay put: a
 //! failure here means an edit changed bytes on the wire. To do that on
 //! purpose, follow the recipe in `sage_net::codec`'s module docs; the
 //! regeneration step is `UPDATE_GOLDEN=1 cargo test -p sage-fleet --test
@@ -21,8 +23,8 @@ use sage_fleet::{
     SubmitSpec, TenantStats,
 };
 use sage_net::wire::{try_write_control, write_parts, TryWrite, HEADER_LEN};
-use sage_net::{Frame, FrameKind, NetError, RankReport, RejectReason, PROTO_VERSION};
-use sage_runtime::RuntimeError;
+use sage_net::{Frame, FrameKind, NetError, RejectReason, PROTO_VERSION};
+use sage_runtime::{RankReport, RuntimeError, StreamStats};
 use sage_visualizer::{EventKind, ProbeEvent};
 use std::net::{TcpListener, TcpStream};
 
@@ -75,13 +77,16 @@ const KINDS: [EventKind; 14] = [
 ];
 
 /// A report exercising every record it embeds: all 14 event kinds, a
-/// non-default value in each shipped `NodeMetrics` field, a link row, and
-/// an empty and a non-empty deposit.
+/// non-default value in each shipped `NodeMetrics` field, a link row, an
+/// empty and a non-empty deposit, and distinct credit counters.
 fn report(error: Option<RuntimeError>) -> RankReport {
     RankReport {
         rank: 3,
         error,
-        deposits: vec![((1, 0, 2), vec![9, 8, 7]), ((1, 1, 2), Vec::new())],
+        deposits: vec![
+            ((1, 0, 2), vec![9, 8, 7].into()),
+            ((1, 1, 2), Vec::new().into()),
+        ],
         wall_secs: 0.25,
         metrics: NodeMetrics {
             messages_sent: 0x0102_0304_0506_0708,
@@ -104,6 +109,10 @@ fn report(error: Option<RuntimeError>) -> RankReport {
             .enumerate()
             .map(|(i, &kind)| ProbeEvent::new(0.5 * i as f64, 3, kind, i as u32, 1))
             .collect(),
+        stream: StreamStats {
+            credits_issued: 12,
+            credits_retired: 11,
+        },
     }
 }
 
@@ -170,11 +179,11 @@ fn streaming_params() -> JobParams {
 fn golden_set() -> Vec<(String, Golden)> {
     let mut set: Vec<(String, Golden)> = Vec::new();
     let mut msg = |name: &str, m: FleetMsg| set.push((name.to_string(), Golden::Msg(Box::new(m))));
-    msg("hello", FleetMsg::Hello { proto_version: 6 });
+    msg("hello", FleetMsg::Hello { proto_version: 7 });
     msg(
         "hello_ack",
         FleetMsg::HelloAck {
-            proto_version: 6,
+            proto_version: 7,
             data_addr: "127.0.0.1:9000".into(),
         },
     );
@@ -270,7 +279,7 @@ fn golden_set() -> Vec<(String, Golden)> {
     for (name, reason) in [
         (
             "reject_version_mismatch",
-            RejectReason::VersionMismatch { ours: 6, theirs: 5 },
+            RejectReason::VersionMismatch { ours: 7, theirs: 6 },
         ),
         ("reject_queue_full", RejectReason::QueueFull { depth: 128 }),
         (
@@ -330,10 +339,10 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
             .iter()
             .map(|(name, g)| format!("{name} {}\n", hex(&g.encode())))
             .collect();
-        std::fs::write(fixture_path("wire_v6.hex"), text).expect("write fixture");
+        std::fs::write(fixture_path("wire_v7.hex"), text).expect("write fixture");
         return;
     }
-    let fixture = read_fixture("wire_v6.hex");
+    let fixture = read_fixture("wire_v7.hex");
     assert_eq!(
         fixture.iter().map(|(n, _)| n).collect::<Vec<_>>(),
         set.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -356,7 +365,7 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
 /// The stream entry points lay a frame out exactly as `Frame::encode` does.
 #[test]
 fn every_frame_writer_and_reader_agrees_with_the_golden_header() {
-    for (name, bytes) in read_fixture("wire_v6.hex") {
+    for (name, bytes) in read_fixture("wire_v7.hex") {
         let Some(kind) = name.strip_prefix("frame_") else {
             continue;
         };

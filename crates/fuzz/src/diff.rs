@@ -7,7 +7,9 @@
 //! lock-step checksum exactly (an unsound depth proof shows up here as
 //! silent corruption), and the streaming dataflow executor must do the
 //! same at the proven depth while conserving every backpressure credit
-//! (issued == retired). It then runs under seeded random [`FaultPlan`]s, where
+//! (issued == retired) — in process and, when the TCP half is swept,
+//! across daemons. Every cell's run is one `Execution`, held to one
+//! `judge`. It then runs under seeded random [`FaultPlan`]s, where
 //! each run must either reproduce the fault-free checksum exactly or
 //! fail with a typed error — never hang, never silently corrupt.
 //!
@@ -38,7 +40,7 @@ use sage_core::{checked_program, Placement, Project, ProjectError};
 use sage_fabric::{FaultPlan, TimePolicy};
 use sage_fleet::{JobParams, LaunchOptions, Spawner};
 use sage_model::HardwareShelf;
-use sage_runtime::{fnv1a_64, RuntimeOptions};
+use sage_runtime::{fnv1a_64, Execution, GlueProgram, RuntimeOptions};
 
 /// Display labels of the two lattice cells. The `/zero-copy` suffix dates
 /// from when the lattice had a data-plane axis; saved bundles carry it, so
@@ -134,6 +136,31 @@ enum PipeMode {
     Streaming(u32, Vec<u32>),
 }
 
+/// The one judge every cell's run answers to, whichever backend produced
+/// the [`Execution`]: a streaming run must conserve every backpressure
+/// credit, and any run must have fed its sinks. Returns (sink checksum,
+/// per-node measured memory high-waters).
+fn judge(
+    program: &GlueProgram,
+    exec: &Execution,
+    iterations: u32,
+    streaming: bool,
+) -> Result<(u64, Vec<u64>), String> {
+    if streaming && exec.stream.credits_issued != exec.stream.credits_retired {
+        return Err(format!(
+            "credit leak: issued {} != retired {}",
+            exec.stream.credits_issued, exec.stream.credits_retired
+        ));
+    }
+    let bytes = exec.results.stream(program, iterations);
+    if bytes.is_empty() {
+        return Err("sink produced no bytes".into());
+    }
+    let nodes = &exec.report.metrics.nodes;
+    let mems = nodes.iter().map(|n| n.mem_high_water).collect();
+    Ok((fnv1a_64(&bytes), mems))
+}
+
 fn run_local(
     source: &str,
     nodes: usize,
@@ -168,34 +195,23 @@ fn run_local(
             ProjectError::Runtime(e) => format!("runtime: {e}"),
             ProjectError::Codegen(e) => format!("codegen: {e}"),
         })?;
-    if matches!(mode, PipeMode::Streaming(..))
-        && exec.stream.credits_issued != exec.stream.credits_retired
-    {
-        return Err(format!(
-            "credit leak: issued {} != retired {}",
-            exec.stream.credits_issued, exec.stream.credits_retired
-        ));
-    }
-    let bytes = exec.results.stream(&program, iterations);
-    if bytes.is_empty() {
-        return Err("sink produced no bytes".into());
-    }
-    let mems = exec
-        .report
-        .metrics
-        .nodes
-        .iter()
-        .map(|n| n.mem_high_water)
-        .collect();
-    Ok((fnv1a_64(&bytes), mems))
+    let streaming = matches!(mode, PipeMode::Streaming(..));
+    judge(&program, &exec, iterations, streaming)
 }
 
+/// One job of `source` — `program`'s model — across freshly spawned
+/// daemons: lock-step, or streaming at `streaming`'s (global depth,
+/// per-buffer ring caps).
 fn run_tcp(
+    program: &GlueProgram,
     source: &str,
     nodes: usize,
     iterations: u32,
     spawner: &Spawner<'_>,
+    streaming: Option<(u32, Vec<u32>)>,
 ) -> Result<(u64, Vec<u64>), String> {
+    let is_streaming = streaming.is_some();
+    let (pipeline, pipeline_depths) = streaming.unzip();
     let opts = LaunchOptions {
         workers: nodes,
         heartbeat_ms: None,
@@ -203,22 +219,13 @@ fn run_tcp(
             // Per-process degraded mode over TCP: each rank validates its
             // own serial order and stamp handling, never cross-rank pairs.
             race_detect: true,
+            pipeline,
+            pipeline_depths: pipeline_depths.unwrap_or_default(),
             ..JobParams::new(source, iterations)
         },
     };
-    let outcome = sage_fleet::launch(&opts, spawner).map_err(|e| format!("launch: {e}"))?;
-    let bytes = outcome.results.stream(&outcome.program, iterations);
-    if bytes.is_empty() {
-        return Err("sink produced no bytes".into());
-    }
-    let mems = outcome
-        .report
-        .metrics
-        .nodes
-        .iter()
-        .map(|n| n.mem_high_water)
-        .collect();
-    Ok((fnv1a_64(&bytes), mems))
+    let exec = sage_fleet::launch(&opts, spawner).map_err(|e| format!("launch: {e}"))?;
+    judge(program, &exec, iterations, is_streaming)
 }
 
 /// Runs the local lock-step cell, optionally under a fault plan, and
@@ -400,15 +407,16 @@ pub fn run_diff(
     let hw = HardwareShelf::cspi_with_nodes(nodes);
     let checker = sage_check::Checker::new(&program, &hw, None);
     let predicted = checker.peaks();
-    // The TCP cell runs last: it spawns real worker processes.
-    let mut cells: Vec<(&'static str, Option<&Spawner<'_>>)> = vec![(LOCAL_CELL, None)];
-    if let (true, Some(spawner)) = (cfg.tcp, spawner) {
-        cells.push((TCP_CELL, Some(spawner)));
-    }
+    // A local cell, then its TCP twin when that half is swept — last,
+    // because it spawns real worker processes.
+    let tcp = spawner.filter(|_| cfg.tcp);
+    let backends = |local: &'static str, remote: &'static str| {
+        std::iter::once((local, None)).chain(tcp.map(|spawner| (remote, Some(spawner))))
+    };
     let mut baseline: Option<u64> = None;
-    for (cell, tcp) in cells {
+    for (cell, tcp) in backends(LOCAL_CELL, TCP_CELL) {
         let run = match tcp {
-            Some(spawner) => run_tcp(source, nodes, cfg.iterations, spawner),
+            Some(spawner) => run_tcp(&program, source, nodes, cfg.iterations, spawner, None),
             // Direction A (races): fault-free cells run detector-armed.
             None => run_local(
                 source,
@@ -490,46 +498,53 @@ pub fn run_diff(
             }
             // ---- Streaming executor: continuous issue with per-pair
             // credits must reproduce lock-step bit-for-bit at any depth
-            // up to the proven plan, and conserve every credit ---------
+            // up to the proven plan, and conserve every credit — in
+            // process, and across daemons when the TCP half is swept ------
             let caps: Vec<u32> = pplan.buffers.iter().map(|b| b.safe_depth).collect();
             let sdepth = pplan.safe_depth.clamp(1, 3);
-            outcome.cells_run.push("local/streaming");
-            match run_local(
-                source,
-                nodes,
-                cfg.iterations,
-                true,
-                None,
-                PipeMode::Streaming(sdepth, caps),
-            ) {
-                Err(e) => outcome.fail(
-                    "local/streaming",
-                    format!("streaming at proven depth {sdepth} failed to execute: {e}"),
-                ),
-                Ok((checksum, mems)) => {
-                    if checksum != want {
-                        outcome.fail(
-                            "local/streaming",
-                            format!(
-                                "streaming depth {sdepth} produced checksum {checksum:016x} \
-                                 instead of lock-step {want:016x} — the dataflow schedule \
-                                 reordered a visible effect"
-                            ),
-                        );
+            for (cell, tcp) in backends("local/streaming", "tcp/streaming") {
+                outcome.cells_run.push(cell);
+                let run = match tcp {
+                    Some(spawner) => {
+                        let streaming = Some((sdepth, caps.clone()));
+                        run_tcp(&program, source, nodes, cfg.iterations, spawner, streaming)
                     }
-                    // Direction A, scaled: per-tag FIFO queues hold up to
-                    // `depth` ring slots plus a window's worth of frames
-                    // still in flight between producer and consumer.
-                    if let Some(predicted) = &predicted {
-                        let scaled: Vec<usize> = predicted
-                            .iter()
-                            .map(|p| p.saturating_mul(sdepth as usize + 2))
-                            .collect();
-                        if let Some(msg) = mem_violation(&scaled, &mems) {
+                    None => run_local(
+                        source,
+                        nodes,
+                        cfg.iterations,
+                        true,
+                        None,
+                        PipeMode::Streaming(sdepth, caps.clone()),
+                    ),
+                };
+                match run {
+                    Err(e) => outcome.fail(
+                        cell,
+                        format!("streaming at proven depth {sdepth} failed to execute: {e}"),
+                    ),
+                    Ok((checksum, mems)) => {
+                        if checksum != want {
                             outcome.fail(
-                                "local/streaming",
-                                format!("at streaming depth {sdepth}: {msg}"),
+                                cell,
+                                format!(
+                                    "streaming depth {sdepth} produced checksum {checksum:016x} \
+                                     instead of lock-step {want:016x} — the dataflow schedule \
+                                     reordered a visible effect"
+                                ),
                             );
+                        }
+                        // Direction A, scaled: per-tag FIFO queues hold up to
+                        // `depth` ring slots plus a window's worth of frames
+                        // still in flight between producer and consumer.
+                        if let Some(predicted) = &predicted {
+                            let scaled: Vec<usize> = predicted
+                                .iter()
+                                .map(|p| p.saturating_mul(sdepth as usize + 2))
+                                .collect();
+                            if let Some(msg) = mem_violation(&scaled, &mems) {
+                                outcome.fail(cell, format!("at streaming depth {sdepth}: {msg}"));
+                            }
                         }
                     }
                 }

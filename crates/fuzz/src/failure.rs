@@ -57,7 +57,7 @@ fn bad(line: &str) -> io::Error {
 }
 
 /// Parses a fault plan from the text codec. Inverse of [`plan_to_text`].
-pub fn plan_from_text(text: &str) -> io::Result<FaultPlan> {
+pub fn parse_plan_text(text: &str) -> io::Result<FaultPlan> {
     let mut plan = FaultPlan::default();
     for line in text.lines() {
         let line = line.trim();
@@ -197,7 +197,7 @@ pub fn load_repro(stem: &Path) -> io::Result<Repro> {
     }
     let plan_path = stem.with_extension("plan");
     let plan = if plan_path.exists() {
-        Some(plan_from_text(&std::fs::read_to_string(plan_path)?)?)
+        Some(parse_plan_text(&std::fs::read_to_string(plan_path)?)?)
     } else {
         None
     };
@@ -231,7 +231,7 @@ mod tests {
     fn plan_codec_round_trips_exactly() {
         let plan = sample_plan();
         let text = plan_to_text(&plan);
-        let back = plan_from_text(&text).unwrap();
+        let back = parse_plan_text(&text).unwrap();
         assert_eq!(back, plan);
         assert_eq!(plan_to_text(&back), text);
     }
@@ -262,9 +262,9 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_rejected() {
-        assert!(plan_from_text("nonsense").is_err());
-        assert!(plan_from_text("drop_prob=not_a_float").is_err());
-        assert!(plan_from_text("degrade=1,2").is_err());
-        assert!(plan_from_text("mystery=1").is_err());
+        assert!(parse_plan_text("nonsense").is_err());
+        assert!(parse_plan_text("drop_prob=not_a_float").is_err());
+        assert!(parse_plan_text("degrade=1,2").is_err());
+        assert!(parse_plan_text("mystery=1").is_err());
     }
 }

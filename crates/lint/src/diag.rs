@@ -627,40 +627,36 @@ impl Diagnostics {
     /// Machine-readable JSON: one object per finding, with resolved
     /// line/column when the source text is available.
     pub fn to_json(&self, file: &str, source: Option<&str>) -> String {
-        let mut out = String::from("{\"file\":");
-        json_string(&mut out, file);
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":");
-            json_string(&mut out, d.code);
-            out.push_str(",\"severity\":");
-            json_string(&mut out, &d.severity.to_string());
-            out.push_str(",\"message\":");
-            json_string(&mut out, &d.message);
-            if let Some(span) = d.span {
-                out.push_str(&format!(
-                    ",\"span\":{{\"start\":{},\"end\":{}}}",
-                    span.start, span.end
-                ));
-                if let Some(src) = source {
-                    let (line, col) = span.line_col(src);
-                    out.push_str(&format!(",\"line\":{line},\"column\":{col}"));
+        let mut j = JsonWriter::default();
+        j.object(|j| {
+            j.key("file").string(file);
+            j.key("diagnostics").array(|j| {
+                for d in &self.diags {
+                    j.object(|j| {
+                        j.key("code").string(d.code);
+                        j.key("severity").string(&d.severity.to_string());
+                        j.key("message").string(&d.message);
+                        if let Some(span) = d.span {
+                            j.key("span").object(|j| {
+                                j.key("start").number(span.start);
+                                j.key("end").number(span.end);
+                            });
+                            if let Some(src) = source {
+                                let (line, col) = span.line_col(src);
+                                j.key("line").number(line);
+                                j.key("column").number(col);
+                            }
+                        }
+                        j.key("notes").array(|j| {
+                            for n in &d.notes {
+                                j.string(n);
+                            }
+                        });
+                    });
                 }
-            }
-            out.push_str(",\"notes\":[");
-            for (j, n) in d.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, n);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            });
+        });
+        j.finish()
     }
 }
 
@@ -711,8 +707,8 @@ fn render_one(out: &mut String, d: &Diagnostic, file: &str, source: Option<&str>
 }
 
 /// Appends `s` to `out` as a JSON string literal — the one escaper every
-/// hand-assembled JSON artefact in the tool suite goes through.
-pub fn json_string(out: &mut String, s: &str) {
+/// JSON artefact in the tool suite goes through, by way of [`JsonWriter`].
+fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -726,6 +722,73 @@ pub fn json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Compact JSON written in document order: the one writer behind every
+/// `to_json` in the tool suite. The caller gives the shape; the writer
+/// places the commas and escapes the strings.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The next value at this nesting level needs a comma before it.
+    comma: bool,
+}
+
+impl JsonWriter {
+    fn value(&mut self, write: impl FnOnce(&mut String)) -> &mut JsonWriter {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        write(&mut self.out);
+        self
+    }
+
+    fn nested(&mut self, open: char, close: char, body: impl FnOnce(&mut JsonWriter)) {
+        self.value(|out| out.push(open)).comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+    }
+
+    /// An object member's key; its value is the next thing written.
+    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+        self.value(|out| {
+            json_string(out, key);
+            out.push(':');
+        })
+        .comma = false;
+        self
+    }
+
+    /// A string value.
+    pub fn string(&mut self, s: &str) {
+        self.value(|out| json_string(out, s));
+    }
+
+    /// A numeric value.
+    pub fn number(&mut self, n: impl std::fmt::Display) {
+        self.value(|out| out.push_str(&n.to_string()));
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.value(|out| out.push_str("null"));
+    }
+
+    /// An object whose members `members` writes.
+    pub fn object(&mut self, members: impl FnOnce(&mut JsonWriter)) {
+        self.nested('{', '}', members);
+    }
+
+    /// An array whose items `items` writes.
+    pub fn array(&mut self, items: impl FnOnce(&mut JsonWriter)) {
+        self.nested('[', ']', items);
+    }
+
+    /// The document.
+    pub fn finish(self) -> String {
+        self.out
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub mod model_spans;
 
 pub use alter_check::lint_script;
 pub use diag::{
-    code_explanation, code_summary, json_string, Diagnostic, Diagnostics, Severity, CODE_TABLE,
+    code_explanation, code_summary, Diagnostic, Diagnostics, JsonWriter, Severity, CODE_TABLE,
 };
 pub use model_check::{lint_mapping, lint_model, model_error_diag};
 pub use model_spans::ModelSpans;

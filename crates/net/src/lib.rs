@@ -33,16 +33,15 @@
 //!   and what every wait in the mesh and the scheduler's accept loop
 //!   blocks in instead of sleeping.
 //! * [`proto`] — the control-plane payloads: [`JobParams`] (the one
-//!   description of a job every job message embeds) and [`RankReport`]
-//!   (what each rank sends back), each declared once, under an explicit
-//!   protocol version.
-//! * [`worker`] — what a rank does before it executes: regenerate the glue
-//!   program from the model text and bind kernels ([`prepare_job`]).
-//! * [`launch`] — [`merge_outcomes`]: fold per-rank reports into one
-//!   outcome, root-cause error first.
+//!   description of a job every job message embeds) and the wire layout of
+//!   `sage_runtime::RankReport` (what each rank sends back), each declared
+//!   once, under an explicit protocol version.
 //!
-//! The daemon, scheduler and launcher that speak this protocol live in
-//! `sage-fleet`; this crate has no process of its own.
+//! This crate is transport only: it moves bytes and reports and never sees
+//! a model. The daemon, scheduler and launcher that speak this protocol —
+//! and the model front end a rank regenerates its program with — live in
+//! `sage-fleet`; a run's reports are merged by
+//! `sage_runtime::Execution::merge`, as on the in-process backend.
 //!
 //! Parity bar: a model executed over TCP produces sink output bit-identical
 //! to the in-process backend — kernels compute the same bytes either way;
@@ -53,18 +52,14 @@
 
 pub mod codec;
 pub mod error;
-pub mod launch;
 mod mesh;
 #[allow(unsafe_code)]
 pub mod poll;
 pub mod proto;
 pub mod transport;
 pub mod wire;
-pub mod worker;
 
 pub use error::{NetError, RejectReason};
-pub use launch::{merge_outcomes, LaunchOutcome};
-pub use proto::{JobParams, RankReport, PROTO_VERSION};
+pub use proto::{JobParams, PROTO_VERSION};
 pub use transport::{JobTransport, MeshCore, NetConfig, TcpTransport};
 pub use wire::{Frame, FrameKind, WireError};
-pub use worker::{failed_report, generate_job, prepare_job};

@@ -1,5 +1,7 @@
 //! Control-plane payloads: the job parameters every job message carries,
-//! and the report each rank sends back.
+//! and the wire layout of the report each rank sends back (the record
+//! itself, [`RankReport`], is `sage-runtime`'s: the in-process backend
+//! fills in the same one).
 //!
 //! Each record's layout is declared once, at the bottom of this file, on
 //! the [`crate::codec`] declarators; [`crate::codec`]'s module docs give the
@@ -12,8 +14,8 @@
 use crate::codec::{Reader, Wire, Writer};
 use crate::error::NetError;
 use crate::{wire_enum, wire_struct};
-use sage_fabric::{LinkMetrics, NodeMetrics};
-use sage_runtime::RuntimeError;
+use sage_fabric::{LinkMetrics, NodeMetrics, Payload};
+use sage_runtime::{RankReport, RuntimeError, StreamStats};
 use sage_visualizer::{EventKind, ProbeEvent};
 
 /// Control-protocol version. v2 added the version field, the per-job
@@ -23,8 +25,9 @@ use sage_visualizer::{EventKind, ProbeEvent};
 /// copy-heavy plane it selected was retired. v6 retired the one-shot
 /// worker protocol (its two frame kinds and the per-rank job struct they
 /// carried): every job travels as one [`JobParams`] inside the fleet's
-/// `Submit` and `Job` messages.
-pub const PROTO_VERSION: u32 = 6;
+/// `Submit` and `Job` messages. v7 added the streaming credit counters
+/// (`stream`) to [`RankReport`].
+pub const PROTO_VERSION: u32 = 7;
 
 /// What to run and how, independent of where: the one description of a
 /// job that the submitter, the scheduler and every rank share.
@@ -73,26 +76,6 @@ impl JobParams {
     }
 }
 
-/// What one rank produced.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RankReport {
-    /// The reporting rank.
-    pub rank: u32,
-    /// The run error, if the rank failed.
-    pub error: Option<RuntimeError>,
-    /// Sink deposits made on this rank: `(fn_id, iteration, thread)` ->
-    /// stripe bytes.
-    pub deposits: Vec<((u32, u32, u32), Vec<u8>)>,
-    /// Wall-clock seconds this rank spent executing the program.
-    pub wall_secs: f64,
-    /// This rank's traffic counters.
-    pub metrics: NodeMetrics,
-    /// Wire counters for each outgoing link of this rank.
-    pub links: Vec<LinkMetrics>,
-    /// Probe events recorded on this rank (empty unless probes were on).
-    pub events: Vec<ProbeEvent>,
-}
-
 // ---- Layouts ---------------------------------------------------------
 
 /// `JobParams::pipeline` on the wire. The depth has travelled as an
@@ -132,7 +115,25 @@ wire_struct!(RankReport {
     metrics,
     links,
     events,
+    stream,
 });
+
+wire_struct!(StreamStats {
+    credits_issued,
+    credits_retired
+});
+
+/// A deposit's stripe travels as a byte blob; it re-enters the
+/// shared-payload world on arrival without a copy.
+impl Wire for Payload {
+    fn put(&self, w: &mut Writer) {
+        (self.len() as u32).put(w);
+        u8::put_all(self, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Payload, NetError> {
+        Vec::<u8>::get(r).map(Payload::from_vec)
+    }
+}
 
 wire_enum!(RuntimeError, "error code" {
     1 => UnknownFunction { block, function },
@@ -229,7 +230,10 @@ mod tests {
         let rep = RankReport {
             rank: 2,
             error: Some(RuntimeError::PeerFailed { node: 2, peer: 0 }),
-            deposits: vec![((1, 0, 2), vec![9, 8, 7]), ((1, 1, 2), vec![])],
+            deposits: vec![
+                ((1, 0, 2), vec![9, 8, 7].into()),
+                ((1, 1, 2), Payload::new()),
+            ],
             wall_secs: 0.25,
             metrics: NodeMetrics {
                 messages_sent: 5,
@@ -244,6 +248,10 @@ mod tests {
                 bytes: 100,
             }],
             events: vec![ProbeEvent::new(0.5, 2, EventKind::NetSend, 0, 1)],
+            stream: StreamStats {
+                credits_issued: 12,
+                credits_retired: 11,
+            },
         };
         assert_eq!(decode(&encode(&rep)), Ok(rep));
     }

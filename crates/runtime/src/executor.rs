@@ -38,13 +38,13 @@ use crate::function::{FnThreadCtx, Registry, RuntimeError, StripePayload};
 use crate::glue::{xfer_tag, FnRole, FunctionDescriptor, GlueProgram, Task, TAG_ITERATIONS};
 use crate::options::{BufferScheme, IssuePolicy, RuntimeOptions};
 use crate::race::{fnv1a_64, Intervals, PortAccess, RaceState};
+use crate::report::{Execution, RankReport};
 use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
-use sage_fabric::{
-    Cluster, FabricError, MachineSpec, Payload, RunReport, TimePolicy, Transport, Work,
-};
-use sage_visualizer::{Collector, Probe, Trace};
+use sage_fabric::{Cluster, FabricError, MachineSpec, Payload, TimePolicy, Transport, Work};
+use sage_visualizer::{Collector, Probe};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Collected sink deposits: the stripes each sink thread absorbed.
 #[derive(Clone, Debug, Default)]
@@ -159,34 +159,6 @@ impl SinkResults {
     /// `true` if no sink absorbed anything.
     pub fn is_empty(&self) -> bool {
         self.deposits.is_empty()
-    }
-}
-
-/// The outcome of executing a glue program.
-#[derive(Debug)]
-pub struct Execution {
-    /// Fabric-level report (virtual makespan, wall time, traffic).
-    pub report: RunReport,
-    /// Visualizer trace (empty unless probes were enabled).
-    pub trace: Trace,
-    /// Sink deposits.
-    pub results: SinkResults,
-    /// Iterations executed.
-    pub iterations: u32,
-    /// Streaming-executor credit counters, summed over ranks (all zero in
-    /// lock-step and pipeline-validate modes).
-    pub stream: StreamStats,
-}
-
-impl Execution {
-    /// Virtual seconds per iteration (makespan / iterations); the paper's
-    /// per-data-set time for steady-state runs.
-    pub fn secs_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.report.makespan / self.iterations as f64
-        }
     }
 }
 
@@ -472,9 +444,10 @@ pub fn execute(
         .race_detect
         .then(|| RaceState::new(machine.node_count()));
 
-    let (node_deposits, report) = cluster.run(|ctx| {
+    let (outcomes, run) = cluster.run(|ctx| {
         let probe = Probe::new(collector.clone(), ctx.id() as u32);
-        execute_rank(
+        let t0 = Instant::now();
+        let outcome = execute_rank(
             ctx,
             program,
             &prepared,
@@ -482,48 +455,28 @@ pub fn execute(
             iterations,
             &probe,
             race.as_ref(),
-        )
+        );
+        (outcome, t0.elapsed().as_secs_f64())
     });
 
-    // Surface the root-cause error, deterministically: a node that failed
-    // outright (kernel fault, fail-at-time, exhausted retries) beats a node
-    // that merely noticed a dead or silent peer, and ties break by node
-    // order. Without the priority, node 0's secondary `PeerFailed` would
-    // always mask the real fault on a higher-numbered node.
-    let mut results = SinkResults::default();
-    let mut stream = StreamStats::default();
-    let mut secondary: Option<RuntimeError> = None;
-    for outcome in node_deposits {
-        match outcome {
-            Ok(outcome) => {
-                stream.credits_issued += outcome.stream.credits_issued;
-                stream.credits_retired += outcome.stream.credits_retired;
-                for (k, v) in outcome.deposits {
-                    results.deposits.insert(k, v);
-                }
-            }
-            Err(e @ (RuntimeError::PeerFailed { .. } | RuntimeError::Timeout { .. })) => {
-                secondary.get_or_insert(e);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if let Some(e) = secondary {
-        return Err(e);
-    }
     // Every node thread has joined, so this is the last reference; if a
     // clone somehow survived, an empty trace is strictly better than
     // panicking after a successful run.
-    let trace = Arc::into_inner(collector)
-        .map(Collector::into_trace)
-        .unwrap_or_default();
-    Ok(Execution {
-        report,
-        trace,
-        results,
-        iterations,
-        stream,
-    })
+    let mut lanes = Arc::into_inner(collector)
+        .map(Collector::into_lanes)
+        .unwrap_or_default()
+        .into_iter();
+    let reports = (outcomes.into_iter().zip(run.metrics.nodes).enumerate())
+        .map(|(rank, ((outcome, wall_secs), metrics))| {
+            Some(RankReport {
+                wall_secs,
+                metrics,
+                events: lanes.next().unwrap_or_default(),
+                ..RankReport::new(rank as u32, outcome)
+            })
+        })
+        .collect();
+    Execution::merge(reports, run.wall, iterations)
 }
 
 /// Translates an unrecoverable fabric fault into the executor's error

@@ -20,7 +20,10 @@
 //!   dispatches kernels, and transmits outputs, on either the real or
 //!   virtual clock;
 //! * [`race`] — the vector-clock race detector that cross-validates the
-//!   static `sage race` happens-before proofs at run time.
+//!   static `sage race` happens-before proofs at run time;
+//! * [`report`] — how a run reads back on every backend: one
+//!   [`RankReport`] per rank, folded by [`Execution::merge`] into the one
+//!   [`Execution`], root-cause error first.
 
 #![warn(missing_docs)]
 
@@ -29,14 +32,16 @@ pub mod function;
 pub mod glue;
 pub mod options;
 pub mod race;
+pub mod report;
 pub mod striping;
 
 pub use executor::{
-    execute, execute_rank, fabric_to_runtime, prepare, Deposit, Edge, Execution, Prepared,
-    RankOutcome, SinkResults, StreamStats, TaskEdges,
+    execute, execute_rank, fabric_to_runtime, prepare, Deposit, Edge, Prepared, RankOutcome,
+    SinkResults, StreamStats, TaskEdges,
 };
 pub use function::{FnThreadCtx, Kernel, Registry, RuntimeError, StripePayload};
 pub use glue::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};
 pub use options::{BufferScheme, IssuePolicy, RuntimeOptions};
 pub use race::{fnv1a_64, PortAccess, RaceState};
+pub use report::{Execution, RankReport};
 pub use striping::{CopyOp, Layout, PairOps, Redistribution};

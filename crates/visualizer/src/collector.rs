@@ -46,13 +46,18 @@ impl Collector {
             .push(e);
     }
 
+    /// The recorded events, one lane per node, each in recording order.
+    pub fn into_lanes(self) -> Vec<Vec<ProbeEvent>> {
+        self.lanes
+            .into_iter()
+            .map(|lane| lane.into_inner().expect("collector lane poisoned"))
+            .collect()
+    }
+
     /// Merges all lanes into a single trace sorted by time (stable, so
     /// same-time events keep per-node order).
     pub fn into_trace(self) -> Trace {
-        let mut events = Vec::new();
-        for lane in self.lanes {
-            events.extend(lane.into_inner().expect("collector lane poisoned"));
-        }
+        let mut events = self.into_lanes().concat();
         events.sort_by(|a, b| a.time.total_cmp(&b.time));
         Trace::new(events)
     }

@@ -4,16 +4,15 @@
 //! $ sage lint     model.sexpr --nodes 8 [--deny-warnings] [--format json] [--explain]
 //! $ sage check    model.sexpr --nodes 8 [--deny-warnings] [--format json] [--explain]
 //! $ sage pipeline model.sexpr --nodes 8 [--depth D] [--deny-warnings] [--format json]
-//!                 [--plan F]                  # per-buffer safe pipeline depths
+//!                                             # per-buffer safe pipeline depths
 //! $ sage race     model.sexpr --nodes 8 [--deny-warnings] [--format json]
 //!                                             # static happens-before race proofs
 //! $ sage explain  SAGE050                     # long-form diagnostic description
 //! $ sage inspect  model.sexpr                 # validate + DOT view
 //! $ sage codegen  model.sexpr --nodes 8       # emit the glue source files
 //! $ sage run      model.sexpr --nodes 8 --iters 10 [--optimized] [--real] [--ga]
-//!                 [--transport local|tcp] [--pipeline D]
-//!                 [--pipeline-validate D] [--race-detect] [--unchecked]
-//!                 [--heartbeat-ms MS] [--dump-sink F] [--trace F]
+//!                 [--pipeline D] [--pipeline-validate D] [--race-detect]
+//!                 [--unchecked] [--dump-sink F] [--trace F]
 //! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized]
 //!                 [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink F]
 //!                 [--trace F]
@@ -37,9 +36,12 @@
 //! execute (`--ga` included), and `run`, `launch` and `submit` then
 //! abstractly interpret that very program (`sage check`) before executing
 //! it, on either transport; error-severity findings refuse the command.
-//! `run --transport tcp` and `launch` execute each rank in its own OS
-//! process over loopback TCP: they spawn one `fleet` daemon per rank, run
-//! the one job through an in-process scheduler, and drain the daemons.
+//! `run` executes on the in-process fabric; `launch` executes each rank in
+//! its own OS process over loopback TCP: it spawns one `fleet` daemon per
+//! rank, runs the one job through an in-process scheduler, and drains the
+//! daemons. All three end in the same `sage_runtime::Execution`, so they
+//! share one summary line and one tail (sink checksum, streaming credits,
+//! `--dump-sink`, `--trace`).
 //!
 //! The fleet commands run the same path as a persistent job service:
 //! `fleet` daemons keep their mesh warm across jobs (one started by hand on
@@ -53,22 +55,22 @@ use sage_check::pipeline::{depth_str, PipelinePlan};
 use sage_core::{check_model_source, lint_model_source, model_from_sexpr, model_io, Project};
 use sage_fleet::{JobParams, LaunchOptions};
 use sage_lint::Diagnostics;
-use sage_net::LaunchOutcome;
-use sage_runtime::{fnv1a_64, GlueProgram, SinkResults};
-use sage_visualizer::{export, gantt, report, Analysis, Trace};
+use sage_net::NetError;
+use sage_runtime::{fnv1a_64, Execution, GlueProgram, StreamStats};
+use sage_visualizer::{export, gantt, report, Analysis};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sage lint <model.sexpr>... [--nodes N] [--deny-warnings] [--format json] [--explain]\n  \
          sage check <model.sexpr>... [--nodes N] [--deny-warnings] [--format json] [--explain]\n  \
-         sage pipeline <model.sexpr>... [--nodes N] [--depth D] [--deny-warnings] [--format json] [--plan FILE]\n  \
+         sage pipeline <model.sexpr>... [--nodes N] [--depth D] [--deny-warnings] [--format json]\n  \
          sage race <model.sexpr>... [--nodes N] [--deny-warnings] [--format json]\n  \
          sage explain [SAGE0xx]...\n  \
          sage inspect <model.sexpr>\n  sage codegen <model.sexpr> [--nodes N]\n  \
          sage run <model.sexpr> [--nodes N] [--iters I] [--optimized] [--real] [--ga]\n           \
-         [--transport local|tcp] [--pipeline D] [--pipeline-validate D]\n           \
-         [--race-detect] [--unchecked] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
+         [--pipeline D] [--pipeline-validate D] [--race-detect] [--unchecked]\n           \
+         [--dump-sink FILE] [--trace FILE]\n  \
          sage launch <model.sexpr> [--workers N] [--iters I] [--optimized]\n              \
          [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage fleet [--listen ADDR] | sage fleet drain|stats --sched ADDR\n  \
@@ -103,7 +105,7 @@ fn subcommand(cmd: &str) -> Option<Subcommand> {
     Some(match cmd {
         "lint" => sub(cmd_lint, "deny-warnings explain", "nodes format"),
         "check" => sub(cmd_check, "deny-warnings explain", "nodes format"),
-        "pipeline" => sub(cmd_pipeline, "deny-warnings", "nodes depth format plan"),
+        "pipeline" => sub(cmd_pipeline, "deny-warnings", "nodes depth format"),
         "race" => sub(cmd_race, "deny-warnings", "nodes format"),
         "explain" => sub(cmd_explain, "", ""),
         "inspect" => sub(cmd_inspect, "", ""),
@@ -111,7 +113,7 @@ fn subcommand(cmd: &str) -> Option<Subcommand> {
         "run" => sub(
             cmd_run,
             "optimized real ga race-detect unchecked",
-            "nodes iters transport pipeline pipeline-validate heartbeat-ms dump-sink trace",
+            "nodes iters pipeline pipeline-validate dump-sink trace",
         ),
         "launch" => sub(
             cmd_launch,
@@ -239,9 +241,9 @@ struct Artefact<'a, T> {
     key: &'static str,
     to_json: fn(&T) -> String,
     /// Called once per file that produced one: prints the text table
-    /// unless `json`, writes any side output, and returns whether the
-    /// artefact itself fails the file.
-    show: &'a dyn Fn(&str, &T, bool) -> Result<bool, String>,
+    /// unless `json`, and returns whether the artefact itself fails the
+    /// file.
+    show: &'a dyn Fn(&str, &T, bool) -> bool,
 }
 
 /// The per-file driver behind `sage lint|check|pipeline|race`: run
@@ -288,7 +290,7 @@ fn analyze_files<T>(
         }
         let mut fails = diags.fails(deny_warnings);
         if let (Some(a), Some(proven)) = (&artefact, &proven) {
-            fails |= (a.show)(path, proven, json)?;
+            fails |= (a.show)(path, proven, json);
         }
         if args.has("explain") {
             fired.extend(diags.diags.iter().map(|d| d.code.to_string()));
@@ -325,8 +327,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 
 /// `sage pipeline`: the pipeline-safety pass — per-buffer maximum safe
 /// pipeline depths (`SAGE060`/`SAGE061`/`SAGE062`) plus the proven
-/// `PipelinePlan` artifact, printed as a table (or JSON) and optionally
-/// written in the `sage-pipeline/v1` format with `--plan`.
+/// `PipelinePlan` artifact, printed as a table (or as `--format json`'s
+/// `"plan"`).
 fn cmd_pipeline(args: &Args) -> Result<(), String> {
     use sage_check::pipeline::{DepthLimit, UNBOUNDED};
     let depth: Option<u32> = args.positive("depth")?;
@@ -370,11 +372,7 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
         if !json {
             table(path, plan);
         }
-        if let Some(out) = args.get("plan") {
-            std::fs::write(out, plan.to_text()).map_err(|e| format!("cannot write {out}: {e}"))?;
-            eprintln!("wrote pipeline plan to {out}");
-        }
-        Ok(depth.is_some_and(|want| want > plan.safe_depth))
+        depth.is_some_and(|want| want > plan.safe_depth)
     };
     analyze_files(
         "pipeline",
@@ -396,7 +394,7 @@ fn cmd_race(args: &Args) -> Result<(), String> {
     use sage_check::race::RaceAnalysis;
     let show = |path: &str, a: &RaceAnalysis, json: bool| {
         if json {
-            return Ok(false);
+            return false;
         }
         println!(
             "{path}: happens-before graph of {} positions, {} sync edges",
@@ -421,7 +419,7 @@ fn cmd_race(args: &Args) -> Result<(), String> {
                 ids.join(", ")
             );
         }
-        Ok(false)
+        false
     };
     analyze_files(
         "race",
@@ -597,26 +595,67 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared `--dump-sink` / `--trace` / checksum tail for run and launch.
-fn finish_run(
-    args: &Args,
-    program: &GlueProgram,
-    results: &SinkResults,
-    trace: &Trace,
-    iterations: u32,
-) -> Result<(), String> {
-    let bytes = results.stream(program, iterations);
+/// The summary line `run`, `launch` and `submit` share: one [`Execution`],
+/// whichever backend produced it. A virtual-clock run is timed by its
+/// makespan, a real-clock one by its slowest rank; traffic is counted on
+/// the wire where there is one. `lead` prefixes a submitted job's id.
+fn summarize(lead: &str, app: &str, hosts: &str, exec: &Execution) {
+    let m = &exec.report.metrics;
+    let iters = f64::from(exec.iterations.max(1));
+    let timing = if exec.report.makespan > 0.0 {
+        format!(
+            "{:.3} ms/data set (Virtual clock)",
+            exec.secs_per_iteration() * 1e3
+        )
+    } else {
+        let slowest = exec.rank_walls.iter().copied().fold(0.0, f64::max);
+        format!(
+            "{:.3} ms/data set (wall, slowest rank), {:.1} ms in service",
+            slowest * 1e3 / iters,
+            exec.report.wall.as_secs_f64() * 1e3
+        )
+    };
+    let traffic = if m.links.is_empty() {
+        format!(
+            "{} messages, {} KB moved",
+            m.total_messages(),
+            m.total_bytes() / 1024
+        )
+    } else {
+        format!(
+            "{} framed messages, {} KB on the wire",
+            m.wire_messages(),
+            m.wire_bytes() / 1024
+        )
+    };
+    println!(
+        "{lead}ran `{app}` on {} {hosts} for {} iterations: {timing}, {traffic}\n",
+        exec.rank_walls.len(),
+        exec.iterations
+    );
+}
+
+/// The tail `run`, `launch` and `submit` share: sink checksum, the credit
+/// ledger of a streamed run, `--dump-sink`, `--trace`.
+fn finish_run(args: &Args, program: &GlueProgram, exec: &Execution) -> Result<(), String> {
+    let bytes = exec.results.stream(program, exec.iterations);
     println!(
         "sink output: {} bytes, checksum {:#018x}",
         bytes.len(),
         fnv1a_64(&bytes)
     );
+    if exec.stream != StreamStats::default() {
+        println!(
+            "streaming credits: {} issued / {} retired",
+            exec.stream.credits_issued, exec.stream.credits_retired
+        );
+    }
     if let Some(path) = args.get("dump-sink") {
         std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote sink output to {path}");
     }
     if let Some(path) = args.get("trace") {
-        std::fs::write(path, export::to_csv(trace))
+        std::fs::write(path, export::to_csv(&exec.trace))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote trace to {path}");
     }
@@ -632,10 +671,9 @@ fn spawn_local_fleet(_index: usize) -> std::io::Result<std::process::Child> {
         .spawn()
 }
 
-/// The job a distributed subcommand's flags describe (`launch`,
-/// `run --transport tcp`, `submit`). Probe events ship back exactly when
-/// `--trace` asks for them; a streaming job carries the per-buffer ring
-/// caps its pre-flight proved.
+/// The job a distributed subcommand's flags describe (`launch`, `submit`).
+/// Probe events ship back exactly when `--trace` asks for them; a streaming
+/// job carries the per-buffer ring caps its pre-flight proved.
 fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, String> {
     let pipeline = args.pipeline_depth()?;
     let mut pipeline_depths = Vec::new();
@@ -656,57 +694,9 @@ fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, Str
     })
 }
 
-/// Prints a merged distributed run's summary, then the shared
-/// [`finish_run`] tail. `job` is the scheduler's id for a submitted job.
-fn finish_distributed(
-    args: &Args,
-    job: Option<u32>,
-    hosts: &str,
-    merged: &LaunchOutcome,
-    iters: u32,
-) -> Result<(), String> {
-    let m = &merged.report.metrics;
-    let slowest = merged.rank_walls.iter().copied().fold(0.0, f64::max);
-    let lead = job.map_or(String::new(), |j| format!("job {j} "));
-    println!(
-        "{lead}ran `{}` on {} {hosts} for {iters} iterations: \
-         {:.3} ms/data set (wall, slowest rank), {:.1} ms in service, \
-         {} framed messages, {} KB on the wire\n",
-        merged.program.app_name,
-        merged.rank_walls.len(),
-        slowest * 1e3 / iters.max(1) as f64,
-        merged.report.wall.as_secs_f64() * 1e3,
-        m.wire_messages(),
-        m.wire_bytes() / 1024
-    );
-    finish_run(args, &merged.program, &merged.results, &merged.trace, iters)
-}
-
-/// Runs a pre-flighted model across freshly spawned daemon processes over
-/// loopback TCP and prints the merged summary. Used by both `launch` and
-/// `run --transport tcp`.
-fn run_over_tcp(args: &Args, pre: Preflight, workers: usize, iters: u32) -> Result<(), String> {
-    let opts = LaunchOptions {
-        workers,
-        heartbeat_ms: args.positive("heartbeat-ms")?,
-        params: job_params(args, &pre, iters)?,
-    };
-    let outcome = sage::fleet::launch_program(&opts, pre.program, &spawn_local_fleet)
-        .map_err(|e| e.to_string())?;
-    finish_distributed(args, None, "worker processes", &outcome, iters)
-}
-
 fn cmd_run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("run needs a model file")?;
     let nodes: usize = args.num_or("nodes", 4)?;
-    let tcp = match args.get("transport") {
-        None | Some("local") => false,
-        Some("tcp") if args.has("ga") => {
-            return Err("--transport tcp supports aligned placement only (no --ga)".into());
-        }
-        Some("tcp") => true,
-        Some(other) => return Err(format!("unknown --transport `{other}` (local|tcp)")),
-    };
     let mut pre = preflight(args, path, nodes, true)?;
     let iters: u32 = args.num_or("iters", 3)?;
     if args.has("pipeline") && args.has("pipeline-validate") {
@@ -715,14 +705,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
              streaming already validates against lock-step output"
                 .into(),
         );
-    }
-    if tcp {
-        if args.has("pipeline-validate") {
-            return Err("--pipeline-validate runs on the local transport only".into());
-        }
-        // TCP ranks run on real hardware; the virtual clock does not
-        // apply, so --real is implied.
-        return run_over_tcp(args, pre, nodes, iters);
     }
     sage::apps::kernels::register_kernels(&mut pre.project.registry);
     let (project, program, plan) = (&pre.project, &pre.program, &pre.plan);
@@ -741,15 +723,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let exec = project
         .execute(program, policy, &options, iters)
         .map_err(|e| e.to_string())?;
-    println!(
-        "ran `{}` on {nodes} nodes for {iters} iterations: {:.3} ms/data set \
-         ({:?} clock), {} messages, {} KB moved\n",
-        project.app.name,
-        exec.secs_per_iteration() * 1e3,
-        policy,
-        exec.report.metrics.total_messages(),
-        exec.report.metrics.total_bytes() / 1024
-    );
+    summarize("", &program.app_name, "nodes", &exec);
     println!("{}", report::render(&exec.trace));
     let analysis = Analysis::of(&exec.trace);
     if let Some(b) = analysis.top_bottleneck() {
@@ -793,7 +767,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .with_pipeline(depth)
             .with_pipeline_depths(caps);
         let (streaming, checksum) = replay(&format!("pipeline depth {depth}"), streamed, "")?;
-        let frames = |e: &sage_runtime::Execution| {
+        let frames = |e: &Execution| {
             let secs = match policy {
                 TimePolicy::Virtual => e.report.makespan,
                 TimePolicy::Real => e.report.wall.as_secs_f64(),
@@ -833,16 +807,23 @@ fn cmd_run(args: &Args) -> Result<(), String> {
              (checksum {checksum:#018x})"
         );
     }
-    finish_run(args, program, &exec.results, &exec.trace, iters)
+    finish_run(args, program, &exec)
 }
 
-/// `sage launch`: spawn local daemons and run a model across them.
+/// `sage launch`: run a pre-flighted model across freshly spawned daemon
+/// processes over loopback TCP.
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
     let workers: usize = args.num_or("workers", 4)?;
     let pre = preflight(args, path, workers, true)?;
-    let iters: u32 = args.num_or("iters", 3)?;
-    run_over_tcp(args, pre, workers, iters)
+    let opts = LaunchOptions {
+        workers,
+        heartbeat_ms: args.positive("heartbeat-ms")?,
+        params: job_params(args, &pre, args.num_or("iters", 3)?)?,
+    };
+    let exec = sage::fleet::launch(&opts, &spawn_local_fleet).map_err(|e| e.to_string())?;
+    summarize("", &pre.program.app_name, "worker processes", &exec);
+    finish_run(args, &pre.program, &exec)
 }
 
 /// `sage fleet`: with no subcommand, run one persistent worker daemon
@@ -950,14 +931,12 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let outcome = sage::fleet::submit(addr, &spec).map_err(|e| e.to_string())?;
     // The daemons regenerated this same program (the pipeline is
     // deterministic): merge their reports and assemble sink output on it.
-    let merged = sage::net::merge_outcomes(
-        pre.program,
-        sage::fleet::reports_to_outcomes(outcome.reports),
-        std::time::Duration::from_secs_f64(outcome.wall_secs),
-        ranks,
-    )
-    .map_err(|e| e.to_string())?;
-    finish_distributed(args, Some(outcome.job), "fleet ranks", &merged, iters)
+    let wall = std::time::Duration::from_secs_f64(outcome.wall_secs);
+    let exec = Execution::merge(outcome.reports, wall, iters)
+        .map_err(|e| NetError::Runtime(e).to_string())?;
+    let lead = format!("job {} ", outcome.job);
+    summarize(&lead, &pre.program.app_name, "fleet ranks", &exec);
+    finish_run(args, &pre.program, &exec)
 }
 
 /// Replays one saved failure bundle (`<stem>.sexpr` / `.plan` / `.meta`)

@@ -95,8 +95,8 @@ proptest! {
             heartbeat_ms: None,
             params: JobParams::new(source, iters),
         };
-        let outcome = sage::fleet::launch(&opts, &common::spawn_worker).unwrap();
-        let tcp = common::sink_bytes(&outcome.program, &outcome.results, iters);
+        let launched = sage::fleet::launch(&opts, &common::spawn_worker).unwrap();
+        let tcp = common::sink_bytes(&program, &launched.results, iters);
         prop_assert_eq!(
             local, tcp,
             "sink bytes differ between local and tcp backends"

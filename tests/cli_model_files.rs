@@ -78,34 +78,41 @@ fn every_registered_code_is_reachable_from_sage_explain() {
     assert!(!out.status.success());
 }
 
-/// `sage pipeline` proves a committed example safe beyond lock-step and
-/// writes a plan artifact that round-trips through the text codec.
+/// `sage pipeline` proves a committed example safe beyond lock-step, and
+/// the plan it exports as `--format json`'s `"plan"` is the library's own
+/// proof of the same file, byte for byte.
 #[test]
 fn sage_pipeline_proves_example_and_plan_round_trips() {
-    let plan_file = common::out_path("pipeline_plan");
-    let out = std::process::Command::new(common::sage_bin())
-        .args([
-            "pipeline",
-            &common::model_path("fft2d_64.sexpr"),
-            "--deny-warnings",
-            "--plan",
-            plan_file.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("safe pipeline depth"), "{stdout}");
-    let text = std::fs::read_to_string(&plan_file).unwrap();
-    let plan = sage_check::pipeline::PipelinePlan::from_text(&text).unwrap();
+    let model = common::model_path("fft2d_64.sexpr");
+    let run = |format: &[&str]| {
+        let out = std::process::Command::new(common::sage_bin())
+            .args(["pipeline", &model, "--deny-warnings"])
+            .args(format)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let table = run(&[]);
+    assert!(table.contains("safe pipeline depth"), "{table}");
+
+    let source = std::fs::read_to_string(&model).unwrap();
+    let (plan, diags) = sage_core::pipeline_model_source(&source, 4, None);
+    let plan = plan.expect("fft2d_64 carries a pipeline proof");
     assert!(plan.safe_depth >= 2, "fft2d_64 must pipeline: {plan:?}");
-    assert_eq!(plan.to_text(), text, "codec must round-trip");
-    let _ = std::fs::remove_file(&plan_file);
+    assert_eq!(
+        run(&["--format", "json"]).trim_end(),
+        format!(
+            "{{\"plan\":{},\"diagnostics\":{}}}",
+            plan.to_json(),
+            diags.to_json(&model, Some(&source))
+        )
+    );
 }
 
 /// `sage race` proves a committed example race-free under `--deny-warnings`

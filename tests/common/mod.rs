@@ -99,6 +99,35 @@ pub fn sink_bytes(program: &GlueProgram, results: &SinkResults, iterations: u32)
     results.stream(program, iterations)
 }
 
+/// The closed-form credit total the streaming run must hit exactly: one
+/// credit per nonempty (producer thread, consumer thread) transfer pair,
+/// per iteration past the buffer's window (ring depth + delay).
+pub fn expected_credits(program: &GlueProgram, depth: u32, caps: &[u32], iters: u32) -> u64 {
+    let mut total = 0u64;
+    for desc in &program.buffers {
+        let producer = &program.functions[desc.producer as usize];
+        let consumer = &program.functions[desc.consumer as usize];
+        let redist = sage_runtime::Redistribution::plan(
+            &desc.shape,
+            desc.elem_bytes,
+            desc.send_striping,
+            producer.threads as usize,
+            desc.recv_striping,
+            consumer.threads as usize,
+        );
+        let pairs = redist
+            .pairs
+            .iter()
+            .flatten()
+            .filter(|ops| !ops.is_empty())
+            .count() as u64;
+        let cap = caps.get(desc.id as usize).copied().unwrap_or(depth);
+        let window = depth.clamp(1, cap.max(1)) + desc.delay;
+        total += pairs * u64::from(iters.saturating_sub(window));
+    }
+    total
+}
+
 /// The directory failing fuzz/chaos artifacts are saved under, per the
 /// repository convention (`target/fuzz-failures/`).
 pub fn failures_dir() -> PathBuf {

@@ -10,9 +10,9 @@ mod common;
 
 use common::{out_path, sage_bin, sink_bytes, sink_dump};
 use sage::core::{Placement, Project};
-use sage::fleet::{reports_to_outcomes, JobOutcome, SchedConfig, Scheduler, SubmitSpec};
+use sage::fleet::{JobOutcome, SchedConfig, Scheduler, SubmitSpec};
 use sage::net::{NetError, RejectReason};
-use sage_runtime::{fnv1a_64, SinkResults};
+use sage_runtime::{fnv1a_64, Execution};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,20 +112,15 @@ fn outcome_checksum(outcome: &JobOutcome, iterations: u32) -> u64 {
 /// asserting every rank reported cleanly.
 fn project_checksum(project: &Project, outcome: &JobOutcome, iterations: u32) -> u64 {
     let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
-    let mut results = SinkResults::default();
-    for report in reports_to_outcomes(outcome.reports.clone()) {
-        let report = report.expect("rank reported");
-        assert!(report.error.is_none(), "rank failed: {:?}", report.error);
-        for ((f, i, t), bytes) in report.deposits {
-            results.insert(f, i, t, bytes);
-        }
-    }
-    fnv1a_64(&sink_bytes(&program, &results, iterations))
+    let wall = Duration::from_secs_f64(outcome.wall_secs);
+    let exec = Execution::merge(outcome.reports.clone(), wall, iterations)
+        .expect("every rank reported cleanly");
+    fnv1a_64(&sink_bytes(&program, &exec.results, iterations))
 }
 
 /// N concurrent mixed jobs through one CLI fleet (`sage sched --spawn 2`,
-/// `sage submit`) produce sink dumps bit-identical to `sage run
-/// --transport tcp` on the same models, then a CLI drain exits 0.
+/// `sage submit`) produce sink dumps bit-identical to `sage launch` on the
+/// same models, then a CLI drain exits 0.
 #[test]
 fn concurrent_mixed_jobs_match_one_shot_tcp() {
     let models = [
@@ -146,16 +141,7 @@ fn concurrent_mixed_jobs_match_one_shot_tcp() {
         .iter()
         .map(|(name, path)| {
             sink_dump(
-                &[
-                    "run",
-                    path,
-                    "--transport",
-                    "tcp",
-                    "--nodes",
-                    "2",
-                    "--iters",
-                    "3",
-                ],
+                &["launch", path, "--workers", "2", "--iters", "3"],
                 &format!("fleet_ref_{name}"),
             )
         })
@@ -177,7 +163,7 @@ fn concurrent_mixed_jobs_match_one_shot_tcp() {
                     );
                     assert_eq!(
                         &dump, reference,
-                        "{name} via a standing fleet differs from `run --transport tcp`"
+                        "{name} via a standing fleet differs from `sage launch`"
                     );
                 });
             }
@@ -306,14 +292,10 @@ fn killed_worker_fails_in_flight_job_and_survivors_drain_queue() {
         drop(KillGuard(vec![victim]));
 
         let outcome = long.join().unwrap().expect("in-flight job completes");
-        let outcomes = reports_to_outcomes(outcome.reports);
+        let reports = outcome.reports;
         assert!(
-            outcomes.iter().any(|r| match r {
-                Err(NetError::WorkerDied { .. }) => true,
-                Ok(report) => report.error.is_some(),
-                Err(_) => false,
-            }),
-            "in-flight job on the killed worker should fail typed: {outcomes:?}"
+            (reports.iter()).any(|r| r.as_ref().is_none_or(|report| report.error.is_some())),
+            "in-flight job on the killed worker should fail typed: {reports:?}"
         );
 
         let mut checksums = Vec::new();

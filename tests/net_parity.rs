@@ -2,7 +2,7 @@
 //! over loopback TCP must produce sink output **bit-identical** to the
 //! in-process local backend — same model, same seed, same bytes.
 //!
-//! These tests drive the real `sage` binary (`run --transport local` vs
+//! These tests drive the real `sage` binary (`run --nodes N` vs
 //! `launch --workers N`) end to end, including the daemon banner handshake,
 //! the framed wire protocol, the one-job fleet `launch` stands up, and its
 //! report merge — in lock-step and streaming. A final test kills one daemon
@@ -98,9 +98,35 @@ fn assert_streaming_parity(model: &str) {
     assert_parity_with(model, 4, "6", &["--pipeline", "4"]);
 }
 
+/// The streamed job's credit ledger comes back with its sink: the merged
+/// `Execution` of a launched run carries the counters every rank shipped,
+/// conserved and equal to the closed form the in-process proptests pin.
 #[test]
 fn fft2d_streaming_launch_matches_local_lock_step() {
     assert_streaming_parity("fft2d_64.sexpr");
+
+    let (ranks, iters, depth) = (4, 6, 4);
+    let text = std::fs::read_to_string(model_path("fft2d_64.sexpr")).unwrap();
+    let project = sage::core::Project::from_sexpr(&text, ranks).expect("model loads");
+    let (program, _) = project
+        .generate(&sage::core::Placement::Aligned)
+        .expect("codegen");
+    let plan = sage::check::pipeline_plan(&program, &project.hardware).expect("pipeline plan");
+    let caps: Vec<u32> = plan.buffers.iter().map(|b| b.safe_depth).collect();
+    let opts = LaunchOptions {
+        workers: ranks,
+        heartbeat_ms: None,
+        params: JobParams {
+            pipeline: Some(depth),
+            pipeline_depths: caps.clone(),
+            ..JobParams::new(text, iters)
+        },
+    };
+    let exec = sage_fleet::launch(&opts, &common::spawn_worker).expect("streamed launch");
+    let want = common::expected_credits(&program, depth, &caps, iters);
+    assert!(want > 0, "6 iterations at depth 4 must outrun the window");
+    assert_eq!(exec.stream.credits_issued, want);
+    assert_eq!(exec.stream.credits_retired, want);
 }
 
 #[test]

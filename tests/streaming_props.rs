@@ -21,6 +21,9 @@
 //! the executor must clamp each ring to its cap, and the expected-credit
 //! formula pins that clamping down.
 
+mod common;
+
+use common::expected_credits;
 use proptest::prelude::*;
 use sage::fuzz::gen::{chain_model, Stage};
 use sage::prelude::*;
@@ -60,35 +63,6 @@ fn chain(seed: u32, nstages: usize, pattern: u32, threads: u32) -> AppGraph {
         NODES,
         striping(pattern >> 31 == 1),
     )
-}
-
-/// The closed-form credit total the streaming run must hit exactly: one
-/// credit per nonempty (producer thread, consumer thread) transfer pair,
-/// per iteration past the buffer's window (ring depth + delay).
-fn expected_credits(program: &GlueProgram, depth: u32, caps: &[u32], iters: u32) -> u64 {
-    let mut total = 0u64;
-    for desc in &program.buffers {
-        let producer = &program.functions[desc.producer as usize];
-        let consumer = &program.functions[desc.consumer as usize];
-        let redist = Redistribution::plan(
-            &desc.shape,
-            desc.elem_bytes,
-            desc.send_striping,
-            producer.threads as usize,
-            desc.recv_striping,
-            consumer.threads as usize,
-        );
-        let pairs = redist
-            .pairs
-            .iter()
-            .flatten()
-            .filter(|ops| !ops.is_empty())
-            .count() as u64;
-        let cap = caps.get(desc.id as usize).copied().unwrap_or(depth);
-        let window = depth.clamp(1, cap.max(1)) + desc.delay;
-        total += pairs * u64::from(iters.saturating_sub(window));
-    }
-    total
 }
 
 /// Per-iteration sink payloads of one run (the sink is the last function
