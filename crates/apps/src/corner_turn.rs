@@ -8,16 +8,15 @@
 //! column-striped transpose function, with the run-time's striping engine
 //! carrying the exchange.
 
-use crate::dist::{pack_tiles, unpack_transpose};
+use crate::dist;
 use crate::fft2d::{DistRun, SEED};
 use crate::kernels::register_kernels;
 use crate::workload;
 use sage_core::{Placement, Project, ProjectError};
-use sage_fabric::{Cluster, MachineSpec, TimePolicy, Work};
+use sage_fabric::{MachineSpec, TimePolicy};
 use sage_model::{AppGraph, Block, CostModel, DataType, HardwareShelf, Port, PropValue, Striping};
-use sage_mpi::{Communicator, MpiConfig};
 use sage_runtime::RuntimeOptions;
-use sage_signal::complex::{as_bytes, from_bytes};
+use sage_signal::complex::from_bytes;
 use sage_signal::cost;
 use sage_signal::Matrix;
 
@@ -106,50 +105,8 @@ pub fn try_run_sage(
 
 /// Runs the hand-coded MPI form.
 pub fn run_hand_coded(size: usize, nodes: usize, policy: TimePolicy, iterations: u32) -> DistRun {
-    assert_eq!(size % nodes, 0);
     let machine = MachineSpec::from_hardware(&HardwareShelf::cspi_with_nodes(nodes));
-    let cluster = Cluster::new(machine, policy);
-    let rl = size / nodes;
-    let cl = size / nodes;
-
-    let (stripes, report) = cluster.run(|ctx| {
-        let me = ctx.id();
-        let n = ctx.nodes();
-        let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
-        let mut last = Vec::new();
-        for _iter in 0..iterations {
-            let local = workload::input_stripe(SEED, size, me * rl, rl);
-            // Pack tiles for the exchange.
-            comm.ctx().compute(Work::copy(local.len() * 8));
-            let blocks = pack_tiles(&local, rl, size, n);
-            let tiles = comm.alltoall_tuned(&blocks);
-            // Transposing unpack completes the corner turn.
-            let t = cost::transpose_cost(cl, size);
-            comm.ctx().compute(Work {
-                flops: t.flops,
-                mem_bytes: t.mem_bytes,
-                overhead_secs: 0.0,
-            });
-            last = unpack_transpose(&tiles, rl, cl, size);
-        }
-        as_bytes(&last).to_vec()
-    });
-
-    let mut full = Vec::with_capacity(size * size);
-    for s in &stripes {
-        full.extend(from_bytes(s));
-    }
-    DistRun {
-        per_iter_secs: if iterations > 0 {
-            report.makespan / iterations as f64
-        } else {
-            0.0
-        },
-        makespan: report.makespan,
-        wall: report.wall,
-        result: Matrix::from_vec(size, size, full),
-        metrics: report.metrics,
-    }
+    dist::run_hand_coded(machine, policy, size, iterations, false)
 }
 
 /// Relative error against the serial transpose (0 expected: the corner turn

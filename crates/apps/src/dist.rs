@@ -1,25 +1,33 @@
-//! Shared pieces of the hand-coded distributed implementations: tile
-//! packing for `MPI_All_to_All` and the transposing unpack, exactly as the
-//! CSPI reference codes organize the exchange.
+//! The hand-coded distributed implementation: tile packing for
+//! `MPI_All_to_All`, the transposing unpack, and the one driver
+//! ([`run_hand_coded`]) both benchmarks and the cross-vendor sweep run,
+//! exactly as the CSPI reference codes organize the exchange.
 
+use crate::fft2d::{DistRun, SEED};
+use crate::workload;
+use sage_fabric::{Cluster, MachineSpec, Payload, TimePolicy, Transport, Work};
+use sage_mpi::{Communicator, MpiConfig};
 use sage_signal::complex::{as_bytes, from_bytes};
-use sage_signal::Complex32;
+use sage_signal::cost::{self, KernelCost};
+use sage_signal::fft::{Fft1d, FftDirection};
+use sage_signal::{Complex32, Matrix};
 
 /// Packs a local row-stripe (`rl` rows of `size` columns) into one
 /// contiguous tile per destination: destination `j` receives the `rl x cl`
-/// tile of columns `j*cl..(j+1)*cl`, where `cl = size / n`.
-pub fn pack_tiles(local: &[Complex32], rl: usize, size: usize, n: usize) -> Vec<Vec<u8>> {
+/// tile of columns `j*cl..(j+1)*cl`, where `cl = size / n`. Each tile is
+/// built once and handed to the exchange as is.
+pub fn pack_tiles(local: &[Complex32], rl: usize, size: usize, n: usize) -> Vec<Payload> {
     assert_eq!(local.len(), rl * size);
     assert_eq!(size % n, 0);
     let cl = size / n;
     (0..n)
         .map(|j| {
-            let mut tile = Vec::with_capacity(rl * cl);
+            let mut tile = Vec::with_capacity(rl * cl * 8);
             for r in 0..rl {
                 let row = &local[r * size + j * cl..r * size + (j + 1) * cl];
-                tile.extend_from_slice(row);
+                tile.extend_from_slice(as_bytes(row));
             }
-            as_bytes(&tile).to_vec()
+            Payload::from_vec(tile)
         })
         .collect()
 }
@@ -28,7 +36,7 @@ pub fn pack_tiles(local: &[Complex32], rl: usize, size: usize, n: usize) -> Vec<
 /// result is this rank's `cl x size` row-stripe of the **transposed**
 /// matrix. Source `j`'s tile holds rows `j*rl..` of the original matrix
 /// restricted to this rank's `cl` columns.
-pub fn unpack_transpose(tiles: &[Vec<u8>], rl: usize, cl: usize, size: usize) -> Vec<Complex32> {
+pub fn unpack_transpose(tiles: &[Payload], rl: usize, cl: usize, size: usize) -> Vec<Complex32> {
     assert_eq!(tiles.len() * rl, size);
     let mut out = vec![Complex32::ZERO; cl * size];
     for (j, bytes) in tiles.iter().enumerate() {
@@ -43,10 +51,77 @@ pub fn unpack_transpose(tiles: &[Vec<u8>], rl: usize, cl: usize, size: usize) ->
     out
 }
 
+/// The hand-coded MPI form of both benchmarks, the way CSPI's engineers
+/// wrote the reference versions: [row FFTs →] pack → vendor-tuned
+/// `MPI_All_to_All` → transposing unpack [→ column FFTs], one rank per
+/// node of `machine`. `with_fft` selects the parallel 2D FFT; without it
+/// the exchange alone is the distributed corner turn.
+pub fn run_hand_coded(
+    machine: MachineSpec,
+    policy: TimePolicy,
+    size: usize,
+    iterations: u32,
+    with_fft: bool,
+) -> DistRun {
+    let nodes = machine.node_count();
+    assert_eq!(size % nodes, 0);
+    let rl = size / nodes; // local rows before the turn
+    let cl = size / nodes; // local rows after (square matrix)
+    let plan = Fft1d::new(size, FftDirection::Forward);
+    let work = |c: KernelCost| Work {
+        flops: c.flops,
+        mem_bytes: c.mem_bytes,
+        overhead_secs: 0.0,
+    };
+
+    let (stripes, report) = Cluster::new(machine, policy).run(|ctx| {
+        let me = ctx.id();
+        let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+        let mut last = Vec::new();
+        for _iter in 0..iterations {
+            // Input stripe arrives resident (same convention as the SAGE
+            // source kernel: generation is not part of the measured work).
+            let mut local = workload::input_stripe(SEED, size, me * rl, rl);
+            if with_fft {
+                comm.ctx().compute(work(cost::fft_rows_cost(rl, size)));
+                plan.process_rows(&mut local);
+            }
+            // Pack tiles (one explicit copy of the stripe).
+            comm.ctx().compute(Work::copy(local.len() * 8));
+            let blocks = pack_tiles(&local, rl, size, nodes);
+            let tiles = comm
+                .try_alltoall_tuned(&blocks)
+                .expect("hand-coded baselines run fault-free");
+            // Transposing unpack completes the corner turn.
+            comm.ctx().compute(work(cost::transpose_cost(cl, size)));
+            last = unpack_transpose(&tiles, rl, cl, size);
+            if with_fft {
+                // Column FFTs (rows of the transposed stripe).
+                comm.ctx().compute(work(cost::fft_rows_cost(cl, size)));
+                plan.process_rows(&mut last);
+            }
+        }
+        last
+    });
+
+    // Assemble: rank me holds rows me*cl.. of the transposed result.
+    DistRun {
+        per_iter_secs: if iterations > 0 {
+            report.makespan / iterations as f64
+        } else {
+            0.0
+        },
+        makespan: report.makespan,
+        wall: report.wall,
+        result: Matrix::from_vec(size, size, stripes.concat()),
+        metrics: report.metrics,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload;
+    use sage_model::HardwareShelf;
 
     #[test]
     fn pack_then_unpack_transposes() {
@@ -59,12 +134,12 @@ mod tests {
         let stripes: Vec<Vec<Complex32>> = (0..n)
             .map(|me| workload::input_stripe(3, size, me * rl, rl))
             .collect();
-        let packed: Vec<Vec<Vec<u8>>> =
+        let packed: Vec<Vec<Payload>> =
             stripes.iter().map(|s| pack_tiles(s, rl, size, n)).collect();
         // "alltoall": rank me receives packed[j][me] from each j.
         #[allow(clippy::needless_range_loop)]
         for me in 0..n {
-            let tiles: Vec<Vec<u8>> = (0..n).map(|j| packed[j][me].clone()).collect();
+            let tiles: Vec<Payload> = (0..n).map(|j| packed[j][me].clone()).collect();
             let out = unpack_transpose(&tiles, rl, cl, size);
             // Row c of `out` is column me*cl + c of the original.
             for c in 0..cl {
@@ -86,9 +161,24 @@ mod tests {
     }
 
     #[test]
+    fn app_wrappers_are_the_one_driver_on_the_cspi_machine() {
+        let cspi = || MachineSpec::from_hardware(&HardwareShelf::cspi_with_nodes(4));
+        let virt = TimePolicy::Virtual;
+        let ms = |r: DistRun| r.makespan.to_bits();
+        assert_eq!(
+            ms(run_hand_coded(cspi(), virt, 32, 2, true)),
+            ms(crate::fft2d::run_hand_coded(32, 4, virt, 2))
+        );
+        assert_eq!(
+            ms(run_hand_coded(cspi(), virt, 32, 2, false)),
+            ms(crate::corner_turn::run_hand_coded(32, 4, virt, 2))
+        );
+    }
+
+    #[test]
     #[should_panic]
     fn unpack_rejects_bad_tiles() {
-        let tiles = vec![vec![0u8; 8]; 2];
+        let tiles = vec![Payload::zeroed(8); 2];
         unpack_transpose(&tiles, 4, 4, 8);
     }
 }

@@ -6,17 +6,15 @@
 //! **transposed** 2D FFT, which [`crate::workload`] provides a reference
 //! for.
 
-use crate::dist::{pack_tiles, unpack_transpose};
+use crate::dist;
 use crate::kernels::register_kernels;
 use crate::workload;
 use sage_core::{Placement, Project, ProjectError};
-use sage_fabric::{Cluster, FabricMetrics, MachineSpec, TimePolicy, Work};
+use sage_fabric::{FabricMetrics, MachineSpec, TimePolicy};
 use sage_model::{AppGraph, Block, CostModel, DataType, HardwareShelf, Port, PropValue, Striping};
-use sage_mpi::{Communicator, MpiConfig};
 use sage_runtime::RuntimeOptions;
-use sage_signal::complex::{as_bytes, from_bytes};
+use sage_signal::complex::from_bytes;
 use sage_signal::cost;
-use sage_signal::fft::{Fft1d, FftDirection};
 use sage_signal::Matrix;
 use std::time::Duration;
 
@@ -141,72 +139,8 @@ pub fn try_run_sage(
 
 /// Runs the hand-coded MPI form on the same machine model.
 pub fn run_hand_coded(size: usize, nodes: usize, policy: TimePolicy, iterations: u32) -> DistRun {
-    assert_eq!(size % nodes, 0);
     let machine = MachineSpec::from_hardware(&HardwareShelf::cspi_with_nodes(nodes));
-    let cluster = Cluster::new(machine, policy);
-    let rl = size / nodes; // local rows before the turn
-    let cl = size / nodes; // local rows after (square matrix)
-    let fft_cols = Fft1d::new(size, FftDirection::Forward);
-
-    let (stripes, report) = cluster.run(|ctx| {
-        let me = ctx.id();
-        let n = ctx.nodes();
-        let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
-        let mut last = Vec::new();
-        for _iter in 0..iterations {
-            // Input stripe arrives resident (same convention as the SAGE
-            // source kernel: generation is not part of the measured work).
-            let mut local = workload::input_stripe(SEED, size, me * rl, rl);
-            // Row FFTs.
-            let c = cost::fft_rows_cost(rl, size);
-            comm.ctx().compute(Work {
-                flops: c.flops,
-                mem_bytes: c.mem_bytes,
-                overhead_secs: 0.0,
-            });
-            fft_cols.process_rows(&mut local);
-            // Pack tiles (one explicit copy of the stripe).
-            comm.ctx().compute(Work::copy(local.len() * 8));
-            let blocks = pack_tiles(&local, rl, size, n);
-            // The vendor-tuned MPI_All_to_All.
-            let tiles = comm.alltoall_tuned(&blocks);
-            // Transposing unpack.
-            let t = cost::transpose_cost(cl, size);
-            comm.ctx().compute(Work {
-                flops: t.flops,
-                mem_bytes: t.mem_bytes,
-                overhead_secs: 0.0,
-            });
-            let mut turned = unpack_transpose(&tiles, rl, cl, size);
-            // Column FFTs (rows of the transposed stripe).
-            let c = cost::fft_rows_cost(cl, size);
-            comm.ctx().compute(Work {
-                flops: c.flops,
-                mem_bytes: c.mem_bytes,
-                overhead_secs: 0.0,
-            });
-            fft_cols.process_rows(&mut turned);
-            last = turned;
-        }
-        as_bytes(&last).to_vec()
-    });
-
-    // Assemble: rank me holds rows me*cl.. of the transposed result.
-    let mut full = Vec::with_capacity(size * size);
-    for s in &stripes {
-        full.extend(from_bytes(s));
-    }
-    DistRun {
-        per_iter_secs: if iterations > 0 {
-            report.makespan / iterations as f64
-        } else {
-            0.0
-        },
-        makespan: report.makespan,
-        wall: report.wall,
-        result: Matrix::from_vec(size, size, full),
-        metrics: report.metrics,
-    }
+    dist::run_hand_coded(machine, policy, size, iterations, true)
 }
 
 /// Relative error of a run's result against the serial reference.

@@ -7,17 +7,9 @@
 //! communication — the same property the real benchmark harness had with
 //! pre-staged sensor data.
 
+use rand::splitmix64;
 use sage_signal::fft::{Fft1d, FftDirection};
 use sage_signal::{Complex32, Matrix};
-
-/// SplitMix64 — a tiny, high-quality 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// The deterministic input sample at `(row, col)` for a given seed: both
 /// components uniform in [-1, 1).

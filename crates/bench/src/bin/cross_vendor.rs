@@ -7,87 +7,15 @@
 //! which vendor wins where and how the gap moves with node count — is the
 //! reproduced result.
 
-use sage_apps::fft2d;
-use sage_fabric::TimePolicy;
+use sage_apps::dist::run_hand_coded;
+use sage_fabric::{MachineSpec, TimePolicy};
 use sage_model::HardwareShelf;
 
-fn run(app: &str, hw: &sage_model::HardwareSpec, size: usize, nodes: usize) -> f64 {
-    let machine = sage_fabric::MachineSpec::from_hardware(hw);
-    // Re-run the hand-coded form against this platform's machine model.
-    let iters = 3;
-    let run = match app {
-        "fft" => fft2d_on(machine, size, iters),
-        _ => ct_on(machine, size, iters),
-    };
-    let _ = nodes;
-    run
-}
-
-fn fft2d_on(machine: sage_fabric::MachineSpec, size: usize, iters: u32) -> f64 {
-    fft2d_hand(machine, size, iters)
-}
-
-fn fft2d_hand(machine: sage_fabric::MachineSpec, size: usize, iters: u32) -> f64 {
-    hand_generic(machine, size, iters, true)
-}
-
-fn ct_on(machine: sage_fabric::MachineSpec, size: usize, iters: u32) -> f64 {
-    hand_generic(machine, size, iters, false)
-}
-
-/// Hand-coded kernels parameterized over the machine (the fft2d/corner_turn
-/// modules pin the CSPI model, so the sweep re-implements the thin driver
-/// here over the same building blocks).
-fn hand_generic(machine: sage_fabric::MachineSpec, size: usize, iters: u32, with_fft: bool) -> f64 {
-    use sage_apps::dist::{pack_tiles, unpack_transpose};
-    use sage_apps::workload;
-    use sage_fabric::{Cluster, Work};
-    use sage_mpi::{Communicator, MpiConfig};
-    use sage_signal::cost;
-    use sage_signal::fft::{Fft1d, FftDirection};
-
-    let nodes = machine.node_count();
-    let rl = size / nodes;
-    let cl = size / nodes;
-    let plan = Fft1d::new(size, FftDirection::Forward);
-    let cluster = Cluster::new(machine, TimePolicy::Virtual);
-    let (_, report) = cluster.run(|ctx| {
-        let me = ctx.id();
-        let n = ctx.nodes();
-        let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
-        for _ in 0..iters {
-            let mut local = workload::input_stripe(fft2d::SEED, size, me * rl, rl);
-            if with_fft {
-                let c = cost::fft_rows_cost(rl, size);
-                comm.ctx().compute(Work {
-                    flops: c.flops,
-                    mem_bytes: c.mem_bytes,
-                    overhead_secs: 0.0,
-                });
-                plan.process_rows(&mut local);
-            }
-            comm.ctx().compute(Work::copy(local.len() * 8));
-            let blocks = pack_tiles(&local, rl, size, n);
-            let tiles = comm.alltoall_tuned(&blocks);
-            let t = cost::transpose_cost(cl, size);
-            comm.ctx().compute(Work {
-                flops: t.flops,
-                mem_bytes: t.mem_bytes,
-                overhead_secs: 0.0,
-            });
-            let mut turned = unpack_transpose(&tiles, rl, cl, size);
-            if with_fft {
-                let c = cost::fft_rows_cost(cl, size);
-                comm.ctx().compute(Work {
-                    flops: c.flops,
-                    mem_bytes: c.mem_bytes,
-                    overhead_secs: 0.0,
-                });
-                plan.process_rows(&mut turned);
-            }
-        }
-    });
-    report.makespan / iters as f64
+/// Virtual seconds per data set of the hand-coded form on this platform's
+/// machine model.
+fn run(app: &str, hw: &sage_model::HardwareSpec, size: usize) -> f64 {
+    let machine = MachineSpec::from_hardware(hw);
+    run_hand_coded(machine, TimePolicy::Virtual, size, 3, app == "fft").per_iter_secs
 }
 
 fn main() {
@@ -117,7 +45,7 @@ fn main() {
             print!("{v:<10}");
             for n in node_counts {
                 let hw = HardwareShelf::by_name(v, n).expect("known vendor");
-                let t = run(app, &hw, size, n);
+                let t = run(app, &hw, size);
                 print!(" {:>12.3}", t * 1e3);
             }
             println!();

@@ -6,6 +6,7 @@ use crate::fault::{FabricError, FaultPlan, NodeFaultKind};
 use crate::machine::{MachineSpec, Work};
 use crate::metrics::{FabricMetrics, NodeMetrics};
 use crate::payload::Payload;
+use crate::transport::Transport;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -58,9 +59,10 @@ impl Shared {
 /// The per-node execution context handed to node programs.
 ///
 /// All communication and (in virtual mode) all time accounting flows through
-/// this handle. In virtual mode the node's clock only moves through
-/// [`NodeCtx::compute`], [`NodeCtx::advance`], sending (NIC serialization)
-/// and receiving (waiting for the arrival time).
+/// this handle's [`Transport`] implementation — the only way a node talks.
+/// In virtual mode the node's clock only moves through
+/// [`Transport::compute`], [`Transport::advance`], sending (NIC
+/// serialization) and receiving (waiting for the arrival time).
 pub struct NodeCtx {
     id: usize,
     clock: f64,
@@ -104,13 +106,9 @@ impl NodeCtx {
         &self.shared.plan
     }
 
-    /// Current time in seconds: the virtual clock, or wall time since the
-    /// cluster epoch in real mode.
-    pub fn now(&self) -> f64 {
-        match self.shared.policy {
-            TimePolicy::Virtual => self.clock,
-            TimePolicy::Real => self.shared.epoch.elapsed().as_secs_f64(),
-        }
+    /// The node's current virtual clock (0-based; meaningless in real mode).
+    pub fn clock(&self) -> f64 {
+        self.clock
     }
 
     /// Fires any scheduled time faults the virtual clock has crossed:
@@ -137,13 +135,30 @@ impl NodeCtx {
             }
         }
     }
+}
 
-    /// Returns this node's scheduled-failure error if it has fired.
-    ///
+/// The local backend: every message and every virtual-time charge of a
+/// node program goes through these methods.
+impl Transport for NodeCtx {
+    fn rank(&self) -> usize {
+        self.id
+    }
+
+    fn size(&self) -> usize {
+        self.nodes()
+    }
+
+    /// Wall time since the cluster epoch in real mode.
+    fn now(&self) -> f64 {
+        match self.shared.policy {
+            TimePolicy::Virtual => self.clock,
+            TimePolicy::Real => self.shared.epoch.elapsed().as_secs_f64(),
+        }
+    }
+
     /// Node programs that want typed fault handling call this at task
-    /// boundaries; [`NodeCtx::try_send`] and [`NodeCtx::try_recv`] check
-    /// it implicitly.
-    pub fn check_failed(&mut self) -> Result<(), FabricError> {
+    /// boundaries; `try_send` and `try_recv` check it implicitly.
+    fn check_failed(&mut self) -> Result<(), FabricError> {
         self.apply_time_faults();
         if self.failed_self {
             Err(FabricError::NodeFailed {
@@ -154,9 +169,7 @@ impl NodeCtx {
         }
     }
 
-    /// Charges `work` against the virtual clock (no-op in real mode, where
-    /// the kernel's actual execution time is the charge).
-    pub fn compute(&mut self, work: Work) {
+    fn compute(&mut self, work: Work) {
         if self.shared.policy.is_virtual() {
             let dt = self.shared.machine.work_secs(self.id, work);
             self.clock += dt;
@@ -165,8 +178,7 @@ impl NodeCtx {
         }
     }
 
-    /// Advances the virtual clock by raw seconds (no-op in real mode).
-    pub fn advance(&mut self, secs: f64) {
+    fn advance(&mut self, secs: f64) {
         if self.shared.policy.is_virtual() {
             self.clock += secs;
             self.metrics.compute_secs += secs;
@@ -174,10 +186,7 @@ impl NodeCtx {
         }
     }
 
-    /// Advances the virtual clock by raw seconds charged as *lost* time
-    /// (retry backoff, fault recovery) rather than compute (no-op in real
-    /// mode).
-    pub fn advance_lost(&mut self, secs: f64) {
+    fn advance_lost(&mut self, secs: f64) {
         if self.shared.policy.is_virtual() {
             self.clock += secs;
             self.metrics.lost_secs += secs;
@@ -185,64 +194,37 @@ impl NodeCtx {
         }
     }
 
-    /// Records one retry of a dropped transfer in this node's metrics.
-    pub fn note_retry(&mut self) {
+    fn note_retry(&mut self) {
         self.metrics.retries += 1;
     }
 
-    /// Records an injected fault observed by an upper layer (e.g. a
-    /// kernel-error injection interpreted by the run-time).
-    pub fn note_fault(&mut self) {
+    fn note_fault(&mut self) {
         self.metrics.faults_observed += 1;
     }
 
-    /// Records an observed live buffer footprint, keeping the running
-    /// maximum as this node's memory high-water mark.
-    pub fn note_mem_use(&mut self, bytes: u64) {
+    fn note_mem_use(&mut self, bytes: u64) {
         self.metrics.mem_high_water = self.metrics.mem_high_water.max(bytes);
     }
 
-    /// Sends `payload` to node `dst` with matching `tag`.
-    ///
+    fn kernel_fault(&self, block: &str, iteration: u32, thread: u32) -> Option<String> {
+        self.shared
+            .plan
+            .kernel_fault(block, iteration, thread)
+            .map(|k| k.message.clone())
+    }
+
     /// Virtual-mode cost model (LogP-style, deterministic): the message
     /// serializes through this node's NIC (`bytes / link bandwidth`, FIFO
     /// with this node's earlier sends) and arrives after the link latency.
     /// The sender is busy until injection completes. Self-sends are free
-    /// buffer hand-offs.
-    ///
-    /// # Panics
-    /// Panics on an injected fabric fault; fault-aware callers use
-    /// [`NodeCtx::try_send`].
-    pub fn send(&mut self, dst: usize, tag: u64, payload: &[u8]) {
-        if let Err(e) = self.try_send(dst, tag, payload) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fault-aware send: like [`NodeCtx::send`] but surfaces injected
-    /// faults as [`FabricError`] instead of panicking.
-    ///
-    /// Convenience wrapper over [`NodeCtx::try_send_payload`] that copies
-    /// the slice into a fresh [`Payload`] first; hot paths hold a
-    /// `Payload` and call the payload form directly.
-    pub fn try_send(&mut self, dst: usize, tag: u64, payload: &[u8]) -> Result<(), FabricError> {
-        self.try_send_payload(dst, tag, &Payload::from(payload))
-    }
-
-    /// Fault-aware zero-copy send: the mailbox keeps a reference-counted
-    /// handle on `payload`, so delivery is an `Arc` bump rather than a
-    /// byte copy.
+    /// buffer hand-offs. The mailbox keeps a reference-counted handle on
+    /// `payload`, so delivery is an `Arc` bump rather than a byte copy.
     ///
     /// A dropped transfer still charges the sender's NIC serialization
     /// time (recorded as lost time): the bytes went out, nobody heard
     /// them. The payload is untouched, so callers may retry with the
     /// identical bytes.
-    pub fn try_send_payload(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        payload: &Payload,
-    ) -> Result<(), FabricError> {
+    fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
         assert!(dst < self.nodes(), "send to node {dst} of {}", self.nodes());
         self.check_failed()?;
         let bytes = payload.len();
@@ -301,41 +283,12 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Receives the next message from node `src` with matching `tag`,
-    /// blocking until one is available.
-    ///
-    /// In virtual mode the node's clock advances to the message's arrival
-    /// time if it was still ahead.
-    ///
-    /// # Panics
-    /// Panics after the cluster's receive timeout (default 120 s of real
-    /// time) — the standard symptom of a mismatched communication
-    /// schedule — or on an injected fabric fault; fault-aware callers use
-    /// [`NodeCtx::try_recv`].
-    pub fn recv(&mut self, src: usize, tag: u64) -> Vec<u8> {
-        match self.try_recv(src, tag) {
-            Ok(payload) => payload,
-            Err(FabricError::RecvTimeout { node, src, tag }) => {
-                panic!("node {node} timed out waiting for (src={src}, tag={tag})")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fault-aware receive: like [`NodeCtx::recv`] but surfaces timeouts,
-    /// dead peers, and this node's own scheduled failure as
-    /// [`FabricError`] instead of panicking.
-    ///
-    /// Convenience wrapper over [`NodeCtx::try_recv_payload`] that
-    /// materializes an owned vector (free when the sender's handle is
-    /// already gone).
-    pub fn try_recv(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, FabricError> {
-        self.try_recv_payload(src, tag).map(Payload::into_vec)
-    }
-
-    /// Fault-aware zero-copy receive: returns the sender's
-    /// reference-counted buffer directly out of the mailbox.
-    pub fn try_recv_payload(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
+    /// Returns the sender's reference-counted buffer directly out of the
+    /// mailbox. In virtual mode the node's clock advances to the message's
+    /// arrival time if it was still ahead. The deadline is the cluster's
+    /// receive timeout (default 120 s of real time) — the standard symptom
+    /// of a mismatched communication schedule.
+    fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
         assert!(
             src < self.nodes(),
             "recv from node {src} of {}",
@@ -386,13 +339,11 @@ impl NodeCtx {
         Ok(msg.payload)
     }
 
-    /// Nonblocking readiness probe: `true` when [`NodeCtx::try_recv`] for
-    /// `(src, tag)` would return a message without waiting. In virtual mode
-    /// a queued message whose arrival time is still ahead of this node's
-    /// clock counts as *not* ready — consuming it now would charge wait
-    /// time, which is exactly what an overlapping scheduler is trying to
-    /// avoid.
-    pub fn recv_ready(&self, src: usize, tag: u64) -> bool {
+    /// In virtual mode a queued message whose arrival time is still ahead
+    /// of this node's clock counts as *not* ready — consuming it now would
+    /// charge wait time, which is exactly what an overlapping scheduler is
+    /// trying to avoid.
+    fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
         if src >= self.nodes() || self.failed_self {
             return false;
         }
@@ -402,40 +353,6 @@ impl NodeCtx {
             Some(m) => !self.shared.policy.is_virtual() || m.arrival <= self.clock,
             None => false,
         }
-    }
-
-    /// Zero-copy [`NodeCtx::try_sendrecv`].
-    pub fn try_sendrecv_payload(
-        &mut self,
-        peer: usize,
-        tag: u64,
-        payload: &Payload,
-    ) -> Result<Payload, FabricError> {
-        self.try_send_payload(peer, tag, payload)?;
-        self.try_recv_payload(peer, tag)
-    }
-
-    /// Combined send-then-receive (both directions may proceed concurrently
-    /// on the peer).
-    pub fn sendrecv(&mut self, peer: usize, tag: u64, payload: &[u8]) -> Vec<u8> {
-        self.send(peer, tag, payload);
-        self.recv(peer, tag)
-    }
-
-    /// Fault-aware [`NodeCtx::sendrecv`].
-    pub fn try_sendrecv(
-        &mut self,
-        peer: usize,
-        tag: u64,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, FabricError> {
-        self.try_send(peer, tag, payload)?;
-        self.try_recv(peer, tag)
-    }
-
-    /// The node's current virtual clock (0-based; meaningless in real mode).
-    pub fn clock(&self) -> f64 {
-        self.clock
     }
 }
 
@@ -619,17 +536,27 @@ mod tests {
         )
     }
 
+    /// Sends `bytes` as a fresh payload; a fault here is a test bug.
+    fn send(ctx: &mut NodeCtx, dst: usize, tag: u64, bytes: &[u8]) {
+        ctx.try_send(dst, tag, &Payload::from(bytes))
+            .expect("fault-free send");
+    }
+
+    fn recv(ctx: &mut NodeCtx, src: usize, tag: u64) -> Payload {
+        ctx.try_recv(src, tag).expect("fault-free recv")
+    }
+
     #[test]
     fn ping_pong_real_mode() {
         let cluster = Cluster::new(machine(2), TimePolicy::Real);
         let (results, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                ctx.send(1, 7, b"ping");
-                ctx.recv(1, 8)
+                send(ctx, 1, 7, b"ping");
+                recv(ctx, 1, 8)
             } else {
-                let m = ctx.recv(0, 7);
+                let m = recv(ctx, 0, 7);
                 assert_eq!(m, b"ping");
-                ctx.send(0, 8, b"pong");
+                send(ctx, 0, 8, b"pong");
                 m
             }
         });
@@ -643,9 +570,9 @@ mod tests {
         let cluster = Cluster::new(machine(2), TimePolicy::Virtual);
         let (_, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                ctx.send(1, 0, &vec![0u8; 1_000_000]); // 1 MB at 100 MB/s = 10 ms
+                send(ctx, 1, 0, &vec![0u8; 1_000_000]); // 1 MB at 100 MB/s = 10 ms
             } else {
-                ctx.recv(0, 0);
+                recv(ctx, 0, 0);
             }
         });
         let expected = 1.0e6 / 1.0e8 + 10.0e-6;
@@ -675,10 +602,10 @@ mod tests {
         let cluster = Cluster::new(machine(3), TimePolicy::Virtual);
         let (_, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                ctx.send(1, 0, &vec![0u8; 1_000_000]);
-                ctx.send(2, 0, &vec![0u8; 1_000_000]);
+                send(ctx, 1, 0, &vec![0u8; 1_000_000]);
+                send(ctx, 2, 0, &vec![0u8; 1_000_000]);
             } else {
-                ctx.recv(0, 0);
+                recv(ctx, 0, 0);
             }
         });
         // Second message waits for the first injection: arrival = 20ms + lat.
@@ -696,12 +623,12 @@ mod tests {
                 // All-to-all of 64 KB chunks with per-peer tags.
                 for p in 0..n {
                     if p != me {
-                        ctx.send(p, me as u64, &vec![me as u8; 65536]);
+                        send(ctx, p, me as u64, &vec![me as u8; 65536]);
                     }
                 }
                 for p in 0..n {
                     if p != me {
-                        let m = ctx.recv(p, p as u64);
+                        let m = recv(ctx, p, p as u64);
                         assert_eq!(m[0], p as u8);
                     }
                 }
@@ -725,13 +652,13 @@ mod tests {
         let (results, _) = cluster.run(|ctx| {
             if ctx.id() == 0 {
                 for i in 0..10u8 {
-                    ctx.send(1, 5, &[i]);
+                    send(ctx, 1, 5, &[i]);
                 }
                 0
             } else {
                 let mut last = None;
                 for _ in 0..10 {
-                    let m = ctx.recv(0, 5);
+                    let m = recv(ctx, 0, 5);
                     if let Some(prev) = last {
                         assert!(m[0] > prev);
                     }
@@ -747,23 +674,26 @@ mod tests {
     fn self_send_is_free() {
         let cluster = Cluster::new(machine(1), TimePolicy::Virtual);
         let (_, report) = cluster.run(|ctx| {
-            ctx.send(0, 1, b"loop");
-            let m = ctx.recv(0, 1);
+            send(ctx, 0, 1, b"loop");
+            let m = recv(ctx, 0, 1);
             assert_eq!(m, b"loop");
         });
         assert_eq!(report.makespan, 0.0);
     }
 
     #[test]
-    fn recv_timeout_panics() {
+    fn recv_timeout_is_typed() {
         let cluster =
             Cluster::new(machine(1), TimePolicy::Real).with_recv_timeout(Duration::from_millis(50));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cluster.run(|ctx| {
-                ctx.recv(0, 42);
-            });
-        }));
-        assert!(result.is_err());
+        let (results, _) = cluster.run(|ctx| ctx.try_recv(0, 42));
+        assert_eq!(
+            results[0],
+            Err(FabricError::RecvTimeout {
+                node: 0,
+                src: 0,
+                tag: 42
+            })
+        );
     }
 
     #[test]
@@ -772,9 +702,9 @@ mod tests {
         let (_, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
                 ctx.compute(Work::flops(1.0e9)); // busy 1 s before sending
-                ctx.send(1, 0, b"x");
+                send(ctx, 1, 0, b"x");
             } else {
-                ctx.recv(0, 0);
+                recv(ctx, 0, 0);
             }
         });
         assert!(report.metrics.nodes[1].wait_secs > 0.9);
@@ -788,12 +718,12 @@ mod tests {
         let n = ctx.nodes();
         for p in 0..n {
             if p != me {
-                ctx.send(p, me as u64, &vec![me as u8; 65536]);
+                send(ctx, p, me as u64, &vec![me as u8; 65536]);
             }
         }
         for p in 0..n {
             if p != me {
-                let m = ctx.recv(p, p as u64);
+                let m = recv(ctx, p, p as u64);
                 assert_eq!(m[0], p as u8);
             }
         }
@@ -817,7 +747,7 @@ mod tests {
         let cluster = Cluster::new(machine(2), TimePolicy::Virtual).with_faults(plan);
         let (_, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                let err = ctx.try_send(1, 0, &vec![0u8; 1_000_000]).unwrap_err();
+                let err = ctx.try_send(1, 0, &Payload::zeroed(1_000_000)).unwrap_err();
                 assert_eq!(
                     err,
                     FabricError::TransferDropped {
@@ -841,7 +771,7 @@ mod tests {
         let plan = FaultPlan::new(0).with_drop_prob(1.0);
         let cluster = Cluster::new(machine(1), TimePolicy::Virtual).with_faults(plan);
         cluster.run(|ctx| {
-            ctx.try_send(0, 1, b"loop")
+            ctx.try_send(0, 1, &Payload::from(b"loop"))
                 .expect("self-send must not drop");
             assert_eq!(ctx.try_recv(0, 1).unwrap(), b"loop");
         });
@@ -853,9 +783,9 @@ mod tests {
         let cluster = Cluster::new(machine(2), TimePolicy::Virtual).with_faults(plan);
         let (_, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                ctx.send(1, 0, &vec![0u8; 1_000_000]);
+                send(ctx, 1, 0, &vec![0u8; 1_000_000]);
             } else {
-                ctx.recv(0, 0);
+                recv(ctx, 0, 0);
             }
         });
         // 4x degradation: 40 ms serialization + latency.
@@ -871,7 +801,8 @@ mod tests {
         let (results, report) = cluster.run(|ctx| {
             if ctx.id() == 0 {
                 ctx.compute(Work::flops(1.0e9)); // crosses fail-at = 0.5 s
-                ctx.try_send(1, 0, b"never").map(|_| Vec::new())
+                ctx.try_send(1, 0, &Payload::from(b"never"))
+                    .map(|_| Payload::new())
             } else {
                 ctx.try_recv(0, 0)
             }
@@ -907,7 +838,7 @@ mod tests {
         let cluster = Cluster::new(machine(2), TimePolicy::Real);
         let (results, _) = cluster.run(|ctx| {
             if ctx.id() == 0 {
-                Ok(Vec::new()) // exits immediately without sending
+                Ok(Payload::new()) // exits immediately without sending
             } else {
                 ctx.try_recv(0, 99)
             }
@@ -932,7 +863,8 @@ mod tests {
                 for p in 0..n {
                     if p != me {
                         // Retry dropped sends until they get through.
-                        while ctx.try_send(p, me as u64, &vec![me as u8; 65536]).is_err() {
+                        let block = Payload::from_vec(vec![me as u8; 65536]);
+                        while ctx.try_send(p, me as u64, &block).is_err() {
                             ctx.note_retry();
                             ctx.advance_lost(1.0e-4);
                         }

@@ -14,6 +14,8 @@
 //! ⇒ the same faults fire at the same virtual times with the same
 //! payload outcomes.
 
+use rand::splitmix64;
+
 /// A link whose effective bandwidth is reduced by a factor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkDegradation {
@@ -199,15 +201,6 @@ impl FaultPlan {
             .iter()
             .find(|k| k.block == block && k.iteration == iteration && k.thread == thread)
     }
-}
-
-/// One round of SplitMix64: the statistically solid 64-bit mixer all
-/// seeded fault decisions flow through.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A fabric-level fault surfaced to the caller instead of a panic.

@@ -5,7 +5,9 @@
 //! a 160 MB/s Myrinet fabric under VxWorks) is not available.
 //!
 //! A [`cluster::Cluster`] runs one OS thread per compute node; nodes exchange
-//! byte messages through per-node mailboxes. Timing is pluggable
+//! reference-counted [`Payload`]s through per-node mailboxes, and a node
+//! program talks only through its context's [`Transport`] implementation.
+//! Timing is pluggable
 //! ([`clock::TimePolicy`]):
 //!
 //! * **Real** — wall-clock timing of genuinely parallel execution; used for
@@ -23,7 +25,9 @@
 //! ([`machine::MachineSpec::from_hardware`]).
 //!
 //! ```
-//! use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy, Work};
+//! use sage_fabric::{
+//!     Cluster, FabricError, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy, Transport, Work,
+//! };
 //!
 //! let machine = MachineSpec::uniform(
 //!     "demo",
@@ -35,14 +39,14 @@
 //! let (results, report) = cluster.run(|ctx| {
 //!     if ctx.id() == 0 {
 //!         ctx.compute(Work::flops(1.0e9)); // 1 virtual second of math
-//!         ctx.send(1, 0, b"done");
-//!         0.0
+//!         ctx.try_send(1, 0, &Payload::from(b"done"))?;
+//!         Ok::<f64, FabricError>(0.0)
 //!     } else {
-//!         ctx.recv(0, 0);
-//!         ctx.clock() // arrival time: 1 s + wire time
+//!         ctx.try_recv(0, 0)?;
+//!         Ok(ctx.clock()) // arrival time: 1 s + wire time
 //!     }
 //! });
-//! assert!(results[1] > 1.0);
+//! assert!(matches!(results[1], Ok(t) if t > 1.0));
 //! assert!(report.makespan > 1.0);
 //! ```
 

@@ -9,7 +9,9 @@
 //! uses. Two backends implement it:
 //!
 //! * **local** — [`crate::cluster::NodeCtx`]: one OS thread per rank inside
-//!   one process, with the deterministic virtual clock and fault injection;
+//!   one process, with the deterministic virtual clock and fault injection.
+//!   Its `impl Transport` (in `cluster.rs`, beside the mailbox) *is* the
+//!   node's messaging surface — `NodeCtx` has no inherent send or receive;
 //! * **tcp** — `sage_net::JobTransport`: one job's rank namespace over a
 //!   daemon's shared `MeshCore` (one daemon process per mesh endpoint,
 //!   length-prefixed framed messages over real sockets);
@@ -20,6 +22,11 @@
 //! default to no-ops so real-time backends only implement the messaging
 //! core; cost accounting then comes from the hardware itself, exactly as on
 //! the original testbeds.
+//!
+//! Everything above the mailbox — the hand-coded MPI baseline
+//! (`sage_mpi::Communicator`) and the SAGE run-time alike — reaches its
+//! peers through this trait and nothing else, so the two sides of Table 1.0
+//! ride the same message path by construction.
 
 use crate::fault::FabricError;
 use crate::machine::Work;
@@ -63,17 +70,6 @@ pub trait Transport {
         false
     }
 
-    /// Combined send-then-receive with one peer.
-    fn try_sendrecv(
-        &mut self,
-        peer: usize,
-        tag: u64,
-        payload: &Payload,
-    ) -> Result<Payload, FabricError> {
-        self.try_send(peer, tag, payload)?;
-        self.try_recv(peer, tag)
-    }
-
     /// Current time in seconds (virtual clock, or wall time since the
     /// backend's epoch).
     fn now(&self) -> f64 {
@@ -112,66 +108,6 @@ pub trait Transport {
     /// — the run-time's fault-injection hook. Real backends inject nothing.
     fn kernel_fault(&self, _block: &str, _iteration: u32, _thread: u32) -> Option<String> {
         None
-    }
-}
-
-impl Transport for crate::cluster::NodeCtx {
-    fn rank(&self) -> usize {
-        self.id()
-    }
-
-    fn size(&self) -> usize {
-        self.nodes()
-    }
-
-    fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
-        crate::cluster::NodeCtx::try_send_payload(self, dst, tag, payload)
-    }
-
-    fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
-        crate::cluster::NodeCtx::try_recv_payload(self, src, tag)
-    }
-
-    fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
-        crate::cluster::NodeCtx::recv_ready(self, src, tag)
-    }
-
-    fn now(&self) -> f64 {
-        crate::cluster::NodeCtx::now(self)
-    }
-
-    fn compute(&mut self, work: Work) {
-        crate::cluster::NodeCtx::compute(self, work)
-    }
-
-    fn advance(&mut self, secs: f64) {
-        crate::cluster::NodeCtx::advance(self, secs)
-    }
-
-    fn advance_lost(&mut self, secs: f64) {
-        crate::cluster::NodeCtx::advance_lost(self, secs)
-    }
-
-    fn note_retry(&mut self) {
-        crate::cluster::NodeCtx::note_retry(self)
-    }
-
-    fn note_fault(&mut self) {
-        crate::cluster::NodeCtx::note_fault(self)
-    }
-
-    fn note_mem_use(&mut self, bytes: u64) {
-        crate::cluster::NodeCtx::note_mem_use(self, bytes)
-    }
-
-    fn check_failed(&mut self) -> Result<(), FabricError> {
-        crate::cluster::NodeCtx::check_failed(self)
-    }
-
-    fn kernel_fault(&self, block: &str, iteration: u32, thread: u32) -> Option<String> {
-        self.fault_plan()
-            .kernel_fault(block, iteration, thread)
-            .map(|k| k.message.clone())
     }
 }
 

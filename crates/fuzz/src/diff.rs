@@ -33,9 +33,8 @@
 //!   runs clean is a harness failure — the checker is crying wolf or the
 //!   runtime is too lenient.
 
-use crate::gen::splitmix64;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64, Rng, SeedableRng};
 use sage_core::{checked_program, Placement, Project, ProjectError};
 use sage_fabric::{FaultPlan, TimePolicy};
 use sage_fleet::{JobParams, LaunchOptions, Spawner};

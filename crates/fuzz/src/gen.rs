@@ -15,19 +15,11 @@
 //! models — the generator takes no shortcuts around the toolchain.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64, Rng, SeedableRng};
 use sage_core::model_io;
 use sage_model::{
     AppGraph, Block, BlockId, BlockKind, CostModel, DataType, Port, PropValue, ScalarKind, Striping,
 };
-
-/// One round of SplitMix64 — the mixer behind per-model seed derivation.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The seed of corpus entry `index` under master seed `master`.
 pub fn derive_seed(master: u64, index: usize) -> u64 {

@@ -26,302 +26,218 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The stable diagnostic-code registry: `(code, default severity, summary)`.
-///
-/// Codes are append-only: once published they keep their meaning forever so
-/// tooling can match on them. 00x = Alter script analysis, 01x/02x = model
-/// and mapping validity (the Designer-era `ModelError` checks), 03x =
-/// model/hardware consistency, 04x = generated-program analysis, 05x =
-/// glue-program abstract interpretation (`sage-check`).
-pub const CODE_TABLE: &[(&str, Severity, &str)] = &[
-    ("SAGE001", Severity::Error, "unbound symbol in Alter script"),
-    ("SAGE002", Severity::Error, "wrong number of arguments"),
-    ("SAGE003", Severity::Warning, "unknown model property key"),
-    (
-        "SAGE004",
-        Severity::Warning,
-        "binding shadows another definition",
-    ),
-    ("SAGE005", Severity::Warning, "unreachable branch"),
-    ("SAGE006", Severity::Error, "Alter syntax error"),
-    ("SAGE007", Severity::Error, "model file cannot be loaded"),
-    ("SAGE010", Severity::Error, "duplicate block name"),
-    ("SAGE011", Severity::Error, "no such port"),
-    ("SAGE012", Severity::Error, "connection direction mismatch"),
-    ("SAGE013", Severity::Error, "connection type mismatch"),
-    (
-        "SAGE014",
-        Severity::Error,
-        "input port has multiple writers",
-    ),
-    ("SAGE015", Severity::Error, "dataflow cycle"),
-    (
-        "SAGE016",
-        Severity::Error,
-        "boundary port has no internal binding",
-    ),
-    ("SAGE017", Severity::Error, "ambiguous boundary port"),
-    ("SAGE018", Severity::Error, "unconnected input port"),
-    (
-        "SAGE019",
-        Severity::Error,
-        "striping does not divide the thread count",
-    ),
-    (
-        "SAGE020",
-        Severity::Error,
-        "mapping does not cover the task graph",
-    ),
-    (
-        "SAGE021",
-        Severity::Error,
-        "mapping references a node outside the hardware",
-    ),
-    ("SAGE022", Severity::Error, "unregistered shelf function"),
-    ("SAGE023", Severity::Error, "endpoint out of range"),
-    (
-        "SAGE030",
-        Severity::Warning,
-        "striping factor does not divide the node count",
-    ),
-    (
-        "SAGE031",
-        Severity::Warning,
-        "idle nodes under the chosen placement",
-    ),
-    (
-        "SAGE032",
-        Severity::Warning,
-        "large fan-out replicates a bulky payload",
-    ),
-    (
-        "SAGE040",
-        Severity::Error,
-        "communication deadlock in the generated schedule",
-    ),
-    ("SAGE041", Severity::Error, "malformed glue program"),
-    (
-        "SAGE050",
-        Severity::Error,
-        "unmatched transfer between producer and consumer tasks",
-    ),
-    (
-        "SAGE051",
-        Severity::Error,
-        "transfer tag collision or byte-count mismatch",
-    ),
-    (
-        "SAGE052",
-        Severity::Error,
-        "use of an uninitialized logical buffer",
-    ),
-    (
-        "SAGE053",
-        Severity::Error,
-        "double-write to a logical buffer",
-    ),
-    (
-        "SAGE054",
-        Severity::Error,
-        "shape or dtype violates the kernel's contract",
-    ),
-    (
-        "SAGE055",
-        Severity::Error,
-        "per-node memory high-water-mark exceeds the hardware model",
-    ),
-    (
-        "SAGE056",
-        Severity::Warning,
-        "redistribution traffic is bandwidth-infeasible",
-    ),
-    (
-        "SAGE057",
-        Severity::Error,
-        "program exceeds the transfer-tag field widths",
-    ),
-    (
-        "SAGE060",
-        Severity::Warning,
-        "cross-iteration hazard caps the pipeline depth",
-    ),
-    (
-        "SAGE061",
-        Severity::Warning,
-        "feedback cycle forces lock-step execution",
-    ),
-    (
-        "SAGE062",
-        Severity::Warning,
-        "ring buffers at the requested depth exceed node memory",
-    ),
-    (
-        "SAGE070",
-        Severity::Error,
-        "write/write race on an input port with no happens-before ordering",
-    ),
-    (
-        "SAGE071",
-        Severity::Error,
-        "read/write race on an input port with no happens-before ordering",
-    ),
-    (
-        "SAGE072",
-        Severity::Warning,
-        "ordering depends on the lock-step iteration boundary",
-    ),
-    (
-        "SAGE073",
-        Severity::Warning,
-        "unordered writers are a benign same-value splat",
-    ),
-];
+/// Declares the registry once: each row is `(code, default severity,
+/// summary, long-form explanation)`. [`CODE_TABLE`] and
+/// [`code_explanation`] are both derived from these rows, so a code cannot
+/// have a summary without an explanation or the other way round.
+macro_rules! code_registry {
+    ($(($code:literal, $severity:expr, $summary:literal, $explanation:literal $(,)?)),* $(,)?) => {
+        /// The stable diagnostic-code registry: `(code, default severity, summary)`.
+        ///
+        /// Codes are append-only: once published they keep their meaning forever so
+        /// tooling can match on them. 00x = Alter script analysis, 01x/02x = model
+        /// and mapping validity (the Designer-era `ModelError` checks), 03x =
+        /// model/hardware consistency, 04x = generated-program analysis, 05x =
+        /// glue-program abstract interpretation (`sage-check`).
+        pub const CODE_TABLE: &[(&str, Severity, &str)] = &[$(($code, $severity, $summary)),*];
 
-/// Looks up the registry summary for a code (`None` for unknown codes).
-pub fn code_summary(code: &str) -> Option<&'static str> {
-    CODE_TABLE
-        .iter()
-        .find(|(c, _, _)| *c == code)
-        .map(|(_, _, s)| *s)
+        /// Looks up the long-form explanation for a code (`None` for unknown
+        /// codes), rendered by `sage explain SAGE0xx` and `sage lint --explain`
+        /// so CI failures are self-documenting. Every code in [`CODE_TABLE`]
+        /// has one.
+        pub fn code_explanation(code: &str) -> Option<&'static str> {
+            match code {
+                $($code => Some($explanation),)*
+                _ => None,
+            }
+        }
+    };
 }
 
-/// Long-form descriptions for every code in [`CODE_TABLE`], rendered by
-/// `sage explain SAGE0xx` and `sage lint --explain` so CI failures are
-/// self-documenting. One entry per published code, kept in code order.
-const EXPLANATIONS: &[(&str, &str)] = &[
+code_registry! {
     (
         "SAGE001",
+        Severity::Error,
+        "unbound symbol in Alter script",
         "The Alter script references a symbol that is neither defined in the \
          script nor part of the builtin library. The generator would abort at \
          expansion time; define the symbol or fix the spelling.",
     ),
     (
         "SAGE002",
+        Severity::Error,
+        "wrong number of arguments",
         "A call passes more or fewer arguments than the callee accepts. Both \
          builtin and user-defined functions are checked against their declared \
          parameter lists.",
     ),
     (
         "SAGE003",
+        Severity::Warning,
+        "unknown model property key",
         "A `(prop ...)` form reads a model property key that no block in the \
          model defines. The read would evaluate to nil at generation time, \
          which usually means a typo in the key.",
     ),
     (
         "SAGE004",
+        Severity::Warning,
+        "binding shadows another definition",
         "A binding re-uses a name that is already bound in an enclosing scope \
          (or shadows a builtin). The inner binding wins; if that is intended, \
          rename it to make the script unambiguous.",
     ),
     (
         "SAGE005",
+        Severity::Warning,
+        "unreachable branch",
         "A conditional branch can never be taken because its guard is a \
          constant literal. The dead branch is often a leftover from editing.",
     ),
     (
         "SAGE006",
+        Severity::Error,
+        "Alter syntax error",
         "The Alter script does not parse: unbalanced parentheses, an \
          unterminated string, or a malformed token. Nothing else can be \
          analyzed until the syntax is fixed.",
     ),
     (
         "SAGE007",
+        Severity::Error,
+        "model file cannot be loaded",
         "The model file could not be loaded as a SAGE Designer s-expression: \
          either it does not parse or a required form is missing. Fix the file \
          before any deeper analysis can run.",
     ),
     (
         "SAGE010",
+        Severity::Error,
+        "duplicate block name",
         "Two blocks in the same (flattened) scope share a name. Block names \
          key connections, mappings, and diagnostics, so they must be unique.",
     ),
     (
         "SAGE011",
+        Severity::Error,
+        "no such port",
         "A connection references a port name the block does not declare.",
     ),
     (
         "SAGE012",
+        Severity::Error,
+        "connection direction mismatch",
         "A connection runs from an input port or into an output port. \
          Connections must go output -> input.",
     ),
     (
         "SAGE013",
+        Severity::Error,
+        "connection type mismatch",
         "The two ends of a connection declare different data types (element \
          type or array shape). The runtime moves raw bytes, so mismatched \
          declarations would silently reinterpret data.",
     ),
     (
         "SAGE014",
+        Severity::Error,
+        "input port has multiple writers",
         "An input port is the destination of more than one connection. Every \
          input has exactly one writer; use separate ports to merge streams.",
     ),
     (
         "SAGE015",
+        Severity::Error,
+        "dataflow cycle",
         "The dataflow graph contains a cycle, so no topological execution \
          order exists. Cycles through blocks with an explicit `delay` \
          property are reported as warnings instead.",
     ),
     (
         "SAGE016",
+        Severity::Error,
+        "boundary port has no internal binding",
         "A hierarchical block declares a boundary port that no inner block \
          port binds to, so the connection has nowhere to land after \
          flattening.",
     ),
     (
         "SAGE017",
+        Severity::Error,
+        "ambiguous boundary port",
         "A hierarchical boundary port name matches more than one inner \
          binding, so flattening cannot pick one.",
     ),
     (
         "SAGE018",
+        Severity::Error,
+        "unconnected input port",
         "An input port has no incoming connection. The consuming kernel \
          would read an uninitialized (all-zero) buffer every iteration.",
     ),
     (
         "SAGE019",
+        Severity::Error,
+        "striping does not divide the thread count",
         "A striped port's dimension extent is not divisible by the block's \
          thread count, so no even data distribution exists and the striping \
          engine cannot lay the buffer out.",
     ),
     (
         "SAGE020",
+        Severity::Error,
+        "mapping does not cover the task graph",
         "The task mapping does not assign every (block, thread) task to a \
          node; unmapped tasks could never be scheduled.",
     ),
     (
         "SAGE021",
+        Severity::Error,
+        "mapping references a node outside the hardware",
         "The mapping (or placement) references a node index outside the \
          hardware model.",
     ),
     (
         "SAGE022",
+        Severity::Error,
+        "unregistered shelf function",
         "A block references a shelf function that the software shelf does \
          not carry, so no cost model (and at run time no kernel) exists for \
          it.",
     ),
     (
         "SAGE023",
+        Severity::Error,
+        "endpoint out of range",
         "A connection endpoint references a block id outside the model — an \
          internal consistency failure of the model file.",
     ),
     (
         "SAGE030",
+        Severity::Warning,
+        "striping factor does not divide the node count",
         "A striped port's thread count does not divide evenly by the node \
          count, so the aligned placement puts unequal numbers of threads on \
          the nodes and the load is skewed.",
     ),
     (
         "SAGE031",
+        Severity::Warning,
+        "idle nodes under the chosen placement",
         "The chosen placement leaves some nodes with no tasks at all. The \
          machine is bigger than the model can use.",
     ),
     (
         "SAGE032",
+        Severity::Warning,
+        "large fan-out replicates a bulky payload",
         "One output port fans out to many consumers with a bulky payload; \
          every consumer receives a full copy, multiplying the traffic.",
     ),
     (
         "SAGE040",
+        Severity::Error,
+        "communication deadlock in the generated schedule",
         "Tasks wait on each other in a cycle: each node executes its \
          schedule in order, and a consumer scheduled before its producer \
          (directly or transitively across nodes) blocks forever. The note \
@@ -329,12 +245,16 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE041",
+        Severity::Error,
+        "malformed glue program",
         "The generated glue program fails its structural self-checks \
          (function ids, placements, schedule coverage, buffer endpoints). \
          Deeper program analysis needs a well-formed program.",
     ),
     (
         "SAGE050",
+        Severity::Error,
+        "unmatched transfer between producer and consumer tasks",
         "A redistribution transfer has no matching endpoint: a task sends a \
          stripe no scheduled task receives, a task waits for a stripe no \
          task sends, or a same-node hand-off is consumed before the \
@@ -344,6 +264,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE051",
+        Severity::Error,
+        "transfer tag collision or byte-count mismatch",
         "Two transfers collide on one tag (buffer, source thread, \
          destination thread), or the matched send and receive disagree on \
          the byte count. The runtime's mailbox would deliver the wrong \
@@ -351,6 +273,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE052",
+        Severity::Error,
+        "use of an uninitialized logical buffer",
         "A function-table entry lists an input buffer that is not routed to \
          it (the buffer's consumer is another function), or a consumer \
          thread's stripe is not fully covered by producer intervals. The \
@@ -358,12 +282,16 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE053",
+        Severity::Error,
+        "double-write to a logical buffer",
         "A function-table entry lists an output buffer it does not produce \
          (the buffer's producer is another function), so two writers race on \
          one logical buffer and its transfer tags.",
     ),
     (
         "SAGE054",
+        Severity::Error,
+        "shape or dtype violates the kernel's contract",
         "A logical buffer or kernel invocation violates the kernel's shape \
          or dtype contract: degenerate descriptors (zero-byte elements, \
          zero-extent dimensions), stripe byte counts that differ between a \
@@ -374,6 +302,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE055",
+        Severity::Error,
+        "per-node memory high-water-mark exceeds the hardware model",
         "Walking the node's schedule, the peak of live logical-buffer bytes \
          (task working sets plus pending same-node hand-offs) exceeds the \
          node's modeled DRAM (`mem_mb`). The run-time allocator would \
@@ -381,6 +311,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE056",
+        Severity::Warning,
+        "redistribution traffic is bandwidth-infeasible",
         "The estimated per-iteration wire time for one node's off-node \
          redistribution traffic (bytes over the modeled link bandwidth plus \
          per-message latency) exceeds the feasibility budget: the fabric, \
@@ -388,6 +320,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE057",
+        Severity::Error,
+        "program exceeds the transfer-tag field widths",
         "The program exceeds a transfer-tag field width (2^20 logical \
          buffers, 2^10 threads per function). Tags would alias between \
          distinct transfers and silently corrupt redistribution in release \
@@ -395,6 +329,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE060",
+        Severity::Warning,
+        "cross-iteration hazard caps the pipeline depth",
         "The streaming executor gives every logical buffer a uniform ring \
          of depth-many slots (slot = iteration mod depth). A `delay` arc's \
          consumer reads the payload the producer emitted `delay` iterations \
@@ -407,6 +343,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE061",
+        Severity::Warning,
+        "feedback cycle forces lock-step execution",
         "The dataflow graph contains a feedback cycle, schedulable only \
          because a block on it declares a `delay` property (the arc leaving \
          it crosses the iteration boundary). Iteration i of the cycle's \
@@ -417,6 +355,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE062",
+        Severity::Warning,
+        "ring buffers at the requested depth exceed node memory",
         "Running the pipeline at the requested depth N gives every live \
          logical buffer an N-slot ring, multiplying each node's high-water \
          mark by N. For at least one node that exceeds the hardware model's \
@@ -425,6 +365,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE070",
+        Severity::Error,
+        "write/write race on an input port with no happens-before ordering",
         "Two producer tasks write overlapping byte regions of the same \
          input-port version, and no chain of program order (a node's serial \
          schedule walk) and synchronization order (matched transfers, where \
@@ -436,6 +378,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE071",
+        Severity::Error,
+        "read/write race on an input port with no happens-before ordering",
         "A consumer task reads an input-port version while an unordered \
          producer task is still writing overlapping bytes of it: no \
          transfer chain puts the write before (or after) the read, so the \
@@ -445,6 +389,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE072",
+        Severity::Warning,
+        "ordering depends on the lock-step iteration boundary",
         "Two conflicting accesses to an input-port version are ordered in \
          lock-step execution, but only through the iteration boundary (the \
          last schedule slot of iteration i preceding the first slot of \
@@ -456,6 +402,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "SAGE073",
+        Severity::Warning,
+        "unordered writers are a benign same-value splat",
         "Two unordered producer tasks write the same byte regions of an \
          input-port version, but both run the same generator kernel with \
          identical parameters over identical regions: either arrival order \
@@ -464,15 +412,14 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          stay deterministic and identically configured; the dynamic \
          detector applies the same exemption by content hash.",
     ),
-];
+}
 
-/// Looks up the long-form explanation for a code (`None` for unknown
-/// codes). Every code in [`CODE_TABLE`] has one.
-pub fn code_explanation(code: &str) -> Option<&'static str> {
-    EXPLANATIONS
+/// Looks up the registry summary for a code (`None` for unknown codes).
+pub fn code_summary(code: &str) -> Option<&'static str> {
+    CODE_TABLE
         .iter()
-        .find(|(c, _)| *c == code)
-        .map(|(_, e)| *e)
+        .find(|(c, _, _)| *c == code)
+        .map(|(_, _, s)| *s)
 }
 
 /// One finding.
@@ -808,17 +755,8 @@ mod tests {
     #[test]
     fn every_code_has_exactly_one_explanation() {
         for (code, _, _) in CODE_TABLE {
-            let n = EXPLANATIONS.iter().filter(|(c, _)| c == code).count();
-            assert_eq!(n, 1, "{code} needs exactly one explanation, found {n}");
+            assert!(code_explanation(code).is_some_and(|text| !text.is_empty()));
         }
-        for (code, text) in EXPLANATIONS {
-            assert!(
-                code_summary(code).is_some(),
-                "explanation for unregistered code {code}"
-            );
-            assert!(!text.is_empty());
-        }
-        assert_eq!(code_explanation("SAGE050"), code_explanation("SAGE050"));
         assert!(code_explanation("SAGE999").is_none());
     }
 

@@ -8,35 +8,30 @@
 //!
 //! Two algorithms are provided:
 //!
-//! * **pairwise exchange** ([`Communicator::alltoall`]) — `n-1` rounds; in
+//! * **pairwise exchange** ([`Communicator::try_alltoall`]) — `n-1` rounds; in
 //!   round `r` rank `me` exchanges with `me ^ r` (power-of-two sizes) or
 //!   `(me + r) % n` (general sizes). This is the generic algorithm and also
 //!   charges a packing copy per block on non-zero-copy configurations.
-//! * **tuned** ([`Communicator::alltoall_tuned`]) — same communication
+//! * **tuned** ([`Communicator::try_alltoall_tuned`]) — same communication
 //!   schedule, but forced onto the zero-copy/vendor-overhead path,
 //!   modelling the DMA gather/scatter implementations vendors shipped.
 
 use crate::comm::{Communicator, MpiConfig};
 use crate::error::MpiError;
-use sage_fabric::Transport;
+use sage_fabric::{Payload, Transport};
 
 const OP_ALLTOALL: u64 = 7;
 
 impl<T: Transport> Communicator<'_, T> {
     /// Pairwise-exchange all-to-all: `blocks[r]` is sent to rank `r`; the
-    /// result's index `r` holds the block received from rank `r`.
+    /// result's index `r` holds the block received from rank `r` — the
+    /// sender's own allocation, not a copy.
     ///
     /// # Panics
-    /// Panics if `blocks.len() != size()`, or on an unrecoverable injected
-    /// fault (fault-aware callers use [`Communicator::try_alltoall`]).
-    pub fn alltoall(&mut self, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        self.try_alltoall(blocks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::alltoall`].
-    pub fn try_alltoall(&mut self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, MpiError> {
-        let zero_copy = self.config().zero_copy_collectives;
-        self.alltoall_impl(blocks, zero_copy)
+    /// Panics if `blocks.len() != size()`.
+    pub fn try_alltoall(&mut self, blocks: &[Payload]) -> Result<Vec<Payload>, MpiError> {
+        let zero_copy = self.config.zero_copy_collectives;
+        self.alltoall_rounds(blocks, zero_copy)
     }
 
     /// Vendor-tuned all-to-all: identical exchange schedule, but with the
@@ -44,53 +39,30 @@ impl<T: Transport> Communicator<'_, T> {
     /// communicator's base configuration.
     ///
     /// # Panics
-    /// Panics if `blocks.len() != size()`, or on an unrecoverable injected
-    /// fault (fault-aware callers use
-    /// [`Communicator::try_alltoall_tuned`]).
-    pub fn alltoall_tuned(&mut self, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        self.try_alltoall_tuned(blocks)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::alltoall_tuned`].
-    pub fn try_alltoall_tuned(&mut self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, MpiError> {
-        self.alltoall_impl(blocks, true)
-    }
-
-    fn alltoall_impl(
-        &mut self,
-        blocks: &[Vec<u8>],
-        zero_copy: bool,
-    ) -> Result<Vec<Vec<u8>>, MpiError> {
-        let saved = self.config();
-        let swapped = zero_copy && !saved.zero_copy_collectives;
-        if swapped {
-            // Temporarily use the tuned characterization.
-            self.set_config(MpiConfig {
-                zero_copy_collectives: true,
-                ..MpiConfig::vendor_tuned()
-            });
+    /// Panics if `blocks.len() != size()`.
+    pub fn try_alltoall_tuned(&mut self, blocks: &[Payload]) -> Result<Vec<Payload>, MpiError> {
+        let saved = self.config;
+        if !saved.zero_copy_collectives {
+            self.config = MpiConfig::vendor_tuned();
         }
-        let result = self.alltoall_rounds(blocks, zero_copy);
-        if swapped {
-            // Restore even when a round errored out.
-            self.set_config(saved);
-        }
+        let result = self.alltoall_rounds(blocks, true);
+        // Restored even when a round errored out.
+        self.config = saved;
         result
     }
 
     fn alltoall_rounds(
         &mut self,
-        blocks: &[Vec<u8>],
+        blocks: &[Payload],
         zero_copy: bool,
-    ) -> Result<Vec<Vec<u8>>, MpiError> {
+    ) -> Result<Vec<Payload>, MpiError> {
         let n = self.size();
         let me = self.rank();
         assert_eq!(blocks.len(), n, "alltoall needs one block per rank");
         let tag = self.next_coll_tag(OP_ALLTOALL);
 
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        // Own block: local hand-off (a copy unless zero-copy DMA).
+        let mut out = vec![Payload::new(); n];
+        // Own block: local hand-off (charged as a copy unless zero-copy DMA).
         out[me] = blocks[me].clone();
         if !zero_copy {
             self.charge_pack(blocks[me].len());
@@ -111,8 +83,8 @@ impl<T: Transport> Communicator<'_, T> {
                 self.charge_pack(blocks[to].len());
             }
             let round_tag = tag | ((r as u64) << 32);
-            self.csend(to, round_tag, &blocks[to])?;
-            let received = self.crecv(from, round_tag)?;
+            self.send_with_overhead(to, round_tag, &blocks[to])?;
+            let received = self.recv_with_overhead(from, round_tag)?;
             if !zero_copy {
                 self.charge_pack(received.len());
             }
@@ -120,17 +92,12 @@ impl<T: Transport> Communicator<'_, T> {
         }
         Ok(out)
     }
-
-    /// Replaces the communicator's configuration (used by the tuned paths).
-    pub(crate) fn set_config(&mut self, cfg: MpiConfig) {
-        self.replace_config(cfg);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::comm::{Communicator, MpiConfig};
-    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy};
+    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
 
     fn machine(n: usize) -> MachineSpec {
         MachineSpec::uniform(
@@ -147,14 +114,14 @@ mod tests {
         )
     }
 
-    fn blocks_for(me: usize, n: usize) -> Vec<Vec<u8>> {
+    fn blocks_for(me: usize, n: usize) -> Vec<Payload> {
         // Block sent from `me` to `dst` is [me, dst] repeated.
         (0..n)
-            .map(|dst| vec![me as u8, dst as u8, me as u8])
+            .map(|dst| Payload::from_vec(vec![me as u8, dst as u8, me as u8]))
             .collect()
     }
 
-    fn check_result(me: usize, n: usize, out: &[Vec<u8>]) {
+    fn check_result(me: usize, n: usize, out: &[Payload]) {
         assert_eq!(out.len(), n);
         for (src, block) in out.iter().enumerate() {
             assert_eq!(
@@ -173,7 +140,7 @@ mod tests {
                 let me = ctx.id();
                 let n = ctx.nodes();
                 let mut comm = Communicator::new(ctx, MpiConfig::generic());
-                let out = comm.alltoall(&blocks_for(me, n));
+                let out = comm.try_alltoall(&blocks_for(me, n)).expect("fault-free");
                 check_result(me, n, &out);
             });
         }
@@ -186,8 +153,10 @@ mod tests {
             let me = ctx.id();
             let n = ctx.nodes();
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
-            let a = comm.alltoall(&blocks_for(me, n));
-            let b = comm.alltoall_tuned(&blocks_for(me, n));
+            let a = comm.try_alltoall(&blocks_for(me, n)).expect("fault-free");
+            let b = comm
+                .try_alltoall_tuned(&blocks_for(me, n))
+                .expect("fault-free");
             assert_eq!(a, b);
             check_result(me, n, &b);
         });
@@ -201,11 +170,13 @@ mod tests {
                 let me = ctx.id();
                 let n = ctx.nodes();
                 let mut comm = Communicator::new(ctx, MpiConfig::generic());
-                let blocks: Vec<Vec<u8>> = (0..n).map(|_| vec![me as u8; 16384]).collect();
+                let blocks: Vec<Payload> = (0..n)
+                    .map(|_| Payload::from_vec(vec![me as u8; 16384]))
+                    .collect();
                 if tuned {
-                    comm.alltoall_tuned(&blocks);
+                    comm.try_alltoall_tuned(&blocks).expect("fault-free");
                 } else {
-                    comm.alltoall(&blocks);
+                    comm.try_alltoall(&blocks).expect("fault-free");
                 }
             });
             report.makespan
@@ -221,6 +192,26 @@ mod tests {
     }
 
     #[test]
+    fn tuned_alltoall_hands_over_the_senders_allocation() {
+        // The baseline moves bytes exactly as the run-time does: what
+        // arrives is the sender's buffer, not a copy of it.
+        let cluster = Cluster::new(machine(2), TimePolicy::Real);
+        cluster.run(|ctx| {
+            let me = ctx.id();
+            let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+            let blocks = blocks_for(me, 2);
+            let out = comm.try_alltoall_tuned(&blocks).expect("fault-free");
+            check_result(me, 2, &out);
+            for (src, received) in out.iter().enumerate() {
+                assert!(!received.is_unique(), "me={me} src={src} was copied");
+            }
+            assert_eq!(out[me].as_ptr(), blocks[me].as_ptr());
+            // Nobody drops `blocks` before every rank has looked.
+            comm.try_barrier().expect("fault-free");
+        });
+    }
+
+    #[test]
     fn consecutive_alltoalls_do_not_collide() {
         let cluster = Cluster::new(machine(4), TimePolicy::Virtual);
         cluster.run(|ctx| {
@@ -228,8 +219,10 @@ mod tests {
             let n = ctx.nodes();
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
             for iter in 0..3u8 {
-                let blocks: Vec<Vec<u8>> = (0..n).map(|d| vec![me as u8, d as u8, iter]).collect();
-                let out = comm.alltoall(&blocks);
+                let blocks: Vec<Payload> = (0..n)
+                    .map(|d| Payload::from_vec(vec![me as u8, d as u8, iter]))
+                    .collect();
+                let out = comm.try_alltoall(&blocks).expect("fault-free");
                 for (src, b) in out.iter().enumerate() {
                     assert_eq!(b, &vec![src as u8, me as u8, iter]);
                 }
@@ -246,20 +239,13 @@ mod tests {
 /// `k` set to rank `me + 2^k`, accumulating blocks toward their targets.
 impl<T: Transport> Communicator<'_, T> {
     /// All-to-all via Bruck's algorithm. Semantically identical to
-    /// [`Communicator::alltoall`]; preferable when blocks are small and the
-    /// communicator is large.
+    /// [`Communicator::try_alltoall`]; preferable when blocks are small and
+    /// the communicator is large. Blocks are forwarded inside concatenated
+    /// messages, so what arrives is rebuilt, not shared.
     ///
     /// # Panics
-    /// Panics if `blocks.len() != size()`, or on an unrecoverable injected
-    /// fault (fault-aware callers use
-    /// [`Communicator::try_alltoall_bruck`]).
-    pub fn alltoall_bruck(&mut self, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        self.try_alltoall_bruck(blocks)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::alltoall_bruck`].
-    pub fn try_alltoall_bruck(&mut self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, MpiError> {
+    /// Panics if `blocks.len() != size()`.
+    pub fn try_alltoall_bruck(&mut self, blocks: &[Payload]) -> Result<Vec<Payload>, MpiError> {
         let n = self.size();
         let me = self.rank();
         assert_eq!(blocks.len(), n, "alltoall needs one block per rank");
@@ -267,8 +253,8 @@ impl<T: Transport> Communicator<'_, T> {
 
         // Phase 1: local rotation — slot r holds the block for rank
         // (me + r) mod n.
-        let mut slots: Vec<Vec<u8>> = (0..n).map(|r| blocks[(me + r) % n].clone()).collect();
-        self.charge_pack(slots.iter().map(Vec::len).sum());
+        let mut slots: Vec<Payload> = (0..n).map(|r| blocks[(me + r) % n].clone()).collect();
+        self.charge_pack(slots.iter().map(|s| s.len()).sum());
 
         // Phase 2: log rounds. Each message is a concatenation of
         // (slot-index, len, bytes) records.
@@ -287,15 +273,15 @@ impl<T: Transport> Communicator<'_, T> {
             }
             self.charge_pack(payload.len());
             let round_tag = tag | (round << 32);
-            self.csend(to, round_tag, &payload)?;
-            let incoming = self.crecv(from, round_tag)?;
+            self.send_with_overhead(to, round_tag, &Payload::from_vec(payload))?;
+            let incoming = self.recv_with_overhead(from, round_tag)?;
             self.charge_pack(incoming.len());
             let mut cur = 0usize;
             while cur < incoming.len() {
                 let r = u32::from_le_bytes(incoming[cur..cur + 4].try_into().unwrap()) as usize;
                 let len =
                     u32::from_le_bytes(incoming[cur + 4..cur + 8].try_into().unwrap()) as usize;
-                slots[r] = incoming[cur + 8..cur + 8 + len].to_vec();
+                slots[r] = Payload::from(&incoming[cur + 8..cur + 8 + len]);
                 cur += 8 + len;
             }
             k <<= 1;
@@ -304,11 +290,11 @@ impl<T: Transport> Communicator<'_, T> {
 
         // Phase 3: inverse rotation — slot r now holds the block that
         // originated at rank (me - r) mod n.
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
+        let mut out = vec![Payload::new(); n];
         for (r, slot) in slots.into_iter().enumerate() {
             out[(me + n - r) % n] = slot;
         }
-        self.charge_pack(out.iter().map(Vec::len).sum());
+        self.charge_pack(out.iter().map(|s| s.len()).sum());
         Ok(out)
     }
 }
@@ -318,7 +304,7 @@ const OP_ALLTOALL_BRUCK: u64 = 8;
 #[cfg(test)]
 mod bruck_tests {
     use crate::comm::{Communicator, MpiConfig};
-    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy};
+    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
 
     fn machine(n: usize) -> MachineSpec {
         MachineSpec::uniform(
@@ -343,9 +329,11 @@ mod bruck_tests {
                 let me = ctx.id();
                 let n = ctx.nodes();
                 let mut comm = Communicator::new(ctx, MpiConfig::generic());
-                let blocks: Vec<Vec<u8>> = (0..n).map(|d| vec![me as u8, d as u8]).collect();
-                let a = comm.alltoall(&blocks);
-                let b = comm.alltoall_bruck(&blocks);
+                let blocks: Vec<Payload> = (0..n)
+                    .map(|d| Payload::from_vec(vec![me as u8, d as u8]))
+                    .collect();
+                let a = comm.try_alltoall(&blocks).expect("fault-free");
+                let b = comm.try_alltoall_bruck(&blocks).expect("fault-free");
                 assert_eq!(a, b, "n={n} me={me}");
             });
         }
@@ -359,11 +347,13 @@ mod bruck_tests {
                 let me = ctx.id();
                 let n = ctx.nodes();
                 let mut comm = Communicator::new(ctx, MpiConfig::generic());
-                let blocks: Vec<Vec<u8>> = (0..n).map(|_| vec![me as u8; 16]).collect();
+                let blocks: Vec<Payload> = (0..n)
+                    .map(|_| Payload::from_vec(vec![me as u8; 16]))
+                    .collect();
                 if bruck {
-                    comm.alltoall_bruck(&blocks);
+                    comm.try_alltoall_bruck(&blocks).expect("fault-free");
                 } else {
-                    comm.alltoall(&blocks);
+                    comm.try_alltoall(&blocks).expect("fault-free");
                 }
             });
             report.makespan
@@ -386,11 +376,13 @@ mod bruck_tests {
                 let me = ctx.id();
                 let n = ctx.nodes();
                 let mut comm = Communicator::new(ctx, MpiConfig::generic());
-                let blocks: Vec<Vec<u8>> = (0..n).map(|_| vec![me as u8; 262_144]).collect();
+                let blocks: Vec<Payload> = (0..n)
+                    .map(|_| Payload::from_vec(vec![me as u8; 262_144]))
+                    .collect();
                 if bruck {
-                    comm.alltoall_bruck(&blocks);
+                    comm.try_alltoall_bruck(&blocks).expect("fault-free");
                 } else {
-                    comm.alltoall(&blocks);
+                    comm.try_alltoall(&blocks).expect("fault-free");
                 }
             });
             report.makespan

@@ -8,7 +8,7 @@
 use crate::comm::{Communicator, ReduceOp};
 use crate::error::MpiError;
 use crate::typed;
-use sage_fabric::Transport;
+use sage_fabric::{Payload, Transport};
 
 /// Collective op codes for the tag space.
 mod op {
@@ -22,15 +22,6 @@ mod op {
 
 impl<T: Transport> Communicator<'_, T> {
     /// Dissemination barrier: `ceil(log2 n)` rounds of pairwise exchange.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected fault; fault-aware callers use
-    /// [`Communicator::try_barrier`].
-    pub fn barrier(&mut self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fault-aware [`Communicator::barrier`].
     pub fn try_barrier(&mut self) -> Result<(), MpiError> {
         let n = self.size();
         let me = self.rank();
@@ -39,25 +30,17 @@ impl<T: Transport> Communicator<'_, T> {
         while k < n {
             let to = (me + k) % n;
             let from = (me + n - k % n) % n;
-            self.csend(to, tag | ((k as u64) << 32), &[])?;
-            self.crecv(from, tag | ((k as u64) << 32))?;
+            self.send_with_overhead(to, tag | ((k as u64) << 32), &Payload::new())?;
+            self.recv_with_overhead(from, tag | ((k as u64) << 32))?;
             k <<= 1;
         }
         Ok(())
     }
 
     /// Binomial-tree broadcast from `root`. On non-root ranks `data` is
-    /// replaced by the received buffer.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected fault; fault-aware callers use
-    /// [`Communicator::try_bcast`].
-    pub fn bcast(&mut self, root: usize, data: &mut Vec<u8>) {
-        self.try_bcast(root, data).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fault-aware [`Communicator::bcast`].
-    pub fn try_bcast(&mut self, root: usize, data: &mut Vec<u8>) -> Result<(), MpiError> {
+    /// replaced by the received buffer — the root's own allocation on the
+    /// in-process fabric, forwarded down the tree as a handle.
+    pub fn try_bcast(&mut self, root: usize, data: &mut Payload) -> Result<(), MpiError> {
         let n = self.size();
         if n == 1 {
             return Ok(());
@@ -71,7 +54,7 @@ impl<T: Transport> Communicator<'_, T> {
             // Parent: clear the lowest set bit.
             let parent_v = vrank & (vrank - 1);
             let parent = (parent_v + root) % n;
-            *data = self.crecv(parent, tag)?;
+            *data = self.recv_with_overhead(parent, tag)?;
         }
         // Forward to children: set bits above the lowest set bit.
         let lowest = if vrank == 0 {
@@ -82,7 +65,7 @@ impl<T: Transport> Communicator<'_, T> {
         let mut k = 1;
         while k < lowest && vrank + k < n {
             let child = (vrank + k + root) % n;
-            self.csend(child, tag, data)?;
+            self.send_with_overhead(child, tag, data)?;
             k <<= 1;
         }
         Ok(())
@@ -91,36 +74,26 @@ impl<T: Transport> Communicator<'_, T> {
     /// Linear gather to `root`: returns `Some(per-rank buffers)` on the root
     /// (index = source rank, including the root's own contribution), `None`
     /// elsewhere.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected fault; fault-aware callers use
-    /// [`Communicator::try_gather`].
-    pub fn gather(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        self.try_gather(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::gather`].
     pub fn try_gather(
         &mut self,
         root: usize,
-        data: &[u8],
-    ) -> Result<Option<Vec<Vec<u8>>>, MpiError> {
+        data: &Payload,
+    ) -> Result<Option<Vec<Payload>>, MpiError> {
         let n = self.size();
         let me = self.rank();
         let tag = self.next_coll_tag(op::GATHER);
         if me == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-            out[me] = data.to_vec();
+            let mut out = vec![Payload::new(); n];
+            out[me] = data.clone();
             self.charge_pack(data.len());
             for (r, slot) in out.iter_mut().enumerate() {
                 if r != me {
-                    *slot = self.crecv(r, tag)?;
+                    *slot = self.recv_with_overhead(r, tag)?;
                 }
             }
             Ok(Some(out))
         } else {
-            self.csend(root, tag, data)?;
+            self.send_with_overhead(root, tag, data)?;
             Ok(None)
         }
     }
@@ -129,23 +102,13 @@ impl<T: Transport> Communicator<'_, T> {
     /// (`parts[r]` goes to rank `r`); every rank returns its part.
     ///
     /// # Panics
-    /// Panics if the root does not supply exactly `size()` parts, or a
-    /// non-root supplies parts, or on an unrecoverable injected fault
-    /// (fault-aware callers use [`Communicator::try_scatter`]).
-    pub fn scatter(&mut self, root: usize, parts: Option<&[Vec<u8>]>) -> Vec<u8> {
-        self.try_scatter(root, parts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::scatter`].
-    ///
-    /// # Panics
-    /// Still panics on caller errors (wrong number of parts).
+    /// Panics on caller errors: the root does not supply exactly `size()`
+    /// parts, or a non-root supplies parts.
     pub fn try_scatter(
         &mut self,
         root: usize,
-        parts: Option<&[Vec<u8>]>,
-    ) -> Result<Vec<u8>, MpiError> {
+        parts: Option<&[Payload]>,
+    ) -> Result<Payload, MpiError> {
         let n = self.size();
         let me = self.rank();
         let tag = self.next_coll_tag(op::SCATTER);
@@ -154,42 +117,33 @@ impl<T: Transport> Communicator<'_, T> {
             assert_eq!(parts.len(), n, "scatter needs one part per rank");
             for (r, part) in parts.iter().enumerate() {
                 if r != me {
-                    self.csend(r, tag, part)?;
+                    self.send_with_overhead(r, tag, part)?;
                 }
             }
             self.charge_pack(parts[me].len());
             Ok(parts[me].clone())
         } else {
             assert!(parts.is_none(), "non-root ranks supply no parts");
-            self.crecv(root, tag)
+            self.recv_with_overhead(root, tag)
         }
     }
 
     /// Ring allgather: every rank ends with all ranks' buffers, indexed by
     /// source rank.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected fault; fault-aware callers use
-    /// [`Communicator::try_allgather`].
-    pub fn allgather(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        self.try_allgather(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::allgather`].
-    pub fn try_allgather(&mut self, data: &[u8]) -> Result<Vec<Vec<u8>>, MpiError> {
+    pub fn try_allgather(&mut self, data: &Payload) -> Result<Vec<Payload>, MpiError> {
         let n = self.size();
         let me = self.rank();
         let tag = self.next_coll_tag(op::ALLGATHER);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = data.to_vec();
+        let mut out = vec![Payload::new(); n];
+        out[me] = data.clone();
         self.charge_pack(data.len());
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         // In round r we forward the buffer that originated r hops to the left.
-        let mut carry = data.to_vec();
+        let mut carry = data.clone();
         for r in 0..n.saturating_sub(1) {
-            self.csend(right, tag | ((r as u64) << 32), &carry)?;
-            carry = self.crecv(left, tag | ((r as u64) << 32))?;
+            self.send_with_overhead(right, tag | ((r as u64) << 32), &carry)?;
+            carry = self.recv_with_overhead(left, tag | ((r as u64) << 32))?;
             let origin = (me + n - (r + 1)) % n;
             out[origin] = carry.clone();
         }
@@ -200,15 +154,7 @@ impl<T: Transport> Communicator<'_, T> {
     /// `Some(result)` on the root.
     ///
     /// # Panics
-    /// Panics if ranks supply different lengths, or on an unrecoverable
-    /// injected fault (fault-aware callers use
-    /// [`Communicator::try_reduce_f32`]).
-    pub fn reduce_f32(&mut self, root: usize, data: &[f32], op_: ReduceOp) -> Option<Vec<f32>> {
-        self.try_reduce_f32(root, data, op_)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::reduce_f32`].
+    /// Panics if ranks supply different lengths.
     pub fn try_reduce_f32(
         &mut self,
         root: usize,
@@ -234,7 +180,7 @@ impl<T: Transport> Communicator<'_, T> {
         }
         for k in offsets.into_iter().rev() {
             let child = (vrank + k + root) % n;
-            let m = self.crecv(child, tag)?;
+            let m = self.recv_with_overhead(child, tag)?;
             let x = typed::bytes_to_f32(&m);
             assert_eq!(x.len(), acc.len(), "reduce length mismatch");
             op_.fold(&mut acc, &x);
@@ -244,27 +190,17 @@ impl<T: Transport> Communicator<'_, T> {
         } else {
             let parent_v = vrank & (vrank - 1);
             let parent = (parent_v + root) % n;
-            self.csend(parent, tag, &typed::f32_to_bytes(&acc))?;
+            self.send_with_overhead(parent, tag, &Payload::from_vec(typed::f32_to_bytes(&acc)))?;
             Ok(None)
         }
     }
 
     /// Allreduce = reduce to rank 0 + broadcast.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected fault; fault-aware callers use
-    /// [`Communicator::try_allreduce_f32`].
-    pub fn allreduce_f32(&mut self, data: &[f32], op_: ReduceOp) -> Vec<f32> {
-        self.try_allreduce_f32(data, op_)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-aware [`Communicator::allreduce_f32`].
     pub fn try_allreduce_f32(&mut self, data: &[f32], op_: ReduceOp) -> Result<Vec<f32>, MpiError> {
         let reduced = self.try_reduce_f32(0, data, op_)?;
         let mut buf = match reduced {
-            Some(v) => typed::f32_to_bytes(&v),
-            None => Vec::new(),
+            Some(v) => Payload::from_vec(typed::f32_to_bytes(&v)),
+            None => Payload::new(),
         };
         self.try_bcast(0, &mut buf)?;
         Ok(typed::bytes_to_f32(&buf))
@@ -275,7 +211,7 @@ impl<T: Transport> Communicator<'_, T> {
 mod tests {
     use crate::comm::{Communicator, MpiConfig, ReduceOp};
     use crate::typed;
-    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy};
+    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
 
     fn machine(n: usize) -> MachineSpec {
         MachineSpec::uniform(
@@ -305,8 +241,8 @@ mod tests {
     fn barrier_completes_all_sizes() {
         for n in [1usize, 2, 3, 4, 5, 8] {
             on_cluster(n, |c| {
-                c.barrier();
-                c.barrier();
+                c.try_barrier().expect("fault-free");
+                c.try_barrier().expect("fault-free");
             });
         }
     }
@@ -317,11 +253,11 @@ mod tests {
             for root in [0, n - 1, n / 2] {
                 let r = on_cluster(n, move |c| {
                     let mut data = if c.rank() == root {
-                        vec![7u8, 8, 9]
+                        Payload::from_vec(vec![7u8, 8, 9])
                     } else {
-                        Vec::new()
+                        Payload::new()
                     };
-                    c.bcast(root, &mut data);
+                    c.try_bcast(root, &mut data).expect("fault-free");
                     data
                 });
                 for (rank, d) in r.iter().enumerate() {
@@ -333,7 +269,10 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let r = on_cluster(4, |c| c.gather(2, &[c.rank() as u8; 2]));
+        let r = on_cluster(4, |c| {
+            c.try_gather(2, &Payload::from_vec(vec![c.rank() as u8; 2]))
+                .expect("fault-free")
+        });
         for (rank, res) in r.iter().enumerate() {
             if rank == 2 {
                 let got = res.as_ref().unwrap();
@@ -350,11 +289,14 @@ mod tests {
     fn scatter_distributes_parts() {
         let r = on_cluster(4, |c| {
             if c.rank() == 1 {
-                let parts: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 3]).collect();
-                c.scatter(1, Some(&parts))
+                let parts: Vec<Payload> = (0..4)
+                    .map(|i| Payload::from_vec(vec![i as u8; 3]))
+                    .collect();
+                c.try_scatter(1, Some(&parts))
             } else {
-                c.scatter(1, None)
+                c.try_scatter(1, None)
             }
+            .expect("fault-free")
         });
         for (rank, part) in r.iter().enumerate() {
             assert_eq!(part, &vec![rank as u8; 3]);
@@ -364,7 +306,10 @@ mod tests {
     #[test]
     fn allgather_everyone_sees_everything() {
         for n in [1usize, 2, 3, 5, 8] {
-            let r = on_cluster(n, |c| c.allgather(&[c.rank() as u8 + 10]));
+            let r = on_cluster(n, |c| {
+                c.try_allgather(&Payload::from_vec(vec![c.rank() as u8 + 10]))
+                    .expect("fault-free")
+            });
             for all in &r {
                 assert_eq!(all.len(), n);
                 for (src, buf) in all.iter().enumerate() {
@@ -378,7 +323,8 @@ mod tests {
     fn reduce_sum_and_max() {
         let r = on_cluster(5, |c| {
             let mine = vec![c.rank() as f32, 1.0];
-            c.reduce_f32(0, &mine, ReduceOp::Sum)
+            c.try_reduce_f32(0, &mine, ReduceOp::Sum)
+                .expect("fault-free")
         });
         assert_eq!(
             r[0].as_ref().unwrap(),
@@ -386,7 +332,8 @@ mod tests {
         );
         let r = on_cluster(5, |c| {
             let mine = vec![c.rank() as f32];
-            c.reduce_f32(3, &mine, ReduceOp::Max)
+            c.try_reduce_f32(3, &mine, ReduceOp::Max)
+                .expect("fault-free")
         });
         assert_eq!(r[3].as_ref().unwrap(), &vec![4.0]);
     }
@@ -394,7 +341,8 @@ mod tests {
     #[test]
     fn allreduce_matches_on_all_ranks() {
         let r = on_cluster(6, |c| {
-            c.allreduce_f32(&[c.rank() as f32, -(c.rank() as f32)], ReduceOp::Sum)
+            c.try_allreduce_f32(&[c.rank() as f32, -(c.rank() as f32)], ReduceOp::Sum)
+                .expect("fault-free")
         });
         for v in &r {
             assert_eq!(v, &vec![15.0, -15.0]);
@@ -412,9 +360,13 @@ mod tests {
         // Two different collectives back-to-back with the same participants:
         // the sequence-numbered tag space must keep them separate.
         let r = on_cluster(4, |c| {
-            let a = c.allgather(&[c.rank() as u8]);
-            c.barrier();
-            let b = c.allgather(&[(c.rank() * 2) as u8]);
+            let a = c
+                .try_allgather(&Payload::from_vec(vec![c.rank() as u8]))
+                .expect("fault-free");
+            c.try_barrier().expect("fault-free");
+            let b = c
+                .try_allgather(&Payload::from_vec(vec![(c.rank() * 2) as u8]))
+                .expect("fault-free");
             (a[3][0], b[3][0])
         });
         for v in &r {
@@ -426,7 +378,7 @@ mod tests {
 #[cfg(test)]
 mod variable_size_tests {
     use crate::comm::{Communicator, MpiConfig};
-    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy};
+    use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
 
     #[test]
     fn gather_and_scatter_handle_variable_sizes() {
@@ -449,19 +401,22 @@ mod variable_size_tests {
             let me = ctx.id();
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
             // Rank r contributes r+1 bytes.
-            let mine = vec![me as u8; me + 1];
-            let gathered = comm.gather(0, &mine);
+            let mine = Payload::from_vec(vec![me as u8; me + 1]);
+            let gathered = comm.try_gather(0, &mine).expect("fault-free");
             let parts = if me == 0 {
                 let parts = gathered.unwrap();
                 for (r, p) in parts.iter().enumerate() {
                     assert_eq!(p, &vec![r as u8; r + 1]);
                 }
                 // Scatter back doubled-size parts.
-                let doubled: Vec<Vec<u8>> = (0..4).map(|r| vec![r as u8; 2 * (r + 1)]).collect();
-                comm.scatter(0, Some(&doubled))
+                let doubled: Vec<Payload> = (0..4)
+                    .map(|r| Payload::from_vec(vec![r as u8; 2 * (r + 1)]))
+                    .collect();
+                comm.try_scatter(0, Some(&doubled))
             } else {
-                comm.scatter(0, None)
-            };
+                comm.try_scatter(0, None)
+            }
+            .expect("fault-free");
             assert_eq!(parts, vec![me as u8; 2 * (me + 1)]);
         });
     }

@@ -28,6 +28,45 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The one retry loop every sender above the fabric shares — the MPI
+/// layer's sends and the run-time's striping transfers alike: charges
+/// `config.send_overhead` once, then re-injects the identical payload after
+/// each drop, waiting out an exponential backoff (charged as lost time)
+/// between attempts. `on_retry` runs once per retry, after the retry is
+/// recorded in the rank's metrics and before its backoff is charged (the
+/// run-time traces the retry there).
+pub fn send_with_retry<T: Transport>(
+    t: &mut T,
+    config: &MpiConfig,
+    dst: usize,
+    tag: u64,
+    payload: &Payload,
+    mut on_retry: impl FnMut(&T),
+) -> Result<(), MpiError> {
+    t.advance(config.send_overhead);
+    let rp = config.retry;
+    let mut backoff = rp.backoff_secs;
+    for attempt in 0..=rp.max_retries {
+        if attempt > 0 {
+            t.note_retry();
+            on_retry(t);
+            t.advance_lost(backoff);
+            backoff *= rp.backoff_factor;
+        }
+        match t.try_send(dst, tag, payload) {
+            Ok(()) => return Ok(()),
+            Err(FabricError::TransferDropped { .. }) => continue,
+            Err(e) => return Err(MpiError::Fabric(e)),
+        }
+    }
+    Err(MpiError::RetriesExhausted {
+        src: t.rank() as u32,
+        dst: dst as u32,
+        tag,
+        attempts: rp.max_retries + 1,
+    })
+}
+
 /// Software-overhead characterization of an MPI implementation.
 ///
 /// Wire costs (bandwidth, latency, NIC serialization) are charged by the
@@ -73,8 +112,8 @@ impl MpiConfig {
     }
 }
 
-/// Reduction operators for [`Communicator::reduce_f32`] /
-/// [`Communicator::allreduce_f32`].
+/// Reduction operators for [`Communicator::try_reduce_f32`] /
+/// [`Communicator::try_allreduce_f32`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Element-wise sum.
@@ -103,13 +142,18 @@ const USER_TAG_BIT: u64 = 1 << 63;
 
 /// An MPI-like communicator bound to one rank of a communication backend.
 ///
+/// Every operation is fault-aware (`try_*`, returning [`MpiError`]) and
+/// moves [`Payload`] handles: what a rank sends is what its peer receives,
+/// the same allocation, exactly as the SAGE run-time hands buffers over.
+///
 /// Generic over the [`Transport`] backend: the default is the in-process
 /// threaded cluster ([`NodeCtx`]); `sage-net`'s `JobTransport` (and
 /// `TcpTransport`, its private-mesh form) plugs in the multi-process TCP
 /// backend with no changes to calling code.
 pub struct Communicator<'a, T: Transport = NodeCtx> {
     ctx: &'a mut T,
-    config: MpiConfig,
+    /// Swapped for the duration of a tuned collective.
+    pub(crate) config: MpiConfig,
     /// Collective sequence number; identical across ranks because SPMD
     /// programs issue collectives in the same order.
     coll_seq: u64,
@@ -145,100 +189,46 @@ impl<'a, T: Transport> Communicator<'a, T> {
         self.ctx
     }
 
-    /// Blocking send with a user tag.
-    ///
-    /// # Panics
-    /// Panics if an injected fault survives the retry policy; fault-aware
-    /// callers use [`Communicator::try_send`].
-    pub fn send(&mut self, dst: usize, tag: u32, payload: &[u8]) {
-        if let Err(e) = self.try_send(dst, tag, payload) {
-            panic!("{e}");
-        }
+    /// Send with a user tag: retries dropped transfers per the configured
+    /// [`RetryPolicy`], surfacing unrecoverable faults as [`MpiError`]. The
+    /// fabric keeps a handle on `payload`, never a copy.
+    pub fn try_send(&mut self, dst: usize, tag: u32, payload: &Payload) -> Result<(), MpiError> {
+        self.send_with_overhead(dst, USER_TAG_BIT | tag as u64, payload)
     }
 
-    /// Blocking receive of a matching user-tagged message.
-    ///
-    /// # Panics
-    /// Panics on timeout or an injected fault; fault-aware callers use
-    /// [`Communicator::try_recv`].
-    pub fn recv(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        match self.try_recv(src, tag) {
-            Ok(m) => m,
-            Err(MpiError::Fabric(FabricError::RecvTimeout { node, src, tag })) => {
-                panic!("node {node} timed out waiting for (src={src}, tag={tag})")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Simultaneous exchange with a peer.
-    pub fn sendrecv(&mut self, peer: usize, tag: u32, payload: &[u8]) -> Vec<u8> {
-        self.send(peer, tag, payload);
-        self.recv(peer, tag)
-    }
-
-    /// Fault-aware send: retries dropped transfers per the configured
-    /// [`RetryPolicy`], surfacing unrecoverable faults as [`MpiError`].
-    pub fn try_send(&mut self, dst: usize, tag: u32, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_with_retry(dst, USER_TAG_BIT | tag as u64, payload)
-    }
-
-    /// Fault-aware receive.
-    pub fn try_recv(&mut self, src: usize, tag: u32) -> Result<Vec<u8>, MpiError> {
+    /// Receive of a matching user-tagged message: the sender's buffer,
+    /// shared.
+    pub fn try_recv(&mut self, src: usize, tag: u32) -> Result<Payload, MpiError> {
         self.recv_with_overhead(src, USER_TAG_BIT | tag as u64)
     }
 
-    /// Fault-aware [`Communicator::sendrecv`].
+    /// Simultaneous exchange with a peer.
     pub fn try_sendrecv(
         &mut self,
         peer: usize,
         tag: u32,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, MpiError> {
+        payload: &Payload,
+    ) -> Result<Payload, MpiError> {
         self.try_send(peer, tag, payload)?;
         self.try_recv(peer, tag)
     }
 
-    /// The retry core every MPI send funnels through: charges the send
-    /// overhead once, then re-injects the identical payload after each
-    /// drop, waiting out an exponential backoff (charged as lost time)
-    /// between attempts.
-    pub(crate) fn send_with_retry(
+    /// What every MPI send (user or collective tag space) funnels through:
+    /// [`send_with_retry`] under this communicator's configuration.
+    pub(crate) fn send_with_overhead(
         &mut self,
         dst: usize,
         tag: u64,
-        payload: &[u8],
+        payload: &Payload,
     ) -> Result<(), MpiError> {
-        // One Payload conversion up front; retries resend the same handle.
-        let payload = Payload::from(payload);
-        self.ctx.advance(self.config.send_overhead);
-        let rp = self.config.retry;
-        let mut backoff = rp.backoff_secs;
-        for attempt in 0..=rp.max_retries {
-            if attempt > 0 {
-                self.ctx.note_retry();
-                self.ctx.advance_lost(backoff);
-                backoff *= rp.backoff_factor;
-            }
-            match self.ctx.try_send(dst, tag, &payload) {
-                Ok(()) => return Ok(()),
-                Err(FabricError::TransferDropped { .. }) => continue,
-                Err(e) => return Err(MpiError::Fabric(e)),
-            }
-        }
-        Err(MpiError::RetriesExhausted {
-            src: self.rank() as u32,
-            dst: dst as u32,
-            tag,
-            attempts: rp.max_retries + 1,
-        })
+        send_with_retry(self.ctx, &self.config, dst, tag, payload, |_| {})
     }
 
-    /// Fault-aware receive with the software overhead charged on success.
-    pub(crate) fn recv_with_overhead(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, MpiError> {
+    /// Receive with the software overhead charged on success.
+    pub(crate) fn recv_with_overhead(&mut self, src: usize, tag: u64) -> Result<Payload, MpiError> {
         let m = self.ctx.try_recv(src, tag)?;
         self.ctx.advance(self.config.recv_overhead);
-        Ok(m.into_vec())
+        Ok(m)
     }
 
     /// Charges a local packing/unpacking copy if this implementation is not
@@ -249,27 +239,11 @@ impl<'a, T: Transport> Communicator<'a, T> {
         }
     }
 
-    /// Swaps the configuration (used by the tuned collective paths).
-    pub(crate) fn replace_config(&mut self, cfg: MpiConfig) {
-        self.config = cfg;
-    }
-
     /// Allocates a fresh tag for the next collective; all ranks see the same
     /// sequence.
     pub(crate) fn next_coll_tag(&mut self, op: u64) -> u64 {
         self.coll_seq += 1;
         (self.coll_seq << 8) | op
-    }
-
-    /// Internal send/recv used by collectives (collective tag space, with
-    /// software overheads and the retry policy applied).
-    pub(crate) fn csend(&mut self, dst: usize, tag: u64, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_with_retry(dst, tag, payload)
-    }
-
-    /// See [`Communicator::csend`].
-    pub(crate) fn crecv(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, MpiError> {
-        self.recv_with_overhead(src, tag)
     }
 }
 
@@ -299,15 +273,15 @@ mod tests {
         let (r, _) = cluster.run(|ctx| {
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
             if comm.rank() == 0 {
-                comm.send(1, 9, b"hello");
-                comm.recv(1, 10)
+                comm.try_send(1, 9, &Payload::from(b"hello"))?;
+                comm.try_recv(1, 10)
             } else {
-                let m = comm.recv(0, 9);
-                comm.send(0, 10, &m);
-                m
+                let m = comm.try_recv(0, 9)?;
+                comm.try_send(0, 10, &m)?;
+                Ok(m)
             }
         });
-        assert_eq!(r[0], b"hello");
+        assert_eq!(r[0], Ok(Payload::from(b"hello")));
     }
 
     #[test]
@@ -317,9 +291,9 @@ mod tests {
             let (_, report) = cluster.run(|ctx| {
                 let mut comm = Communicator::new(ctx, cfg);
                 if comm.rank() == 0 {
-                    comm.send(1, 0, &[0u8; 64]);
+                    comm.try_send(1, 0, &Payload::zeroed(64)).expect("send");
                 } else {
-                    comm.recv(0, 0);
+                    comm.try_recv(0, 0).expect("recv");
                 }
             });
             report.makespan
@@ -338,7 +312,7 @@ mod tests {
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
             if comm.rank() == 0 {
                 for i in 0..20u32 {
-                    comm.try_send(1, i, &[i as u8; 256])
+                    comm.try_send(1, i, &Payload::from_vec(vec![i as u8; 256]))
                         .expect("retry covers drops");
                 }
                 Vec::new()
@@ -367,7 +341,7 @@ mod tests {
         let (r, _) = cluster.run(|ctx| {
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
             if comm.rank() == 0 {
-                Some(comm.try_send(1, 0, b"doomed"))
+                Some(comm.try_send(1, 0, &Payload::from(b"doomed")))
             } else {
                 None // receiving would dead-end; sender gives up first
             }

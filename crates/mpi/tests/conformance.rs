@@ -7,7 +7,7 @@
 //! `f32`, so sum order cannot change the result).
 
 use proptest::prelude::*;
-use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, TimePolicy};
+use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
 use sage_mpi::{Communicator, MpiConfig, ReduceOp};
 
 fn machine(n: usize) -> MachineSpec {
@@ -44,10 +44,11 @@ fn configs() -> impl Strategy<Value = MpiConfig> {
 
 /// The block rank `src` sends to rank `dst`: deterministic bytes every rank
 /// (and the reference) can regenerate independently.
-fn block(seed: u64, src: usize, dst: usize, len: usize) -> Vec<u8> {
+fn block(seed: u64, src: usize, dst: usize, len: usize) -> Payload {
     (0..len)
         .map(|i| (seed as usize ^ (src * 7919) ^ (dst * 104729) ^ (i * 131)) as u8)
-        .collect()
+        .collect::<Vec<u8>>()
+        .into()
 }
 
 /// Rank `rank`'s reduction operand: integer-valued f32s, exact under any
@@ -78,13 +79,14 @@ proptest! {
         tuned in prop_oneof![Just(false), Just(true)],
     ) {
         let out = on_cluster(n, config, |c| {
-            let blocks: Vec<Vec<u8>> =
+            let blocks: Vec<Payload> =
                 (0..n).map(|dst| block(seed, c.rank(), dst, len)).collect();
             if tuned {
-                c.alltoall_tuned(&blocks)
+                c.try_alltoall_tuned(&blocks)
             } else {
-                c.alltoall(&blocks)
+                c.try_alltoall(&blocks)
             }
+            .expect("fault-free")
         });
         for (i, recv) in out.iter().enumerate() {
             prop_assert_eq!(recv.len(), n);
@@ -108,9 +110,9 @@ proptest! {
         config in configs(),
     ) {
         let out = on_cluster(n, config, |c| {
-            let blocks: Vec<Vec<u8>> =
+            let blocks: Vec<Payload> =
                 (0..n).map(|dst| block(seed, c.rank(), dst, len)).collect();
-            c.alltoall_bruck(&blocks)
+            c.try_alltoall_bruck(&blocks).expect("fault-free")
         });
         for (i, recv) in out.iter().enumerate() {
             for (j, buf) in recv.iter().enumerate() {
@@ -136,7 +138,8 @@ proptest! {
             op.fold(&mut expect, &operand(seed, r, len));
         }
         let out = on_cluster(n, config, |c| {
-            c.reduce_f32(root, &operand(seed, c.rank(), len), op)
+            c.try_reduce_f32(root, &operand(seed, c.rank(), len), op)
+                .expect("fault-free")
         });
         for (rank, res) in out.iter().enumerate() {
             if rank == root {
@@ -161,7 +164,8 @@ proptest! {
             op.fold(&mut expect, &operand(seed, r, len));
         }
         let out = on_cluster(n, config, |c| {
-            c.allreduce_f32(&operand(seed, c.rank(), len), op)
+            c.try_allreduce_f32(&operand(seed, c.rank(), len), op)
+                .expect("fault-free")
         });
         for (rank, res) in out.iter().enumerate() {
             prop_assert_eq!(res, &expect, "rank {} (n={})", rank, n);

@@ -22,16 +22,28 @@ pub mod rngs {
     impl StdRng {
         /// Advances the stream and returns 64 fresh bits.
         pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let out = crate::splitmix64(self.state);
+            self.state = self.state.wrapping_add(crate::GAMMA);
+            out
         }
     }
 }
 
 use rngs::StdRng;
+
+/// The SplitMix64 stream increment (the 64-bit golden ratio).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One round of SplitMix64: a statistically solid 64-bit mixer. Besides
+/// driving [`StdRng`], it is the hash every seeded-but-stateless decision
+/// in the workspace flows through (fault-plan drops, workload samples,
+/// fuzz seed derivation).
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Construction of seedable generators (mirrors `rand::SeedableRng`).
 pub trait SeedableRng: Sized {

@@ -41,6 +41,7 @@ use crate::race::{fnv1a_64, Intervals, PortAccess, RaceState};
 use crate::report::{Execution, RankReport};
 use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
 use sage_fabric::{Cluster, FabricError, MachineSpec, Payload, TimePolicy, Transport, Work};
+use sage_mpi::{send_with_retry, MpiError};
 use sage_visualizer::{Collector, Probe};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1174,7 +1175,7 @@ impl<T: Transport> RankState<'_, T> {
                     if let Some(race) = self.race {
                         race.stamp_send(node, tag);
                     }
-                    self.send_with_retry(e.peer_node, tag, &msg, bid, iter)?;
+                    self.send(e.peer_node, tag, &msg, bid, iter)?;
                 }
             }
         }
@@ -1202,7 +1203,7 @@ impl<T: Transport> RankState<'_, T> {
                 self.local_credits[e.pair as usize] += 1;
             } else {
                 let pair = (e.buffer, e.peer_thread, task.thread);
-                self.send_with_retry(
+                self.send(
                     e.peer_node,
                     credit_tag(pair),
                     &Payload::zeroed(0),
@@ -1223,10 +1224,10 @@ impl<T: Transport> RankState<'_, T> {
         })
     }
 
-    /// Sends one message, retrying dropped transfers per the MPI retry
-    /// policy (backoff charged as lost time, each retry recorded in the
-    /// node metrics and trace).
-    fn send_with_retry(
+    /// Sends one message through the retry loop the MPI layer shares
+    /// (backoff charged as lost time, each retry recorded in the node
+    /// metrics and trace).
+    fn send(
         &mut self,
         dst: u32,
         tag: u64,
@@ -1234,27 +1235,17 @@ impl<T: Transport> RankState<'_, T> {
         bid: u32,
         iter: u32,
     ) -> Result<(), RuntimeError> {
-        let mpi = &self.options.mpi;
-        self.ctx.advance(mpi.send_overhead);
-        let rp = mpi.retry;
-        let mut backoff = rp.backoff_secs;
-        for attempt in 0..=rp.max_retries {
-            if attempt > 0 {
-                self.ctx.note_retry();
-                self.probe.xfer_retry(self.ctx.now(), bid, iter);
-                self.ctx.advance_lost(backoff);
-                backoff *= rp.backoff_factor;
-            }
-            match self.ctx.try_send(dst as usize, tag, payload) {
-                Ok(()) => return Ok(()),
-                Err(FabricError::TransferDropped { .. }) => continue,
-                Err(e) => return Err(fabric_to_runtime(e)),
-            }
-        }
-        Err(RuntimeError::TransferFailed {
-            node: self.node,
-            peer: dst,
-            attempts: rp.max_retries + 1,
+        let (probe, node, mpi) = (self.probe, self.node, &self.options.mpi);
+        send_with_retry(self.ctx, mpi, dst as usize, tag, payload, |t| {
+            probe.xfer_retry(t.now(), bid, iter)
+        })
+        .map_err(|e| match e {
+            MpiError::Fabric(e) => fabric_to_runtime(e),
+            MpiError::RetriesExhausted { attempts, .. } => RuntimeError::TransferFailed {
+                node,
+                peer: dst,
+                attempts,
+            },
         })
     }
 }

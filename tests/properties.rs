@@ -161,7 +161,7 @@ proptest! {
 
     #[test]
     fn alltoall_is_a_transpose_for_any_size(n in 1usize..7, payload in 1usize..64) {
-        use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec};
+        use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload};
         use sage::mpi::{Communicator, MpiConfig};
         let machine = MachineSpec::uniform(
             "p",
@@ -174,10 +174,10 @@ proptest! {
             let me = ctx.id();
             let n = ctx.nodes();
             let mut comm = Communicator::new(ctx, MpiConfig::generic());
-            let blocks: Vec<Vec<u8>> = (0..n)
-                .map(|d| vec![(me * 31 + d) as u8; payload])
+            let blocks: Vec<Payload> = (0..n)
+                .map(|d| Payload::from_vec(vec![(me * 31 + d) as u8; payload]))
                 .collect();
-            let out = comm.alltoall(&blocks);
+            let out = comm.try_alltoall(&blocks).expect("fault-free");
             for (src, b) in out.iter().enumerate() {
                 assert_eq!(b, &vec![(src * 31 + me) as u8; payload]);
             }
@@ -190,7 +190,7 @@ proptest! {
 
     #[test]
     fn bcast_gather_scatter_round_trip(n in 1usize..8, root_pick in 0usize..8, len in 0usize..32) {
-        use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec};
+        use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload};
         use sage::mpi::{Communicator, MpiConfig};
         let root = root_pick % n;
         let machine = MachineSpec::uniform(
@@ -205,19 +205,20 @@ proptest! {
             let n = ctx.nodes();
             let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
             // bcast: root's payload reaches everyone.
-            let mut data = if me == root { vec![9u8; len] } else { Vec::new() };
-            comm.bcast(root, &mut data);
+            let mut data = if me == root { Payload::from_vec(vec![9u8; len]) } else { Payload::new() };
+            comm.try_bcast(root, &mut data).expect("fault-free");
             assert_eq!(data, vec![9u8; len]);
             // gather -> scatter is the identity on per-rank payloads.
-            let mine = vec![me as u8; len + 1];
-            let gathered = comm.gather(root, &mine);
+            let mine = Payload::from_vec(vec![me as u8; len + 1]);
+            let gathered = comm.try_gather(root, &mine).expect("fault-free");
             let back = if me == root {
                 let parts = gathered.unwrap();
                 assert_eq!(parts.len(), n);
-                comm.scatter(root, Some(&parts))
+                comm.try_scatter(root, Some(&parts))
             } else {
-                comm.scatter(root, None)
-            };
+                comm.try_scatter(root, None)
+            }
+            .expect("fault-free");
             assert_eq!(back, mine);
         });
     }

@@ -177,7 +177,7 @@ fn atot_ga_prefers_fast_nodes_on_heterogeneous_machines() {
 
 #[test]
 fn virtual_execution_reflects_heterogeneous_speed() {
-    use sage::fabric::{Cluster, Work};
+    use sage::fabric::{Cluster, Transport, Work};
     let m = MachineSpec::from_hardware(&hetero_hw());
     let cluster = Cluster::new(m, TimePolicy::Virtual);
     let (_, report) = cluster.run(|ctx| {
