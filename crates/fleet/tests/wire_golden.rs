@@ -4,17 +4,22 @@
 //! regenerated from `wire_v6.hex` (itself generated on the tree *before* the
 //! layouts became one-line declarations) when v7 added `RankReport::stream`
 //! — only the lines carrying a report or a protocol version moved — and
-//! must not change while `PROTO_VERSION` and `wire::VERSION` stay put: a
-//! failure here means an edit changed bytes on the wire. To do that on
-//! purpose, follow the recipe in `sage_net::codec`'s module docs; the
-//! regeneration step is `UPDATE_GOLDEN=1 cargo test -p sage-fleet --test
-//! wire_golden`.
+//! again when `wire::VERSION` 3 changed the frame checksum — only the two
+//! `frame_*` lines moved. It must not change while `PROTO_VERSION` and
+//! `wire::VERSION` stay put: a failure here means an edit changed bytes on
+//! the wire. To do that on purpose, follow the recipe in
+//! `sage_net::codec`'s module docs; the regeneration step is
+//! `UPDATE_GOLDEN=1 cargo test -p sage-fleet --test wire_golden`.
 //!
 //! `fixtures/submit_retired.hex` holds the `Submit` payload of every retired
 //! protocol revision, as that revision's own client encoded it. Those lines
 //! are kept forever: an old client must always draw a typed version
 //! mismatch, never a parse error from somewhere inside a layout it never
 //! spoke.
+//!
+//! `fixtures/frame_retired.hex` does the same for the frame header: the
+//! golden frames as each retired `wire::VERSION` laid them out (`vN_name`),
+//! which every reading door must refuse by version.
 
 use sage_fabric::{LinkMetrics, NodeMetrics};
 use sage_fleet::proto::{read_fleet, send_fleet};
@@ -23,9 +28,10 @@ use sage_fleet::{
     SubmitSpec, TenantStats,
 };
 use sage_net::wire::{try_write_control, write_parts, TryWrite, HEADER_LEN};
-use sage_net::{Frame, FrameKind, NetError, RejectReason, PROTO_VERSION};
+use sage_net::{Frame, FrameKind, NetError, RejectReason, WireError, PROTO_VERSION};
 use sage_runtime::{RankReport, RuntimeError, StreamStats};
 use sage_visualizer::{EventKind, ProbeEvent};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
 /// One thing that crosses the wire, with the codec entry points it uses.
@@ -388,6 +394,32 @@ fn every_frame_writer_and_reader_agrees_with_the_golden_header() {
             assert_eq!(out, bytes, "{name}: try_write_control");
             assert_eq!(bytes.len(), HEADER_LEN);
         }
+    }
+}
+
+/// A frame from a retired wire version is refused *by version* at every
+/// reading door — not by a checksum its speaker computed differently, and
+/// not after waiting for a payload: the header alone draws the verdict.
+#[test]
+fn frame_from_a_retired_wire_version_is_refused_by_version() {
+    for (name, bytes) in read_fixture("frame_retired.hex") {
+        let version = name[1..].split('_').next().and_then(|v| v.parse().ok());
+        let refused = WireError::BadVersion(version.expect("a `vN_name` line"));
+        assert_eq!(Frame::decode(&bytes).unwrap_err(), refused, "{name}");
+        let read = Frame::read_from(&mut &bytes[..]).unwrap_err();
+        assert_eq!(read, refused, "{name}");
+        let fleet = read_fleet(&mut &bytes[..]).unwrap_err();
+        assert_eq!(fleet, NetError::Wire(refused.clone()), "{name}");
+
+        // Over a socket that stays open with the payload withheld.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let old = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        (&old).write_all(&bytes[..HEADER_LEN]).expect("send header");
+        let patience = std::time::Duration::from_secs(10);
+        conn.set_read_timeout(Some(patience)).expect("timeout");
+        let fleet = read_fleet(&mut &conn).unwrap_err();
+        assert_eq!(fleet, NetError::Wire(refused), "{name}: on a socket");
     }
 }
 

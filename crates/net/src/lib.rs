@@ -13,13 +13,14 @@
 //!
 //! * [`wire`] — the framed wire protocol: 44-byte header (magic, version,
 //!   kind, tag, src/dst rank, **job namespace**, sequence number, length)
-//!   plus an FNV-1a-32 whole-frame checksum; every decode failure is a
-//!   typed [`WireError`].
+//!   plus a word-lane whole-frame checksum, and the one frame assembler
+//!   that collects a frame from any reader with its payload in place;
+//!   every decode failure is a typed [`WireError`].
 //! * [`codec`] — the control-plane schema language: the [`codec::Wire`]
 //!   trait and the `wire_struct!` / `wire_enum!` declarators that derive a
 //!   record's encoder and decoder from one field list (shared with
 //!   `sage-fleet`); its docs give the recipe for changing a layout.
-//! * `mesh` — the endpoint as a sans-I/O state machine: frame reassembly,
+//! * `mesh` — the endpoint as a sans-I/O state machine: per-link
 //!   sequence checks, the `(job, src, tag)` mailbox, heartbeat liveness (a
 //!   silent peer is declared dead after `max_retries + 2` missed beats) —
 //!   bytes and the time in, deliveries and verdicts out.

@@ -1,20 +1,20 @@
 //! The mesh endpoint as a sans-I/O state machine.
 //!
-//! Everything an endpoint *decides* lives here: per-peer frame reassembly,
-//! the per-link sequence and job-0 source checks, the `(job, src, tag)`
-//! mailbox, job retirement, liveness and staleness verdicts, and when the
-//! next heartbeat is due. Its inputs are bytes, end-of-stream and the time
-//! — always an argument, never read — and its outputs are mailbox
-//! deliveries and peer-dead / peer-done verdicts. Nothing in this module
-//! opens a socket, reads a clock or starts a thread:
-//! [`transport`](crate::transport) owns those and turns them into the
-//! events below, so every rule here is testable with hand-made bytes and
-//! hand-made instants.
+//! Everything an endpoint *decides* lives here: the per-link sequence and
+//! job-0 source checks on each frame the [`wire`](crate::wire) assembler
+//! completes, the `(job, src, tag)` mailbox, job retirement, liveness and
+//! staleness verdicts, and when the next heartbeat is due. Its inputs are a
+//! readable byte stream, its end and the time — always an argument, never
+//! read — and its outputs are mailbox deliveries and peer-dead / peer-done
+//! verdicts. Nothing in this module opens a socket, reads a clock or starts
+//! a thread: [`transport`](crate::transport) owns those and turns them into
+//! the events below, so every rule here is testable with hand-made bytes
+//! and hand-made instants.
 //!
 //! | event | entry point | effect |
 //! |---|---|---|
-//! | bytes from a peer | [`PeerInput::on_bytes`] | `last_seen` refreshed; each completed frame delivered (`Data` queued, `JobDone` recorded, `Goodbye` → done); replay, wrong source, garbage → dead |
-//! | EOF / read error | [`PeerInput::on_closed`] | peer dead |
+//! | a peer's stream is readable | [`PeerInput::on_readable`] | `last_seen` refreshed; each completed frame delivered (`Data` queued, `JobDone` recorded, `Goodbye` → done); EOF, read error, replay, wrong source, garbage → dead |
+//! | the driver cannot read any more | [`PeerInput::on_closed`] | peer dead |
 //! | a local send failed | [`Mailbox::mark_dead`] | peer dead |
 //! | self-send | [`MeshState::enqueue`] | queued |
 //! | a receiver asks at `now` | [`MeshState::take`] | payload, or pending / gone / stale (→ dead) |
@@ -22,16 +22,17 @@
 //! | the I/O thread wakes at `now` | [`Beats::due`], [`Beats::until_due`] | beat now, or how long to block |
 //!
 //! The state has two halves because two kinds of thread touch it. A
-//! [`PeerInput`] (reassembly buffer, last sequence number) belongs to
+//! [`PeerInput`] (the frame in flight, last sequence number) belongs to
 //! whoever reads that peer; the [`Mailbox`] is shared with every receiver
 //! and is locked per delivery, never across a frame decode — checksumming
 //! a large payload must not stall senders and receivers on the endpoint.
 //! A delivery notifies the mailbox condvar itself, so a blocked receiver
 //! wakes on the frame, not on a timer.
 
-use crate::wire::{Frame, FrameKind, WireError};
+use crate::wire::{Assembler, Frame, FrameKind, HEADER_LEN};
 use sage_fabric::Payload;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -236,22 +237,27 @@ impl Mailbox {
     }
 }
 
-/// The per-link half of the state machine: the bytes of one peer's stream
-/// that do not yet make a frame, and the last sequence number it used.
+/// The per-link half of the state machine: the frame currently arriving on
+/// one peer's stream, and the last sequence number that peer used.
 pub(crate) struct PeerInput {
     peer: usize,
-    /// Incremental reassembly buffer: bytes read but not yet framed.
-    buf: Vec<u8>,
+    assembler: Assembler,
     last_seq: Option<u64>,
     open: bool,
 }
+
+/// How many bytes of completed frames one readiness event may deliver
+/// before the reader returns to its caller: a peer that never lets its
+/// socket run dry must not starve the other links of the one I/O thread. A
+/// frame in progress is always read as far as the stream allows.
+const PASS_BYTES: usize = 64 * 1024;
 
 impl PeerInput {
     /// The input half of the link to mesh index `peer`, nothing read yet.
     pub(crate) fn new(peer: usize) -> PeerInput {
         PeerInput {
             peer,
-            buf: Vec::new(),
+            assembler: Assembler::new(),
             last_seq: None,
             open: true,
         }
@@ -263,30 +269,28 @@ impl PeerInput {
         self.open
     }
 
-    /// Event: `bytes` arrived from the peer at `now`.
-    pub(crate) fn on_bytes(&mut self, bytes: &[u8], now: Instant, mailbox: &Mailbox) {
-        // Any bytes at all prove the peer's process and link are alive: a
-        // peer midway through a large frame (or trickling one through a
-        // congested path) must not be declared stale while its bytes are
-        // still arriving, even if no *complete* frame lands within the
-        // staleness window.
+    /// Event: the peer's stream `r` is readable at `now`. Reads frames off
+    /// it — each payload straight into the allocation its receiver will own
+    /// — until `r` would block, the link ends, or a pass's worth is delivered.
+    pub(crate) fn on_readable<R: Read>(&mut self, r: &mut R, now: Instant, mailbox: &Mailbox) {
+        // Readable means bytes have arrived (or the stream ended, which
+        // closes the link below), and any bytes at all prove the peer alive:
+        // one midway through a large frame (or trickling it through a
+        // congested path) must not go stale while its bytes still arrive,
+        // even if no *complete* frame lands within the staleness window.
         mailbox.lock().peers[self.peer].last_seen = now;
-        self.buf.extend_from_slice(bytes);
-        let mut consumed = 0;
-        while self.open {
-            match Frame::decode(&self.buf[consumed..]) {
-                Ok((frame, used)) => {
-                    consumed += used;
+        let mut delivered = 0;
+        while self.open && delivered < PASS_BYTES {
+            match self.assembler.pull(r) {
+                Ok(Some(frame)) => {
+                    delivered += HEADER_LEN + frame.payload.len();
                     self.open = self.on_frame(frame, now, mailbox);
                 }
-                Err(WireError::Truncated) => break,
-                // Garbage on the wire: the link is corrupt — same remedy
-                // as a crash.
+                Ok(None) => break,
+                // End of stream without a goodbye, a read error, garbage on
+                // the wire: crashed or corrupt, the remedy is the same.
                 Err(_) => self.on_closed(mailbox),
             }
-        }
-        if consumed > 0 {
-            self.buf.drain(..consumed);
         }
     }
 
@@ -355,7 +359,8 @@ impl Beats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::write_parts;
+    use crate::wire::{write_parts, MAX_PAYLOAD};
+    use proptest::prelude::*;
 
     const STALE: Duration = Duration::from_secs(2);
     const MS: Duration = Duration::from_millis(1);
@@ -374,6 +379,30 @@ mod tests {
 
     fn take(mailbox: &Mailbox, key: (u32, u32, u64), now: Instant) -> Take {
         mailbox.lock().take(key, Some(1), now, STALE)
+    }
+
+    /// Bytes as a nonblocking socket presents them: what has arrived, then
+    /// `WouldBlock` — never end-of-stream.
+    struct Arrived<'a>(&'a [u8]);
+
+    impl Read for Arrived<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.0.read(buf)
+        }
+    }
+
+    impl PeerInput {
+        /// Event: exactly `bytes` arrived from the peer at `now` (as many
+        /// readiness passes as it takes to hand them all over).
+        pub(crate) fn on_bytes(&mut self, bytes: &[u8], now: Instant, mailbox: &Mailbox) {
+            let mut arrived = Arrived(bytes);
+            while self.is_open() && !arrived.0.is_empty() {
+                self.on_readable(&mut arrived, now, mailbox);
+            }
+        }
     }
 
     #[test]
@@ -479,6 +508,117 @@ mod tests {
                 assert_eq!(&p[..], b"payload", "byte {at}: delivered damaged");
             }
         }
+    }
+
+    /// Three frames back to back: a payload longer than a pass's budget, a
+    /// control frame, and a data frame with an empty payload.
+    fn three_frames() -> Vec<u8> {
+        let big: Vec<u8> = (0..PASS_BYTES + 777).map(|i| (i % 251) as u8).collect();
+        let mut stream = frame(FrameKind::Data, 0, 1, 9, 1, &big);
+        stream.extend(frame(FrameKind::JobDone, 3, 1, 0, 2, &[]));
+        stream.extend(frame(FrameKind::Data, 0, 1, 4, 3, &[]));
+        stream
+    }
+
+    /// Feeds `pieces` to a fresh endpoint a millisecond apart, checking
+    /// that each one — whole frames or not — refreshes the peer's liveness.
+    fn feed<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> (Mailbox, PeerInput) {
+        let t0 = Instant::now();
+        let (mailbox, mut input) = endpoint(t0);
+        let arriving = pieces.into_iter().filter(|piece| !piece.is_empty());
+        for (i, piece) in arriving.enumerate() {
+            let now = t0 + (i as u32 + 1) * MS;
+            input.on_bytes(piece, now, &mailbox);
+            assert_eq!(mailbox.lock().peers[1].last_seen, now, "piece {i}");
+        }
+        (mailbox, input)
+    }
+
+    /// Everything a feed leaves behind is what `whole` left behind.
+    fn assert_same_outcome(got: &(Mailbox, PeerInput), whole: &(Mailbox, PeerInput), how: &str) {
+        let (a, b) = (got.0.lock(), whole.0.lock());
+        assert!(a.queues == b.queues, "{how}: mailbox contents differ");
+        assert_eq!(a.job_done, b.job_done, "{how}");
+        assert_eq!(a.alive(1), b.alive(1), "{how}");
+        assert_eq!(got.1.last_seq, whole.1.last_seq, "{how}");
+        assert_eq!(got.1.is_open(), whole.1.is_open(), "{how}");
+    }
+
+    #[test]
+    fn a_stream_cut_at_every_byte_boundary_delivers_what_the_whole_stream_delivers() {
+        let stream = three_frames();
+        let whole = feed([&stream[..]]);
+        {
+            let m = whole.0.lock();
+            assert_eq!(m.queues.len(), 2);
+            assert_eq!(m.queues[&(0, 1, 9)][0].len(), PASS_BYTES + 777);
+            assert!(m.queues[&(0, 1, 4)][0].is_empty());
+            assert!(m.job_done.contains(&(3, 1)));
+        }
+        assert_eq!(whole.1.last_seq, Some(3));
+        assert!(whole.1.is_open());
+        // Phase `p` cuts at every boundary ≡ `p` (mod `COMB`): over all the
+        // phases each byte boundary of the stream is a cut exactly once,
+        // with a few KiB arriving whole on either side of it.
+        const COMB: usize = 4099;
+        for phase in 0..COMB {
+            let cuts: Vec<usize> = (phase..stream.len()).step_by(COMB).collect();
+            let starts = std::iter::once(0).chain(cuts.iter().copied());
+            let ends = cuts.iter().copied().chain([stream.len()]);
+            let pieces = starts.zip(ends).map(|(from, to)| &stream[from..to]);
+            assert_same_outcome(&feed(pieces), &whole, &format!("cuts at {cuts:?}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any number of pieces of any sizes, runs of single bytes included.
+        #[test]
+        fn a_stream_dribbled_in_random_pieces_delivers_what_the_whole_stream_delivers(
+            sizes in proptest::collection::vec(
+                prop_oneof![Just(1usize), 1usize..100, 1usize..40_000],
+                1..24,
+            ),
+        ) {
+            let stream = three_frames();
+            let mut rest = &stream[..];
+            let mut pieces = Vec::new();
+            for size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, after) = rest.split_at((*size).min(rest.len()));
+                pieces.push(piece);
+                rest = after;
+            }
+            assert_same_outcome(&feed(pieces), &feed([&stream[..]]), &format!("{sizes:?}"));
+        }
+    }
+
+    #[test]
+    fn a_header_announcing_the_largest_payload_reserves_little_until_bytes_arrive() {
+        let mut header = frame(FrameKind::Data, 0, 1, 9, 1, &[]);
+        header[36..40].copy_from_slice(&MAX_PAYLOAD.to_be_bytes());
+        let t0 = Instant::now();
+        let (mailbox, mut input) = endpoint(t0);
+        input.on_bytes(&header, t0, &mailbox);
+        input.on_bytes(&[0x5A; 100], t0, &mailbox);
+        assert!(
+            input.is_open(),
+            "a legal length: the link waits for the rest"
+        );
+        let held = input.assembler.reserved();
+        assert!(held < 2 << 20, "{held} bytes reserved on a header's say-so");
+        // Silence from here on is the staleness window's case.
+        assert!(matches!(
+            take(&mailbox, (0, 1, 9), t0 + STALE),
+            Take::Pending
+        ));
+        assert!(matches!(
+            take(&mailbox, (0, 1, 9), t0 + STALE + MS),
+            Take::Stale
+        ));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::wire::{try_write_control, write_parts, Frame, FrameKind, TryWrite};
 use sage_fabric::{FabricError, LinkMetrics, NodeMetrics, Payload, Transport};
 use sage_mpi::RetryPolicy;
 use sage_visualizer::Probe;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -532,9 +532,6 @@ struct PeerRead {
     input: PeerInput,
 }
 
-/// How much to read per readable socket per pass.
-const READ_CHUNK: usize = 64 * 1024;
-
 /// The one I/O thread: blocks until a peer socket is readable, a heartbeat
 /// is due or the stop byte arrives; reads what is ready and hands it, with
 /// the time, to the state machine.
@@ -553,9 +550,6 @@ struct IoThread {
 
 impl IoThread {
     fn run(mut self) {
-        // Reads land here and only the bytes read are appended to a peer's
-        // reassembly buffer: nothing is zero-filled per pass.
-        let mut chunk = vec![0u8; READ_CHUNK];
         let mut fds = Vec::with_capacity(self.reads.len() + 1);
         loop {
             fds.clear();
@@ -578,17 +572,10 @@ impl IoThread {
             }
             let open = self.reads.iter_mut().filter(|pr| pr.input.is_open());
             for (pr, _) in open.zip(&fds[1..]).filter(|(_, fd)| fd.ready()) {
-                match pr.stream.read(&mut chunk) {
-                    // EOF without goodbye: the peer crashed.
-                    Ok(0) => pr.input.on_closed(&self.mailbox),
-                    Ok(n) => pr
-                        .input
-                        .on_bytes(&chunk[..n], Instant::now(), &self.mailbox),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => pr.input.on_closed(&self.mailbox),
-                }
+                // Straight off the socket into each frame's own payload
+                // allocation: nothing between the kernel and the mailbox.
+                pr.input
+                    .on_readable(&mut &pr.stream, Instant::now(), &self.mailbox);
             }
             if self.beats.due(Instant::now()) {
                 for (j, link) in &self.links {
@@ -882,6 +869,7 @@ pub(crate) fn connect_with_retry(
 mod tests {
     use super::*;
     use sage_visualizer::{Collector, EventKind};
+    use std::io::Read;
 
     /// Builds an N-rank loopback mesh, one transport per thread.
     fn mesh(n: usize) -> Vec<TcpTransport> {
@@ -1289,8 +1277,11 @@ mod tests {
         t0.finish();
         for c in &cores {
             let n = passes(c);
+            // At most a wake-up per frame (pings, then `JobDone`); fewer
+            // when a frame lands while the pass before it is still
+            // delivering, which that pass then takes along.
             assert!(
-                (PINGS..=2 * PINGS + 16).contains(&n),
+                (PINGS / 2..=2 * PINGS + 16).contains(&n),
                 "{PINGS} round trips took {n} passes"
             );
         }
@@ -1341,7 +1332,7 @@ mod tests {
         let started = Instant::now();
         let mailbox = Mailbox::new(2, started);
         let mut input = PeerInput::new(1);
-        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut chunk = vec![0u8; 64 * 1024];
         loop {
             match mailbox
                 .lock()

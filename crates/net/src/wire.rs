@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      0x53414745 ("SAGE"), big-endian
-//!      4     1  version    protocol version (currently 2)
+//!      4     1  version    protocol version (currently 3)
 //!      5     1  kind       frame kind (Hello/Data/.../JobDone/Reject/Fleet)
 //!      6     2  reserved   zero
 //!      8     8  tag        message tag (Data) or kind-specific
@@ -15,29 +15,53 @@
 //!                          the fleet: private meshes and control traffic)
 //!     28     8  seq        per-link sequence number, strictly increasing
 //!     36     4  len        payload length in bytes
-//!     40     4  checksum   FNV-1a-32 over header (checksum field zeroed)
-//!                          then payload
+//!     40     4  checksum   word-lane sum (below) of the header with this
+//!                          field zeroed, combined with that of the payload
 //!     44   len  payload
 //! ```
 //!
 //! Version history: v1 had no `job` field (40-byte header, one job per
 //! mesh). v2 threads a 32-bit job id through every frame so a persistent
 //! fleet worker can multiplex many concurrent jobs — each with its own rank
-//! namespace — over one warm mesh connection per peer. A v1 speaker is
-//! rejected with a typed [`WireError::BadVersion`], never misparsed.
+//! namespace — over one warm mesh connection per peer. v3 keeps v2's layout
+//! and changes only the checksum (byte-serial FNV-1a-32 → the word-lane
+//! sum). Another version's speaker draws a typed [`WireError::BadVersion`]
+//! — judged before the checksum — never a misparse.
 //!
-//! The checksum covers the whole frame, so any single corrupted byte —
-//! header or payload — is detected (FNV-1a's xor-then-odd-multiply step is
-//! bijective mod 2^32, so two frames differing in one byte cannot collide
-//! at the same offset). Decoding failures are typed ([`WireError`]), never
-//! panics, and never read past `len`.
+//! # The checksum
+//!
+//! One step absorbs a word `w` into a state `h`: `(h ^ w) * P` mod 2^32, `P`
+//! odd (FNV-1a's step, fed 32-bit words). A byte string is read as
+//! little-endian words dealt round-robin to 8 independent lanes, so the
+//! multiplies pipeline instead of each waiting on the last; the lanes, then
+//! the up-to-7 words and up-to-3 bytes that did not fill a round, are folded
+//! into one state through the same step. Header (checksum field zeroed) and
+//! payload are summed separately and chained through two more steps: still a
+//! *whole-frame* checksum, verified on every frame before delivery.
+//!
+//! [`WireError::Checksum`] catches **by construction** any damage confined
+//! to one aligned word of a frame (so every single-byte flip — all that the
+//! chaos, mesh and property tests inject): the step is a bijection of `h`
+//! for fixed `w` and of `w` for fixed `h`, so with every other byte fixed
+//! the word enters its lane through a bijection and every later step — the
+//! rest of the lane, the fold, the tail, the chaining — is a bijection of
+//! the state it is handed; the result is injective in that word. (Damage to
+//! the checksum field moves what is compared against; to magic, version or
+//! kind, it is refused before the sum is looked at.) It catches only **with
+//! probability 1 − 2⁻³²** damage spanning several words, and a damaged
+//! `len`, which re-frames the stream so a different byte string is summed
+//! (past [`MAX_PAYLOAD`] it is [`WireError::Oversized`]; past what ever
+//! arrives it is the liveness window's case).
+//!
+//! Decoding failures are typed ([`WireError`]), never panics, and never
+//! read past `len`.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Frame magic: "SAGE" in ASCII.
 pub const MAGIC: u32 = 0x5341_4745;
-/// Current protocol version (v2: per-frame job namespace for the fleet).
-pub const VERSION: u8 = 2;
+/// Current protocol version (v3: the word-lane checksum; layout as v2).
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 44;
 /// Maximum accepted payload (256 MiB) — bounds allocation on decode.
@@ -147,16 +171,46 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 32-bit over `chunks` in order.
-fn fnv1a_32(chunks: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
+/// FNV-1a's 32-bit offset basis and prime — where every sum starts, and the
+/// odd constant every step multiplies by — and the lanes of the sum.
+const BASIS: u32 = 0x811c_9dc5;
+const PRIME: u32 = 0x0100_0193;
+const LANES: usize = 8;
+
+/// One absorption step: a bijection of `h` for fixed `w` and of `w` for
+/// fixed `h`, which is the whole guarantee (module docs, "The checksum").
+#[inline]
+fn mix(h: u32, w: u32) -> u32 {
+    (h ^ w).wrapping_mul(PRIME)
+}
+
+/// The word-lane sum of `bytes`: rounds of [`LANES`] little-endian words,
+/// one per lane; then the lanes, the leftover words and the leftover bytes
+/// folded into one state in that order.
+fn lane_sum(bytes: &[u8]) -> u32 {
+    let (rounds, rest) = bytes.as_chunks::<{ 4 * LANES }>();
+    let mut lanes = [BASIS; LANES];
+    for round in rounds {
+        for (lane, w) in lanes.iter_mut().zip(round.as_chunks::<4>().0) {
+            *lane = mix(*lane, u32::from_le_bytes(*w));
         }
     }
-    h
+    let (words, tail) = rest.as_chunks::<4>();
+    let words = words.iter().map(|w| u32::from_le_bytes(*w));
+    let h = lanes.into_iter().chain(words).fold(BASIS, mix);
+    tail.iter().fold(h, |h, &b| mix(h, u32::from(b)))
+}
+
+/// Where the checksum sits in the header; summed as zero.
+const CHECKSUM: std::ops::Range<usize> = 40..44;
+
+/// The checksum of the frame made of these header bytes (whatever their
+/// checksum field holds) and this payload: the bytes as they stand on the
+/// wire, never a re-serialization of parsed fields — corruption in bytes no
+/// field covers (e.g. reserved) must not go unnoticed.
+fn checksum(mut header: [u8; HEADER_LEN], payload: &[u8]) -> u32 {
+    header[CHECKSUM].fill(0);
+    mix(mix(BASIS, lane_sum(&header)), lane_sum(payload))
 }
 
 /// Checks an outgoing payload length against [`MAX_PAYLOAD`] before it is
@@ -169,12 +223,8 @@ fn check_len(len: usize) -> Result<u32, WireError> {
     Ok(len as u32)
 }
 
-/// Where the checksum sits in the header; hashed as zero.
-const CHECKSUM: std::ops::Range<usize> = 40..44;
-
 /// The fields of a frame header that belong to the frame (length and
 /// checksum belong to its payload).
-#[derive(Clone, Copy)]
 struct Header {
     kind: FrameKind,
     tag: u64,
@@ -184,20 +234,11 @@ struct Header {
     seq: u64,
 }
 
-/// What [`Header::read_back`] finds in 44 received bytes: each verdict is
-/// ready, and the caller draws them in the order its stream discipline
-/// needs.
-struct Received {
-    magic: Result<(), WireError>,
-    /// Version judged first, then kind.
-    header: Result<Header, WireError>,
-    len: Result<usize, WireError>,
-    checksum: u32,
-}
-
 impl Header {
-    /// The one writer of the layout in the module docs.
-    fn lay_out(&self, len: u32, checksum: u32) -> [u8; HEADER_LEN] {
+    /// The header of a frame carrying `payload` (`len` is its checked
+    /// length), checksum filled in: the one writer of the layout in the
+    /// module docs.
+    fn sealed(&self, len: u32, payload: &[u8]) -> [u8; HEADER_LEN] {
         let mut h = [0u8; HEADER_LEN];
         h[0..4].copy_from_slice(&MAGIC.to_be_bytes());
         h[4] = VERSION;
@@ -209,16 +250,8 @@ impl Header {
         h[24..28].copy_from_slice(&self.job.to_be_bytes());
         h[28..36].copy_from_slice(&self.seq.to_be_bytes());
         h[36..40].copy_from_slice(&len.to_be_bytes());
-        h[CHECKSUM].copy_from_slice(&checksum.to_be_bytes());
-        h
-    }
-
-    /// The header of a frame carrying `payload` (`len` is its checked
-    /// length), checksum filled in.
-    fn sealed(&self, len: u32, payload: &[u8]) -> [u8; HEADER_LEN] {
-        let mut h = self.lay_out(len, 0);
-        let checksum = fnv1a_32(&[&h, payload]);
-        h[CHECKSUM].copy_from_slice(&checksum.to_be_bytes());
+        let sum = checksum(h, payload);
+        h[CHECKSUM].copy_from_slice(&sum.to_be_bytes());
         h
     }
 
@@ -230,8 +263,10 @@ impl Header {
             .map_err(|e| WireError::Io(e.to_string()))
     }
 
-    /// The one reader of the layout in the module docs.
-    fn read_back(h: &[u8; HEADER_LEN]) -> Received {
+    /// The one reader of the layout in the module docs: judges 44 received
+    /// bytes — magic, then version, then kind, then length — and returns the
+    /// frame less its payload, the payload's length and the declared checksum.
+    fn read_back(h: &[u8; HEADER_LEN]) -> Result<(Frame, usize, u32), WireError> {
         /// The `N` bytes at `h[at..at + N]`, in bounds by construction.
         fn field<const N: usize>(h: &[u8; HEADER_LEN], at: usize) -> [u8; N] {
             let mut a = [0u8; N];
@@ -239,45 +274,96 @@ impl Header {
             a
         }
         let magic = u32::from_be_bytes(field(h, 0));
-        let (version, kind) = (h[4], h[5]);
-        let len = u32::from_be_bytes(field(h, 36));
-        Received {
-            magic: (magic == MAGIC)
-                .then_some(())
-                .ok_or(WireError::BadMagic(magic)),
-            header: if version != VERSION {
-                Err(WireError::BadVersion(version))
-            } else {
-                FrameKind::from_u8(kind)
-                    .ok_or(WireError::BadKind(kind))
-                    .map(|kind| Header {
-                        kind,
-                        tag: u64::from_be_bytes(field(h, 8)),
-                        src: u32::from_be_bytes(field(h, 16)),
-                        dst: u32::from_be_bytes(field(h, 20)),
-                        job: u32::from_be_bytes(field(h, 24)),
-                        seq: u64::from_be_bytes(field(h, 28)),
-                    })
-            },
-            len: (len <= MAX_PAYLOAD)
-                .then_some(len as usize)
-                .ok_or(WireError::Oversized(len)),
-            checksum: u32::from_be_bytes(field(h, CHECKSUM.start)),
+        if magic != MAGIC {
+            return Err(WireError::BadMagic(magic));
         }
+        if h[4] != VERSION {
+            return Err(WireError::BadVersion(h[4]));
+        }
+        let frame = Frame {
+            kind: FrameKind::from_u8(h[5]).ok_or(WireError::BadKind(h[5]))?,
+            tag: u64::from_be_bytes(field(h, 8)),
+            src: u32::from_be_bytes(field(h, 16)),
+            dst: u32::from_be_bytes(field(h, 20)),
+            job: u32::from_be_bytes(field(h, 24)),
+            seq: u64::from_be_bytes(field(h, 28)),
+            payload: Vec::new(),
+        };
+        let len = u32::from_be_bytes(field(h, 36));
+        if len > MAX_PAYLOAD {
+            return Err(WireError::Oversized(len));
+        }
+        let checksum = u32::from_be_bytes(field(h, CHECKSUM.start));
+        Ok((frame, len as usize, checksum))
     }
 }
 
-/// Checks a received frame against the checksum its header declared. Hashes
-/// the received bytes themselves (checksum field zeroed), not a
-/// re-serialization of the parsed fields — otherwise corruption in bytes no
-/// field covers (e.g. reserved) would go unnoticed.
-fn verify(mut h: [u8; HEADER_LEN], payload: &[u8], expected: u32) -> Result<(), WireError> {
-    h[CHECKSUM].fill(0);
-    let computed = fnv1a_32(&[&h, payload]);
-    if computed != expected {
-        return Err(WireError::Checksum { expected, computed });
+/// How much payload room an unverified header is trusted for: a flipped
+/// length byte can announce [`MAX_PAYLOAD`] and must not get it reserved on
+/// its say-so. Past this the buffer grows only as bytes actually arrive.
+const RESERVE_AHEAD: usize = 1 << 20;
+
+/// The one frame assembler: collect 44 header bytes → judge them → collect
+/// `len` payload bytes → verify the whole frame. Fed from any [`Read`] — a
+/// slice, a blocking stream, a nonblocking socket — it keeps its place when
+/// the reader runs dry, so a frame may arrive in any number of pieces. The
+/// header is collected in place and the payload directly in the `Vec` the
+/// finished [`Frame`] owns (and the mailbox then shares with the receiver):
+/// no staging buffer, no copy after the read.
+pub(crate) struct Assembler {
+    header: [u8; HEADER_LEN],
+    /// Header bytes collected so far.
+    have: usize,
+    payload: Vec<u8>,
+}
+
+impl Assembler {
+    /// An assembler at a frame boundary.
+    pub(crate) fn new() -> Assembler {
+        Assembler {
+            header: [0; HEADER_LEN],
+            have: 0,
+            payload: Vec::new(),
+        }
     }
-    Ok(())
+
+    /// Reads from `r` until one frame is whole and verified (`Some`), or
+    /// `r` would block (`None`: nothing read is lost; call again when it is
+    /// readable). Input ending short of a frame is [`WireError::Truncated`];
+    /// after any error the assembler must not be fed again.
+    pub(crate) fn pull<R: Read>(&mut self, r: &mut R) -> Result<Option<Frame>, WireError> {
+        let dry = |e: std::io::Error| match e.kind() {
+            ErrorKind::WouldBlock => Ok(None),
+            _ => Err(WireError::Io(e.to_string())),
+        };
+        while self.have < HEADER_LEN {
+            match r.read(&mut self.header[self.have..]) {
+                Ok(0) => return Err(WireError::Truncated),
+                Ok(n) => self.have += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return dry(e),
+            }
+        }
+        let (mut frame, len, expected) = Header::read_back(&self.header)?;
+        let room = len.min(RESERVE_AHEAD).saturating_sub(self.payload.len());
+        self.payload.reserve_exact(room);
+        // Fills the spare capacity in place (growing it past `RESERVE_AHEAD`)
+        // and, refused, keeps what it has read so far in `payload`.
+        let missing = (len - self.payload.len()) as u64;
+        match r.by_ref().take(missing).read_to_end(&mut self.payload) {
+            Ok(_) if self.payload.len() < len => return Err(WireError::Truncated),
+            Ok(_) => {}
+            Err(e) => return dry(e),
+        }
+        // The reader is at a frame boundary whatever the verdict below.
+        self.have = 0;
+        frame.payload = std::mem::take(&mut self.payload);
+        let computed = checksum(self.header, &frame.payload);
+        if computed != expected {
+            return Err(WireError::Checksum { expected, computed });
+        }
+        Ok(Some(frame))
+    }
 }
 
 /// Writes one frame from its parts as vectored header+payload I/O.
@@ -453,51 +539,23 @@ impl Frame {
         }
     }
 
-    fn from_parts(h: Header, payload: Vec<u8>) -> Frame {
-        Frame {
-            kind: h.kind,
-            tag: h.tag,
-            src: h.src,
-            dst: h.dst,
-            job: h.job,
-            seq: h.seq,
-            payload,
-        }
-    }
-
-    /// The frame's checksum: FNV-1a-32 over the header with the checksum
-    /// field zeroed, then the payload.
-    pub fn checksum(&self) -> u32 {
-        let h = self.header().lay_out(self.payload.len() as u32, 0);
-        fnv1a_32(&[&h, &self.payload])
-    }
-
     /// Serializes the frame (header + payload).
     ///
     /// Rejects payloads longer than [`MAX_PAYLOAD`] with
     /// [`WireError::PayloadTooLarge`] instead of truncating the length
     /// field.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let len = check_len(self.payload.len())?;
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header().sealed(len, &self.payload));
-        out.extend_from_slice(&self.payload);
+        self.write_to(&mut out)?;
         Ok(out)
     }
 
     /// Decodes one frame from the front of `buf`, returning the frame and
     /// the number of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-        let Some((header, body)) = buf.split_first_chunk::<HEADER_LEN>() else {
-            return Err(WireError::Truncated);
-        };
-        let got = Header::read_back(header);
-        got.magic?;
-        let parsed = got.header?;
-        let payload = body.get(..got.len?).ok_or(WireError::Truncated)?;
-        verify(*header, payload, got.checksum)?;
-        let frame = Frame::from_parts(parsed, payload.to_vec());
-        Ok((frame, HEADER_LEN + payload.len()))
+        let mut rest = buf;
+        let frame = Frame::read_from(&mut rest)?;
+        Ok((frame, buf.len() - rest.len()))
     }
 
     /// Writes the frame to a stream without building an assembly buffer
@@ -506,45 +564,29 @@ impl Frame {
         self.header().write(w, &self.payload)
     }
 
-    /// Reads exactly one frame from a stream.
-    ///
-    /// The payload is read directly into its final `Vec` and the checksum
-    /// is computed over the header and payload chunks in place — no
-    /// combined header+payload staging buffer, no second payload copy.
+    /// Reads exactly one frame from a stream, its payload directly into
+    /// the returned frame's `Vec` (the frame assembler, run to completion
+    /// on a reader that waits).
     ///
     /// A clean EOF before the first header byte returns `Truncated`; so
     /// does an EOF mid-frame (the reader can distinguish via the stream
     /// state if it needs to).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-        let mut header = [0u8; HEADER_LEN];
-        read_exact(r, &mut header)?;
-        // Judge magic and length first so we size the payload read.
-        let got = Header::read_back(&header);
-        got.magic?;
-        let mut payload = vec![0u8; got.len?];
-        read_exact(r, &mut payload)?;
-        // Full frame consumed: the stream is at a frame boundary whatever
-        // the verdict below, so a validation failure poisons one frame, not
-        // the connection framing.
-        let parsed = got.header?;
-        verify(header, &payload, got.checksum)?;
-        Ok(Frame::from_parts(parsed, payload))
+        let refused = || WireError::Io(std::io::Error::from(ErrorKind::WouldBlock).to_string());
+        Assembler::new().pull(r)?.ok_or_else(refused)
     }
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e.to_string())
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Assembler {
+        /// Payload capacity held for the frame in progress.
+        pub(crate) fn reserved(&self) -> usize {
+            self.payload.capacity()
+        }
+    }
 
     fn sample() -> Frame {
         Frame::data(2, 5, 0xdead_beef, 42, vec![1, 2, 3, 4, 5]).in_job(9)
@@ -579,26 +621,61 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_rejected_with_typed_version_error() {
-        // A v1 header (40 bytes, no job field) leads with the same magic;
-        // decoding must fail on the version byte, not misparse the layout.
-        let mut bytes = sample().encode().unwrap();
-        bytes[4] = 1;
-        assert_eq!(Frame::decode(&bytes).unwrap_err(), WireError::BadVersion(1));
+    fn older_versions_rejected_with_typed_version_error() {
+        // A v1 header (40 bytes, no job field) and a v2 frame (this layout
+        // under the FNV-1a checksum) lead with the same magic; decoding
+        // must fail on the version byte — not misparse the layout, and not
+        // get as far as a checksum the old speaker computed differently.
+        for old in [1, 2] {
+            let mut bytes = sample().encode().unwrap();
+            bytes[4] = old;
+            assert_eq!(
+                Frame::decode(&bytes).unwrap_err(),
+                WireError::BadVersion(old)
+            );
+        }
+    }
+
+    /// A payload whose bytes all differ from their neighbours.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
     }
 
     #[test]
     fn every_single_byte_corruption_detected() {
-        let bytes = sample().encode().unwrap();
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[i] ^= flip;
-                assert!(
-                    Frame::decode(&bad).is_err(),
-                    "corruption at byte {i} (xor {flip:#x}) went undetected"
-                );
+        // Lengths crossing every boundary of the sum: whole rounds of 32,
+        // leftover words, leftover bytes, and none of each.
+        for len in 0..=131 {
+            let bytes = Frame::data(2, 5, 0xdead_beef, 42, patterned(len))
+                .in_job(9)
+                .encode()
+                .unwrap();
+            for i in 0..bytes.len() {
+                for flip in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= flip;
+                    assert!(
+                        Frame::decode(&bad).is_err(),
+                        "{len}-byte payload: corruption at byte {i} (xor {flip:#x}) went undetected"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn one_flipped_byte_in_a_mebibyte_is_a_checksum_error() {
+        let bytes = Frame::data(0, 1, 7, 1, patterned(1 << 20))
+            .encode()
+            .unwrap();
+        for at in [HEADER_LEN + 2, HEADER_LEN + (1 << 19) + 1, bytes.len() - 1] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert!(
+                matches!(Frame::decode(&bad), Err(WireError::Checksum { .. })),
+                "flipped byte {at} of {} went undetected",
+                bytes.len()
+            );
         }
     }
 
@@ -660,5 +737,31 @@ mod tests {
             Frame::read_from(&mut cursor).unwrap_err(),
             WireError::Truncated
         );
+    }
+
+    #[test]
+    fn a_socket_that_would_block_is_an_error_for_read_from_and_a_pause_for_the_assembler() {
+        use std::os::unix::net::UnixStream;
+        let (mut tx, rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        let bytes = sample().encode().unwrap();
+        let (head, tail) = bytes.split_at(HEADER_LEN + 2);
+        let mut assembler = Assembler::new();
+        assert_eq!(assembler.pull(&mut &rx), Ok(None));
+        tx.write_all(head).unwrap();
+        assert_eq!(assembler.pull(&mut &rx), Ok(None));
+        assert_eq!(assembler.pull(&mut &rx), Ok(None));
+        tx.write_all(tail).unwrap();
+        assert_eq!(assembler.pull(&mut &rx), Ok(Some(sample())));
+        assert_eq!(assembler.reserved(), 0, "the payload left with its frame");
+        // Back at a frame boundary: the next frame starts clean.
+        tx.write_all(&bytes).unwrap();
+        assert_eq!(assembler.pull(&mut &rx), Ok(Some(sample())));
+        // `read_from` has nowhere to keep half a frame.
+        tx.write_all(head).unwrap();
+        assert!(matches!(
+            Frame::read_from(&mut &rx).unwrap_err(),
+            WireError::Io(_)
+        ));
     }
 }
