@@ -13,7 +13,7 @@
 //!
 //! | event | entry point | effect |
 //! |---|---|---|
-//! | a peer's stream is readable | [`PeerInput::on_readable`] | `last_seen` refreshed; each completed frame delivered (`Data` queued, `JobDone` recorded, `Goodbye` → done); EOF, read error, replay, wrong source, garbage → dead |
+//! | a peer's stream is readable | [`PeerInput::on_readable`] | `last_seen` refreshed; a completed frame delivered (`Data` queued, `JobDone` recorded, `Goodbye` → done); EOF, read error, replay, wrong source, garbage → dead |
 //! | the driver cannot read any more | [`PeerInput::on_closed`] | peer dead |
 //! | a local send failed | [`Mailbox::mark_dead`] | peer dead |
 //! | self-send | [`MeshState::enqueue`] | queued |
@@ -29,7 +29,7 @@
 //! A delivery notifies the mailbox condvar itself, so a blocked receiver
 //! wakes on the frame, not on a timer.
 
-use crate::wire::{Assembler, Frame, FrameKind, HEADER_LEN};
+use crate::wire::{Assembler, Frame, FrameKind};
 use sage_fabric::Payload;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Read;
@@ -246,10 +246,8 @@ pub(crate) struct PeerInput {
     open: bool,
 }
 
-/// How many bytes of completed frames one readiness event may deliver
-/// before the reader returns to its caller: a peer that never lets its
-/// socket run dry must not starve the other links of the one I/O thread. A
-/// frame in progress is always read as far as the stream allows.
+/// How many payload bytes one readiness event may read: a peer streaming a
+/// large frame must not keep the one I/O thread from the other links.
 const PASS_BYTES: usize = 64 * 1024;
 
 impl PeerInput {
@@ -269,9 +267,10 @@ impl PeerInput {
         self.open
     }
 
-    /// Event: the peer's stream `r` is readable at `now`. Reads frames off
-    /// it — each payload straight into the allocation its receiver will own
-    /// — until `r` would block, the link ends, or a pass's worth is delivered.
+    /// Event: the peer's stream `r` is readable at `now`. Reads one frame
+    /// off it, or as much of one as has arrived or a pass allows — the
+    /// payload straight into the allocation its receiver will own. What is
+    /// left keeps `r` readable, so the caller is back for it.
     pub(crate) fn on_readable<R: Read>(&mut self, r: &mut R, now: Instant, mailbox: &Mailbox) {
         // Readable means bytes have arrived (or the stream ended, which
         // closes the link below), and any bytes at all prove the peer alive:
@@ -279,18 +278,12 @@ impl PeerInput {
         // congested path) must not go stale while its bytes still arrive,
         // even if no *complete* frame lands within the staleness window.
         mailbox.lock().peers[self.peer].last_seen = now;
-        let mut delivered = 0;
-        while self.open && delivered < PASS_BYTES {
-            match self.assembler.pull(r) {
-                Ok(Some(frame)) => {
-                    delivered += HEADER_LEN + frame.payload.len();
-                    self.open = self.on_frame(frame, now, mailbox);
-                }
-                Ok(None) => break,
-                // End of stream without a goodbye, a read error, garbage on
-                // the wire: crashed or corrupt, the remedy is the same.
-                Err(_) => self.on_closed(mailbox),
-            }
+        match self.assembler.pull(r, PASS_BYTES) {
+            Ok(Some(frame)) => self.open = self.on_frame(frame, now, mailbox),
+            Ok(None) => {}
+            // End of stream without a goodbye, a read error, garbage on the
+            // wire: crashed or corrupt, the remedy is the same.
+            Err(_) => self.on_closed(mailbox),
         }
     }
 

@@ -30,13 +30,14 @@
 //!
 //! # The checksum
 //!
-//! One step absorbs a word `w` into a state `h`: `(h ^ w) * P` mod 2^32, `P`
-//! odd (FNV-1a's step, fed 32-bit words). A byte string is read as
-//! little-endian words dealt round-robin to 8 independent lanes, so the
-//! multiplies pipeline instead of each waiting on the last; the lanes, then
-//! the up-to-7 words and up-to-3 bytes that did not fill a round, are folded
-//! into one state through the same step. Header (checksum field zeroed) and
-//! payload are summed separately and chained through two more steps: still a
+//! One step absorbs a word `w` into a state `h`: `x = (h ^ w) * P` mod 2^32,
+//! `P` odd (FNV-1a's step, fed 32-bit words), then `x ^ (x >> 16)`. A byte
+//! string is read as little-endian words dealt round-robin to 8 independent
+//! lanes, so the multiplies pipeline instead of each waiting on the last;
+//! the lanes, then the up-to-7 words and up-to-3 bytes that did not fill a
+//! round, are folded into one state through the same step, the state turned
+//! 5 bits between words. Header (checksum field zeroed) and payload are
+//! summed separately and chained through two more steps: still a
 //! *whole-frame* checksum, verified on every frame before delivery.
 //!
 //! [`WireError::Checksum`] catches **by construction** any damage confined
@@ -47,11 +48,21 @@
 //! rest of the lane, the fold, the tail, the chaining — is a bijection of
 //! the state it is handed; the result is injective in that word. (Damage to
 //! the checksum field moves what is compared against; to magic, version or
-//! kind, it is refused before the sum is looked at.) It catches only **with
-//! probability 1 − 2⁻³²** damage spanning several words, and a damaged
-//! `len`, which re-frames the stream so a different byte string is summed
-//! (past [`MAX_PAYLOAD`] it is [`WireError::Oversized`]; past what ever
-//! arrives it is the liveness window's case).
+//! kind, it is refused before the sum is looked at.)
+//!
+//! Damage spanning several words is caught only **by probability** — this is
+//! a 32-bit multiplicative sum, not a CRC, and promises no Hamming distance
+//! — 2⁻³² missed where the steps between the damaged words mix well. Bit 31
+//! of `h ^ w` passes the multiply as bit 31 alone, hence the shift and the turn:
+//! without `x >> 16` the flipped top bits of any two words of a lane *always*
+//! cancelled (with it the least damage that always cancels is three bits:
+//! bit 31 of a word, bits 31 and 15 of its lane's next, 32 bytes on); without
+//! the turn a lane's last step and the fold's were one function, and one bit
+//! flipped at the end of two neighbouring lanes cancelled a few times in a
+//! hundred. With both, no two-bit flip of the frame in
+//! `no_two_flipped_bits_cancel` cancels. A damaged `len` re-frames the
+//! stream, so a different byte string is summed (past [`MAX_PAYLOAD`] it is
+//! [`WireError::Oversized`]; past what ever arrives, the liveness window's).
 //!
 //! Decoding failures are typed ([`WireError`]), never panics, and never
 //! read past `len`.
@@ -178,15 +189,18 @@ const PRIME: u32 = 0x0100_0193;
 const LANES: usize = 8;
 
 /// One absorption step: a bijection of `h` for fixed `w` and of `w` for
-/// fixed `h`, which is the whole guarantee (module docs, "The checksum").
+/// fixed `h`, which is the whole guarantee; the shift copies the top bits,
+/// which the multiply cannot spread, down to where the next multiply does.
 #[inline]
 fn mix(h: u32, w: u32) -> u32 {
-    (h ^ w).wrapping_mul(PRIME)
+    let x = (h ^ w).wrapping_mul(PRIME);
+    x ^ (x >> 16)
 }
 
 /// The word-lane sum of `bytes`: rounds of [`LANES`] little-endian words,
 /// one per lane; then the lanes, the leftover words and the leftover bytes
-/// folded into one state in that order.
+/// folded into one state in that order — turned between words, so that the
+/// fold is not the function a lane applies (module docs, "The checksum").
 fn lane_sum(bytes: &[u8]) -> u32 {
     let (rounds, rest) = bytes.as_chunks::<{ 4 * LANES }>();
     let mut lanes = [BASIS; LANES];
@@ -197,8 +211,9 @@ fn lane_sum(bytes: &[u8]) -> u32 {
     }
     let (words, tail) = rest.as_chunks::<4>();
     let words = words.iter().map(|w| u32::from_le_bytes(*w));
-    let h = lanes.into_iter().chain(words).fold(BASIS, mix);
-    tail.iter().fold(h, |h, &b| mix(h, u32::from(b)))
+    let tail = tail.iter().map(|&b| u32::from(b));
+    let folded = lanes.into_iter().chain(words).chain(tail);
+    folded.fold(BASIS, |h, w| mix(h.rotate_left(5), w))
 }
 
 /// Where the checksum sits in the header; summed as zero.
@@ -300,7 +315,8 @@ impl Header {
 
 /// How much payload room an unverified header is trusted for: a flipped
 /// length byte can announce [`MAX_PAYLOAD`] and must not get it reserved on
-/// its say-so. Past this the buffer grows only as bytes actually arrive.
+/// its say-so. A peer that has really sent this much is believed for the
+/// rest, which is then reserved exactly.
 const RESERVE_AHEAD: usize = 1 << 20;
 
 /// The one frame assembler: collect 44 header bytes → judge them → collect
@@ -309,7 +325,8 @@ const RESERVE_AHEAD: usize = 1 << 20;
 /// the reader runs dry, so a frame may arrive in any number of pieces. The
 /// header is collected in place and the payload directly in the `Vec` the
 /// finished [`Frame`] owns (and the mailbox then shares with the receiver):
-/// no staging buffer, no copy after the read.
+/// no staging buffer, no copy after the read, and one reallocation for a
+/// payload longer than [`RESERVE_AHEAD`].
 pub(crate) struct Assembler {
     header: [u8; HEADER_LEN],
     /// Header bytes collected so far.
@@ -328,10 +345,15 @@ impl Assembler {
     }
 
     /// Reads from `r` until one frame is whole and verified (`Some`), or
-    /// `r` would block (`None`: nothing read is lost; call again when it is
-    /// readable). Input ending short of a frame is [`WireError::Truncated`];
-    /// after any error the assembler must not be fed again.
-    pub(crate) fn pull<R: Read>(&mut self, r: &mut R) -> Result<Option<Frame>, WireError> {
+    /// `r` would block or `at_most` payload bytes have been read (`None`:
+    /// nothing read is lost; call again when `r` is readable). Input ending
+    /// short of a frame is [`WireError::Truncated`]; after any error the
+    /// assembler must not be fed again.
+    pub(crate) fn pull<R: Read>(
+        &mut self,
+        r: &mut R,
+        at_most: usize,
+    ) -> Result<Option<Frame>, WireError> {
         let dry = |e: std::io::Error| match e.kind() {
             ErrorKind::WouldBlock => Ok(None),
             _ => Err(WireError::Io(e.to_string())),
@@ -345,15 +367,26 @@ impl Assembler {
             }
         }
         let (mut frame, len, expected) = Header::read_back(&self.header)?;
-        let room = len.min(RESERVE_AHEAD).saturating_sub(self.payload.len());
-        self.payload.reserve_exact(room);
-        // Fills the spare capacity in place (growing it past `RESERVE_AHEAD`)
-        // and, refused, keeps what it has read so far in `payload`.
-        let missing = (len - self.payload.len()) as u64;
-        match r.by_ref().take(missing).read_to_end(&mut self.payload) {
-            Ok(_) if self.payload.len() < len => return Err(WireError::Truncated),
-            Ok(_) => {}
-            Err(e) => return dry(e),
+        let mut budget = at_most;
+        while self.payload.len() < len {
+            if budget == 0 {
+                return Ok(None);
+            }
+            let have = self.payload.len();
+            let trusted = if have < RESERVE_AHEAD {
+                len.min(RESERVE_AHEAD)
+            } else {
+                len
+            };
+            self.payload.reserve_exact(trusted - have);
+            // Fills the spare capacity in place and, refused, keeps what it
+            // has read so far in `payload`.
+            let ask = (trusted - have).min(budget);
+            match r.by_ref().take(ask as u64).read_to_end(&mut self.payload) {
+                Ok(n) if n < ask => return Err(WireError::Truncated),
+                Ok(n) => budget -= n,
+                Err(e) => return dry(e),
+            }
         }
         // The reader is at a frame boundary whatever the verdict below.
         self.have = 0;
@@ -573,7 +606,7 @@ impl Frame {
     /// state if it needs to).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, WireError> {
         let refused = || WireError::Io(std::io::Error::from(ErrorKind::WouldBlock).to_string());
-        Assembler::new().pull(r)?.ok_or_else(refused)
+        Assembler::new().pull(r, usize::MAX)?.ok_or_else(refused)
     }
 }
 
@@ -680,6 +713,65 @@ mod tests {
     }
 
     #[test]
+    fn no_two_flipped_bits_cancel() {
+        // Not a guarantee of the sum (module docs) but a tripwire for its
+        // structure: a step that lets a flipped bit through unspread, or a
+        // fold that mirrors the lanes, misses thousands of these pairs.
+        // 75 bytes: two rounds, two leftover words, three leftover bytes.
+        let payload = patterned(75);
+        let header = Frame::data(2, 5, 0xdead_beef, 42, Vec::new())
+            .header()
+            .sealed(75, &payload);
+        let good = checksum(header, &payload);
+        let mut bytes = [&header[..CHECKSUM.start], &payload[..]].concat();
+        let sum = |b: &[u8]| {
+            let mut header = [0; HEADER_LEN];
+            header[..CHECKSUM.start].copy_from_slice(&b[..CHECKSUM.start]);
+            checksum(header, &b[CHECKSUM.start..])
+        };
+        assert_eq!(sum(&bytes), good);
+        for i in 0..bytes.len() * 8 {
+            for j in i + 1..bytes.len() * 8 {
+                bytes[i / 8] ^= 1 << (i % 8);
+                bytes[j / 8] ^= 1 << (j % 8);
+                assert_ne!(sum(&bytes), good, "bits {i} and {j} cancel");
+                bytes[i / 8] ^= 1 << (i % 8);
+                bytes[j / 8] ^= 1 << (j % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn the_top_bits_of_two_words_do_not_cancel() {
+        // Bit 31 of a word goes through the multiply as bit 31 alone and
+        // bit 30 nearly so: a step without the shift does not notice xor
+        // 0x80 at payload offsets 3 and 35, nor a fold without the turn the
+        // same at the ends of two neighbouring lanes. Every pair of top
+        // bytes — same lane, other lanes, leftover words — over several
+        // lengths and contents.
+        for len in [64, 203, 300] {
+            for salt in 0..4u8 {
+                let payload: Vec<u8> = patterned(len).iter().map(|b| b ^ (salt * 37)).collect();
+                let bytes = Frame::data(0, 1, 7, 1, payload).encode().unwrap();
+                let tops: Vec<usize> = (HEADER_LEN + 3..bytes.len()).step_by(4).collect();
+                for (n, &i) in tops.iter().enumerate() {
+                    for &j in &tops[n + 1..] {
+                        for flip in [0x80u8, 0x40, 0xC0] {
+                            let mut bad = bytes.clone();
+                            bad[i] ^= flip;
+                            bad[j] ^= flip;
+                            assert!(
+                                matches!(Frame::decode(&bad), Err(WireError::Checksum { .. })),
+                                "{len} bytes, salt {salt}: xor {flip:#x} at {i} and {j} went undetected"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn truncation_detected() {
         let bytes = sample().encode().unwrap();
         for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, bytes.len() - 1] {
@@ -740,6 +832,31 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_past_the_trusted_length_ends_in_an_exact_allocation() {
+        let len = RESERVE_AHEAD + 70_001;
+        let bytes = Frame::data(0, 1, 7, 1, patterned(len)).encode().unwrap();
+        let whole = Frame::read_from(&mut &bytes[..]).unwrap();
+        assert_eq!((whole.payload.len(), whole.payload.capacity()), (len, len));
+        // In passes of a few KiB: each reads its share and yields.
+        let (mut rest, mut assembler, mut passes) = (&bytes[..], Assembler::new(), 1);
+        let frame = loop {
+            let before = rest.len();
+            match assembler.pull(&mut rest, 4096).unwrap() {
+                Some(frame) => break frame,
+                None => assert_eq!(
+                    before - rest.len(),
+                    4096 + HEADER_LEN * usize::from(passes == 1)
+                ),
+            }
+            assert!(assembler.reserved() <= len);
+            passes += 1;
+        };
+        assert_eq!(passes, len.div_ceil(4096));
+        assert_eq!(frame.payload.capacity(), len);
+        assert_eq!(frame, whole);
+    }
+
+    #[test]
     fn a_socket_that_would_block_is_an_error_for_read_from_and_a_pause_for_the_assembler() {
         use std::os::unix::net::UnixStream;
         let (mut tx, rx) = UnixStream::pair().unwrap();
@@ -747,16 +864,16 @@ mod tests {
         let bytes = sample().encode().unwrap();
         let (head, tail) = bytes.split_at(HEADER_LEN + 2);
         let mut assembler = Assembler::new();
-        assert_eq!(assembler.pull(&mut &rx), Ok(None));
+        assert_eq!(assembler.pull(&mut &rx, usize::MAX), Ok(None));
         tx.write_all(head).unwrap();
-        assert_eq!(assembler.pull(&mut &rx), Ok(None));
-        assert_eq!(assembler.pull(&mut &rx), Ok(None));
+        assert_eq!(assembler.pull(&mut &rx, usize::MAX), Ok(None));
+        assert_eq!(assembler.pull(&mut &rx, usize::MAX), Ok(None));
         tx.write_all(tail).unwrap();
-        assert_eq!(assembler.pull(&mut &rx), Ok(Some(sample())));
+        assert_eq!(assembler.pull(&mut &rx, usize::MAX), Ok(Some(sample())));
         assert_eq!(assembler.reserved(), 0, "the payload left with its frame");
         // Back at a frame boundary: the next frame starts clean.
         tx.write_all(&bytes).unwrap();
-        assert_eq!(assembler.pull(&mut &rx), Ok(Some(sample())));
+        assert_eq!(assembler.pull(&mut &rx, usize::MAX), Ok(Some(sample())));
         // `read_from` has nowhere to keep half a frame.
         tx.write_all(head).unwrap();
         assert!(matches!(
