@@ -1,8 +1,9 @@
-//! Alter evaluation and parse errors.
+//! Lex and parse errors.
 
 use std::fmt;
 
-/// Everything that can go wrong while lexing, parsing, or evaluating Alter.
+/// What can go wrong while reading Alter-syntax text. Both kinds carry the
+/// byte offset they point at.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AlterError {
     /// Lexical error at a byte offset.
@@ -19,64 +20,13 @@ pub enum AlterError {
         /// Byte offset into the source.
         offset: usize,
     },
-    /// A symbol had no binding.
-    Unbound(String),
-    /// Wrong number or kind of arguments to a form or builtin.
-    BadArgs {
-        /// The form or builtin that was misused.
-        form: String,
-        /// What went wrong.
-        message: String,
-    },
-    /// Attempt to call a non-callable value.
-    NotCallable(String),
-    /// Arithmetic on non-numbers, division by zero, etc.
-    Arith(String),
-    /// A model-access builtin was used without a model loaded, or with a
-    /// stale object handle.
-    Model(String),
-    /// Recursion or loop exceeded the interpreter's safety budget.
-    Budget(String),
-    /// An error annotated with the 1-based source position of the top-level
-    /// form it surfaced in (attached by [`crate::Interpreter::eval_str`]).
-    At {
-        /// 1-based source line.
-        line: usize,
-        /// 1-based source column.
-        col: usize,
-        /// The underlying error.
-        error: Box<AlterError>,
-    },
 }
 
 impl AlterError {
-    /// Wraps `self` with a source position, unless it is already positioned.
-    pub fn at(self, line: usize, col: usize) -> AlterError {
+    /// The byte offset this error points at.
+    pub fn offset(&self) -> usize {
         match self {
-            AlterError::At { .. } => self,
-            other => AlterError::At {
-                line,
-                col,
-                error: Box::new(other),
-            },
-        }
-    }
-
-    /// The byte offset this error points at, if it carries one directly
-    /// (lex and parse errors do; evaluation errors are positioned by their
-    /// enclosing top-level form instead).
-    pub fn offset(&self) -> Option<usize> {
-        match self {
-            AlterError::Lex { offset, .. } | AlterError::Parse { offset, .. } => Some(*offset),
-            _ => None,
-        }
-    }
-
-    /// The innermost error, stripping any [`AlterError::At`] wrapper.
-    pub fn root(&self) -> &AlterError {
-        match self {
-            AlterError::At { error, .. } => error.root(),
-            other => other,
+            AlterError::Lex { offset, .. } | AlterError::Parse { offset, .. } => *offset,
         }
     }
 }
@@ -88,44 +38,8 @@ impl fmt::Display for AlterError {
             AlterError::Parse { message, offset } => {
                 write!(f, "parse error at {offset}: {message}")
             }
-            AlterError::Unbound(s) => write!(f, "unbound symbol `{s}`"),
-            AlterError::BadArgs { form, message } => write!(f, "`{form}`: {message}"),
-            AlterError::NotCallable(v) => write!(f, "not callable: {v}"),
-            AlterError::Arith(m) => write!(f, "arithmetic error: {m}"),
-            AlterError::Model(m) => write!(f, "model access error: {m}"),
-            AlterError::Budget(m) => write!(f, "evaluation budget exceeded: {m}"),
-            AlterError::At { line, col, error } => write!(f, "{line}:{col}: {error}"),
         }
     }
 }
 
 impl std::error::Error for AlterError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn at_wraps_once() {
-        let e = AlterError::Unbound("x".into()).at(3, 7).at(9, 9);
-        match &e {
-            AlterError::At { line, col, .. } => assert_eq!((*line, *col), (3, 7)),
-            other => panic!("expected At, got {other:?}"),
-        }
-        assert_eq!(e.to_string(), "3:7: unbound symbol `x`");
-        assert!(matches!(e.root(), AlterError::Unbound(_)));
-    }
-
-    #[test]
-    fn offsets_only_on_lex_and_parse() {
-        assert_eq!(
-            AlterError::Parse {
-                message: "x".into(),
-                offset: 5
-            }
-            .offset(),
-            Some(5)
-        );
-        assert_eq!(AlterError::Unbound("x".into()).offset(), None);
-    }
-}

@@ -31,13 +31,9 @@ pub struct SpannedToken {
     pub span: Span,
 }
 
-/// Tokenizes `src`, skipping whitespace and `;` line comments.
-pub fn lex(src: &str) -> Result<Vec<Token>, AlterError> {
-    Ok(lex_spanned(src)?.into_iter().map(|t| t.token).collect())
-}
-
-/// Tokenizes `src` keeping the byte span of every token.
-pub fn lex_spanned(src: &str) -> Result<Vec<SpannedToken>, AlterError> {
+/// Tokenizes `src`, skipping whitespace and `;` line comments and keeping
+/// the byte span of every token.
+pub fn lex(src: &str) -> Result<Vec<SpannedToken>, AlterError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -148,9 +144,13 @@ fn classify_atom(atom: &str) -> Token {
 mod tests {
     use super::*;
 
+    fn tokens(src: &str) -> Result<Vec<Token>, AlterError> {
+        Ok(lex(src)?.into_iter().map(|t| t.token).collect())
+    }
+
     #[test]
     fn basic_tokens() {
-        let t = lex("(+ 1 2.5 \"hi\" foo)").unwrap();
+        let t = tokens("(+ 1 2.5 \"hi\" foo)").unwrap();
         assert_eq!(
             t,
             vec![
@@ -167,38 +167,38 @@ mod tests {
 
     #[test]
     fn comments_skipped() {
-        let t = lex("1 ; the rest is ignored (even parens\n2").unwrap();
+        let t = tokens("1 ; the rest is ignored (even parens\n2").unwrap();
         assert_eq!(t, vec![Token::Int(1), Token::Int(2)]);
     }
 
     #[test]
     fn string_escapes() {
-        let t = lex(r#""a\nb\t\"\\""#).unwrap();
+        let t = tokens(r#""a\nb\t\"\\""#).unwrap();
         assert_eq!(t, vec![Token::Str("a\nb\t\"\\".into())]);
     }
 
     #[test]
     fn unterminated_string_errors() {
-        assert!(matches!(lex("\"abc"), Err(AlterError::Lex { .. })));
+        assert!(matches!(tokens("\"abc"), Err(AlterError::Lex { .. })));
     }
 
     #[test]
     fn negative_numbers_and_minus_symbol() {
-        assert_eq!(lex("-5").unwrap(), vec![Token::Int(-5)]);
-        assert_eq!(lex("-").unwrap(), vec![Token::Symbol("-".into())]);
-        assert_eq!(lex("-1.5e3").unwrap(), vec![Token::Float(-1500.0)]);
+        assert_eq!(tokens("-5").unwrap(), vec![Token::Int(-5)]);
+        assert_eq!(tokens("-").unwrap(), vec![Token::Symbol("-".into())]);
+        assert_eq!(tokens("-1.5e3").unwrap(), vec![Token::Float(-1500.0)]);
     }
 
     #[test]
     fn quote_shorthand() {
-        let t = lex("'x").unwrap();
+        let t = tokens("'x").unwrap();
         assert_eq!(t, vec![Token::Quote, Token::Symbol("x".into())]);
     }
 
     #[test]
     fn spans_cover_token_text() {
         let src = "(add 12 \"ab\")";
-        let t = lex_spanned(src).unwrap();
+        let t = lex(src).unwrap();
         let texts: Vec<&str> = t
             .iter()
             .map(|st| &src[st.span.start..st.span.end])
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn spans_skip_comments_and_whitespace() {
         let src = "; c\n  foo";
-        let t = lex_spanned(src).unwrap();
+        let t = lex(src).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].span, Span::new(6, 9));
     }

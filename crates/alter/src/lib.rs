@@ -1,46 +1,32 @@
 //! # sage-alter
 //!
 //! **Alter** is "a programming language similar to Lisp in its syntax and
-//! style, which provides a direct interface to the contents of a SAGE model.
-//! Alter is designed to enable the tool developer to traverse the objects
-//! and arc connections in a model, collect the relevant information from the
-//! various attributes and properties, and then output the information in a
-//! particular format" (paper §2). The SAGE glue-code generator is written in
-//! it.
-//!
-//! This crate implements Alter as an s-expression interpreter with
-//!
-//! * the "traditional programming tasks" the paper lists: procedure
-//!   encapsulation (`define`/`lambda`), conditionals (`if`/`cond`), looping
-//!   (`while`, `for-each`), variable declaration (`let`, `set!`), and
-//!   recursion;
-//! * "a set of standard calls to access certain features in SAGE, such as
-//!   setting or retrieving a property value from an object"
-//!   ([`model_api`]);
-//! * text output builtins (`emit`, `emitln`) that accumulate the generated
-//!   source file.
+//! style, which provides a direct interface to the contents of a SAGE
+//! model" (paper §2); the real SAGE glue-code generator was written in it.
+//! This reproduction keeps Alter's *syntax*: Designer model files are
+//! Alter-syntax s-expressions, and this crate is the reader every model
+//! file goes through exactly once — a lexer, a parser, and one spanned
+//! tree ([`Ast`]) with its accessors and printer. Nothing here evaluates:
+//! the generator is native Rust (`sage_core::codegen`), a documented
+//! substitution.
 //!
 //! ```
-//! use sage_alter::Interpreter;
-//! let mut interp = Interpreter::new();
-//! let v = interp.eval_str("(+ 1 (* 2 3))").unwrap();
-//! assert_eq!(v.to_string(), "7");
+//! use sage_alter::parse_program;
+//! let src = "(model \"m\" (threads 4))";
+//! let forms = parse_program(src).unwrap();
+//! assert_eq!(forms[0].head_symbol(), Some("model"));
+//! let name = &forms[0].as_list().unwrap()[1];
+//! assert_eq!(&src[name.span.start..name.span.end], "\"m\"");
+//! assert_eq!(format!("{:#}", forms[0]), src);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod builtins;
-pub mod env;
 pub mod error;
-pub mod eval;
 pub mod lexer;
-pub mod model_api;
 pub mod parser;
 pub mod span;
-pub mod value;
 
 pub use error::AlterError;
-pub use eval::Interpreter;
-pub use parser::{parse_program, parse_program_spanned, Ast, AstNode};
+pub use parser::{parse_program, Ast, AstNode};
 pub use span::{line_col_at, Span};
-pub use value::Value;

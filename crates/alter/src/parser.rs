@@ -1,14 +1,10 @@
-//! S-expression parser producing [`Value`] trees (code is data).
-//!
-//! Two entry points share one implementation: [`parse_program_spanned`]
-//! keeps the byte span of every form (for diagnostics and static analysis),
-//! while [`parse_program`] lowers the spanned tree to plain [`Value`]s for
-//! evaluation.
+//! S-expression parser producing the one spanned tree, [`Ast`], and the
+//! tree's accessors and printer.
 
 use crate::error::AlterError;
-use crate::lexer::{lex_spanned, SpannedToken, Token};
+use crate::lexer::{lex, SpannedToken, Token};
 use crate::span::Span;
-use crate::value::Value;
+use std::fmt;
 
 /// A parsed form annotated with its source byte range.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,7 +15,7 @@ pub struct Ast {
     pub span: Span,
 }
 
-/// The shape of a parsed form (mirrors the literal subset of [`Value`]).
+/// The shape of a parsed form.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AstNode {
     /// `nil`
@@ -41,40 +37,100 @@ pub enum AstNode {
 impl Ast {
     /// The head symbol if this is a non-empty list starting with a symbol.
     pub fn head_symbol(&self) -> Option<&str> {
+        self.as_list()?.first()?.as_symbol()
+    }
+
+    /// The items of a list; `nil` is the empty list.
+    pub fn as_list(&self) -> Option<&[Ast]> {
         match &self.node {
-            AstNode::List(items) => match items.first().map(|a| &a.node) {
-                Some(AstNode::Symbol(s)) => Some(s),
-                _ => None,
-            },
+            AstNode::List(items) => Some(items),
+            AstNode::Nil => Some(&[]),
             _ => None,
         }
     }
 
-    /// Lowers the spanned tree to a plain [`Value`].
-    pub fn to_value(&self) -> Value {
+    /// The contents of a string literal.
+    pub fn as_str(&self) -> Option<&str> {
         match &self.node {
-            AstNode::Nil => Value::Nil,
-            AstNode::Bool(b) => Value::Bool(*b),
-            AstNode::Int(i) => Value::Int(*i),
-            AstNode::Float(x) => Value::Float(*x),
-            AstNode::Str(s) => Value::str(s.clone()),
-            AstNode::Symbol(s) => Value::sym(s.clone()),
-            AstNode::List(items) => Value::list(items.iter().map(Ast::to_value).collect()),
+            AstNode::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The name of a symbol.
+    pub fn as_symbol(&self) -> Option<&str> {
+        match &self.node {
+            AstNode::Symbol(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// An integer; a float qualifies only when it is integral.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self.node {
+            AstNode::Int(i) => Some(i),
+            AstNode::Float(x) if x.fract() == 0.0 => Some(x as i64),
+            _ => None,
+        }
+    }
+
+    /// A number, widened to `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self.node {
+            AstNode::Int(i) => Some(i as f64),
+            AstNode::Float(x) => Some(x),
+            _ => None,
         }
     }
 }
 
-/// Parses a whole program: a sequence of top-level forms.
-pub fn parse_program(src: &str) -> Result<Vec<Value>, AlterError> {
-    Ok(parse_program_spanned(src)?
-        .iter()
-        .map(Ast::to_value)
-        .collect())
+/// The printer. `{}` is the display form error messages quote (string
+/// contents bare, `nil` as `()`); `{:#}` is the written form, which
+/// [`parse_program`] reads back to the same tree: strings quoted and
+/// escaped, `nil` by name, floats never printed as integers.
+impl fmt::Display for Ast {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let written = f.alternate();
+        match &self.node {
+            AstNode::Nil if written => write!(f, "nil"),
+            AstNode::Nil => write!(f, "()"),
+            AstNode::Bool(true) => write!(f, "#t"),
+            AstNode::Bool(false) => write!(f, "#f"),
+            AstNode::Int(i) => write!(f, "{i}"),
+            AstNode::Float(x) if written => write!(f, "{x:?}"),
+            AstNode::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
+            AstNode::Float(x) => write!(f, "{x}"),
+            AstNode::Str(s) if written => {
+                write!(f, "\"")?;
+                for c in s.chars() {
+                    match c {
+                        '\n' => write!(f, "\\n")?,
+                        '\t' => write!(f, "\\t")?,
+                        '"' | '\\' => write!(f, "\\{c}")?,
+                        c => write!(f, "{c}")?,
+                    }
+                }
+                write!(f, "\"")
+            }
+            AstNode::Str(s) | AstNode::Symbol(s) => write!(f, "{s}"),
+            AstNode::List(items) => {
+                write!(f, "(")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, " ")?;
+                    }
+                    fmt::Display::fmt(item, f)?;
+                }
+                write!(f, ")")
+            }
+        }
+    }
 }
 
-/// Parses a whole program keeping the byte span of every form.
-pub fn parse_program_spanned(src: &str) -> Result<Vec<Ast>, AlterError> {
-    let tokens = lex_spanned(src)?;
+/// Parses a whole source text: a sequence of top-level forms, each keeping
+/// the byte span of every sub-form.
+pub fn parse_program(src: &str) -> Result<Vec<Ast>, AlterError> {
+    let tokens = lex(src)?;
     let mut pos = 0;
     let mut forms = Vec::new();
     while pos < tokens.len() {
@@ -188,6 +244,7 @@ mod tests {
         let forms = parse_program("(a (b 1) \"s\")").unwrap();
         assert_eq!(forms.len(), 1);
         assert_eq!(forms[0].to_string(), "(a (b 1) s)");
+        assert_eq!(format!("{:#}", forms[0]), "(a (b 1) \"s\")");
     }
 
     #[test]
@@ -205,9 +262,33 @@ mod tests {
     #[test]
     fn literals() {
         let forms = parse_program("#t #f nil").unwrap();
-        assert!(matches!(forms[0], Value::Bool(true)));
-        assert!(matches!(forms[1], Value::Bool(false)));
-        assert!(matches!(forms[2], Value::Nil));
+        assert_eq!(forms[0].node, AstNode::Bool(true));
+        assert_eq!(forms[1].node, AstNode::Bool(false));
+        assert_eq!(forms[2].node, AstNode::Nil);
+    }
+
+    #[test]
+    fn accessors_coerce_numbers_and_nil() {
+        let forms = parse_program("3 2.0 2.5 \"x\" nil (a)").unwrap();
+        assert_eq!(forms[0].as_f64(), Some(3.0));
+        assert_eq!(forms[1].as_i64(), Some(2));
+        assert_eq!(forms[2].as_i64(), None);
+        assert_eq!(forms[3].as_f64(), None);
+        assert_eq!(forms[3].as_str(), Some("x"));
+        assert_eq!(forms[4].as_list().map(<[Ast]>::len), Some(0));
+        assert_eq!(forms[5].head_symbol(), Some("a"));
+        assert_eq!(forms[0].as_list(), None);
+    }
+
+    #[test]
+    fn display_and_written_forms() {
+        let forms = parse_program("(1 a 2.0 #t nil \"q\\\"\\\\\") 1e15").unwrap();
+        assert_eq!(forms[0].to_string(), "(1 a 2.0 #t () q\"\\)");
+        assert_eq!(format!("{:#}", forms[0]), "(1 a 2.0 #t nil \"q\\\"\\\\\")");
+        // The display form of a large integral float reads back as an
+        // integer; the written form does not.
+        assert_eq!(forms[1].to_string(), "1000000000000000");
+        assert_eq!(format!("{:#}", forms[1]), "1000000000000000.0");
     }
 
     #[test]
@@ -219,34 +300,29 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_offsets() {
-        match parse_program("  )") {
-            Err(AlterError::Parse { offset, .. }) => assert_eq!(offset, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-        match parse_program("(a (b)") {
-            Err(AlterError::Parse { offset, .. }) => assert_eq!(offset, 0),
-            other => panic!("expected parse error, got {other:?}"),
-        }
+        assert_eq!(parse_program("  )").unwrap_err().offset(), 2);
+        assert_eq!(parse_program("(a (b)").unwrap_err().offset(), 0);
+        assert!(matches!(
+            parse_program("(a \"b"),
+            Err(AlterError::Lex { offset: 3, .. })
+        ));
     }
 
     #[test]
     fn spans_cover_whole_forms() {
         let src = "(a (b 1))\n42";
-        let forms = parse_program_spanned(src).unwrap();
+        let forms = parse_program(src).unwrap();
         assert_eq!(&src[forms[0].span.start..forms[0].span.end], "(a (b 1))");
         assert_eq!(&src[forms[1].span.start..forms[1].span.end], "42");
         // Inner form `(b 1)` keeps its own span.
-        if let AstNode::List(items) = &forms[0].node {
-            assert_eq!(&src[items[1].span.start..items[1].span.end], "(b 1)");
-        } else {
-            panic!("expected list");
-        }
+        let items = forms[0].as_list().expect("list");
+        assert_eq!(&src[items[1].span.start..items[1].span.end], "(b 1)");
     }
 
     #[test]
     fn quote_shorthand_span_includes_tick() {
         let src = "'(1 2)";
-        let forms = parse_program_spanned(src).unwrap();
+        let forms = parse_program(src).unwrap();
         assert_eq!(forms[0].span, Span::new(0, 6));
     }
 }

@@ -1,10 +1,10 @@
 //! Byte-offset source spans and line/column resolution.
 //!
 //! Spans are half-open byte ranges into the original source text. They are
-//! produced by the lexer, propagated through the spanned parser
-//! ([`crate::parser::parse_program_spanned`]), and consumed by both the
-//! interpreter (to anchor runtime errors) and the `sage-lint` static
-//! analyzer (to render rustc-style caret diagnostics).
+//! produced by the lexer, kept on every form by the parser
+//! ([`crate::parser::parse_program`]), and consumed by the model loader and
+//! the `sage-lint` diagnostics engine (to render rustc-style caret
+//! diagnostics).
 
 use std::fmt;
 

@@ -104,16 +104,21 @@ pub fn run_hand_coded(
         last
     });
 
-    // Assemble: rank me holds rows me*cl.. of the transposed result.
+    // Assemble: rank me holds rows me*cl.. of the transposed result. A run
+    // of no iterations turned nothing.
+    let (per_iter_secs, result) = if iterations > 0 {
+        (
+            report.makespan / iterations as f64,
+            Matrix::from_vec(size, size, stripes.concat()),
+        )
+    } else {
+        (0.0, Matrix::zeros(size, size))
+    };
     DistRun {
-        per_iter_secs: if iterations > 0 {
-            report.makespan / iterations as f64
-        } else {
-            0.0
-        },
+        per_iter_secs,
         makespan: report.makespan,
         wall: report.wall,
-        result: Matrix::from_vec(size, size, stripes.concat()),
+        result,
         metrics: report.metrics,
     }
 }
@@ -173,6 +178,18 @@ mod tests {
             ms(run_hand_coded(cspi(), virt, 32, 2, false)),
             ms(crate::corner_turn::run_hand_coded(32, 4, virt, 2))
         );
+    }
+
+    #[test]
+    fn zero_iterations_is_an_empty_run_not_a_panic() {
+        let virt = TimePolicy::Virtual;
+        for run in [
+            crate::fft2d::run_hand_coded(32, 4, virt, 0),
+            crate::corner_turn::run_hand_coded(32, 4, virt, 0),
+        ] {
+            assert_eq!(run.per_iter_secs, 0.0);
+            assert_eq!(run.result, Matrix::zeros(32, 32));
+        }
     }
 
     #[test]

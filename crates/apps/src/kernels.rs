@@ -214,11 +214,9 @@ pub fn register_kernels(reg: &mut Registry) {
                 ^ ((oi as u64) << 17)
                 ^ (u64::from(ctx.iteration) << 40);
             let mut next = move || {
+                let word = rand::splitmix64(state);
                 state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
+                word
             };
             for chunk in out.bytes.chunks_mut(8) {
                 let word = next().to_le_bytes();

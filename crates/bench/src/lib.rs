@@ -8,8 +8,6 @@
 //!
 //! * `table1` — Table 1.0: hand-coded vs SAGE auto-generated, 2D FFT and
 //!   corner turn, 256/512/1024 arrays on 4 and 8 CSPI nodes;
-//! * `figure1_pipeline` — Figure 1.0: the model → Alter generator → run-time
-//!   source-files pipeline, shown on the 2D FFT model;
 //! * `buffer_ablation` — §3.4/§4 claims: the two-node corner-turn hit of
 //!   the unique-buffer scheme and the ≥90% optimized run-time;
 //! * `cross_vendor` — the MITRE-style cross-vendor comparison (reference

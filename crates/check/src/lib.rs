@@ -5,8 +5,8 @@
 //! generation — the function table, the logical buffer table, the per-node
 //! schedules, and the redistribution plans the executor will follow.
 //!
-//! `sage-lint` proves properties of the *input* (the Designer model, the
-//! mapping and the Alter scripts); this crate proves properties of the
+//! `sage-lint` proves properties of the *input* (the Designer model and
+//! the mapping); this crate proves properties of the
 //! *output*, without executing it — every pass over the generated program
 //! lives here.
 //!

@@ -8,10 +8,9 @@
 //! example, the function table is generated from a list of all function
 //! instances in the SAGE design."
 //!
-//! This module is the *native* generator producing the executable
-//! [`GlueProgram`]; [`crate::emit`] renders the same information as
-//! readable source text, and [`crate::alter_gen`] reproduces the rendering
-//! through an actual Alter script.
+//! This module is the generator — native Rust where the paper's was an
+//! Alter script — producing the executable [`GlueProgram`];
+//! [`crate::emit`] renders the same tables as readable source text.
 
 use sage_atot::TaskMapping;
 use sage_model::{

@@ -2,9 +2,10 @@
 //! program, and the four views `sage lint`, `sage check`, `sage pipeline`
 //! and `sage race` take of it.
 //!
-//! 1. [`load`] — parse the s-expression source (`SAGE007` on failure),
-//!    index its spans, and run the model-layer lints; a model the generator
-//!    would reject stops here with the findings;
+//! 1. [`load`] — read the s-expression source once (`SAGE007` on failure),
+//!    build the model and the span index from the same forms, and run the
+//!    model-layer lints; a model the generator would reject stops here with
+//!    the findings;
 //! 2. [`Loaded::generate`] — lint an explicit task mapping
 //!    (`SAGE020`/`SAGE021`/`SAGE031`), generate the glue program for the
 //!    placement that will execute, and turn a generator refusal into its
@@ -17,11 +18,14 @@
 //! must stay cheap and are handed already-checked text (the fleet daemon).
 
 use crate::codegen::{CodegenError, Placement};
+use crate::model_io::{model_from_forms, read_forms, ModelIoError};
 use crate::project::Project;
+use sage_alter::Span;
 use sage_check::pipeline::PipelinePlan;
 use sage_check::race::RaceAnalysis;
 use sage_check::Checker;
 use sage_lint::{lint_mapping, lint_model, model_error_diag, Diagnostic, Diagnostics, ModelSpans};
+use sage_model::HardwareShelf;
 use sage_runtime::GlueProgram;
 
 /// A model through step 1: parsed, span-indexed, and past the model-layer
@@ -39,14 +43,18 @@ pub struct Loaded {
 /// Step 1. `Err` carries the findings that stop the flow: a syntax error,
 /// or everything the model-layer lints found once any of it is an error.
 pub fn load(src: &str, nodes: usize) -> Result<Loaded, Diagnostics> {
-    let project = Project::from_sexpr(src, nodes).map_err(|e| {
+    let unloadable = |e: ModelIoError, at: Option<Span>| {
         let syntax = Diagnostic::error("SAGE007", e.to_string())
+            .with_span_opt(at)
             .with_note("fix the file syntax before any deeper analysis can run");
         Diagnostics {
             diags: vec![syntax],
         }
-    })?;
-    let spans = ModelSpans::index(src);
+    };
+    let forms = read_forms(src).map_err(|(e, at)| unloadable(e, Some(Span::point(at))))?;
+    let app = model_from_forms(&forms).map_err(|e| unloadable(e, None))?;
+    let project = Project::new(app, HardwareShelf::cspi_with_nodes(nodes));
+    let spans = ModelSpans::index(&forms);
     let warnings = lint_model(&project.app, nodes, Some(&spans));
     if warnings.error_count() > 0 {
         // The generator would reject the model anyway; the structural
@@ -170,7 +178,6 @@ pub fn race_model_source(src: &str, nodes: usize) -> (Option<RaceAnalysis>, Diag
 mod tests {
     use super::*;
     use crate::model_io::model_to_sexpr;
-    use sage_lint::lint_script;
 
     const EXAMPLES: [&str; 4] = [
         "../../examples/models/corner_turn_256.sexpr",
@@ -178,18 +185,6 @@ mod tests {
         "../../examples/models/image_filter_128.sexpr",
         "../../examples/models/stap_128.sexpr",
     ];
-
-    #[test]
-    fn the_shipped_alter_generators_are_lint_clean() {
-        // Dogfood: the glue and DOT generator scripts this crate ships must
-        // pass the Alter static analyzer, checked against a real model so
-        // property reads are validated too.
-        let model = crate::codegen::tests::demo_app(4).flatten().unwrap();
-        for script in [crate::alter_gen::GLUE_SCRIPT, crate::alter_gen::DOT_SCRIPT] {
-            let d = lint_script(script, Some(&model));
-            assert!(d.is_empty(), "{}", d.render("alter_gen", Some(script)));
-        }
-    }
 
     #[test]
     fn clean_model_source_is_clean_through_every_view() {
@@ -220,7 +215,11 @@ mod tests {
         ] {
             assert_eq!(d.diags.len(), 1);
             assert_eq!(d.diags[0].code, "SAGE007");
+            assert_eq!(d.diags[0].span, Some(Span::point(0)), "the unclosed `(`");
         }
+        // A file that reads but is no model has no one place to point at.
+        let d = lint_model_source("(modle \"x\")", 4);
+        assert_eq!((d.diags[0].code, d.diags[0].span), ("SAGE007", None));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!    manually, or via AToT's GA ([`Project::auto_map`]);
 //! 3. "the glue code will be auto-generated" — [`codegen`] traverses the
 //!    model and produces the executable [`sage_runtime::GlueProgram`] plus
-//!    the human-readable generated source files; [`alter_gen`] does the
-//!    same traversal through an actual **Alter** script, as the real
-//!    generator did;
+//!    the human-readable generated source files. It is the only
+//!    generator: the real one was an Alter script, ours is native Rust
+//!    over models written in Alter syntax — a documented substitution;
 //! 4. "the actual execution" — [`Project::execute`] runs the program on the
 //!    fabric under either clock policy.
 //!
@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alter_gen;
 pub mod codegen;
 pub mod emit;
 pub mod front;

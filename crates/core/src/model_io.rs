@@ -1,9 +1,8 @@
 //! Designer model persistence: save/load application models as
-//! s-expression text — the stand-in for SAGE's DoME model files, readable
-//! by the same front end that parses Alter.
+//! Alter-syntax s-expression text — the stand-in for SAGE's DoME model
+//! files, read through `sage-alter`'s spanned tree.
 
-use sage_alter::parser::parse_program;
-use sage_alter::Value;
+use sage_alter::{parse_program, AlterError, Ast, AstNode};
 use sage_model::{
     AppGraph, Block, BlockKind, CostModel, DataType, Direction, Port, PropValue, ScalarKind,
     Striping,
@@ -149,30 +148,27 @@ pub fn model_to_sexpr(app: &AppGraph) -> String {
 
 // ---------------------------------------------------------------- reading
 
-fn as_sym<'a>(v: &'a Value, what: &str) -> Result<&'a str, ModelIoError> {
-    match v {
-        Value::Symbol(s) => Ok(s),
-        other => err(format!("expected {what}, got {other}")),
-    }
+fn as_sym<'a>(v: &'a Ast, what: &str) -> Result<&'a str, ModelIoError> {
+    v.as_symbol()
+        .ok_or_else(|| ModelIoError(format!("expected {what}, got {v}")))
 }
 
-fn as_str(v: &Value, what: &str) -> Result<String, ModelIoError> {
-    match v {
-        Value::Str(s) => Ok(s.to_string()),
-        other => err(format!("expected {what} string, got {other}")),
-    }
+fn as_str(v: &Ast, what: &str) -> Result<String, ModelIoError> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| ModelIoError(format!("expected {what} string, got {v}")))
 }
 
-fn as_usize(v: &Value, what: &str) -> Result<usize, ModelIoError> {
+fn as_usize(v: &Ast, what: &str) -> Result<usize, ModelIoError> {
     v.as_i64()
         .map(|i| i as usize)
-        .map_err(|_| ModelIoError(format!("expected {what} integer, got {v}")))
+        .ok_or_else(|| ModelIoError(format!("expected {what} integer, got {v}")))
 }
 
-fn parse_type(v: &Value) -> Result<DataType, ModelIoError> {
+fn parse_type(v: &Ast) -> Result<DataType, ModelIoError> {
     let items = v
         .as_list()
-        .map_err(|_| ModelIoError(format!("bad type form {v}")))?;
+        .ok_or_else(|| ModelIoError(format!("bad type form {v}")))?;
     match items.first().map(|h| as_sym(h, "type head")).transpose()? {
         Some("complex") => Ok(DataType::Complex),
         Some("scalar") => {
@@ -204,7 +200,7 @@ fn parse_type(v: &Value) -> Result<DataType, ModelIoError> {
         Some("record") => {
             let mut fields = Vec::new();
             for f in &items[1..] {
-                let fi = f.as_list().map_err(|_| ModelIoError("field form".into()))?;
+                let fi = f.as_list().ok_or(ModelIoError("field form".into()))?;
                 if fi.len() != 3 || as_sym(&fi[0], "field")? != "field" {
                     return err("record fields are (field \"name\" type)");
                 }
@@ -216,43 +212,38 @@ fn parse_type(v: &Value) -> Result<DataType, ModelIoError> {
     }
 }
 
-fn parse_striping(v: &Value) -> Result<Striping, ModelIoError> {
-    match v {
-        Value::Symbol(s) if s.as_str() == "replicated" => Ok(Striping::Replicated),
-        Value::List(items)
-            if items.len() == 2
-                && matches!(&items[0], Value::Symbol(s) if s.as_str() == "striped") =>
-        {
+fn parse_striping(v: &Ast) -> Result<Striping, ModelIoError> {
+    match &v.node {
+        AstNode::Symbol(s) if s == "replicated" => Ok(Striping::Replicated),
+        AstNode::List(items) if items.len() == 2 && items[0].as_symbol() == Some("striped") => {
             Ok(Striping::Striped {
                 dim: as_usize(&items[1], "striping dim")?,
             })
         }
-        other => err(format!("bad striping {other}")),
+        _ => err(format!("bad striping {v}")),
     }
 }
 
-fn parse_props(items: &[Value], props: &mut sage_model::Properties) -> Result<(), ModelIoError> {
+fn parse_props(items: &[Ast], props: &mut sage_model::Properties) -> Result<(), ModelIoError> {
     for entry in items {
-        let pair = entry
-            .as_list()
-            .map_err(|_| ModelIoError("prop pair".into()))?;
+        let pair = entry.as_list().ok_or(ModelIoError("prop pair".into()))?;
         if pair.len() != 2 {
             return err("props entries are (\"key\" value)");
         }
         let key = as_str(&pair[0], "prop key")?;
-        let val = match &pair[1] {
-            Value::Str(s) => PropValue::Str(s.to_string()),
-            Value::Int(i) => PropValue::Int(*i),
-            Value::Float(f) => PropValue::Float(*f),
-            Value::Bool(b) => PropValue::Bool(*b),
-            other => return err(format!("bad prop value {other}")),
+        let val = match &pair[1].node {
+            AstNode::Str(s) => PropValue::Str(s.clone()),
+            AstNode::Int(i) => PropValue::Int(*i),
+            AstNode::Float(f) => PropValue::Float(*f),
+            AstNode::Bool(b) => PropValue::Bool(*b),
+            _ => return err(format!("bad prop value {}", pair[1])),
         };
         props.insert(key, val);
     }
     Ok(())
 }
 
-fn parse_block(items: &[Value]) -> Result<Block, ModelIoError> {
+fn parse_block(items: &[Ast]) -> Result<Block, ModelIoError> {
     // (block "name" <kind> (port ...)* (props ...)?)
     let name = as_str(
         items.get(1).ok_or(ModelIoError("block name".into()))?,
@@ -262,7 +253,7 @@ fn parse_block(items: &[Value]) -> Result<Block, ModelIoError> {
         .get(2)
         .ok_or(ModelIoError("block kind".into()))?
         .as_list()
-        .map_err(|_| ModelIoError("block kind form".into()))?;
+        .ok_or(ModelIoError("block kind form".into()))?;
     let kind = match as_sym(&kind_form[0], "block kind")? {
         "source" => BlockKind::Source {
             threads: as_usize(&kind_form[1], "threads")?,
@@ -275,15 +266,14 @@ fn parse_block(items: &[Value]) -> Result<Block, ModelIoError> {
             let threads = as_usize(&kind_form[2], "threads")?;
             let cost_form = kind_form
                 .get(3)
-                .ok_or(ModelIoError("cost form".into()))?
-                .as_list()
-                .map_err(|_| ModelIoError("cost form".into()))?;
+                .and_then(Ast::as_list)
+                .ok_or(ModelIoError("cost form".into()))?;
             let flops = cost_form[1]
                 .as_f64()
-                .map_err(|_| ModelIoError("cost flops".into()))?;
+                .ok_or(ModelIoError("cost flops".into()))?;
             let mem = cost_form[2]
                 .as_f64()
-                .map_err(|_| ModelIoError("cost mem".into()))?;
+                .ok_or(ModelIoError("cost mem".into()))?;
             BlockKind::Primitive {
                 function,
                 threads,
@@ -305,9 +295,7 @@ fn parse_block(items: &[Value]) -> Result<Block, ModelIoError> {
     let mut ports = Vec::new();
     let mut props = sage_model::Properties::new();
     for form in &items[3..] {
-        let f = form
-            .as_list()
-            .map_err(|_| ModelIoError("block body".into()))?;
+        let f = form.as_list().ok_or(ModelIoError("block body".into()))?;
         match f.first().map(|h| as_sym(h, "block body")).transpose()? {
             Some("port") => {
                 let direction = match as_sym(&f[1], "direction")? {
@@ -334,8 +322,8 @@ fn parse_block(items: &[Value]) -> Result<Block, ModelIoError> {
     })
 }
 
-fn parse_model_form(v: &Value) -> Result<AppGraph, ModelIoError> {
-    let items = v.as_list().map_err(|_| ModelIoError("model form".into()))?;
+fn parse_model_form(v: &Ast) -> Result<AppGraph, ModelIoError> {
+    let items = v.as_list().ok_or(ModelIoError("model form".into()))?;
     if items.is_empty() || as_sym(&items[0], "model head")? != "model" {
         return err("file must start with (model \"name\" ...)");
     }
@@ -346,9 +334,7 @@ fn parse_model_form(v: &Value) -> Result<AppGraph, ModelIoError> {
     let mut app = AppGraph::new(name);
     let mut pending_connects = Vec::new();
     for form in &items[2..] {
-        let f = form
-            .as_list()
-            .map_err(|_| ModelIoError("model body".into()))?;
+        let f = form.as_list().ok_or(ModelIoError("model body".into()))?;
         match f.first().map(|h| as_sym(h, "model body")).transpose()? {
             Some("props") => parse_props(&f[1..], &mut app.props)?,
             Some("block") => {
@@ -378,25 +364,33 @@ fn parse_model_form(v: &Value) -> Result<AppGraph, ModelIoError> {
     Ok(app)
 }
 
-/// Parses a model file produced by [`model_to_sexpr`].
-///
-/// Syntax errors are reported with `line:column` positions resolved against
-/// the source text.
-pub fn model_from_sexpr(src: &str) -> Result<AppGraph, ModelIoError> {
-    let forms = parse_program(src).map_err(|e| {
-        let (line, col) = sage_alter::line_col_at(src, e.offset().unwrap_or(0));
+/// Reads model text into spanned forms: the one parse a model file goes
+/// through, shared by [`model_from_sexpr`] and [`crate::load`]. A syntax
+/// error is reported with its `line:column` resolved against the source
+/// text, beside the byte offset it points at.
+pub(crate) fn read_forms(src: &str) -> Result<Vec<Ast>, (ModelIoError, usize)> {
+    parse_program(src).map_err(|e| {
+        let (line, col) = sage_alter::line_col_at(src, e.offset());
         let what = match &e {
-            sage_alter::AlterError::Lex { message, .. } => format!("lex error: {message}"),
-            sage_alter::AlterError::Parse { message, .. } => format!("parse error: {message}"),
-            other => other.to_string(),
+            AlterError::Lex { message, .. } => format!("lex error: {message}"),
+            AlterError::Parse { message, .. } => format!("parse error: {message}"),
         };
-        ModelIoError(format!("{line}:{col}: {what}"))
-    })?;
+        (ModelIoError(format!("{line}:{col}: {what}")), e.offset())
+    })
+}
+
+/// Builds the model from the first `(model ...)` form of a read file.
+pub(crate) fn model_from_forms(forms: &[Ast]) -> Result<AppGraph, ModelIoError> {
     let model = forms
         .iter()
-        .find(|f| matches!(f.as_list().ok().and_then(|l| l.first().cloned()), Some(Value::Symbol(s)) if s.as_str() == "model"))
+        .find(|f| f.head_symbol() == Some("model"))
         .ok_or(ModelIoError("no (model ...) form found".into()))?;
     parse_model_form(model)
+}
+
+/// Parses a model file produced by [`model_to_sexpr`].
+pub fn model_from_sexpr(src: &str) -> Result<AppGraph, ModelIoError> {
+    model_from_forms(&read_forms(src).map_err(|(e, _)| e)?)
 }
 
 #[cfg(test)]
@@ -503,6 +497,113 @@ mod tests {
         assert!(model_from_sexpr("(model \"x\" (connect \"a\" \"out\" \"b\" \"in\"))").is_err());
         // Unbalanced parens surface the parser error.
         assert!(model_from_sexpr("(model \"x\"").is_err());
+    }
+
+    /// Error text pinned from the build before the reader lost its `Value`
+    /// tree (PR 22): syntax errors with their `line:col`, structural errors
+    /// with the offending form as the old printer rendered it.
+    #[test]
+    fn malformed_files_keep_their_error_text() {
+        let cases = [
+            ("(model \"x\"\n  (block", "2:3: parse error: unclosed `(`"),
+            ("(model \"x\")\n  )", "2:3: parse error: unexpected `)`"),
+            ("(model \"x", "1:8: lex error: unterminated string"),
+            ("(model \"x\" \"a\\q\")", "1:15: lex error: bad escape `\\q`"),
+            ("(not-a-model)", "no (model ...) form found"),
+            ("", "no (model ...) form found"),
+            ("(model)", "model name"),
+            ("(model x)", "expected model name string, got x"),
+            ("(model \"m\" 12)", "model body"),
+            ("(model \"m\" (wire \"a\" 1.50 2e20))", "unexpected model entry (wire a 1.5 200000000000000000000)"),
+            ("(model \"m\" (block))", "block name"),
+            ("(model \"m\" (block 5 (source 1)))", "expected block name string, got 5"),
+            ("(model \"m\" (block \"s\" source))", "block kind form"),
+            ("(model \"m\" (block \"s\" (widget 1)))", "unknown block kind widget"),
+            ("(model \"m\" (block \"s\" (source 2.5)))", "expected threads integer, got 2.5"),
+            ("(model \"m\" (block \"s\" (source \"two\")))", "expected threads integer, got two"),
+            (
+                "(model \"m\" (block \"s\" (sink (a \"b\" 1.0 -3 #t nil 'q))))",
+                "expected threads integer, got (a b 1.0 -3 #t () (quote q))",
+            ),
+            ("(model \"m\" (block \"s\" (primitive \"f\" 1)))", "cost form"),
+            ("(model \"m\" (block \"s\" (primitive \"f\" 1 (cost a 1.0))))", "cost flops"),
+            ("(model \"m\" (block \"s\" (hierarchical)))", "hierarchical submodel"),
+            (
+                "(model \"m\" (block \"s\" (hierarchical (modle \"i\"))))",
+                "file must start with (model \"name\" ...)",
+            ),
+            ("(model \"m\" (block \"s\" (source 1) 7))", "block body"),
+            (
+                "(model \"m\" (block \"s\" (source 1) (bogus 1 2.0 \"s\")))",
+                "unexpected block entry (bogus 1 2.0 s)",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port sideways \"o\" (complex) replicated)))",
+                "bad direction sideways",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" complex replicated)))",
+                "bad type form complex",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (array \"c\" 4) replicated)))",
+                "bad type form c",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (matrix 4 4) replicated)))",
+                "unknown type form (matrix 4 4)",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (scalar f16) replicated)))",
+                "unknown scalar kind f16",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (array (complex) 4 x) replicated)))",
+                "expected dimension integer, got x",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (record (field \"a\")) replicated)))",
+                "record fields are (field \"name\" type)",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (complex) (striped))))",
+                "bad striping (striped)",
+            ),
+            (
+                "(model \"m\" (block \"s\" (source 1) (port out \"o\" (complex) (striped 1.5))))",
+                "expected striping dim integer, got 1.5",
+            ),
+            ("(model \"m\" (props \"k\"))", "prop pair"),
+            ("(model \"m\" (props (\"k\")))", "props entries are (\"key\" value)"),
+            ("(model \"m\" (props (k 1)))", "expected prop key string, got k"),
+            ("(model \"m\" (props (\"k\" (1 2))))", "bad prop value (1 2)"),
+            ("(model \"m\" (block \"s\" (source 1) (props (\"k\" sym))))", "bad prop value sym"),
+            ("(model \"m\" (connect \"a\" \"out\" \"b\" \"in\"))", "unknown block `a`"),
+            (
+                "(model \"m\" (block \"a\" (source 1) (port out \"out\" (complex) replicated)) \
+                 (connect \"a\" out \"b\" \"in\"))",
+                "expected from port string, got out",
+            ),
+            (
+                "(model \"m\" (block \"a\" (source 1) (port out \"out\" (complex) replicated)) \
+                 (connect \"a\" \"out\" \"b\" \"in\"))",
+                "unknown block `b`",
+            ),
+            (
+                "(model \"m\" (block \"a\" (source 1) (port out \"out\" (complex) replicated)) \
+                 (block \"b\" (sink 1) (port in \"in\" (complex) replicated)) \
+                 (connect \"a\" \"nope\" \"b\" \"in\"))",
+                "block `a` has no port `nope`",
+            ),
+        ];
+        for (src, expected) in cases {
+            let err = model_from_sexpr(src).expect_err(src);
+            assert_eq!(
+                err.to_string(),
+                format!("model file error: {expected}"),
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! source spans, rustc-style rendered output, and machine-readable JSON.
 //!
 //! Every analysis pass in the tool suite reports through [`Diagnostics`], so
-//! the Designer-era model checks, the Alter script analyzer, and
-//! `sage-check`'s passes over the generated program all speak one language.
+//! the Designer-era model checks and `sage-check`'s passes over the
+//! generated program speak one language.
 
 use sage_alter::Span;
 use std::fmt;
@@ -13,7 +13,7 @@ use std::fmt;
 pub enum Severity {
     /// Suspicious but not necessarily fatal; `--deny-warnings` promotes.
     Warning,
-    /// The model/script/program cannot work as written.
+    /// The model/program cannot work as written.
     Error,
 }
 
@@ -35,7 +35,8 @@ macro_rules! code_registry {
         /// The stable diagnostic-code registry: `(code, default severity, summary)`.
         ///
         /// Codes are append-only: once published they keep their meaning forever so
-        /// tooling can match on them. 00x = Alter script analysis, 01x/02x = model
+        /// tooling can match on them. 00x: 001–006 retired with the Alter script
+        /// analyzer (never reused), 007 = model file syntax; 01x/02x = model
         /// and mapping validity (the Designer-era `ModelError` checks), 03x =
         /// model/hardware consistency, 04x = generated-program analysis, 05x =
         /// glue-program abstract interpretation (`sage-check`).
@@ -55,53 +56,6 @@ macro_rules! code_registry {
 }
 
 code_registry! {
-    (
-        "SAGE001",
-        Severity::Error,
-        "unbound symbol in Alter script",
-        "The Alter script references a symbol that is neither defined in the \
-         script nor part of the builtin library. The generator would abort at \
-         expansion time; define the symbol or fix the spelling.",
-    ),
-    (
-        "SAGE002",
-        Severity::Error,
-        "wrong number of arguments",
-        "A call passes more or fewer arguments than the callee accepts. Both \
-         builtin and user-defined functions are checked against their declared \
-         parameter lists.",
-    ),
-    (
-        "SAGE003",
-        Severity::Warning,
-        "unknown model property key",
-        "A `(prop ...)` form reads a model property key that no block in the \
-         model defines. The read would evaluate to nil at generation time, \
-         which usually means a typo in the key.",
-    ),
-    (
-        "SAGE004",
-        Severity::Warning,
-        "binding shadows another definition",
-        "A binding re-uses a name that is already bound in an enclosing scope \
-         (or shadows a builtin). The inner binding wins; if that is intended, \
-         rename it to make the script unambiguous.",
-    ),
-    (
-        "SAGE005",
-        Severity::Warning,
-        "unreachable branch",
-        "A conditional branch can never be taken because its guard is a \
-         constant literal. The dead branch is often a leftover from editing.",
-    ),
-    (
-        "SAGE006",
-        Severity::Error,
-        "Alter syntax error",
-        "The Alter script does not parse: unbalanced parentheses, an \
-         unterminated string, or a malformed token. Nothing else can be \
-         analyzed until the syntax is fixed.",
-    ),
     (
         "SAGE007",
         Severity::Error,
@@ -425,7 +379,7 @@ pub fn code_summary(code: &str) -> Option<&'static str> {
 /// One finding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Diagnostic {
-    /// Stable code from [`CODE_TABLE`], e.g. `"SAGE001"`.
+    /// Stable code from [`CODE_TABLE`], e.g. `"SAGE011"`.
     pub code: &'static str,
     /// Error or warning.
     pub severity: Severity,
@@ -556,11 +510,11 @@ impl Diagnostics {
     /// text, when available, for caret snippets).
     ///
     /// ```text
-    /// error[SAGE001]: unbound symbol `frobnicate`
-    ///   --> glue.alt:3:9
+    /// error[SAGE011]: block `fft` has no port `inn`
+    ///   --> model.sexpr:3:30
     ///    |
-    ///  3 |   (emit (frobnicate x))
-    ///    |          ^^^^^^^^^^
+    ///  3 |   (connect "src" "out" "fft" "inn")
+    ///    |                              ^^^^^
     ///    = note: ...
     /// ```
     pub fn render(&self, file: &str, source: Option<&str>) -> String {
@@ -762,19 +716,19 @@ mod tests {
 
     #[test]
     fn render_with_span_shows_caret() {
-        let src = "(define x 1)\n(emit (frobnicate x))\n";
+        let src = "(model \"m\"\n  (block \"frobnicate\"))\n";
         let mut ds = Diagnostics::new();
         ds.push(
-            Diagnostic::error("SAGE001", "unbound symbol `frobnicate`")
-                .with_span(Span::new(20, 30))
-                .with_note("not defined in this script or the builtin library"),
+            Diagnostic::error("SAGE010", "duplicate block name `frobnicate`")
+                .with_span(Span::new(20, 32))
+                .with_note("block names must be unique"),
         );
-        let r = ds.render("glue.alt", Some(src));
-        assert!(r.contains("error[SAGE001]: unbound symbol `frobnicate`"));
-        assert!(r.contains("--> glue.alt:2:8"));
-        assert!(r.contains("(emit (frobnicate x))"));
-        assert!(r.contains("^^^^^^^^^^"));
-        assert!(r.contains("= note: not defined"));
+        let r = ds.render("m.sexpr", Some(src));
+        assert!(r.contains("error[SAGE010]: duplicate block name `frobnicate`"));
+        assert!(r.contains("--> m.sexpr:2:10"));
+        assert!(r.contains("  (block \"frobnicate\"))"));
+        assert!(r.contains("^^^^^^^^^^^^"));
+        assert!(r.contains("= note: block names"));
     }
 
     #[test]
@@ -790,9 +744,9 @@ mod tests {
     fn json_escapes_and_resolves_positions() {
         let src = "bad \"line\"";
         let mut ds = Diagnostics::new();
-        ds.push(Diagnostic::error("SAGE006", "quote \"trouble\"").with_span(Span::new(4, 10)));
-        let j = ds.to_json("a\"b.alt", Some(src));
-        assert!(j.contains("\"file\":\"a\\\"b.alt\""));
+        ds.push(Diagnostic::error("SAGE007", "quote \"trouble\"").with_span(Span::new(4, 10)));
+        let j = ds.to_json("a\"b.sexpr", Some(src));
+        assert!(j.contains("\"file\":\"a\\\"b.sexpr\""));
         assert!(j.contains("\"message\":\"quote \\\"trouble\\\"\""));
         assert!(j.contains("\"line\":1,\"column\":5"));
         assert!(j.contains("\"span\":{\"start\":4,\"end\":10}"));
@@ -802,13 +756,13 @@ mod tests {
     fn summary_counts() {
         let mut ds = Diagnostics::new();
         assert_eq!(ds.summary(), "no findings");
-        ds.push(Diagnostic::error("SAGE001", "a"));
-        ds.push(Diagnostic::error("SAGE002", "b"));
-        ds.push(Diagnostic::warning("SAGE004", "c"));
+        ds.push(Diagnostic::error("SAGE010", "a"));
+        ds.push(Diagnostic::error("SAGE011", "b"));
+        ds.push(Diagnostic::warning("SAGE031", "c"));
         assert_eq!(ds.summary(), "2 errors, 1 warning");
         assert!(ds.fails(false));
         let mut warn_only = Diagnostics::new();
-        warn_only.push(Diagnostic::warning("SAGE004", "c"));
+        warn_only.push(Diagnostic::warning("SAGE031", "c"));
         assert!(!warn_only.fails(false));
         assert!(warn_only.fails(true));
     }

@@ -5,15 +5,11 @@
 //! with stable `SAGE0xx` codes, severities, source spans, rustc-style
 //! rendering, and machine-readable JSON.
 //!
-//! Two analysis passes cover the two input layers of the tool flow:
-//!
-//! * [`lint_script`] — static analysis of **Alter** glue-generator scripts:
-//!   unbound symbols, builtin/user arity mismatches, unknown model property
-//!   keys, shadowing, unreachable branches;
-//! * [`lint_model`] / [`lint_mapping`] — **model and mapping consistency**
-//!   beyond first-error-wins validation: every Designer error at once,
-//!   cycle paths, striping-vs-node-count divisibility, idle nodes, bulky
-//!   fan-out, mapping coverage and range.
+//! [`lint_model`] / [`lint_mapping`] check **model and mapping
+//! consistency** beyond first-error-wins validation: every Designer error
+//! at once, cycle paths, striping-vs-node-count divisibility, idle nodes,
+//! bulky fan-out, mapping coverage and range. [`ModelSpans`] maps what
+//! they find back to the model file's text.
 //!
 //! Every pass over the *generated program* — the communication-deadlock
 //! detector included — lives in `sage-check` and reports through the
@@ -26,12 +22,10 @@
 
 #![warn(missing_docs)]
 
-pub mod alter_check;
 pub mod diag;
 pub mod model_check;
 pub mod model_spans;
 
-pub use alter_check::lint_script;
 pub use diag::{
     code_explanation, code_summary, Diagnostic, Diagnostics, JsonWriter, Severity, CODE_TABLE,
 };

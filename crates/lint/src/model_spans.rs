@@ -1,15 +1,15 @@
 //! Maps model entities back to source locations.
 //!
-//! Model files are s-expressions parsed by the same front end as Alter, so
-//! the spanned parser gives us byte ranges for every block and port name.
-//! The index keys blocks by their *flattened* dotted name (`stage.fft`),
-//! matching the names the model checks and the glue program report.
+//! Model files are Alter-syntax s-expressions, so the reader's spanned
+//! tree gives us byte ranges for every block and port name. The index keys
+//! blocks by their *flattened* dotted name (`stage.fft`), matching the
+//! names the model checks and the glue program report.
 
-use sage_alter::{parse_program_spanned, Ast, AstNode, Span};
+use sage_alter::{Ast, Span};
 use std::collections::HashMap;
 
 /// Source spans of the names declared in a model file.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModelSpans {
     /// Flattened block name → span of the name literal.
     pub blocks: HashMap<String, Span>,
@@ -18,16 +18,12 @@ pub struct ModelSpans {
 }
 
 impl ModelSpans {
-    /// Indexes a model source file. Returns an empty index when the file
-    /// does not parse (the loader reports that separately).
-    pub fn index(src: &str) -> ModelSpans {
+    /// Indexes the forms of a parsed model file — the same forms the loader
+    /// builds the model from, so a file is read once.
+    pub fn index(forms: &[Ast]) -> ModelSpans {
         let mut spans = ModelSpans::default();
-        if let Ok(forms) = parse_program_spanned(src) {
-            for f in &forms {
-                if head_is(f, "model") {
-                    spans.walk_model(f, "");
-                }
-            }
+        for f in forms {
+            spans.walk_model(f, "");
         }
         spans
     }
@@ -46,29 +42,28 @@ impl ModelSpans {
             .copied()
     }
 
-    fn walk_model(&mut self, model: &Ast, prefix: &str) {
-        let AstNode::List(items) = &model.node else {
+    /// Walks `form` if it is a `(model ...)`; anything else is skipped.
+    fn walk_model(&mut self, form: &Ast, prefix: &str) {
+        if form.head_symbol() != Some("model") {
             return;
-        };
-        for form in items.iter().skip(2) {
-            if head_is(form, "block") {
-                self.walk_block(form, prefix);
+        }
+        for block in form.as_list().unwrap_or_default().iter().skip(2) {
+            if block.head_symbol() == Some("block") {
+                self.walk_block(block, prefix);
             }
         }
     }
 
     fn walk_block(&mut self, block: &Ast, prefix: &str) {
-        let AstNode::List(items) = &block.node else {
-            return;
-        };
+        let items = block.as_list().unwrap_or_default();
         let Some(name_ast) = items.get(1) else {
             return;
         };
-        let AstNode::Str(name) = &name_ast.node else {
+        let Some(name) = name_ast.as_str() else {
             return;
         };
         let full = if prefix.is_empty() {
-            name.clone()
+            name.to_string()
         } else {
             format!("{prefix}.{name}")
         };
@@ -76,33 +71,25 @@ impl ModelSpans {
         // own span too: boundary-port errors name the hierarchical block.
         self.blocks.insert(full.clone(), name_ast.span);
         for form in items.iter().skip(2) {
-            let AstNode::List(parts) = &form.node else {
-                continue;
-            };
-            match parts.first().map(|a| &a.node) {
-                Some(AstNode::Symbol(s)) if s == "port" => {
+            let parts = form.as_list().unwrap_or_default();
+            match form.head_symbol() {
+                Some("port") => {
                     if let Some(pn) = parts.get(2) {
-                        if let AstNode::Str(pname) = &pn.node {
-                            self.ports.insert((full.clone(), pname.clone()), pn.span);
+                        if let Some(pname) = pn.as_str() {
+                            let key = (full.clone(), pname.to_string());
+                            self.ports.insert(key, pn.span);
                         }
                     }
                 }
-                Some(AstNode::Symbol(s)) if s == "hierarchical" => {
+                Some("hierarchical") => {
                     if let Some(sub) = parts.get(1) {
-                        if head_is(sub, "model") {
-                            self.walk_model(sub, &full);
-                        }
+                        self.walk_model(sub, &full);
                     }
                 }
                 _ => {}
             }
         }
     }
-}
-
-fn head_is(ast: &Ast, sym: &str) -> bool {
-    matches!(&ast.node, AstNode::List(items)
-        if matches!(items.first().map(|a| &a.node), Some(AstNode::Symbol(s)) if s == sym))
 }
 
 #[cfg(test)]
@@ -123,9 +110,13 @@ mod tests {
   (connect "src" "out" "stage" "in"))
 "#;
 
+    fn index(src: &str) -> ModelSpans {
+        ModelSpans::index(&sage_alter::parse_program(src).expect("parses"))
+    }
+
     #[test]
     fn indexes_flat_and_nested_blocks() {
-        let spans = ModelSpans::index(SRC);
+        let spans = index(SRC);
         let b = spans.block("src").unwrap();
         assert_eq!(&SRC[b.start..b.end], "\"src\"");
         let nested = spans.block("stage.fft").unwrap();
@@ -138,8 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_source_yields_empty_index() {
-        let spans = ModelSpans::index("(model \"x\"");
-        assert!(spans.blocks.is_empty() && spans.ports.is_empty());
+    fn forms_without_a_model_yield_an_empty_index() {
+        assert_eq!(
+            index("(block \"b\" (source 1)) 7 nil"),
+            ModelSpans::default()
+        );
     }
 }

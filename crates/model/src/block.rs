@@ -77,7 +77,7 @@ pub struct Block {
     pub kind: BlockKind,
     /// Ports in declaration order.
     pub ports: Vec<Port>,
-    /// Free-form attributes readable from Alter.
+    /// Free-form attributes the generator and the kernels read.
     pub props: Properties,
 }
 

@@ -40,7 +40,7 @@ pub struct AppGraph {
     pub name: String,
     blocks: Vec<Block>,
     connections: Vec<Connection>,
-    /// Free-form attributes readable from Alter.
+    /// Free-form attributes the generator and the kernels read.
     pub props: Properties,
 }
 

@@ -91,7 +91,7 @@ pub struct HardwareSpec {
     pub name: String,
     /// Chassis in the system (usually one).
     pub chassis: Vec<Chassis>,
-    /// Free-form attributes readable from Alter.
+    /// Free-form attributes.
     pub props: Properties,
 }
 

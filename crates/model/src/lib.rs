@@ -15,10 +15,9 @@
 //! * the application-to-hardware **mapping** ([`mapping`]) is what AToT
 //!   refines and the glue-code generator consumes.
 //!
-//! Every model object carries a free-form property bag so that the Alter
-//! language (`sage-alter`) can traverse objects and "collect the relevant
-//! information from the various attributes and properties" exactly as the
-//! paper describes.
+//! Every model object carries a free-form property bag so that the
+//! glue-code generator can "collect the relevant information from the
+//! various attributes and properties" as the paper describes.
 
 #![warn(missing_docs)]
 
@@ -47,7 +46,7 @@ pub use validate::{validate, validate_all, ModelError};
 
 use std::collections::BTreeMap;
 
-/// A property value attached to a model object (readable from Alter).
+/// A property value attached to a model object.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PropValue {
     /// String property.
@@ -60,30 +59,5 @@ pub enum PropValue {
     Bool(bool),
 }
 
-impl PropValue {
-    /// Renders the value as display text (used by Alter's `prop` builtin).
-    pub fn as_text(&self) -> String {
-        match self {
-            PropValue::Str(s) => s.clone(),
-            PropValue::Int(i) => i.to_string(),
-            PropValue::Float(f) => f.to_string(),
-            PropValue::Bool(b) => b.to_string(),
-        }
-    }
-}
-
 /// An ordered property bag; ordered so generated glue code is deterministic.
 pub type Properties = BTreeMap<String, PropValue>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prop_value_text() {
-        assert_eq!(PropValue::Str("x".into()).as_text(), "x");
-        assert_eq!(PropValue::Int(-3).as_text(), "-3");
-        assert_eq!(PropValue::Float(1.5).as_text(), "1.5");
-        assert_eq!(PropValue::Bool(true).as_text(), "true");
-    }
-}

@@ -106,13 +106,11 @@ impl TestRunner {
 
     /// The seed for case index `case` of this test.
     fn case_seed(&self, case: u64) -> u64 {
-        // splitmix64 of (base ^ index) keeps adjacent cases uncorrelated.
-        let mut z = self
-            .seed_base
-            .wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        // Output `case` of the SplitMix64 stream whose first state is one
+        // increment below `seed_base` (`splitmix64` adds the increment
+        // before it mixes): adjacent cases are uncorrelated.
+        let steps = case.wrapping_sub(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        sage_rng::splitmix64(self.seed_base.wrapping_add(steps))
     }
 
     /// Runs the configured number of cases, panicking (with a reproduction
@@ -171,6 +169,30 @@ impl TestRunner {
                         self.name
                     );
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `case_seed` as it was written before it called `splitmix64`: every
+    /// replay seed ever printed must still name the same case.
+    fn inlined(base: u64, case: u64) -> u64 {
+        let mut z = base.wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn case_seeds_are_unchanged_by_the_shared_mixer() {
+        for name in ["a::b", "tests::chaos::fft2d_faults_never_corrupt", ""] {
+            let runner = TestRunner::new(ProptestConfig::with_cases(1), name);
+            for case in [0, 1, 2, 63, 1 << 40, u64::MAX] {
+                assert_eq!(runner.case_seed(case), inlined(runner.seed_base, case));
             }
         }
     }

@@ -1,13 +1,11 @@
 //! A tour of the glue-code generator (the paper's Figure 1.0 pipeline):
-//! the Designer model of the 2D FFT, the DOT view, the Alter-script-driven
-//! generator's output, and the native run-time tables.
+//! the Designer model of the 2D FFT as a model file and as DOT, the
+//! generated run-time tables, and the run-time executing them.
 //!
 //! Run with: `cargo run --release --example codegen_tour`
 
 use sage::prelude::*;
 use sage_apps::fft2d;
-use sage_core::alter_gen;
-
 use sage_core::model_io;
 
 fn main() {
@@ -23,21 +21,30 @@ fn main() {
     println!("=== Designer model (DOT) ===\n");
     println!("{}", sage::model::dot::to_dot(&model));
 
-    println!("=== Alter glue-code generator ===\n");
-    println!("script:\n{}", alter_gen::GLUE_SCRIPT);
-    println!(
-        "output:\n{}",
-        alter_gen::generate_via_alter(&model).unwrap()
-    );
-
-    println!("=== Native generator: executable run-time tables ===\n");
+    println!("=== Glue-code generator: the run-time tables ===\n");
     let project = fft2d::sage_project(256, 8);
     let (program, source) = project.generate(&Placement::Aligned).unwrap();
     println!("{source}");
     println!(
-        "program: {} functions, {} logical buffers, schedules for {} nodes",
+        "program: {} functions, {} logical buffers, schedules for {} nodes\n",
         program.functions.len(),
         program.buffers.len(),
         program.node_count()
+    );
+
+    println!("=== Run-time: the tables, executed ===\n");
+    let exec = project
+        .execute(
+            &program,
+            TimePolicy::Virtual,
+            &RuntimeOptions::paper_faithful(),
+            3,
+        )
+        .unwrap();
+    println!(
+        "executed {} iterations: {:.3} ms/data set (virtual), {} messages",
+        exec.iterations,
+        exec.secs_per_iteration() * 1e3,
+        exec.report.metrics.total_messages()
     );
 }

@@ -586,12 +586,6 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
         .ok_or("codegen needs a model file")?;
     let pre = preflight(args, path, args.num_or("nodes", 4)?, false)?;
     println!("{}", sage::core::render_glue_source(&pre.program));
-    println!("; Alter-generated view:");
-    let alter =
-        sage::core::alter_gen::generate_via_alter(&pre.project.app).map_err(|e| e.to_string())?;
-    for line in alter.lines() {
-        println!("; {line}");
-    }
     Ok(())
 }
 

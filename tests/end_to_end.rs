@@ -120,19 +120,6 @@ fn stap_pipeline_with_atot_mapping_and_probes() {
 }
 
 #[test]
-fn alter_generator_agrees_with_native_on_the_benchmarks() {
-    for model in [fft2d::sage_model(32, 4), corner_turn::sage_model(32, 4)] {
-        let alter_out = sage::core::alter_gen::generate_via_alter(&model).unwrap();
-        let flat = model.flatten().unwrap();
-        assert!(alter_out.contains(&format!("sage_function_table[{}]", flat.block_count())));
-        assert!(alter_out.contains(&format!(
-            "sage_logical_buffers[{}]",
-            flat.connections().len()
-        )));
-    }
-}
-
-#[test]
 fn workload_reference_self_consistency() {
     // Corner-turning the FFT'd matrix equals FFT-ing columns first: the
     // references used by the two benchmarks agree with each other.

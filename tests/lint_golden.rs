@@ -3,7 +3,7 @@
 //! checks, and the program-level deadlock analysis together, so the
 //! rendered output here covers spans resolved against the model file.
 //!
-//! Script- and program-level goldens live in `crates/lint/tests/golden.rs`.
+//! Program-level goldens live in `sage-check` and `tests/check_golden.rs`.
 //! Regenerate after an intentional rendering change with
 //! `UPDATE_GOLDEN=1 cargo test --test lint_golden`.
 
@@ -67,4 +67,8 @@ fn sage007_unloadable_source_golden() {
     );
     assert!(diags.fails(false));
     check_golden("unloadable_model", &diags.render("broken.sexpr", Some(src)));
+    // The reader's byte offset travels as a span, in JSON too: the unclosed
+    // `(` of `(block` on line 2.
+    let json = diags.to_json("broken.sexpr", Some(src));
+    assert!(json.contains("\"span\":{\"start\":18,\"end\":18},\"line\":2,\"column\":3"));
 }

@@ -1,7 +1,9 @@
 //! Workspace-level property-based tests (proptest) on the core invariants:
-//! striping, redistribution, FFT, transpose, collectives, and Alter.
+//! striping, redistribution, FFT, transpose, collectives, and the Alter
+//! reader.
 
 use proptest::prelude::*;
+use sage::alter::{parse_program, Ast, AstNode, Span};
 use sage::prelude::*;
 use sage_runtime::{Layout, Redistribution};
 use sage_signal::complex::{as_bytes, from_bytes};
@@ -14,6 +16,57 @@ fn striping_strategy() -> impl Strategy<Value = Striping> {
         Just(Striping::BY_ROWS),
         Just(Striping::BY_COLS),
     ]
+}
+
+/// Leaves of an s-expression tree, biased toward what the printer must not
+/// lose: escapes and delimiters inside strings, negative integers, floats
+/// whose display form looks like an integer.
+fn atom_strategy() -> impl Strategy<Value = AstNode> {
+    const CHARS: [char; 12] = [
+        'a', 'Z', '7', ' ', '"', '\\', '\n', '\t', '(', ')', ';', '\'',
+    ];
+    const SYMBOLS: [&str; 6] = ["model", "+", "-", "a.b", "x->y", "#tt"];
+    prop_oneof![
+        Just(AstNode::Nil),
+        (0u8..2).prop_map(|b| AstNode::Bool(b == 1)),
+        (-1_000_000_000_000i64..1_000_000_000_000).prop_map(AstNode::Int),
+        (-4000i64..4000).prop_map(|q| AstNode::Float(q as f64 / 4.0)),
+        (0u32..40).prop_map(|e| AstNode::Float(-(10f64.powi(e as i32)))),
+        proptest::collection::vec(0usize..CHARS.len(), 0..8)
+            .prop_map(|ix| AstNode::Str(ix.into_iter().map(|i| CHARS[i]).collect())),
+        (0usize..SYMBOLS.len()).prop_map(|i| AstNode::Symbol(SYMBOLS[i].into())),
+    ]
+}
+
+/// Folds leaves into a nested list: the middle third of every run becomes
+/// a sub-list, so the shape varies with the length.
+fn nest(atoms: &[AstNode]) -> Ast {
+    let leaf = |node: &AstNode| Ast {
+        node: node.clone(),
+        span: Span::default(),
+    };
+    let third = atoms.len() / 3;
+    let mut items: Vec<Ast> = atoms[..third].iter().map(leaf).collect();
+    if third > 0 {
+        items.push(nest(&atoms[third..2 * third]));
+    }
+    items.extend(atoms[2 * third..].iter().map(leaf));
+    Ast {
+        node: AstNode::List(items),
+        span: Span::default(),
+    }
+}
+
+/// `ast` with every span zeroed: equality modulo source positions.
+fn without_spans(ast: &Ast) -> Ast {
+    let node = match &ast.node {
+        AstNode::List(items) => AstNode::List(items.iter().map(without_spans).collect()),
+        leaf => leaf.clone(),
+    };
+    Ast {
+        node,
+        span: Span::default(),
+    }
 }
 
 /// (rows, cols, threads) with threads dividing both dims.
@@ -132,12 +185,20 @@ proptest! {
     }
 
     #[test]
-    fn alter_arithmetic_matches_rust(a in -1000i64..1000, b in -1000i64..1000, c in 1i64..100) {
-        let mut interp = sage::alter::Interpreter::new();
-        let v = interp
-            .eval_str(&format!("(+ (* {a} {b}) (/ {b} {c}) (- {a}))"))
-            .unwrap();
-        prop_assert_eq!(v.to_string(), (a * b + b / c - a).to_string());
+    fn alter_print_parse_round_trips(atoms in proptest::collection::vec(atom_strategy(), 0..40)) {
+        let tree = nest(&atoms);
+        let written = format!("{tree:#}");
+        let back = parse_program(&written).unwrap();
+        prop_assert_eq!(back.len(), 1, "{}", written);
+        prop_assert_eq!(without_spans(&back[0]), tree, "{}", written);
+        // Spans index the written text: the whole form, and each string
+        // literal including its quotes.
+        prop_assert_eq!(back[0].span, Span::new(0, written.len()));
+        for item in back[0].as_list().unwrap() {
+            if item.as_str().is_some() {
+                prop_assert!(written[item.span.start..item.span.end].starts_with('"'));
+            }
+        }
     }
 
     #[test]
