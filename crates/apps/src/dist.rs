@@ -7,7 +7,7 @@ use crate::fft2d::{DistRun, SEED};
 use crate::workload;
 use sage_fabric::{Cluster, MachineSpec, Payload, TimePolicy, Transport, Work};
 use sage_mpi::{Communicator, MpiConfig};
-use sage_signal::complex::{as_bytes, from_bytes};
+use sage_signal::complex::{as_bytes, view};
 use sage_signal::cost::{self, KernelCost};
 use sage_signal::fft::{Fft1d, FftDirection};
 use sage_signal::{Complex32, Matrix};
@@ -15,32 +15,42 @@ use sage_signal::{Complex32, Matrix};
 /// Packs a local row-stripe (`rl` rows of `size` columns) into one
 /// contiguous tile per destination: destination `j` receives the `rl x cl`
 /// tile of columns `j*cl..(j+1)*cl`, where `cl = size / n`. Each tile is
-/// built once and handed to the exchange as is.
+/// built once, in a message buffer from the fabric, and handed to the
+/// exchange as is.
 pub fn pack_tiles(local: &[Complex32], rl: usize, size: usize, n: usize) -> Vec<Payload> {
     assert_eq!(local.len(), rl * size);
     assert_eq!(size % n, 0);
     let cl = size / n;
+    let row_bytes = cl * std::mem::size_of::<Complex32>();
     (0..n)
         .map(|j| {
-            let mut tile = Vec::with_capacity(rl * cl * 8);
+            // Every byte of the tile is written below.
+            let mut tile = Payload::scratch(rl * row_bytes);
+            let bytes = tile.to_mut();
             for r in 0..rl {
                 let row = &local[r * size + j * cl..r * size + (j + 1) * cl];
-                tile.extend_from_slice(as_bytes(row));
+                bytes[r * row_bytes..(r + 1) * row_bytes].copy_from_slice(as_bytes(row));
             }
-            Payload::from_vec(tile)
+            tile
         })
         .collect()
 }
 
-/// Unpacks the received tiles (index = source rank) while transposing: the
-/// result is this rank's `cl x size` row-stripe of the **transposed**
-/// matrix. Source `j`'s tile holds rows `j*rl..` of the original matrix
-/// restricted to this rank's `cl` columns.
-pub fn unpack_transpose(tiles: &[Payload], rl: usize, cl: usize, size: usize) -> Vec<Complex32> {
+/// Unpacks the received tiles (index = source rank) while transposing into
+/// `out`, this rank's `cl x size` row-stripe of the **transposed** matrix.
+/// Source `j`'s tile holds rows `j*rl..` of the original matrix restricted
+/// to this rank's `cl` columns; together the tiles overwrite all of `out`.
+pub fn unpack_transpose(
+    tiles: &[Payload],
+    rl: usize,
+    cl: usize,
+    size: usize,
+    out: &mut [Complex32],
+) {
     assert_eq!(tiles.len() * rl, size);
-    let mut out = vec![Complex32::ZERO; cl * size];
+    assert_eq!(out.len(), cl * size);
     for (j, bytes) in tiles.iter().enumerate() {
-        let tile = from_bytes(bytes);
+        let tile = view(bytes);
         assert_eq!(tile.len(), rl * cl, "tile from rank {j} has wrong size");
         for r in 0..rl {
             for c in 0..cl {
@@ -48,7 +58,6 @@ pub fn unpack_transpose(tiles: &[Payload], rl: usize, cl: usize, size: usize) ->
             }
         }
     }
-    out
 }
 
 /// The hand-coded MPI form of both benchmarks, the way CSPI's engineers
@@ -77,11 +86,14 @@ pub fn run_hand_coded(
     let (stripes, report) = Cluster::new(machine, policy).run(|ctx| {
         let me = ctx.id();
         let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
-        let mut last = Vec::new();
+        // The two stripes are allocated once and reused every iteration, as
+        // the run-time's recycled stripes are.
+        let mut local = vec![Complex32::ZERO; rl * size];
+        let mut last = vec![Complex32::ZERO; cl * size];
         for _iter in 0..iterations {
             // Input stripe arrives resident (same convention as the SAGE
             // source kernel: generation is not part of the measured work).
-            let mut local = workload::input_stripe(SEED, size, me * rl, rl);
+            workload::fill_stripe(SEED, size, me * rl, &mut local);
             if with_fft {
                 comm.ctx().compute(work(cost::fft_rows_cost(rl, size)));
                 plan.process_rows(&mut local);
@@ -94,7 +106,7 @@ pub fn run_hand_coded(
                 .expect("hand-coded baselines run fault-free");
             // Transposing unpack completes the corner turn.
             comm.ctx().compute(work(cost::transpose_cost(cl, size)));
-            last = unpack_transpose(&tiles, rl, cl, size);
+            unpack_transpose(&tiles, rl, cl, size, &mut last);
             if with_fft {
                 // Column FFTs (rows of the transposed stripe).
                 comm.ctx().compute(work(cost::fft_rows_cost(cl, size)));
@@ -145,7 +157,8 @@ mod tests {
         #[allow(clippy::needless_range_loop)]
         for me in 0..n {
             let tiles: Vec<Payload> = (0..n).map(|j| packed[j][me].clone()).collect();
-            let out = unpack_transpose(&tiles, rl, cl, size);
+            let mut out = vec![Complex32::ZERO; cl * size];
+            unpack_transpose(&tiles, rl, cl, size, &mut out);
             // Row c of `out` is column me*cl + c of the original.
             for c in 0..cl {
                 for r in 0..size {
@@ -196,6 +209,6 @@ mod tests {
     #[should_panic]
     fn unpack_rejects_bad_tiles() {
         let tiles = vec![Payload::zeroed(8); 2];
-        unpack_transpose(&tiles, 4, 4, 8);
+        unpack_transpose(&tiles, 4, 4, 8, &mut [Complex32::ZERO; 32]);
     }
 }

@@ -4,41 +4,83 @@
 use crate::workload;
 use sage_model::{CostModel, ShelfFunction, SoftwareShelf};
 use sage_runtime::{FnThreadCtx, Registry};
-use sage_signal::complex::{as_bytes, from_bytes};
+use sage_signal::complex::{view, with_view_mut};
 use sage_signal::cost;
 use sage_signal::fft::{Fft1d, FftDirection};
-use sage_signal::transpose::transpose_blocked;
+use sage_signal::transpose::{transpose_blocked, DEFAULT_BLOCK};
 use sage_signal::window::{apply_window, window_coefficients, WindowKind};
+use sage_signal::Complex32;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Plan cache shared by the FFT kernels (the 10x100-iteration benchmark
-/// loops of the paper must not rebuild twiddle tables).
+/// Tables shared by the kernels across invocations (the 10x100-iteration
+/// benchmark loops of the paper must not rebuild twiddle or window tables).
 struct PlanCache {
-    plans: Mutex<HashMap<(usize, bool), std::sync::Arc<Fft1d>>>,
+    plans: Mutex<HashMap<(usize, bool), Arc<Fft1d>>>,
+    /// Hamming coefficients by row length.
+    windows: Mutex<HashMap<usize, Arc<Vec<f32>>>>,
 }
 
 impl PlanCache {
     fn new() -> Self {
         PlanCache {
             plans: Mutex::new(HashMap::new()),
+            windows: Mutex::new(HashMap::new()),
         }
     }
 
-    fn get(&self, n: usize) -> std::sync::Arc<Fft1d> {
+    fn get(&self, n: usize) -> Arc<Fft1d> {
         self.get_dir(n, FftDirection::Forward)
     }
 
-    fn get_dir(&self, n: usize, dir: FftDirection) -> std::sync::Arc<Fft1d> {
+    fn get_dir(&self, n: usize, dir: FftDirection) -> Arc<Fft1d> {
         let inverse = dir == FftDirection::Inverse;
         let mut map = self.plans.lock().expect("plan cache poisoned");
         map.entry((n, inverse))
-            .or_insert_with(|| std::sync::Arc::new(Fft1d::new(n, dir)))
+            .or_insert_with(|| Arc::new(Fft1d::new(n, dir)))
+            .clone()
+    }
+
+    fn hamming(&self, n: usize) -> Arc<Vec<f32>> {
+        let mut map = self.windows.lock().expect("plan cache poisoned");
+        map.entry(n)
+            .or_insert_with(|| Arc::new(window_coefficients(WindowKind::Hamming, n)))
             .clone()
     }
 }
 
+/// The in-place form of a one-in, one-out kernel: copies input 0 into
+/// output 0 (the only pass over the stripe besides `f`'s own) and runs `f`
+/// on the output's samples.
+fn in_place(ctx: &mut FnThreadCtx<'_>, f: impl FnOnce(&mut [Complex32])) {
+    let out = &mut ctx.outputs[0];
+    out.bytes.copy_from_slice(&ctx.inputs[0].bytes);
+    with_view_mut(&mut out.bytes, f);
+}
+
+/// Transposes the `[r, c]` matrix stripe of input 0 straight into output 0
+/// and runs `then` on the transposed samples with their row length `r`.
+fn transposed(
+    ctx: &mut FnThreadCtx<'_>,
+    then: impl FnOnce(&mut [Complex32], usize),
+) -> Result<(), String> {
+    let input = ctx.inputs.first().ok_or("needs an input")?;
+    if input.shape.len() != 2 {
+        return Err(format!("expected a matrix stripe, got {:?}", input.shape));
+    }
+    let (r, cdim) = (input.shape[0], input.shape[1]);
+    with_view_mut(&mut ctx.outputs[0].bytes, |t| {
+        transpose_blocked(&view(&input.bytes), t, r, cdim, DEFAULT_BLOCK);
+        then(t, r);
+    });
+    Ok(())
+}
+
 /// Registers every application kernel used by the benchmark models.
+///
+/// Every kernel computes on the stripes it is handed: inputs are read
+/// through [`view`] and results are written directly into
+/// `ctx.outputs[i].bytes`, with no stripe-sized temporary.
 ///
 /// * `workload.matrix` — source kernel: fills its output stripe with the
 ///   deterministic input samples; needs params `seed` and `size` and a
@@ -58,7 +100,7 @@ impl PlanCache {
 ///   (usually `delay`-arc) feedback input (pipeline-safety fixtures and
 ///   fuzz corpus).
 pub fn register_kernels(reg: &mut Registry) {
-    let cache = std::sync::Arc::new(PlanCache::new());
+    let cache = Arc::new(PlanCache::new());
 
     reg.register("workload.matrix", |ctx: &mut FnThreadCtx<'_>| {
         let seed = ctx.param_i64("seed").unwrap_or(0) as u64;
@@ -69,11 +111,18 @@ pub fn register_kernels(reg: &mut Registry) {
         if out.shape.len() != 2 {
             return Err(format!("expected a matrix stripe, got {:?}", out.shape));
         }
+        if out.elem_bytes != std::mem::size_of::<Complex32>() {
+            return Err(format!(
+                "expected complex samples, got {}-byte elements",
+                out.elem_bytes
+            ));
+        }
         let (rows, cols) = (out.shape[0], out.shape[1]);
         // Row-striped output: global row offset = thread * local rows.
         let row0 = ctx.thread * rows;
-        let data = workload::input_stripe(seed, cols, row0, rows);
-        out.bytes.copy_from_slice(as_bytes(&data));
+        with_view_mut(&mut out.bytes, |stripe| {
+            workload::fill_stripe(seed, cols, row0, stripe)
+        });
         Ok(())
     });
 
@@ -81,66 +130,37 @@ pub fn register_kernels(reg: &mut Registry) {
     reg.register("isspl.fft_rows", move |ctx: &mut FnThreadCtx<'_>| {
         let input = ctx.inputs.first().ok_or("isspl.fft_rows needs an input")?;
         let cols = *input.shape.last().ok_or("scalar input")?;
-        let mut data = from_bytes(&input.bytes);
-        c.get(cols).process_rows(&mut data);
-        let out = &mut ctx.outputs[0];
-        out.bytes.copy_from_slice(as_bytes(&data));
+        in_place(ctx, |data| c.get(cols).process_rows(data));
         Ok(())
     });
 
     reg.register("isspl.transpose", |ctx: &mut FnThreadCtx<'_>| {
         let input = ctx.inputs.first().ok_or("isspl.transpose needs an input")?;
-        if input.shape.len() != 2 {
-            return Err(format!("expected a matrix stripe, got {:?}", input.shape));
+        if let [r, cdim] = input.shape[..] {
+            let out = &ctx.outputs[0];
+            if out.shape != [cdim, r] {
+                return Err(format!(
+                    "transpose output shape {:?} does not match [{cdim}, {r}]",
+                    out.shape
+                ));
+            }
         }
-        let (r, cdim) = (input.shape[0], input.shape[1]);
-        let data = from_bytes(&input.bytes);
-        let mut out_data = vec![sage_signal::Complex32::ZERO; r * cdim];
-        transpose_blocked(&data, &mut out_data, r, cdim, 32);
-        let out = &mut ctx.outputs[0];
-        if out.shape != [cdim, r] {
-            return Err(format!(
-                "transpose output shape {:?} does not match [{cdim}, {r}]",
-                out.shape
-            ));
-        }
-        out.bytes.copy_from_slice(as_bytes(&out_data));
-        Ok(())
+        transposed(ctx, |_, _| {})
     });
 
     let c = cache.clone();
     reg.register(
         "isspl.transpose_fft_rows",
-        move |ctx: &mut FnThreadCtx<'_>| {
-            let input = ctx.inputs.first().ok_or("needs an input")?;
-            if input.shape.len() != 2 {
-                return Err(format!("expected a matrix stripe, got {:?}", input.shape));
-            }
-            let (r, cdim) = (input.shape[0], input.shape[1]);
-            let data = from_bytes(&input.bytes);
-            let mut t = vec![sage_signal::Complex32::ZERO; r * cdim];
-            transpose_blocked(&data, &mut t, r, cdim, 32);
-            c.get(r).process_rows(&mut t); // rows now have length r
-            ctx.outputs[0].bytes.copy_from_slice(as_bytes(&t));
-            Ok(())
-        },
+        move |ctx: &mut FnThreadCtx<'_>| transposed(ctx, |t, r| c.get(r).process_rows(t)),
     );
 
     let c = cache.clone();
     reg.register(
         "isspl.transpose_ifft_rows",
         move |ctx: &mut FnThreadCtx<'_>| {
-            let input = ctx.inputs.first().ok_or("needs an input")?;
-            if input.shape.len() != 2 {
-                return Err(format!("expected a matrix stripe, got {:?}", input.shape));
-            }
-            let (r, cdim) = (input.shape[0], input.shape[1]);
-            let data = from_bytes(&input.bytes);
-            let mut t = vec![sage_signal::Complex32::ZERO; r * cdim];
-            transpose_blocked(&data, &mut t, r, cdim, 32);
-            c.get_dir(r, FftDirection::Inverse).process_rows(&mut t);
-            ctx.outputs[0].bytes.copy_from_slice(as_bytes(&t));
-            Ok(())
+            transposed(ctx, |t, r| {
+                c.get_dir(r, FftDirection::Inverse).process_rows(t)
+            })
         },
     );
 
@@ -159,42 +179,41 @@ pub fn register_kernels(reg: &mut Registry) {
         let kc_total = rows * ctx.threads; // full C extent
         let kr_total = cols; // full R extent
         let kc0 = ctx.thread * rows;
-        let data = from_bytes(&input.bytes);
-        let mut out = data;
-        for lr in 0..rows {
-            let kc = kc0 + lr;
-            let kc_fold = kc.min(kc_total - kc);
-            for kr in 0..cols {
-                let kr_fold = kr.min(kr_total - kr);
-                if kc_fold > radius || kr_fold > radius {
-                    out[lr * cols + kr] = sage_signal::Complex32::ZERO;
+        in_place(ctx, |out| {
+            for lr in 0..rows {
+                let kc = kc0 + lr;
+                let kc_fold = kc.min(kc_total - kc);
+                for kr in 0..cols {
+                    let kr_fold = kr.min(kr_total - kr);
+                    if kc_fold > radius || kr_fold > radius {
+                        out[lr * cols + kr] = Complex32::ZERO;
+                    }
                 }
             }
-        }
-        ctx.outputs[0].bytes.copy_from_slice(as_bytes(&out));
+        });
         Ok(())
     });
 
-    reg.register("isspl.window_rows", |ctx: &mut FnThreadCtx<'_>| {
+    let c = cache.clone();
+    reg.register("isspl.window_rows", move |ctx: &mut FnThreadCtx<'_>| {
         let input = ctx.inputs.first().ok_or("needs an input")?;
         let cols = *input.shape.last().ok_or("scalar input")?;
-        let coeffs = window_coefficients(WindowKind::Hamming, cols);
-        let mut data = from_bytes(&input.bytes);
-        for row in data.chunks_exact_mut(cols) {
-            apply_window(row, &coeffs);
-        }
-        ctx.outputs[0].bytes.copy_from_slice(as_bytes(&data));
+        let coeffs = c.hamming(cols);
+        in_place(ctx, |data| {
+            for row in data.chunks_exact_mut(cols) {
+                apply_window(row, &coeffs);
+            }
+        });
         Ok(())
     });
 
     reg.register("isspl.magnitude", |ctx: &mut FnThreadCtx<'_>| {
-        let input = ctx.inputs.first().ok_or("needs an input")?;
-        let data = from_bytes(&input.bytes);
-        let out: Vec<sage_signal::Complex32> = data
-            .iter()
-            .map(|z| sage_signal::Complex32::new(z.norm_sqr(), 0.0))
-            .collect();
-        ctx.outputs[0].bytes.copy_from_slice(as_bytes(&out));
+        ctx.inputs.first().ok_or("needs an input")?;
+        in_place(ctx, |data| {
+            for z in data {
+                *z = Complex32::new(z.norm_sqr(), 0.0);
+            }
+        });
         Ok(())
     });
 
@@ -352,6 +371,7 @@ mod tests {
     use super::*;
     use sage_model::Properties;
     use sage_runtime::StripePayload;
+    use sage_signal::complex::{as_bytes, from_bytes};
 
     fn invoke(reg: &Registry, name: &str, ctx: &mut FnThreadCtx<'_>) {
         reg.get(name).unwrap().invoke(ctx).unwrap();
@@ -501,5 +521,135 @@ mod tests {
             outputs: &mut outputs,
         };
         assert!(reg.get("workload.mix").unwrap().invoke(&mut ctx).is_err());
+    }
+
+    /// The kernels' bodies as they were before they computed in place
+    /// (copy in, compute in a temporary, copy out), kept as the reference
+    /// the rewritten ones must match bit for bit.
+    fn reference(name: &str, ctx: &FnThreadCtx<'_>) -> Vec<Complex32> {
+        let input = ctx.inputs.first();
+        let shape = input.map_or(&ctx.outputs[0].shape, |i| &i.shape);
+        let (r, cdim) = (shape[0], shape[1]);
+        let transposed = || {
+            let data = from_bytes(&input.unwrap().bytes);
+            let mut t = vec![Complex32::ZERO; r * cdim];
+            transpose_blocked(&data, &mut t, r, cdim, 32);
+            t
+        };
+        match name {
+            "workload.matrix" => {
+                let seed = ctx.param_i64("seed").unwrap_or(0) as u64;
+                let mut v = Vec::with_capacity(r * cdim);
+                for row in ctx.thread * r..ctx.thread * r + r {
+                    for col in 0..cdim {
+                        v.push(workload::sample(seed, row, col));
+                    }
+                }
+                v
+            }
+            "isspl.fft_rows" => {
+                let mut data = from_bytes(&input.unwrap().bytes);
+                Fft1d::new(cdim, FftDirection::Forward).process_rows(&mut data);
+                data
+            }
+            "isspl.transpose" => transposed(),
+            "isspl.transpose_fft_rows" => {
+                let mut t = transposed();
+                Fft1d::new(r, FftDirection::Forward).process_rows(&mut t);
+                t
+            }
+            "isspl.transpose_ifft_rows" => {
+                let mut t = transposed();
+                Fft1d::new(r, FftDirection::Inverse).process_rows(&mut t);
+                t
+            }
+            "isspl.lowpass_mask" => {
+                let radius = ctx.param_i64("radius").unwrap_or(8) as usize;
+                let (kc_total, kc0) = (r * ctx.threads, ctx.thread * r);
+                let mut out = from_bytes(&input.unwrap().bytes);
+                for lr in 0..r {
+                    let kc = kc0 + lr;
+                    let kc_fold = kc.min(kc_total - kc);
+                    for kr in 0..cdim {
+                        let kr_fold = kr.min(cdim - kr);
+                        if kc_fold > radius || kr_fold > radius {
+                            out[lr * cdim + kr] = Complex32::ZERO;
+                        }
+                    }
+                }
+                out
+            }
+            "isspl.window_rows" => {
+                let coeffs = window_coefficients(WindowKind::Hamming, cdim);
+                let mut data = from_bytes(&input.unwrap().bytes);
+                for row in data.chunks_exact_mut(cdim) {
+                    apply_window(row, &coeffs);
+                }
+                data
+            }
+            "isspl.magnitude" => from_bytes(&input.unwrap().bytes)
+                .iter()
+                .map(|z| Complex32::new(z.norm_sqr(), 0.0))
+                .collect(),
+            other => panic!("no reference for {other}"),
+        }
+    }
+
+    #[test]
+    fn in_place_kernels_match_their_copying_references_bit_for_bit() {
+        let mut reg = Registry::new();
+        register_kernels(&mut reg);
+        let mut params = Properties::new();
+        params.insert("seed".into(), sage_model::PropValue::Int(11));
+        params.insert("radius".into(), sage_model::PropValue::Int(3));
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            rand::splitmix64(state)
+        };
+        for (name, has_input, turns) in [
+            ("workload.matrix", false, false),
+            ("isspl.fft_rows", true, false),
+            ("isspl.transpose", true, true),
+            ("isspl.transpose_fft_rows", true, true),
+            ("isspl.transpose_ifft_rows", true, true),
+            ("isspl.lowpass_mask", true, false),
+            ("isspl.window_rows", true, false),
+            ("isspl.magnitude", true, false),
+        ] {
+            // Non-square stripes, wider than one transpose tile, run twice
+            // so the second pass reads the cached plans and window table.
+            for (r, cdim) in [(8, 64), (64, 16), (8, 64)] {
+                let mut input = stripe(vec![r, cdim]);
+                for chunk in input.bytes.chunks_mut(4) {
+                    // Random finite floats: the exponent is kept mid-range.
+                    let exponent = 0x7e + (next() as u32 % 3);
+                    let bits = (next() as u32 & 0x807f_ffff) | (exponent << 23);
+                    chunk.copy_from_slice(&bits.to_le_bytes());
+                }
+                let out_shape = if turns { vec![cdim, r] } else { vec![r, cdim] };
+                let inputs = if has_input { vec![input] } else { vec![] };
+                // The executor hands outputs over zeroed; a kernel must not
+                // depend on it, so the test hands them over dirty.
+                let mut outputs = vec![stripe(out_shape)];
+                outputs[0].bytes.fill(0xFF);
+                let mut ctx = FnThreadCtx {
+                    fn_name: "k",
+                    thread: 1,
+                    threads: 2,
+                    iteration: 0,
+                    params: &params,
+                    inputs: &inputs,
+                    outputs: &mut outputs,
+                };
+                let expect = reference(name, &ctx);
+                invoke(&reg, name, &mut ctx);
+                assert_eq!(
+                    &outputs[0].bytes[..],
+                    as_bytes(&expect),
+                    "{name} on a {r}x{cdim} stripe"
+                );
+            }
+        }
     }
 }

@@ -27,13 +27,19 @@ pub fn input_matrix(seed: u64, size: usize) -> Matrix {
 
 /// Generates one row-stripe (`rows` rows starting at `row0`) of the input.
 pub fn input_stripe(seed: u64, size: usize, row0: usize, rows: usize) -> Vec<Complex32> {
-    let mut v = Vec::with_capacity(rows * size);
-    for r in row0..row0 + rows {
-        for c in 0..size {
-            v.push(sample(seed, r, c));
+    let mut v = vec![Complex32::ZERO; rows * size];
+    fill_stripe(seed, size, row0, &mut v);
+    v
+}
+
+/// Writes the input's rows `row0..` (`size` samples each) over `stripe`, a
+/// whole number of rows — [`input_stripe`] into storage the caller owns.
+pub fn fill_stripe(seed: u64, size: usize, row0: usize, stripe: &mut [Complex32]) {
+    for (r, row) in stripe.chunks_exact_mut(size.max(1)).enumerate() {
+        for (c, z) in row.iter_mut().enumerate() {
+            *z = sample(seed, row0 + r, c);
         }
     }
-    v
 }
 
 /// Serial reference 2D FFT, returned **transposed** (`[cols, rows]`) to

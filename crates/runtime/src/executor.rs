@@ -169,6 +169,10 @@ struct BufferPlan {
     /// `true` when producer and consumer layouts are identical per thread:
     /// the transfer degrades to per-thread hand-offs (no pack/unpack).
     aligned: bool,
+    /// `true` when the pairs arriving at each consumer thread cover its
+    /// whole layout: a stripe this buffer is unpacked or merged into is
+    /// overwritten in full, so its storage need not start zeroed.
+    covering: bool,
     dst_local_shape: Vec<usize>,
     src_local_shape: Vec<usize>,
     /// Global byte intervals producer thread `i` contributes (union of its
@@ -304,6 +308,7 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
                     b.send_striping,
                     pf.threads as usize,
                 ),
+                covering: (0..plan.dst.len()).all(|j| plan.incoming_bytes(j) == plan.dst[j].len()),
                 plan,
                 aligned,
                 write_regions,
@@ -613,9 +618,8 @@ struct RankState<'a, T: Transport> {
     /// Per buffer id.
     rings: Vec<Ring>,
     store: RingStore,
-    /// Per pair: the staging buffer for its packed redistribution message,
-    /// reused across iterations whenever the previous iteration's receiver
-    /// has already released its handle.
+    /// Per pair: this rank's handle on the pair's last packed message,
+    /// repacked in place once the receiver has released its own.
     staging: Vec<Payload>,
     /// Per pair: outstanding credits of a same-node pair; remote pairs ride
     /// the credit tag channel.
@@ -696,7 +700,7 @@ pub fn execute_rank<T: Transport>(
             base,
             live_bytes: 0,
         },
-        staging: vec![Payload::default(); pairs],
+        staging: vec![Payload::new(); pairs],
         local_credits: vec![0; pairs],
         deposits: Vec::new(),
         stats: StreamStats::default(),
@@ -936,13 +940,22 @@ impl<T: Transport> RankState<'_, T> {
                 if bp.aligned && !multi {
                     // Whole stripe arrives as one piece: hand it off.
                     local = Some(msg);
-                } else if bp.aligned {
+                    continue;
+                }
+                // The port's own stripe, created by the first payload to
+                // arrive. All edges of that payload's buffer run in this loop
+                // (one `delay`), so a covering buffer overwrites every byte.
+                let new_stripe = || match bp.plan.dst[tid].len() {
+                    len if bp.covering => Payload::scratch(len),
+                    len => Payload::zeroed(len),
+                };
+                let stripe = local.get_or_insert_with(new_stripe).to_mut();
+                if bp.aligned {
                     // Fan-in keeps the hand-off but merges it into the
                     // port's shared buffer with a charged copy; later
                     // buffers in the group overwrite earlier ones.
                     self.ctx.compute(Work::copy(msg.len()));
-                    let buf = local.get_or_insert_with(|| Payload::zeroed(bp.plan.dst[tid].len()));
-                    buf.to_mut().copy_from_slice(&msg);
+                    stripe.copy_from_slice(&msg);
                 } else {
                     // Unpack into the consuming function's logical buffer
                     // (interpreted descriptor walk: per-run overhead).
@@ -960,11 +973,8 @@ impl<T: Transport> RankState<'_, T> {
                             overhead_secs: 0.0,
                         }),
                     }
-                    let buf = local.get_or_insert_with(|| Payload::zeroed(bp.plan.dst[tid].len()));
                     // Compiled, coalesced scatter.
-                    pair_table[e.pair as usize]
-                        .1
-                        .unpack_into(&msg, buf.to_mut());
+                    pair_table[e.pair as usize].1.unpack_into(&msg, stripe);
                 }
             }
             let local = local.unwrap_or_else(|| Payload::zeroed(first_bp.plan.dst[tid].len()));
@@ -1154,17 +1164,12 @@ impl<T: Transport> RankState<'_, T> {
                 } else {
                     self.ctx
                         .advance(self.options.per_run_overhead * f64::from(e.runs));
-                    // Pack into the pair's staging buffer, reused across
-                    // iterations once the previous receiver has dropped its
-                    // handle.
+                    // The pack program writes every byte of its message.
                     let ops = &prepared.pair_table[e.pair as usize].1;
-                    let slot = &mut self.staging[e.pair as usize];
-                    if !slot.is_unique() || slot.len() != ops.bytes {
-                        *slot = Payload::zeroed(ops.bytes);
-                    }
-                    ops.pack_into(&output.bytes, slot.to_mut());
+                    let staged = &mut self.staging[e.pair as usize];
+                    ops.pack_into(&output.bytes, staged.rescratch(ops.bytes));
                     self.ctx.compute(Work::copy(ops.bytes));
-                    slot.clone()
+                    staged.clone()
                 };
                 self.probe.xfer_start(self.ctx.now(), bid, iter);
                 if e.peer_node == node {
@@ -1206,7 +1211,7 @@ impl<T: Transport> RankState<'_, T> {
                 self.send(
                     e.peer_node,
                     credit_tag(pair),
-                    &Payload::zeroed(0),
+                    &Payload::new(),
                     e.buffer,
                     iter,
                 )?;

@@ -58,6 +58,8 @@ pub struct FnThreadCtx<'a> {
     /// Input stripes, in input-port order.
     pub inputs: &'a [StripePayload],
     /// Output stripes to fill, in output-port order (pre-sized, zeroed).
+    /// Write in place; the stripe is uniquely owned while the kernel runs,
+    /// so mutating `bytes` never copies.
     pub outputs: &'a mut [StripePayload],
 }
 

@@ -7,6 +7,7 @@
 //! `#[repr(C)]` so a `&[Complex32]` can be viewed as raw bytes for message
 //! transfer without copies.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -197,20 +198,56 @@ pub fn as_bytes(data: &[Complex32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
 }
 
-/// Reinterprets raw bytes as a complex slice.
+/// Copies raw bytes into a freshly allocated complex vector (any alignment).
 ///
 /// # Panics
-/// Panics if `bytes.len()` is not a multiple of 8 or the pointer is not
-/// 4-byte aligned.
+/// Panics if `bytes.len()` is not a multiple of 8.
 pub fn from_bytes(bytes: &[u8]) -> Vec<Complex32> {
     assert_eq!(bytes.len() % std::mem::size_of::<Complex32>(), 0);
     let n = bytes.len() / std::mem::size_of::<Complex32>();
     let mut out = vec![Complex32::ZERO; n];
-    // Copy via raw bytes; alignment of the destination is guaranteed.
+    // SAFETY: `out` owns exactly `bytes.len()` bytes (`n * 8`, checked
+    // above), the two regions cannot overlap (`out` was just allocated),
+    // byte copies need no alignment of the source, and every bit pattern is
+    // a valid `f32` pair.
     unsafe {
         std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
     }
     out
+}
+
+/// Views raw bytes as complex samples without copying — the way kernels
+/// read a stripe. A slice that is not 4-byte aligned or not a whole number
+/// of samples cannot be viewed and takes [`from_bytes`]'s copying path
+/// instead (and its panic on a ragged length), so the result is the same
+/// either way.
+pub fn view(bytes: &[u8]) -> Cow<'_, [Complex32]> {
+    // SAFETY: `Complex32` is `#[repr(C)]` over two `f32`s with no padding,
+    // and every bit pattern is a valid `f32` pair; `align_to` itself keeps
+    // the middle slice aligned and in bounds.
+    let (head, samples, tail) = unsafe { bytes.align_to::<Complex32>() };
+    if head.is_empty() && tail.is_empty() {
+        Cow::Borrowed(samples)
+    } else {
+        Cow::Owned(from_bytes(bytes))
+    }
+}
+
+/// Runs `f` over raw bytes viewed as mutable complex samples — the way
+/// kernels write a stripe in place. A slice that cannot be viewed (see
+/// [`view`]) is copied out, handed to `f` and copied back, so `f` observes
+/// and leaves the same bytes either way.
+pub fn with_view_mut<R>(bytes: &mut [u8], f: impl FnOnce(&mut [Complex32]) -> R) -> R {
+    // SAFETY: as in `view`; in addition every `Complex32` bit pattern is a
+    // valid byte sequence, so writes through the view leave `bytes` valid.
+    let (head, samples, tail) = unsafe { bytes.align_to_mut::<Complex32>() };
+    if head.is_empty() && tail.is_empty() {
+        return f(samples);
+    }
+    let mut copy = from_bytes(bytes);
+    let result = f(&mut copy);
+    bytes.copy_from_slice(as_bytes(&copy));
+    result
 }
 
 #[cfg(test)]
@@ -276,6 +313,64 @@ mod tests {
         assert_eq!(bytes.len(), 16);
         let back = from_bytes(bytes);
         assert_eq!(back, data);
+    }
+
+    /// A 16-byte window of `raw` starting `extra` bytes past a
+    /// `Complex32`-aligned address, holding `data`.
+    fn window<'a>(raw: &'a mut Vec<u8>, extra: usize, data: &[Complex32]) -> &'a mut [u8] {
+        raw.resize(16 + 8, 0);
+        let skew = raw.as_ptr().align_offset(std::mem::align_of::<Complex32>()) + extra;
+        let window = &mut raw[skew..skew + 16];
+        window.copy_from_slice(as_bytes(data));
+        window
+    }
+
+    #[test]
+    fn views_borrow_aligned_bytes_in_place() {
+        let data = vec![Complex32::new(1.0, 2.0), Complex32::new(-3.5, 0.25)];
+        let mut raw = Vec::new();
+        let bytes = window(&mut raw, 0, &data);
+        let at = bytes.as_ptr();
+
+        let seen = view(bytes);
+        assert!(matches!(seen, Cow::Borrowed(_)));
+        assert_eq!(seen.as_ptr() as *const u8, at);
+        assert_eq!(&seen[..], &data[..]);
+
+        // The mutable view writes through to the same storage.
+        let seen_at = with_view_mut(bytes, |s| {
+            s[1] = s[1].scale(2.0);
+            s.as_ptr() as *const u8
+        });
+        assert_eq!(seen_at, at, "an aligned slice is viewed, not copied");
+        assert_eq!(from_bytes(bytes), vec![data[0], data[1].scale(2.0)]);
+    }
+
+    #[test]
+    fn misaligned_views_fall_back_to_the_copying_path() {
+        let data = vec![Complex32::new(1.0, 2.0), Complex32::new(-3.5, 0.25)];
+        // One byte past a 4-byte boundary: never viewable in place.
+        let mut raw = Vec::new();
+        let bytes = window(&mut raw, 1, &data);
+
+        let seen = view(bytes);
+        assert!(matches!(seen, Cow::Owned(_)));
+        assert_eq!(&seen[..], &data[..]);
+
+        // The closure's writes still land in the caller's bytes.
+        let len = with_view_mut(bytes, |s| {
+            s[0] = Complex32::new(9.0, -9.0);
+            s.len()
+        });
+        assert_eq!(len, 2);
+        assert_eq!(from_bytes(bytes), vec![Complex32::new(9.0, -9.0), data[1]]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn ragged_views_panic_like_from_bytes() {
+        let data = [Complex32::ONE, Complex32::I];
+        view(&as_bytes(&data)[..12]);
     }
 
     #[test]

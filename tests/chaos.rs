@@ -365,3 +365,65 @@ fn injected_kernel_fault_names_its_block() {
     assert!(msg.contains("kernel error in `row_fft`"), "got: {msg}");
     assert!(msg.contains("chaos kernel fault"), "got: {msg}");
 }
+
+/// Stripes of 256 KiB are recycled between runs (`sage_fabric::Payload`'s
+/// pool), so a run killed mid-frame hands half-written buffers back. The
+/// next fault-free run in this process must not see them: the corner turn
+/// is compared against the serial transpose — bits no pool had a hand in,
+/// what a fresh process would print — and the 2-D FFT against its own
+/// baseline taken before any fault.
+#[test]
+fn a_run_killed_mid_frame_leaves_the_buffer_pool_clean() {
+    const BIG: usize = 256;
+    const RANKS: usize = 2;
+    const FRAMES: u32 = 3;
+    let virt = TimePolicy::Virtual;
+    let bits = |m: &sage_signal::Matrix| -> Vec<(u32, u32)> {
+        let bits = |c: &sage_signal::Complex32| (c.re.to_bits(), c.im.to_bits());
+        m.as_slice().iter().map(bits).collect()
+    };
+    let turned = sage_apps::workload::corner_turn_reference(&sage_apps::workload::input_matrix(
+        fft2d::SEED,
+        BIG,
+    ));
+    let fft_base = fft2d::run_sage(BIG, RANKS, virt, &options(), FRAMES);
+    let turn_base = corner_turn::run_sage(BIG, RANKS, virt, &options(), FRAMES);
+    assert_eq!(bits(&turn_base.result), bits(&turned));
+    // Node failures land mid-run on either app's virtual clock.
+    let mid_run = turn_base.makespan.min(fft_base.makespan) / 2.0;
+    for (name, plan) in [
+        ("NodeFailed", FaultPlan::new(1).fail_node(1, mid_run)),
+        ("PeerFailed", FaultPlan::new(2).fail_node(0, mid_run / 4.0)),
+        (
+            "kernel error",
+            FaultPlan::new(3)
+                .inject_kernel_fault("corner_turn", 1, 1, "chaos")
+                .inject_kernel_fault("col_fft", 1, 1, "chaos"),
+        ),
+    ] {
+        for streaming in [false, true] {
+            let faulty = if streaming {
+                options().with_faults(plan.clone()).with_pipeline(2)
+            } else {
+                options().with_faults(plan.clone())
+            };
+            let what = format!("{name}, streaming {streaming}");
+            corner_turn::try_run_sage(BIG, RANKS, virt, &faulty, FRAMES)
+                .expect_err(&format!("corner turn survived {what}"));
+            let after = corner_turn::run_sage(BIG, RANKS, virt, &options(), FRAMES);
+            assert_eq!(
+                bits(&after.result),
+                bits(&turned),
+                "corner turn after {what}"
+            );
+            fft2d::try_run_sage(BIG, RANKS, virt, &faulty, FRAMES)
+                .expect_err(&format!("fft2d survived {what}"));
+            let after = fft2d::run_sage(BIG, RANKS, virt, &options(), FRAMES);
+            assert_eq!(
+                result_bits(&after),
+                result_bits(&fft_base),
+                "fft2d after {what}"
+            );
+        }
+    }
+}

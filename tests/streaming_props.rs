@@ -25,6 +25,7 @@ mod common;
 
 use common::expected_credits;
 use proptest::prelude::*;
+use sage::fabric::Payload;
 use sage::fuzz::gen::{chain_model, Stage};
 use sage::prelude::*;
 use sage::runtime::Redistribution;
@@ -339,5 +340,104 @@ fn feedback_model_sink_is_pinned_under_every_issue_policy() {
             "{:?}",
             options.issue
         );
+    }
+}
+
+/// The feedback fixture scaled up until its stripes are recycled storage
+/// (256 KiB stripes, 128 KiB packed messages). Every block keeps one
+/// striping across its ports, so each is a pass-through of the whole
+/// array, but neighbours disagree: every arc except `m -> snk` is a corner
+/// turn, unpacked into the consumer's stripe rather than handed off. A
+/// second, two-iteration `delay` tap merges into the sink's port beside
+/// the direct arc (fan-in: one aligned copy, one unpack).
+const FEEDBACK_FAN_IN_LARGE: &str = r#"
+(model "feedback_fan_in_large"
+  (block "src" (source 2)
+    (port out "out" (array (complex) 256 256) (striped 0))
+    (props ("kernel" "workload.bytes") ("seed" 11)))
+  (block "m" (primitive "workload.mix" 2 (cost 16.0 128.0))
+    (port in "in" (array (complex) 256 256) (striped 1))
+    (port in "fb" (array (complex) 256 256) (striped 1))
+    (port out "out" (array (complex) 256 256) (striped 1)))
+  (block "fbd" (primitive "id" 2 (cost 16.0 128.0))
+    (port in "in" (array (complex) 256 256) (striped 0))
+    (port out "out" (array (complex) 256 256) (striped 0))
+    (props ("delay" 1)))
+  (block "tap" (primitive "id" 2 (cost 16.0 128.0))
+    (port in "in" (array (complex) 256 256) (striped 0))
+    (port out "out" (array (complex) 256 256) (striped 0))
+    (props ("delay" 2)))
+  (block "snk" (sink 2)
+    (port in "in" (array (complex) 256 256) (striped 1)))
+  (connect "src" "out" "m" "in")
+  (connect "m" "out" "fbd" "in")
+  (connect "fbd" "out" "m" "fb")
+  (connect "m" "out" "tap" "in")
+  (connect "m" "out" "snk" "in")
+  (connect "tap" "out" "snk" "in"))
+"#;
+
+/// Recycled storage never shows through: where nothing is written — the
+/// `fb` stripe before the `delay` arc's first payload, the sink's port
+/// before the tap's — a consumer reads zeros, and where the executor skips
+/// the zero-fill because the unpack overwrites every byte, it does. Every
+/// block but the source and the XOR is a pass-through, so the expected
+/// sink stream is a pure function of the source frames (taken from a
+/// source -> sink program no redistribution touches); each run starts over
+/// a pool stocked with `0xFF` buffers of its stripe and message lengths,
+/// and one stale byte — the stock's or the run's own — reaching a sink
+/// breaks the equality.
+#[test]
+fn recycled_buffers_never_show_through_a_delay_arc_or_a_fan_in_port() {
+    let iters = 6;
+    let run = |model: &str, options: &RuntimeOptions| -> Vec<Vec<u8>> {
+        let mut project = Project::from_sexpr(model, 2).unwrap();
+        sage::apps::kernels::register_kernels(&mut project.registry);
+        let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+        let exec = project
+            .execute(&program, TimePolicy::Virtual, options, iters)
+            .expect("runs");
+        sink_frames(&program, &exec, iters)
+    };
+    let base = RuntimeOptions::paper_faithful();
+    let source = run(
+        r#"(model "source_only"
+             (block "src" (source 2)
+               (port out "out" (array (complex) 256 256) (striped 0))
+               (props ("kernel" "workload.bytes") ("seed" 11)))
+             (block "snk" (sink 2)
+               (port in "in" (array (complex) 256 256) (striped 0)))
+             (connect "src" "out" "snk" "in"))"#,
+        &base,
+    );
+    // m[i] = src[i] ^ m[i-1] (zeros before the first feedback payload); the
+    // sink's port takes m[i], then the tap's m[i-2] over it once it flows.
+    let mut mixed: Vec<Vec<u8>> = Vec::new();
+    for (i, frame) in source.iter().enumerate() {
+        let fb = if i > 0 {
+            mixed[i - 1].clone()
+        } else {
+            vec![0; frame.len()]
+        };
+        mixed.push(frame.iter().zip(&fb).map(|(a, b)| a ^ b).collect());
+    }
+    let expected: Vec<&Vec<u8>> = (0..mixed.len())
+        .map(|i| &mixed[if i >= 2 { i - 2 } else { i }])
+        .collect();
+
+    for options in [
+        base.clone(),
+        base.clone().with_pipeline(2),
+        base.with_pipeline_validate(1),
+    ] {
+        let stock: Vec<Payload> = [256 << 10, 128 << 10]
+            .into_iter()
+            .flat_map(|len| (0..24).map(move |_| Payload::from_vec(vec![0xFF; len])))
+            .collect();
+        drop(stock);
+        let frames = run(FEEDBACK_FAN_IN_LARGE, &options);
+        for (i, (got, want)) in frames.iter().zip(&expected).enumerate() {
+            assert!(got == *want, "{:?}: sink frame {i} differs", options.issue);
+        }
     }
 }
