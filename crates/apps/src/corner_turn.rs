@@ -12,13 +12,11 @@ use crate::dist;
 use crate::fft2d::{DistRun, SEED};
 use crate::kernels::register_kernels;
 use crate::workload;
-use sage_core::{Placement, Project, ProjectError};
+use sage_core::{Project, ProjectError};
 use sage_fabric::{MachineSpec, TimePolicy};
 use sage_model::{AppGraph, Block, CostModel, DataType, HardwareShelf, Port, PropValue, Striping};
 use sage_runtime::RuntimeOptions;
-use sage_signal::complex::from_bytes;
 use sage_signal::cost;
-use sage_signal::Matrix;
 
 /// Builds the SAGE Designer model of the distributed corner turn.
 pub fn sage_model(size: usize, threads: usize) -> AppGraph {
@@ -86,21 +84,13 @@ pub fn try_run_sage(
     options: &RuntimeOptions,
     iterations: u32,
 ) -> Result<DistRun, ProjectError> {
-    let project = sage_project(size, nodes);
-    let (program, _src) = project.generate(&Placement::Aligned)?;
-    let exec = project.execute(&program, policy, options, iterations)?;
-    let sink_id = (program.functions.len() - 1) as u32;
-    let bytes = exec
-        .results
-        .assemble(&program, sink_id, iterations - 1)
-        .expect("sink result");
-    Ok(DistRun {
-        per_iter_secs: exec.secs_per_iteration(),
-        makespan: exec.report.makespan,
-        wall: exec.report.wall,
-        result: Matrix::from_vec(size, size, from_bytes(&bytes)),
-        metrics: exec.report.metrics,
-    })
+    dist::run_project(
+        &sage_project(size, nodes),
+        size,
+        policy,
+        options,
+        iterations,
+    )
 }
 
 /// Runs the hand-coded MPI form.

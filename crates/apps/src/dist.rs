@@ -1,13 +1,17 @@
 //! The hand-coded distributed implementation: tile packing for
 //! `MPI_All_to_All`, the transposing unpack, and the one driver
 //! ([`run_hand_coded`]) both benchmarks and the cross-vendor sweep run,
-//! exactly as the CSPI reference codes organize the exchange.
+//! exactly as the CSPI reference codes organize the exchange — plus its
+//! SAGE twin ([`run_project`]), the one way a matrix project is generated,
+//! executed and its sink read back.
 
 use crate::fft2d::{DistRun, SEED};
 use crate::workload;
+use sage_core::{Placement, Project, ProjectError};
 use sage_fabric::{Cluster, MachineSpec, Payload, TimePolicy, Transport, Work};
 use sage_mpi::{Communicator, MpiConfig};
-use sage_signal::complex::{as_bytes, view};
+use sage_runtime::RuntimeOptions;
+use sage_signal::complex::{as_bytes, from_bytes, view};
 use sage_signal::cost::{self, KernelCost};
 use sage_signal::fft::{Fft1d, FftDirection};
 use sage_signal::{Complex32, Matrix};
@@ -102,7 +106,7 @@ pub fn run_hand_coded(
             comm.ctx().compute(Work::copy(local.len() * 8));
             let blocks = pack_tiles(&local, rl, size, nodes);
             let tiles = comm
-                .try_alltoall_tuned(&blocks)
+                .try_alltoall(&blocks)
                 .expect("hand-coded baselines run fault-free");
             // Transposing unpack completes the corner turn.
             comm.ctx().compute(work(cost::transpose_cost(cl, size)));
@@ -133,6 +137,38 @@ pub fn run_hand_coded(
         result,
         metrics: report.metrics,
     }
+}
+
+/// The SAGE auto-generated form of a `size x size` matrix benchmark:
+/// generates `project` with the aligned placement, executes it and
+/// assembles what its sink (the last function in topological order)
+/// absorbed on the final iteration. Injected-fault failures (via
+/// `RuntimeOptions::with_faults`) surface as structured [`ProjectError`]s;
+/// a run of no iterations absorbed nothing and reports a zero matrix.
+pub fn run_project(
+    project: &Project,
+    size: usize,
+    policy: TimePolicy,
+    options: &RuntimeOptions,
+    iterations: u32,
+) -> Result<DistRun, ProjectError> {
+    let (program, _src) = project.generate(&Placement::Aligned)?;
+    let exec = project.execute(&program, policy, options, iterations)?;
+    let result = match iterations.checked_sub(1) {
+        Some(last) => {
+            let sink_id = (program.functions.len() - 1) as u32;
+            let bytes = exec.results.assemble(&program, sink_id, last);
+            Matrix::from_vec(size, size, from_bytes(&bytes.expect("sink result")))
+        }
+        None => Matrix::zeros(size, size),
+    };
+    Ok(DistRun {
+        per_iter_secs: exec.secs_per_iteration(),
+        makespan: exec.report.makespan,
+        wall: exec.report.wall,
+        result,
+        metrics: exec.report.metrics,
+    })
 }
 
 #[cfg(test)]
@@ -196,13 +232,18 @@ mod tests {
     #[test]
     fn zero_iterations_is_an_empty_run_not_a_panic() {
         let virt = TimePolicy::Virtual;
+        let options = RuntimeOptions::paper_faithful();
         for run in [
             crate::fft2d::run_hand_coded(32, 4, virt, 0),
             crate::corner_turn::run_hand_coded(32, 4, virt, 0),
+            crate::fft2d::run_sage(32, 4, virt, &options, 0),
+            crate::corner_turn::run_sage(32, 4, virt, &options, 0),
         ] {
             assert_eq!(run.per_iter_secs, 0.0);
             assert_eq!(run.result, Matrix::zeros(32, 32));
         }
+        let filtered = crate::image_filter::run_sage(32, 4, 4, &options, 0);
+        assert_eq!(filtered, Matrix::zeros(32, 32));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use crate::dist;
 use crate::kernels::register_kernels;
 use crate::workload;
-use sage_core::{Placement, Project, ProjectError};
+use sage_core::{Project, ProjectError};
 use sage_fabric::{FabricMetrics, MachineSpec, TimePolicy};
 use sage_model::{AppGraph, Block, CostModel, DataType, HardwareShelf, Port, PropValue, Striping};
 use sage_runtime::RuntimeOptions;
-use sage_signal::complex::from_bytes;
 use sage_signal::cost;
 use sage_signal::Matrix;
 use std::time::Duration;
@@ -119,22 +118,13 @@ pub fn try_run_sage(
     options: &RuntimeOptions,
     iterations: u32,
 ) -> Result<DistRun, ProjectError> {
-    let project = sage_project(size, nodes);
-    let (program, _src) = project.generate(&Placement::Aligned)?;
-    let exec = project.execute(&program, policy, options, iterations)?;
-    // The sink is the last function in topological order.
-    let sink_id = (program.functions.len() - 1) as u32;
-    let bytes = exec
-        .results
-        .assemble(&program, sink_id, iterations - 1)
-        .expect("sink result");
-    Ok(DistRun {
-        per_iter_secs: exec.secs_per_iteration(),
-        makespan: exec.report.makespan,
-        wall: exec.report.wall,
-        result: Matrix::from_vec(size, size, from_bytes(&bytes)),
-        metrics: exec.report.metrics,
-    })
+    dist::run_project(
+        &sage_project(size, nodes),
+        size,
+        policy,
+        options,
+        iterations,
+    )
 }
 
 /// Runs the hand-coded MPI form on the same machine model.

@@ -15,7 +15,7 @@
 use crate::fft2d::SEED;
 use crate::kernels::register_kernels;
 use crate::workload;
-use sage_core::{Placement, Project};
+use sage_core::Project;
 use sage_fabric::TimePolicy;
 use sage_model::{AppGraph, Block, CostModel, DataType, HardwareShelf, Port, PropValue, Striping};
 use sage_runtime::RuntimeOptions;
@@ -127,16 +127,9 @@ pub fn run_sage(
     iterations: u32,
 ) -> Matrix {
     let project = sage_project(size, nodes, radius);
-    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
-    let exec = project
-        .execute(&program, TimePolicy::Virtual, options, iterations)
-        .expect("execution");
-    let sink_id = (program.functions.len() - 1) as u32;
-    let bytes = exec
-        .results
-        .assemble(&program, sink_id, iterations - 1)
-        .expect("sink result");
-    Matrix::from_vec(size, size, sage_signal::complex::from_bytes(&bytes))
+    crate::dist::run_project(&project, size, TimePolicy::Virtual, options, iterations)
+        .expect("execution")
+        .result
 }
 
 /// Serial reference: 2D FFT → ideal low-pass → inverse 2D FFT, returned

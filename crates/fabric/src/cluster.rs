@@ -101,11 +101,6 @@ impl NodeCtx {
         self.shared.policy
     }
 
-    /// The fault plan this cluster runs under (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.shared.plan
-    }
-
     /// The node's current virtual clock (0-based; meaningless in real mode).
     pub fn clock(&self) -> f64 {
         self.clock

@@ -97,15 +97,6 @@ impl FabricMetrics {
         self.nodes.iter().map(|n| n.lost_secs).sum()
     }
 
-    /// The largest per-node memory high-water mark (bytes).
-    pub fn max_mem_high_water(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.mem_high_water)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total payload bytes that crossed a real wire (sum over link
     /// counters; 0 for in-process backends).
     pub fn wire_bytes(&self) -> u64 {

@@ -23,10 +23,10 @@
 //! core; cost accounting then comes from the hardware itself, exactly as on
 //! the original testbeds.
 //!
-//! Everything above the mailbox — the hand-coded MPI baseline
-//! (`sage_mpi::Communicator`) and the SAGE run-time alike — reaches its
-//! peers through this trait and nothing else, so the two sides of Table 1.0
-//! ride the same message path by construction.
+//! Everything above the mailbox — the hand-coded baseline's all-to-all
+//! (`sage_mpi::Communicator::try_alltoall`) and the SAGE run-time alike —
+//! reaches its peers through this trait and nothing else, so the two sides
+//! of Table 1.0 ride the same message path by construction.
 
 use crate::fault::FabricError;
 use crate::machine::Work;

@@ -210,11 +210,6 @@ impl Block {
     pub fn is_primitive(&self) -> bool {
         matches!(self.kind, BlockKind::Primitive { .. })
     }
-
-    /// `true` for hierarchical blocks.
-    pub fn is_hierarchical(&self) -> bool {
-        matches!(self.kind, BlockKind::Hierarchical { .. })
-    }
 }
 
 #[cfg(test)]

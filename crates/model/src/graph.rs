@@ -395,16 +395,6 @@ impl AppGraph {
         Ok(out)
     }
 
-    /// The ids of all primitive (leaf computation) blocks, in instance order.
-    pub fn primitive_ids(&self) -> Vec<BlockId> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_primitive())
-            .map(|(i, _)| BlockId::from_index(i))
-            .collect()
-    }
-
     /// Total bytes flowing along connection `c` per iteration.
     pub fn connection_bytes(&self, c: &Connection) -> usize {
         self.port_at(c.from)

@@ -134,6 +134,7 @@ impl MeshState {
     }
 
     /// Whether `peer` may still send: neither dead nor done.
+    #[cfg(test)]
     pub(crate) fn alive(&self, peer: usize) -> bool {
         let p = &self.peers[peer];
         !p.dead && !p.done

@@ -223,7 +223,6 @@ enum CoreFail {
 /// endpoint.
 pub struct MeshCore {
     rank: usize,
-    size: usize,
     links: Vec<Option<Arc<PeerLink>>>,
     mailbox: Arc<Mailbox>,
     probe: Probe,
@@ -352,7 +351,6 @@ impl MeshCore {
         let io_passes = io.passes.clone();
         Ok(Arc::new(MeshCore {
             rank,
-            size,
             links,
             mailbox,
             probe,
@@ -368,16 +366,6 @@ impl MeshCore {
     /// This endpoint's mesh index.
     pub fn mesh_rank(&self) -> usize {
         self.rank
-    }
-
-    /// Endpoints in the mesh.
-    pub fn mesh_size(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the mesh link to `peer` is currently usable.
-    pub fn peer_alive(&self, peer: usize) -> bool {
-        peer == self.rank || self.mailbox.lock().alive(peer)
     }
 
     /// Enqueues a payload locally (self-sends never hit the wire).

@@ -532,9 +532,9 @@ pub struct RankOutcome {
 }
 
 /// High tag bit marking a backpressure credit message. [`xfer_tag`] packs
-/// its fields into bits 0..60 and `sage-mpi`'s user/collective split owns
-/// bit 63, so bit 62 is free on every transport; credits therefore share
-/// the data fabric without ever colliding with a data frame's tag.
+/// its fields into bits 0..60, so bit 62 is free on every transport;
+/// credits therefore share the data fabric without ever colliding with a
+/// data frame's tag.
 const CREDIT_BIT: u64 = 1 << 62;
 
 /// The credit-channel tag for one (buffer, producer thread, consumer

@@ -72,21 +72,10 @@ pub fn window_cost(n: usize) -> KernelCost {
     KernelCost::new(2.0 * n as f64, 2.0 * n as f64 * COMPLEX_BYTES)
 }
 
-/// Cost of an FIR filter with `taps` taps over `n` samples.
-pub fn fir_cost(n: usize, taps: usize) -> KernelCost {
-    // Each output: taps complex MACs, 8 flops each.
-    KernelCost::new(8.0 * n as f64 * taps as f64, 2.0 * n as f64 * COMPLEX_BYTES)
-}
-
 /// Cost of element-wise magnitude over `n` samples (~4 flops incl. sqrt
 /// approximation).
 pub fn magnitude_cost(n: usize) -> KernelCost {
     KernelCost::new(4.0 * n as f64, 1.5 * n as f64 * COMPLEX_BYTES)
-}
-
-/// Cost of a raw memory copy of `bytes` bytes.
-pub fn copy_cost(bytes: usize) -> KernelCost {
-    KernelCost::new(0.0, 2.0 * bytes as f64)
 }
 
 #[cfg(test)]

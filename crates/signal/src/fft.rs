@@ -135,35 +135,6 @@ impl Fft1d {
             self.process(row);
         }
     }
-
-    /// Like [`Fft1d::process_rows`] but parallelized over rows with scoped
-    /// OS threads (one worker per available core, rows dealt in contiguous
-    /// batches).
-    ///
-    /// Used by the real-time execution mode where a SAGE function instance
-    /// runs with multiple threads on one node.
-    pub fn process_rows_parallel(&self, data: &mut [Complex32]) {
-        assert_eq!(data.len() % self.n.max(1), 0, "not a whole number of rows");
-        let rows = data.len() / self.n.max(1);
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(rows.max(1));
-        if workers <= 1 || rows <= 1 {
-            self.process_rows(data);
-            return;
-        }
-        let rows_per_worker = rows.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for chunk in data.chunks_mut(rows_per_worker * self.n) {
-                scope.spawn(move || {
-                    for row in chunk.chunks_exact_mut(self.n) {
-                        self.process(row);
-                    }
-                });
-            }
-        });
-    }
 }
 
 /// One-shot forward FFT of a power-of-two-length buffer.
@@ -174,12 +145,6 @@ pub fn fft_1d(data: &mut [Complex32]) {
 /// One-shot normalized inverse FFT.
 pub fn fft_inverse_1d(data: &mut [Complex32]) {
     Fft1d::new(data.len(), FftDirection::Inverse).process(data);
-}
-
-/// Forward-transforms every row of an `rows x cols` row-major matrix.
-pub fn fft_2d_rows(data: &mut [Complex32], cols: usize) {
-    assert_eq!(data.len() % cols.max(1), 0);
-    Fft1d::new(cols, FftDirection::Forward).process_rows(data);
 }
 
 /// Naive `O(N^2)` DFT used as a test oracle for the fast transform.
@@ -342,21 +307,6 @@ mod tests {
         }
         plan.process_rows(&mut data);
         assert!(max_err(&data, &expect) == 0.0);
-    }
-
-    #[test]
-    fn parallel_rows_match_serial_rows() {
-        let cols = 64;
-        let rows = 8;
-        let base: Vec<Complex32> = (0..rows * cols)
-            .map(|i| Complex32::new((i as f32).sin(), (i as f32).cos()))
-            .collect();
-        let plan = Fft1d::new(cols, FftDirection::Forward);
-        let mut serial = base.clone();
-        plan.process_rows(&mut serial);
-        let mut par = base;
-        plan.process_rows_parallel(&mut par);
-        assert_eq!(serial, par);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Signal-processing function library for the SAGE reproduction.
 //!
 //! This crate plays the role of the **CSPI ISSPL functional library** that the
-//! paper's experiments link against: a shelf of reusable, high-performance
-//! kernels (FFTs, corner turns, windows, filters, vector operations) that both
-//! the hand-coded benchmark applications and the SAGE run-time invoke.
+//! paper's experiments link against: the shelf of reusable, high-performance
+//! kernels (FFTs, corner turns, windows) that the hand-coded benchmark
+//! applications and the SAGE run-time invoke, plus the naive oracles their
+//! tests compare against.
 //!
 //! Every kernel comes with an analytic **flop-cost model** ([`cost`]) so that
 //! the virtual-time execution mode of `sage-fabric` can charge deterministic
@@ -17,13 +18,11 @@
 pub mod complex;
 pub mod cost;
 pub mod fft;
-pub mod fir;
 pub mod matrix;
 pub mod transpose;
-pub mod vecops;
 pub mod window;
 
 pub use complex::Complex32;
-pub use fft::{fft_1d, fft_2d_rows, fft_inverse_1d, Fft1d, FftDirection};
+pub use fft::{fft_1d, fft_inverse_1d, Fft1d, FftDirection};
 pub use matrix::Matrix;
-pub use transpose::{transpose, transpose_blocked, transpose_in_place_square};
+pub use transpose::{transpose, transpose_blocked};

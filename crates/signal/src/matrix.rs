@@ -81,11 +81,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrows row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [Complex32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> Complex32 {

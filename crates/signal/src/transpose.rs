@@ -61,19 +61,6 @@ pub fn transpose_blocked(
     }
 }
 
-/// In-place transpose of a square `n x n` matrix.
-///
-/// # Panics
-/// Panics if `data.len() != n * n`.
-pub fn transpose_in_place_square(data: &mut [Complex32], n: usize) {
-    assert_eq!(data.len(), n * n, "shape mismatch");
-    for r in 0..n {
-        for c in (r + 1)..n {
-            data.swap(r * n + c, c * n + r);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,25 +104,6 @@ mod tests {
         transpose(&src, &mut once, 6, 10);
         transpose(&once, &mut twice, 10, 6);
         assert_eq!(src, twice);
-    }
-
-    #[test]
-    fn in_place_square_matches_out_of_place() {
-        let src = fill(16, 16);
-        let mut expect = vec![Complex32::ZERO; 256];
-        transpose(&src, &mut expect, 16, 16);
-        let mut data = src;
-        transpose_in_place_square(&mut data, 16);
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn in_place_is_involution() {
-        let orig = fill(9, 9);
-        let mut data = orig.clone();
-        transpose_in_place_square(&mut data, 9);
-        transpose_in_place_square(&mut data, 9);
-        assert_eq!(data, orig);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Probe {
         self.record(time, EventKind::XferStart, buf_id, iteration);
     }
 
-    /// Transfer completed.
-    pub fn xfer_end(&self, time: f64, buf_id: u32, iteration: u32) {
-        self.record(time, EventKind::XferEnd, buf_id, iteration);
-    }
-
     /// A dropped transfer was retried.
     pub fn xfer_retry(&self, time: f64, buf_id: u32, iteration: u32) {
         self.record(time, EventKind::XferRetry, buf_id, iteration);

@@ -126,10 +126,11 @@ fn workload_reference_self_consistency() {
     let input = workload::input_matrix(9, 16);
     let via_fft = workload::fft2d_reference_transposed(&input);
     // Manual: transpose first, then row FFT twice in the other order.
+    let plan = sage::signal::Fft1d::new(16, sage::signal::FftDirection::Forward);
     let mut rows_first = input.clone();
-    sage::signal::fft::fft_2d_rows(rows_first.as_mut_slice(), 16);
+    plan.process_rows(rows_first.as_mut_slice());
     let mut t = rows_first.transposed();
-    sage::signal::fft::fft_2d_rows(t.as_mut_slice(), 16);
+    plan.process_rows(t.as_mut_slice());
     assert!(via_fft.max_abs_diff(&t) < 1e-4);
 }
 

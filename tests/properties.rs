@@ -234,7 +234,7 @@ proptest! {
         cluster.run(|ctx| {
             let me = ctx.id();
             let n = ctx.nodes();
-            let mut comm = Communicator::new(ctx, MpiConfig::generic());
+            let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
             let blocks: Vec<Payload> = (0..n)
                 .map(|d| Payload::from_vec(vec![(me * 31 + d) as u8; payload]))
                 .collect();
@@ -242,45 +242,6 @@ proptest! {
             for (src, b) in out.iter().enumerate() {
                 assert_eq!(b, &vec![(src * 31 + me) as u8; payload]);
             }
-        });
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn bcast_gather_scatter_round_trip(n in 1usize..8, root_pick in 0usize..8, len in 0usize..32) {
-        use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload};
-        use sage::mpi::{Communicator, MpiConfig};
-        let root = root_pick % n;
-        let machine = MachineSpec::uniform(
-            "p",
-            n,
-            NodeSpec { flops_per_sec: 1e9, mem_bw: 1e9 },
-            LinkSpec { bandwidth: 1e8, latency: 1e-6 },
-        );
-        let cluster = Cluster::new(machine, TimePolicy::Virtual);
-        cluster.run(|ctx| {
-            let me = ctx.id();
-            let n = ctx.nodes();
-            let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
-            // bcast: root's payload reaches everyone.
-            let mut data = if me == root { Payload::from_vec(vec![9u8; len]) } else { Payload::new() };
-            comm.try_bcast(root, &mut data).expect("fault-free");
-            assert_eq!(data, vec![9u8; len]);
-            // gather -> scatter is the identity on per-rank payloads.
-            let mine = Payload::from_vec(vec![me as u8; len + 1]);
-            let gathered = comm.try_gather(root, &mine).expect("fault-free");
-            let back = if me == root {
-                let parts = gathered.unwrap();
-                assert_eq!(parts.len(), n);
-                comm.try_scatter(root, Some(&parts))
-            } else {
-                comm.try_scatter(root, None)
-            }
-            .expect("fault-free");
-            assert_eq!(back, mine);
         });
     }
 }
