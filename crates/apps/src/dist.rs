@@ -66,9 +66,10 @@ pub fn unpack_transpose(
 
 /// The hand-coded MPI form of both benchmarks, the way CSPI's engineers
 /// wrote the reference versions: [row FFTs →] pack → vendor-tuned
-/// `MPI_All_to_All` → transposing unpack [→ column FFTs], one rank per
-/// node of `machine`. `with_fft` selects the parallel 2D FFT; without it
-/// the exchange alone is the distributed corner turn.
+/// `MPI_All_to_All` → transposing unpack (corner turn) or column FFTs
+/// straight from the received tiles (2D FFT), one rank per node of
+/// `machine`. `with_fft` selects the parallel 2D FFT; without it the
+/// exchange alone is the distributed corner turn.
 pub fn run_hand_coded(
     machine: MachineSpec,
     policy: TimePolicy,
@@ -108,13 +109,18 @@ pub fn run_hand_coded(
             let tiles = comm
                 .try_alltoall(&blocks)
                 .expect("hand-coded baselines run fault-free");
-            // Transposing unpack completes the corner turn.
+            // The transposing unpack completes the corner turn; the 2D FFT
+            // instead reads the tiles (row blocks of the `[size, cl]` column
+            // stripe) through the column FFT's gather, as the SAGE kernel
+            // reads its stripe.
             comm.ctx().compute(work(cost::transpose_cost(cl, size)));
-            unpack_transpose(&tiles, rl, cl, size, &mut last);
             if with_fft {
-                // Column FFTs (rows of the transposed stripe).
                 comm.ctx().compute(work(cost::fft_rows_cost(cl, size)));
-                plan.process_rows(&mut last);
+                let views: Vec<_> = tiles.iter().map(|t| view(t)).collect();
+                let blocks: Vec<&[Complex32]> = views.iter().map(|v| &v[..]).collect();
+                plan.process_columns_into(&blocks, &mut last);
+            } else {
+                unpack_transpose(&tiles, rl, cl, size, &mut last);
             }
         }
         last

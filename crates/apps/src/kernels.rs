@@ -58,22 +58,24 @@ fn in_place(ctx: &mut FnThreadCtx<'_>, f: impl FnOnce(&mut [Complex32])) {
     with_view_mut(&mut out.bytes, f);
 }
 
-/// Transposes the `[r, c]` matrix stripe of input 0 straight into output 0
-/// and runs `then` on the transposed samples with their row length `r`.
-fn transposed(
+/// The out-of-place form of a one-in, one-out kernel: runs `f` from input
+/// 0's samples, read where they lie, into output 0's.
+fn mapped(
     ctx: &mut FnThreadCtx<'_>,
-    then: impl FnOnce(&mut [Complex32], usize),
+    f: impl FnOnce(&[Complex32], &mut [Complex32]),
 ) -> Result<(), String> {
     let input = ctx.inputs.first().ok_or("needs an input")?;
-    if input.shape.len() != 2 {
-        return Err(format!("expected a matrix stripe, got {:?}", input.shape));
-    }
-    let (r, cdim) = (input.shape[0], input.shape[1]);
-    with_view_mut(&mut ctx.outputs[0].bytes, |t| {
-        transpose_blocked(&view(&input.bytes), t, r, cdim, DEFAULT_BLOCK);
-        then(t, r);
-    });
+    with_view_mut(&mut ctx.outputs[0].bytes, |out| f(&view(&input.bytes), out));
     Ok(())
+}
+
+/// The `[r, c]` shape of input 0, which must be a matrix stripe.
+fn matrix_shape(ctx: &FnThreadCtx<'_>) -> Result<(usize, usize), String> {
+    let input = ctx.inputs.first().ok_or("needs an input")?;
+    match input.shape[..] {
+        [r, cdim] => Ok((r, cdim)),
+        _ => Err(format!("expected a matrix stripe, got {:?}", input.shape)),
+    }
 }
 
 /// Registers every application kernel used by the benchmark models.
@@ -85,11 +87,14 @@ fn transposed(
 /// * `workload.matrix` — source kernel: fills its output stripe with the
 ///   deterministic input samples; needs params `seed` and `size` and a
 ///   row-striped output;
-/// * `isspl.fft_rows` — forward FFT of every row of the local stripe;
+/// * `isspl.fft_rows` — forward FFT of every row of the local stripe, read
+///   from the input by the transform's own loads;
 /// * `isspl.transpose` — local tile transpose (`[r, c]` → `[c, r]`);
-/// * `isspl.transpose_fft_rows` — fused corner-turn-consumer kernel:
-///   transpose the local `[R, C/N]` column stripe to `[C/N, R]`, then FFT
-///   its rows (i.e. the original matrix's columns);
+/// * `isspl.transpose_fft_rows` — fused corner-turn-consumer kernel: FFTs
+///   the columns of the local `[R, C/N]` column stripe into the rows of its
+///   `[C/N, R]` output; the transform's gather does the turn, so no
+///   transposed copy is made (`isspl.transpose_ifft_rows` likewise,
+///   inverse);
 /// * `isspl.window_rows` — Hamming window applied to every row;
 /// * `isspl.magnitude` — element-wise power (squared magnitude) into the
 ///   real part, used by the detection stage;
@@ -129,38 +134,39 @@ pub fn register_kernels(reg: &mut Registry) {
     let c = cache.clone();
     reg.register("isspl.fft_rows", move |ctx: &mut FnThreadCtx<'_>| {
         let input = ctx.inputs.first().ok_or("isspl.fft_rows needs an input")?;
-        let cols = *input.shape.last().ok_or("scalar input")?;
-        in_place(ctx, |data| c.get(cols).process_rows(data));
-        Ok(())
+        let plan = c.get(*input.shape.last().ok_or("scalar input")?);
+        mapped(ctx, |src, out| plan.process_rows_into(src, out))
     });
 
     reg.register("isspl.transpose", |ctx: &mut FnThreadCtx<'_>| {
-        let input = ctx.inputs.first().ok_or("isspl.transpose needs an input")?;
-        if let [r, cdim] = input.shape[..] {
-            let out = &ctx.outputs[0];
-            if out.shape != [cdim, r] {
-                return Err(format!(
-                    "transpose output shape {:?} does not match [{cdim}, {r}]",
-                    out.shape
-                ));
-            }
+        let (r, cdim) = matrix_shape(ctx)?;
+        let out = &ctx.outputs[0];
+        if out.shape != [cdim, r] {
+            return Err(format!(
+                "transpose output shape {:?} does not match [{cdim}, {r}]",
+                out.shape
+            ));
         }
-        transposed(ctx, |_, _| {})
+        mapped(ctx, |src, out| {
+            transpose_blocked(src, out, r, cdim, DEFAULT_BLOCK)
+        })
     });
 
     let c = cache.clone();
     reg.register(
         "isspl.transpose_fft_rows",
-        move |ctx: &mut FnThreadCtx<'_>| transposed(ctx, |t, r| c.get(r).process_rows(t)),
+        move |ctx: &mut FnThreadCtx<'_>| {
+            let plan = c.get(matrix_shape(ctx)?.0);
+            mapped(ctx, |src, out| plan.process_columns_into(&[src], out))
+        },
     );
 
     let c = cache.clone();
     reg.register(
         "isspl.transpose_ifft_rows",
         move |ctx: &mut FnThreadCtx<'_>| {
-            transposed(ctx, |t, r| {
-                c.get_dir(r, FftDirection::Inverse).process_rows(t)
-            })
+            let plan = c.get_dir(matrix_shape(ctx)?.0, FftDirection::Inverse);
+            mapped(ctx, |src, out| plan.process_columns_into(&[src], out))
         },
     );
 
@@ -618,8 +624,25 @@ mod tests {
             ("isspl.magnitude", true, false),
         ] {
             // Non-square stripes, wider than one transpose tile, run twice
-            // so the second pass reads the cached plans and window table.
-            for (r, cdim) in [(8, 64), (64, 16), (8, 64)] {
+            // so the second pass reads the cached plans and window table;
+            // then stripes whose transforms do not fill the FFT's four
+            // lanes: the beamformer's 2-row `beams` stripe, and 6 and 3
+            // rows or turned rows.
+            let shapes = [
+                (8, 64),
+                (64, 16),
+                (8, 64),
+                (32, 2),
+                (6, 32),
+                (3, 8),
+                (32, 6),
+                (8, 3),
+            ];
+            for (r, cdim) in shapes {
+                let length = if turns { r } else { cdim };
+                if name.contains("fft") && !usize::is_power_of_two(length) {
+                    continue;
+                }
                 let mut input = stripe(vec![r, cdim]);
                 for chunk in input.bytes.chunks_mut(4) {
                     // Random finite floats: the exponent is kept mid-range.

@@ -3,9 +3,18 @@
 //! This is the compute kernel of the paper's **Parallel 2D FFT** benchmark.
 //! The distributed algorithm (in `sage-apps`) performs row FFTs on each node,
 //! a distributed corner turn, then row FFTs again (i.e. column FFTs of the
-//! original matrix); this module provides the node-local 1D transform and a
-//! row-batched helper, with a cached twiddle-factor plan ([`Fft1d`]) so that
-//! the 100-iteration benchmark loops of the paper do not recompute tables.
+//! original matrix); this module provides the node-local 1D transform, with
+//! a cached twiddle-factor plan ([`Fft1d`]) so that the 100-iteration
+//! benchmark loops of the paper do not recompute tables.
+//!
+//! Every entry point runs one butterfly core that transforms four
+//! sequences at once: it gathers them, bit-reversed, into split real /
+//! imaginary scratch, runs the stages two at a time, and stores the
+//! results. The column entry ([`Fft1d::process_columns_into`]) gathers the
+//! columns of an untransposed matrix, so the corner turn before a column
+//! pass is done by the pass's loads instead of a transpose of its own. Each
+//! output element sees the twiddle values, operations and operand order of
+//! the textbook one-row-at-a-time loop, so the result is bit-identical to it.
 
 use crate::complex::Complex32;
 
@@ -16,6 +25,18 @@ pub enum FftDirection {
     Forward,
     /// Unnormalized inverse; [`Fft1d::process`] applies the `1/N` scaling.
     Inverse,
+}
+
+/// Sequences the butterfly core transforms together: four `f32` lanes are
+/// one 128-bit vector, which baseline x86-64 (SSE2) has.
+const LANES: usize = 4;
+
+/// Sample `k` of [`LANES`] sequences, real and imaginary parts split so a
+/// butterfly is whole-vector arithmetic. Spare lanes hold zeros.
+#[derive(Clone, Copy, Default)]
+struct Quad {
+    re: [f32; LANES],
+    im: [f32; LANES],
 }
 
 /// A reusable FFT plan for a fixed power-of-two length.
@@ -29,9 +50,11 @@ pub struct Fft1d {
     direction: FftDirection,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// Twiddles for all stages, concatenated: stage with half-size `m` uses
-    /// `m` consecutive factors.
-    twiddles: Vec<Complex32>,
+    /// Twiddles for all stages, concatenated and split into real and
+    /// imaginary parts: the stage with half-size `m` uses the `m` factors
+    /// from index `m - 1`.
+    tw_re: Vec<f32>,
+    tw_im: Vec<f32>,
 }
 
 impl Fft1d {
@@ -49,12 +72,14 @@ impl Fft1d {
             FftDirection::Forward => -1.0f32,
             FftDirection::Inverse => 1.0f32,
         };
-        let mut twiddles = Vec::with_capacity(n.max(1));
+        let (mut tw_re, mut tw_im) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let mut m = 1;
         while m < n {
             for j in 0..m {
                 let theta = sign * std::f32::consts::PI * j as f32 / m as f32;
-                twiddles.push(Complex32::cis(theta));
+                let w = Complex32::cis(theta);
+                tw_re.push(w.re);
+                tw_im.push(w.im);
             }
             m <<= 1;
         }
@@ -62,7 +87,8 @@ impl Fft1d {
             n,
             direction,
             rev,
-            twiddles,
+            tw_re,
+            tw_im,
         }
     }
 
@@ -91,38 +117,7 @@ impl Fft1d {
     /// Panics if `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex32]) {
         assert_eq!(data.len(), self.n, "buffer length mismatch");
-        if self.n <= 1 {
-            return;
-        }
-        // Bit-reversal reordering.
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        // Iterative Cooley-Tukey butterflies.
-        let mut m = 1;
-        let mut tw_base = 0;
-        while m < self.n {
-            for start in (0..self.n).step_by(2 * m) {
-                for j in 0..m {
-                    let w = self.twiddles[tw_base + j];
-                    let a = data[start + j];
-                    let b = data[start + j + m] * w;
-                    data[start + j] = a + b;
-                    data[start + j + m] = a - b;
-                }
-            }
-            tw_base += m;
-            m <<= 1;
-        }
-        if self.direction == FftDirection::Inverse {
-            let k = 1.0 / self.n as f32;
-            for z in data.iter_mut() {
-                *z = z.scale(k);
-            }
-        }
+        self.process_rows(data);
     }
 
     /// Transforms every length-`n` row of a row-major buffer in place.
@@ -130,11 +125,151 @@ impl Fft1d {
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the plan length.
     pub fn process_rows(&self, data: &mut [Complex32]) {
-        assert_eq!(data.len() % self.n.max(1), 0, "not a whole number of rows");
-        for row in data.chunks_exact_mut(self.n) {
-            self.process(row);
+        assert_eq!(data.len() % self.n, 0, "not a whole number of rows");
+        let mut q = vec![Quad::default(); self.n];
+        for group in data.chunks_mut(LANES * self.n) {
+            self.load(&mut q, row_samples(group, self.n));
+            self.finish(&mut q, group);
         }
     }
+
+    /// [`process_rows`](Self::process_rows) from `src` into `dst`, which it
+    /// overwrites: the rows are read once, by the transform's own loads.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ or are not a multiple of the plan
+    /// length.
+    pub fn process_rows_into(&self, src: &[Complex32], dst: &mut [Complex32]) {
+        assert_eq!(src.len(), dst.len(), "source and destination differ");
+        assert_eq!(src.len() % self.n, 0, "not a whole number of rows");
+        let mut q = vec![Quad::default(); self.n];
+        let width = LANES * self.n;
+        for (s, d) in src.chunks(width).zip(dst.chunks_mut(width)) {
+            self.load(&mut q, row_samples(s, self.n));
+            self.finish(&mut q, d);
+        }
+    }
+
+    /// Transforms every length-`n` column of the row-major `[n, c]` matrix
+    /// stacked from `blocks` (whole rows, top to bottom) into row `j` of the
+    /// `[c, n]` destination, `c = dst.len() / n`: a corner turn followed by
+    /// [`process_rows`](Self::process_rows), with the turn done by the
+    /// transform's loads (four adjacent columns of one row at a time).
+    ///
+    /// # Panics
+    /// Panics if `dst` is not a whole number of rows, if a block is not a
+    /// whole number of `c`-sample rows, or if the blocks do not hold `n`
+    /// rows in all.
+    pub fn process_columns_into(&self, blocks: &[&[Complex32]], dst: &mut [Complex32]) {
+        let n = self.n;
+        assert_eq!(dst.len() % n, 0, "not a whole number of rows");
+        let cols = dst.len() / n;
+        let held: usize = blocks.iter().map(|b| b.len()).sum();
+        assert_eq!(held, dst.len(), "the blocks do not hold {n} rows of {cols}");
+        if cols == 0 {
+            return;
+        }
+        assert!(
+            blocks.iter().all(|b| b.len() % cols == 0),
+            "a block is not a whole number of {cols}-sample rows"
+        );
+        let mut q = vec![Quad::default(); n];
+        for (g, d) in dst.chunks_mut(LANES * n).enumerate() {
+            let c0 = g * LANES;
+            let rows = blocks.iter().flat_map(|b| b.chunks_exact(cols));
+            self.load(&mut q, rows.map(|row| lanes(|l| row.get(c0 + l))));
+            self.finish(&mut q, d);
+        }
+    }
+
+    /// Gathers one group: `samples` yields sample `i` of every lane in input
+    /// order, and lands in `q` at the bit-reversed index.
+    fn load(&self, q: &mut [Quad], samples: impl Iterator<Item = [Complex32; LANES]>) {
+        for (&k, z) in self.rev.iter().zip(samples) {
+            q[k as usize] = Quad {
+                re: z.map(|z| z.re),
+                im: z.map(|z| z.im),
+            };
+        }
+    }
+
+    /// Runs every stage over the group in `q` and stores it into `out`, one
+    /// row per used lane; spare lanes are never stored.
+    fn finish(&self, q: &mut [Quad], out: &mut [Complex32]) {
+        self.stages(q);
+        // A length-1 transform is the identity, unscaled.
+        let inverse = self.direction == FftDirection::Inverse && self.n > 1;
+        let k = 1.0 / self.n as f32;
+        for (l, row) in out.chunks_exact_mut(self.n).enumerate() {
+            for (z, s) in row.iter_mut().zip(q.iter()) {
+                let v = Complex32::new(s.re[l], s.im[l]);
+                *z = if inverse { v.scale(k) } else { v };
+            }
+        }
+    }
+
+    /// The butterfly stages, two at a time (radix 2²): the four samples of
+    /// a quartet stay in registers through both, then one plain stage if
+    /// log₂ n is odd.
+    fn stages(&self, q: &mut [Quad]) {
+        let n = self.n;
+        let mut m = 1;
+        while 4 * m <= n {
+            let (w1r, w1i) = (&self.tw_re[m - 1..][..m], &self.tw_im[m - 1..][..m]);
+            let (w2r, w2i) = (
+                &self.tw_re[2 * m - 1..][..2 * m],
+                &self.tw_im[2 * m - 1..][..2 * m],
+            );
+            for block in q.chunks_exact_mut(4 * m) {
+                let (q0, rest) = block.split_at_mut(m);
+                let (q1, rest) = rest.split_at_mut(m);
+                let (q2, q3) = rest.split_at_mut(m);
+                let q3 = &mut q3[..m];
+                for j in 0..m {
+                    let (mut a, mut b, mut c, mut d) = (q0[j], q1[j], q2[j], q3[j]);
+                    butterfly(&mut a, &mut b, w1r[j], w1i[j]);
+                    butterfly(&mut c, &mut d, w1r[j], w1i[j]);
+                    butterfly(&mut a, &mut c, w2r[j], w2i[j]);
+                    butterfly(&mut b, &mut d, w2r[j + m], w2i[j + m]);
+                    (q0[j], q1[j], q2[j], q3[j]) = (a, b, c, d);
+                }
+            }
+            m *= 4;
+        }
+        if m < n {
+            let (lo, hi) = q.split_at_mut(m);
+            let (wr, wi) = (&self.tw_re[m - 1..][..m], &self.tw_im[m - 1..][..m]);
+            for (j, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+                butterfly(a, b, wr[j], wi[j]);
+            }
+        }
+    }
+}
+
+/// `(a, b) <- (a + b w, a - b w)` on every lane, with `Complex32`'s `*`,
+/// `+` and `-` operations in their operand order, so each lane rounds
+/// exactly as the one-row loop does.
+#[inline(always)]
+fn butterfly(a: &mut Quad, b: &mut Quad, wr: f32, wi: f32) {
+    for l in 0..LANES {
+        let tr = b.re[l] * wr - b.im[l] * wi;
+        let ti = b.re[l] * wi + b.im[l] * wr;
+        b.re[l] = a.re[l] - tr;
+        b.im[l] = a.im[l] - ti;
+        a.re[l] += tr;
+        a.im[l] += ti;
+    }
+}
+
+/// One sample per lane from `at(lane)`; a lane it has nothing for is zero.
+#[inline(always)]
+fn lanes<'a>(at: impl Fn(usize) -> Option<&'a Complex32>) -> [Complex32; LANES] {
+    std::array::from_fn(|l| at(l).copied().unwrap_or_default())
+}
+
+/// Sample `i` of each of the (up to [`LANES`]) length-`n` rows of `group`.
+fn row_samples(group: &[Complex32], n: usize) -> impl Iterator<Item = [Complex32; LANES]> + '_ {
+    (0..n).map(move |i| lanes(|l| group.get(l * n + i)))
 }
 
 /// One-shot forward FFT of a power-of-two-length buffer.
@@ -176,6 +311,181 @@ pub fn dft_reference(input: &[Complex32], direction: FftDirection) -> Vec<Comple
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-row-at-a-time loop the lane core replaced, with its own
+    /// array-of-structs tables, as it stood: the reference every entry
+    /// point must match bit for bit.
+    fn radix2_reference(data: &mut [Complex32], direction: FftDirection) {
+        let n = data.len();
+        assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
+        let bits = n.trailing_zeros();
+        let rev: Vec<u32> = (0..n as u32)
+            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
+            .collect();
+        let sign = match direction {
+            FftDirection::Forward => -1.0f32,
+            FftDirection::Inverse => 1.0f32,
+        };
+        let mut twiddles = Vec::with_capacity(n.max(1));
+        let mut m = 1;
+        while m < n {
+            for j in 0..m {
+                let theta = sign * std::f32::consts::PI * j as f32 / m as f32;
+                twiddles.push(Complex32::cis(theta));
+            }
+            m <<= 1;
+        }
+        if n <= 1 {
+            return;
+        }
+        for (i, &j) in rev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut m = 1;
+        let mut tw_base = 0;
+        while m < n {
+            for start in (0..n).step_by(2 * m) {
+                for j in 0..m {
+                    let w = twiddles[tw_base + j];
+                    let a = data[start + j];
+                    let b = data[start + j + m] * w;
+                    data[start + j] = a + b;
+                    data[start + j + m] = a - b;
+                }
+            }
+            tw_base += m;
+            m <<= 1;
+        }
+        if direction == FftDirection::Inverse {
+            let k = 1.0 / n as f32;
+            for z in data.iter_mut() {
+                *z = z.scale(k);
+            }
+        }
+    }
+
+    /// `len` seeded samples: finite values over a wide exponent range with
+    /// zeros of both signs and subnormals among them; with `specials`, one
+    /// in eight is instead ±∞ or a NaN (quiet, negative, or with a payload).
+    fn samples(len: usize, seed: u64, specials: bool) -> Vec<Complex32> {
+        let mut state = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = move || {
+            let r = next();
+            let odd = [
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::from_bits(0xffc0_0000),
+                f32::from_bits(0x7fc0_1234),
+            ];
+            match r % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits((r >> 32) as u32 & 0x807f_ffff),
+                3 | 4 if specials => odd[(r >> 40) as usize % odd.len()],
+                _ => {
+                    let exponent = 0x70 + (r >> 8) as u32 % 0x20;
+                    f32::from_bits((r >> 32) as u32 & 0x807f_ffff | exponent << 23)
+                }
+            }
+        };
+        (0..len).map(|_| Complex32::new(value(), value())).collect()
+    }
+
+    /// Every component's bits, except that a NaN is just NaN: when two NaNs
+    /// meet, Rust leaves the result's payload unspecified and LLVM commutes
+    /// `+` and `*` operands freely (both builds of either loop do), so the
+    /// payload is not the loop's to keep. Every other bit is.
+    fn bits(v: &[Complex32]) -> Vec<(u32, u32)> {
+        let b = |x: f32| if x.is_nan() { f32::NAN } else { x }.to_bits();
+        v.iter().map(|z| (b(z.re), b(z.im))).collect()
+    }
+
+    /// `rows x n` row-major samples through the reference, one row at a time.
+    fn reference_rows(src: &[Complex32], n: usize, dir: FftDirection) -> Vec<Complex32> {
+        let mut out = src.to_vec();
+        for row in out.chunks_exact_mut(n) {
+            radix2_reference(row, dir);
+        }
+        out
+    }
+
+    #[test]
+    fn every_entry_matches_the_radix2_loop_bit_for_bit() {
+        let mut seed = 0;
+        for n in (0..=10).map(|p| 1usize << p) {
+            for dir in [FftDirection::Forward, FftDirection::Inverse] {
+                let plan = Fft1d::new(n, dir);
+                for specials in [false, true] {
+                    for count in 0..=9 {
+                        seed += 1;
+                        let at = format!("n={n} {dir:?} specials={specials} count={count}");
+                        // `count` rows of length n.
+                        let src = samples(count * n, seed, specials);
+                        let expect = bits(&reference_rows(&src, n, dir));
+                        let mut rows = src.clone();
+                        plan.process_rows(&mut rows);
+                        assert_eq!(bits(&rows), expect, "process_rows {at}");
+                        let mut into = samples(count * n, !seed, true);
+                        plan.process_rows_into(&src, &mut into);
+                        assert_eq!(bits(&into), expect, "process_rows_into {at}");
+                        if count == 1 {
+                            let mut one = src.clone();
+                            plan.process(&mut one);
+                            assert_eq!(bits(&one), expect, "process {at}");
+                        }
+
+                        // The `[n, count]` matrix whose columns are those rows,
+                        // whole and cut into row blocks.
+                        let mut matrix = vec![Complex32::ZERO; src.len()];
+                        crate::transpose(&src, &mut matrix, count, n);
+                        for rows_per_block in [n, 1, n.div_ceil(2)] {
+                            if n % rows_per_block != 0 {
+                                continue;
+                            }
+                            let blocks: Vec<&[Complex32]> = if count == 0 {
+                                vec![]
+                            } else {
+                                matrix.chunks(rows_per_block * count).collect()
+                            };
+                            let mut cols = samples(count * n, !seed, true);
+                            plan.process_columns_into(&blocks, &mut cols);
+                            assert_eq!(
+                                bits(&cols),
+                                expect,
+                                "process_columns_into {at} blocks of {rows_per_block}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not hold")]
+    fn columns_reject_blocks_short_of_n_rows() {
+        let plan = Fft1d::new(4, FftDirection::Forward);
+        let rows = [Complex32::ONE; 6];
+        plan.process_columns_into(&[&rows], &mut [Complex32::ZERO; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of 2-sample rows")]
+    fn columns_reject_ragged_blocks() {
+        let plan = Fft1d::new(4, FftDirection::Forward);
+        let rows = [Complex32::ONE; 8];
+        plan.process_columns_into(&[&rows[..3], &rows[3..]], &mut [Complex32::ZERO; 8]);
+    }
 
     fn impulse(n: usize) -> Vec<Complex32> {
         let mut v = vec![Complex32::ZERO; n];

@@ -7,7 +7,7 @@ use sage::alter::{parse_program, Ast, AstNode, Span};
 use sage::prelude::*;
 use sage_runtime::{Layout, Redistribution};
 use sage_signal::complex::{as_bytes, from_bytes};
-use sage_signal::{fft_1d, fft_inverse_1d, transpose, Complex32};
+use sage_signal::{fft_1d, fft_inverse_1d, transpose, Complex32, Fft1d, FftDirection};
 
 /// Striping specs the Designer can express for a 2-D matrix.
 fn striping_strategy() -> impl Strategy<Value = Striping> {
@@ -164,6 +164,54 @@ proptest! {
         let err = v.iter().zip(&input).map(|(a, b)| (*a - *b).abs()).fold(0.0f32, f32::max);
         let scale = input.iter().map(|z| z.abs()).fold(1.0f32, f32::max);
         prop_assert!(err / scale < 1e-4, "relative error {}", err / scale);
+    }
+
+    #[test]
+    fn fft_entries_agree_bit_for_bit(
+        log_n in 0u32..=7,
+        count in 0usize..10,
+        cut in 0u32..=7,
+        inverse in 0u8..2,
+        seed in 0u32..1_000_000,
+    ) {
+        // `count` transforms of length n, given as rows and as the columns
+        // of their transpose cut into row blocks: every entry point of the
+        // one lane core returns the same bits.
+        let n = 1usize << log_n;
+        let dir = if inverse == 1 { FftDirection::Inverse } else { FftDirection::Forward };
+        let plan = Fft1d::new(n, dir);
+        let value = |i: usize| {
+            ((i as u32 ^ seed).wrapping_mul(0x9e37_79b1) >> 8) as f32 / 65536.0 - 128.0
+        };
+        let rows: Vec<Complex32> = (0..count * n)
+            .map(|i| Complex32::new(value(2 * i), value(2 * i + 1)))
+            .collect();
+        let bits = |v: &[Complex32]| {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>()
+        };
+
+        let mut expect = rows.clone();
+        for row in expect.chunks_exact_mut(n) {
+            plan.process(row);
+        }
+        let mut in_place = rows.clone();
+        plan.process_rows(&mut in_place);
+        prop_assert_eq!(bits(&in_place), bits(&expect));
+        let mut into = vec![Complex32::ONE; rows.len()];
+        plan.process_rows_into(&rows, &mut into);
+        prop_assert_eq!(bits(&into), bits(&expect));
+
+        let mut matrix = vec![Complex32::ZERO; rows.len()];
+        transpose(&rows, &mut matrix, count, n);
+        let block = (n >> (cut % (log_n + 1))) * count;
+        let blocks: Vec<&[Complex32]> = if block == 0 {
+            vec![]
+        } else {
+            matrix.chunks(block).collect()
+        };
+        let mut cols = vec![Complex32::ONE; rows.len()];
+        plan.process_columns_into(&blocks, &mut cols);
+        prop_assert_eq!(bits(&cols), bits(&expect));
     }
 
     #[test]
