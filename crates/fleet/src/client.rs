@@ -23,15 +23,7 @@ fn request(addr: &str, msg: &FleetMsg) -> Result<FleetMsg, NetError> {
 /// `Draining`, `VersionMismatch`) come back as the matching [`NetError`].
 pub fn submit(addr: &str, spec: &SubmitSpec) -> Result<JobOutcome, NetError> {
     match request(addr, &FleetMsg::Submit(spec.clone()))? {
-        FleetMsg::Outcome {
-            job,
-            wall_secs,
-            reports,
-        } => Ok(JobOutcome {
-            job,
-            wall_secs,
-            reports,
-        }),
+        FleetMsg::Outcome(outcome) => Ok(outcome),
         other => Err(NetError::Protocol(format!(
             "expected outcome, got {other:?}"
         ))),

@@ -18,9 +18,11 @@
 //!   its glue program from the shipped model text — the model front end
 //!   enters the distributed path here, not in `sage-net` — and answers
 //!   with one `sage_runtime::RankReport`.
-//! * [`sched`] — the `sage sched` scheduler: typed admission control
-//!   (version, drain state, fleet size, bounded queue), least-loaded rank
-//!   placement, per-job and per-tenant accounting, graceful drain.
+//! * [`sched`] — the `sage sched` scheduler: a sans-I/O core deciding
+//!   typed admission (version, drain state, fleet size, bounded queue),
+//!   least-loaded rank placement and per-job/per-tenant accounting, under
+//!   a driver that owns the sockets and threads; dispatch runs on the event
+//!   that frees capacity, and drain is graceful.
 //! * [`proto`] — the control plane both ends speak ([`FleetMsg`]), with
 //!   explicit version exchange up front.
 //! * [`metrics`] — the service-level counters ([`FleetStats`]).

@@ -16,7 +16,7 @@ pub struct TenantStats {
     pub accepted: u64,
     /// Jobs that completed with every rank reporting success.
     pub completed: u64,
-    /// Jobs that completed with a failure (rank error or worker death).
+    /// Jobs that failed: a rank error, or worker deaths in flight or queued.
     pub failed: u64,
     /// Jobs refused at admission.
     pub rejected: u64,
@@ -33,7 +33,7 @@ pub struct FleetStats {
     pub accepted: u64,
     /// Jobs completed with every rank succeeding.
     pub completed: u64,
-    /// Jobs completed with a failure (rank error or worker death).
+    /// Jobs that failed: a rank error, or worker deaths in flight or queued.
     pub failed: u64,
     /// Admissions refused because the bounded queue was full.
     pub rejected_queue_full: u64,

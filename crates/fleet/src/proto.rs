@@ -19,6 +19,7 @@
 //!   `Stats` → `StatsReply`, `DrainFleet` → `Drained`.
 
 use crate::metrics::FleetStats;
+use crate::sched::JobOutcome;
 use sage_net::codec::{self, Reader, Wire, Writer};
 use sage_net::{
     wire_enum, wire_struct, Frame, FrameKind, JobParams, NetError, RejectReason, WireError,
@@ -118,16 +119,9 @@ pub enum FleetMsg {
     },
     /// Client -> scheduler: run this job.
     Submit(SubmitSpec),
-    /// Scheduler -> client: the job's merged outcome. A `None` report
-    /// means the worker hosting that rank died before reporting.
-    Outcome {
-        /// Scheduler-assigned job id.
-        job: u32,
-        /// Wall seconds from dispatch to completion.
-        wall_secs: f64,
-        /// Per-rank reports, indexed by logical rank.
-        reports: Vec<Option<RankReport>>,
-    },
+    /// Scheduler -> client: the job's outcome. A `None` report means the
+    /// worker hosting that rank died before reporting.
+    Outcome(JobOutcome),
     /// Client -> scheduler: drain the whole fleet and shut down.
     DrainFleet,
     /// Scheduler -> client: fleet drained.
@@ -146,6 +140,12 @@ wire_struct!(FleetJob {
     rank,
     rank_map,
     params
+});
+
+wire_struct!(JobOutcome {
+    job,
+    wall_secs,
+    reports
 });
 
 impl Wire for SubmitSpec {
@@ -187,7 +187,7 @@ wire_enum!(FleetMsg, "fleet message type" {
     7 => Drain,
     8 => DrainDone { jobs_completed },
     9 => Submit(spec),
-    10 => Outcome { job, wall_secs, reports },
+    10 => Outcome(outcome),
     11 => DrainFleet,
     12 => Drained { jobs_completed },
     13 => Stats,
@@ -312,11 +312,11 @@ mod tests {
             FleetMsg::Drain,
             FleetMsg::DrainDone { jobs_completed: 9 },
             FleetMsg::Submit(SubmitSpec::new("(app demo)", 2, 8)),
-            FleetMsg::Outcome {
+            FleetMsg::Outcome(JobOutcome {
                 job: 7,
                 wall_secs: 1.25,
                 reports: vec![Some(report(0)), None],
-            },
+            }),
             FleetMsg::DrainFleet,
             FleetMsg::Drained { jobs_completed: 9 },
             FleetMsg::Stats,

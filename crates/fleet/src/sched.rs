@@ -1,18 +1,35 @@
 //! The job scheduler: admission control, a bounded queue, least-loaded
 //! placement over the fleet, and per-job/per-tenant accounting.
 //!
-//! One [`Scheduler`] owns the control connections to every fleet worker.
-//! Submissions pass admission (protocol version, drain state, fleet size,
-//! queue bound — each refusal a typed [`RejectReason`]), wait in a bounded
-//! FIFO queue, and dispatch when enough workers have free job slots. Each
-//! dispatched job gets a fresh job id — the wire-header namespace that
-//! keeps its traffic separate on the shared warm mesh — and a rank map
-//! choosing which workers host which logical ranks.
+//! It is split the way the mesh endpoint is (`sage_net`'s `mesh` under
+//! `transport`). [`SchedState`] is a sans-I/O core that makes every
+//! decision: admission and its four typed refusals ([`RejectReason`]), the
+//! bounded FIFO queue (its head waits until enough workers have a free job
+//! slot, and nothing overtakes it), least-loaded placement with the worker
+//! index as the tie-break, per-worker liveness and slot counts, filling in
+//! rank reports, worker death, completion and every counter. Time is an
+//! argument, never read; the core opens no socket and starts no thread, so
+//! its rules are unit-tested with hand-made reports and instants.
+//! [`Scheduler`] is the driver: it owns the control connections and the
+//! threads, runs each event through the core under one lock, and ships the
+//! `Job` frames the core returns once the lock is released. Each dispatched
+//! job gets a fresh job id — the wire-header namespace that keeps its
+//! traffic apart on the shared warm mesh — and a rank map.
 //!
-//! Threads: one dispatcher (pops the queue when slots free up) and one
-//! reader per worker (collects `JobResult`s, detects worker death as
-//! control-connection EOF). A dead worker fails its in-flight ranks with a
-//! typed outcome; queued jobs simply dispatch to the survivors.
+//! | event | entry point | effect |
+//! |---|---|---|
+//! | a client submits | `SchedState::submit` | typed refusal, or queued under a fresh job id; dispatch |
+//! | a `JobResult` arrives | `SchedState::on_result` | rank filled, its slot freed, the job completes once every rank has resolved; dispatch. A late or duplicate report (rank already filled, rank on a dead worker, unknown job) changes nothing |
+//! | a worker's control link ends | `SchedState::worker_down` | worker dead; its unreported ranks resolve as `None`; queued jobs wanting more ranks than survive fail with `InsufficientWorkers`; dispatch |
+//! | a `DrainDone` arrives | `SchedState::drain_done` | the worker's lifetime job count recorded |
+//!
+//! Dispatch runs on exactly the three events that can change it, in the
+//! thread that delivered the event — no dispatcher thread and no timed
+//! poll. Threads: one reader per worker (collects `JobResult`s and
+//! `DrainDone`, sees worker death as control-connection EOF), plus the
+//! submitting callers. A reader may ship a `Job` to its own worker: the
+//! daemon's control reader never waits on its job threads, so the write
+//! drains. `drain` blocks on the condvar every event notifies.
 //!
 //! [`serve_sched`] wraps a [`Scheduler`] in the TCP service the
 //! `sage submit` / `sage fleet drain` / `sage fleet stats` clients speak.
@@ -22,14 +39,13 @@ use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetM
 use sage_net::poll::{self, PollFd};
 use sage_net::{NetError, RejectReason, PROTO_VERSION};
 use sage_runtime::RankReport;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Scheduler tuning knobs.
 #[derive(Clone, Debug)]
@@ -37,8 +53,8 @@ pub struct SchedConfig {
     /// Bound on the admission queue; submissions beyond it are refused
     /// with [`RejectReason::QueueFull`].
     pub queue_depth: usize,
-    /// Concurrent job ranks one worker will host before the dispatcher
-    /// holds further jobs in the queue.
+    /// Concurrent job ranks one worker will host before dispatch holds
+    /// further jobs in the queue.
     pub slots_per_worker: usize,
     /// Heartbeat period override shipped to the fleet mesh.
     pub heartbeat_ms: Option<u64>,
@@ -66,58 +82,58 @@ pub struct JobOutcome {
     pub reports: Vec<Option<RankReport>>,
 }
 
-/// One fleet worker's control link, from the scheduler's side.
-struct WorkerLink {
-    writer: Mutex<TcpStream>,
-    alive: AtomicBool,
-    /// Job ranks currently dispatched to this worker.
-    active: AtomicUsize,
-}
+/// Where a submitter waits for its job's outcome.
+type Reply = mpsc::Sender<Result<JobOutcome, NetError>>;
+
+/// `Job` frames a dispatch decided on, each with the worker to ship it to.
+type Frames = Vec<(usize, FleetJob)>;
 
 struct QueuedJob {
     job: u32,
     spec: SubmitSpec,
-    tx: mpsc::Sender<Result<JobOutcome, NetError>>,
+    reply: Reply,
 }
 
 struct PendingJob {
     tenant: String,
-    /// Logical rank -> worker (== mesh) index.
-    assigned: Vec<usize>,
+    /// Logical rank -> the worker still owing its report; `None` once the
+    /// report arrived or the worker died.
+    waiting: Vec<Option<usize>>,
     reports: Vec<Option<RankReport>>,
-    /// Ranks whose worker died before reporting.
-    dead: Vec<bool>,
-    /// Slots resolved so far (report arrived or worker died).
-    filled: usize,
-    tx: mpsc::Sender<Result<JobOutcome, NetError>>,
-    t0: Instant,
+    reply: Reply,
+    dispatched: Instant,
 }
 
+/// The sans-I/O scheduler core (see the module docs).
 #[derive(Default)]
 struct SchedState {
+    cfg: SchedConfig,
+    /// Per worker: its control link is up.
+    alive: Vec<bool>,
+    /// Per worker: job ranks dispatched to it and not yet reported.
+    active: Vec<usize>,
     queue: VecDeque<QueuedJob>,
-    pending: HashMap<u32, PendingJob>,
+    /// Dispatched jobs by id; ordered, so a death resolves them in id order.
+    pending: BTreeMap<u32, PendingJob>,
     next_job: u32,
     draining: bool,
-    accepted: u64,
-    completed: u64,
-    failed: u64,
-    rejected_queue_full: u64,
-    rejected_insufficient: u64,
-    rejected_draining: u64,
-    rejected_version: u64,
-    queue_high_water: u32,
+    /// The running counters; [`SchedState::stats`] fills in the rest.
+    counts: FleetStats,
     tenants: BTreeMap<String, TenantStats>,
-    drain_done: Vec<Option<u64>>,
+    /// Per worker: the job count its `DrainDone` reported.
+    acked: Vec<Option<u64>>,
 }
 
 impl SchedState {
-    fn new(workers: usize) -> SchedState {
+    fn new(workers: usize, cfg: SchedConfig) -> SchedState {
         SchedState {
+            cfg,
+            alive: vec![true; workers],
+            active: vec![0; workers],
             // Job id 0 is `TcpTransport`'s private-mesh namespace; fleet
             // jobs start above it.
             next_job: 1,
-            drain_done: vec![None; workers],
+            acked: vec![None; workers],
             ..SchedState::default()
         }
     }
@@ -130,22 +146,210 @@ impl SchedState {
                 ..TenantStats::default()
             })
     }
+
+    fn live(&self) -> usize {
+        self.alive.iter().filter(|&&a| a).count()
+    }
+
+    /// Admits `spec` (its outcome goes to `reply`) or refuses it, typed.
+    fn submit(
+        &mut self,
+        spec: &SubmitSpec,
+        reply: Reply,
+        now: Instant,
+    ) -> Result<Frames, NetError> {
+        let live = self.live();
+        let c = &mut self.counts;
+        let refusal = if spec.proto_version != PROTO_VERSION {
+            c.rejected_version += 1;
+            NetError::VersionMismatch {
+                ours: PROTO_VERSION,
+                theirs: spec.proto_version,
+            }
+        } else if self.draining {
+            c.rejected_draining += 1;
+            NetError::Rejected(RejectReason::Draining)
+        } else if spec.ranks == 0 || spec.ranks as usize > live {
+            c.rejected_insufficient += 1;
+            NetError::Rejected(RejectReason::InsufficientWorkers {
+                want: spec.ranks,
+                have: live as u32,
+            })
+        } else if self.queue.len() >= self.cfg.queue_depth {
+            c.rejected_queue_full += 1;
+            NetError::Rejected(RejectReason::QueueFull {
+                depth: self.cfg.queue_depth as u32,
+            })
+        } else {
+            let job = self.next_job;
+            self.next_job += 1;
+            self.queue.push_back(QueuedJob {
+                job,
+                spec: spec.clone(),
+                reply,
+            });
+            c.accepted += 1;
+            c.queue_high_water = c.queue_high_water.max(self.queue.len() as u32);
+            self.tenant(&spec.tenant).accepted += 1;
+            return Ok(self.dispatch(now));
+        };
+        self.tenant(&spec.tenant).rejected += 1;
+        Err(refusal)
+    }
+
+    /// Files one rank's report.
+    fn on_result(&mut self, job: u32, report: RankReport, now: Instant) -> Frames {
+        let Some(p) = self.pending.get_mut(&job) else {
+            return Frames::new();
+        };
+        let rank = report.rank as usize;
+        let Some(w) = p.waiting.get_mut(rank).and_then(Option::take) else {
+            return Frames::new();
+        };
+        self.active[w] -= 1;
+        p.reports[rank] = Some(report);
+        if p.waiting.iter().all(Option::is_none) {
+            self.complete(job, now);
+        }
+        self.dispatch(now)
+    }
+
+    /// Marks worker `w` dead. The peers of its in-flight ranks see the death
+    /// on the mesh and report typed failures of their own, so every rank
+    /// still resolves.
+    fn worker_down(&mut self, w: usize, now: Instant) -> Frames {
+        if !std::mem::replace(&mut self.alive[w], false) {
+            return Frames::new();
+        }
+        let mut resolved = Vec::new();
+        for (&job, p) in &mut self.pending {
+            for slot in p.waiting.iter_mut().filter(|slot| **slot == Some(w)) {
+                *slot = None;
+            }
+            if p.waiting.iter().all(Option::is_none) {
+                resolved.push(job);
+            }
+        }
+        for job in resolved {
+            self.complete(job, now);
+        }
+        // Admitted when the fleet was big enough, but stranded now: failed
+        // jobs, whose submitters get the typed refusal.
+        let live = self.live();
+        let (stranded, queue): (VecDeque<_>, _) = std::mem::take(&mut self.queue)
+            .into_iter()
+            .partition(|q| q.spec.ranks as usize > live);
+        self.queue = queue;
+        for q in stranded {
+            self.counts.failed += 1;
+            self.tenant(&q.spec.tenant).failed += 1;
+            let _ = q
+                .reply
+                .send(Err(NetError::Rejected(RejectReason::InsufficientWorkers {
+                    want: q.spec.ranks,
+                    have: live as u32,
+                })));
+        }
+        self.dispatch(now)
+    }
+
+    fn drain_done(&mut self, w: usize, jobs_completed: u64) {
+        self.acked[w] = Some(jobs_completed);
+    }
+
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && self.pending.is_empty()
+    }
+
+    /// The jobs the fleet completed over its lifetime, once every worker
+    /// has acked the drain or died.
+    fn drained(&self) -> Option<u64> {
+        let all = (self.acked.iter().zip(&self.alive)).all(|(ack, &alive)| ack.is_some() || !alive);
+        all.then(|| self.acked.iter().flatten().sum())
+    }
+
+    /// Dispatches queue heads while enough live workers have a free slot,
+    /// least-loaded first.
+    fn dispatch(&mut self, now: Instant) -> Frames {
+        let mut frames = Frames::new();
+        while let Some(q) = self.queue.pop_front() {
+            let ranks = q.spec.ranks as usize;
+            let mut free: Vec<usize> = (0..self.alive.len())
+                .filter(|&w| self.alive[w] && self.active[w] < self.cfg.slots_per_worker)
+                .collect();
+            if free.len() < ranks {
+                self.queue.push_front(q);
+                break;
+            }
+            free.sort_by_key(|&w| (self.active[w], w));
+            free.truncate(ranks);
+            let rank_map: Vec<u32> = free.iter().map(|&w| w as u32).collect();
+            for (rank, &w) in free.iter().enumerate() {
+                self.active[w] += 1;
+                let job = FleetJob {
+                    job: q.job,
+                    rank: rank as u32,
+                    rank_map: rank_map.clone(),
+                    params: q.spec.params.clone(),
+                };
+                frames.push((w, job));
+            }
+            let pending = PendingJob {
+                tenant: q.spec.tenant,
+                waiting: free.into_iter().map(Some).collect(),
+                reports: vec![None; ranks],
+                reply: q.reply,
+                dispatched: now,
+            };
+            self.pending.insert(q.job, pending);
+        }
+        frames
+    }
+
+    fn complete(&mut self, job: u32, now: Instant) {
+        let Some(p) = self.pending.remove(&job) else {
+            return;
+        };
+        let ok = (p.reports.iter()).all(|r| r.as_ref().is_some_and(|r| r.error.is_none()));
+        if ok {
+            self.counts.completed += 1;
+            self.tenant(&p.tenant).completed += 1;
+        } else {
+            self.counts.failed += 1;
+            self.tenant(&p.tenant).failed += 1;
+        }
+        let _ = p.reply.send(Ok(JobOutcome {
+            job,
+            wall_secs: now.saturating_duration_since(p.dispatched).as_secs_f64(),
+            reports: p.reports,
+        }));
+    }
+
+    fn stats(&self) -> FleetStats {
+        FleetStats {
+            workers: self.alive.len() as u32,
+            workers_live: self.live() as u32,
+            queue_depth: self.queue.len() as u32,
+            active: self.pending.len() as u32,
+            tenants: self.tenants.values().cloned().collect(),
+            ..self.counts.clone()
+        }
+    }
 }
 
-/// The fleet scheduler. See the module docs for the thread layout.
+/// The fleet scheduler: the driver around [`SchedState`]. See the module
+/// docs for the thread layout.
 pub struct Scheduler {
-    workers: Vec<Arc<WorkerLink>>,
+    writers: Vec<Mutex<TcpStream>>,
     state: Mutex<SchedState>,
     cv: Condvar,
-    stop: AtomicBool,
-    cfg: SchedConfig,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
     /// Connects to every fleet worker, exchanges versions, wires the mesh
     /// (each worker learns every other worker's data-plane address), and
-    /// starts the dispatcher and reader threads.
+    /// starts one reader thread per worker.
     pub fn connect(addrs: &[String], cfg: SchedConfig) -> Result<Arc<Scheduler>, NetError> {
         if addrs.is_empty() {
             return Err(NetError::Protocol("fleet needs at least one worker".into()));
@@ -208,32 +412,19 @@ impl Scheduler {
             .iter()
             .map(TcpStream::try_clone)
             .collect::<Result<_, _>>()?;
-        let workers = streams
-            .into_iter()
-            .map(|s| {
-                Arc::new(WorkerLink {
-                    writer: Mutex::new(s),
-                    alive: AtomicBool::new(true),
-                    active: AtomicUsize::new(0),
-                })
+        let sched = Arc::new(Scheduler {
+            writers: streams.into_iter().map(Mutex::new).collect(),
+            state: Mutex::new(SchedState::new(addrs.len(), cfg)),
+            cv: Condvar::new(),
+            readers: Mutex::new(Vec::new()),
+        });
+        let handles = (readers.into_iter().enumerate())
+            .map(|(i, stream)| {
+                let sd = sched.clone();
+                std::thread::spawn(move || sd.reader_loop(i, &stream))
             })
             .collect();
-        let sched = Arc::new(Scheduler {
-            workers,
-            state: Mutex::new(SchedState::new(addrs.len())),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            cfg,
-            handles: Mutex::new(Vec::new()),
-        });
-        let mut handles = Vec::with_capacity(addrs.len() + 1);
-        for (i, stream) in readers.into_iter().enumerate() {
-            let sd = sched.clone();
-            handles.push(std::thread::spawn(move || sd.reader_loop(i, &stream)));
-        }
-        let sd = sched.clone();
-        handles.push(std::thread::spawn(move || sd.dispatch_loop()));
-        *sched.handles.lock().unwrap_or_else(|e| e.into_inner()) = handles;
+        *sched.readers.lock().unwrap_or_else(|e| e.into_inner()) = handles;
         Ok(sched)
     }
 
@@ -241,49 +432,9 @@ impl Scheduler {
     /// inside the `Ok` outcome's reports; an `Err` is an admission refusal
     /// (typed) or a scheduler shutdown.
     pub fn submit(&self, spec: &SubmitSpec) -> Result<JobOutcome, NetError> {
-        let mut state = self.lock();
-        if spec.proto_version != PROTO_VERSION {
-            state.rejected_version += 1;
-            state.tenant(&spec.tenant).rejected += 1;
-            return Err(NetError::VersionMismatch {
-                ours: PROTO_VERSION,
-                theirs: spec.proto_version,
-            });
-        }
-        if state.draining {
-            state.rejected_draining += 1;
-            state.tenant(&spec.tenant).rejected += 1;
-            return Err(NetError::Rejected(RejectReason::Draining));
-        }
-        let live = self.live_workers();
-        if spec.ranks == 0 || spec.ranks as usize > live {
-            state.rejected_insufficient += 1;
-            state.tenant(&spec.tenant).rejected += 1;
-            return Err(NetError::Rejected(RejectReason::InsufficientWorkers {
-                want: spec.ranks,
-                have: live as u32,
-            }));
-        }
-        if state.queue.len() >= self.cfg.queue_depth {
-            state.rejected_queue_full += 1;
-            state.tenant(&spec.tenant).rejected += 1;
-            return Err(NetError::Rejected(RejectReason::QueueFull {
-                depth: self.cfg.queue_depth as u32,
-            }));
-        }
-        let job = state.next_job;
-        state.next_job += 1;
-        state.accepted += 1;
-        state.tenant(&spec.tenant).accepted += 1;
         let (tx, rx) = mpsc::channel();
-        state.queue.push_back(QueuedJob {
-            job,
-            spec: spec.clone(),
-            tx,
-        });
-        state.queue_high_water = state.queue_high_water.max(state.queue.len() as u32);
-        self.cv.notify_all();
-        drop(state);
+        let frames = self.lock().submit(spec, tx, Instant::now())?;
+        self.ship(frames);
         rx.recv()
             .map_err(|_| NetError::Protocol("scheduler shut down before job completed".into()))?
     }
@@ -294,33 +445,19 @@ impl Scheduler {
     pub fn drain(&self) -> Result<u64, NetError> {
         let mut state = self.lock();
         state.draining = true;
-        self.cv.notify_all();
-        while !(state.queue.is_empty() && state.pending.is_empty()) {
-            state = self.wait(state);
+        let live = (self.cv.wait_while(state, |s| !s.idle()))
+            .unwrap_or_else(|e| e.into_inner())
+            .alive
+            .clone();
+        for w in (0..live.len()).filter(|&w| live[w]) {
+            let _ = send_fleet(&mut *self.writer(w), &FleetMsg::Drain);
         }
-        drop(state);
-        for w in &self.workers {
-            if w.alive.load(Ordering::SeqCst) {
-                let mut wr = w.writer.lock().unwrap_or_else(|e| e.into_inner());
-                let _ = send_fleet(&mut *wr, &FleetMsg::Drain);
-            }
-        }
-        let mut state = self.lock();
-        loop {
-            let all = (0..self.workers.len()).all(|i| {
-                state.drain_done[i].is_some() || !self.workers[i].alive.load(Ordering::SeqCst)
-            });
-            if all {
-                break;
-            }
-            state = self.wait(state);
-        }
-        let total = state.drain_done.iter().flatten().sum();
-        drop(state);
-        self.stop.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in handles {
+        let total = (self.cv.wait_while(self.lock(), |s| s.drained().is_none()))
+            .unwrap_or_else(|e| e.into_inner())
+            .drained()
+            .unwrap_or_default();
+        let readers = std::mem::take(&mut *self.readers.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in readers {
             let _ = h.join();
         }
         Ok(total)
@@ -328,227 +465,60 @@ impl Scheduler {
 
     /// A metrics snapshot.
     pub fn stats(&self) -> FleetStats {
-        let state = self.lock();
-        FleetStats {
-            workers: self.workers.len() as u32,
-            workers_live: self.live_workers() as u32,
-            accepted: state.accepted,
-            completed: state.completed,
-            failed: state.failed,
-            rejected_queue_full: state.rejected_queue_full,
-            rejected_insufficient: state.rejected_insufficient,
-            rejected_draining: state.rejected_draining,
-            rejected_version: state.rejected_version,
-            queue_depth: state.queue.len() as u32,
-            queue_high_water: state.queue_high_water,
-            active: state.pending.len() as u32,
-            tenants: state.tenants.values().cloned().collect(),
-        }
+        self.lock().stats()
     }
 
     fn lock(&self) -> MutexGuard<'_, SchedState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Condvar wait with a timeout: a missed wakeup costs at most 100 ms,
-    /// and the timeout doubles as the stop-flag poll for the dispatcher.
-    fn wait<'a>(&self, state: MutexGuard<'a, SchedState>) -> MutexGuard<'a, SchedState> {
-        self.cv
-            .wait_timeout(state, Duration::from_millis(100))
-            .unwrap_or_else(|e| e.into_inner())
-            .0
+    fn writer(&self, w: usize) -> MutexGuard<'_, TcpStream> {
+        self.writers[w].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn live_workers(&self) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::SeqCst))
-            .count()
+    /// Runs one event through the core, wakes `drain`, and ships what it
+    /// dispatched once the lock is released.
+    fn event(&self, f: impl FnOnce(&mut SchedState, Instant) -> Frames) {
+        let frames = f(&mut self.lock(), Instant::now());
+        self.cv.notify_all();
+        self.ship(frames);
     }
 
-    fn dispatch_loop(&self) {
-        let mut state = self.lock();
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.try_dispatch(&mut state) {
-                Some((job, spec, assigned)) => {
-                    drop(state);
-                    self.ship(job, &spec, &assigned);
-                    state = self.lock();
-                }
-                None => state = self.wait(state),
-            }
-        }
-    }
-
-    /// Pops the front job if enough workers have free slots; jobs that can
-    /// no longer fit the surviving fleet complete with a typed refusal.
-    fn try_dispatch(&self, state: &mut SchedState) -> Option<(u32, SubmitSpec, Vec<usize>)> {
-        loop {
-            let ranks = state.queue.front()?.spec.ranks as usize;
-            let live: Vec<usize> = (0..self.workers.len())
-                .filter(|&i| self.workers[i].alive.load(Ordering::SeqCst))
-                .collect();
-            if live.len() < ranks {
-                // Admitted when the fleet was big enough, but workers died
-                // while it queued. The front exists — `ranks` was just read
-                // from it — so the `?` can never actually bail here.
-                let q = state.queue.pop_front()?;
-                state.rejected_insufficient += 1;
-                state.failed += 1;
-                state.tenant(&q.spec.tenant).failed += 1;
-                let _ =
-                    q.tx.send(Err(NetError::Rejected(RejectReason::InsufficientWorkers {
-                        want: q.spec.ranks,
-                        have: live.len() as u32,
-                    })));
-                continue;
-            }
-            let mut free: Vec<usize> = live
-                .into_iter()
-                .filter(|&i| {
-                    self.workers[i].active.load(Ordering::SeqCst) < self.cfg.slots_per_worker
-                })
-                .collect();
-            if free.len() < ranks {
-                return None;
-            }
-            free.sort_by_key(|&i| (self.workers[i].active.load(Ordering::SeqCst), i));
-            // Same front-exists contract as the refusal branch above.
-            let q = state.queue.pop_front()?;
-            let assigned: Vec<usize> = free[..ranks].to_vec();
-            for &w in &assigned {
-                self.workers[w].active.fetch_add(1, Ordering::SeqCst);
-            }
-            state.pending.insert(
-                q.job,
-                PendingJob {
-                    tenant: q.spec.tenant.clone(),
-                    assigned: assigned.clone(),
-                    reports: vec![None; ranks],
-                    dead: vec![false; ranks],
-                    filled: 0,
-                    tx: q.tx,
-                    t0: Instant::now(),
-                },
-            );
-            return Some((q.job, q.spec, assigned));
-        }
-    }
-
-    fn ship(&self, job: u32, spec: &SubmitSpec, assigned: &[usize]) {
-        let rank_map: Vec<u32> = assigned.iter().map(|&w| w as u32).collect();
-        for (rank, &w) in assigned.iter().enumerate() {
-            let msg = FleetMsg::Job(FleetJob {
-                job,
-                rank: rank as u32,
-                rank_map: rank_map.clone(),
-                params: spec.params.clone(),
-            });
-            let sent = {
-                let mut wr = self.workers[w]
-                    .writer
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                send_fleet(&mut *wr, &msg)
-            };
+    fn ship(&self, frames: Frames) {
+        for (w, job) in frames {
+            let sent = send_fleet(&mut *self.writer(w), &FleetMsg::Job(job));
             if sent.is_err() {
                 self.worker_down(w);
             }
         }
     }
 
+    fn worker_down(&self, w: usize) {
+        self.event(|s, now| s.worker_down(w, now));
+    }
+
     fn reader_loop(&self, w: usize, stream: &TcpStream) {
         loop {
             match read_fleet(&mut &*stream) {
                 Ok(FleetMsg::JobResult { job, report }) => {
-                    let mut state = self.lock();
-                    if let Some(p) = state.pending.get_mut(&job) {
-                        let rank = report.rank as usize;
-                        if rank < p.reports.len() && p.reports[rank].is_none() && !p.dead[rank] {
-                            p.reports[rank] = Some(report);
-                            p.filled += 1;
-                            self.workers[p.assigned[rank]]
-                                .active
-                                .fetch_sub(1, Ordering::SeqCst);
-                            if p.filled == p.reports.len() {
-                                self.complete_locked(&mut state, job);
-                            }
-                        }
-                    }
-                    self.cv.notify_all();
+                    self.event(|s, now| s.on_result(job, report, now));
                 }
-                Ok(FleetMsg::DrainDone { jobs_completed }) => {
-                    let mut state = self.lock();
-                    state.drain_done[w] = Some(jobs_completed);
-                    self.cv.notify_all();
-                }
+                Ok(FleetMsg::DrainDone { jobs_completed }) => self.event(|s, _| {
+                    s.drain_done(w, jobs_completed);
+                    Frames::new()
+                }),
                 Ok(other) => {
                     eprintln!("sage-sched: worker {w} spoke out of turn ({other:?})");
-                    self.worker_down(w);
-                    return;
+                    return self.worker_down(w);
                 }
                 Err(e) => {
                     if !is_eof(&e) {
                         eprintln!("sage-sched: worker {w} link error: {e}");
                     }
-                    self.worker_down(w);
-                    return;
+                    return self.worker_down(w);
                 }
             }
         }
-    }
-
-    /// Marks a worker dead and resolves its unreported in-flight ranks.
-    /// The peers of those ranks see the death on the mesh and report typed
-    /// failures of their own, so every slot still resolves.
-    fn worker_down(&self, w: usize) {
-        if !self.workers[w].alive.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        let mut state = self.lock();
-        let jobs: Vec<u32> = state.pending.keys().copied().collect();
-        for job in jobs {
-            let done = {
-                let Some(p) = state.pending.get_mut(&job) else {
-                    continue;
-                };
-                let mut newly = false;
-                for rank in 0..p.assigned.len() {
-                    if p.assigned[rank] == w && p.reports[rank].is_none() && !p.dead[rank] {
-                        p.dead[rank] = true;
-                        p.filled += 1;
-                        newly = true;
-                    }
-                }
-                newly && p.filled == p.reports.len()
-            };
-            if done {
-                self.complete_locked(&mut state, job);
-            }
-        }
-        self.cv.notify_all();
-    }
-
-    fn complete_locked(&self, state: &mut SchedState, job: u32) {
-        let Some(p) = state.pending.remove(&job) else {
-            return;
-        };
-        let ok = p
-            .reports
-            .iter()
-            .all(|r| r.as_ref().is_some_and(|r| r.error.is_none()));
-        if ok {
-            state.completed += 1;
-            state.tenant(&p.tenant).completed += 1;
-        } else {
-            state.failed += 1;
-            state.tenant(&p.tenant).failed += 1;
-        }
-        let _ = p.tx.send(Ok(JobOutcome {
-            job,
-            wall_secs: p.t0.elapsed().as_secs_f64(),
-            reports: p.reports,
-        }));
     }
 }
 
@@ -594,14 +564,7 @@ fn handle_client(conn: &TcpStream, sched: &Scheduler, mut stop: &UnixStream) {
         };
         let sent = match msg {
             FleetMsg::Submit(spec) => match sched.submit(&spec) {
-                Ok(out) => send_fleet(
-                    &mut &*conn,
-                    &FleetMsg::Outcome {
-                        job: out.job,
-                        wall_secs: out.wall_secs,
-                        reports: out.reports,
-                    },
-                ),
+                Ok(out) => send_fleet(&mut &*conn, &FleetMsg::Outcome(out)),
                 Err(NetError::VersionMismatch { ours, theirs }) => {
                     send_reject(&mut &*conn, RejectReason::VersionMismatch { ours, theirs })
                 }
@@ -638,47 +601,93 @@ fn handle_client(conn: &TcpStream, sched: &Scheduler, mut stop: &UnixStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_runtime::{RankOutcome, RuntimeError};
+    use std::sync::mpsc::Receiver;
 
-    fn bare_scheduler() -> Scheduler {
-        Scheduler {
-            workers: Vec::new(),
-            state: Mutex::new(SchedState::new(0)),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            cfg: SchedConfig::default(),
-            handles: Mutex::new(Vec::new()),
+    type Outcome = Receiver<Result<JobOutcome, NetError>>;
+
+    fn core(workers: usize, slots_per_worker: usize) -> SchedState {
+        let cfg = SchedConfig {
+            queue_depth: 8,
+            slots_per_worker,
+            heartbeat_ms: None,
+        };
+        SchedState::new(workers, cfg)
+    }
+
+    fn spec(tenant: &str, ranks: u32) -> SubmitSpec {
+        SubmitSpec {
+            tenant: tenant.into(),
+            ..SubmitSpec::new("(app demo)", ranks, 1)
         }
+    }
+
+    /// Submits at `now`; the frames it dispatched and where its outcome lands.
+    fn submit(
+        s: &mut SchedState,
+        spec: &SubmitSpec,
+        now: Instant,
+    ) -> Result<(Frames, Outcome), NetError> {
+        let (tx, rx) = mpsc::channel();
+        s.submit(spec, tx, now).map(|frames| (frames, rx))
+    }
+
+    fn ok(rank: u32) -> RankReport {
+        RankReport::new(rank, Ok(RankOutcome::default()))
+    }
+
+    fn peer_failed(rank: u32) -> RankReport {
+        RankReport::new(
+            rank,
+            Err(RuntimeError::PeerFailed {
+                node: rank,
+                peer: 0,
+            }),
+        )
+    }
+
+    /// Where each frame went: `(job, rank, worker)`.
+    fn placed(frames: &Frames) -> Vec<(u32, u32, usize)> {
+        frames.iter().map(|(w, f)| (f.job, f.rank, *w)).collect()
+    }
+
+    /// Every frame's rank reports success; so do the frames that frees up,
+    /// until nothing more dispatches.
+    fn run_to_idle(s: &mut SchedState, mut frames: Frames, now: Instant) {
+        while let Some((_, f)) = frames.pop() {
+            frames.extend(s.on_result(f.job, ok(f.rank), now));
+        }
+    }
+
+    fn outcome(rx: &Outcome) -> Result<JobOutcome, NetError> {
+        rx.try_recv().expect("resolved")
     }
 
     #[test]
     fn admission_refusals_are_typed_and_counted() {
-        let sched = bare_scheduler();
+        let mut s = SchedState::new(0, SchedConfig::default());
+        let t0 = Instant::now();
 
         let mut stale = SubmitSpec::new("(app demo)", 1, 1);
         stale.proto_version = 1;
         assert_eq!(
-            sched.submit(&stale),
-            Err(NetError::VersionMismatch {
+            submit(&mut s, &stale, t0).unwrap_err(),
+            NetError::VersionMismatch {
                 ours: PROTO_VERSION,
                 theirs: 1
-            })
+            }
         );
-
         assert_eq!(
-            sched.submit(&SubmitSpec::new("(app demo)", 1, 1)),
-            Err(NetError::Rejected(RejectReason::InsufficientWorkers {
-                want: 1,
-                have: 0
-            }))
+            submit(&mut s, &SubmitSpec::new("(app demo)", 1, 1), t0).unwrap_err(),
+            NetError::Rejected(RejectReason::InsufficientWorkers { want: 1, have: 0 })
         );
-
-        sched.lock().draining = true;
+        s.draining = true;
         assert_eq!(
-            sched.submit(&SubmitSpec::new("(app demo)", 1, 1)),
-            Err(NetError::Rejected(RejectReason::Draining))
+            submit(&mut s, &SubmitSpec::new("(app demo)", 1, 1), t0).unwrap_err(),
+            NetError::Rejected(RejectReason::Draining)
         );
 
-        let stats = sched.stats();
+        let stats = s.stats();
         assert_eq!(stats.rejected_version, 1);
         assert_eq!(stats.rejected_insufficient, 1);
         assert_eq!(stats.rejected_draining, 1);
@@ -686,6 +695,208 @@ mod tests {
         assert_eq!(stats.accepted, 0);
         assert_eq!(stats.tenants.len(), 1);
         assert_eq!(stats.tenants[0].rejected, 3);
+    }
+
+    /// `accepted`, `rejected_*`, `completed`, `failed` and the gauges add up
+    /// after every kind of submission, fleet-wide and per tenant — including
+    /// a queued job stranded by worker deaths, counted once, as failed.
+    #[test]
+    fn accounting_sums_hold_across_refusals_completions_and_strandings() {
+        let mut s = core(3, 1);
+        let t0 = Instant::now();
+        let mut submissions = 0u64;
+        let mut go = |s: &mut SchedState, spec: SubmitSpec| {
+            submissions += 1;
+            submit(s, &spec, t0)
+        };
+
+        let (first, _a) = go(&mut s, spec("alice", 2)).unwrap();
+        run_to_idle(&mut s, first, t0); // job 1 completed
+        let (held, failing) = go(&mut s, spec("bob", 2)).unwrap(); // 2 on workers 0, 1
+        let (_, stranded) = go(&mut s, spec("alice", 3)).unwrap(); // 3 queued
+        let (_, queued) = go(&mut s, spec("bob", 1)).unwrap(); // 4 queued
+        assert!(go(&mut s, spec("carol", 4)).is_err()); // insufficient
+        let stale = SubmitSpec {
+            proto_version: 1,
+            ..spec("carol", 1)
+        };
+        assert!(go(&mut s, stale).is_err()); // version
+        for _ in 0..6 {
+            go(&mut s, spec("dave", 1)).unwrap(); // 5..=10 fill the queue
+        }
+        assert!(go(&mut s, spec("dave", 1)).is_err()); // queue full
+
+        assert!(s.worker_down(2, t0).is_empty());
+        assert_eq!(
+            outcome(&stranded).unwrap_err(),
+            NetError::Rejected(RejectReason::InsufficientWorkers { want: 3, have: 2 })
+        );
+        let frames = s.on_result(held[0].1.job, peer_failed(0), t0);
+        assert_eq!(placed(&frames), vec![(4, 0, 0)]);
+        let frames = s.on_result(held[1].1.job, peer_failed(1), t0);
+        assert_eq!(placed(&frames), vec![(5, 0, 1)]);
+        assert!(outcome(&failing)
+            .unwrap()
+            .reports
+            .iter()
+            .all(Option::is_some));
+        assert!(queued.try_recv().is_err(), "still in flight");
+        s.draining = true;
+        assert!(go(&mut s, spec("erin", 1)).is_err()); // draining
+
+        let st = s.stats();
+        assert_eq!(
+            (st.completed, st.failed, st.active, st.queue_depth),
+            (1, 2, 2, 5)
+        );
+        assert_eq!(
+            st.rejected_insufficient, 1,
+            "the stranded job is not a refusal"
+        );
+        assert_eq!(submissions, st.accepted + st.rejected_total());
+        assert_eq!(
+            st.accepted,
+            st.completed + st.failed + u64::from(st.queue_depth + st.active)
+        );
+        let sum = |f: fn(&TenantStats) -> u64| st.tenants.iter().map(f).sum::<u64>();
+        assert_eq!(st.accepted, sum(|t| t.accepted));
+        assert_eq!(st.completed, sum(|t| t.completed));
+        assert_eq!(st.failed, sum(|t| t.failed));
+        assert_eq!(st.rejected_total(), sum(|t| t.rejected));
+    }
+
+    /// Socket-free twin of `tests/fleet.rs`'
+    /// `killed_worker_fails_in_flight_job_and_survivors_drain_queue`.
+    #[test]
+    fn killed_worker_fails_in_flight_job_and_survivors_drain_queue() {
+        let mut s = core(3, 1);
+        let t0 = Instant::now();
+        let (long, long_rx) = submit(&mut s, &spec("", 2), t0).unwrap();
+        assert_eq!(placed(&long), vec![(1, 0, 0), (1, 1, 1)]);
+        let short: Vec<Outcome> = (0..4)
+            .map(|_| {
+                let (frames, rx) = submit(&mut s, &spec("", 2), t0).unwrap();
+                assert!(
+                    frames.is_empty(),
+                    "one slot per worker: the short jobs queue"
+                );
+                rx
+            })
+            .collect();
+        assert_eq!(s.stats().queue_depth, 4);
+
+        assert!(s.worker_down(0, t0).is_empty());
+        // The survivor hosting rank 1 sees its peer die on the mesh.
+        let frames = s.on_result(1, peer_failed(1), t0 + std::time::Duration::from_millis(5));
+        let out = outcome(&long_rx).unwrap();
+        assert_eq!(out.reports[0], None, "the dead rank never reported");
+        assert!(out.reports[1].as_ref().is_some_and(|r| r.error.is_some()));
+        assert_eq!(out.wall_secs, 0.005);
+        assert_eq!(placed(&frames), vec![(2, 0, 1), (2, 1, 2)]);
+
+        run_to_idle(&mut s, frames, t0);
+        for rx in &short {
+            assert!(outcome(rx).unwrap().reports.iter().all(Option::is_some));
+        }
+        let st = s.stats();
+        assert_eq!((st.workers_live, st.failed, st.completed), (2, 1, 4));
+        assert!(s.idle());
+    }
+
+    #[test]
+    fn a_queued_job_stranded_by_a_death_gets_the_typed_refusal() {
+        let mut s = core(2, 1);
+        let t0 = Instant::now();
+        let (held, held_rx) = submit(&mut s, &spec("", 2), t0).unwrap();
+        let (_, stranded) = submit(&mut s, &spec("", 2), t0).unwrap();
+        assert!(s.worker_down(1, t0).is_empty());
+        assert_eq!(
+            outcome(&stranded).unwrap_err(),
+            NetError::Rejected(RejectReason::InsufficientWorkers { want: 2, have: 1 })
+        );
+        assert!(held_rx.try_recv().is_err(), "rank 0 has yet to report");
+        assert!(s.on_result(held[0].1.job, peer_failed(0), t0).is_empty());
+        assert_eq!(outcome(&held_rx).unwrap().reports[1], None);
+        let st = s.stats();
+        assert_eq!((st.failed, st.rejected_insufficient), (2, 0));
+    }
+
+    #[test]
+    fn placement_is_least_loaded_then_lowest_index() {
+        let mut s = core(3, 2);
+        let t0 = Instant::now();
+        let mut place = |ranks| placed(&submit(&mut s, &spec("", ranks), t0).unwrap().0);
+        assert_eq!(place(1), vec![(1, 0, 0)]);
+        // Workers 1 and 2 carry nothing, so they beat 0 despite its index.
+        assert_eq!(place(2), vec![(2, 0, 1), (2, 1, 2)]);
+        // All carry one: index order.
+        assert_eq!(place(3), vec![(3, 0, 0), (3, 1, 1), (3, 2, 2)]);
+        // Every slot is taken.
+        assert_eq!(place(1), vec![]);
+    }
+
+    #[test]
+    fn the_slot_cap_holds_the_queue_head_and_nothing_overtakes_it() {
+        let mut s = core(3, 1);
+        let t0 = Instant::now();
+        let (first, _) = submit(&mut s, &spec("", 2), t0).unwrap();
+        assert_eq!(placed(&first), vec![(1, 0, 0), (1, 1, 1)]);
+        // Worker 2 is free, but the head wants two workers...
+        assert!(submit(&mut s, &spec("", 2), t0).unwrap().0.is_empty());
+        // ...and the one-rank job behind it waits its turn.
+        assert!(submit(&mut s, &spec("", 1), t0).unwrap().0.is_empty());
+        let freed = s.on_result(1, ok(1), t0);
+        assert_eq!(placed(&freed), vec![(2, 0, 1), (2, 1, 2)]);
+        let freed = s.on_result(1, ok(0), t0);
+        assert_eq!(placed(&freed), vec![(3, 0, 0)]);
+    }
+
+    #[test]
+    fn a_late_or_duplicate_result_changes_nothing() {
+        let mut s = core(3, 1);
+        let t0 = Instant::now();
+        let (_, rx) = submit(&mut s, &spec("", 3), t0).unwrap();
+        let (_, _queued) = submit(&mut s, &spec("", 2), t0).unwrap();
+        assert!(s.on_result(1, ok(0), t0).is_empty());
+        assert!(s.worker_down(2, t0).is_empty());
+
+        let (stats, active) = (s.stats(), s.active.clone());
+        let mut late = ok(0);
+        late.wall_secs = 9.0;
+        for (job, report) in [(1, late), (1, ok(2)), (1, ok(7)), (99, ok(0))] {
+            assert!(s.on_result(job, report, t0).is_empty());
+            assert_eq!((s.stats(), &s.active), (stats.clone(), &active));
+        }
+        assert!(rx.try_recv().is_err());
+
+        let frames = s.on_result(1, ok(1), t0);
+        let reports = outcome(&rx).unwrap().reports;
+        assert_eq!(reports[0].as_ref().map(|r| r.wall_secs), Some(0.0));
+        assert_eq!(reports[2], None);
+        assert_eq!(placed(&frames), vec![(2, 0, 0), (2, 1, 1)]);
+    }
+
+    #[test]
+    fn draining_refuses_submits_and_tallies_drain_done() {
+        let mut s = core(3, 1);
+        let t0 = Instant::now();
+        let (frames, _) = submit(&mut s, &spec("", 1), t0).unwrap();
+        s.draining = true;
+        assert_eq!(
+            submit(&mut s, &spec("", 1), t0).unwrap_err(),
+            NetError::Rejected(RejectReason::Draining)
+        );
+        assert!(!s.idle());
+        run_to_idle(&mut s, frames, t0);
+        assert!(s.idle());
+
+        s.drain_done(0, 3);
+        assert_eq!(s.drained(), None);
+        s.drain_done(1, 4);
+        assert_eq!(s.drained(), None);
+        assert!(s.worker_down(2, t0).is_empty());
+        assert_eq!(s.drained(), Some(7));
+        assert_eq!(s.stats().rejected_draining, 1);
     }
 
     #[test]

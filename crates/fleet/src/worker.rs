@@ -16,8 +16,10 @@
 //!    [`JobTransport`] view of the shared mesh (per-job rank namespace)
 //!    with its own probe collector, reporting back with `JobResult` — run
 //!    failures travel in-band;
-//! 5. on `Drain` (or scheduler EOF): finish in-flight jobs, ack with
-//!    `DrainDone`, tear the mesh down, and return `Ok` — exit code 0.
+//! 5. on `Drain` (or scheduler EOF): join the in-flight job threads, ack
+//!    with `DrainDone`, tear the mesh down, and return `Ok` — exit code 0.
+//!    The control reader never waits on a job thread before that, so a
+//!    scheduler writing it a `Job` is never stuck behind one.
 //!
 //! Thread count is O(1) in peers and jobs-in-flight bounded only by the
 //! scheduler's slot accounting: one mesh I/O thread, one control reader
@@ -39,7 +41,7 @@ use sage_visualizer::{Collector, Probe};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable: if set to a millisecond count, the daemon exits
@@ -114,18 +116,18 @@ pub fn serve_fleet(
     send_fleet(&mut &control, &FleetMsg::InitDone { worker_index })?;
 
     let writer = Mutex::new(control.try_clone()?);
-    let active = ActiveJobs::default();
     let completed = AtomicU64::new(0);
 
     let mut chaos_armed = false;
-    let served = std::thread::scope(|s| -> Result<(), NetError> {
+    // Whether the scheduler asked for a drain. Either way the scope joins
+    // every job thread first, so `DrainDone` follows the last `JobResult`.
+    let drain = std::thread::scope(|s| -> Result<bool, NetError> {
         loop {
             let msg = match read_fleet(&mut &control) {
                 Ok(m) => m,
                 // Scheduler gone without a drain: finish what is in
-                // flight (the scope join below waits for job threads),
-                // then exit cleanly.
-                Err(e) if is_eof(&e) => return Ok(()),
+                // flight, then exit cleanly.
+                Err(e) if is_eof(&e) => return Ok(false),
                 Err(e) => return Err(e),
             };
             match msg {
@@ -133,10 +135,8 @@ pub fn serve_fleet(
                     if !std::mem::replace(&mut chaos_armed, true) {
                         arm_chaos_exit();
                     }
-                    active.begin();
                     let core = core.clone();
                     let writer = &writer;
-                    let active = &active;
                     let completed = &completed;
                     s.spawn(move || {
                         let id = job.job;
@@ -145,19 +145,9 @@ pub fn serve_fleet(
                             completed.fetch_add(1, Ordering::Relaxed);
                         }
                         send_result(writer, id, report);
-                        active.end();
                     });
                 }
-                FleetMsg::Drain => {
-                    active.wait_idle();
-                    send_fleet(
-                        &mut &control,
-                        &FleetMsg::DrainDone {
-                            jobs_completed: completed.load(Ordering::Relaxed),
-                        },
-                    )?;
-                    return Ok(());
-                }
+                FleetMsg::Drain => return Ok(true),
                 other => {
                     return Err(NetError::Protocol(format!(
                         "unexpected control message {other:?}"
@@ -166,34 +156,16 @@ pub fn serve_fleet(
             }
         }
     });
+    let served = match drain {
+        Ok(true) => {
+            let jobs_completed = completed.into_inner();
+            send_fleet(&mut &control, &FleetMsg::DrainDone { jobs_completed })
+        }
+        Ok(false) => Ok(()),
+        Err(e) => Err(e),
+    };
     core.shutdown();
     served
-}
-
-/// In-flight job counter with an idle condvar for drains.
-#[derive(Default)]
-struct ActiveJobs {
-    count: Mutex<usize>,
-    idle: Condvar,
-}
-
-impl ActiveJobs {
-    fn begin(&self) {
-        *self.count.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-    }
-    fn end(&self) {
-        let mut n = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        *n -= 1;
-        if *n == 0 {
-            self.idle.notify_all();
-        }
-    }
-    fn wait_idle(&self) {
-        let mut n = self.count.lock().unwrap_or_else(|e| e.into_inner());
-        while *n > 0 {
-            n = self.idle.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-    }
 }
 
 fn send_result(writer: &Mutex<TcpStream>, job: u32, report: RankReport) {

@@ -246,11 +246,11 @@ fn golden_set() -> Vec<(String, Golden)> {
     );
     msg(
         "outcome_reports_some_none",
-        FleetMsg::Outcome {
+        FleetMsg::Outcome(sage_fleet::JobOutcome {
             job: 7,
             wall_secs: 1.25,
             reports: vec![Some(report(None)), None],
-        },
+        }),
     );
     msg("drain_fleet", FleetMsg::DrainFleet);
     msg("drained", FleetMsg::Drained { jobs_completed: 9 });
