@@ -298,7 +298,6 @@ mod tests {
                 rank: 1,
                 rank_map: vec![2, 0],
                 params: JobParams {
-                    optimized: true,
                     probes: true,
                     pipeline: Some(4),
                     pipeline_depths: vec![4, 1],

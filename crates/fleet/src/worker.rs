@@ -14,7 +14,7 @@
 //!    ([`MeshCore`]) and ack with `InitDone`;
 //! 4. serve jobs: each `Job` message runs on its own thread over a
 //!    [`JobTransport`] view of the shared mesh (per-job rank namespace)
-//!    with its own probe collector, reporting back with `JobResult` — run
+//!    with its own probe lane, reporting back with `JobResult` — run
 //!    failures travel in-band;
 //! 5. on `Drain` (or scheduler EOF): join the in-flight job threads, ack
 //!    with `DrainDone`, tear the mesh down, and return `Ok` — exit code 0.
@@ -37,7 +37,7 @@ use sage_net::{
 use sage_runtime::{
     execute_rank, prepare, GlueProgram, RankReport, Registry, RuntimeError, RuntimeOptions,
 };
-use sage_visualizer::{Collector, Probe};
+use sage_visualizer::Probe;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,7 +111,6 @@ pub fn serve_fleet(
         &peers,
         &data_listener,
         NetConfig::default().with_heartbeat_ms(heartbeat_ms),
-        Probe::disabled(),
     )?;
     send_fleet(&mut &control, &FleetMsg::InitDone { worker_index })?;
 
@@ -197,6 +196,9 @@ fn arm_chaos_exit() {
 /// model generated. The per-buffer depths arrive from a client, so a list
 /// that does not cover the program's buffers is a malformed job — the
 /// executor would quietly fall back to the global depth for the rest.
+///
+/// Always the paper-faithful preset: the optimized one differs only in
+/// what it charges a virtual clock, and a rank here runs on the wall clock.
 fn runtime_options(
     params: &JobParams,
     program: &GlueProgram,
@@ -209,15 +211,10 @@ fn runtime_options(
             program.buffers.len()
         )));
     }
-    Ok(if params.optimized {
-        RuntimeOptions::optimized()
-    } else {
-        RuntimeOptions::paper_faithful()
-    }
-    .with_probes(params.probes)
-    .with_race_detect(params.race_detect)
-    .with_pipeline(params.pipeline.unwrap_or(0))
-    .with_pipeline_depths(depths.clone()))
+    Ok(RuntimeOptions::paper_faithful()
+        .with_probes(params.probes)
+        .with_pipeline(params.pipeline.unwrap_or(0))
+        .with_pipeline_depths(depths.clone()))
 }
 
 /// Regenerates one job's glue program from its model text — what every rank
@@ -266,17 +263,10 @@ fn run_fleet_job(
         Err(e) => return RankReport::new(rank, Err(e)),
     };
 
-    let collector = Arc::new(Collector::new(ranks, params.probes));
-    let probe = Probe::new(collector.clone(), rank);
+    let probe = Probe::new(rank, params.probes);
     let rank_map: Vec<usize> = rank_map.iter().map(|&m| m as usize).collect();
-    let mut transport = JobTransport::new(core, job, rank as usize, rank_map, probe.clone());
+    let mut transport = JobTransport::new(core, job, rank as usize, rank_map);
     let t0 = Instant::now();
-    // Degraded per-process detector: it only sees this rank's serial
-    // accesses, so it is trivially clean — cross-rank race validation runs
-    // on the in-process backend.
-    let race = options
-        .race_detect
-        .then(|| sage_runtime::RaceState::new(ranks));
     let outcome = execute_rank(
         &mut transport,
         &program,
@@ -284,22 +274,18 @@ fn run_fleet_job(
         &options,
         params.iterations,
         &probe,
-        race.as_ref(),
+        None,
     );
     let wall_secs = t0.elapsed().as_secs_f64();
     // Finish on both paths: `JobDone` tells peer ranks this rank is out of
     // the job (success or failure), while the mesh link stays warm for
     // every other job on the daemon.
     let (metrics, links) = transport.finish();
-    drop(probe);
-    let events = Arc::into_inner(collector)
-        .map(|c| c.into_trace().events().to_vec())
-        .unwrap_or_default();
     RankReport {
         wall_secs,
         metrics,
         links,
-        events,
+        events: probe.into_events(),
         ..RankReport::new(rank, outcome)
     }
 }

@@ -1,11 +1,13 @@
 //! Byte-exact goldens for every control-plane layout and the frame header.
 //!
-//! `fixtures/wire_v7.hex` holds one `name hex` line per encoding. It was
+//! `fixtures/wire_v8.hex` holds one `name hex` line per encoding. It was
 //! regenerated from `wire_v6.hex` (itself generated on the tree *before* the
 //! layouts became one-line declarations) when v7 added `RankReport::stream`
-//! — only the lines carrying a report or a protocol version moved — and
-//! again when `wire::VERSION` 3 changed the frame checksum — only the two
-//! `frame_*` lines moved. It must not change while `PROTO_VERSION` and
+//! — only the lines carrying a report or a protocol version moved —, again
+//! when `wire::VERSION` 3 changed the frame checksum — only the two
+//! `frame_*` lines moved —, and when v8 dropped two `JobParams` switches and
+//! six event kinds — only the lines carrying a job, a report or a protocol
+//! version moved. It must not change while `PROTO_VERSION` and
 //! `wire::VERSION` stay put: a failure here means an edit changed bytes on
 //! the wire. To do that on purpose, follow the recipe in
 //! `sage_net::codec`'s module docs; the regeneration step is
@@ -65,24 +67,18 @@ impl Golden {
     }
 }
 
-const KINDS: [EventKind; 14] = [
+const KINDS: [EventKind; 8] = [
     EventKind::FnStart,
     EventKind::FnEnd,
     EventKind::XferStart,
     EventKind::XferEnd,
     EventKind::SourceEmit,
     EventKind::SinkAbsorb,
-    EventKind::BufAlloc,
     EventKind::XferRetry,
     EventKind::Fault,
-    EventKind::NetConnect,
-    EventKind::NetSend,
-    EventKind::NetRecv,
-    EventKind::NetRetry,
-    EventKind::NetTimeout,
 ];
 
-/// A report exercising every record it embeds: all 14 event kinds, a
+/// A report exercising every record it embeds: all 8 event kinds, a
 /// non-default value in each shipped `NodeMetrics` field, a link row, an
 /// empty and a non-empty deposit, and distinct credit counters.
 fn report(error: Option<RuntimeError>) -> RankReport {
@@ -172,9 +168,7 @@ fn runtime_errors() -> Vec<RuntimeError> {
 
 fn streaming_params() -> JobParams {
     JobParams {
-        optimized: true,
         probes: true,
-        race_detect: true,
         pipeline: Some(4),
         pipeline_depths: vec![4, 1],
         ..JobParams::new("(app demo)", 8)
@@ -185,11 +179,11 @@ fn streaming_params() -> JobParams {
 fn golden_set() -> Vec<(String, Golden)> {
     let mut set: Vec<(String, Golden)> = Vec::new();
     let mut msg = |name: &str, m: FleetMsg| set.push((name.to_string(), Golden::Msg(Box::new(m))));
-    msg("hello", FleetMsg::Hello { proto_version: 7 });
+    msg("hello", FleetMsg::Hello { proto_version: 8 });
     msg(
         "hello_ack",
         FleetMsg::HelloAck {
-            proto_version: 7,
+            proto_version: 8,
             data_addr: "127.0.0.1:9000".into(),
         },
     );
@@ -285,7 +279,7 @@ fn golden_set() -> Vec<(String, Golden)> {
     for (name, reason) in [
         (
             "reject_version_mismatch",
-            RejectReason::VersionMismatch { ours: 7, theirs: 6 },
+            RejectReason::VersionMismatch { ours: 8, theirs: 7 },
         ),
         ("reject_queue_full", RejectReason::QueueFull { depth: 128 }),
         (
@@ -345,10 +339,10 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
             .iter()
             .map(|(name, g)| format!("{name} {}\n", hex(&g.encode())))
             .collect();
-        std::fs::write(fixture_path("wire_v7.hex"), text).expect("write fixture");
+        std::fs::write(fixture_path("wire_v8.hex"), text).expect("write fixture");
         return;
     }
-    let fixture = read_fixture("wire_v7.hex");
+    let fixture = read_fixture("wire_v8.hex");
     assert_eq!(
         fixture.iter().map(|(n, _)| n).collect::<Vec<_>>(),
         set.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -371,7 +365,7 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
 /// The stream entry points lay a frame out exactly as `Frame::encode` does.
 #[test]
 fn every_frame_writer_and_reader_agrees_with_the_golden_header() {
-    for (name, bytes) in read_fixture("wire_v7.hex") {
+    for (name, bytes) in read_fixture("wire_v8.hex") {
         let Some(kind) = name.strip_prefix("frame_") else {
             continue;
         };

@@ -20,10 +20,11 @@
 //!   dominate the executor's measured `mem_high_water` on every node of
 //!   every cell. A measured peak above the prediction means the static
 //!   walk missed live bytes.
-//! - **Direction A (races)**: every fault-free cell runs with the
-//!   vector-clock race detector armed — a model the happens-before pass
-//!   proved race-free must run detector-clean (and bit-identically) in
-//!   every cell. A `RaceDetected` failure here means the static
+//! - **Direction A (races)**: every fault-free local cell runs with the
+//!   vector-clock race detector armed (it needs every rank in one process)
+//!   — a model the happens-before pass proved race-free must run
+//!   detector-clean and bit-identically. A `RaceDetected` failure here
+//!   means the static
 //!   happens-before relation admits an ordering the run time does not
 //!   actually provide.
 //! - **Direction B (rejection)**: a model `sage check` rejects for a
@@ -215,9 +216,6 @@ fn run_tcp(
         workers: nodes,
         heartbeat_ms: None,
         params: JobParams {
-            // Per-process degraded mode over TCP: each rank validates its
-            // own serial order and stamp handling, never cross-rank pairs.
-            race_detect: true,
             pipeline,
             pipeline_depths: pipeline_depths.unwrap_or_default(),
             ..JobParams::new(source, iterations)

@@ -26,8 +26,12 @@ use sage_visualizer::{EventKind, ProbeEvent};
 /// worker protocol (its two frame kinds and the per-rank job struct they
 /// carried): every job travels as one [`JobParams`] inside the fleet's
 /// `Submit` and `Job` messages. v7 added the streaming credit counters
-/// (`stream`) to [`RankReport`].
-pub const PROTO_VERSION: u32 = 7;
+/// (`stream`) to [`RankReport`]. v8 dropped the two [`JobParams`] switches
+/// no rank acts on over TCP (`optimized`, which only changes virtual-clock
+/// charges, and `race_detect`, whose per-process detector sees no
+/// cross-rank pair) and the six [`EventKind`]s nothing records (`BufAlloc`
+/// and the transport's `Net*` rows).
+pub const PROTO_VERSION: u32 = 8;
 
 /// What to run and how, independent of where: the one description of a
 /// job that the submitter, the scheduler and every rank share.
@@ -35,16 +39,8 @@ pub const PROTO_VERSION: u32 = 7;
 pub struct JobParams {
     /// Iterations (data sets) to run.
     pub iterations: u32,
-    /// Use the optimized (shared-buffer) run-time options.
-    pub optimized: bool,
     /// Record probe events and ship them back in the report.
     pub probes: bool,
-    /// Arm the vector-clock race detector on every rank (see
-    /// `RuntimeOptions::race_detect`). Each daemon only observes its own
-    /// rank's accesses, so over TCP the detector runs in degraded
-    /// per-process mode; full cross-rank validation is the in-process
-    /// backend's job.
-    pub race_detect: bool,
     /// Streaming pipeline depth (`None` = lock-step; see
     /// `RuntimeOptions::pipeline`). Every rank must run the same mode or
     /// their transfer tags disagree, so it ships with the job.
@@ -62,13 +58,11 @@ pub struct JobParams {
 }
 
 impl JobParams {
-    /// A lock-step, paper-faithful, unprobed job.
+    /// A lock-step, unprobed job.
     pub fn new(model: impl Into<String>, iterations: u32) -> JobParams {
         JobParams {
             iterations,
-            optimized: false,
             probes: false,
-            race_detect: false,
             pipeline: None,
             pipeline_depths: Vec::new(),
             model: model.into(),
@@ -99,9 +93,7 @@ impl Wire for WideDepth {
 
 wire_struct!(JobParams {
     iterations,
-    optimized,
     probes,
-    race_detect,
     pipeline as WideDepth,
     pipeline_depths,
     model,
@@ -182,14 +174,8 @@ wire_enum!(EventKind, "event kind" {
     4 => XferEnd,
     5 => SourceEmit,
     6 => SinkAbsorb,
-    7 => BufAlloc,
-    8 => XferRetry,
-    9 => Fault,
-    10 => NetConnect,
-    11 => NetSend,
-    12 => NetRecv,
-    13 => NetRetry,
-    14 => NetTimeout,
+    7 => XferRetry,
+    8 => Fault,
 });
 
 #[cfg(test)]
@@ -200,8 +186,7 @@ mod tests {
     #[test]
     fn params_round_trip() {
         let p = JobParams {
-            optimized: true,
-            race_detect: true,
+            probes: true,
             pipeline: Some(3),
             pipeline_depths: vec![2, 3],
             ..JobParams::new("(app demo)", 7)
@@ -215,8 +200,8 @@ mod tests {
     fn oversized_pipeline_depth_is_typed_error() {
         let too_deep = Some(u64::from(u32::MAX) + 2);
         let bytes = encode(&(
-            (7u32, false, false),
-            (false, too_deep, Vec::<u32>::new()),
+            (7u32, false),
+            (too_deep, Vec::<u32>::new()),
             "(app demo)".to_string(),
         ));
         assert!(matches!(
@@ -247,7 +232,7 @@ mod tests {
                 messages: 5,
                 bytes: 100,
             }],
-            events: vec![ProbeEvent::new(0.5, 2, EventKind::NetSend, 0, 1)],
+            events: vec![ProbeEvent::new(0.5, 2, EventKind::XferEnd, 0, 1)],
             stream: StreamStats {
                 credits_issued: 12,
                 credits_retired: 11,

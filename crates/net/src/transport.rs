@@ -225,7 +225,7 @@ pub struct MeshCore {
     rank: usize,
     links: Vec<Option<Arc<PeerLink>>>,
     mailbox: Arc<Mailbox>,
-    probe: Probe,
+    /// The mesh epoch: every job transport's clock counts from here.
     start: Instant,
     config: NetConfig,
     /// The I/O thread blocks in `poll(2)` on the other end of this pair:
@@ -250,7 +250,6 @@ impl MeshCore {
         peers: &[String],
         listener: &TcpListener,
         config: NetConfig,
-        probe: Probe,
     ) -> Result<Arc<MeshCore>, NetError> {
         let size = peers.len();
         if rank >= size {
@@ -264,13 +263,12 @@ impl MeshCore {
         let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
         // Connect downward, with backoff: lower indices may still be binding.
         for (j, addr) in peers.iter().enumerate().take(rank) {
-            let stream = connect_with_retry(addr, &config.retry, &probe, start)
+            let stream = connect_with_retry(addr, &config.retry)
                 .map_err(|e| NetError::Io(format!("connecting to rank {j} at {addr}: {e}")))?;
             stream.set_nodelay(true)?;
             Frame::control(FrameKind::Hello, rank as u32, j as u32, 0)
                 .write_to(&mut &stream)
                 .map_err(NetError::Wire)?;
-            probe.net_connect(start.elapsed().as_secs_f64(), j as u32);
             streams[j] = Some(stream);
         }
         // Accept upward: higher indices dial us; `Hello` tells us who called.
@@ -297,7 +295,6 @@ impl MeshCore {
                             hello.kind, hello.dst
                         )));
                     }
-                    probe.net_connect(start.elapsed().as_secs_f64(), j as u32);
                     streams[j] = Some(stream);
                     pending -= 1;
                 }
@@ -353,7 +350,6 @@ impl MeshCore {
             rank,
             links,
             mailbox,
-            probe,
             start,
             config,
             wake,
@@ -421,26 +417,15 @@ impl MeshCore {
         if self.mailbox.poisoned.load(Ordering::SeqCst) {
             return Err(CoreFail::Poisoned);
         }
-        let timed_out = |peer: Option<usize>| {
-            if let Some(peer) = peer {
-                self.probe
-                    .net_timeout(self.start.elapsed().as_secs_f64(), peer as u32);
-            }
-        };
         let mut m = self.mailbox.lock();
         loop {
             let now = Instant::now();
             match m.take((job, src, tag), mesh_src, now, stale_after) {
                 Take::Ready(payload) => return Ok(payload),
-                Take::Gone => return Err(CoreFail::PeerGone),
-                Take::Stale => {
-                    timed_out(mesh_src);
-                    return Err(CoreFail::PeerGone);
-                }
+                Take::Gone | Take::Stale => return Err(CoreFail::PeerGone),
                 Take::Pending => {}
             }
             if now >= deadline {
-                timed_out(mesh_src);
                 return Err(CoreFail::Timeout);
             }
             // Deliveries notify the condvar; the timeout only re-checks
@@ -635,24 +620,13 @@ pub struct JobTransport {
     rank: usize,
     rank_map: Vec<usize>,
     counters: Counters,
-    /// The job's own probe: the one place wire sends and receives are
-    /// recorded (the shared core cannot know which job's trace a frame
-    /// belongs in).
-    probe: Probe,
 }
 
 impl JobTransport {
     /// A transport for logical `rank` of `job`, whose logical ranks map to
     /// mesh indices through `rank_map` (so `rank_map[rank]` must be the
-    /// core's own mesh index). `probe` records the job's `NetSend`/`NetRecv`
-    /// events, timed from the mesh's epoch.
-    pub fn new(
-        core: Arc<MeshCore>,
-        job: u32,
-        rank: usize,
-        rank_map: Vec<usize>,
-        probe: Probe,
-    ) -> JobTransport {
+    /// core's own mesh index).
+    pub fn new(core: Arc<MeshCore>, job: u32, rank: usize, rank_map: Vec<usize>) -> JobTransport {
         debug_assert_eq!(rank_map[rank], core.mesh_rank());
         let ranks = rank_map.len();
         JobTransport {
@@ -661,7 +635,6 @@ impl JobTransport {
             rank,
             rank_map,
             counters: Counters::new(ranks),
-            probe,
         }
     }
 
@@ -716,10 +689,6 @@ impl Transport for JobTransport {
                 let s = &mut self.counters.sent[dst];
                 s.0 += 1;
                 s.1 += payload.len() as u64;
-                if self.probe.enabled() {
-                    self.probe
-                        .net_send(self.core.start.elapsed().as_secs_f64(), dst as u32, 0);
-                }
                 Ok(())
             }
             Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed {
@@ -743,10 +712,6 @@ impl Transport for JobTransport {
             Ok(payload) => {
                 self.counters.recv_messages += 1;
                 self.counters.recv_bytes += payload.len() as u64;
-                if mesh.is_some() && self.probe.enabled() {
-                    self.probe
-                        .net_recv(self.core.start.elapsed().as_secs_f64(), src as u32, 0);
-                }
                 Ok(payload)
             }
             Err(CoreFail::PeerGone) => Err(self.peer_failed(src)),
@@ -764,6 +729,11 @@ impl Transport for JobTransport {
     fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
         self.core.ready(self.job, src as u32, tag)
     }
+
+    /// Wall seconds since the mesh epoch.
+    fn now(&self) -> f64 {
+        self.core.start.elapsed().as_secs_f64()
+    }
 }
 
 /// A one-job TCP [`Transport`] for one rank: a [`JobTransport`] over a
@@ -773,18 +743,19 @@ pub struct TcpTransport(JobTransport);
 impl TcpTransport {
     /// Establishes the full mesh for `rank` out of `peers` (one data-plane
     /// listen address per rank, indexed by rank). See [`MeshCore::connect`].
+    // `_probe` is unused — the executor records a rank's events, the
+    // transport none — but `benchmark/src/{cells,workloads}.rs` pass one
+    // and `benchmark/` is frozen.
     pub fn connect(
         rank: usize,
         peers: &[String],
         listener: &TcpListener,
         config: NetConfig,
-        probe: Probe,
+        _probe: Probe,
     ) -> Result<TcpTransport, NetError> {
-        let core = MeshCore::connect(rank, peers, listener, config, probe.clone())?;
+        let core = MeshCore::connect(rank, peers, listener, config)?;
         let identity = (0..peers.len()).collect();
-        Ok(TcpTransport(JobTransport::new(
-            core, 0, rank, identity, probe,
-        )))
+        Ok(TcpTransport(JobTransport::new(core, 0, rank, identity)))
     }
 
     /// Clean shutdown: tell every peer we are done and return this rank's
@@ -823,21 +794,19 @@ impl Transport for TcpTransport {
     fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
         self.0.try_recv_ready(src, tag)
     }
+
+    fn now(&self) -> f64 {
+        self.0.now()
+    }
 }
 
 /// Dials `addr`, retrying with exponential backoff while the peer process
 /// comes up.
-pub(crate) fn connect_with_retry(
-    addr: &str,
-    retry: &RetryPolicy,
-    probe: &Probe,
-    start: Instant,
-) -> std::io::Result<TcpStream> {
+pub(crate) fn connect_with_retry(addr: &str, retry: &RetryPolicy) -> std::io::Result<TcpStream> {
     let mut backoff = retry.backoff_secs;
     let mut last_err = None;
     for attempt in 0..=retry.max_retries {
         if attempt > 0 {
-            probe.net_retry(start.elapsed().as_secs_f64(), 0);
             std::thread::sleep(Duration::from_secs_f64(backoff));
             backoff *= retry.backoff_factor;
         }
@@ -856,16 +825,10 @@ pub(crate) fn connect_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_visualizer::{Collector, EventKind};
     use std::io::Read;
 
     /// Builds an N-rank loopback mesh, one transport per thread.
     fn mesh(n: usize) -> Vec<TcpTransport> {
-        mesh_probed(n, &Arc::new(Collector::new(n, false)))
-    }
-
-    /// [`mesh`] with every rank's probe bound to `collector`.
-    fn mesh_probed(n: usize, collector: &Arc<Collector>) -> Vec<TcpTransport> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
             .collect();
@@ -878,9 +841,9 @@ mod tests {
             .enumerate()
             .map(|(rank, listener)| {
                 let peers = peers.clone();
-                let probe = Probe::new(collector.clone(), rank as u32);
                 std::thread::spawn(move || {
-                    TcpTransport::connect(rank, &peers, &listener, NetConfig::default(), probe)
+                    let config = NetConfig::default();
+                    TcpTransport::connect(rank, &peers, &listener, config, Probe::disabled())
                         .expect("mesh")
                 })
             })
@@ -912,8 +875,7 @@ mod tests {
             .map(|(rank, listener)| {
                 let (peers, config) = (peers.clone(), config.clone());
                 std::thread::spawn(move || {
-                    MeshCore::connect(rank, &peers, &listener, config, Probe::disabled())
-                        .expect("mesh")
+                    MeshCore::connect(rank, &peers, &listener, config).expect("mesh")
                 })
             })
             .collect();
@@ -935,9 +897,12 @@ mod tests {
             t1.try_send(0, 8, &m).expect("send pong");
             t1.finish()
         });
+        let sent_at = t0.now();
         t0.try_send(1, 7, &Payload::from(b"ping"))
             .expect("send ping");
         assert_eq!(t0.try_recv(1, 8).expect("recv pong"), b"ping");
+        // The clock probes stamp with: wall time since the mesh epoch.
+        assert!(sent_at > 0.0 && t0.now() > sent_at);
         let (m0, l0) = t0.finish();
         let (m1, _) = h.join().expect("join");
         assert_eq!(m0.messages_sent, 1);
@@ -952,37 +917,6 @@ mod tests {
                 bytes: 4,
             }]
         );
-    }
-
-    /// One wire message is one `NetSend` row on the sender and one `NetRecv`
-    /// row on the receiver — the job transport is the only recording site,
-    /// and self-sends never hit the wire.
-    #[test]
-    fn wire_events_are_recorded_once_per_message() {
-        let collector = Arc::new(Collector::new(2, true));
-        let mut ts = mesh_probed(2, &collector);
-        let mut t1 = ts.pop().expect("rank 1");
-        let mut t0 = ts.pop().expect("rank 0");
-        t0.try_send(1, 7, &Payload::from(b"ping")).expect("send");
-        t0.try_send(0, 7, &Payload::from(b"self"))
-            .expect("self-send");
-        assert_eq!(t1.try_recv(0, 7).expect("recv"), b"ping");
-        assert_eq!(t0.try_recv(0, 7).expect("self-recv"), b"self");
-        t0.finish();
-        t1.finish();
-        let trace = Arc::into_inner(collector)
-            .expect("probes dropped with their transports")
-            .into_trace();
-        let rows = |kind, node| {
-            trace
-                .events()
-                .iter()
-                .filter(|e| e.kind == kind && e.node == node)
-                .count()
-        };
-        assert_eq!(rows(EventKind::NetSend, 0), 1);
-        assert_eq!(rows(EventKind::NetRecv, 1), 1);
-        assert_eq!(rows(EventKind::NetSend, 1) + rows(EventKind::NetRecv, 0), 0);
     }
 
     #[test]
@@ -1056,10 +990,10 @@ mod tests {
         // src — the job field is the only thing keeping them apart.
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
-        let j1_r0 = JobTransport::new(c0.clone(), 1, 0, vec![0, 1], Probe::disabled());
-        let j1_r1 = JobTransport::new(c1.clone(), 1, 1, vec![0, 1], Probe::disabled());
-        let j2_r1 = JobTransport::new(c0.clone(), 2, 1, vec![1, 0], Probe::disabled());
-        let j2_r0 = JobTransport::new(c1.clone(), 2, 0, vec![1, 0], Probe::disabled());
+        let j1_r0 = JobTransport::new(c0.clone(), 1, 0, vec![0, 1]);
+        let j1_r1 = JobTransport::new(c1.clone(), 1, 1, vec![0, 1]);
+        let j2_r1 = JobTransport::new(c0.clone(), 2, 1, vec![1, 0]);
+        let j2_r0 = JobTransport::new(c1.clone(), 2, 0, vec![1, 0]);
         let a = std::thread::spawn(move || {
             let mut t = j1_r0;
             t.try_send(1, 5, &Payload::from(b"job1")).expect("send");
@@ -1109,14 +1043,14 @@ mod tests {
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
         // Job 7's rank on endpoint 1 finishes immediately.
-        JobTransport::new(c1.clone(), 7, 1, vec![0, 1], Probe::disabled()).finish();
-        let mut waiter = JobTransport::new(c0.clone(), 7, 0, vec![0, 1], Probe::disabled());
+        JobTransport::new(c1.clone(), 7, 1, vec![0, 1]).finish();
+        let mut waiter = JobTransport::new(c0.clone(), 7, 0, vec![0, 1]);
         // A recv from the finished rank fails typed, promptly.
         let err = waiter.try_recv(1, 3).expect_err("job peer done");
         assert_eq!(err, FabricError::PeerFailed { node: 0, peer: 1 });
         // The *link* is still alive: a fresh job runs over the same mesh.
-        let mut j8_r0 = JobTransport::new(c0.clone(), 8, 0, vec![0, 1], Probe::disabled());
-        let mut j8_r1 = JobTransport::new(c1.clone(), 8, 1, vec![0, 1], Probe::disabled());
+        let mut j8_r0 = JobTransport::new(c0.clone(), 8, 0, vec![0, 1]);
+        let mut j8_r1 = JobTransport::new(c1.clone(), 8, 1, vec![0, 1]);
         let h = std::thread::spawn(move || {
             let got = j8_r1.try_recv(0, 1).expect("warm link");
             assert_eq!(got, b"warm");
@@ -1136,7 +1070,7 @@ mod tests {
     fn purged_job_drops_late_frames() {
         let cores = core_mesh(2);
         let (c0, c1) = (cores[0].clone(), cores[1].clone());
-        let mut sender = JobTransport::new(c1.clone(), 3, 1, vec![0, 1], Probe::disabled());
+        let mut sender = JobTransport::new(c1.clone(), 3, 1, vec![0, 1]);
         c0.purge_job(3);
         sender
             .try_send(0, 2, &Payload::from(b"late"))
@@ -1248,8 +1182,8 @@ mod tests {
             );
         }
         const PINGS: u64 = 200;
-        let mut t0 = JobTransport::new(cores[0].clone(), 1, 0, vec![0, 1], Probe::disabled());
-        let mut t1 = JobTransport::new(cores[1].clone(), 1, 1, vec![0, 1], Probe::disabled());
+        let mut t0 = JobTransport::new(cores[0].clone(), 1, 0, vec![0, 1]);
+        let mut t1 = JobTransport::new(cores[1].clone(), 1, 1, vec![0, 1]);
         let echo = std::thread::spawn(move || {
             for _ in 0..PINGS {
                 let m = t1.try_recv(0, 7).expect("recv ping");

@@ -42,7 +42,7 @@ use crate::report::{Execution, RankReport};
 use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
 use sage_fabric::{Cluster, FabricError, MachineSpec, Payload, TimePolicy, Transport, Work};
 use sage_mpi::{send_with_retry, MpiError};
-use sage_visualizer::{Collector, Probe};
+use sage_visualizer::{EventKind, Probe};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -442,7 +442,6 @@ pub fn execute(
         )));
     }
 
-    let collector = Arc::new(Collector::new(machine.node_count(), options.probes));
     let cluster = Cluster::new(machine.clone(), policy).with_faults(options.faults.clone());
     // One detector shared by every rank of the in-process cluster: clocks
     // join across ranks, so cross-rank conflicts are visible.
@@ -451,7 +450,7 @@ pub fn execute(
         .then(|| RaceState::new(machine.node_count()));
 
     let (outcomes, run) = cluster.run(|ctx| {
-        let probe = Probe::new(collector.clone(), ctx.id() as u32);
+        let probe = Probe::new(ctx.id() as u32, options.probes);
         let t0 = Instant::now();
         let outcome = execute_rank(
             ctx,
@@ -462,22 +461,15 @@ pub fn execute(
             &probe,
             race.as_ref(),
         );
-        (outcome, t0.elapsed().as_secs_f64())
+        (outcome, t0.elapsed().as_secs_f64(), probe.into_events())
     });
 
-    // Every node thread has joined, so this is the last reference; if a
-    // clone somehow survived, an empty trace is strictly better than
-    // panicking after a successful run.
-    let mut lanes = Arc::into_inner(collector)
-        .map(Collector::into_lanes)
-        .unwrap_or_default()
-        .into_iter();
     let reports = (outcomes.into_iter().zip(run.metrics.nodes).enumerate())
-        .map(|(rank, ((outcome, wall_secs), metrics))| {
+        .map(|(rank, ((outcome, wall_secs, events), metrics))| {
             Some(RankReport {
                 wall_secs,
                 metrics,
-                events: lanes.next().unwrap_or_default(),
+                events,
                 ..RankReport::new(rank as u32, outcome)
             })
         })
@@ -637,6 +629,11 @@ struct RankState<'a, T: Transport> {
 /// injected faults surface as `Err(RuntimeError)` instead of panics; the
 /// fault site is also recorded in the trace when probes are on.
 ///
+/// `probe` is the rank's trace lane and this function the only code that
+/// records into it, on every backend: function spans, source/sink
+/// crossings, both ends of every transfer, retries and faults, each stamped
+/// with `ctx.now()` — which is read only while the probe records.
+///
 /// There is one issue loop, `RankState::run_staircase`, and lock-step and
 /// streaming are policies on it ([`IssuePolicy`] documents each: horizon,
 /// ring length, credit window); [`IssuePolicy::Validate`] swaps in the
@@ -717,6 +714,11 @@ pub fn execute_rank<T: Transport>(
 }
 
 impl<T: Transport> RankState<'_, T> {
+    /// Records one probe event stamped with the rank's clock.
+    fn mark(&self, kind: EventKind, id: u32, iter: u32) {
+        self.probe.record(|| self.ctx.now(), kind, id, iter);
+    }
+
     /// The scheduler: a continuous-issue dataflow loop over this rank's
     /// schedule slots.
     ///
@@ -868,16 +870,15 @@ impl<T: Transport> RankState<'_, T> {
         let f = &self.program.functions[task.fn_id as usize];
         // Function-table dispatch.
         self.ctx.advance(self.options.dispatch_overhead);
-        let t_start = self.ctx.now();
         if f.role == FnRole::Source && task.thread == 0 {
-            self.probe.source_emit(t_start, iter);
+            self.mark(EventKind::SourceEmit, iter, iter);
         }
-        self.probe.fn_start(t_start, f.id, iter);
+        self.mark(EventKind::FnStart, f.id, iter);
         let inputs = self.assemble_inputs(task, iter)?;
         let outputs = self.invoke(task, iter, &inputs)?;
         self.emit_outputs(task, iter, &outputs)?;
         self.return_credits(task, iter)?;
-        self.probe.fn_end(self.ctx.now(), f.id, iter);
+        self.mark(EventKind::FnEnd, f.id, iter);
         Ok(())
     }
 
@@ -920,7 +921,7 @@ impl<T: Transport> RankState<'_, T> {
                             // The producing task has not run yet on this
                             // node: the schedule is out of order. Nothing
                             // was ever sent, so zero attempts were made.
-                            self.probe.fault(self.ctx.now(), e.buffer, iter);
+                            self.mark(EventKind::Fault, e.buffer, iter);
                             return Err(RuntimeError::TransferFailed {
                                 node,
                                 peer: e.peer_node,
@@ -937,6 +938,7 @@ impl<T: Transport> RankState<'_, T> {
                     self.ctx.advance(options.mpi.recv_overhead);
                     m
                 };
+                self.mark(EventKind::XferEnd, e.buffer, src_iter);
                 if bp.aligned && !multi {
                     // Whole stripe arrives as one piece: hand it off.
                     local = Some(msg);
@@ -1003,7 +1005,7 @@ impl<T: Transport> RankState<'_, T> {
                         iteration: iter,
                         intervals: region.clone(),
                     })
-                    .inspect_err(|_| self.probe.fault(self.ctx.now(), f.id, iter))?;
+                    .inspect_err(|_| self.mark(EventKind::Fault, f.id, iter))?;
                 }
             }
             inputs.push(StripePayload {
@@ -1063,7 +1065,7 @@ impl<T: Transport> RankState<'_, T> {
             }
         };
         if let Err(message) = invocation {
-            self.probe.fault(self.ctx.now(), f.id, iter);
+            self.mark(EventKind::Fault, f.id, iter);
             return Err(RuntimeError::Kernel {
                 block: f.name.clone(),
                 message: format!("(thread {tid}): {message}"),
@@ -1087,7 +1089,7 @@ impl<T: Transport> RankState<'_, T> {
                 self.deposits
                     .push(((f.id, iter, task.thread), first.bytes.clone()));
             }
-            self.probe.sink_absorb(self.ctx.now(), iter);
+            self.mark(EventKind::SinkAbsorb, iter, iter);
         }
         Ok(outputs)
     }
@@ -1129,7 +1131,7 @@ impl<T: Transport> RankState<'_, T> {
                         },
                         fnv1a_64(&output.bytes),
                     )
-                    .inspect_err(|_| self.probe.fault(self.ctx.now(), bid, iter))?;
+                    .inspect_err(|_| self.mark(EventKind::Fault, bid, iter))?;
                 }
             }
             for e in edges {
@@ -1171,7 +1173,7 @@ impl<T: Transport> RankState<'_, T> {
                     self.ctx.compute(Work::copy(ops.bytes));
                     staged.clone()
                 };
-                self.probe.xfer_start(self.ctx.now(), bid, iter);
+                self.mark(EventKind::XferStart, bid, iter);
                 if e.peer_node == node {
                     let slot = self.slot(e, iter);
                     self.store.put(slot, msg);
@@ -1224,7 +1226,7 @@ impl<T: Transport> RankState<'_, T> {
     /// failure is recorded against `(bid, iter)` in the trace and typed.
     fn recv(&mut self, peer: u32, tag: u64, bid: u32, iter: u32) -> Result<Payload, RuntimeError> {
         self.ctx.try_recv(peer as usize, tag).map_err(|e| {
-            self.probe.fault(self.ctx.now(), bid, iter);
+            self.mark(EventKind::Fault, bid, iter);
             fabric_to_runtime(e)
         })
     }
@@ -1242,7 +1244,7 @@ impl<T: Transport> RankState<'_, T> {
     ) -> Result<(), RuntimeError> {
         let (probe, node, mpi) = (self.probe, self.node, &self.options.mpi);
         send_with_retry(self.ctx, mpi, dst as usize, tag, payload, |t| {
-            probe.xfer_retry(t.now(), bid, iter)
+            probe.record(|| t.now(), EventKind::XferRetry, bid, iter)
         })
         .map_err(|e| match e {
             MpiError::Fabric(e) => fabric_to_runtime(e),
@@ -1857,6 +1859,120 @@ mod tests {
         assert_eq!(analysis.latencies.len(), 3);
         assert!(analysis.mean_latency() > 0.0);
         assert_eq!(analysis.periods.len(), 2);
+    }
+
+    /// The local backend, counting the clock reads made through it.
+    struct CountingClock<'a> {
+        inner: &'a mut sage_fabric::NodeCtx,
+        reads: std::cell::Cell<u32>,
+    }
+
+    impl Transport for CountingClock<'_> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
+            self.inner.try_send(dst, tag, payload)
+        }
+        fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
+            self.inner.try_recv(src, tag)
+        }
+        fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
+            self.inner.try_recv_ready(src, tag)
+        }
+        fn now(&self) -> f64 {
+            self.reads.set(self.reads.get() + 1);
+            self.inner.now()
+        }
+        fn compute(&mut self, work: Work) {
+            self.inner.compute(work)
+        }
+        fn advance(&mut self, secs: f64) {
+            self.inner.advance(secs)
+        }
+        fn note_mem_use(&mut self, bytes: u64) {
+            self.inner.note_mem_use(bytes)
+        }
+    }
+
+    /// Probes that are off cost no clock read: only a recording probe
+    /// stamps anything.
+    #[test]
+    fn a_disabled_probe_reads_no_clock() {
+        let program = row_to_col_program();
+        let prepared = prepare(&program, &fill_registry()).unwrap();
+        let cluster = Cluster::new(machine(2), TimePolicy::Real);
+        for probes in [false, true] {
+            let (reads, _) = cluster.run(|ctx| {
+                let mut t = CountingClock {
+                    inner: ctx,
+                    reads: Default::default(),
+                };
+                let probe = Probe::new(t.rank() as u32, probes);
+                let options = RuntimeOptions::paper_faithful();
+                execute_rank(&mut t, &program, &prepared, &options, 3, &probe, None).unwrap();
+                t.reads.get()
+            });
+            if probes {
+                assert!(reads.iter().all(|&n| n > 0), "{reads:?}");
+            } else {
+                assert_eq!(reads, vec![0, 0]);
+            }
+        }
+    }
+
+    /// Both ends of every transfer are recorded: walking the merged trace
+    /// in time order, each `XferEnd (buffer, producer iteration)` closes one
+    /// earlier, still-open `XferStart` of the same pair — remote, local and
+    /// streamed alike — and the only starts left open are those a delay arc
+    /// carries past the last iteration.
+    #[test]
+    fn every_xfer_end_closes_one_earlier_xfer_start() {
+        let iters = 4;
+        let mut delayed = pipeline_program(2, 4, 4);
+        delayed.buffers[1].delay = 1;
+        let cases = [
+            (row_to_col_program(), 2),
+            (pipeline_program(4, 8, 4), 4),
+            (delayed, 2),
+        ];
+        for (program, nodes) in cases {
+            let lock_step = RuntimeOptions::paper_faithful().with_probes(true);
+            for options in [lock_step.clone(), lock_step.with_pipeline(2)] {
+                let exec = execute(
+                    &program,
+                    &machine(nodes),
+                    TimePolicy::Virtual,
+                    &fill_registry(),
+                    &options,
+                    iters,
+                )
+                .unwrap();
+                let mut open: HashMap<(u32, u32), u32> = HashMap::new();
+                let mut ends = 0;
+                for e in exec.trace.events() {
+                    let key = (e.id, e.iteration);
+                    match e.kind {
+                        EventKind::XferStart => *open.entry(key).or_default() += 1,
+                        EventKind::XferEnd => {
+                            let pending = open.entry(key).or_default();
+                            assert!(*pending > 0, "{} {e:?} has no open start", program.app_name);
+                            *pending -= 1;
+                            ends += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                assert!(ends > 0, "{}", program.app_name);
+                for (&(bid, i), &n) in &open {
+                    let delay = program.buffers[bid as usize].delay;
+                    assert!(n == 0 || i + delay >= iters, "({bid}, {i}) left open");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! intervals overlap, and neither clock dominates the other; the run then
 //! fails typed with [`RuntimeError::RaceDetected`] naming both accesses.
 //!
-//! The detector is shared across ranks of the in-process cluster. Distributed
-//! backends get a degraded per-process instance: it only ever sees its own
-//! rank's serial accesses, which are totally ordered, so it is trivially
-//! clean — cross-rank direction-B validation runs on the local transport.
+//! The detector is shared across ranks of the in-process cluster, which is
+//! the only backend that runs it: a detector inside one process of a
+//! distributed job would see only its own rank's serial accesses, which are
+//! totally ordered and so never conflict.
 
 use crate::function::RuntimeError;
 use std::collections::{HashMap, VecDeque};
@@ -164,7 +164,7 @@ impl RaceState {
 
     /// A rank received transfer `tag`: join the sender's oldest pending
     /// stamp into its clock (stamps and deliveries are both per-tag FIFO).
-    /// Unstamped tags (degraded per-process mode) are ignored.
+    /// An unstamped tag joins nothing.
     pub fn join_recv(&self, rank: u32, tag: u64) {
         let mut g = self.lock();
         let stamp = match g.msgs.get_mut(&tag) {

@@ -41,9 +41,9 @@ pub struct RankReport {
 impl RankReport {
     /// The report of a rank whose executor returned `outcome`: its deposits
     /// and credit counters, or its error alone. Wall time, traffic counters
-    /// and events come from the rank's clock, transport and probe
-    /// collector, not from the executor — they start zeroed, for the caller
-    /// to fill in.
+    /// and events come from the rank's clock, transport and probe lane, not
+    /// from the executor's outcome — they start zeroed, for the caller to
+    /// fill in.
     pub fn new(rank: u32, outcome: Result<RankOutcome, RuntimeError>) -> RankReport {
         let (error, outcome) = match outcome {
             Ok(outcome) => (None, outcome),

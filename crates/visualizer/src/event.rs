@@ -7,37 +7,29 @@ pub enum EventKind {
     FnStart,
     /// A function invocation completed.
     FnEnd,
-    /// A message transfer was initiated (`id` = logical buffer id).
+    /// A message transfer was initiated (`id` = logical buffer id,
+    /// `iteration` = the producer's iteration).
     XferStart,
-    /// A message transfer was fully received.
+    /// A message transfer was taken by its consumer, off the wire or out of
+    /// a local hand-off (`id` = logical buffer id, `iteration` = the
+    /// producer's iteration, so it pairs with its [`EventKind::XferStart`]).
     XferEnd,
     /// An input data set left the data source (`id` = iteration).
     SourceEmit,
     /// A final result reached the data sink (`id` = iteration).
     SinkAbsorb,
-    /// A physical buffer was allocated (`id` = logical buffer id).
-    BufAlloc,
     /// A dropped transfer was retried (`id` = logical buffer id).
     XferRetry,
-    /// An injected fault was observed (`id` = function-table index or
-    /// buffer id, depending on the fault site).
+    /// An injected fault or a failed transfer was observed (`id` =
+    /// function-table index or buffer id, depending on the fault site).
     Fault,
-    /// A wire connection to a peer rank was established (`id` = peer rank).
-    NetConnect,
-    /// A framed message was put on a real wire (`id` = peer rank).
-    NetSend,
-    /// A framed message arrived off a real wire (`id` = peer rank).
-    NetRecv,
-    /// A wire operation was retried (`id` = peer rank).
-    NetRetry,
-    /// A wire operation timed out (`id` = peer rank).
-    NetTimeout,
 }
 
 /// One timestamped observation from a probe.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProbeEvent {
-    /// Time in seconds (virtual or wall, per the run's clock policy).
+    /// Time in seconds: the rank's virtual clock, or wall time since the
+    /// rank's transport epoch.
     pub time: f64,
     /// Node that recorded the event.
     pub node: u32,

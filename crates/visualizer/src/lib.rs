@@ -8,9 +8,11 @@
 //! and search for problems in the system, such as bottlenecks or violated
 //! latency thresholds" (paper §1.1).
 //!
-//! The glue-code generator plants [`probe::Probe`] handles in the run-time's
-//! execution paths; each node thread records [`event::ProbeEvent`]s into a
-//! per-thread buffer ([`collector::Collector`]), merged after the run into a
+//! The glue-code generator plants a [`probe::Probe`] in the run-time's
+//! execution paths: the executor is the one place a rank's
+//! [`event::ProbeEvent`]s are recorded, into a lane the rank owns (no lock,
+//! and no clock read while probes are off). Each rank's lane rides home in
+//! its report, and the ranks' lanes merge after the run into a
 //! [`trace::Trace`]. Analyses ([`analysis`]) compute the paper's §3.3
 //! metrics — **period** ("the time between input data sets") and **latency**
 //! ("the time from when the first data leaves the data source to the time
@@ -21,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod collector;
 pub mod event;
 pub mod export;
 pub mod gantt;
@@ -30,7 +31,6 @@ pub mod report;
 pub mod trace;
 
 pub use analysis::{Analysis, Bottleneck, LatencyViolation};
-pub use collector::Collector;
 pub use event::{EventKind, ProbeEvent};
 pub use probe::Probe;
 pub use trace::Trace;

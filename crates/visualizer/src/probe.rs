@@ -1,106 +1,48 @@
-//! Probe handles planted in generated code.
+//! The probe planted in generated code: one rank's own trace lane.
 //!
-//! A [`Probe`] is a cheap cloneable handle bound to one node; the run-time
-//! calls its record methods at function boundaries, transfer points, and
+//! The run-time records at function boundaries, transfer points, and
 //! source/sink crossings — exactly the places the paper says probes are
-//! "placed within the generated code".
+//! "placed within the generated code". One rank records on one thread, so
+//! its lane is a plain vector behind a `RefCell`: no lock, no sharing, and
+//! the rank hands its rows to its report when it is done.
 
-use crate::collector::Collector;
 use crate::event::{EventKind, ProbeEvent};
-use std::sync::Arc;
+use std::cell::RefCell;
 
-/// A per-node instrumentation handle.
-#[derive(Clone)]
+/// One rank's instrumentation lane.
 pub struct Probe {
-    collector: Arc<Collector>,
     node: u32,
+    /// `None` when probes are off: nothing is allocated or recorded.
+    events: Option<RefCell<Vec<ProbeEvent>>>,
 }
 
 impl Probe {
-    /// Binds a probe to `node` on a shared collector.
-    pub fn new(collector: Arc<Collector>, node: u32) -> Probe {
-        Probe { collector, node }
+    /// A lane for `node`, recording only if `enabled`.
+    pub fn new(node: u32, enabled: bool) -> Probe {
+        Probe {
+            node,
+            events: enabled.then(RefCell::default),
+        }
     }
 
     /// A probe that records nothing (for uninstrumented runs).
     pub fn disabled() -> Probe {
-        Probe {
-            collector: Arc::new(Collector::new(1, false)),
-            node: 0,
+        Probe::new(0, false)
+    }
+
+    /// Records one event of `kind` (see [`EventKind`] for what `id` names),
+    /// stamped by `now`. A disabled probe never calls `now`, so probes that
+    /// are off cost no clock read.
+    pub fn record(&self, now: impl FnOnce() -> f64, kind: EventKind, id: u32, iteration: u32) {
+        if let Some(events) = &self.events {
+            let e = ProbeEvent::new(now(), self.node, kind, id, iteration);
+            events.borrow_mut().push(e);
         }
     }
 
-    /// Whether this probe records.
-    pub fn enabled(&self) -> bool {
-        self.collector.enabled()
-    }
-
-    /// Records a raw event.
-    pub fn record(&self, time: f64, kind: EventKind, id: u32, iteration: u32) {
-        if self.collector.enabled() {
-            self.collector
-                .record(ProbeEvent::new(time, self.node, kind, id, iteration));
-        }
-    }
-
-    /// Function invocation began.
-    pub fn fn_start(&self, time: f64, fn_id: u32, iteration: u32) {
-        self.record(time, EventKind::FnStart, fn_id, iteration);
-    }
-
-    /// Function invocation completed.
-    pub fn fn_end(&self, time: f64, fn_id: u32, iteration: u32) {
-        self.record(time, EventKind::FnEnd, fn_id, iteration);
-    }
-
-    /// Transfer initiated.
-    pub fn xfer_start(&self, time: f64, buf_id: u32, iteration: u32) {
-        self.record(time, EventKind::XferStart, buf_id, iteration);
-    }
-
-    /// A dropped transfer was retried.
-    pub fn xfer_retry(&self, time: f64, buf_id: u32, iteration: u32) {
-        self.record(time, EventKind::XferRetry, buf_id, iteration);
-    }
-
-    /// An injected fault was observed.
-    pub fn fault(&self, time: f64, id: u32, iteration: u32) {
-        self.record(time, EventKind::Fault, id, iteration);
-    }
-
-    /// Wire connection to `peer` established (real transports only).
-    pub fn net_connect(&self, time: f64, peer: u32) {
-        self.record(time, EventKind::NetConnect, peer, 0);
-    }
-
-    /// Framed message sent to `peer` over a real wire.
-    pub fn net_send(&self, time: f64, peer: u32, iteration: u32) {
-        self.record(time, EventKind::NetSend, peer, iteration);
-    }
-
-    /// Framed message received from `peer` off a real wire.
-    pub fn net_recv(&self, time: f64, peer: u32, iteration: u32) {
-        self.record(time, EventKind::NetRecv, peer, iteration);
-    }
-
-    /// Wire operation toward `peer` retried.
-    pub fn net_retry(&self, time: f64, peer: u32) {
-        self.record(time, EventKind::NetRetry, peer, 0);
-    }
-
-    /// Wire operation toward `peer` timed out.
-    pub fn net_timeout(&self, time: f64, peer: u32) {
-        self.record(time, EventKind::NetTimeout, peer, 0);
-    }
-
-    /// Data set left the source.
-    pub fn source_emit(&self, time: f64, iteration: u32) {
-        self.record(time, EventKind::SourceEmit, iteration, iteration);
-    }
-
-    /// Result reached the sink.
-    pub fn sink_absorb(&self, time: f64, iteration: u32) {
-        self.record(time, EventKind::SinkAbsorb, iteration, iteration);
+    /// The recorded events, in recording order (empty when disabled).
+    pub fn into_events(self) -> Vec<ProbeEvent> {
+        self.events.map(RefCell::into_inner).unwrap_or_default()
     }
 }
 
@@ -109,24 +51,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_records_through_collector() {
-        let c = Arc::new(Collector::new(2, true));
-        let p0 = Probe::new(c.clone(), 0);
-        let p1 = Probe::new(c.clone(), 1);
-        p0.fn_start(0.0, 3, 0);
-        p0.fn_end(1.0, 3, 0);
-        p1.source_emit(0.5, 0);
-        drop((p0, p1));
-        let t = Arc::into_inner(c).unwrap().into_trace();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.events()[1].node, 1);
-        assert_eq!(t.events()[1].kind, EventKind::SourceEmit);
+    fn probe_records_into_its_own_lane() {
+        let p = Probe::new(1, true);
+        p.record(|| 0.0, EventKind::FnStart, 3, 0);
+        p.record(|| 1.0, EventKind::FnEnd, 3, 0);
+        p.record(|| 0.5, EventKind::SourceEmit, 0, 0);
+        let events = p.into_events();
+        assert_eq!(events.len(), 3);
+        assert!(events.iter().all(|e| e.node == 1));
+        assert_eq!(events[2].kind, EventKind::SourceEmit);
+        assert_eq!(events[2].time, 0.5, "recording order, not time order");
     }
 
     #[test]
-    fn disabled_probe_is_silent() {
-        let p = Probe::disabled();
-        assert!(!p.enabled());
-        p.fn_start(0.0, 0, 0); // must not panic or record
+    fn disabled_probe_reads_no_clock_and_records_nothing() {
+        for p in [Probe::disabled(), Probe::new(3, false)] {
+            p.record(
+                || panic!("a disabled probe read the clock"),
+                EventKind::FnStart,
+                0,
+                0,
+            );
+            assert!(p.into_events().is_empty());
+        }
     }
 }

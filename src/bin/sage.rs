@@ -13,15 +13,14 @@
 //! $ sage run      model.sexpr --nodes 8 --iters 10 [--optimized] [--real] [--ga]
 //!                 [--pipeline D] [--pipeline-validate D] [--race-detect]
 //!                 [--unchecked] [--dump-sink F] [--trace F]
-//! $ sage launch   model.sexpr --workers 4 --iters 10 [--optimized]
-//!                 [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink F]
-//!                 [--trace F]
+//! $ sage launch   model.sexpr --workers 4 --iters 10 [--pipeline D]
+//!                 [--heartbeat-ms MS] [--dump-sink F] [--trace F]
 //! $ sage fleet    [--listen ADDR]             # persistent multi-job worker daemon
 //! $ sage fleet    drain|stats --sched ADDR    # drain the fleet / print service metrics
 //! $ sage sched    [--spawn N | --workers A,B,...] [--listen ADDR] [--queue-depth D]
 //!                 [--slots S] [--heartbeat-ms MS]
 //! $ sage submit   model.sexpr --sched ADDR --ranks N --iters I [--tenant T]
-//!                 [--optimized] [--dump-sink F] [--trace F]
+//!                 [--dump-sink F] [--trace F]
 //! $ sage export   fft2d|corner_turn|stap|image_filter --size 256 --threads 8 > model.sexpr
 //! $ sage fuzz     --seed 42 --count 50 [--iters I] [--transport local|tcp]
 //!                 [--fault-rounds R] [--minimize] [--save-failing DIR] [--replay STEM]
@@ -41,7 +40,10 @@
 //! rank, runs the one job through an in-process scheduler, and drains the
 //! daemons. All three end in the same `sage_runtime::Execution`, so they
 //! share one summary line and one tail (sink checksum, streaming credits,
-//! `--dump-sink`, `--trace`).
+//! `--dump-sink`, `--trace`). `--optimized` and `--race-detect` are `run`'s
+//! alone: the optimized preset changes only what a virtual clock is charged,
+//! and the vector-clock detector needs every rank in one process — a
+//! distributed rank has neither.
 //!
 //! The fleet commands run the same path as a persistent job service:
 //! `fleet` daemons keep their mesh warm across jobs (one started by hand on
@@ -71,13 +73,13 @@ fn usage() -> ExitCode {
          sage run <model.sexpr> [--nodes N] [--iters I] [--optimized] [--real] [--ga]\n           \
          [--pipeline D] [--pipeline-validate D] [--race-detect] [--unchecked]\n           \
          [--dump-sink FILE] [--trace FILE]\n  \
-         sage launch <model.sexpr> [--workers N] [--iters I] [--optimized]\n              \
-         [--pipeline D] [--race-detect] [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
+         sage launch <model.sexpr> [--workers N] [--iters I] [--pipeline D]\n              \
+         [--heartbeat-ms MS] [--dump-sink FILE] [--trace FILE]\n  \
          sage fleet [--listen ADDR] | sage fleet drain|stats --sched ADDR\n  \
          sage sched [--spawn N | --workers ADDR,ADDR,...] [--listen ADDR]\n             \
          [--queue-depth D] [--slots S] [--heartbeat-ms MS]\n  \
          sage submit <model.sexpr> --sched ADDR [--ranks N] [--iters I] [--tenant T]\n              \
-         [--optimized] [--dump-sink FILE] [--trace FILE]\n  \
+         [--dump-sink FILE] [--trace FILE]\n  \
          sage export <fft2d|corner_turn|stap|image_filter|beamformer|range_doppler> [--size S] [--threads T]\n  \
          sage fuzz [--seed S] [--count N] [--iters I] [--transport local|tcp]\n            \
          [--fault-rounds R] [--minimize] [--save-failing DIR] [--replay STEM]"
@@ -117,7 +119,7 @@ fn subcommand(cmd: &str) -> Option<Subcommand> {
         ),
         "launch" => sub(
             cmd_launch,
-            "optimized race-detect",
+            "",
             "workers iters pipeline heartbeat-ms dump-sink trace",
         ),
         "fleet" => sub(cmd_fleet, "", "listen sched"),
@@ -126,11 +128,7 @@ fn subcommand(cmd: &str) -> Option<Subcommand> {
             "",
             "spawn workers listen queue-depth slots heartbeat-ms",
         ),
-        "submit" => sub(
-            cmd_submit,
-            "optimized",
-            "sched ranks iters tenant dump-sink trace",
-        ),
+        "submit" => sub(cmd_submit, "", "sched ranks iters tenant dump-sink trace"),
         "export" => sub(cmd_export, "", "size threads"),
         "fuzz" => sub(
             cmd_fuzz,
@@ -679,9 +677,7 @@ fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, Str
         pipeline_depths = ring_caps(plan);
     }
     Ok(JobParams {
-        optimized: args.has("optimized"),
         probes: args.has("trace"),
-        race_detect: args.has("race-detect"),
         pipeline,
         pipeline_depths,
         ..JobParams::new(&pre.text, iters)

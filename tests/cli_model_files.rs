@@ -281,6 +281,9 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
         (&["run", &model, "--pipline", "4"][..], "--pipline"),
         (&["run", &model, "--iters", "x"], "--iters"),
         (&["launch", &model, "--copy-baseline"], "--copy-baseline"),
+        (&["launch", &model, "--optimized"], "--optimized"),
+        (&["launch", &model, "--race-detect"], "--race-detect"),
+        (&["submit", &model, "--optimized"], "--optimized"),
     ] {
         let out = std::process::Command::new(common::sage_bin())
             .args(args)

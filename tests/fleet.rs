@@ -177,7 +177,9 @@ fn concurrent_mixed_jobs_match_one_shot_tcp() {
 }
 
 /// `sage submit --trace` ships probe events back from every rank: the CSV
-/// carries function and wire rows from both daemons, not just a header.
+/// carries function and transfer rows from both daemons, not just a
+/// header, every row stamped on the rank's wall clock — and the transport
+/// records none of its own.
 #[test]
 fn submit_trace_carries_events_from_every_rank() {
     let model = write_model("trace", &sage::apps::fft2d::sage_model(64, 2));
@@ -202,15 +204,24 @@ fn submit_trace_carries_events_from_every_rank() {
     let csv = std::fs::read_to_string(&trace).expect("trace written");
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&model);
+    let rows: Vec<Vec<&str>> = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect();
     for node in ["0", "1"] {
-        for kind in ["FnStart", "FnEnd", "XferStart", "NetSend", "NetRecv"] {
+        for kind in ["FnStart", "FnEnd", "XferStart", "XferEnd"] {
             assert!(
-                csv.lines().any(|l| {
-                    let mut cols = l.split(',').skip(1);
-                    cols.next() == Some(node) && cols.next() == Some(kind)
-                }),
+                rows.iter().any(|r| r[1] == node && r[2] == kind),
                 "no {kind} row from rank {node} in:\n{csv}"
             );
+        }
+    }
+    for r in &rows {
+        assert!(!r[2].starts_with("Net"), "a transport row: {r:?}");
+        if r[2] == "FnStart" {
+            let time: f64 = r[0].parse().expect("a time");
+            assert!(time > 0.0, "an unstamped row: {r:?}");
         }
     }
 }
