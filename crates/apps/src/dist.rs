@@ -9,7 +9,7 @@ use crate::fft2d::{DistRun, SEED};
 use crate::workload;
 use sage_core::{Placement, Project, ProjectError};
 use sage_fabric::{Cluster, MachineSpec, Payload, TimePolicy, Transport, Work};
-use sage_mpi::{Communicator, MpiConfig};
+use sage_mpi::Communicator;
 use sage_runtime::RuntimeOptions;
 use sage_signal::complex::{as_bytes, from_bytes, view};
 use sage_signal::cost::{self, KernelCost};
@@ -90,7 +90,7 @@ pub fn run_hand_coded(
 
     let (stripes, report) = Cluster::new(machine, policy).run(|ctx| {
         let me = ctx.id();
-        let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+        let mut comm = Communicator::new(ctx);
         // The two stripes are allocated once and reused every iteration, as
         // the run-time's recycled stripes are.
         let mut local = vec![Complex32::ZERO; rl * size];

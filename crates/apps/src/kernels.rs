@@ -1,11 +1,9 @@
-//! ISSPL-like shelf kernels registered with the run-time, plus the software
-//! shelf entries carrying their cost models.
+//! ISSPL-like shelf kernels registered with the run-time's function
+//! [`Registry`].
 
 use crate::workload;
-use sage_model::{CostModel, ShelfFunction, SoftwareShelf};
 use sage_runtime::{FnThreadCtx, Registry};
 use sage_signal::complex::{view, with_view_mut};
-use sage_signal::cost;
 use sage_signal::fft::{Fft1d, FftDirection};
 use sage_signal::transpose::{transpose_blocked, DEFAULT_BLOCK};
 use sage_signal::window::{apply_window, window_coefficients, WindowKind};
@@ -309,69 +307,6 @@ pub fn register_kernels(reg: &mut Registry) {
     });
 }
 
-/// The software shelf describing these kernels with their cost models for a
-/// `size x size` workload split over `threads` threads.
-pub fn isspl_shelf(size: usize) -> SoftwareShelf {
-    let mut shelf = SoftwareShelf::new();
-    let to_cm = |k: cost::KernelCost| CostModel::new(k.flops, k.mem_bytes);
-    shelf.add(ShelfFunction::new(
-        "workload.matrix",
-        "synthetic sensor matrix source",
-        CostModel::ZERO,
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.fft_rows",
-        "forward FFT of each matrix row",
-        to_cm(cost::fft_rows_cost(size, size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.transpose",
-        "blocked matrix transpose (corner turn core)",
-        to_cm(cost::transpose_cost(size, size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.transpose_fft_rows",
-        "local transpose + row FFTs (column FFT stage)",
-        to_cm(cost::transpose_cost(size, size).plus(cost::fft_rows_cost(size, size))),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.transpose_ifft_rows",
-        "local transpose + inverse row FFTs",
-        to_cm(cost::transpose_cost(size, size).plus(cost::fft_rows_cost(size, size))),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.lowpass_mask",
-        "ideal low-pass mask over the 2D spectrum",
-        to_cm(cost::magnitude_cost(size * size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.window_rows",
-        "Hamming window per row",
-        to_cm(cost::window_cost(size * size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "isspl.magnitude",
-        "element-wise detection power",
-        to_cm(cost::magnitude_cost(size * size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "workload.bytes",
-        "dtype-agnostic seeded byte source",
-        CostModel::ZERO,
-    ));
-    shelf.add(ShelfFunction::new(
-        "workload.splat",
-        "fan-out pass-through (one copy per consumer)",
-        to_cm(cost::magnitude_cost(size * size)),
-    ));
-    shelf.add(ShelfFunction::new(
-        "workload.mix",
-        "feedback combiner (forward XOR delayed feedback)",
-        to_cm(cost::magnitude_cost(size * size)),
-    ));
-    shelf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,18 +409,6 @@ mod tests {
             .unwrap()
             .invoke(&mut ctx)
             .is_err());
-    }
-
-    #[test]
-    fn shelf_has_cost_models() {
-        let shelf = isspl_shelf(256);
-        assert!(shelf.get("isspl.fft_rows").unwrap().cost_on("CSPI").flops > 0.0);
-        assert_eq!(
-            shelf.get("isspl.transpose").unwrap().cost_on("*").flops,
-            0.0
-        );
-        assert!(shelf.get("isspl.transpose").unwrap().cost_on("*").mem_bytes > 0.0);
-        assert_eq!(shelf.len(), 11);
     }
 
     #[test]

@@ -467,7 +467,13 @@ mod tests {
         use sage_model::{Block, Port};
         let rec = DataType::Record(vec![
             ("hdr".into(), DataType::Scalar(ScalarKind::I32)),
-            ("data".into(), DataType::complex_vector(8)),
+            (
+                "data".into(),
+                DataType::Array {
+                    elem: Box::new(DataType::Complex),
+                    shape: vec![8],
+                },
+            ),
             ("flag".into(), DataType::Scalar(ScalarKind::U8)),
         ]);
         let mut g = AppGraph::new("types");

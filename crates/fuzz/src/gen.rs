@@ -132,16 +132,20 @@ pub fn chain_model(
     g
 }
 
-/// Tunable envelope for [`gen_model`].
+/// Most middle layers (or chain stages) in a generated model.
+const MAX_LAYERS: usize = 3;
+
+/// Most blocks per layer (widths > 1 create fan-out).
+const MAX_WIDTH: usize = 2;
+
+/// Largest node count to target (clamped to the narrowest block so no rank
+/// idles).
+const MAX_NODES: usize = 4;
+
+/// Seeded-defect rates for [`gen_model`]; the shape envelope is fixed
+/// (`MAX_LAYERS`, `MAX_WIDTH`, `MAX_NODES`).
 #[derive(Clone, Debug)]
 pub struct GenConfig {
-    /// Most middle layers in a layered DAG (at least 1).
-    pub max_layers: usize,
-    /// Most blocks per layer (at least 1; widths > 1 create fan-out).
-    pub max_width: usize,
-    /// Largest node count to target (clamped to the narrowest block so no
-    /// rank idles).
-    pub max_nodes: usize,
     /// Probability of deliberately emitting a kernel-contract violation
     /// (a model `sage check` must reject *and* that must also fail at run
     /// time) — the corpus' probe of the static/dynamic agreement.
@@ -157,9 +161,6 @@ pub struct GenConfig {
 impl Default for GenConfig {
     fn default() -> GenConfig {
         GenConfig {
-            max_layers: 3,
-            max_width: 2,
-            max_nodes: 4,
             violation_rate: 0.12,
             race_rate: 0.10,
         }
@@ -232,7 +233,7 @@ pub fn gen_model(seed: u64, cfg: &GenConfig) -> GeneratedModel {
     let mut app = if chain_flavor {
         let src_threads = pick(&mut rng, &THREADS);
         let sink_threads = pick(&mut rng, &THREADS);
-        let n_stages = rng.random_range(1..=cfg.max_layers.max(1));
+        let n_stages = rng.random_range(1..=MAX_LAYERS);
         let mut stages: Vec<Stage> = (0..n_stages)
             .map(|_| {
                 let t = pick(&mut rng, &THREADS);
@@ -272,10 +273,10 @@ pub fn gen_model(seed: u64, cfg: &GenConfig) -> GeneratedModel {
     } else {
         let src_threads = pick(&mut rng, &THREADS);
         let sink_threads = pick(&mut rng, &THREADS);
-        let n_layers = rng.random_range(1..=cfg.max_layers.max(1));
+        let n_layers = rng.random_range(1..=MAX_LAYERS);
         let mut layers: Vec<Layer> = (0..n_layers)
             .map(|_| {
-                let width = rng.random_range(1..=cfg.max_width.max(1));
+                let width = rng.random_range(1..=MAX_WIDTH);
                 (0..width)
                     .map(|_| {
                         let t = pick(&mut rng, &THREADS);
@@ -386,7 +387,7 @@ pub fn gen_model(seed: u64, cfg: &GenConfig) -> GeneratedModel {
     // models need at least two nodes — on one node the schedule walk
     // orders everything and the seeded race vanishes.
     let min_threads = app.blocks().iter().map(Block::threads).min().unwrap_or(1);
-    let nodes = pick(&mut rng, &[1usize, 2, cfg.max_nodes.max(1)])
+    let nodes = pick(&mut rng, &[1usize, 2, MAX_NODES])
         .min(min_threads)
         .max(if race { 2 } else { 1 });
 

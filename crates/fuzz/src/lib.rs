@@ -50,12 +50,9 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Corpus size.
     pub count: usize,
-    /// Iterations (data sets) per run.
-    pub iterations: u32,
-    /// Sweep the TCP half of the lattice (spawns worker processes).
-    pub tcp: bool,
-    /// Seeded fault-injection rounds per clean model.
-    pub fault_rounds: usize,
+    /// What each model is run through: iterations, the TCP half of the
+    /// lattice (spawns worker processes), seeded fault-injection rounds.
+    pub diff: DiffConfig,
     /// Shrink failing models to minimal reproductions.
     pub minimize: bool,
     /// Directory to save failing models (and their shrunk forms) into.
@@ -69,9 +66,7 @@ impl Default for FuzzOptions {
         FuzzOptions {
             seed: 1,
             count: 16,
-            iterations: 2,
-            tcp: false,
-            fault_rounds: 2,
+            diff: DiffConfig::default(),
             minimize: false,
             save_failing: None,
             gen: GenConfig::default(),
@@ -84,18 +79,14 @@ impl Default for FuzzOptions {
 /// failures. Returns the deterministic report.
 ///
 /// `spawner` provides worker processes for the TCP half of the lattice;
-/// without one (or with `opts.tcp == false`) the sweep is local-only.
+/// without one (or with `opts.diff.tcp == false`) the sweep is local-only.
 pub fn run_fuzz(opts: &FuzzOptions, spawner: Option<&Spawner<'_>>) -> FuzzReport {
-    let cfg = DiffConfig {
-        iterations: opts.iterations,
-        tcp: opts.tcp,
-        fault_rounds: opts.fault_rounds,
-    };
+    let cfg = &opts.diff;
     let mut models = Vec::with_capacity(opts.count);
     for index in 0..opts.count {
         let seed = derive_seed(opts.seed, index);
         let gm = gen_model(seed, &opts.gen);
-        let mut outcome = diff::run_diff(&gm.source, gm.nodes, &cfg, seed, spawner);
+        let mut outcome = diff::run_diff(&gm.source, gm.nodes, cfg, seed, spawner);
 
         if outcome.verdict == Verdict::Failed {
             if let Some(dir) = &opts.save_failing {
@@ -103,7 +94,7 @@ pub fn run_fuzz(opts: &FuzzOptions, spawner: Option<&Spawner<'_>>) -> FuzzReport
                 let repro = failure::Repro {
                     seed,
                     nodes: gm.nodes,
-                    iterations: opts.iterations,
+                    iterations: cfg.iterations,
                     cell: first.cell.clone(),
                     message: first.message.clone(),
                     source: gm.source.clone(),
@@ -117,7 +108,7 @@ pub fn run_fuzz(opts: &FuzzOptions, spawner: Option<&Spawner<'_>>) -> FuzzReport
             if opts.minimize {
                 let (small, small_nodes) = shrink::minimize(&gm.app, gm.nodes, |app, nodes| {
                     let source = model_io::model_to_sexpr(app);
-                    diff::run_diff(&source, nodes, &cfg, seed, spawner).verdict == Verdict::Failed
+                    diff::run_diff(&source, nodes, cfg, seed, spawner).verdict == Verdict::Failed
                 });
                 let small_source = model_io::model_to_sexpr(&small);
                 if let Some(dir) = &opts.save_failing {
@@ -152,8 +143,8 @@ pub fn run_fuzz(opts: &FuzzOptions, spawner: Option<&Spawner<'_>>) -> FuzzReport
     FuzzReport {
         master_seed: opts.seed,
         count: opts.count,
-        iterations: opts.iterations,
-        tcp: opts.tcp,
+        iterations: cfg.iterations,
+        tcp: cfg.tcp,
         models,
     }
 }

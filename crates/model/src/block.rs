@@ -205,11 +205,6 @@ impl Block {
             _ => 0,
         }
     }
-
-    /// `true` if the block is a plain computation leaf.
-    pub fn is_primitive(&self) -> bool {
-        matches!(self.kind, BlockKind::Primitive { .. })
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,7 @@ mod tests {
             CostModel::new(100.0, 200.0),
             vec![p_in("in"), p_out("out")],
         );
-        assert!(b.is_primitive());
+        assert!(matches!(b.kind, BlockKind::Primitive { .. }));
         assert_eq!(b.threads(), 4);
         assert_eq!(b.cost().flops, 100.0);
         assert_eq!(b.inputs().count(), 1);
@@ -248,7 +243,7 @@ mod tests {
         assert_eq!(s.threads(), 1);
         assert_eq!(s.cost(), CostModel::ZERO);
         let k = Block::sink("snk", vec![p_in("in")]);
-        assert!(!k.is_primitive());
+        assert!(!matches!(k.kind, BlockKind::Primitive { .. }));
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl DataType {
         }
     }
 
-    /// Convenience constructor: a length-`n` complex vector.
-    pub fn complex_vector(n: usize) -> DataType {
-        DataType::Array {
-            elem: Box::new(DataType::Complex),
-            shape: vec![n],
-        }
-    }
-
     /// Total size in bytes (packed layout, no padding).
     pub fn size_bytes(&self) -> usize {
         match self {
@@ -188,7 +180,13 @@ mod tests {
     fn record_size_is_sum() {
         let r = DataType::Record(vec![
             ("hdr".into(), DataType::Scalar(ScalarKind::I32)),
-            ("payload".into(), DataType::complex_vector(4)),
+            (
+                "payload".into(),
+                DataType::Array {
+                    elem: Box::new(DataType::Complex),
+                    shape: vec![4],
+                },
+            ),
         ]);
         assert_eq!(r.size_bytes(), 4 + 32);
         assert_eq!(r.element_count(), 5);

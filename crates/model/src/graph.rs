@@ -170,18 +170,6 @@ impl AppGraph {
         Ok(id)
     }
 
-    /// Removes a connection (Designer edit operation). Later connection ids
-    /// shift down by one, mirroring the editor's dense arc list.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn disconnect(&mut self, id: ConnId) {
-        self.connections.remove(id.index());
-        for (i, c) in self.connections.iter_mut().enumerate() {
-            c.id = ConnId::from_index(i);
-        }
-    }
-
     /// Removes a block and every connection touching it (Designer edit
     /// operation). Later block ids shift down by one.
     ///
@@ -621,16 +609,6 @@ mod tests {
         let names: Vec<&str> = flat.blocks().iter().map(|b| b.name.as_str()).collect();
         assert!(names.contains(&"outerwrap.wrap.core"), "{names:?}");
         assert_eq!(flat.connections().len(), 2);
-    }
-
-    #[test]
-    fn disconnect_rekeys_ids() {
-        let (mut g, _, _, _) = chain3();
-        g.disconnect(ConnId(0));
-        assert_eq!(g.connections().len(), 1);
-        assert_eq!(g.connections()[0].id, ConnId(0));
-        // The remaining arc is b -> c.
-        assert_eq!(g.connections()[0].from.block, BlockId(1));
     }
 
     #[test]

@@ -211,22 +211,6 @@ impl HardwareSpec {
             })
             .collect()
     }
-
-    /// Pairwise transfer-time matrix for a `bytes`-byte message, in seconds.
-    /// The diagonal is zero (node-local handoff is a buffer swap).
-    pub fn comm_matrix(&self, bytes: usize) -> Vec<Vec<f64>> {
-        let nodes = self.flatten();
-        let n = nodes.len();
-        let mut m = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m[i][j] = self.link_between(&nodes[i], &nodes[j]).transfer_secs(bytes);
-                }
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -301,17 +285,5 @@ mod tests {
         let flat = hw.flatten();
         assert_eq!(hw.link_between(&flat[0], &flat[1]), fast); // same board
         assert_eq!(hw.link_between(&flat[0], &flat[2]), slow); // cross board
-    }
-
-    #[test]
-    fn comm_matrix_symmetry_and_zero_diagonal() {
-        let hw = HardwareSpec::homogeneous("t", ppc(), 2, 2, myrinet(), myrinet());
-        let m = hw.comm_matrix(1024);
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row[i], 0.0);
-            for (j, v) in row.iter().enumerate() {
-                assert!((v - m[j][i]).abs() < 1e-15);
-            }
-        }
     }
 }

@@ -10,8 +10,8 @@
 //!   parallelization relationships between functions ([`datatype`]);
 //! * the **hardware editor** builds the hardware architecture hierarchically
 //!   from the processor up to the system level ([`hardware`]);
-//! * primitive and hierarchical blocks are stored on **software and hardware
-//!   shelves** for later reuse ([`shelf`]);
+//! * hardware is captured on the **hardware shelf** for later reuse
+//!   ([`shelf`]); the software shelf is the run-time's function registry;
 //! * the application-to-hardware **mapping** ([`mapping`]) is what AToT
 //!   refines and the glue-code generator consumes.
 //!
@@ -41,7 +41,7 @@ pub use hardware::{
 pub use ids::{BlockId, ConnId, ProcId};
 pub use mapping::Mapping;
 pub use port::{Direction, Port, Striping};
-pub use shelf::{HardwareShelf, ShelfFunction, SoftwareShelf};
+pub use shelf::HardwareShelf;
 pub use validate::{validate, validate_all, ModelError};
 
 use std::collections::BTreeMap;

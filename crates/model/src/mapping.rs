@@ -22,13 +22,6 @@ impl Mapping {
         Mapping { assignment }
     }
 
-    /// Maps every block to node 0 (a valid degenerate mapping).
-    pub fn all_on_node_zero(blocks: usize) -> Mapping {
-        Mapping {
-            assignment: vec![ProcId(0); blocks],
-        }
-    }
-
     /// Round-robin mapping of blocks over `nodes` processors — the simplest
     /// baseline mapper.
     pub fn round_robin(blocks: usize, nodes: usize) -> Mapping {
@@ -63,16 +56,6 @@ impl Mapping {
         &self.assignment
     }
 
-    /// Blocks assigned to `node`, in block order.
-    pub fn blocks_on(&self, node: ProcId) -> Vec<BlockId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p == node)
-            .map(|(i, _)| BlockId::from_index(i))
-            .collect()
-    }
-
     /// Checks the mapping against a graph and hardware model: every block
     /// covered, every node id in range.
     pub fn validate(&self, graph: &AppGraph, hw: &HardwareSpec) -> Result<(), ModelError> {
@@ -93,16 +76,6 @@ impl Mapping {
             }
         }
         Ok(())
-    }
-
-    /// Number of cut edges (connections whose endpoints live on different
-    /// nodes) — the communication the runtime must move over the fabric.
-    pub fn cut_connections(&self, graph: &AppGraph) -> usize {
-        graph
-            .connections()
-            .iter()
-            .filter(|c| self.node_of(c.from.block) != self.node_of(c.to.block))
-            .count()
     }
 }
 
@@ -155,10 +128,6 @@ mod tests {
         assert_eq!(m.node_of(BlockId(0)), ProcId(0));
         assert_eq!(m.node_of(BlockId(1)), ProcId(1));
         assert_eq!(m.node_of(BlockId(4)), ProcId(0));
-        assert_eq!(
-            m.blocks_on(ProcId(0)),
-            vec![BlockId(0), BlockId(2), BlockId(4)]
-        );
     }
 
     #[test]
@@ -177,15 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn cut_counting() {
-        let g = tiny_graph();
-        assert_eq!(Mapping::all_on_node_zero(2).cut_connections(&g), 0);
-        assert_eq!(Mapping::round_robin(2, 2).cut_connections(&g), 1);
-    }
-
-    #[test]
     fn assign_overrides() {
-        let mut m = Mapping::all_on_node_zero(3);
+        let mut m = Mapping::new(vec![ProcId(0); 3]);
         m.assign(BlockId(2), ProcId(5));
         assert_eq!(m.node_of(BlockId(2)), ProcId(5));
         assert_eq!(m.len(), 3);

@@ -1,99 +1,16 @@
-//! Software and hardware **shelves**: reusable component libraries.
+//! The hardware **shelf**: reusable platform templates.
 //!
 //! Paper §1.1: "All primitive and hierarchical blocks are stored on software
 //! and hardware shelves for later reuse. Items on the hardware shelf include
 //! workstations, other embedded computers, CPU chips, memory, ASICs, FPGAs,
 //! etc." and §3.2: porting SAGE to a platform means "capturing of all
 //! knowledge associated with programming to the CSPI hardware ... the ISSPL
-//! function libraries on to the appropriate shelves".
+//! function libraries on to the appropriate shelves". The software shelf
+//! is the run-time's function registry (`sage_runtime::Registry`), where
+//! the ISSPL kernels are registered by name; each block's cost lives on
+//! the block ([`crate::CostModel`]).
 
-use crate::block::CostModel;
 use crate::hardware::{FabricSpec, HardwareSpec, Processor};
-use std::collections::BTreeMap;
-
-/// A shelf entry describing a reusable library function and its measured
-/// per-target cost characteristics.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShelfFunction {
-    /// Registry name, e.g. `"isspl.fft_rows"` — the string the run-time's
-    /// function registry resolves.
-    pub name: String,
-    /// Human description shown in the Designer.
-    pub description: String,
-    /// Cost per invocation, keyed by target platform name; the key `"*"` is
-    /// the portable default.
-    pub costs: BTreeMap<String, CostModel>,
-}
-
-impl ShelfFunction {
-    /// Creates an entry with a portable default cost.
-    pub fn new(
-        name: impl Into<String>,
-        description: impl Into<String>,
-        default_cost: CostModel,
-    ) -> ShelfFunction {
-        let mut costs = BTreeMap::new();
-        costs.insert("*".to_string(), default_cost);
-        ShelfFunction {
-            name: name.into(),
-            description: description.into(),
-            costs,
-        }
-    }
-
-    /// Adds a target-specific measured cost (hand-tuned library variants).
-    pub fn with_target_cost(mut self, target: impl Into<String>, cost: CostModel) -> Self {
-        self.costs.insert(target.into(), cost);
-        self
-    }
-
-    /// The cost on `target`, falling back to the portable default.
-    pub fn cost_on(&self, target: &str) -> CostModel {
-        self.costs
-            .get(target)
-            .or_else(|| self.costs.get("*"))
-            .copied()
-            .unwrap_or(CostModel::ZERO)
-    }
-}
-
-/// The software shelf: a name-indexed library of functions.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SoftwareShelf {
-    entries: BTreeMap<String, ShelfFunction>,
-}
-
-impl SoftwareShelf {
-    /// Creates an empty shelf.
-    pub fn new() -> SoftwareShelf {
-        SoftwareShelf::default()
-    }
-
-    /// Adds or replaces an entry.
-    pub fn add(&mut self, f: ShelfFunction) {
-        self.entries.insert(f.name.clone(), f);
-    }
-
-    /// Looks up an entry by registry name.
-    pub fn get(&self, name: &str) -> Option<&ShelfFunction> {
-        self.entries.get(name)
-    }
-
-    /// All entries in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ShelfFunction> {
-        self.entries.values()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if the shelf has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
 
 /// The hardware shelf: named, parameterized platform templates.
 ///
@@ -228,25 +145,6 @@ impl HardwareShelf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shelf_function_cost_fallback() {
-        let f = ShelfFunction::new("isspl.fft_rows", "row FFTs", CostModel::new(10.0, 20.0))
-            .with_target_cost("CSPI", CostModel::new(8.0, 16.0));
-        assert_eq!(f.cost_on("CSPI").flops, 8.0);
-        assert_eq!(f.cost_on("Mercury").flops, 10.0);
-    }
-
-    #[test]
-    fn software_shelf_lookup() {
-        let mut shelf = SoftwareShelf::new();
-        assert!(shelf.is_empty());
-        shelf.add(ShelfFunction::new("a", "", CostModel::ZERO));
-        shelf.add(ShelfFunction::new("b", "", CostModel::ZERO));
-        assert_eq!(shelf.len(), 2);
-        assert!(shelf.get("a").is_some());
-        assert!(shelf.get("c").is_none());
-    }
 
     #[test]
     fn cspi_testbed_matches_paper() {

@@ -11,7 +11,7 @@
 //! every block is handed over as the sender's allocation, and no packing
 //! copy is charged.
 
-use crate::comm::{send_with_retry, Communicator};
+use crate::comm::{send_with_retry, Communicator, RECV_OVERHEAD};
 use crate::error::MpiError;
 use sage_fabric::{Payload, Transport};
 
@@ -21,7 +21,7 @@ impl<T: Transport> Communicator<'_, T> {
     /// Pairwise-exchange all-to-all: `blocks[r]` is sent to rank `r`; the
     /// result's index `r` holds the block received from rank `r` — the
     /// sender's own allocation, not a copy. A dropped transfer is retried
-    /// under the configured [`crate::RetryPolicy`]; a dead peer surfaces as
+    /// by [`crate::send_with_retry`]; a dead peer surfaces as
     /// [`MpiError::Fabric`] within the transport's receive deadline.
     ///
     /// # Panics
@@ -49,9 +49,9 @@ impl<T: Transport> Communicator<'_, T> {
                 ((me + r) % n, (me + n - r) % n)
             };
             let round_tag = tag | ((r as u64) << 32);
-            send_with_retry(self.ctx, &self.config, to, round_tag, &blocks[to], |_| {})?;
+            send_with_retry(self.ctx, to, round_tag, &blocks[to], |_| {})?;
             out[from] = self.ctx.try_recv(from, round_tag)?;
-            self.ctx.advance(self.config.recv_overhead);
+            self.ctx.advance(RECV_OVERHEAD);
         }
         Ok(out)
     }
@@ -59,7 +59,7 @@ impl<T: Transport> Communicator<'_, T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{Communicator, MpiConfig};
+    use crate::comm::Communicator;
     use crate::error::MpiError;
     use crate::testing::machine;
     use sage_fabric::{Cluster, FabricError, FaultPlan, Payload, TimePolicy};
@@ -90,7 +90,7 @@ mod tests {
             cluster.run(|ctx| {
                 let me = ctx.id();
                 let n = ctx.nodes();
-                let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+                let mut comm = Communicator::new(ctx);
                 let out = comm.try_alltoall(&blocks_for(me, n)).expect("fault-free");
                 check_result(me, n, &out);
             });
@@ -105,7 +105,7 @@ mod tests {
         let cluster = Cluster::new(machine(2), TimePolicy::Real);
         let (runs, _) = cluster.run(|ctx| {
             let me = ctx.id();
-            let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+            let mut comm = Communicator::new(ctx);
             let blocks = blocks_for(me, 2);
             let out = comm.try_alltoall(&blocks).expect("fault-free");
             check_result(me, 2, &out);
@@ -126,7 +126,7 @@ mod tests {
             cluster.run(|ctx| {
                 let me = ctx.id();
                 let n = ctx.nodes();
-                let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+                let mut comm = Communicator::new(ctx);
                 for iter in 0..3u8 {
                     let blocks: Vec<Payload> = (0..n)
                         .map(|d| Payload::from_vec(vec![me as u8, d as u8, iter]))
@@ -151,7 +151,7 @@ mod tests {
             .run(|ctx| {
                 let me = ctx.id();
                 let n = ctx.nodes();
-                let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+                let mut comm = Communicator::new(ctx);
                 let mut last = Vec::new();
                 for iter in 0..2u8 {
                     let blocks: Vec<Payload> = (0..n)

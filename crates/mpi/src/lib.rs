@@ -12,13 +12,14 @@
 //! corner turn, over any [`sage_fabric::Transport`] rank. It is fault-aware
 //! (returns [`MpiError`]) and carries [`sage_fabric::Payload`] handles, so
 //! the baseline moves bytes over exactly the path the SAGE run-time does;
-//! [`send_with_retry`] is the retry loop both share, and [`MpiConfig`] the
-//! per-message software cost both charge. Peers are named explicitly (no
-//! wildcard receives), so virtual-time runs are deterministic.
+//! [`send_with_retry`] is the retry loop both share, and it and
+//! [`RECV_OVERHEAD`] are the one vendor-tuned per-message software cost both
+//! charge. Peers are named explicitly (no wildcard receives), so
+//! virtual-time runs are deterministic.
 //!
 //! ```
 //! use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
-//! use sage_mpi::{Communicator, MpiConfig};
+//! use sage_mpi::Communicator;
 //!
 //! let machine = MachineSpec::uniform(
 //!     "demo", 4,
@@ -26,7 +27,7 @@
 //!     LinkSpec { bandwidth: 1.0e8, latency: 10.0e-6 },
 //! );
 //! let (got, _) = Cluster::new(machine, TimePolicy::Virtual).run(|ctx| {
-//!     let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+//!     let mut comm = Communicator::new(ctx);
 //!     let me = comm.rank() as u8;
 //!     let blocks: Vec<Payload> = (0..4).map(|dst| Payload::from_vec(vec![me, dst])).collect();
 //!     comm.try_alltoall(&blocks)
@@ -41,7 +42,7 @@ pub mod alltoall;
 pub mod comm;
 pub mod error;
 
-pub use comm::{send_with_retry, Communicator, MpiConfig, RetryPolicy};
+pub use comm::{send_with_retry, Communicator, RECV_OVERHEAD};
 pub use error::MpiError;
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sage_fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload, TimePolicy};
-use sage_mpi::{Communicator, MpiConfig};
+use sage_mpi::Communicator;
 
 fn machine(n: usize) -> MachineSpec {
     MachineSpec::uniform(
@@ -43,7 +43,7 @@ proptest! {
         seed in 0u64..=u64::MAX,
     ) {
         let (out, _) = Cluster::new(machine(n), TimePolicy::Virtual).run(|ctx| {
-            let mut c = Communicator::new(ctx, MpiConfig::vendor_tuned());
+            let mut c = Communicator::new(ctx);
             let blocks: Vec<Payload> =
                 (0..n).map(|dst| block(seed, c.rank(), dst, len)).collect();
             c.try_alltoall(&blocks).expect("fault-free")

@@ -22,7 +22,7 @@
 //!   `sage-fleet`); its docs give the recipe for changing a layout.
 //! * `mesh` — the endpoint as a sans-I/O state machine: per-link
 //!   sequence checks, the `(job, src, tag)` mailbox, heartbeat liveness (a
-//!   silent peer is declared dead after `max_retries + 2` missed beats) —
+//!   silent peer is declared dead after 12 missed beats) —
 //!   bytes and the time in, deliveries and verdicts out.
 //! * [`transport`] — its driver: [`MeshCore`] (full-mesh establishment with
 //!   retry/backoff, a **single I/O thread** per endpoint blocked in

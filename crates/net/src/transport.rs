@@ -28,14 +28,13 @@
 //! Semantics mirror the in-process cluster so the executor cannot tell the
 //! backends apart: per-`(src, tag)` FIFO ordering (TCP ordering + one
 //! reader per link), `PeerFailed` when a peer is gone and its queue is
-//! drained, `RecvTimeout` when a receive outlives the configured deadline.
+//! drained, `RecvTimeout` when a receive outlives its deadline.
 
 use crate::error::NetError;
 use crate::mesh::{Beats, Mailbox, PeerInput, Take};
 use crate::poll::{self, PollFd};
 use crate::wire::{try_write_control, write_parts, Frame, FrameKind, TryWrite};
 use sage_fabric::{FabricError, LinkMetrics, NodeMetrics, Payload, Transport};
-use sage_mpi::RetryPolicy;
 use sage_visualizer::Probe;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -44,32 +43,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the TCP backend.
+/// Retries after the first mesh-establishment connect (worker processes
+/// come up in arbitrary order); `CONNECT_RETRIES + 1` total attempts.
+const CONNECT_RETRIES: u32 = 10;
+
+/// Backoff before the first connect retry, seconds.
+const CONNECT_BACKOFF_SECS: f64 = 0.025;
+
+/// Multiplier applied to the connect backoff after each retry.
+const CONNECT_BACKOFF_FACTOR: f64 = 1.5;
+
+/// Heartbeats a peer may miss before it is declared dead.
+const MISSED_BEATS: u32 = 12;
+
+/// Deadline for one blocking receive.
+const RECV_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Deadline for the whole mesh establishment.
+const MESH_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// The TCP backend's one knob, the heartbeat period; connect backoff,
+/// staleness allowance and deadlines are the constants above.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Retry policy for mesh-establishment connects (worker processes come
-    /// up in arbitrary order) — and the heartbeat-miss allowance: a silent
-    /// peer is declared dead after `max_retries + 2` missed beats.
-    pub retry: RetryPolicy,
     /// Heartbeat transmission interval.
     pub heartbeat: Duration,
-    /// Deadline for one blocking receive.
-    pub recv_timeout: Duration,
-    /// Deadline for the whole mesh establishment.
-    pub mesh_timeout: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            retry: RetryPolicy {
-                max_retries: 10,
-                backoff_secs: 0.025,
-                backoff_factor: 1.5,
-            },
             heartbeat: Duration::from_millis(200),
-            recv_timeout: Duration::from_secs(30),
-            mesh_timeout: Duration::from_secs(20),
         }
     }
 }
@@ -77,8 +81,8 @@ impl Default for NetConfig {
 impl NetConfig {
     /// Overrides the heartbeat period (the `--heartbeat-ms` knob). `None`
     /// keeps the default. The staleness window stays derived as
-    /// `heartbeat * (max_retries + 2)`, so tuning the beat tunes the
-    /// window proportionally.
+    /// `heartbeat * MISSED_BEATS`, so tuning the beat tunes the window
+    /// proportionally.
     pub fn with_heartbeat_ms(mut self, ms: Option<u64>) -> NetConfig {
         if let Some(ms) = ms {
             self.heartbeat = Duration::from_millis(ms.max(1));
@@ -88,7 +92,7 @@ impl NetConfig {
 
     /// How long a peer may stay silent before it is declared dead.
     fn stale_after(&self) -> Duration {
-        self.heartbeat * (self.retry.max_retries + 2)
+        self.heartbeat * MISSED_BEATS
     }
 }
 
@@ -263,7 +267,7 @@ impl MeshCore {
         let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
         // Connect downward, with backoff: lower indices may still be binding.
         for (j, addr) in peers.iter().enumerate().take(rank) {
-            let stream = connect_with_retry(addr, &config.retry)
+            let stream = connect_with_retry(addr)
                 .map_err(|e| NetError::Io(format!("connecting to rank {j} at {addr}: {e}")))?;
             stream.set_nodelay(true)?;
             Frame::control(FrameKind::Hello, rank as u32, j as u32, 0)
@@ -272,7 +276,7 @@ impl MeshCore {
             streams[j] = Some(stream);
         }
         // Accept upward: higher indices dial us; `Hello` tells us who called.
-        let deadline = Instant::now() + config.mesh_timeout;
+        let deadline = Instant::now() + MESH_TIMEOUT;
         listener.set_nonblocking(true)?;
         let mut pending = size - rank - 1;
         while pending > 0 {
@@ -412,7 +416,7 @@ impl MeshCore {
         mesh_src: Option<usize>,
         tag: u64,
     ) -> Result<Payload, CoreFail> {
-        let deadline = Instant::now() + self.config.recv_timeout;
+        let deadline = Instant::now() + RECV_TIMEOUT;
         let stale_after = self.config.stale_after();
         if self.mailbox.poisoned.load(Ordering::SeqCst) {
             return Err(CoreFail::Poisoned);
@@ -802,20 +806,20 @@ impl Transport for TcpTransport {
 
 /// Dials `addr`, retrying with exponential backoff while the peer process
 /// comes up.
-pub(crate) fn connect_with_retry(addr: &str, retry: &RetryPolicy) -> std::io::Result<TcpStream> {
-    let mut backoff = retry.backoff_secs;
+pub(crate) fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
+    let mut backoff = CONNECT_BACKOFF_SECS;
     let mut last_err = None;
-    for attempt in 0..=retry.max_retries {
+    for attempt in 0..=CONNECT_RETRIES {
         if attempt > 0 {
             std::thread::sleep(Duration::from_secs_f64(backoff));
-            backoff *= retry.backoff_factor;
+            backoff *= CONNECT_BACKOFF_FACTOR;
         }
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => last_err = Some(e),
         }
     }
-    // The loop runs at least once (`0..=max_retries`), so an error is
+    // The loop runs at least once (`0..=CONNECT_RETRIES`), so an error is
     // recorded; fall back to a typed refusal rather than panicking.
     Err(last_err.unwrap_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "no connect attempts")
@@ -1165,7 +1169,6 @@ mod tests {
     fn beatless() -> NetConfig {
         NetConfig {
             heartbeat: Duration::from_secs(3600),
-            ..NetConfig::default()
         }
     }
 

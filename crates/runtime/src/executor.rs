@@ -41,7 +41,7 @@ use crate::race::{fnv1a_64, Intervals, PortAccess, RaceState};
 use crate::report::{Execution, RankReport};
 use crate::striping::{stripe_fault, Layout, PairOps, Redistribution};
 use sage_fabric::{Cluster, FabricError, MachineSpec, Payload, TimePolicy, Transport, Work};
-use sage_mpi::{send_with_retry, MpiError};
+use sage_mpi::{send_with_retry, MpiError, RECV_OVERHEAD};
 use sage_visualizer::{EventKind, Probe};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -869,7 +869,8 @@ impl<T: Transport> RankState<'_, T> {
         }
         let f = &self.program.functions[task.fn_id as usize];
         // Function-table dispatch.
-        self.ctx.advance(self.options.dispatch_overhead);
+        self.ctx
+            .advance(self.options.buffer_scheme.dispatch_overhead());
         if f.role == FnRole::Source && task.thread == 0 {
             self.mark(EventKind::SourceEmit, iter, iter);
         }
@@ -935,7 +936,7 @@ impl<T: Transport> RankState<'_, T> {
                     if let Some(race) = self.race {
                         race.join_recv(node, tag);
                     }
-                    self.ctx.advance(options.mpi.recv_overhead);
+                    self.ctx.advance(RECV_OVERHEAD);
                     m
                 };
                 self.mark(EventKind::XferEnd, e.buffer, src_iter);
@@ -966,7 +967,7 @@ impl<T: Transport> RankState<'_, T> {
                     // improved shared scheme scatters write-only into the
                     // buffer the function reads directly (DMA-style).
                     self.ctx
-                        .advance(options.per_run_overhead * f64::from(e.runs));
+                        .advance(options.buffer_scheme.per_run_overhead() * f64::from(e.runs));
                     match options.buffer_scheme {
                         BufferScheme::UniquePerFunction => self.ctx.compute(Work::copy(msg.len())),
                         BufferScheme::Shared => self.ctx.compute(Work {
@@ -1165,7 +1166,7 @@ impl<T: Transport> RankState<'_, T> {
                     output.bytes.clone()
                 } else {
                     self.ctx
-                        .advance(self.options.per_run_overhead * f64::from(e.runs));
+                        .advance(self.options.buffer_scheme.per_run_overhead() * f64::from(e.runs));
                     // The pack program writes every byte of its message.
                     let ops = &prepared.pair_table[e.pair as usize].1;
                     let staged = &mut self.staging[e.pair as usize];
@@ -1242,8 +1243,8 @@ impl<T: Transport> RankState<'_, T> {
         bid: u32,
         iter: u32,
     ) -> Result<(), RuntimeError> {
-        let (probe, node, mpi) = (self.probe, self.node, &self.options.mpi);
-        send_with_retry(self.ctx, mpi, dst as usize, tag, payload, |t| {
+        let (probe, node) = (self.probe, self.node);
+        send_with_retry(self.ctx, dst as usize, tag, payload, |t| {
             probe.record(|| t.now(), EventKind::XferRetry, bid, iter)
         })
         .map_err(|e| match e {

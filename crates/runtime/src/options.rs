@@ -1,7 +1,8 @@
-//! Run-time configuration: buffer-management scheme and overhead knobs.
+//! Run-time configuration: the buffer-management scheme, which carries the
+//! run-time's per-task costs, and the per-run switches (probes, faults,
+//! issue policy, race detection).
 
 use sage_fabric::FaultPlan;
-use sage_mpi::MpiConfig;
 
 /// Logical-buffer management scheme.
 ///
@@ -19,6 +20,29 @@ pub enum BufferScheme {
     /// The improved scheme: functions read/write the logical buffers
     /// directly; no private copies.
     Shared,
+}
+
+impl BufferScheme {
+    /// Seconds of table-driven dispatch overhead charged per task
+    /// invocation (function-table lookup, descriptor decode, probe checks):
+    /// the shipped run-time's, or the leaner one of the improved run-time.
+    pub fn dispatch_overhead(self) -> f64 {
+        match self {
+            BufferScheme::UniquePerFunction => 25.0e-6,
+            BufferScheme::Shared => 8.0e-6,
+        }
+    }
+
+    /// Seconds charged per striding *run* the engine interprets while
+    /// packing/unpacking non-aligned redistributions (the run-time walks
+    /// interpreted buffer descriptors; hand-coded packing loops are
+    /// compiled tight).
+    pub fn per_run_overhead(self) -> f64 {
+        match self {
+            BufferScheme::UniquePerFunction => 0.25e-6,
+            BufferScheme::Shared => 0.1e-6,
+        }
+    }
 }
 
 /// The scheduler's issue policy: one loop, one task body and one hand-off
@@ -61,18 +85,10 @@ pub enum IssuePolicy {
 /// Run-time kernel options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeOptions {
-    /// Buffer-management scheme.
+    /// Buffer-management scheme; it also sets the per-task dispatch and
+    /// per-run striping costs ([`BufferScheme::dispatch_overhead`],
+    /// [`BufferScheme::per_run_overhead`]).
     pub buffer_scheme: BufferScheme,
-    /// Per-message software overheads for redistribution traffic.
-    pub mpi: MpiConfig,
-    /// Seconds of table-driven dispatch overhead charged per task
-    /// invocation (function-table lookup, descriptor decode, probe checks).
-    pub dispatch_overhead: f64,
-    /// Seconds charged per striding *run* the engine interprets while
-    /// packing/unpacking non-aligned redistributions (the run-time walks
-    /// interpreted buffer descriptors; hand-coded packing loops are
-    /// compiled tight).
-    pub per_run_overhead: f64,
     /// Whether Visualizer probes record events.
     pub probes: bool,
     /// Deterministic fault plan for the run (empty = fault-free).
@@ -98,15 +114,13 @@ impl RuntimeOptions {
     /// The configuration the paper shipped and measured: unique logical
     /// buffers per function, table-driven dispatch, interpreted striping
     /// descriptors. Messages go through the same vendor MPI the hand-coded
-    /// versions use — porting SAGE to a platform captures "the CSPI board
-    /// specific run-time software" (paper §3.2) — so the overhead comes
-    /// from the glue, not the transport.
+    /// versions use (`sage_mpi`'s one set of software costs) — porting SAGE
+    /// to a platform captures "the CSPI board specific run-time software"
+    /// (paper §3.2) — so the overhead comes from the glue, not the
+    /// transport.
     pub fn paper_faithful() -> RuntimeOptions {
         RuntimeOptions {
             buffer_scheme: BufferScheme::UniquePerFunction,
-            mpi: MpiConfig::vendor_tuned(),
-            dispatch_overhead: 25.0e-6,
-            per_run_overhead: 0.25e-6,
             probes: false,
             faults: FaultPlan::default(),
             issue: IssuePolicy::LockStep,
@@ -120,26 +134,13 @@ impl RuntimeOptions {
     pub fn optimized() -> RuntimeOptions {
         RuntimeOptions {
             buffer_scheme: BufferScheme::Shared,
-            mpi: MpiConfig::vendor_tuned(),
-            dispatch_overhead: 8.0e-6,
-            per_run_overhead: 0.1e-6,
-            probes: false,
-            faults: FaultPlan::default(),
-            issue: IssuePolicy::LockStep,
-            pipeline_depths: Vec::new(),
-            race_detect: false,
+            ..RuntimeOptions::paper_faithful()
         }
     }
 
     /// Builder: enable probes.
     pub fn with_probes(mut self, on: bool) -> RuntimeOptions {
         self.probes = on;
-        self
-    }
-
-    /// Builder: override the buffer scheme.
-    pub fn with_scheme(mut self, scheme: BufferScheme) -> RuntimeOptions {
-        self.buffer_scheme = scheme;
         self
     }
 
@@ -215,17 +216,27 @@ mod tests {
         let opt = RuntimeOptions::optimized();
         assert_eq!(paper.buffer_scheme, BufferScheme::UniquePerFunction);
         assert_eq!(opt.buffer_scheme, BufferScheme::Shared);
-        assert!(opt.dispatch_overhead < paper.dispatch_overhead);
+        // The presets differ in the scheme alone.
+        assert_eq!(
+            RuntimeOptions {
+                buffer_scheme: BufferScheme::UniquePerFunction,
+                ..opt.clone()
+            },
+            paper
+        );
         assert!(!paper.probes);
+        // Each scheme carries the per-task costs its preset always had.
+        let (unique, shared) = (BufferScheme::UniquePerFunction, BufferScheme::Shared);
+        assert_eq!(unique.dispatch_overhead(), 25.0e-6);
+        assert_eq!(unique.per_run_overhead(), 0.25e-6);
+        assert_eq!(shared.dispatch_overhead(), 8.0e-6);
+        assert_eq!(shared.per_run_overhead(), 0.1e-6);
     }
 
     #[test]
     fn builders() {
-        let o = RuntimeOptions::paper_faithful()
-            .with_probes(true)
-            .with_scheme(BufferScheme::Shared);
+        let o = RuntimeOptions::paper_faithful().with_probes(true);
         assert!(o.probes);
-        assert_eq!(o.buffer_scheme, BufferScheme::Shared);
         // One issue policy: the last of the pipeline builders wins.
         assert_eq!(o.issue, IssuePolicy::LockStep);
         let o = o.with_pipeline(2).with_pipeline_validate(3);

@@ -687,8 +687,7 @@ fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, Str
 fn cmd_run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("run needs a model file")?;
     let nodes: usize = args.num_or("nodes", 4)?;
-    let mut pre = preflight(args, path, nodes, true)?;
-    let iters: u32 = args.num_or("iters", 3)?;
+    // The pipelined modes are checked before anything runs or prints.
     if args.has("pipeline") && args.has("pipeline-validate") {
         return Err(
             "--pipeline and --pipeline-validate are mutually exclusive: \
@@ -696,6 +695,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
+    let pipeline = args.pipeline_depth()?;
+    let validate = match args.num::<u32>("pipeline-validate")? {
+        Some(0) => {
+            return Err("--pipeline-validate 0 is not a mode: omit the flag for a \
+                 plain lock-step run, or pass depth 1, which validates in \
+                 lock-step order and is bit-equivalent to lock-step"
+                .into())
+        }
+        depth => depth,
+    };
+    let mut pre = preflight(args, path, nodes, true)?;
+    let iters: u32 = args.num_or("iters", 3)?;
     sage::apps::kernels::register_kernels(&mut pre.project.registry);
     let (project, program, plan) = (&pre.project, &pre.program, &pre.plan);
     let options = if args.has("optimized") {
@@ -742,7 +753,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         Ok((run, fnv1a_64(&lockstep)))
     };
-    if let Some(depth) = args.pipeline_depth()? {
+    if let Some(depth) = pipeline {
         // Streaming run: per-buffer rings capped by the static safety
         // plan, continuous issue with credit-based backpressure.
         if let Some(plan) = plan {
@@ -774,13 +785,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             streaming.stream.credits_retired,
         );
     }
-    if let Some(depth) = args.num::<u32>("pipeline-validate")? {
-        if depth == 0 {
-            return Err("--pipeline-validate 0 is not a mode: omit the flag for a \
-                 plain lock-step run, or pass depth 1, which validates in \
-                 lock-step order and is bit-equivalent to lock-step"
-                .into());
-        }
+    if let Some(depth) = validate {
         if let Some(plan) = plan {
             println!(
                 "statically proven safe pipeline depth: {}",
@@ -992,7 +997,7 @@ fn fuzz_replay(stem: &str, iters_override: Option<u32>) -> Result<(), String> {
 /// through the differential lattice (and fault soak). Exits non-zero if
 /// any property fails.
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
-    use sage::fuzz::{run_fuzz, FuzzOptions};
+    use sage::fuzz::{diff::DiffConfig, run_fuzz, FuzzOptions};
     if let Some(stem) = args.get("replay") {
         return fuzz_replay(stem, args.num("iters")?);
     }
@@ -1004,9 +1009,11 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     let opts = FuzzOptions {
         seed: args.num_or("seed", 1)?,
         count: args.num_or("count", 16)?,
-        iterations: args.num_or("iters", 2)?,
-        tcp,
-        fault_rounds: args.num_or("fault-rounds", 2)?,
+        diff: DiffConfig {
+            iterations: args.num_or("iters", 2)?,
+            tcp,
+            fault_rounds: args.num_or("fault-rounds", 2)?,
+        },
         minimize: args.has("minimize"),
         save_failing: args.get("save-failing").map(std::path::PathBuf::from),
         ..FuzzOptions::default()

@@ -119,7 +119,6 @@ proptest! {
         let cfg = sage::fuzz::gen::GenConfig {
             violation_rate: 0.0,
             race_rate: 0.0,
-            ..sage::fuzz::gen::GenConfig::default()
         };
         let gm = sage::fuzz::gen::gen_model(seed, &cfg);
         let iters = 2u32;

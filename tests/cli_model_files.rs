@@ -284,6 +284,11 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
         (&["launch", &model, "--optimized"], "--optimized"),
         (&["launch", &model, "--race-detect"], "--race-detect"),
         (&["submit", &model, "--optimized"], "--optimized"),
+        (&["run", &model, "--pipeline", "0"], "--pipeline 0"),
+        (
+            &["run", &model, "--pipeline-validate", "0"],
+            "--pipeline-validate 0",
+        ),
     ] {
         let out = std::process::Command::new(common::sage_bin())
             .args(args)
@@ -293,6 +298,11 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
         assert!(!out.status.success(), "sage {args:?} must fail");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
         assert!(stderr.contains(needle), "{stderr}");
+        // Rejected before anything runs: nothing reaches stdout.
+        assert!(
+            out.stdout.is_empty(),
+            "sage {args:?} printed before failing"
+        );
     }
     // A retired subcommand is an unknown one: usage, exit 2 — `sage fleet`
     // is the only daemon.

@@ -10,7 +10,7 @@
 
 mod common;
 
-use sage::fuzz::{failure, gen, run_fuzz, FuzzOptions};
+use sage::fuzz::{diff::DiffConfig, failure, gen, run_fuzz, FuzzOptions};
 use sage_fabric::FaultPlan;
 use sage_model::Striping;
 
@@ -62,8 +62,11 @@ fn tcp_lattice_stays_bit_identical() {
     let opts = FuzzOptions {
         seed: 13,
         count: 3,
-        tcp: true,
-        fault_rounds: 1,
+        diff: DiffConfig {
+            tcp: true,
+            fault_rounds: 1,
+            ..DiffConfig::default()
+        },
         save_failing: Some(common::failures_dir()),
         ..FuzzOptions::default()
     };
@@ -81,8 +84,11 @@ fn soak_full_lattice() {
     let opts = FuzzOptions {
         seed: 42,
         count: 50,
-        tcp: true,
-        fault_rounds: 3,
+        diff: DiffConfig {
+            tcp: true,
+            fault_rounds: 3,
+            ..DiffConfig::default()
+        },
         minimize: true,
         save_failing: Some(common::failures_dir()),
         ..FuzzOptions::default()

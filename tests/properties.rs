@@ -271,7 +271,7 @@ proptest! {
     #[test]
     fn alltoall_is_a_transpose_for_any_size(n in 1usize..7, payload in 1usize..64) {
         use sage::fabric::{Cluster, LinkSpec, MachineSpec, NodeSpec, Payload};
-        use sage::mpi::{Communicator, MpiConfig};
+        use sage::mpi::Communicator;
         let machine = MachineSpec::uniform(
             "p",
             n,
@@ -282,7 +282,7 @@ proptest! {
         cluster.run(|ctx| {
             let me = ctx.id();
             let n = ctx.nodes();
-            let mut comm = Communicator::new(ctx, MpiConfig::vendor_tuned());
+            let mut comm = Communicator::new(ctx);
             let blocks: Vec<Payload> = (0..n)
                 .map(|d| Payload::from_vec(vec![(me * 31 + d) as u8; payload]))
                 .collect();
