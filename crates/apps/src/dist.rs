@@ -14,6 +14,7 @@ use sage_runtime::RuntimeOptions;
 use sage_signal::complex::{as_bytes, from_bytes, view};
 use sage_signal::cost::{self, KernelCost};
 use sage_signal::fft::{Fft1d, FftDirection};
+use sage_signal::transpose::{transpose_strided, DEFAULT_BLOCK};
 use sage_signal::{Complex32, Matrix};
 
 /// Packs a local row-stripe (`rl` rows of `size` columns) into one
@@ -44,6 +45,8 @@ pub fn pack_tiles(local: &[Complex32], rl: usize, size: usize, n: usize) -> Vec<
 /// `out`, this rank's `cl x size` row-stripe of the **transposed** matrix.
 /// Source `j`'s tile holds rows `j*rl..` of the original matrix restricted
 /// to this rank's `cl` columns; together the tiles overwrite all of `out`.
+/// Each tile is turned into columns `j*rl..` of `out` by the same blocked
+/// core the SAGE `isspl.transpose` kernel runs.
 pub fn unpack_transpose(
     tiles: &[Payload],
     rl: usize,
@@ -56,11 +59,7 @@ pub fn unpack_transpose(
     for (j, bytes) in tiles.iter().enumerate() {
         let tile = view(bytes);
         assert_eq!(tile.len(), rl * cl, "tile from rank {j} has wrong size");
-        for r in 0..rl {
-            for c in 0..cl {
-                out[c * size + j * rl + r] = tile[r * cl + c];
-            }
-        }
+        transpose_strided(&tile, &mut out[j * rl..], rl, cl, size, DEFAULT_BLOCK);
     }
 }
 
@@ -184,28 +183,30 @@ mod tests {
 
     #[test]
     fn pack_then_unpack_transposes() {
-        // Simulate 2 ranks on an 8x8 matrix without any communication.
-        let size = 8;
-        let n = 2;
-        let rl = size / n;
-        let cl = size / n;
-        let full = workload::input_matrix(3, size);
-        let stripes: Vec<Vec<Complex32>> = (0..n)
-            .map(|me| workload::input_stripe(3, size, me * rl, rl))
-            .collect();
-        let packed: Vec<Vec<Payload>> =
-            stripes.iter().map(|s| pack_tiles(s, rl, size, n)).collect();
-        // "alltoall": rank me receives packed[j][me] from each j.
-        #[allow(clippy::needless_range_loop)]
-        for me in 0..n {
-            let tiles: Vec<Payload> = (0..n).map(|j| packed[j][me].clone()).collect();
-            let mut out = vec![Complex32::ZERO; cl * size];
-            unpack_transpose(&tiles, rl, cl, size, &mut out);
-            // Row c of `out` is column me*cl + c of the original.
-            for c in 0..cl {
-                for r in 0..size {
-                    assert_eq!(out[c * size + r], full.get(r, me * cl + c), "me={me}");
-                }
+        // Simulate n ranks without any communication. Tiles of 16 and 32
+        // rows fall short of and land on the transpose block edge, 256 rows
+        // span several blocks.
+        for (size, n) in [(8, 2), (48, 3), (96, 3), (64, 4), (512, 2)] {
+            let rl = size / n;
+            let cl = size / n;
+            let turned = workload::input_matrix(3, size).transposed();
+            let stripes: Vec<Vec<Complex32>> = (0..n)
+                .map(|me| workload::input_stripe(3, size, me * rl, rl))
+                .collect();
+            let packed: Vec<Vec<Payload>> =
+                stripes.iter().map(|s| pack_tiles(s, rl, size, n)).collect();
+            // "alltoall": rank me receives packed[j][me] from each j.
+            #[allow(clippy::needless_range_loop)]
+            for me in 0..n {
+                let tiles: Vec<Payload> = (0..n).map(|j| packed[j][me].clone()).collect();
+                let mut out = vec![Complex32::new(f32::NAN, -0.0); cl * size];
+                unpack_transpose(&tiles, rl, cl, size, &mut out);
+                // `out` is rows me*cl.. of the transposed matrix.
+                let want = &turned.as_slice()[me * cl * size..(me + 1) * cl * size];
+                assert!(
+                    as_bytes(&out) == as_bytes(want),
+                    "size={size} n={n} me={me}"
+                );
             }
         }
     }

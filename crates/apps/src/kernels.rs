@@ -462,7 +462,7 @@ mod tests {
         let transposed = || {
             let data = from_bytes(&input.unwrap().bytes);
             let mut t = vec![Complex32::ZERO; r * cdim];
-            transpose_blocked(&data, &mut t, r, cdim, 32);
+            sage_signal::transpose(&data, &mut t, r, cdim);
             t
         };
         match name {

@@ -1034,16 +1034,33 @@ fn cmd_export(args: &Args) -> Result<(), String> {
     let which = args.positional.first().ok_or("export needs an app name")?;
     let size: usize = args.num_or("size", 256)?;
     let threads: usize = args.num_or("threads", 8)?;
-    let model = match which.as_str() {
-        "fft2d" => sage::apps::fft2d::sage_model(size, threads),
-        "corner_turn" => sage::apps::corner_turn::sage_model(size, threads),
-        "stap" => sage::apps::stap::sage_model(size, threads),
-        "image_filter" => sage::apps::image_filter::sage_model(size, threads, size / 8),
-        "beamformer" => sage::apps::beamformer::sage_model(size, threads),
-        "range_doppler" => sage::apps::range_doppler::sage_model(size, threads, size / 4),
+    let build: fn(usize, usize) -> AppGraph = match which.as_str() {
+        "fft2d" => sage::apps::fft2d::sage_model,
+        "corner_turn" => sage::apps::corner_turn::sage_model,
+        "stap" => sage::apps::stap::sage_model,
+        "image_filter" => {
+            |size, threads| sage::apps::image_filter::sage_model(size, threads, size / 8)
+        }
+        "beamformer" => sage::apps::beamformer::sage_model,
+        "range_doppler" => {
+            |size, threads| sage::apps::range_doppler::sage_model(size, threads, size / 4)
+        }
         other => return Err(format!("unknown app `{other}`")),
     };
-    print!("{}", model_io::model_to_sexpr(&model));
+    // Every app model stripes `size` evenly over `threads`, and all but the
+    // corner turn run radix-2 FFTs over it: the models assert both.
+    if threads == 0 {
+        return Err("--threads 0: an app needs at least one thread".into());
+    }
+    if !size.is_multiple_of(threads) {
+        return Err(format!(
+            "--size {size} is not a multiple of --threads {threads}"
+        ));
+    }
+    if which != "corner_turn" && !size.is_power_of_two() {
+        return Err(format!("--size {size} is not a power of two"));
+    }
+    print!("{}", model_io::model_to_sexpr(&build(size, threads)));
     Ok(())
 }
 

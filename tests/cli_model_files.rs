@@ -289,6 +289,20 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
             &["run", &model, "--pipeline-validate", "0"],
             "--pipeline-validate 0",
         ),
+        // Sizes the app models assert against are rejected before one is
+        // built.
+        (
+            &["export", "corner_turn", "--size", "30", "--threads", "4"],
+            "--threads 4",
+        ),
+        (
+            &["export", "fft2d", "--size", "8", "--threads", "0"],
+            "--threads 0",
+        ),
+        (
+            &["export", "fft2d", "--size", "48", "--threads", "2"],
+            "--size 48",
+        ),
     ] {
         let out = std::process::Command::new(common::sage_bin())
             .args(args)
