@@ -8,6 +8,7 @@ use crate::metrics::{FabricMetrics, NodeMetrics};
 use crate::payload::Payload;
 use crate::transport::Transport;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -20,11 +21,56 @@ struct Msg {
     arrival: f64,
 }
 
-/// Mailbox keyed by `(source node, tag)`; FIFO per key, so receives that
-/// name their source are deterministic.
+/// The mailbox key hasher: a fixed, unkeyed multiply per word with a
+/// folded 128-bit finish. Keys come from the node programs, not from an
+/// adversary, so SipHash's keying buys nothing. The fold matters: the
+/// run-time's transfer tags keep their iteration and buffer fields at bits
+/// 20 and up, which a plain multiply never carries down to the low bits
+/// the table indexes by.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+/// The per-word multiplier (the 64-bit golden ratio).
+const KEY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The finish's multiplier. A second constant: folding by `KEY_MUL` again
+/// leaves keys that differ only in bits 40 and up with ~550 distinct low
+/// 10-bit values per 1,024, where this one gives ~860.
+const FOLD_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(KEY_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * u128::from(FOLD_MUL);
+        (product as u64) ^ (product >> 64) as u64
+    }
+}
+
+/// What a [`Mailbox`]'s lock guards: FIFO queues keyed by `(source node,
+/// tag)`, so receives that name their source are deterministic, and how
+/// many receivers are parked on the condvar.
+#[derive(Default)]
+struct Queues {
+    by_key: HashMap<(u32, u64), VecDeque<Msg>, BuildHasherDefault<KeyHasher>>,
+    parked: u32,
+}
+
+/// One node's mailbox. A send wakes the receiver only if it is parked.
 #[derive(Default)]
 struct Mailbox {
-    queues: Mutex<HashMap<(u32, u64), VecDeque<Msg>>>,
+    queues: Mutex<Queues>,
     cv: Condvar,
 }
 
@@ -266,14 +312,20 @@ impl Transport for NodeCtx {
         let mbox = &self.shared.mailboxes[dst];
         let mut queues = mbox.queues.lock().unwrap_or_else(PoisonError::into_inner);
         queues
+            .by_key
             .entry((self.id as u32, tag))
             .or_default()
             .push_back(Msg {
                 payload: payload.clone(),
                 arrival,
             });
-        mbox.cv.notify_all();
+        // A receiver counts itself parked under this lock before it waits,
+        // so one that is not counted yet will find the message queued.
+        let parked = queues.parked > 0;
         drop(queues);
+        if parked {
+            mbox.cv.notify_all();
+        }
         self.apply_time_faults();
         Ok(())
     }
@@ -291,10 +343,11 @@ impl Transport for NodeCtx {
         );
         self.check_failed()?;
         let mbox = &self.shared.mailboxes[self.id];
-        let deadline = Instant::now() + self.shared.recv_timeout;
+        // Set on the first park: a message already queued reads no clock.
+        let mut deadline = None;
         let mut queues = mbox.queues.lock().unwrap_or_else(PoisonError::into_inner);
         let msg = loop {
-            if let Some(q) = queues.get_mut(&(src as u32, tag)) {
+            if let Some(q) = queues.by_key.get_mut(&(src as u32, tag)) {
                 if let Some(m) = q.pop_front() {
                     break m;
                 }
@@ -310,6 +363,7 @@ impl Transport for NodeCtx {
                 });
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + self.shared.recv_timeout);
             if now >= deadline {
                 return Err(FabricError::RecvTimeout {
                     node: self.id as u32,
@@ -317,11 +371,13 @@ impl Transport for NodeCtx {
                     tag,
                 });
             }
+            queues.parked += 1;
             let (guard, _timeout) = mbox
                 .cv
                 .wait_timeout(queues, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             queues = guard;
+            queues.parked -= 1;
         };
         drop(queues);
         if self.shared.policy.is_virtual() && msg.arrival > self.clock {
@@ -344,7 +400,11 @@ impl Transport for NodeCtx {
         }
         let mbox = &self.shared.mailboxes[self.id];
         let queues = mbox.queues.lock().unwrap_or_else(PoisonError::into_inner);
-        match queues.get(&(src as u32, tag)).and_then(|q| q.front()) {
+        match queues
+            .by_key
+            .get(&(src as u32, tag))
+            .and_then(|q| q.front())
+        {
             Some(m) => !self.shared.policy.is_virtual() || m.arrival <= self.clock,
             None => false,
         }
@@ -515,6 +575,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::machine::{LinkSpec, NodeSpec};
+    use std::hash::BuildHasher;
 
     fn machine(n: usize) -> MachineSpec {
         MachineSpec::uniform(
@@ -689,6 +750,99 @@ mod tests {
                 tag: 42
             })
         );
+    }
+
+    /// A receiver parked before the message exists is woken by the send,
+    /// not by its deadline. The sender then waits for an acknowledgement,
+    /// so its exit (which wakes every mailbox) cannot stand in for the
+    /// send's own wake-up.
+    #[test]
+    fn a_send_wakes_a_parked_receiver() {
+        let cluster =
+            Cluster::new(machine(2), TimePolicy::Real).with_recv_timeout(Duration::from_secs(10));
+        let (results, _) = cluster.run(|ctx| {
+            if ctx.id() == 0 {
+                let peer = &ctx.shared.mailboxes[1].queues;
+                while peer.lock().unwrap().parked == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                send(ctx, 1, 3, b"late");
+                assert_eq!(recv(ctx, 1, 4), b"ack");
+                Duration::ZERO
+            } else {
+                let start = Instant::now();
+                assert_eq!(recv(ctx, 0, 3), b"late");
+                let woke = start.elapsed();
+                send(ctx, 0, 4, b"ack");
+                woke
+            }
+        });
+        assert!(
+            results[1] < Duration::from_secs(2),
+            "woke after {:?}",
+            results[1]
+        );
+    }
+
+    /// Strict ping-pong parks a receiver on nearly every message, and a
+    /// one-way burst queues behind a receiver that may or may not be
+    /// parked: a lost wake-up surfaces as a typed `RecvTimeout`.
+    #[test]
+    fn ping_pong_and_a_burst_lose_no_wake_up() {
+        const ROUNDS: u32 = 10_000;
+        const BURST: u32 = 1_000;
+        let cluster =
+            Cluster::new(machine(2), TimePolicy::Real).with_recv_timeout(Duration::from_secs(5));
+        let (results, report) = cluster.run(|ctx| -> Result<(), FabricError> {
+            let (me, peer) = (ctx.id(), 1 - ctx.id());
+            for round in 0..ROUNDS {
+                let stamp = Payload::from(&round.to_le_bytes());
+                if me == 0 {
+                    ctx.try_send(peer, 1, &stamp)?;
+                    assert_eq!(ctx.try_recv(peer, 2)?, stamp);
+                } else {
+                    assert_eq!(ctx.try_recv(peer, 1)?, stamp);
+                    ctx.try_send(peer, 2, &stamp)?;
+                }
+            }
+            for i in 0..BURST {
+                let stamp = Payload::from(&i.to_le_bytes());
+                if me == 0 {
+                    ctx.try_send(peer, 9, &stamp)?;
+                } else {
+                    assert_eq!(ctx.try_recv(peer, 9)?, stamp, "FIFO order");
+                }
+            }
+            Ok(())
+        });
+        assert_eq!(results, [Ok(()), Ok(())]);
+        assert_eq!(
+            report.metrics.total_messages(),
+            u64::from(2 * ROUNDS + BURST)
+        );
+    }
+
+    /// Distinct values among the low 10 bits of the mailbox hash of keys
+    /// from node 0 whose tags are `field << shift` for 1,024 field values.
+    fn low_bits_spread(shift: u32) -> usize {
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let lows: std::collections::HashSet<u64> = (0..1024u64)
+            .map(|field| hasher.hash_one((0u32, field << shift)) & 1023)
+            .collect();
+        lows.len()
+    }
+
+    /// The run-time's transfer tags put the iteration at bits 20..40 and the
+    /// buffer at bits 40 and up; the table indexes by the hash's low bits,
+    /// so those must see both fields. 1,024 uniform draws into 1,024 bins
+    /// fill ~647; an unfolded multiply fills 1.
+    #[test]
+    fn the_mailbox_hash_spreads_tag_fields_into_its_low_bits() {
+        for (field, shift) in [("iteration", 20), ("buffer", 40)] {
+            let spread = low_bits_spread(shift);
+            assert!(spread >= 550, "{field} field: {spread} distinct low bits");
+        }
     }
 
     #[test]

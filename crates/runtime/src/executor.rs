@@ -616,6 +616,9 @@ struct RankState<'a, T: Transport> {
     /// Per pair: outstanding credits of a same-node pair; remote pairs ride
     /// the credit tag channel.
     local_credits: Vec<u32>,
+    /// The one empty message every remote credit sends: a credit is its
+    /// tag, so each send shares this handle instead of allocating.
+    credit: Payload,
     deposits: Vec<Deposit>,
     stats: StreamStats,
 }
@@ -699,6 +702,7 @@ pub fn execute_rank<T: Transport>(
         },
         staging: vec![Payload::new(); pairs],
         local_credits: vec![0; pairs],
+        credit: Payload::new(),
         deposits: Vec::new(),
         stats: StreamStats::default(),
     };
@@ -1211,13 +1215,8 @@ impl<T: Transport> RankState<'_, T> {
                 self.local_credits[e.pair as usize] += 1;
             } else {
                 let pair = (e.buffer, e.peer_thread, task.thread);
-                self.send(
-                    e.peer_node,
-                    credit_tag(pair),
-                    &Payload::new(),
-                    e.buffer,
-                    iter,
-                )?;
+                let credit = self.credit.clone();
+                self.send(e.peer_node, credit_tag(pair), &credit, e.buffer, iter)?;
             }
         }
         Ok(())

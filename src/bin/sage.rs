@@ -212,6 +212,16 @@ impl Args {
             .transpose()
     }
 
+    /// A count from 1 with a default: node, worker, rank, daemon and slot
+    /// counts, which a zero would leave nothing to run on.
+    fn positive_or<T: std::str::FromStr + PartialOrd + From<u8>>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        Ok(self.positive(name)?.unwrap_or(default))
+    }
+
     /// The `--pipeline` streaming knob: `None` means lock-step execution.
     /// Depth 0 is an explicit error, not silent lock-step — the flag's
     /// absence already means lock-step, and depth 1 is a real streaming
@@ -257,7 +267,7 @@ fn analyze_files<T>(
     if args.positional.is_empty() {
         return Err(format!("{what} needs at least one model file"));
     }
-    let nodes: usize = args.num_or("nodes", 4)?;
+    let nodes: usize = args.positive_or("nodes", 4)?;
     let deny_warnings = args.has("deny-warnings");
     let json = match args.get("format") {
         None | Some("text") => false,
@@ -582,7 +592,7 @@ fn cmd_codegen(args: &Args) -> Result<(), String> {
         .positional
         .first()
         .ok_or("codegen needs a model file")?;
-    let pre = preflight(args, path, args.num_or("nodes", 4)?, false)?;
+    let pre = preflight(args, path, args.positive_or("nodes", 4)?, false)?;
     println!("{}", sage::core::render_glue_source(&pre.program));
     Ok(())
 }
@@ -686,7 +696,7 @@ fn job_params(args: &Args, pre: &Preflight, iters: u32) -> Result<JobParams, Str
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("run needs a model file")?;
-    let nodes: usize = args.num_or("nodes", 4)?;
+    let nodes: usize = args.positive_or("nodes", 4)?;
     // The pipelined modes are checked before anything runs or prints.
     if args.has("pipeline") && args.has("pipeline-validate") {
         return Err(
@@ -809,7 +819,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// processes over loopback TCP.
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
-    let workers: usize = args.num_or("workers", 4)?;
+    let workers: usize = args.positive_or("workers", 4)?;
     let pre = preflight(args, path, workers, true)?;
     let opts = LaunchOptions {
         workers,
@@ -880,7 +890,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
 fn cmd_sched(args: &Args) -> Result<(), String> {
     let cfg = sage::fleet::SchedConfig {
         queue_depth: args.num_or("queue-depth", 128)?,
-        slots_per_worker: args.num_or("slots", 64)?,
+        slots_per_worker: args.positive_or("slots", 64)?,
         heartbeat_ms: args.positive("heartbeat-ms")?,
     };
     let (children, addrs) = if let Some(list) = args.get("workers") {
@@ -891,7 +901,7 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
             .collect();
         (Vec::new(), addrs)
     } else {
-        sage::fleet::spawn_daemons(args.num_or("spawn", 4)?, &spawn_local_fleet)
+        sage::fleet::spawn_daemons(args.positive_or("spawn", 4)?, &spawn_local_fleet)
             .map_err(|e| e.to_string())?
     };
     let result = (|| {
@@ -916,7 +926,7 @@ fn cmd_sched(args: &Args) -> Result<(), String> {
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("submit needs a model file")?;
     let addr = args.get("sched").ok_or("submit needs --sched ADDR")?;
-    let ranks: usize = args.num_or("ranks", 4)?;
+    let ranks: usize = args.positive_or("ranks", 4)?;
     let pre = preflight(args, path, ranks, true)?;
     let iters: u32 = args.num_or("iters", 3)?;
     let spec = sage::fleet::SubmitSpec {

@@ -303,13 +303,26 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
             &["export", "fft2d", "--size", "48", "--threads", "2"],
             "--size 48",
         ),
+        // A count of nothing to run on is refused before a model is read
+        // or a daemon spawned, not asserted against deep in the model.
+        (&["run", &model, "--nodes", "0"], "--nodes"),
+        (&["check", &model, "--nodes", "0"], "--nodes"),
+        (&["codegen", &model, "--nodes", "0"], "--nodes"),
+        (&["launch", &model, "--workers", "0"], "--workers"),
+        (
+            &["submit", &model, "--sched", "127.0.0.1:9", "--ranks", "0"],
+            "--ranks",
+        ),
+        (&["sched", "--spawn", "1", "--slots", "0"], "--slots"),
+        (&["sched", "--spawn", "0"], "--spawn"),
     ] {
         let out = std::process::Command::new(common::sage_bin())
             .args(args)
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "sage {args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "sage {args:?} must fail");
+        assert!(stderr.starts_with("error: "), "{stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
         assert!(stderr.contains(needle), "{stderr}");
         // Rejected before anything runs: nothing reaches stdout.

@@ -164,6 +164,46 @@ fn depth_one_window_still_ledgers_credits() {
     assert!(exec.stream.credits_issued > 0, "chain issued no credits");
 }
 
+/// On the real clock, where a rank parks in its mailbox whenever its peer
+/// is behind, every remote credit shares one empty payload and still
+/// ledgers exactly: issued == retired == the closed form, and the streamed
+/// sink is the lock-step one.
+#[test]
+fn real_clock_streaming_ledgers_credits_through_the_shared_credit() {
+    let text = std::fs::read_to_string(common::model_path("beamformer_64.sexpr")).unwrap();
+    let mut project = Project::from_sexpr(&text, NODES).unwrap();
+    sage::apps::kernels::register_kernels(&mut project.registry);
+    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+    let caps: Vec<u32> = sage::check::pipeline_plan(&program, &project.hardware)
+        .expect("the example carries a pipeline proof")
+        .buffers
+        .iter()
+        .map(|b| b.safe_depth)
+        .collect();
+    let (depth, iters) = (4, 24);
+    let base = RuntimeOptions::paper_faithful().with_probes(false);
+    let run = |options: &RuntimeOptions| {
+        project
+            .execute(&program, TimePolicy::Real, options, iters)
+            .expect("runs")
+    };
+    let lock_step = run(&base);
+    let stream = run(&base.with_pipeline(depth).with_pipeline_depths(caps.clone()));
+    let want = expected_credits(&program, depth, &caps, iters);
+    assert!(
+        want > 0,
+        "{iters} iterations at depth {depth} must outrun the window"
+    );
+    assert_eq!(
+        (stream.stream.credits_issued, stream.stream.credits_retired),
+        (want, want)
+    );
+    assert_eq!(
+        sink_frames(&program, &lock_step, iters),
+        sink_frames(&program, &stream, iters)
+    );
+}
+
 /// One end of a transfer as the edge tables should describe it, with the
 /// pair named by its `(buffer, producer thread, consumer thread)` key
 /// instead of its dense index.
