@@ -51,5 +51,5 @@ pub use launch::{launch, spawn_daemons, LaunchOptions, Spawner};
 pub use metrics::{FleetStats, TenantStats};
 pub use proto::{FleetJob, FleetMsg, SubmitSpec};
 pub use sage_net::JobParams;
-pub use sched::{serve_sched, JobOutcome, SchedConfig, Scheduler};
-pub use worker::{parse_fleet_banner, serve_fleet, CHAOS_EXIT_ENV};
+pub use sched::{serve_sched, JobOutcome, SchedConfig, SchedState, Scheduler};
+pub use worker::{parse_fleet_banner, run_fleet_job, serve_fleet, CHAOS_EXIT_ENV};

@@ -83,10 +83,10 @@ pub struct JobOutcome {
 }
 
 /// Where a submitter waits for its job's outcome.
-type Reply = mpsc::Sender<Result<JobOutcome, NetError>>;
+pub type Reply = mpsc::Sender<Result<JobOutcome, NetError>>;
 
 /// `Job` frames a dispatch decided on, each with the worker to ship it to.
-type Frames = Vec<(usize, FleetJob)>;
+pub type Frames = Vec<(usize, FleetJob)>;
 
 struct QueuedJob {
     job: u32,
@@ -104,9 +104,11 @@ struct PendingJob {
     dispatched: Instant,
 }
 
-/// The sans-I/O scheduler core (see the module docs).
+/// The sans-I/O scheduler core (see the module docs): every decision, with
+/// the time an argument. [`Scheduler`] drives it over sockets; a simulated
+/// fleet drives it on a virtual clock.
 #[derive(Default)]
-struct SchedState {
+pub struct SchedState {
     cfg: SchedConfig,
     /// Per worker: its control link is up.
     alive: Vec<bool>,
@@ -125,7 +127,8 @@ struct SchedState {
 }
 
 impl SchedState {
-    fn new(workers: usize, cfg: SchedConfig) -> SchedState {
+    /// A core for `workers` live workers, nothing queued.
+    pub fn new(workers: usize, cfg: SchedConfig) -> SchedState {
         SchedState {
             cfg,
             alive: vec![true; workers],
@@ -152,7 +155,7 @@ impl SchedState {
     }
 
     /// Admits `spec` (its outcome goes to `reply`) or refuses it, typed.
-    fn submit(
+    pub fn submit(
         &mut self,
         spec: &SubmitSpec,
         reply: Reply,
@@ -198,7 +201,7 @@ impl SchedState {
     }
 
     /// Files one rank's report.
-    fn on_result(&mut self, job: u32, report: RankReport, now: Instant) -> Frames {
+    pub fn on_result(&mut self, job: u32, report: RankReport, now: Instant) -> Frames {
         let Some(p) = self.pending.get_mut(&job) else {
             return Frames::new();
         };
@@ -217,7 +220,7 @@ impl SchedState {
     /// Marks worker `w` dead. The peers of its in-flight ranks see the death
     /// on the mesh and report typed failures of their own, so every rank
     /// still resolves.
-    fn worker_down(&mut self, w: usize, now: Instant) -> Frames {
+    pub fn worker_down(&mut self, w: usize, now: Instant) -> Frames {
         if !std::mem::replace(&mut self.alive[w], false) {
             return Frames::new();
         }
@@ -325,7 +328,8 @@ impl SchedState {
         }));
     }
 
-    fn stats(&self) -> FleetStats {
+    /// A metrics snapshot.
+    pub fn stats(&self) -> FleetStats {
         FleetStats {
             workers: self.alive.len() as u32,
             workers_live: self.live() as u32,

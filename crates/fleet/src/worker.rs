@@ -31,8 +31,9 @@
 
 use crate::proto::{is_eof, read_fleet, send_fleet, send_reject, FleetJob, FleetMsg};
 use sage_core::{Placement, Project};
+use sage_fabric::Transport;
 use sage_net::{
-    JobParams, JobTransport, MeshCore, NetConfig, NetError, RejectReason, PROTO_VERSION,
+    Driver, JobParams, JobTransport, MeshCore, NetConfig, NetError, RejectReason, PROTO_VERSION,
 };
 use sage_runtime::{
     execute_rank, prepare, GlueProgram, RankReport, Registry, RuntimeError, RuntimeOptions,
@@ -42,7 +43,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Environment variable: if set to a millisecond count, the daemon exits
 /// the whole process that long after its first job arrives
@@ -240,9 +241,32 @@ fn generate_job(model_text: &str, ranks: usize) -> Result<(Project, GlueProgram)
     Ok((project, program))
 }
 
-/// Executes one rank of one job over a job-scoped view of the warm mesh.
-fn run_fleet_job(
-    core: Arc<MeshCore>,
+/// Checks where a job puts this endpoint before anything runs: `rank`
+/// names an entry of `rank_map`, every entry is a mesh index, and `rank`'s
+/// entry is this endpoint's own. All three arrive over the control
+/// connection; a job failing them would index past the map or the mesh.
+fn check_placement(
+    rank: u32,
+    rank_map: &[u32],
+    mesh_rank: usize,
+    mesh_size: usize,
+) -> Result<(), RuntimeError> {
+    let own = rank_map.get(rank as usize).map(|&m| m as usize);
+    let why = match (own, rank_map.iter().find(|&&m| m as usize >= mesh_size)) {
+        (None, _) => format!("rank {rank} of a {}-rank job", rank_map.len()),
+        (_, Some(m)) => format!("mesh index {m} in a {mesh_size}-endpoint mesh"),
+        (Some(own), None) if own != mesh_rank => {
+            format!("rank {rank} placed on endpoint {own}, not {mesh_rank}")
+        }
+        _ => return Ok(()),
+    };
+    Err(RuntimeError::BadProgram(format!("job placement: {why}")))
+}
+
+/// Executes one rank of one job over a job-scoped view of the warm mesh —
+/// whichever driver the mesh runs under.
+pub fn run_fleet_job<D: Driver>(
+    core: Arc<MeshCore<D>>,
     spec: FleetJob,
     register: &(dyn Fn(&mut Registry) + Sync),
 ) -> RankReport {
@@ -253,7 +277,9 @@ fn run_fleet_job(
         params,
     } = spec;
     let ranks = rank_map.len();
-    let prepared = generate_job(&params.model, ranks).and_then(|(mut project, program)| {
+    let placed = check_placement(rank, &rank_map, core.mesh_rank(), core.mesh_size());
+    let prepared = placed.and_then(|()| generate_job(&params.model, ranks));
+    let prepared = prepared.and_then(|(mut project, program)| {
         register(&mut project.registry);
         let prepared = prepare(&program, &project.registry)?;
         Ok((runtime_options(&params, &program)?, program, prepared))
@@ -266,7 +292,7 @@ fn run_fleet_job(
     let probe = Probe::new(rank, params.probes);
     let rank_map: Vec<usize> = rank_map.iter().map(|&m| m as usize).collect();
     let mut transport = JobTransport::new(core, job, rank as usize, rank_map);
-    let t0 = Instant::now();
+    let t0 = transport.now();
     let outcome = execute_rank(
         &mut transport,
         &program,
@@ -276,7 +302,7 @@ fn run_fleet_job(
         &probe,
         None,
     );
-    let wall_secs = t0.elapsed().as_secs_f64();
+    let wall_secs = transport.now() - t0;
     // Finish on both paths: `JobDone` tells peer ranks this rank is out of
     // the job (success or failure), while the mesh link stays warm for
     // every other job on the daemon.
@@ -307,6 +333,19 @@ mod tests {
             Some("127.0.0.1:4099")
         );
         assert_eq!(parse_fleet_banner("something else"), None);
+    }
+
+    #[test]
+    fn a_placement_off_the_map_or_the_mesh_or_this_endpoint_is_refused() {
+        let refused = |rank, map: &[u32]| match check_placement(rank, map, 1, 3) {
+            Err(RuntimeError::BadProgram(m)) => m,
+            other => panic!("rank {rank} of {map:?}: {other:?}"),
+        };
+        assert_eq!(check_placement(1, &[0, 1], 1, 3), Ok(()));
+        assert!(refused(2, &[0, 1]).contains("rank 2 of a 2-rank job"));
+        assert!(refused(u32::MAX, &[]).contains("of a 0-rank job"));
+        assert!(refused(1, &[0, 1, 3]).contains("mesh index 3 in a 3-endpoint mesh"));
+        assert!(refused(0, &[2, 1]).contains("rank 0 placed on endpoint 2, not 1"));
     }
 
     #[test]

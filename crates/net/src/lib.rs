@@ -20,16 +20,20 @@
 //!   trait and the `wire_struct!` / `wire_enum!` declarators that derive a
 //!   record's encoder and decoder from one field list (shared with
 //!   `sage-fleet`); its docs give the recipe for changing a layout.
-//! * `mesh` — the endpoint as a sans-I/O state machine: per-link
-//!   sequence checks, the `(job, src, tag)` mailbox, heartbeat liveness (a
-//!   silent peer is declared dead after 12 missed beats) —
-//!   bytes and the time in, deliveries and verdicts out.
-//! * [`transport`] — its driver: [`MeshCore`] (full-mesh establishment with
-//!   retry/backoff, a **single I/O thread** per endpoint blocked in
-//!   `poll(2)` on the peer sockets), [`JobTransport`] (a per-job
-//!   rank-namespace view over a shared warm core, for the fleet), and
-//!   [`TcpTransport`] (a one-job wrapper over a private core), all feeding
-//!   [`sage_fabric::LinkMetrics`].
+//! * `mesh` — the endpoint as a sans-I/O core under a [`Driver`]: Hello
+//!   validation, per-link sequence checks, the `(job, src, tag)` mailbox,
+//!   the receive verdict (a silent peer is declared dead after 12 missed
+//!   beats), the send verdict and the I/O pass — bytes and the time in,
+//!   deliveries and verdicts out.
+//! * [`transport`] — the endpoint and its job views, generic over the
+//!   driver, and the socket driver [`Sockets`]: [`MeshCore`] (full-mesh
+//!   establishment, connect retry/backoff, a **single I/O thread** per
+//!   endpoint blocked in `poll(2)` on the peer sockets), [`JobTransport`]
+//!   (a per-job rank-namespace view over a shared warm core, for the
+//!   fleet), and [`TcpTransport`] (one job over a private core), all
+//!   feeding [`sage_fabric::LinkMetrics`]. The dev-only `sage-simnet`
+//!   crate is the other driver: a seeded simulator the same core runs
+//!   whole jobs under.
 //! * [`poll`] — `poll(2)` behind a safe wrapper: the crate's only `unsafe`,
 //!   and what every wait in the mesh and the scheduler's accept loop
 //!   blocks in instead of sleeping.
@@ -61,6 +65,7 @@ pub mod transport;
 pub mod wire;
 
 pub use error::{NetError, RejectReason};
+pub use mesh::{Driver, IoPass};
 pub use proto::{JobParams, PROTO_VERSION};
-pub use transport::{JobTransport, MeshCore, NetConfig, TcpTransport};
+pub use transport::{JobTransport, MeshCore, NetConfig, Sockets, TcpTransport};
 pub use wire::{Frame, FrameKind, WireError};

@@ -4,26 +4,24 @@
 //! hundreds of peers (and, through per-job rank namespaces, hundreds of
 //! concurrent jobs) with O(1) threads instead of a reader thread per link.
 //!
-//! This module is the *driver*: it owns the sockets, the clock and the one
-//! thread, and decides nothing. What a byte, an EOF or a silence *means*
-//! is the sans-I/O state machine in [`mesh`](crate::mesh); the driver
-//! blocks in `poll(2)` until a peer socket is readable, a beat is due or
-//! it is told to stop, and hands what it read to that machine together
-//! with the time. Nothing on the data path sleeps.
+//! Everything an endpoint decides is the sans-I/O core in
+//! [`mesh`](crate::mesh). This module holds the endpoint and its job views,
+//! generic over the core's [`Driver`], and the driver the product runs on,
+//! [`Sockets`], with its connect backoff, accept loop and I/O thread.
 //!
 //! Layering:
 //!
-//! * [`MeshCore`] — the warm mesh itself: connection establishment with
-//!   retry/backoff, the I/O thread feeding the `(job, src, tag)` mailbox,
-//!   heartbeats, and job retirement. One core is shared (via `Arc`) by
-//!   every job executing on the endpoint.
+//! * [`MeshCore`] — the warm mesh itself: connection establishment, the
+//!   I/O pass feeding the `(job, src, tag)` mailbox, heartbeats, and job
+//!   retirement. One core is shared (via `Arc`) by every job executing on
+//!   the endpoint.
 //! * [`JobTransport`] — a per-job [`Transport`] view over a shared core:
 //!   logical ranks are mapped to mesh peer indices through a rank map, so
 //!   many concurrent jobs — each with its own dense rank namespace — ride
 //!   one set of sockets.
-//! * [`TcpTransport`] — one job over a private core: a [`JobTransport`] in
-//!   job namespace 0 with an identity rank map, whose `finish` also tears
-//!   the mesh down.
+//! * [`TcpTransport`] — one job over a private socket mesh: a
+//!   [`JobTransport`] in job namespace 0 with an identity rank map, whose
+//!   `finish` also tears the mesh down.
 //!
 //! Semantics mirror the in-process cluster so the executor cannot tell the
 //! backends apart: per-`(src, tag)` FIFO ordering (TCP ordering + one
@@ -31,16 +29,16 @@
 //! drained, `RecvTimeout` when a receive outlives its deadline.
 
 use crate::error::NetError;
-use crate::mesh::{Beats, Mailbox, PeerInput, Take};
+use crate::mesh::{hello, Beats, Driver, IoPass, Mailbox, PeerInput, PeerLink};
 use crate::poll::{self, PollFd};
-use crate::wire::{try_write_control, write_parts, Frame, FrameKind, TryWrite};
+use crate::wire::{Assembler, Frame, FrameKind, Header};
 use sage_fabric::{FabricError, LinkMetrics, NodeMetrics, Payload, Transport};
 use sage_visualizer::Probe;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Retries after the first mesh-establishment connect (worker processes
@@ -53,17 +51,11 @@ const CONNECT_BACKOFF_SECS: f64 = 0.025;
 /// Multiplier applied to the connect backoff after each retry.
 const CONNECT_BACKOFF_FACTOR: f64 = 1.5;
 
-/// Heartbeats a peer may miss before it is declared dead.
-const MISSED_BEATS: u32 = 12;
-
-/// Deadline for one blocking receive.
-const RECV_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// Deadline for the whole mesh establishment.
 const MESH_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// The TCP backend's one knob, the heartbeat period; connect backoff,
-/// staleness allowance and deadlines are the constants above.
+/// staleness allowance and deadlines are constants.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Heartbeat transmission interval.
@@ -89,278 +81,161 @@ impl NetConfig {
         }
         self
     }
+}
 
-    /// How long a peer may stay silent before it is declared dead.
-    fn stale_after(&self) -> Duration {
-        self.heartbeat * MISSED_BEATS
+/// The socket [`Driver`]: `Instant::now`, a condvar for parked receivers,
+/// and nonblocking TCP streams that wait in `poll(2)`.
+pub struct Sockets {
+    parked: Condvar,
+    /// One byte on `wake` (or `wake` closing) makes `woken` readable, which
+    /// stops the I/O thread waiting on it.
+    wake: UnixStream,
+    woken: UnixStream,
+    io: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Sockets {
+    fn new() -> std::io::Result<Sockets> {
+        let (wake, woken) = UnixStream::pair()?;
+        Ok(Sockets {
+            parked: Condvar::new(),
+            wake,
+            woken,
+            io: Mutex::new(None),
+        })
     }
 }
 
-/// The write half of one established link.
-struct PeerLink {
-    writer: Mutex<TcpStream>,
-    seq: AtomicU64,
-}
+impl Driver for Sockets {
+    type Link = TcpStream;
 
-/// `Write` over a link's nonblocking socket (the fd is shared with the I/O
-/// thread's read half) that answers `WouldBlock` by blocking in `poll(2)`
-/// until the kernel send buffer drains — always when `patient`, otherwise
-/// only once a first byte is out: a beat may be skipped whole, but no
-/// frame is ever abandoned torn.
-struct LinkWriter<'a> {
-    stream: &'a TcpStream,
-    patient: bool,
-}
-
-impl LinkWriter<'_> {
-    fn drive(
-        &mut self,
-        mut op: impl FnMut(&mut &TcpStream) -> std::io::Result<usize>,
-    ) -> std::io::Result<usize> {
-        loop {
-            match op(&mut self.stream) {
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && self.patient => {
-                    poll::wait(&mut [PollFd::writable(self.stream)], None)?;
-                }
-                Ok(n) => {
-                    self.patient = true;
-                    return Ok(n);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl Write for LinkWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.drive(|s| s.write(buf))
+    fn now(&self) -> Instant {
+        Instant::now()
     }
 
-    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
-        self.drive(|s| s.write_vectored(bufs))
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl PeerLink {
-    /// Frames and transmits straight from the caller's slice (vectored
-    /// header+payload write, no per-frame assembly buffer or payload
-    /// copy), blocking on socket writability while the peer drains a full
-    /// send buffer; returns `false` if the stream is broken or its writer
-    /// lock is poisoned — the caller marks the peer dead either way.
-    ///
-    /// `src`/`dst` are *logical* ranks within `job` (for job 0 they equal
-    /// mesh indices). Concurrent jobs sharing the link serialize on the
-    /// writer lock; sequence assignment happens under it, so frames hit
-    /// the wire in seq order even when the heartbeater races a data send.
-    fn send(
+    fn park<'a, S>(
         &self,
-        kind: FrameKind,
-        src: u32,
-        dst: u32,
-        job: u32,
-        tag: u64,
-        payload: &[u8],
-    ) -> bool {
-        let Ok(w) = self.writer.lock() else {
-            // A thread panicked mid-write: the stream may hold a torn
-            // frame, so the link cannot be trusted.
-            return false;
-        };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut w = LinkWriter {
-            stream: &w,
-            patient: true,
-        };
-        write_parts(&mut w, kind, tag, src, dst, job, seq, payload).is_ok()
+        _: &'a Mutex<S>,
+        held: MutexGuard<'a, S>,
+        until: Instant,
+    ) -> LockResult<MutexGuard<'a, S>> {
+        let wait = until.saturating_duration_since(Instant::now());
+        match self.parked.wait_timeout(held, wait) {
+            Ok((guard, _)) => Ok(guard),
+            Err(e) => Err(PoisonError::new(e.into_inner().0)),
+        }
     }
 
-    /// Nonblocking heartbeat from the transport's single I/O thread.
-    ///
-    /// Data senders hold the writer lock across `write_parts`, which
-    /// waits for writability while the kernel send buffer drains —
-    /// potentially for a long time on a saturated link. Blocking here
-    /// would freeze the whole I/O thread (reads *and* beats for every
-    /// peer) behind that one link, which is exactly how healthy peers
-    /// used to get declared stale under heavy data volume. Instead the
-    /// beat is skipped when the writer is busy or the buffer is full: in
-    /// both cases data frames are already in flight on this link, and any
-    /// bytes arriving refresh the remote's `last_seen` just like a beat.
-    /// Returns `false` only when the stream itself is broken.
-    fn try_beat(&self, src: u32, dst: u32) -> bool {
-        match self.writer.try_lock() {
-            Ok(w) => {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                let mut w = LinkWriter {
-                    stream: &w,
-                    patient: false,
-                };
-                !matches!(
-                    try_write_control(&mut w, FrameKind::Heartbeat, src, dst, 0, seq),
-                    TryWrite::Failed
-                )
-            }
-            Err(std::sync::TryLockError::WouldBlock) => true,
-            Err(std::sync::TryLockError::Poisoned(_)) => false,
+    fn unpark(&self) {
+        self.parked.notify_all();
+    }
+
+    fn wait_writable(&self, link: &TcpStream) -> std::io::Result<()> {
+        poll::wait(&mut [PollFd::writable(link)], None).map(drop)
+    }
+
+    fn wait_readable(
+        &self,
+        links: &[&TcpStream],
+        ready: &mut Vec<bool>,
+        until: Instant,
+    ) -> std::io::Result<bool> {
+        let mut fds = Vec::with_capacity(links.len() + 1);
+        fds.push(PollFd::readable(&self.woken));
+        fds.extend(links.iter().map(|link| PollFd::readable(*link)));
+        let timeout = until.saturating_duration_since(Instant::now());
+        poll::wait(&mut fds, Some(timeout))?;
+        ready.clear();
+        ready.extend(fds[1..].iter().map(PollFd::ready));
+        Ok(!fds[0].ready())
+    }
+
+    /// Wakes the I/O thread with the stop byte and joins it.
+    fn stop(&self) {
+        let handle = self.io.lock().map(|mut h| h.take()).unwrap_or(None);
+        if let Some(h) = handle {
+            // If the byte cannot be written the thread is already gone (its
+            // end of the pair is closed), and the join returns at once.
+            let _ = (&self.wake).write(&[1]);
+            let _ = h.join();
         }
     }
 }
 
-/// Why a core-level send/recv could not complete. Wrappers map these onto
-/// [`FabricError`] using their own *logical* rank numbering — the core
-/// cannot name logical ranks, it only knows mesh indices.
-enum CoreFail {
-    /// The peer is dead, finished, or was never linked.
-    PeerGone,
-    /// The receive deadline passed with the peer still alive.
-    Timeout,
-    /// Local state is suspect (a thread panicked holding the mailbox).
-    Poisoned,
-}
-
-/// One endpoint's warm mesh: sockets, the readiness-driven I/O thread, and
-/// the job-namespaced mailbox. Shared by every job executing on the
-/// endpoint.
-pub struct MeshCore {
+/// One endpoint's warm mesh: its links, the job-namespaced mailbox, and the
+/// driver both run under. Shared by every job executing on the endpoint.
+pub struct MeshCore<D: Driver = Sockets> {
     rank: usize,
-    links: Vec<Option<Arc<PeerLink>>>,
-    mailbox: Arc<Mailbox>,
+    links: Vec<Option<Arc<PeerLink<D>>>>,
+    mailbox: Arc<Mailbox<D>>,
     /// The mesh epoch: every job transport's clock counts from here.
     start: Instant,
     config: NetConfig,
-    /// The I/O thread blocks in `poll(2)` on the other end of this pair:
-    /// one byte (or this end closing) stops it.
-    wake: UnixStream,
-    io: Mutex<Option<std::thread::JoinHandle<()>>>,
-    #[cfg(test)]
-    io_passes: Arc<AtomicU64>,
 }
 
-impl MeshCore {
-    /// Establishes the full mesh for mesh index `rank` out of `peers` (one
-    /// data-plane listen address per endpoint, indexed by mesh rank).
-    ///
-    /// Index `i` actively connects to every index below it (retrying with
-    /// backoff while those processes come up) and accepts one connection
-    /// from every index above it on `listener`; a `Hello` exchange binds
-    /// each accepted socket to its index. All established sockets then go
-    /// nonblocking and a single I/O thread multiplexes them.
-    pub fn connect(
+impl<D: Driver> MeshCore<D> {
+    /// Establishes the full mesh for mesh index `rank` out of `size` over
+    /// `driver`: dials every lower index (`dial(j)`: a new link's read and
+    /// write halves) and greets it with a `Hello`, then binds each link
+    /// `accept` (handed the deadline) yields by the `Hello` read off it.
+    /// Returns the core and its I/O pass, for the driver to run.
+    pub fn establish(
         rank: usize,
-        peers: &[String],
-        listener: &TcpListener,
+        size: usize,
+        driver: D,
         config: NetConfig,
-    ) -> Result<Arc<MeshCore>, NetError> {
-        let size = peers.len();
+        mut dial: impl FnMut(usize) -> Result<(D::Link, D::Link), NetError>,
+        mut accept: impl FnMut(Instant) -> Result<(D::Link, D::Link), NetError>,
+    ) -> Result<(Arc<MeshCore<D>>, IoPass<D>), NetError> {
         if rank >= size {
             return Err(NetError::Protocol(format!(
                 "rank {rank} out of range for {size} peers"
             )));
         }
-        let start = Instant::now();
-        let mailbox = Arc::new(Mailbox::new(size, start));
-
-        let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
-        // Connect downward, with backoff: lower indices may still be binding.
-        for (j, addr) in peers.iter().enumerate().take(rank) {
-            let stream = connect_with_retry(addr)
-                .map_err(|e| NetError::Io(format!("connecting to rank {j} at {addr}: {e}")))?;
-            stream.set_nodelay(true)?;
-            Frame::control(FrameKind::Hello, rank as u32, j as u32, 0)
-                .write_to(&mut &stream)
-                .map_err(NetError::Wire)?;
-            streams[j] = Some(stream);
+        let start = driver.now();
+        let mut links: Vec<Option<Arc<PeerLink<D>>>> = (0..size).map(|_| None).collect();
+        let mut reads = Vec::new();
+        // Dial downward: lower indices may still be binding.
+        for (j, slot) in links.iter_mut().enumerate().take(rank) {
+            let (read, write) = dial(j)?;
+            let link = PeerLink::new(write);
+            let greeting = Header::new(FrameKind::Hello, 0, rank as u32, j as u32);
+            if !link.send(&driver, greeting, &[]) {
+                return Err(NetError::Io(format!("greeting rank {j}: link broke")));
+            }
+            reads.push((read, PeerInput::new(j)));
+            *slot = Some(Arc::new(link));
         }
         // Accept upward: higher indices dial us; `Hello` tells us who called.
-        let deadline = Instant::now() + MESH_TIMEOUT;
-        listener.set_nonblocking(true)?;
-        let mut pending = size - rank - 1;
-        while pending > 0 {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-                    let hello = Frame::read_from(&mut &stream).map_err(NetError::Wire)?;
-                    stream.set_read_timeout(None)?;
-                    let j = hello.src as usize;
-                    if hello.kind != FrameKind::Hello
-                        || hello.dst as usize != rank
-                        || j <= rank
-                        || j >= size
-                        || streams[j].is_some()
-                    {
-                        return Err(NetError::Protocol(format!(
-                            "bad hello from rank {j} (kind {:?}, dst {})",
-                            hello.kind, hello.dst
-                        )));
-                    }
-                    streams[j] = Some(stream);
-                    pending -= 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(NetError::Io(format!(
-                            "mesh establishment timed out with {pending} peer(s) missing"
-                        )));
-                    }
-                    poll::wait(&mut [PollFd::readable(listener)], Some(left))?;
-                }
-                Err(e) => return Err(e.into()),
-            }
+        let deadline = start + MESH_TIMEOUT;
+        for _ in rank + 1..size {
+            let (mut read, write) = accept(deadline)?;
+            let first = read_first(&driver, &mut read, deadline)?;
+            let j = hello(&first, rank, size, |j| links[j].is_some())?;
+            reads.push((read, PeerInput::new(j)));
+            links[j] = Some(Arc::new(PeerLink::new(write)));
         }
-        listener.set_nonblocking(false)?;
-
-        // Go nonblocking (the fd is shared by the read clone and the write
-        // half; writers wait for `POLLOUT` on `WouldBlock`, see
-        // `LinkWriter`) and hand every socket to the one I/O thread.
-        let mut links: Vec<Option<Arc<PeerLink>>> = (0..size).map(|_| None).collect();
-        let mut reads = Vec::new();
-        for (j, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            stream.set_nonblocking(true)?;
-            reads.push(PeerRead {
-                stream: stream.try_clone()?,
-                input: PeerInput::new(j),
-            });
-            links[j] = Some(Arc::new(PeerLink {
-                writer: Mutex::new(stream),
-                seq: AtomicU64::new(1),
-            }));
-        }
-        let (wake, woken) = UnixStream::pair()?;
-        let io = IoThread {
+        let now = driver.now();
+        let mailbox = Arc::new(Mailbox::new(size, now, driver));
+        let beaten = links.iter().enumerate();
+        let io = IoPass {
             reads,
-            links: links
-                .iter()
-                .enumerate()
-                .filter_map(|(j, l)| l.as_ref().map(|l| (j, l.clone())))
-                .collect(),
+            links: beaten.filter_map(|(j, l)| Some((j, l.clone()?))).collect(),
             mailbox: mailbox.clone(),
-            woken,
-            beats: Beats::new(config.heartbeat, Instant::now()),
+            beats: Beats {
+                interval: config.heartbeat,
+                last: now,
+            },
             rank: rank as u32,
-            #[cfg(test)]
-            passes: Arc::default(),
         };
-        #[cfg(test)]
-        let io_passes = io.passes.clone();
-        Ok(Arc::new(MeshCore {
+        let core = MeshCore {
             rank,
             links,
             mailbox,
             start,
             config,
-            wake,
-            io: Mutex::new(Some(std::thread::spawn(move || io.run()))),
-            #[cfg(test)]
-            io_passes,
-        }))
+        };
+        Ok((Arc::new(core), io))
     }
 
     /// This endpoint's mesh index.
@@ -368,100 +243,13 @@ impl MeshCore {
         self.rank
     }
 
-    /// Enqueues a payload locally (self-sends never hit the wire).
-    fn local_enqueue(&self, job: u32, src: u32, tag: u64, payload: Payload) {
-        self.mailbox.lock().enqueue(job, src, tag, payload);
-        self.mailbox.cv.notify_all();
+    /// How many endpoints the mesh has.
+    pub fn mesh_size(&self) -> usize {
+        self.links.len()
     }
 
-    /// Sends one data frame to mesh peer `mesh_dst`, labeled with logical
-    /// `src`/`dst` ranks in `job`'s namespace.
-    fn send_data(
-        &self,
-        job: u32,
-        src: u32,
-        dst: u32,
-        mesh_dst: usize,
-        tag: u64,
-        payload: &[u8],
-    ) -> Result<(), CoreFail> {
-        if self.mailbox.poisoned.load(Ordering::SeqCst) {
-            return Err(CoreFail::Poisoned);
-        }
-        let Some(link) = self.links.get(mesh_dst).and_then(|l| l.as_ref()) else {
-            // No link was ever established to this peer (mesh came up
-            // without it): sending can never succeed, so surface the same
-            // typed error a crashed peer would — callers already handle it.
-            return Err(CoreFail::PeerGone);
-        };
-        if self.mailbox.lock().dead(mesh_dst) {
-            return Err(CoreFail::PeerGone);
-        }
-        if !link.send(FrameKind::Data, src, dst, job, tag, payload) {
-            self.mailbox.mark_dead(mesh_dst);
-            return Err(CoreFail::PeerGone);
-        }
-        Ok(())
-    }
-
-    /// Blocking receive of `(job, src, tag)`. `mesh_src` names the mesh
-    /// peer hosting logical `src` so liveness can be checked; `None` means
-    /// a self-receive (local queue only, no liveness). Reads the clock and
-    /// waits on the condvar; [`MeshState::take`](crate::mesh::MeshState::take)
-    /// gives every verdict.
-    fn recv(
-        &self,
-        job: u32,
-        src: u32,
-        mesh_src: Option<usize>,
-        tag: u64,
-    ) -> Result<Payload, CoreFail> {
-        let deadline = Instant::now() + RECV_TIMEOUT;
-        let stale_after = self.config.stale_after();
-        if self.mailbox.poisoned.load(Ordering::SeqCst) {
-            return Err(CoreFail::Poisoned);
-        }
-        let mut m = self.mailbox.lock();
-        loop {
-            let now = Instant::now();
-            match m.take((job, src, tag), mesh_src, now, stale_after) {
-                Take::Ready(payload) => return Ok(payload),
-                Take::Gone | Take::Stale => return Err(CoreFail::PeerGone),
-                Take::Pending => {}
-            }
-            if now >= deadline {
-                return Err(CoreFail::Timeout);
-            }
-            // Deliveries notify the condvar; the timeout only re-checks
-            // staleness, at least every heartbeat.
-            let wait = (deadline - now).min(self.config.heartbeat);
-            match self.mailbox.cv.wait_timeout(m, wait) {
-                Ok((guard, _)) => m = guard,
-                Err(_) => {
-                    // A waiter or producer panicked with the lock held.
-                    self.mailbox.poisoned.store(true, Ordering::SeqCst);
-                    return Err(CoreFail::Poisoned);
-                }
-            }
-        }
-    }
-
-    /// Nonblocking peek: whether a `(job, src, tag)` receive would
-    /// complete immediately from the local mailbox. Advisory only — the
-    /// streaming executor uses it to pick ready work, falling back to
-    /// blocking receives for forward progress.
-    fn ready(&self, job: u32, src: u32, tag: u64) -> bool {
-        self.mailbox.lock().ready(job, src, tag)
-    }
-
-    /// Sends a job-scoped goodbye (`JobDone`) for `job` to mesh peer
-    /// `mesh_dst`, labeled with our logical `src` rank in that namespace.
-    fn send_job_done(&self, job: u32, src: u32, dst: u32, mesh_dst: usize) {
-        if let Some(link) = self.links.get(mesh_dst).and_then(|l| l.as_ref()) {
-            if !link.send(FrameKind::JobDone, src, dst, job, 0, &[]) {
-                self.mailbox.mark_dead(mesh_dst);
-            }
-        }
+    fn link(&self, mesh: usize) -> Option<&PeerLink<D>> {
+        self.links.get(mesh).and_then(|l| l.as_deref())
     }
 
     /// Retires a finished job: drops its queues and done-markers and
@@ -471,282 +259,185 @@ impl MeshCore {
     }
 
     /// Tears the mesh down: tells every peer we are done (link-level
-    /// `Goodbye`), then wakes the I/O thread out of `poll(2)` and joins
-    /// it — prompt whatever the peers are doing; already-written frames
-    /// stay deliverable through TCP buffering.
+    /// `Goodbye`), then stops the I/O pass — promptly, whatever the peers
+    /// are doing; already-written frames stay deliverable.
     pub fn shutdown(&self) {
         for (j, link) in self.links.iter().enumerate() {
             if let Some(link) = link {
-                link.send(FrameKind::Goodbye, self.rank as u32, j as u32, 0, 0, &[]);
+                let goodbye = Header::new(FrameKind::Goodbye, 0, self.rank as u32, j as u32);
+                link.send(&self.mailbox.driver, goodbye, &[]);
             }
         }
-        self.stop_io();
-    }
-
-    /// Wakes the I/O thread with the stop byte and joins it. Idempotent.
-    fn stop_io(&self) {
-        let handle = self.io.lock().map(|mut h| h.take()).unwrap_or(None);
-        if let Some(h) = handle {
-            // If the byte cannot be written the thread is already gone
-            // (its end of the pair is closed), and the join returns at once.
-            let _ = (&self.wake).write(&[1]);
-            let _ = h.join();
-        }
+        self.mailbox.driver.stop();
     }
 }
 
-impl Drop for MeshCore {
+impl<D: Driver> Drop for MeshCore<D> {
     fn drop(&mut self) {
-        // Error-path drop: stop the I/O thread without goodbyes (peers see
-        // EOF and fail over). `shutdown` already joined on the clean path.
-        self.stop_io();
+        // Error-path drop: stop the I/O pass without goodbyes (peers see
+        // EOF and fail over). `shutdown` already stopped it on the clean path.
+        self.mailbox.driver.stop();
     }
 }
 
-/// One peer's socket (read half) and the state machine half it feeds.
-struct PeerRead {
-    stream: TcpStream,
-    input: PeerInput,
-}
-
-/// The one I/O thread: blocks until a peer socket is readable, a heartbeat
-/// is due or the stop byte arrives; reads what is ready and hands it, with
-/// the time, to the state machine.
-struct IoThread {
-    reads: Vec<PeerRead>,
-    links: Vec<(usize, Arc<PeerLink>)>,
-    mailbox: Arc<Mailbox>,
-    /// Readable (a byte, or the core's end closed) means stop.
-    woken: UnixStream,
-    beats: Beats,
-    rank: u32,
-    /// Returns from `poll(2)`: the tests' proof that an idle mesh blocks.
-    #[cfg(test)]
-    passes: Arc<AtomicU64>,
-}
-
-impl IoThread {
-    fn run(mut self) {
-        let mut fds = Vec::with_capacity(self.reads.len() + 1);
-        loop {
-            fds.clear();
-            fds.push(PollFd::readable(&self.woken));
-            let open = self.reads.iter().filter(|pr| pr.input.is_open());
-            fds.extend(open.map(|pr| PollFd::readable(&pr.stream)));
-            let idle = self.beats.until_due(Instant::now());
-            if poll::wait(&mut fds, Some(idle)).is_err() {
-                // `poll` itself failed (out of memory, fd limit): nothing
-                // can be read any more, so fail typed rather than spin.
-                for pr in self.reads.iter_mut().filter(|pr| pr.input.is_open()) {
-                    pr.input.on_closed(&self.mailbox);
-                }
-                return;
-            }
-            #[cfg(test)]
-            self.passes.fetch_add(1, Ordering::Relaxed);
-            if fds[0].ready() {
-                return;
-            }
-            let open = self.reads.iter_mut().filter(|pr| pr.input.is_open());
-            for (pr, _) in open.zip(&fds[1..]).filter(|(_, fd)| fd.ready()) {
-                // Straight off the socket into each frame's own payload
-                // allocation: nothing between the kernel and the mailbox.
-                pr.input
-                    .on_readable(&mut &pr.stream, Instant::now(), &self.mailbox);
-            }
-            if self.beats.due(Instant::now()) {
-                for (j, link) in &self.links {
-                    // Nonblocking: a saturated link skips its beat (its
-                    // queued data frames carry the liveness signal)
-                    // instead of stalling this thread — and with it reads
-                    // and beats for every other peer — behind one slow
-                    // consumer.
-                    if !link.try_beat(self.rank, *j as u32) {
-                        self.mailbox.mark_dead(*j);
-                    }
-                }
-            }
+/// Reads the first frame off a freshly accepted link, waiting on the
+/// driver until `deadline`.
+fn read_first<D: Driver>(
+    driver: &D,
+    link: &mut D::Link,
+    deadline: Instant,
+) -> Result<Frame, NetError> {
+    let (mut assembler, mut ready) = (Assembler::new(), Vec::new());
+    while driver.now() < deadline {
+        if let Some(frame) = assembler.pull(link, usize::MAX).map_err(NetError::Wire)? {
+            return Ok(frame);
         }
+        driver.wait_readable(&[&*link], &mut ready, deadline)?;
     }
+    Err(NetError::Io(
+        "mesh establishment timed out awaiting a hello".into(),
+    ))
 }
 
-/// Per-endpoint traffic counters for one job (or for the whole transport
-/// in the one-job case).
-struct Counters {
-    /// Per logical destination: `(messages, bytes)` sent.
-    sent: Vec<(u64, u64)>,
-    recv_messages: u64,
-    recv_bytes: u64,
-    mem_high_water: u64,
-}
-
-impl Counters {
-    fn new(ranks: usize) -> Counters {
-        Counters {
-            sent: vec![(0, 0); ranks],
-            recv_messages: 0,
-            recv_bytes: 0,
-            mem_high_water: 0,
-        }
-    }
-
-    fn finish(&self, rank: usize) -> (NodeMetrics, Vec<LinkMetrics>) {
-        let links: Vec<LinkMetrics> = self
-            .sent
-            .iter()
-            .enumerate()
-            .filter(|&(dst, _)| dst != rank)
-            .map(|(dst, &(messages, bytes))| LinkMetrics {
-                src: rank as u32,
-                dst: dst as u32,
-                messages,
-                bytes,
-            })
-            .collect();
-        let metrics = NodeMetrics {
-            messages_sent: links.iter().map(|l| l.messages).sum(),
-            bytes_sent: links.iter().map(|l| l.bytes).sum(),
-            messages_received: self.recv_messages,
-            bytes_received: self.recv_bytes,
-            mem_high_water: self.mem_high_water,
-            ..NodeMetrics::default()
+impl MeshCore {
+    /// Establishes the full socket mesh for mesh index `rank` out of
+    /// `peers` (one data-plane listen address per endpoint, indexed by mesh
+    /// rank; see [`MeshCore::establish`]): connects downward with
+    /// retry/backoff, accepts upward on `listener`, and starts the one I/O
+    /// thread.
+    pub fn connect(
+        rank: usize,
+        peers: &[String],
+        listener: &TcpListener,
+        config: NetConfig,
+    ) -> Result<Arc<MeshCore>, NetError> {
+        let dial = |j: usize| {
+            let addr = &peers[j];
+            let stream = connect_with_retry(addr)
+                .map_err(|e| NetError::Io(format!("connecting to rank {j} at {addr}: {e}")))?;
+            halves(stream)
         };
-        (metrics, links)
+        let (sockets, accept) = (Sockets::new()?, |deadline| accept(listener, deadline));
+        listener.set_nonblocking(true)?;
+        let established = MeshCore::establish(rank, peers.len(), sockets, config, dial, accept);
+        listener.set_nonblocking(false)?;
+        let (core, io) = established?;
+        let thread = std::thread::spawn(move || io.run());
+        if let Ok(mut slot) = core.mailbox.driver.io.lock() {
+            *slot = Some(thread);
+        }
+        Ok(core)
+    }
+}
+
+/// One accepted or dialed stream as the mesh uses it: no Nagle delay,
+/// nonblocking (writers wait for `POLLOUT` on `WouldBlock`), and its read
+/// half a clone of the same socket.
+fn halves(stream: TcpStream) -> Result<(TcpStream, TcpStream), NetError> {
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok((stream.try_clone()?, stream))
+}
+
+/// Takes the next connection off the nonblocking `listener`, waiting in
+/// `poll(2)` until `deadline`.
+fn accept(listener: &TcpListener, deadline: Instant) -> Result<(TcpStream, TcpStream), NetError> {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => return halves(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(NetError::Io(
+                        "mesh establishment timed out with peer(s) missing".into(),
+                    ));
+                }
+                poll::wait(&mut [PollFd::readable(listener)], Some(left))?;
+            }
+            Err(e) => return Err(e.into()),
+        }
     }
 }
 
 /// A per-job [`Transport`] view over a shared [`MeshCore`]: logical rank
 /// `r` of the job lives on mesh peer `rank_map[r]`. Many `JobTransport`s
 /// — one per concurrent job on the endpoint — share one core.
-pub struct JobTransport {
-    core: Arc<MeshCore>,
+pub struct JobTransport<D: Driver = Sockets> {
+    core: Arc<MeshCore<D>>,
     job: u32,
     rank: usize,
     rank_map: Vec<usize>,
-    counters: Counters,
-}
-
-impl JobTransport {
-    /// A transport for logical `rank` of `job`, whose logical ranks map to
-    /// mesh indices through `rank_map` (so `rank_map[rank]` must be the
-    /// core's own mesh index).
-    pub fn new(core: Arc<MeshCore>, job: u32, rank: usize, rank_map: Vec<usize>) -> JobTransport {
-        debug_assert_eq!(rank_map[rank], core.mesh_rank());
-        let ranks = rank_map.len();
-        JobTransport {
-            core,
-            job,
-            rank,
-            rank_map,
-            counters: Counters::new(ranks),
-        }
-    }
-
-    /// Job-scoped clean shutdown: tells each participating peer this rank
-    /// is done with the job (`JobDone` — the links stay warm), retires the
-    /// job's mailbox state, and returns this rank's per-job counters.
-    pub fn finish(self) -> (NodeMetrics, Vec<LinkMetrics>) {
-        for (dst, &mesh) in self.rank_map.iter().enumerate() {
-            if dst != self.rank {
-                self.core
-                    .send_job_done(self.job, self.rank as u32, dst as u32, mesh);
-            }
-        }
-        self.core.purge_job(self.job);
-        self.counters.finish(self.rank)
-    }
-
-    fn peer_failed(&self, peer: usize) -> FabricError {
-        FabricError::PeerFailed {
-            node: self.rank as u32,
-            peer: peer as u32,
-        }
-    }
-}
-
-impl Transport for JobTransport {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.rank_map.len()
-    }
-
-    fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
-        if dst == self.rank {
-            if self.core.mailbox.poisoned.load(Ordering::SeqCst) {
-                return Err(FabricError::NodeFailed {
-                    node: self.rank as u32,
-                });
-            }
-            self.core
-                .local_enqueue(self.job, dst as u32, tag, payload.clone());
-            return Ok(());
-        }
-        let mesh = self.rank_map[dst];
-        match self
-            .core
-            .send_data(self.job, self.rank as u32, dst as u32, mesh, tag, payload)
-        {
-            Ok(()) => {
-                let s = &mut self.counters.sent[dst];
-                s.0 += 1;
-                s.1 += payload.len() as u64;
-                Ok(())
-            }
-            Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed {
-                node: self.rank as u32,
-            }),
-            Err(_) => Err(self.peer_failed(dst)),
-        }
-    }
-
-    fn note_mem_use(&mut self, bytes: u64) {
-        self.counters.mem_high_water = self.counters.mem_high_water.max(bytes);
-    }
-
-    fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
-        let mesh = if src == self.rank {
-            None
-        } else {
-            Some(self.rank_map[src])
-        };
-        match self.core.recv(self.job, src as u32, mesh, tag) {
-            Ok(payload) => {
-                self.counters.recv_messages += 1;
-                self.counters.recv_bytes += payload.len() as u64;
-                Ok(payload)
-            }
-            Err(CoreFail::PeerGone) => Err(self.peer_failed(src)),
-            Err(CoreFail::Timeout) => Err(FabricError::RecvTimeout {
-                node: self.rank as u32,
-                src: src as u32,
-                tag,
-            }),
-            Err(CoreFail::Poisoned) => Err(FabricError::NodeFailed {
-                node: self.rank as u32,
-            }),
-        }
-    }
-
-    fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
-        self.core.ready(self.job, src as u32, tag)
-    }
-
-    /// Wall seconds since the mesh epoch.
-    fn now(&self) -> f64 {
-        self.core.start.elapsed().as_secs_f64()
-    }
+    /// What this rank received and its memory high-water mark; what it sent
+    /// is in `links`, one per logical destination.
+    metrics: NodeMetrics,
+    links: Vec<LinkMetrics>,
+    /// The core is this job's alone ([`TcpTransport`]): finishing the job
+    /// tears the mesh down.
+    owns_mesh: bool,
 }
 
 /// A one-job TCP [`Transport`] for one rank: a [`JobTransport`] over a
 /// private [`MeshCore`], in job namespace 0 with an identity rank map.
-pub struct TcpTransport(JobTransport);
+pub type TcpTransport = JobTransport<Sockets>;
 
-impl TcpTransport {
-    /// Establishes the full mesh for `rank` out of `peers` (one data-plane
-    /// listen address per rank, indexed by rank). See [`MeshCore::connect`].
+impl<D: Driver> JobTransport<D> {
+    /// A transport for logical `rank` of `job`, whose logical ranks map to
+    /// mesh indices through `rank_map` (so `rank_map[rank]` must be the
+    /// core's own mesh index).
+    pub fn new(
+        core: Arc<MeshCore<D>>,
+        job: u32,
+        rank: usize,
+        rank_map: Vec<usize>,
+    ) -> JobTransport<D> {
+        debug_assert_eq!(rank_map[rank], core.mesh_rank());
+        let link = |dst| LinkMetrics {
+            src: rank as u32,
+            dst: dst as u32,
+            ..LinkMetrics::default()
+        };
+        JobTransport {
+            links: (0..rank_map.len()).map(link).collect(),
+            core,
+            job,
+            rank,
+            rank_map,
+            metrics: NodeMetrics::default(),
+            owns_mesh: false,
+        }
+    }
+
+    /// Clean shutdown; returns this rank's per-job counters. A job on a
+    /// shared mesh tells each participating peer this rank is done with it
+    /// (`JobDone` — the links stay warm) and retires its mailbox state; a
+    /// private mesh's one job ends with the mesh, by the link-level
+    /// `Goodbye`.
+    pub fn finish(mut self) -> (NodeMetrics, Vec<LinkMetrics>) {
+        if self.owns_mesh {
+            self.core.shutdown();
+        } else {
+            for (dst, &mesh) in self.rank_map.iter().enumerate() {
+                let done = Header::new(FrameKind::JobDone, self.job, self.rank as u32, dst as u32);
+                if dst != self.rank {
+                    let _ = self
+                        .core
+                        .mailbox
+                        .send(self.core.link(mesh), mesh, done, &[]);
+                }
+            }
+            self.core.purge_job(self.job);
+        }
+        self.links.remove(self.rank);
+        self.metrics.messages_sent = self.links.iter().map(|l| l.messages).sum();
+        self.metrics.bytes_sent = self.links.iter().map(|l| l.bytes).sum();
+        (self.metrics, self.links)
+    }
+}
+
+impl JobTransport {
+    /// Establishes the full socket mesh for `rank` out of `peers` (one
+    /// data-plane listen address per rank, indexed by rank) and returns
+    /// its one job. See [`MeshCore::connect`].
     // `_probe` is unused — the executor records a rank's events, the
     // transport none — but `benchmark/src/{cells,workloads}.rs` pass one
     // and `benchmark/` is frozen.
@@ -759,48 +450,62 @@ impl TcpTransport {
     ) -> Result<TcpTransport, NetError> {
         let core = MeshCore::connect(rank, peers, listener, config)?;
         let identity = (0..peers.len()).collect();
-        Ok(TcpTransport(JobTransport::new(core, 0, rank, identity)))
-    }
-
-    /// Clean shutdown: tell every peer we are done and return this rank's
-    /// traffic counters. The I/O thread is woken out of `poll(2)` and
-    /// joined; already-written frames stay deliverable to peers through
-    /// normal TCP buffering. The link-level `Goodbye` ends
-    /// the one job with the mesh, so no `JobDone` is sent.
-    pub fn finish(self) -> (NodeMetrics, Vec<LinkMetrics>) {
-        let counters = self.0.counters.finish(self.0.rank);
-        self.0.core.shutdown();
-        counters
+        Ok(JobTransport {
+            owns_mesh: true,
+            ..JobTransport::new(core, 0, rank, identity)
+        })
     }
 }
 
-impl Transport for TcpTransport {
+impl<D: Driver> Transport for JobTransport<D> {
     fn rank(&self) -> usize {
-        self.0.rank()
+        self.rank
     }
 
     fn size(&self) -> usize {
-        self.0.size()
+        self.rank_map.len()
     }
 
     fn try_send(&mut self, dst: usize, tag: u64, payload: &Payload) -> Result<(), FabricError> {
-        self.0.try_send(dst, tag, payload)
+        let (job, src) = (self.job, self.rank as u32);
+        if dst == self.rank {
+            return self.core.mailbox.post(job, src, tag, payload.clone());
+        }
+        let mesh = self.rank_map[dst];
+        let data = Header {
+            tag,
+            ..Header::new(FrameKind::Data, job, src, dst as u32)
+        };
+        self.core
+            .mailbox
+            .send(self.core.link(mesh), mesh, data, payload)?;
+        self.links[dst].messages += 1;
+        self.links[dst].bytes += payload.len() as u64;
+        Ok(())
     }
 
     fn note_mem_use(&mut self, bytes: u64) {
-        self.0.note_mem_use(bytes);
+        self.metrics.mem_high_water = self.metrics.mem_high_water.max(bytes);
     }
 
     fn try_recv(&mut self, src: usize, tag: u64) -> Result<Payload, FabricError> {
-        self.0.try_recv(src, tag)
+        let mesh = (src != self.rank).then(|| self.rank_map[src]);
+        let key = (self.job, src as u32, tag);
+        let heartbeat = self.core.config.heartbeat;
+        let payload = (self.core.mailbox).recv(self.rank as u32, key, mesh, heartbeat)?;
+        self.metrics.messages_received += 1;
+        self.metrics.bytes_received += payload.len() as u64;
+        Ok(payload)
     }
 
     fn try_recv_ready(&mut self, src: usize, tag: u64) -> bool {
-        self.0.try_recv_ready(src, tag)
+        self.core.mailbox.lock().ready(self.job, src as u32, tag)
     }
 
+    /// Seconds on the driver's clock since the mesh epoch.
     fn now(&self) -> f64 {
-        self.0.now()
+        let now = self.core.mailbox.driver.now();
+        now.saturating_duration_since(self.core.start).as_secs_f64()
     }
 }
 
@@ -829,7 +534,9 @@ pub(crate) fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::Take;
     use std::io::Read;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Builds an N-rank loopback mesh, one transport per thread.
     fn mesh(n: usize) -> Vec<TcpTransport> {
@@ -863,6 +570,84 @@ mod tests {
     /// Builds an N-endpoint core mesh for job-transport tests.
     fn core_mesh(n: usize) -> Vec<Arc<MeshCore>> {
         core_mesh_with(n, &NetConfig::default())
+    }
+
+    /// Sockets that count the I/O thread's returns from `poll(2)`: the
+    /// proof that an idle mesh blocks.
+    struct Counted(Sockets, AtomicU64);
+
+    impl Driver for Counted {
+        type Link = TcpStream;
+
+        fn now(&self) -> Instant {
+            self.0.now()
+        }
+
+        fn park<'a, S>(
+            &self,
+            lock: &'a Mutex<S>,
+            held: MutexGuard<'a, S>,
+            until: Instant,
+        ) -> LockResult<MutexGuard<'a, S>> {
+            self.0.park(lock, held, until)
+        }
+
+        fn unpark(&self) {
+            self.0.unpark();
+        }
+
+        fn wait_writable(&self, link: &TcpStream) -> std::io::Result<()> {
+            self.0.wait_writable(link)
+        }
+
+        fn wait_readable(
+            &self,
+            links: &[&TcpStream],
+            ready: &mut Vec<bool>,
+            until: Instant,
+        ) -> std::io::Result<bool> {
+            let woken = self.0.wait_readable(links, ready, until);
+            self.1.fetch_add(1, Ordering::Relaxed);
+            woken
+        }
+
+        fn stop(&self) {
+            self.0.stop();
+        }
+    }
+
+    /// [`MeshCore::connect`] over [`Counted`] sockets, for every rank of an
+    /// N-endpoint loopback mesh.
+    fn counted_mesh(n: usize, config: &NetConfig) -> Vec<Arc<MeshCore<Counted>>> {
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let peers: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr").to_string())
+            .collect();
+        let handles: Vec<_> = (listeners.into_iter().enumerate())
+            .map(|(rank, listener)| {
+                let (peers, config) = (peers.clone(), config.clone());
+                std::thread::spawn(move || {
+                    let dial = |j: usize| halves(connect_with_retry(&peers[j])?);
+                    let driver = Counted(Sockets::new().expect("driver"), AtomicU64::new(0));
+                    listener.set_nonblocking(true).expect("nonblocking");
+                    let accept = |deadline| accept(&listener, deadline);
+                    let (core, io) =
+                        MeshCore::establish(rank, n, driver, config, dial, accept).expect("mesh");
+                    let thread = std::thread::spawn(move || io.run());
+                    *core.mailbox.driver.0.io.lock().expect("lock") = Some(thread);
+                    core
+                })
+            })
+            .collect();
+        let mut out: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect();
+        out.sort_by_key(|c| c.mesh_rank());
+        out
     }
 
     fn core_mesh_with(n: usize, config: &NetConfig) -> Vec<Arc<MeshCore>> {
@@ -1070,30 +855,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn purged_job_drops_late_frames() {
-        let cores = core_mesh(2);
-        let (c0, c1) = (cores[0].clone(), cores[1].clone());
-        let mut sender = JobTransport::new(c1.clone(), 3, 1, vec![0, 1]);
-        c0.purge_job(3);
-        sender
-            .try_send(0, 2, &Payload::from(b"late"))
-            .expect("send");
-        sender.finish();
-        // Give the io thread time to process the frame, then verify the
-        // retired job's queue never materialized.
-        std::thread::sleep(Duration::from_millis(100));
-        let m = c0.mailbox.lock();
-        assert!(
-            m.queues.keys().all(|k| k.0 != 3),
-            "late frame for retired job must be dropped"
-        );
-        drop(m);
-        for c in cores {
-            c.shutdown();
-        }
-    }
-
     /// A raw connected TCP pair for link-level tests.
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1104,58 +865,34 @@ mod tests {
     }
 
     #[test]
-    fn beat_skips_busy_writer_instead_of_blocking() {
-        let (w, _r) = tcp_pair();
-        let link = PeerLink {
-            writer: Mutex::new(w),
-            seq: AtomicU64::new(1),
-        };
-        // A data sender mid-`write_parts` holds the writer lock; the beat
-        // must neither block behind it nor declare the link broken.
-        let guard = link.writer.try_lock().expect("free lock");
-        let started = Instant::now();
-        assert!(link.try_beat(0, 1), "busy writer is not a dead link");
-        assert!(
-            started.elapsed() < Duration::from_millis(50),
-            "beat must not block behind a held writer lock"
-        );
-        drop(guard);
-        // With the lock free the beat actually goes out.
-        assert!(link.try_beat(0, 1));
-    }
-
-    #[test]
     fn beat_skips_saturated_socket_instead_of_killing_peer() {
         let (w, _r) = tcp_pair();
         w.set_nonblocking(true).expect("nonblocking");
-        let link = PeerLink {
-            writer: Mutex::new(w),
-            seq: AtomicU64::new(1),
-        };
         // Saturate the kernel send buffer: nobody reads `_r`, so writes
         // eventually refuse. Top off with single bytes so not even a
         // partial header fits.
         {
-            let mut w = link.writer.lock().expect("lock");
+            let mut w = &w;
             let chunk = [0u8; 64 * 1024];
             loop {
-                match std::io::Write::write(&mut *w, &chunk) {
+                match std::io::Write::write(&mut w, &chunk) {
                     Ok(_) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) => panic!("unexpected write error: {e}"),
                 }
             }
             loop {
-                match std::io::Write::write(&mut *w, &[0u8]) {
+                match std::io::Write::write(&mut w, &[0u8]) {
                     Ok(_) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) => panic!("unexpected write error: {e}"),
                 }
             }
         }
+        let (link, driver) = (PeerLink::new(w), Sockets::new().expect("driver"));
         let started = Instant::now();
         assert!(
-            link.try_beat(0, 1),
+            link.try_beat(&driver, 0, 1),
             "a full send buffer means data is queued, not that the peer died"
         );
         assert!(
@@ -1174,8 +911,8 @@ mod tests {
 
     #[test]
     fn io_thread_blocks_while_idle_and_wakes_once_per_message() {
-        let cores = core_mesh_with(2, &beatless());
-        let passes = |c: &MeshCore| c.io_passes.load(Ordering::Relaxed);
+        let cores = counted_mesh(2, &beatless());
+        let passes = |c: &MeshCore<Counted>| c.mailbox.driver.1.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(200));
         for c in &cores {
             assert!(
@@ -1239,32 +976,36 @@ mod tests {
     fn large_send_into_a_slow_reader_waits_for_writability_and_stays_alive() {
         let (w, mut r) = tcp_pair();
         w.set_nonblocking(true).expect("nonblocking");
-        let link = PeerLink {
-            writer: Mutex::new(w),
-            seq: AtomicU64::new(1),
-        };
+        let link = PeerLink::<Sockets>::new(w);
         let payload: Vec<u8> = (0..4usize << 20).map(|i| (i % 251) as u8).collect();
         let expected = payload.clone();
         // Far more than the socket buffers hold, so the send spends most
         // of its time refused — in `poll(2)`, not in a sleep loop.
-        let sender = std::thread::spawn(move || link.send(FrameKind::Data, 1, 0, 0, 9, &payload));
+        let sender = std::thread::spawn(move || {
+            let data = Header {
+                tag: 9,
+                ..Header::new(FrameKind::Data, 0, 1, 0)
+            };
+            link.send(&Sockets::new().expect("driver"), data, &payload)
+        });
         // The receiving endpoint, driven by hand: 64 KiB a millisecond, so
         // the one frame takes several staleness windows to arrive.
-        let stale_after = Duration::from_millis(20);
+        let beat = Duration::from_micros(1700);
+        let stale_after = beat * crate::mesh::MISSED_BEATS;
         let started = Instant::now();
-        let mailbox = Mailbox::new(2, started);
+        let mailbox = Mailbox::new(2, started, Sockets::new().expect("driver"));
         let mut input = PeerInput::new(1);
         let mut chunk = vec![0u8; 64 * 1024];
         loop {
             match mailbox
                 .lock()
-                .take((0, 1, 9), Some(1), Instant::now(), stale_after)
+                .take((0, 1, 9), Some(1), started, Instant::now(), beat)
             {
                 Take::Ready(got) => {
                     assert!(got[..] == expected[..], "payload damaged in transit");
                     break;
                 }
-                Take::Pending => {}
+                Take::Pending(_) => {}
                 _ => panic!("a sender mid-frame was declared stale"),
             }
             let n = r.read(&mut chunk).expect("read");

@@ -240,16 +240,28 @@ fn check_len(len: usize) -> Result<u32, WireError> {
 
 /// The fields of a frame header that belong to the frame (length and
 /// checksum belong to its payload).
-struct Header {
-    kind: FrameKind,
-    tag: u64,
-    src: u32,
-    dst: u32,
-    job: u32,
-    seq: u64,
+pub(crate) struct Header {
+    pub(crate) kind: FrameKind,
+    pub(crate) tag: u64,
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+    pub(crate) job: u32,
+    pub(crate) seq: u64,
 }
 
 impl Header {
+    /// A `kind` header from `src` to `dst` in `job`, tag and sequence 0.
+    pub(crate) fn new(kind: FrameKind, job: u32, src: u32, dst: u32) -> Header {
+        Header {
+            kind,
+            tag: 0,
+            src,
+            dst,
+            job,
+            seq: 0,
+        }
+    }
+
     /// The header of a frame carrying `payload` (`len` is its checked
     /// length), checksum filled in: the one writer of the layout in the
     /// module docs.
@@ -271,7 +283,7 @@ impl Header {
     }
 
     /// The stream writer behind [`write_parts`] and [`Frame::write_to`].
-    fn write<W: Write>(&self, w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+    pub(crate) fn write<W: Write>(&self, w: &mut W, payload: &[u8]) -> Result<(), WireError> {
         let header = self.sealed(check_len(payload.len())?, payload);
         write_all_vectored(w, &header, payload)
             .and_then(|()| w.flush())
@@ -404,8 +416,8 @@ impl Assembler {
 /// The header lives on the stack and the payload is written straight from
 /// the caller's slice — no per-frame assembly buffer, no payload copy.
 /// This is the hot-path writer: [`Frame::write_to`] goes the same way, and
-/// the transport writes queued [`Payload`](sage_fabric::Payload)s through it
-/// without ever constructing a `Frame`.
+/// the mesh writes queued [`Payload`](sage_fabric::Payload)s and beats
+/// through it without ever constructing a `Frame`.
 // Eight positional arguments because `benchmark/src/cells.rs::wire_codec`
 // calls it this way and `benchmark/` is frozen.
 #[allow(clippy::too_many_arguments)]
@@ -420,82 +432,17 @@ pub fn write_parts<W: Write>(
     payload: &[u8],
 ) -> Result<(), WireError> {
     let header = Header {
-        kind,
         tag,
-        src,
-        dst,
-        job,
         seq,
+        ..Header::new(kind, job, src, dst)
     };
     header.write(w, payload)
-}
-
-/// Outcome of [`try_write_control`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TryWrite {
-    /// The frame is fully written and flushed.
-    Sent,
-    /// The socket had no buffer space and *nothing* was written — the
-    /// stream is untouched and the caller may simply try again later.
-    Skipped,
-    /// The stream is broken (I/O error, stalled write, or a refusal with
-    /// the frame half out).
-    Failed,
-}
-
-/// Writes a payload-less control frame, giving up *before* the first byte
-/// if the socket has no buffer space (`WouldBlock`), leaving the stream
-/// clean. Once any byte is out the frame must complete — abandoning it
-/// mid-write would poison the link for every later frame — so a writer
-/// that can refuse mid-frame has to wait for writability itself (the
-/// transport's `LinkWriter` does, in `poll(2)`); a `WouldBlock` after the
-/// first byte is reported as [`TryWrite::Failed`]. Nothing here sleeps.
-///
-/// Built for heartbeats out of the transport's single I/O thread: a full
-/// send buffer means queued data frames are already waiting to refresh
-/// the peer's liveness, so the beat is redundant — while blocking on it
-/// would stall reads and beats for *every other* link behind one
-/// saturated peer.
-pub fn try_write_control<W: Write>(
-    w: &mut W,
-    kind: FrameKind,
-    src: u32,
-    dst: u32,
-    job: u32,
-    seq: u64,
-) -> TryWrite {
-    let header = Header {
-        kind,
-        tag: 0,
-        src,
-        dst,
-        job,
-        seq,
-    }
-    .sealed(0, &[]);
-    let mut written = 0usize;
-    while written < header.len() {
-        match w.write(&header[written..]) {
-            Ok(0) => return TryWrite::Failed,
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && written == 0 => {
-                return TryWrite::Skipped;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return TryWrite::Failed,
-        }
-    }
-    match w.flush() {
-        Ok(()) => TryWrite::Sent,
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => TryWrite::Sent,
-        Err(_) => TryWrite::Failed,
-    }
 }
 
 /// Drives `write_vectored` until both slices are fully written, falling
 /// back gracefully on writers that consume partial buffers. `WouldBlock`
 /// is an error like any other: a nonblocking socket is written through an
-/// adaptor that waits for writability (the transport's `LinkWriter`), so
+/// adaptor that waits for writability (the mesh's `LinkWriter`), so
 /// the framing layer neither sleeps nor knows what a socket is.
 fn write_all_vectored<W: Write>(
     w: &mut W,
@@ -563,12 +510,9 @@ impl Frame {
 
     fn header(&self) -> Header {
         Header {
-            kind: self.kind,
             tag: self.tag,
-            src: self.src,
-            dst: self.dst,
-            job: self.job,
             seq: self.seq,
+            ..Header::new(self.kind, self.job, self.src, self.dst)
         }
     }
 

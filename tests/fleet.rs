@@ -5,18 +5,25 @@
 //! only its in-flight job (typed) while queued jobs complete on the
 //! survivors, drain under load finishes the admitted work and exits 0, and
 //! a fleet daemon's thread count does not grow with the number of peers.
+//!
+//! The `sim_` tests run the scheduler core and the daemons' job path
+//! (`SchedState`, `run_fleet_job`) over `sage-simnet`'s seeded simulator:
+//! no process, no socket, deterministic per seed.
 
 mod common;
 
 use common::{out_path, sage_bin, sink_bytes, sink_dump};
 use sage::core::{Placement, Project};
-use sage::fleet::{JobOutcome, SchedConfig, Scheduler, SubmitSpec};
-use sage::net::{NetError, RejectReason};
-use sage_runtime::{fnv1a_64, Execution};
+use sage::fleet::{
+    run_fleet_job, FleetJob, JobOutcome, SchedConfig, SchedState, Scheduler, SubmitSpec,
+};
+use sage::net::{MeshCore, NetConfig, NetError, RejectReason};
+use sage_runtime::{fnv1a_64, Execution, RankReport, RuntimeError};
+use sage_simnet::{Handle, SimDriver, SimNet};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Kills the wrapped children on drop so a panicking test does not leak
@@ -413,4 +420,152 @@ fn worker_thread_count_constant_in_peers() {
         four <= two + 1,
         "fleet daemon threads grew with peers: {two} at 2 peers, {four} at 4 peers"
     );
+}
+
+/// One rank of a job on a simulated fleet endpoint, as its daemon runs it.
+fn sim_rank(sim: &SimNet, core: &Arc<MeshCore<SimDriver>>, job: FleetJob) -> Handle<RankReport> {
+    let core = core.clone();
+    sim.spawn(move || run_fleet_job(core, job, &sage::apps::kernels::register_kernels))
+}
+
+/// The simulated kill case: `SchedState` on the simulator's clock over 3
+/// endpoints with 1 slot each, one long job and four queued; worker 0 dies
+/// at a step the seed picks while the long job runs. Returns the trace,
+/// the stats and the queued jobs' checksums.
+fn sim_kill_case(seed: u64) -> (u64, sage::fleet::FleetStats, Vec<u64>) {
+    let sim = SimNet::new(seed);
+    let cores = sim.mesh(3, NetConfig::default());
+    let cfg = SchedConfig {
+        queue_depth: 32,
+        slots_per_worker: 1,
+        heartbeat_ms: None,
+    };
+    let mut sched = SchedState::new(3, cfg);
+    let (tx, long) = mpsc::channel();
+    let mut frames = sched
+        .submit(&small_spec(40), tx, sim.now())
+        .expect("admitted");
+    let short: Vec<_> = (0..4)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel();
+            let held = sched
+                .submit(&small_spec(8), tx, sim.now())
+                .expect("admitted");
+            assert!(held.is_empty(), "one slot per worker: the short jobs queue");
+            rx
+        })
+        .collect();
+    sim.kill_within(0, 200);
+    let mut running: Vec<(usize, u32, Handle<RankReport>)> = Vec::new();
+    let mut down = false;
+    loop {
+        for (w, job) in frames.drain(..) {
+            running.push((w, job.job, sim_rank(&sim, &cores[w], job)));
+        }
+        if running.is_empty() {
+            break;
+        }
+        assert!(
+            sim.steps() < 1_000_000 && sim.step(),
+            "seed {seed}: the fleet hung"
+        );
+        if !down && sim.is_dead(0) {
+            down = true;
+            frames.extend(sched.worker_down(0, sim.now()));
+        }
+        let (done, left) = running.into_iter().partition(|(_, _, h)| h.is_finished());
+        running = left;
+        for (w, job, report) in done {
+            // A dead worker's report never reaches the scheduler.
+            let report = report.join();
+            if !sim.is_dead(w) {
+                frames.extend(sched.on_result(job, report, sim.now()));
+            }
+        }
+    }
+    let long = long.try_recv().expect("resolved").expect("admitted");
+    assert!(
+        (long.reports.iter()).any(|r| r.as_ref().is_none_or(|r| r.error.is_some())),
+        "seed {seed}: the long job on the killed worker must fail typed"
+    );
+    let sums = (short.iter())
+        .map(|rx| outcome_checksum(&rx.try_recv().expect("resolved").expect("ran"), 8))
+        .collect();
+    (sim.trace(), sched.stats(), sums)
+}
+
+/// Twin of `killed_worker_fails_in_flight_job_and_survivors_drain_queue`,
+/// over seeds: the in-flight job fails, the four queued ones complete on
+/// the survivors with one checksum, and a seed run twice runs the same.
+#[test]
+fn sim_killed_worker_fails_in_flight_job_and_survivors_drain_queue() {
+    for seed in 0..8 {
+        let (trace, stats, sums) = sim_kill_case(seed);
+        assert_eq!(stats.workers_live, 2, "seed {seed}: one worker is dead");
+        assert_eq!(
+            stats.failed, 1,
+            "seed {seed}: exactly the in-flight job fails"
+        );
+        assert_eq!(
+            stats.completed, 4,
+            "seed {seed}: every queued job completes"
+        );
+        assert!(
+            sums.windows(2).all(|w| w[0] == w[1]),
+            "seed {seed}: {sums:#018x?}"
+        );
+        if seed == 0 {
+            assert_eq!(sim_kill_case(seed), (trace, stats, sums));
+        }
+    }
+}
+
+/// A `Job` whose rank or rank map does not fit the mesh or the worker is
+/// refused with a typed report, and the endpoint keeps serving: the next
+/// job on the same mesh completes.
+#[test]
+fn sim_malformed_job_is_a_typed_report_and_the_endpoint_keeps_serving() {
+    let sim = SimNet::new(1);
+    let cores = sim.mesh(2, NetConfig::default());
+    let params = small_spec(2).params;
+    let job = |rank, rank_map: &[u32]| FleetJob {
+        job: 7,
+        rank,
+        rank_map: rank_map.to_vec(),
+        params: params.clone(),
+    };
+    for (what, bad) in [
+        ("rank past the map", job(2, &[0, 1])),
+        ("map past the mesh", job(0, &[0, 5])),
+        ("rank on another endpoint", job(0, &[1, 0])),
+    ] {
+        let report = sim_rank(&sim, &cores[0], bad);
+        sim.run();
+        let report = report.join();
+        assert!(
+            matches!(report.error, Some(RuntimeError::BadProgram(_))),
+            "{what}: {:?}",
+            report.error
+        );
+    }
+    let ranks: Vec<_> = (0..2)
+        .map(|r| {
+            sim_rank(
+                &sim,
+                &cores[r],
+                FleetJob {
+                    job: 8,
+                    ..job(r as u32, &[0, 1])
+                },
+            )
+        })
+        .collect();
+    sim.run();
+    let reports = ranks.into_iter().map(|h| Some(h.join())).collect();
+    let outcome = JobOutcome {
+        job: 8,
+        wall_secs: 0.0,
+        reports,
+    };
+    outcome_checksum(&outcome, 2);
 }

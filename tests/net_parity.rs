@@ -8,13 +8,20 @@
 //! report merge — in lock-step and streaming. A final test kills one daemon
 //! mid-run with the `SAGE_NET_CHAOS_EXIT_MS` chaos hook and requires a
 //! *typed* failure, not a hang.
+//!
+//! The `sim_` twins run the same jobs through the same `run_fleet_job`,
+//! executor and mesh core over `sage-simnet`'s seeded simulator instead of
+//! sockets and processes: deterministic per seed, milliseconds per run.
 
 mod common;
 
-use common::{assert_parity, assert_parity_with, model_path, sink_dump};
-use sage_fleet::{JobParams, LaunchOptions};
-use sage_net::NetError;
-use sage_runtime::{fnv1a_64, RuntimeError};
+use common::{assert_parity, assert_parity_with, model_path, sink_bytes, sink_dump};
+use sage::core::{Placement, Project};
+use sage_fleet::{run_fleet_job, FleetJob, JobParams, LaunchOptions};
+use sage_net::{NetConfig, NetError};
+use sage_runtime::{fnv1a_64, Execution, GlueProgram, RuntimeError};
+use sage_simnet::SimNet;
+use std::time::{Duration, Instant};
 
 /// Sink output fingerprints pinned at the build each model first landed
 /// in (4 nodes, 2 iterations, local transport). The first four were
@@ -162,5 +169,156 @@ fn killed_worker_surfaces_typed_failure() {
         )
         | NetError::WorkerDied { .. } => {}
         other => panic!("expected a typed node/peer failure, got: {other}"),
+    }
+}
+
+/// A model's glue program at `ranks` and the checksum of its in-process
+/// lock-step sink over `iters` iterations.
+fn local_sink(text: &str, ranks: usize, iters: u32) -> (GlueProgram, u64) {
+    let mut project = Project::from_sexpr(text, ranks).expect("model loads");
+    sage::apps::kernels::register_kernels(&mut project.registry);
+    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+    let options = sage::runtime::RuntimeOptions::paper_faithful();
+    let run = project
+        .execute(&program, sage::fabric::TimePolicy::Virtual, &options, iters)
+        .expect("local lock-step run");
+    let sum = fnv1a_64(&sink_bytes(&program, &run.results, iters));
+    (program, sum)
+}
+
+/// One simulated job and what it took.
+struct SimRun {
+    outcome: Result<Execution, RuntimeError>,
+    trace: u64,
+    steps: u64,
+}
+
+/// Runs `params` as job 1 over a simulated `ranks`-endpoint mesh, rank `r`
+/// on endpoint `r` through `run_fleet_job`, as the fleet daemons would;
+/// `faults` arms the simulator once the ranks are started. A killed
+/// endpoint's report never arrives.
+fn sim_job(seed: u64, params: &JobParams, ranks: usize, faults: &dyn Fn(&SimNet)) -> SimRun {
+    let sim = SimNet::new(seed);
+    let cores = sim.mesh(ranks, NetConfig::default());
+    let rank_map: Vec<u32> = (0..ranks as u32).collect();
+    let ranks: Vec<_> = (cores.iter().enumerate())
+        .map(|(rank, core)| {
+            let job = FleetJob {
+                job: 1,
+                rank: rank as u32,
+                rank_map: rank_map.clone(),
+                params: params.clone(),
+            };
+            let core = core.clone();
+            sim.spawn(move || run_fleet_job(core, job, &sage::apps::kernels::register_kernels))
+        })
+        .collect();
+    faults(&sim);
+    sim.run();
+    let reports = (ranks.into_iter().enumerate())
+        .map(|(rank, report)| Some(report.join()).filter(|_| !sim.is_dead(rank)))
+        .collect();
+    SimRun {
+        outcome: Execution::merge(reports, Duration::ZERO, params.iterations),
+        trace: sim.trace(),
+        steps: sim.steps(),
+    }
+}
+
+/// What a run's trace and sink (or error) say about it: equal for two runs
+/// of one seed.
+fn fingerprint(run: &SimRun, program: &GlueProgram, iters: u32) -> (u64, Result<u64, String>) {
+    let sink = (run.outcome.as_ref())
+        .map(|exec| fnv1a_64(&sink_bytes(program, &exec.results, iters)))
+        .map_err(ToString::to_string);
+    (run.trace, sink)
+}
+
+/// Twin of `killed_worker_surfaces_typed_failure`: over 64 seeds, rank 1
+/// of a 2-rank corner turn dies at a step the seed picks, and on every
+/// fourth seed one bit of one delivered chunk flips too. Every run ends
+/// with the fault-free sink or a typed error the original accepts.
+#[test]
+fn sim_killed_worker_surfaces_typed_failure() {
+    const ITERS: u32 = 3;
+    let text = std::fs::read_to_string(model_path("corner_turn_256.sexpr")).unwrap();
+    let params = JobParams::new(text.clone(), ITERS);
+    let (program, want) = local_sink(&text, 2, ITERS);
+    let within = sim_job(0, &params, 2, &|_| {}).steps * 5 / 4;
+    let (started, mut steps, mut failed) = (Instant::now(), 0, 0);
+    for seed in 0..64 {
+        let faults = |sim: &SimNet| {
+            sim.kill_within(1, within);
+            if seed % 4 == 3 {
+                sim.corrupt_within(within);
+            }
+        };
+        let run = sim_job(seed, &params, 2, &faults);
+        steps += run.steps;
+        match &run.outcome {
+            Ok(exec) => {
+                let got = fnv1a_64(&sink_bytes(&program, &exec.results, ITERS));
+                assert_eq!(got, want, "seed {seed}: a completed run's sink differs");
+            }
+            Err(
+                RuntimeError::NodeFailed { .. }
+                | RuntimeError::PeerFailed { .. }
+                | RuntimeError::Timeout { .. }
+                | RuntimeError::TransferFailed { .. },
+            ) => failed += 1,
+            Err(other) => panic!("seed {seed}: expected a typed node/peer failure, got: {other}"),
+        }
+        if seed % 32 == 3 {
+            let again = sim_job(seed, &params, 2, &faults);
+            assert_eq!(
+                fingerprint(&run, &program, ITERS),
+                fingerprint(&again, &program, ITERS)
+            );
+        }
+    }
+    assert!(failed > 0, "no seed killed the worker mid-run");
+    let secs = started.elapsed().as_secs_f64();
+    let rate = steps as f64 / secs;
+    eprintln!("{failed} of 64 seeds end typed; {steps} seed-steps in {secs:.2} s: {rate:.0}/s");
+}
+
+/// Simulated twins of the two-rank parity and streaming-parity tests:
+/// `fft2d_64` and `beamformer_64` lock-step and at pipeline depth 4 give
+/// the in-process lock-step sink, and a streamed run's credits are the
+/// closed form, on every seed.
+#[test]
+fn sim_sinks_match_local_lock_step_and_credits_the_closed_form() {
+    const ITERS: u32 = 6;
+    for model in ["fft2d_64.sexpr", "beamformer_64.sexpr"] {
+        let text = std::fs::read_to_string(model_path(model)).unwrap();
+        let (program, want) = local_sink(&text, 2, ITERS);
+        let project = Project::from_sexpr(&text, 2).expect("model loads");
+        let plan = sage::check::pipeline_plan(&program, &project.hardware).expect("plan");
+        let caps: Vec<u32> = plan.buffers.iter().map(|b| b.safe_depth).collect();
+        for depth in [None, Some(4)] {
+            let params = JobParams {
+                pipeline: depth,
+                pipeline_depths: depth.map_or_else(Vec::new, |_| caps.clone()),
+                ..JobParams::new(text.clone(), ITERS)
+            };
+            for seed in 0..4 {
+                let run = sim_job(seed, &params, 2, &|_| {});
+                let exec =
+                    (run.outcome.as_ref()).unwrap_or_else(|e| panic!("{model} seed {seed}: {e}"));
+                let got = fnv1a_64(&sink_bytes(&program, &exec.results, ITERS));
+                assert_eq!(got, want, "{model} at depth {depth:?}, seed {seed}");
+                let credits =
+                    depth.map_or(0, |d| common::expected_credits(&program, d, &caps, ITERS));
+                assert_eq!(exec.stream.credits_issued, credits, "{model} seed {seed}");
+                assert_eq!(exec.stream.credits_retired, credits, "{model} seed {seed}");
+                if seed == 0 {
+                    let again = sim_job(seed, &params, 2, &|_| {});
+                    assert_eq!(
+                        fingerprint(&run, &program, ITERS),
+                        fingerprint(&again, &program, ITERS)
+                    );
+                }
+            }
+        }
     }
 }
