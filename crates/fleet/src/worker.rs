@@ -289,7 +289,7 @@ pub fn run_fleet_job<D: Driver>(
         Err(e) => return RankReport::new(rank, Err(e)),
     };
 
-    let probe = Probe::new(rank, params.probes);
+    let probe = Probe::new(params.probes);
     let rank_map: Vec<usize> = rank_map.iter().map(|&m| m as usize).collect();
     let mut transport = JobTransport::new(core, job, rank as usize, rank_map);
     let t0 = transport.now();

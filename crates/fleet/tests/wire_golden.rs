@@ -1,13 +1,14 @@
 //! Byte-exact goldens for every control-plane layout and the frame header.
 //!
-//! `fixtures/wire_v8.hex` holds one `name hex` line per encoding. It was
+//! `fixtures/wire_v9.hex` holds one `name hex` line per encoding. It was
 //! regenerated from `wire_v6.hex` (itself generated on the tree *before* the
 //! layouts became one-line declarations) when v7 added `RankReport::stream`
 //! — only the lines carrying a report or a protocol version moved —, again
 //! when `wire::VERSION` 3 changed the frame checksum — only the two
-//! `frame_*` lines moved —, and when v8 dropped two `JobParams` switches and
+//! `frame_*` lines moved —, when v8 dropped two `JobParams` switches and
 //! six event kinds — only the lines carrying a job, a report or a protocol
-//! version moved. It must not change while `PROTO_VERSION` and
+//! version moved —, and when v9 dropped the event row's `node` — only the
+//! lines carrying a report or a protocol version moved. It must not change while `PROTO_VERSION` and
 //! `wire::VERSION` stay put: a failure here means an edit changed bytes on
 //! the wire. To do that on purpose, follow the recipe in
 //! `sage_net::codec`'s module docs; the regeneration step is
@@ -109,7 +110,7 @@ fn report(error: Option<RuntimeError>) -> RankReport {
         events: KINDS
             .iter()
             .enumerate()
-            .map(|(i, &kind)| ProbeEvent::new(0.5 * i as f64, 3, kind, i as u32, 1))
+            .map(|(i, &kind)| ProbeEvent::new(0.5 * i as f64, kind, i as u32, 1))
             .collect(),
         stream: StreamStats {
             credits_issued: 12,
@@ -179,11 +180,11 @@ fn streaming_params() -> JobParams {
 fn golden_set() -> Vec<(String, Golden)> {
     let mut set: Vec<(String, Golden)> = Vec::new();
     let mut msg = |name: &str, m: FleetMsg| set.push((name.to_string(), Golden::Msg(Box::new(m))));
-    msg("hello", FleetMsg::Hello { proto_version: 8 });
+    msg("hello", FleetMsg::Hello { proto_version: 9 });
     msg(
         "hello_ack",
         FleetMsg::HelloAck {
-            proto_version: 8,
+            proto_version: 9,
             data_addr: "127.0.0.1:9000".into(),
         },
     );
@@ -279,7 +280,7 @@ fn golden_set() -> Vec<(String, Golden)> {
     for (name, reason) in [
         (
             "reject_version_mismatch",
-            RejectReason::VersionMismatch { ours: 8, theirs: 7 },
+            RejectReason::VersionMismatch { ours: 9, theirs: 8 },
         ),
         ("reject_queue_full", RejectReason::QueueFull { depth: 128 }),
         (
@@ -339,10 +340,10 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
             .iter()
             .map(|(name, g)| format!("{name} {}\n", hex(&g.encode())))
             .collect();
-        std::fs::write(fixture_path("wire_v8.hex"), text).expect("write fixture");
+        std::fs::write(fixture_path("wire_v9.hex"), text).expect("write fixture");
         return;
     }
-    let fixture = read_fixture("wire_v8.hex");
+    let fixture = read_fixture("wire_v9.hex");
     assert_eq!(
         fixture.iter().map(|(n, _)| n).collect::<Vec<_>>(),
         set.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -365,7 +366,7 @@ fn every_layout_matches_its_golden_bytes_and_decodes_back() {
 /// The stream entry points lay a frame out exactly as `Frame::encode` does.
 #[test]
 fn every_frame_writer_and_reader_agrees_with_the_golden_header() {
-    for (name, bytes) in read_fixture("wire_v8.hex") {
+    for (name, bytes) in read_fixture("wire_v9.hex") {
         let Some(kind) = name.strip_prefix("frame_") else {
             continue;
         };
@@ -444,7 +445,7 @@ fn every_prefix_trailing_byte_and_unknown_code_is_a_typed_error() {
     // poison is found by encoding two values that differ only in that code.
     let result = |error, kind| {
         let mut rep = report(error);
-        rep.events = vec![ProbeEvent::new(0.5, 3, kind, 0, 1)];
+        rep.events = vec![ProbeEvent::new(0.5, kind, 0, 1)];
         Golden::Msg(Box::new(FleetMsg::JobResult {
             job: 7,
             report: rep,

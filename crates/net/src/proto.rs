@@ -30,8 +30,9 @@ use sage_visualizer::{EventKind, ProbeEvent};
 /// no rank acts on over TCP (`optimized`, which only changes virtual-clock
 /// charges, and `race_detect`, whose per-process detector sees no
 /// cross-rank pair) and the six [`EventKind`]s nothing records (`BufAlloc`
-/// and the transport's `Net*` rows).
-pub const PROTO_VERSION: u32 = 8;
+/// and the transport's `Net*` rows). v9 dropped [`ProbeEvent`]'s `node`: a
+/// report's events are its rank's lane, so every row named the same rank.
+pub const PROTO_VERSION: u32 = 9;
 
 /// What to run and how, independent of where: the one description of a
 /// job that the submitter, the scheduler and every rank share.
@@ -161,7 +162,6 @@ wire_struct!(LinkMetrics {
 
 wire_struct!(ProbeEvent {
     time,
-    node,
     kind,
     id,
     iteration
@@ -232,7 +232,7 @@ mod tests {
                 messages: 5,
                 bytes: 100,
             }],
-            events: vec![ProbeEvent::new(0.5, 2, EventKind::XferEnd, 0, 1)],
+            events: vec![ProbeEvent::new(0.5, EventKind::XferEnd, 0, 1)],
             stream: StreamStats {
                 credits_issued: 12,
                 credits_retired: 11,

@@ -450,7 +450,7 @@ pub fn execute(
         .then(|| RaceState::new(machine.node_count()));
 
     let (outcomes, run) = cluster.run(|ctx| {
-        let probe = Probe::new(ctx.id() as u32, options.probes);
+        let probe = Probe::new(options.probes);
         let t0 = Instant::now();
         let outcome = execute_rank(
             ctx,
@@ -1584,10 +1584,9 @@ mod tests {
             assert_eq!(exec.report.metrics.total_messages(), messages);
             assert_eq!(exec.report.metrics.total_bytes(), bytes);
             for (node, sched) in program.schedules.iter().enumerate() {
-                let started: Vec<(u32, u32)> = exec
-                    .trace
-                    .of_kind(sage_visualizer::EventKind::FnStart)
-                    .filter(|e| e.node == node as u32)
+                let started: Vec<(u32, u32)> = exec.trace.lanes()[node]
+                    .iter()
+                    .filter(|e| e.kind == EventKind::FnStart)
                     .map(|e| (e.iteration, e.id))
                     .collect();
                 let expect: Vec<(u32, u32)> = (0..iters)
@@ -1911,7 +1910,7 @@ mod tests {
                     inner: ctx,
                     reads: Default::default(),
                 };
-                let probe = Probe::new(t.rank() as u32, probes);
+                let probe = Probe::new(probes);
                 let options = RuntimeOptions::paper_faithful();
                 execute_rank(&mut t, &program, &prepared, &options, 3, &probe, None).unwrap();
                 t.reads.get()
@@ -1953,7 +1952,7 @@ mod tests {
                 .unwrap();
                 let mut open: HashMap<(u32, u32), u32> = HashMap::new();
                 let mut ends = 0;
-                for e in exec.trace.events() {
+                for (_, e) in exec.trace.in_time_order() {
                     let key = (e.id, e.iteration);
                     match e.kind {
                         EventKind::XferStart => *open.entry(key).or_default() += 1,

@@ -31,8 +31,8 @@ pub struct RankReport {
     /// Wire counters for each outgoing link of this rank (empty on the
     /// in-process fabric, which moves payloads by pointer).
     pub links: Vec<LinkMetrics>,
-    /// Probe events recorded on this rank, in recording order (empty
-    /// unless probes were on).
+    /// This rank's probe lane: its events in recording order, which is time
+    /// order (empty unless probes were on).
     pub events: Vec<ProbeEvent>,
     /// Streaming credit counters (zero outside streaming mode).
     pub stream: StreamStats,
@@ -68,8 +68,8 @@ pub struct Execution {
     /// Fabric-level report: per-rank traffic counters, per-link wire
     /// counters, wall time, and the virtual makespan (0 on real clocks).
     pub report: RunReport,
-    /// Visualizer trace, merged over ranks and time-sorted (empty unless
-    /// probes were enabled).
+    /// Visualizer trace: each rank's lane, as the rank recorded it (empty
+    /// unless probes were enabled).
     pub trace: Trace,
     /// Sink deposits.
     pub results: SinkResults,
@@ -92,6 +92,9 @@ impl Execution {
     /// peer, and ties break by rank order. Without the priority, rank 0's
     /// secondary `PeerFailed` would always mask the real fault on a
     /// higher-numbered rank. A failed rank's deposits are never merged.
+    ///
+    /// Each rank's probe lane moves into the trace uncopied: every backend
+    /// stamps a rank from one monotonic clock, so it is already in order.
     pub fn merge(
         reports: Vec<Option<RankReport>>,
         wall: Duration,
@@ -100,7 +103,7 @@ impl Execution {
         let mut results = SinkResults::default();
         let mut stream = StreamStats::default();
         let mut metrics = FabricMetrics::default();
-        let mut events = Vec::new();
+        let mut lanes = Vec::with_capacity(reports.len());
         let mut rank_walls = Vec::with_capacity(reports.len());
         let mut primary: Option<RuntimeError> = None;
         let mut secondary: Option<RuntimeError> = None;
@@ -112,7 +115,7 @@ impl Execution {
             rank_walls.push(report.wall_secs);
             metrics.nodes.push(report.metrics);
             metrics.links.extend(report.links);
-            events.extend(report.events);
+            lanes.push(report.events);
             match report.error {
                 None => {
                     stream.credits_issued += report.stream.credits_issued;
@@ -132,8 +135,6 @@ impl Execution {
         if let Some(e) = primary.or(secondary) {
             return Err(e);
         }
-        // Stable, so same-time events keep per-rank recording order.
-        events.sort_by(|a, b| a.time.total_cmp(&b.time));
         let makespan = metrics.makespan();
         Ok(Execution {
             report: RunReport {
@@ -141,7 +142,7 @@ impl Execution {
                 wall,
                 makespan,
             },
-            trace: Trace::new(events),
+            trace: Trace::new(lanes),
             results,
             iterations,
             stream,
@@ -186,10 +187,9 @@ mod tests {
                 messages: 1,
                 bytes: 8,
             }],
-            // Rank 0 records late, rank 1 early: the merge sorts by time.
+            // Rank 0 records late, rank 1 early.
             events: vec![ProbeEvent::new(
                 1.0 - f64::from(rank),
-                rank,
                 EventKind::FnStart,
                 0,
                 0,
@@ -290,7 +290,11 @@ mod tests {
         assert_eq!(exec.report.wall, wall);
         assert_eq!(exec.report.makespan, 2.0);
         assert_eq!(exec.secs_per_iteration(), 0.5);
-        let nodes: Vec<u32> = exec.trace.events().iter().map(|e| e.node).collect();
-        assert_eq!(nodes, vec![1, 0], "events merge in time order");
+        let lanes: Vec<Vec<f64>> = (exec.trace.lanes().iter())
+            .map(|lane| lane.iter().map(|e| e.time).collect())
+            .collect();
+        assert_eq!(lanes, vec![vec![1.0], vec![0.0]], "one lane per rank");
+        let walked: Vec<u32> = exec.trace.in_time_order().map(|(r, _)| r).collect();
+        assert_eq!(walked, vec![1, 0], "the walk across ranks is in time order");
     }
 }

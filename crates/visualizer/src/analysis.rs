@@ -1,8 +1,24 @@
 //! Trace analyses: the paper's period/latency metrics, utilization,
 //! bottleneck ranking, and latency-threshold violations.
+//!
+//! [`Analysis::of`] walks each rank's lane once, pairing every `FnStart`
+//! with its `FnEnd` into an [`FnSpan`]; every other display (the report,
+//! the Gantt chart) reads those spans instead of the trace.
 
 use crate::event::EventKind;
 use crate::trace::Trace;
+use std::collections::{BTreeMap, HashMap};
+
+/// One function invocation on one rank: a `FnStart` paired with its `FnEnd`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FnSpan {
+    /// Function-table index.
+    pub fn_id: u32,
+    /// When the invocation began, seconds.
+    pub start: f64,
+    /// When it completed, seconds.
+    pub end: f64,
+}
 
 /// A ranked bottleneck candidate: the function whose cumulative execution
 /// time dominates a node.
@@ -32,10 +48,16 @@ pub struct LatencyViolation {
 /// Computed performance summary of a trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Analysis {
-    /// Per-iteration latency: source emit → sink absorb (paper §3.3).
-    pub latencies: Vec<f64>,
+    /// Per-iteration latency, source emit → sink absorb (paper §3.3), as
+    /// `(iteration, seconds)` for each iteration traced at both ends.
+    pub latencies: Vec<(u32, f64)>,
     /// Periods between consecutive source emissions (paper §3.3).
     pub periods: Vec<f64>,
+    /// The trace's time span `(first, last)`, `None` for an empty trace.
+    pub extent: Option<(f64, f64)>,
+    /// Per rank that recorded anything, as `(node, spans)`: its function
+    /// spans in the order they completed.
+    pub spans: Vec<(u32, Vec<FnSpan>)>,
     /// Per-node busy fraction over the trace span, as `(node, utilization)`.
     pub utilization: Vec<(u32, f64)>,
     /// Function/node pairs ranked by cumulative busy time, descending.
@@ -43,73 +65,99 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Analyzes a trace.
+    /// Analyzes a trace in one pass over each rank's lane.
     pub fn of(trace: &Trace) -> Analysis {
-        let mut a = Analysis::default();
-        // Latency per iteration: first SourceEmit to last SinkAbsorb.
-        let mut emits: Vec<(u32, f64)> = trace
-            .of_kind(EventKind::SourceEmit)
-            .map(|e| (e.iteration, e.time))
-            .collect();
-        emits.sort_by_key(|(it, _)| *it);
-        emits.dedup_by_key(|(it, _)| *it); // first emit per iteration
-        for (it, start) in &emits {
-            let end = trace
-                .of_kind(EventKind::SinkAbsorb)
-                .filter(|e| e.iteration == *it)
-                .map(|e| e.time)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if end.is_finite() {
-                a.latencies.push(end - start);
+        let extent = trace.span();
+        let span = extent.map_or(0.0, |(s, e)| e - s);
+        let share = |secs: f64| if span > 0.0 { secs / span } else { 0.0 };
+        let mut a = Analysis {
+            extent,
+            ..Analysis::default()
+        };
+        // Per iteration: its first source emit and its last sink absorb.
+        let mut emits: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut absorbs: HashMap<u32, f64> = HashMap::new();
+        for (node, lane) in trace.lanes().iter().enumerate() {
+            if lane.is_empty() {
+                continue;
             }
-        }
-        // Period: gaps between consecutive iterations' first emissions.
-        for w in emits.windows(2) {
-            a.periods.push(w[1].1 - w[0].1);
-        }
-        // Utilization + bottlenecks.
-        let span = trace.span().map(|(s, e)| e - s).unwrap_or(0.0);
-        for node in trace.nodes() {
-            let busy = trace.busy_time(node);
-            a.utilization
-                .push((node, if span > 0.0 { busy / span } else { 0.0 }));
-            // Busy time per function on this node.
-            let mut fn_ids: Vec<u32> = trace
-                .events()
-                .iter()
-                .filter(|e| e.node == node && e.kind == EventKind::FnStart)
-                .map(|e| e.id)
-                .collect();
-            fn_ids.sort_unstable();
-            fn_ids.dedup();
-            for f in fn_ids {
-                let busy_secs: f64 = trace.fn_intervals(node, f).iter().map(|(s, e)| e - s).sum();
-                a.bottlenecks.push(Bottleneck {
+            let node = node as u32;
+            let mut spans = Vec::new();
+            // Open starts by function; a second start before the end
+            // restarts the span.
+            let mut open: Vec<(u32, f64)> = Vec::new();
+            // Busy seconds per function that started here, in id order.
+            let mut busy: BTreeMap<u32, f64> = BTreeMap::new();
+            for e in lane {
+                match e.kind {
+                    EventKind::FnStart => {
+                        busy.entry(e.id).or_insert(0.0);
+                        match open.iter_mut().find(|(f, _)| *f == e.id) {
+                            Some(o) => o.1 = e.time,
+                            None => open.push((e.id, e.time)),
+                        }
+                    }
+                    EventKind::FnEnd => {
+                        if let Some(i) = open.iter().position(|(f, _)| *f == e.id) {
+                            let (fn_id, start) = open.swap_remove(i);
+                            spans.push(FnSpan {
+                                fn_id,
+                                start,
+                                end: e.time,
+                            });
+                            *busy.entry(fn_id).or_default() += e.time - start;
+                        }
+                    }
+                    EventKind::SourceEmit => {
+                        let first = emits.entry(e.iteration).or_insert(e.time);
+                        *first = first.min(e.time);
+                    }
+                    EventKind::SinkAbsorb => {
+                        let last = absorbs.entry(e.iteration).or_insert(e.time);
+                        *last = last.max(e.time);
+                    }
+                    _ => {}
+                }
+            }
+            // Summed in completion order, not from `busy`: a different
+            // order rounds differently, and the report prints the figure.
+            let total = spans.iter().fold(0.0, |t, s| t + (s.end - s.start));
+            a.utilization.push((node, share(total)));
+            a.bottlenecks
+                .extend(busy.into_iter().map(|(fn_id, busy_secs)| Bottleneck {
                     node,
-                    fn_id: f,
+                    fn_id,
                     busy_secs,
-                    share: if span > 0.0 { busy_secs / span } else { 0.0 },
-                });
-            }
+                    share: share(busy_secs),
+                }));
+            a.spans.push((node, spans));
         }
         a.bottlenecks
             .sort_by(|x, y| y.busy_secs.total_cmp(&x.busy_secs));
+        for (&it, &start) in &emits {
+            if let Some(&end) = absorbs.get(&it) {
+                a.latencies.push((it, end - start));
+            }
+        }
+        // Period: gaps between consecutive iterations' first emissions.
+        let firsts: Vec<f64> = emits.into_values().collect();
+        a.periods = firsts.windows(2).map(|w| w[1] - w[0]).collect();
         a
     }
 
     /// Mean latency, or 0 for an empty trace.
     pub fn mean_latency(&self) -> f64 {
-        mean(&self.latencies)
+        mean(self.latency_secs())
     }
 
     /// Mean period, or 0 when fewer than two iterations were traced.
     pub fn mean_period(&self) -> f64 {
-        mean(&self.periods)
+        mean(self.periods.iter().copied())
     }
 
     /// Worst-case (maximum) latency over the traced iterations.
     pub fn max_latency(&self) -> f64 {
-        self.latencies.iter().cloned().fold(0.0, f64::max)
+        self.latency_secs().fold(0.0, f64::max)
     }
 
     /// Latency jitter: the standard deviation over iterations — the number
@@ -119,11 +167,7 @@ impl Analysis {
             return 0.0;
         }
         let m = self.mean_latency();
-        let var = self
-            .latencies
-            .iter()
-            .map(|l| (l - m) * (l - m))
-            .sum::<f64>()
+        let var = self.latency_secs().map(|l| (l - m) * (l - m)).sum::<f64>()
             / (self.latencies.len() - 1) as f64;
         var.sqrt()
     }
@@ -133,11 +177,10 @@ impl Analysis {
     pub fn latency_violations(&self, threshold: f64) -> Vec<LatencyViolation> {
         self.latencies
             .iter()
-            .enumerate()
-            .filter(|(_, &l)| l > threshold)
-            .map(|(i, &l)| LatencyViolation {
-                iteration: i as u32,
-                latency: l,
+            .filter(|&&(_, l)| l > threshold)
+            .map(|&(iteration, latency)| LatencyViolation {
+                iteration,
+                latency,
                 threshold,
             })
             .collect()
@@ -147,13 +190,16 @@ impl Analysis {
     pub fn top_bottleneck(&self) -> Option<&Bottleneck> {
         self.bottlenecks.first()
     }
+
+    fn latency_secs(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.latencies.iter().map(|&(_, l)| l)
+    }
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    match xs.len() {
+        0 => 0.0,
+        n => xs.sum::<f64>() / n as f64,
     }
 }
 
@@ -162,23 +208,31 @@ mod tests {
     use super::*;
     use crate::event::ProbeEvent;
 
+    fn ev(time: f64, kind: EventKind, id: u32, iteration: u32) -> ProbeEvent {
+        ProbeEvent::new(time, kind, id, iteration)
+    }
+
     fn two_iteration_trace() -> Trace {
         Trace::new(vec![
-            ProbeEvent::new(0.0, 0, EventKind::SourceEmit, 0, 0),
-            ProbeEvent::new(0.5, 0, EventKind::FnStart, 1, 0),
-            ProbeEvent::new(2.5, 0, EventKind::FnEnd, 1, 0),
-            ProbeEvent::new(3.0, 1, EventKind::SinkAbsorb, 0, 0),
-            ProbeEvent::new(4.0, 0, EventKind::SourceEmit, 1, 1),
-            ProbeEvent::new(4.5, 0, EventKind::FnStart, 1, 1),
-            ProbeEvent::new(5.0, 0, EventKind::FnEnd, 1, 1),
-            ProbeEvent::new(9.0, 1, EventKind::SinkAbsorb, 1, 1),
+            vec![
+                ev(0.0, EventKind::SourceEmit, 0, 0),
+                ev(0.5, EventKind::FnStart, 1, 0),
+                ev(2.5, EventKind::FnEnd, 1, 0),
+                ev(4.0, EventKind::SourceEmit, 1, 1),
+                ev(4.5, EventKind::FnStart, 1, 1),
+                ev(5.0, EventKind::FnEnd, 1, 1),
+            ],
+            vec![
+                ev(3.0, EventKind::SinkAbsorb, 0, 0),
+                ev(9.0, EventKind::SinkAbsorb, 1, 1),
+            ],
         ])
     }
 
     #[test]
     fn latency_and_period_follow_paper_definitions() {
         let a = Analysis::of(&two_iteration_trace());
-        assert_eq!(a.latencies, vec![3.0, 5.0]);
+        assert_eq!(a.latencies, vec![(0, 3.0), (1, 5.0)]);
         assert_eq!(a.periods, vec![4.0]);
         assert_eq!(a.mean_latency(), 4.0);
         assert_eq!(a.mean_period(), 4.0);
@@ -194,6 +248,24 @@ mod tests {
         assert!(a.latency_violations(10.0).is_empty());
     }
 
+    /// An iteration emitted but never absorbed has no latency, and the
+    /// violations after it still name their own iterations.
+    #[test]
+    fn a_violation_names_its_iteration_past_an_unabsorbed_one() {
+        let t = Trace::new(vec![
+            vec![
+                ev(0.0, EventKind::SourceEmit, 0, 0),
+                ev(1.0, EventKind::SourceEmit, 1, 1),
+            ],
+            vec![ev(4.0, EventKind::SinkAbsorb, 1, 1)],
+        ]);
+        let a = Analysis::of(&t);
+        assert_eq!(a.latencies, vec![(1, 3.0)]);
+        let v = a.latency_violations(2.0);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].iteration, 1);
+    }
+
     #[test]
     fn utilization_and_bottlenecks() {
         let a = Analysis::of(&two_iteration_trace());
@@ -205,6 +277,40 @@ mod tests {
         assert!((top.busy_secs - 2.5).abs() < 1e-12);
     }
 
+    /// Interleaved functions on one rank pair by id, a restarted function
+    /// keeps its later start, and a rank that ran nothing still has a row.
+    #[test]
+    fn spans_pair_by_function_within_a_lane() {
+        let t = Trace::new(vec![
+            vec![
+                ev(0.0, EventKind::FnStart, 1, 0),
+                ev(1.0, EventKind::FnStart, 2, 0),
+                ev(2.0, EventKind::FnStart, 1, 0),
+                ev(3.0, EventKind::FnEnd, 1, 0),
+                ev(5.0, EventKind::FnEnd, 2, 0),
+                ev(6.0, EventKind::FnEnd, 2, 0),
+            ],
+            Vec::new(),
+            vec![ev(8.0, EventKind::XferEnd, 0, 0)],
+        ]);
+        let a = Analysis::of(&t);
+        let span = |fn_id, start, end| FnSpan { fn_id, start, end };
+        assert_eq!(
+            a.spans,
+            vec![
+                (0, vec![span(1, 2.0, 3.0), span(2, 1.0, 5.0)]),
+                (2, Vec::new())
+            ]
+        );
+        assert_eq!(a.utilization, vec![(0, 5.0 / 8.0), (2, 0.0)]);
+        let ranked: Vec<(u32, f64)> = a
+            .bottlenecks
+            .iter()
+            .map(|b| (b.fn_id, b.busy_secs))
+            .collect();
+        assert_eq!(ranked, vec![(2, 4.0), (1, 1.0)]);
+    }
+
     #[test]
     fn jitter_and_max() {
         let a = Analysis::of(&two_iteration_trace());
@@ -212,7 +318,7 @@ mod tests {
         // Sample stddev of [3, 5] = sqrt(2).
         assert!((a.latency_jitter() - 2.0f64.sqrt()).abs() < 1e-12);
         let single = Analysis {
-            latencies: vec![1.0],
+            latencies: vec![(0, 1.0)],
             ..Analysis::default()
         };
         assert_eq!(single.latency_jitter(), 0.0);
@@ -223,5 +329,6 @@ mod tests {
         let a = Analysis::of(&Trace::default());
         assert_eq!(a.mean_latency(), 0.0);
         assert!(a.top_bottleneck().is_none());
+        assert!(a.extent.is_none());
     }
 }

@@ -25,14 +25,13 @@ pub enum EventKind {
     Fault,
 }
 
-/// One timestamped observation from a probe.
+/// One timestamped observation from a probe. It names no rank: it lives in
+/// the lane of the rank that recorded it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProbeEvent {
     /// Time in seconds: the rank's virtual clock, or wall time since the
     /// rank's transport epoch.
     pub time: f64,
-    /// Node that recorded the event.
-    pub node: u32,
     /// Event kind.
     pub kind: EventKind,
     /// Kind-specific id (function index, buffer id, or iteration).
@@ -43,10 +42,9 @@ pub struct ProbeEvent {
 
 impl ProbeEvent {
     /// Creates an event.
-    pub fn new(time: f64, node: u32, kind: EventKind, id: u32, iteration: u32) -> ProbeEvent {
+    pub fn new(time: f64, kind: EventKind, id: u32, iteration: u32) -> ProbeEvent {
         ProbeEvent {
             time,
-            node,
             kind,
             id,
             iteration,
@@ -60,9 +58,8 @@ mod tests {
 
     #[test]
     fn construction() {
-        let e = ProbeEvent::new(1.5, 2, EventKind::FnStart, 7, 3);
+        let e = ProbeEvent::new(1.5, EventKind::FnStart, 7, 3);
         assert_eq!(e.time, 1.5);
-        assert_eq!(e.node, 2);
         assert_eq!(e.kind, EventKind::FnStart);
         assert_eq!(e.id, 7);
         assert_eq!(e.iteration, 3);

@@ -1,38 +1,28 @@
 //! ASCII Gantt display — the textual stand-in for the Visualizer's
 //! "variety of graphical displays".
 
-use crate::trace::Trace;
+use crate::analysis::Analysis;
 use std::fmt::Write;
 
 /// Renders per-node execution timelines as ASCII art, `width` columns wide.
 ///
-/// Each row is one node; `#` marks time buckets where the node was executing
-/// a function, `.` idle buckets. A scale line is appended.
-pub fn render(trace: &Trace, width: usize) -> String {
+/// Each row is one node that recorded anything; `#` marks time buckets
+/// where one of its function spans ran, `.` idle buckets. A scale line is
+/// appended.
+pub fn render(analysis: &Analysis, width: usize) -> String {
     let width = width.max(10);
-    let Some((t0, t1)) = trace.span() else {
+    let Some((t0, t1)) = analysis.extent else {
         return String::from("(empty trace)\n");
     };
     let span = (t1 - t0).max(f64::EPSILON);
     let mut out = String::new();
-    for node in trace.nodes() {
+    for (node, spans) in &analysis.spans {
         let mut row = vec!['.'; width];
-        // Union of all function intervals on the node.
-        let mut fn_ids: Vec<u32> = trace
-            .events()
-            .iter()
-            .filter(|e| e.node == node)
-            .map(|e| e.id)
-            .collect();
-        fn_ids.sort_unstable();
-        fn_ids.dedup();
-        for f in fn_ids {
-            for (s, e) in trace.fn_intervals(node, f) {
-                let lo = (((s - t0) / span) * width as f64).floor() as usize;
-                let hi = (((e - t0) / span) * width as f64).ceil() as usize;
-                for cell in row.iter_mut().take(hi.min(width)).skip(lo.min(width)) {
-                    *cell = '#';
-                }
+        for s in spans {
+            let lo = (((s.start - t0) / span) * width as f64).floor() as usize;
+            let hi = (((s.end - t0) / span) * width as f64).ceil() as usize;
+            for cell in row.iter_mut().take(hi.min(width)).skip(lo.min(width)) {
+                *cell = '#';
             }
         }
         let _ = writeln!(out, "node {node:>3} |{}|", row.iter().collect::<String>());
@@ -51,16 +41,21 @@ pub fn render(trace: &Trace, width: usize) -> String {
 mod tests {
     use super::*;
     use crate::event::{EventKind, ProbeEvent};
+    use crate::trace::Trace;
 
     #[test]
     fn renders_busy_and_idle() {
         let t = Trace::new(vec![
-            ProbeEvent::new(0.0, 0, EventKind::FnStart, 1, 0),
-            ProbeEvent::new(5.0, 0, EventKind::FnEnd, 1, 0),
-            ProbeEvent::new(5.0, 1, EventKind::FnStart, 2, 0),
-            ProbeEvent::new(10.0, 1, EventKind::FnEnd, 2, 0),
+            vec![
+                ProbeEvent::new(0.0, EventKind::FnStart, 1, 0),
+                ProbeEvent::new(5.0, EventKind::FnEnd, 1, 0),
+            ],
+            vec![
+                ProbeEvent::new(5.0, EventKind::FnStart, 2, 0),
+                ProbeEvent::new(10.0, EventKind::FnEnd, 2, 0),
+            ],
         ]);
-        let s = render(&t, 20);
+        let s = render(&Analysis::of(&t), 20);
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].starts_with("node   0"));
         // Node 0 busy in the first half, node 1 in the second.
@@ -80,6 +75,9 @@ mod tests {
 
     #[test]
     fn empty_trace_message() {
-        assert_eq!(render(&Trace::default(), 40), "(empty trace)\n");
+        assert_eq!(
+            render(&Analysis::of(&Trace::default()), 40),
+            "(empty trace)\n"
+        );
     }
 }

@@ -12,8 +12,9 @@
 //! execution paths: the executor is the one place a rank's
 //! [`event::ProbeEvent`]s are recorded, into a lane the rank owns (no lock,
 //! and no clock read while probes are off). Each rank's lane rides home in
-//! its report, and the ranks' lanes merge after the run into a
-//! [`trace::Trace`]. Analyses ([`analysis`]) compute the paper's §3.3
+//! its report and becomes that rank's lane of a [`trace::Trace`], already in
+//! time order: nothing concatenates or sorts them. Analyses ([`analysis`])
+//! pair each lane's function spans once and compute the paper's §3.3
 //! metrics — **period** ("the time between input data sets") and **latency**
 //! ("the time from when the first data leaves the data source to the time
 //! the final result is output to the data sink") — plus utilization,
@@ -30,7 +31,7 @@ pub mod probe;
 pub mod report;
 pub mod trace;
 
-pub use analysis::{Analysis, Bottleneck, LatencyViolation};
+pub use analysis::{Analysis, Bottleneck, FnSpan, LatencyViolation};
 pub use event::{EventKind, ProbeEvent};
 pub use probe::Probe;
 pub use trace::Trace;

@@ -4,30 +4,30 @@
 //! source/sink crossings — exactly the places the paper says probes are
 //! "placed within the generated code". One rank records on one thread, so
 //! its lane is a plain vector behind a `RefCell`: no lock, no sharing, and
-//! the rank hands its rows to its report when it is done.
+//! the rank hands its lane to its report when it is done. Which rank a lane
+//! belongs to is where it lands in the [`crate::Trace`], not a column of
+//! every row.
 
 use crate::event::{EventKind, ProbeEvent};
 use std::cell::RefCell;
 
 /// One rank's instrumentation lane.
 pub struct Probe {
-    node: u32,
     /// `None` when probes are off: nothing is allocated or recorded.
     events: Option<RefCell<Vec<ProbeEvent>>>,
 }
 
 impl Probe {
-    /// A lane for `node`, recording only if `enabled`.
-    pub fn new(node: u32, enabled: bool) -> Probe {
+    /// A lane that records only if `enabled`.
+    pub fn new(enabled: bool) -> Probe {
         Probe {
-            node,
             events: enabled.then(RefCell::default),
         }
     }
 
     /// A probe that records nothing (for uninstrumented runs).
     pub fn disabled() -> Probe {
-        Probe::new(0, false)
+        Probe::new(false)
     }
 
     /// Records one event of `kind` (see [`EventKind`] for what `id` names),
@@ -35,12 +35,13 @@ impl Probe {
     /// are off cost no clock read.
     pub fn record(&self, now: impl FnOnce() -> f64, kind: EventKind, id: u32, iteration: u32) {
         if let Some(events) = &self.events {
-            let e = ProbeEvent::new(now(), self.node, kind, id, iteration);
+            let e = ProbeEvent::new(now(), kind, id, iteration);
             events.borrow_mut().push(e);
         }
     }
 
-    /// The recorded events, in recording order (empty when disabled).
+    /// The recorded lane, in recording order (empty when disabled). A rank
+    /// stamps from one monotonic clock, so that is also time order.
     pub fn into_events(self) -> Vec<ProbeEvent> {
         self.events.map(RefCell::into_inner).unwrap_or_default()
     }
@@ -52,20 +53,19 @@ mod tests {
 
     #[test]
     fn probe_records_into_its_own_lane() {
-        let p = Probe::new(1, true);
+        let p = Probe::new(true);
         p.record(|| 0.0, EventKind::FnStart, 3, 0);
         p.record(|| 1.0, EventKind::FnEnd, 3, 0);
         p.record(|| 0.5, EventKind::SourceEmit, 0, 0);
         let events = p.into_events();
         assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.node == 1));
         assert_eq!(events[2].kind, EventKind::SourceEmit);
         assert_eq!(events[2].time, 0.5, "recording order, not time order");
     }
 
     #[test]
     fn disabled_probe_reads_no_clock_and_records_nothing() {
-        for p in [Probe::disabled(), Probe::new(3, false)] {
+        for p in [Probe::disabled(), Probe::new(false)] {
             p.record(
                 || panic!("a disabled probe read the clock"),
                 EventKind::FnStart,

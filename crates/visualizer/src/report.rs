@@ -1,8 +1,7 @@
 //! Textual performance reports — the tabular "displays" of the Visualizer.
 
 use crate::analysis::Analysis;
-use crate::event::EventKind;
-use crate::trace::Trace;
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Per-function execution statistics.
@@ -20,30 +19,25 @@ pub struct FnStats {
     pub max_secs: f64,
 }
 
-/// Computes per-function statistics from a trace.
-pub fn function_stats(trace: &Trace) -> Vec<FnStats> {
-    let mut fn_ids: Vec<u32> = trace.of_kind(EventKind::FnStart).map(|e| e.id).collect();
-    fn_ids.sort_unstable();
-    fn_ids.dedup();
-    let mut out = Vec::with_capacity(fn_ids.len());
-    for f in fn_ids {
-        let mut durations = Vec::new();
-        for node in trace.nodes() {
-            for (s, e) in trace.fn_intervals(node, f) {
-                durations.push(e - s);
-            }
-        }
-        if durations.is_empty() {
-            continue;
-        }
-        let total: f64 = durations.iter().sum();
-        out.push(FnStats {
-            fn_id: f,
-            invocations: durations.len(),
-            total_secs: total,
-            mean_secs: total / durations.len() as f64,
-            max_secs: durations.iter().cloned().fold(0.0, f64::max),
+/// Per-function statistics over every rank's spans, busiest first.
+pub fn function_stats(analysis: &Analysis) -> Vec<FnStats> {
+    let mut by_fn: BTreeMap<u32, FnStats> = BTreeMap::new();
+    for s in analysis.spans.iter().flat_map(|(_, spans)| spans) {
+        let f = by_fn.entry(s.fn_id).or_insert(FnStats {
+            fn_id: s.fn_id,
+            invocations: 0,
+            total_secs: 0.0,
+            mean_secs: 0.0,
+            max_secs: 0.0,
         });
+        let secs = s.end - s.start;
+        f.invocations += 1;
+        f.total_secs += secs;
+        f.max_secs = f.max_secs.max(secs);
+    }
+    let mut out: Vec<FnStats> = by_fn.into_values().collect();
+    for f in &mut out {
+        f.mean_secs = f.total_secs / f.invocations as f64;
     }
     out.sort_by(|a, b| b.total_secs.total_cmp(&a.total_secs));
     out
@@ -51,8 +45,7 @@ pub fn function_stats(trace: &Trace) -> Vec<FnStats> {
 
 /// Renders a full performance report: period/latency summary, per-node
 /// utilization, and the per-function table, busiest first.
-pub fn render(trace: &Trace) -> String {
-    let analysis = Analysis::of(trace);
+pub fn render(analysis: &Analysis) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "=== SAGE Visualizer report ===");
     let _ = writeln!(
@@ -83,7 +76,7 @@ pub fn render(trace: &Trace) -> String {
         "\n{:<8} {:>12} {:>14} {:>14} {:>14}",
         "function", "invocations", "total (ms)", "mean (ms)", "max (ms)"
     );
-    for f in function_stats(trace) {
+    for f in function_stats(analysis) {
         let _ = writeln!(
             s,
             "F{:<7} {:>12} {:>14.4} {:>14.4} {:>14.4}",
@@ -100,24 +93,30 @@ pub fn render(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ProbeEvent;
+    use crate::event::{EventKind, ProbeEvent};
+    use crate::trace::Trace;
 
-    fn trace() -> Trace {
-        Trace::new(vec![
-            ProbeEvent::new(0.0, 0, EventKind::SourceEmit, 0, 0),
-            ProbeEvent::new(0.0, 0, EventKind::FnStart, 1, 0),
-            ProbeEvent::new(2.0, 0, EventKind::FnEnd, 1, 0),
-            ProbeEvent::new(2.0, 1, EventKind::FnStart, 1, 0),
-            ProbeEvent::new(3.0, 1, EventKind::FnEnd, 1, 0),
-            ProbeEvent::new(3.0, 1, EventKind::FnStart, 2, 0),
-            ProbeEvent::new(7.0, 1, EventKind::FnEnd, 2, 0),
-            ProbeEvent::new(7.0, 1, EventKind::SinkAbsorb, 0, 0),
-        ])
+    fn analysis() -> Analysis {
+        let ev = ProbeEvent::new;
+        Analysis::of(&Trace::new(vec![
+            vec![
+                ev(0.0, EventKind::SourceEmit, 0, 0),
+                ev(0.0, EventKind::FnStart, 1, 0),
+                ev(2.0, EventKind::FnEnd, 1, 0),
+            ],
+            vec![
+                ev(2.0, EventKind::FnStart, 1, 0),
+                ev(3.0, EventKind::FnEnd, 1, 0),
+                ev(3.0, EventKind::FnStart, 2, 0),
+                ev(7.0, EventKind::FnEnd, 2, 0),
+                ev(7.0, EventKind::SinkAbsorb, 0, 0),
+            ],
+        ]))
     }
 
     #[test]
     fn stats_aggregate_across_nodes() {
-        let stats = function_stats(&trace());
+        let stats = function_stats(&analysis());
         assert_eq!(stats.len(), 2);
         // F2 (4 s) ranks above F1 (2 + 1 s).
         assert_eq!(stats[0].fn_id, 2);
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn report_renders_all_sections() {
-        let r = render(&trace());
+        let r = render(&analysis());
         assert!(r.contains("Visualizer report"));
         assert!(r.contains("node utilization"));
         assert!(r.contains("node   0"));
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_trace_report_is_safe() {
-        let r = render(&Trace::default());
+        let r = render(&Analysis::of(&Trace::default()));
         assert!(r.contains("iterations traced: 0"));
     }
 }

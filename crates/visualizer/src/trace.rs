@@ -1,142 +1,113 @@
-//! Merged, time-ordered event traces.
+//! A run's trace: one time-ordered lane per rank.
 
-use crate::event::{EventKind, ProbeEvent};
+use crate::event::ProbeEvent;
 
-/// A complete, time-sorted trace of one run.
+/// A complete trace of one run. Lane `r` holds rank `r`'s events in
+/// recording order, which is time order: every backend stamps a rank from
+/// one monotonic clock. The lanes are never concatenated or sorted.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
-    events: Vec<ProbeEvent>,
+    lanes: Vec<Vec<ProbeEvent>>,
 }
 
 impl Trace {
-    /// Wraps a pre-sorted event list.
-    pub fn new(events: Vec<ProbeEvent>) -> Trace {
-        debug_assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
-        Trace { events }
+    /// Wraps per-rank lanes, indexed by rank; each is nondecreasing in time.
+    pub fn new(lanes: Vec<Vec<ProbeEvent>>) -> Trace {
+        debug_assert!(
+            lanes
+                .iter()
+                .all(|lane| lane.windows(2).all(|w| w[0].time <= w[1].time)),
+            "a rank's lane went back in time"
+        );
+        Trace { lanes }
     }
 
-    /// All events in time order.
-    pub fn events(&self) -> &[ProbeEvent] {
-        &self.events
+    /// The lanes, indexed by rank.
+    pub fn lanes(&self) -> &[Vec<ProbeEvent>] {
+        &self.lanes
     }
 
-    /// Number of events.
+    /// Number of events over all lanes.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.lanes.iter().map(Vec::len).sum()
     }
 
-    /// `true` if the trace is empty.
+    /// `true` if no lane recorded anything.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events of one kind, in time order.
-    pub fn of_kind(&self, kind: EventKind) -> impl Iterator<Item = &ProbeEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// The distinct node ids that appear, sorted.
-    pub fn nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.events.iter().map(|e| e.node).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.lanes.iter().all(Vec::is_empty)
     }
 
     /// The time span `(first, last)` of the trace, or `None` if empty.
     pub fn span(&self) -> Option<(f64, f64)> {
-        Some((self.events.first()?.time, self.events.last()?.time))
+        let lanes = || self.lanes.iter();
+        let first = lanes().filter_map(|l| l.first()).map(|e| e.time);
+        let last = lanes().filter_map(|l| l.last()).map(|e| e.time);
+        Some((first.reduce(f64::min)?, last.reduce(f64::max)?))
     }
 
-    /// Matched `(start, end)` intervals for one function id on one node.
-    pub fn fn_intervals(&self, node: u32, fn_id: u32) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        let mut open: Option<f64> = None;
-        for e in &self.events {
-            if e.node != node || e.id != fn_id {
-                continue;
-            }
-            match e.kind {
-                EventKind::FnStart => open = Some(e.time),
-                EventKind::FnEnd => {
-                    if let Some(s) = open.take() {
-                        out.push((s, e.time));
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Total busy (function-executing) time per node id.
-    pub fn busy_time(&self, node: u32) -> f64 {
-        let mut total = 0.0;
-        let mut opens: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-        for e in &self.events {
-            if e.node != node {
-                continue;
-            }
-            match e.kind {
-                EventKind::FnStart => {
-                    opens.insert(e.id, e.time);
-                }
-                EventKind::FnEnd => {
-                    if let Some(s) = opens.remove(&e.id) {
-                        total += e.time - s;
-                    }
-                }
-                _ => {}
-            }
-        }
-        total
+    /// Every event as `(rank, event)`, across ranks in time order: the
+    /// lanes merged as they are walked, a tie going to the lower rank. This
+    /// is the one cross-rank walk; everything else reads a lane at a time.
+    pub fn in_time_order(&self) -> impl Iterator<Item = (u32, &ProbeEvent)> {
+        let mut next = vec![0; self.lanes.len()];
+        std::iter::from_fn(move || {
+            let (rank, e) = (self.lanes.iter().enumerate())
+                .filter_map(|(rank, lane)| Some((rank, lane.get(next[rank])?)))
+                .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time))?;
+            next[rank] += 1;
+            Some((rank as u32, e))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     fn demo() -> Trace {
         Trace::new(vec![
-            ProbeEvent::new(0.0, 0, EventKind::SourceEmit, 0, 0),
-            ProbeEvent::new(1.0, 0, EventKind::FnStart, 5, 0),
-            ProbeEvent::new(3.0, 0, EventKind::FnEnd, 5, 0),
-            ProbeEvent::new(4.0, 1, EventKind::FnStart, 6, 0),
-            ProbeEvent::new(9.0, 1, EventKind::FnEnd, 6, 0),
-            ProbeEvent::new(10.0, 1, EventKind::SinkAbsorb, 0, 0),
+            vec![
+                ProbeEvent::new(0.0, EventKind::SourceEmit, 0, 0),
+                ProbeEvent::new(1.0, EventKind::FnStart, 5, 0),
+                ProbeEvent::new(4.0, EventKind::FnEnd, 5, 0),
+            ],
+            vec![
+                ProbeEvent::new(1.0, EventKind::FnStart, 6, 0),
+                ProbeEvent::new(9.0, EventKind::FnEnd, 6, 0),
+                ProbeEvent::new(10.0, EventKind::SinkAbsorb, 0, 0),
+            ],
+            Vec::new(),
         ])
     }
 
     #[test]
-    fn spans_and_nodes() {
+    fn span_and_len_cover_every_lane() {
         let t = demo();
         assert_eq!(t.span(), Some((0.0, 10.0)));
-        assert_eq!(t.nodes(), vec![0, 1]);
         assert_eq!(t.len(), 6);
+        assert!(!t.is_empty());
         assert!(Trace::default().span().is_none());
+        assert!(Trace::new(vec![Vec::new(); 2]).is_empty());
     }
 
     #[test]
-    fn intervals_matched() {
-        let t = demo();
-        assert_eq!(t.fn_intervals(0, 5), vec![(1.0, 3.0)]);
-        assert_eq!(t.fn_intervals(1, 6), vec![(4.0, 9.0)]);
-        assert!(t.fn_intervals(0, 6).is_empty());
+    fn time_order_merges_lanes_and_ties_go_to_the_lower_rank() {
+        let walked: Vec<(u32, f64)> = demo().in_time_order().map(|(r, e)| (r, e.time)).collect();
+        assert_eq!(
+            walked,
+            vec![(0, 0.0), (0, 1.0), (1, 1.0), (0, 4.0), (1, 9.0), (1, 10.0)]
+        );
+        assert_eq!(Trace::default().in_time_order().count(), 0);
     }
 
     #[test]
-    fn busy_time_sums_intervals() {
-        let t = demo();
-        assert_eq!(t.busy_time(0), 2.0);
-        assert_eq!(t.busy_time(1), 5.0);
-        assert_eq!(t.busy_time(9), 0.0);
-    }
-
-    #[test]
-    fn kind_filter() {
-        let t = demo();
-        assert_eq!(t.of_kind(EventKind::FnStart).count(), 2);
-        assert_eq!(t.of_kind(EventKind::SinkAbsorb).count(), 1);
+    #[should_panic(expected = "back in time")]
+    #[cfg(debug_assertions)]
+    fn a_lane_out_of_time_order_is_refused() {
+        Trace::new(vec![vec![
+            ProbeEvent::new(1.0, EventKind::FnStart, 0, 0),
+            ProbeEvent::new(0.5, EventKind::FnEnd, 0, 0),
+        ]]);
     }
 }

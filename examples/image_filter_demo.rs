@@ -7,7 +7,7 @@
 
 use sage::prelude::*;
 use sage_apps::image_filter;
-use sage_visualizer::{export, gantt, report};
+use sage_visualizer::{export, gantt, report, Analysis};
 
 fn main() {
     let size = 64;
@@ -34,9 +34,10 @@ fn main() {
          relative error vs serial reference: {err:.2e}\n"
     );
 
-    println!("{}", report::render(&exec.trace));
+    let analysis = Analysis::of(&exec.trace);
+    println!("{}", report::render(&analysis));
     println!("timeline:");
-    print!("{}", gantt::render(&exec.trace, 72));
+    print!("{}", gantt::render(&analysis, 72));
 
     let csv = export::to_csv(&exec.trace);
     let lines: Vec<&str> = csv.lines().collect();

@@ -66,5 +66,5 @@ fn main() {
     );
 
     println!("\nexecution timeline (Gantt):");
-    print!("{}", gantt::render(&exec.trace, 72));
+    print!("{}", gantt::render(&analysis, 72));
 }

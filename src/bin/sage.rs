@@ -735,8 +735,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .execute(program, policy, &options, iters)
         .map_err(|e| e.to_string())?;
     summarize("", &program.app_name, "nodes", &exec);
-    println!("{}", report::render(&exec.trace));
     let analysis = Analysis::of(&exec.trace);
+    println!("{}", report::render(&analysis));
     if let Some(b) = analysis.top_bottleneck() {
         println!(
             "top bottleneck: F{} on node {} ({:.1}% of the run)\n",
@@ -745,7 +745,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             b.share * 100.0
         );
     }
-    print!("{}", gantt::render(&exec.trace, 72));
+    print!("{}", gantt::render(&analysis, 72));
     // Both pipelined modes re-execute the program and hold the sink stream
     // to the lock-step run above, the oracle: it must be bit-identical.
     let replay = |what: &str, options: RuntimeOptions, hint: &str| {

@@ -340,3 +340,42 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
     assert_eq!(out.status.code(), Some(2), "sage worker must exit 2");
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
 }
+
+/// `sage run` with probes on prints the same report, bottleneck line and
+/// Gantt chart, and writes the same `--trace` CSV, byte for byte, as the
+/// build these fingerprints were recorded at (lock-step, virtual clock, 4
+/// nodes, 3 iterations). The Visualizer may change how it reads a trace,
+/// never what it shows.
+#[test]
+fn sage_run_stdout_and_trace_csv_are_pinned() {
+    const PINS: [(&str, u64, u64); 6] = [
+        ("beamformer_64", 0x89e0bd85ad76d728, 0x7b412b20ee5ed97a),
+        ("corner_turn_256", 0x3fe9bb60ea5856e9, 0xc412c71ef9d38f95),
+        ("fft2d_64", 0x32455ebdc4b8c46b, 0x21b74b6f08243c68),
+        ("image_filter_128", 0x23f455ab19f23de4, 0x5f8dbf2b7a353c3d),
+        ("range_doppler_64", 0xd57904e5ff65261b, 0x43b28965d242e49c),
+        ("stap_128", 0x025072d5dbfb8b33, 0x27caac43697c3232),
+    ];
+    for (model, stdout_sum, csv_sum) in PINS {
+        let csv = common::out_path(&format!("pinned_trace_{model}"));
+        let path = common::model_path(&format!("{model}.sexpr"));
+        let out = std::process::Command::new(common::sage_bin())
+            .args(["run", &path, "--nodes", "4"])
+            .args(["--iters", "3", "--trace"])
+            .arg(&csv)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{model}: {out:?}");
+        let trace = std::fs::read(&csv).expect("trace written");
+        let _ = std::fs::remove_file(&csv);
+        let fnv = sage_runtime::fnv1a_64;
+        let got = (fnv(&out.stdout), fnv(&trace));
+        assert_eq!(
+            got,
+            (stdout_sum, csv_sum),
+            "{model}: stdout or CSV moved (got {:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}

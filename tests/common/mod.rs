@@ -7,6 +7,7 @@
 #![allow(dead_code)]
 
 use sage_runtime::{GlueProgram, SinkResults};
+use sage_visualizer::Trace;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
@@ -126,6 +127,22 @@ pub fn expected_credits(program: &GlueProgram, depth: u32, caps: &[u32], iters: 
         total += pairs * u64::from(iters.saturating_sub(window));
     }
     total
+}
+
+/// Asserts that every rank recorded a lane and that each lane is
+/// nondecreasing in time: the invariant that lets `Execution::merge` move
+/// the lanes into the trace without sorting them.
+pub fn assert_lanes_time_ordered(trace: &Trace, what: &str) {
+    assert!(!trace.lanes().is_empty(), "{what}: no lanes");
+    for (rank, lane) in trace.lanes().iter().enumerate() {
+        assert!(!lane.is_empty(), "{what}: rank {rank} recorded nothing");
+        if let Some(w) = lane.windows(2).find(|w| w[1].time < w[0].time) {
+            panic!(
+                "{what}: rank {rank} went back in time: {:?} then {:?}",
+                w[0], w[1]
+            );
+        }
+    }
 }
 
 /// The directory failing fuzz/chaos artifacts are saved under, per the

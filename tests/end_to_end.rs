@@ -2,8 +2,11 @@
 //! run-time pipeline on both benchmark applications, verified against the
 //! serial references in both clock modes.
 
+mod common;
+
 use sage::prelude::*;
 use sage_apps::{corner_turn, fft2d, stap, workload};
+use sage_visualizer::EventKind;
 
 const TOL: f32 = 2e-3;
 
@@ -153,4 +156,44 @@ fn sink_results_assemble_across_node_counts() {
         1,
     );
     assert_eq!(a.result.max_abs_diff(&b.result), 0.0);
+}
+
+/// A rank's probe lane is in time order on every in-process configuration:
+/// virtual and real clocks, lock-step and streaming, and under dropped
+/// transfers, whose retries stamp `XferRetry` rows between a send's first
+/// attempt and its last. The merge relies on it instead of sorting.
+#[test]
+fn every_rank_lane_is_time_ordered_in_process() {
+    let text = std::fs::read_to_string(common::model_path("beamformer_64.sexpr")).unwrap();
+    let mut project = Project::from_sexpr(&text, 4).expect("model loads");
+    sage::apps::kernels::register_kernels(&mut project.registry);
+    let (program, _) = project.generate(&Placement::Aligned).expect("codegen");
+    let plan = sage::check::pipeline_plan(&program, &project.hardware).expect("pipeline plan");
+    let caps: Vec<u32> = plan.buffers.iter().map(|b| b.safe_depth).collect();
+    let probed = RuntimeOptions::paper_faithful().with_probes(true);
+    let configs = [
+        ("lock-step", probed.clone()),
+        (
+            "pipeline 4",
+            probed.clone().with_pipeline(4).with_pipeline_depths(caps),
+        ),
+        (
+            "dropped transfers",
+            probed.with_faults(FaultPlan::new(2).with_drop_prob(0.1)),
+        ),
+    ];
+    for policy in [TimePolicy::Virtual, TimePolicy::Real] {
+        for (what, options) in &configs {
+            let what = format!("{what} on the {policy:?} clock");
+            let exec = project
+                .execute(&program, policy, options, 6)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            common::assert_lanes_time_ordered(&exec.trace, &what);
+            let retries = (exec.trace.lanes().iter().flatten())
+                .filter(|e| e.kind == EventKind::XferRetry)
+                .count();
+            let dropping = !options.faults.is_empty();
+            assert_eq!(retries > 0, dropping, "{what}: {retries} retry rows");
+        }
+    }
 }

@@ -322,3 +322,28 @@ fn sim_sinks_match_local_lock_step_and_credits_the_closed_form() {
         }
     }
 }
+
+/// The simulated twin with probes on: every rank's lane comes home from the
+/// mesh in time order, lock-step and streamed, beside the lock-step sink.
+#[test]
+fn sim_probed_lanes_come_home_time_ordered() {
+    const ITERS: u32 = 4;
+    let text = std::fs::read_to_string(model_path("fft2d_64.sexpr")).unwrap();
+    let (program, want) = local_sink(&text, 2, ITERS);
+    let project = Project::from_sexpr(&text, 2).expect("model loads");
+    let plan = sage::check::pipeline_plan(&program, &project.hardware).expect("plan");
+    let caps: Vec<u32> = plan.buffers.iter().map(|b| b.safe_depth).collect();
+    for depth in [None, Some(4)] {
+        let params = JobParams {
+            probes: true,
+            pipeline: depth,
+            pipeline_depths: depth.map_or_else(Vec::new, |_| caps.clone()),
+            ..JobParams::new(text.clone(), ITERS)
+        };
+        let run = sim_job(1, &params, 2, &|_| {});
+        let exec = (run.outcome.as_ref()).unwrap_or_else(|e| panic!("depth {depth:?}: {e}"));
+        let got = fnv1a_64(&sink_bytes(&program, &exec.results, ITERS));
+        assert_eq!(got, want, "depth {depth:?}");
+        common::assert_lanes_time_ordered(&exec.trace, &format!("simnet, depth {depth:?}"));
+    }
+}
