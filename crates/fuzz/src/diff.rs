@@ -40,7 +40,8 @@ use sage_core::{checked_program, Placement, Project, ProjectError};
 use sage_fabric::{FaultPlan, TimePolicy};
 use sage_fleet::{JobParams, LaunchOptions, Spawner};
 use sage_model::HardwareShelf;
-use sage_runtime::{fnv1a_64, Execution, GlueProgram, RuntimeOptions};
+use sage_runtime::{fnv1a_64, Execution, GlueProgram, Redistribution, RuntimeOptions};
+use std::collections::BTreeSet;
 
 /// Display labels of the two lattice cells. The `/zero-copy` suffix dates
 /// from when the lattice had a data-plane axis; saved bundles carry it, so
@@ -137,20 +138,29 @@ enum PipeMode {
 }
 
 /// The one judge every cell's run answers to, whichever backend produced
-/// the [`Execution`]: a streaming run must conserve every backpressure
-/// credit, and any run must have fed its sinks. Returns (sink checksum,
-/// per-node measured memory high-waters).
+/// the [`Execution`]: a streaming run at `streaming`'s (global depth,
+/// per-buffer ring caps) must conserve every backpressure credit and send
+/// exactly [`expected_messages`], and any run must have fed its sinks.
+/// Returns (sink checksum, per-node measured memory high-waters).
 fn judge(
     program: &GlueProgram,
     exec: &Execution,
     iterations: u32,
-    streaming: bool,
+    streaming: Option<(u32, &[u32])>,
 ) -> Result<(u64, Vec<u64>), String> {
-    if streaming && exec.stream.credits_issued != exec.stream.credits_retired {
-        return Err(format!(
-            "credit leak: issued {} != retired {}",
-            exec.stream.credits_issued, exec.stream.credits_retired
-        ));
+    if let Some((depth, caps)) = streaming {
+        let (issued, retired) = (exec.stream.credits_issued, exec.stream.credits_retired);
+        if issued != retired {
+            return Err(format!("credit leak: issued {issued} != retired {retired}"));
+        }
+        let want = expected_messages(program, depth, caps, iterations);
+        let sent = exec.report.metrics.total_messages();
+        if sent != want {
+            return Err(format!(
+                "sent {sent} messages, the closed form says {want} (one per remote pair per \
+                 iteration, plus one credit per credit group past its window)"
+            ));
+        }
     }
     let bytes = exec.results.stream(program, iterations);
     if bytes.is_empty() {
@@ -159,6 +169,41 @@ fn judge(
     let nodes = &exec.report.metrics.nodes;
     let mems = nodes.iter().map(|n| n.mem_high_water).collect();
     Ok((fnv1a_64(&bytes), mems))
+}
+
+/// The messages a fault-free streaming run of `program` sends, from a
+/// fresh [`Redistribution::plan`] of every buffer and the placement alone:
+/// one data message per cross-node nonempty pair per iteration, plus one
+/// credit per (buffer, consumer thread, other node holding a producer
+/// thread with a pair into it) per iteration past the buffer's window.
+fn expected_messages(program: &GlueProgram, depth: u32, caps: &[u32], iterations: u32) -> u64 {
+    let mut total = 0;
+    for b in &program.buffers {
+        let producer = &program.functions[b.producer as usize];
+        let consumer = &program.functions[b.consumer as usize];
+        let plan = Redistribution::plan(
+            &b.shape,
+            b.elem_bytes,
+            b.send_striping,
+            producer.threads as usize,
+            b.recv_striping,
+            consumer.threads as usize,
+        );
+        let mut groups = BTreeSet::new();
+        for (i, row) in plan.pairs.iter().enumerate() {
+            for (j, runs) in row.iter().enumerate() {
+                let node = producer.placement[i];
+                if !runs.is_empty() && node != consumer.placement[j] {
+                    total += u64::from(iterations);
+                    groups.insert((j, node));
+                }
+            }
+        }
+        let cap = caps.get(b.id as usize).map_or(depth, |&c| c.min(depth));
+        let window = cap.max(1) + b.delay;
+        total += groups.len() as u64 * u64::from(iterations.saturating_sub(window));
+    }
+    total
 }
 
 fn run_local(
@@ -195,7 +240,10 @@ fn run_local(
             ProjectError::Runtime(e) => format!("runtime: {e}"),
             ProjectError::Codegen(e) => format!("codegen: {e}"),
         })?;
-    let streaming = matches!(mode, PipeMode::Streaming(..));
+    let streaming = match &mode {
+        PipeMode::Streaming(depth, caps) => Some((*depth, caps.as_slice())),
+        PipeMode::LockStep | PipeMode::Validate(_) => None,
+    };
     judge(&program, &exec, iterations, streaming)
 }
 
@@ -208,21 +256,19 @@ fn run_tcp(
     nodes: usize,
     iterations: u32,
     spawner: &Spawner<'_>,
-    streaming: Option<(u32, Vec<u32>)>,
+    streaming: Option<(u32, &[u32])>,
 ) -> Result<(u64, Vec<u64>), String> {
-    let is_streaming = streaming.is_some();
-    let (pipeline, pipeline_depths) = streaming.unzip();
     let opts = LaunchOptions {
         workers: nodes,
         heartbeat_ms: None,
         params: JobParams {
-            pipeline,
-            pipeline_depths: pipeline_depths.unwrap_or_default(),
+            pipeline: streaming.map(|(depth, _)| depth),
+            pipeline_depths: streaming.map_or_else(Vec::new, |(_, caps)| caps.to_vec()),
             ..JobParams::new(source, iterations)
         },
     };
     let exec = sage_fleet::launch(&opts, spawner).map_err(|e| format!("launch: {e}"))?;
-    judge(program, &exec, iterations, is_streaming)
+    judge(program, &exec, iterations, streaming)
 }
 
 /// Runs the local lock-step cell, optionally under a fault plan, and
@@ -503,7 +549,7 @@ pub fn run_diff(
                 outcome.cells_run.push(cell);
                 let run = match tcp {
                     Some(spawner) => {
-                        let streaming = Some((sdepth, caps.clone()));
+                        let streaming = Some((sdepth, caps.as_slice()));
                         run_tcp(&program, source, nodes, cfg.iterations, spawner, streaming)
                     }
                     None => run_local(

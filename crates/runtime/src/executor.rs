@@ -212,6 +212,8 @@ pub struct Prepared {
     /// Per pair index: the pair's buffer and its compiled, coalesced
     /// pack/unpack programs (empty when the buffer is aligned: never packed).
     pair_table: Vec<(u32, PairOps)>,
+    /// Per credit-group index ([`Edge::credit_group`]).
+    credit_groups: Vec<CreditGroup>,
 }
 
 impl Prepared {
@@ -219,6 +221,27 @@ impl Prepared {
     pub fn edges(&self, task: Task) -> &TaskEdges {
         &self.tasks[task.fn_id as usize][task.thread as usize]
     }
+
+    /// Every credit group of the program, by index.
+    pub fn credit_groups(&self) -> &[CreditGroup] {
+        &self.credit_groups
+    }
+}
+
+/// The remote pairs one streaming credit message stands for: every
+/// nonempty pair of one buffer into one consumer thread (the task that
+/// lists the group) whose producer thread sits on one other node. Retiring
+/// an iteration frees a ring slot of all of them at once, so the consumer
+/// sends one credit per group and the producer node counts it once per
+/// pair.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CreditGroup {
+    /// Logical buffer id.
+    pub buffer: u32,
+    /// The node every producer thread of the group is placed on.
+    pub producer_node: u32,
+    /// The group's pair indices, in producer-thread order.
+    pub pairs: Vec<u32>,
 }
 
 /// One compiled transfer — a nonempty (producer thread, consumer thread)
@@ -240,6 +263,9 @@ pub struct Edge {
     pub pair: u32,
     /// Byte runs the pair moves (descriptor walks are charged per run).
     pub runs: u32,
+    /// The pair's [`CreditGroup`] index when its two ends are on different
+    /// nodes; `None` for a same-node hand-off.
+    pub credit_group: Option<u32>,
 }
 
 /// Every transfer of one task `(fn, thread)`, in the order the task
@@ -252,6 +278,9 @@ pub struct TaskEdges {
     /// Per output buffer, in `f.outputs` order: its edges in
     /// consumer-thread order.
     pub outputs: Vec<Vec<Edge>>,
+    /// The credit groups this task returns credits to as a consumer, each
+    /// once, in the order its input edges first name them.
+    pub credit_groups: Vec<u32>,
 }
 
 /// Validates `program`, resolves every kernel through `registry`, and plans
@@ -367,14 +396,18 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
         let shape = TaskEdges {
             inputs: vec![Vec::new(); groups.len()],
             outputs: vec![Vec::new(); f.outputs.len()],
+            credit_groups: Vec::new(),
         };
         tasks.push(vec![shape; f.threads as usize]);
         input_groups.push(groups);
     }
     // Compile every task's transfers, the one walk of the pair matrices:
     // each nonempty pair becomes an input edge of its consumer task and an
-    // output edge of its producer task, under one fresh pair index.
+    // output edge of its producer task, under one fresh pair index. A
+    // cross-node pair joins the credit group of its (buffer, consumer
+    // thread, producer node).
     let mut pairs = Vec::new();
+    let mut credit_groups: Vec<CreditGroup> = Vec::new();
     for (cf, groups) in program.functions.iter().zip(&input_groups) {
         for (gi, bid) in groups
             .iter()
@@ -393,13 +426,36 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
                     let Some(runs) = row.get(j).map(Vec::len).filter(|&n| n > 0) else {
                         continue;
                     };
+                    let pair = pairs.len() as u32;
+                    let producer_node = pf.placement[i];
+                    let credit_group = (producer_node != cf.placement[j]).then(|| {
+                        let listed = &mut tasks[cf.id as usize][j].credit_groups;
+                        let g = match listed.iter().find(|&&g| {
+                            let group = &credit_groups[g as usize];
+                            group.buffer == bid && group.producer_node == producer_node
+                        }) {
+                            Some(&g) => g,
+                            None => {
+                                listed.push(credit_groups.len() as u32);
+                                credit_groups.push(CreditGroup {
+                                    buffer: bid,
+                                    producer_node,
+                                    pairs: Vec::new(),
+                                });
+                                credit_groups.len() as u32 - 1
+                            }
+                        };
+                        credit_groups[g as usize].pairs.push(pair);
+                        g
+                    });
                     let end = |f: &FunctionDescriptor, thread: usize| Edge {
                         buffer: bid,
                         delay: desc.delay,
                         peer_thread: thread as u32,
                         peer_node: f.placement[thread],
-                        pair: pairs.len() as u32,
+                        pair,
                         runs: runs as u32,
+                        credit_group,
                     };
                     tasks[cf.id as usize][j].inputs[gi].push(end(pf, i));
                     if let Some(k) = output {
@@ -418,6 +474,7 @@ pub fn prepare(program: &GlueProgram, registry: &Registry) -> Result<Prepared, R
         buffer_group,
         tasks,
         pair_table: pairs,
+        credit_groups,
     })
 }
 
@@ -529,11 +586,12 @@ pub struct RankOutcome {
 /// data frame's tag.
 const CREDIT_BIT: u64 = 1 << 62;
 
-/// The credit-channel tag for one (buffer, producer thread, consumer
-/// thread) pair. Iteration-independent: credits are fungible within a
-/// pair, so a single per-pair FIFO counts them.
-fn credit_tag((bid, producer_thread, consumer_thread): (u32, u32, u32)) -> u64 {
-    CREDIT_BIT | xfer_tag(bid, 0, producer_thread, consumer_thread)
+/// The credit-channel tag of buffer `bid`'s consumer thread
+/// `consumer_thread`: with the sending node, it names one [`CreditGroup`].
+/// Iteration-independent: credits are fungible within a group, so a single
+/// per-group FIFO counts them.
+fn credit_tag(bid: u32, consumer_thread: u32) -> u64 {
+    CREDIT_BIT | xfer_tag(bid, 0, 0, consumer_thread)
 }
 
 /// The node-local hand-off store: one fixed ring of slots per transfer
@@ -613,8 +671,9 @@ struct RankState<'a, T: Transport> {
     /// Per pair: this rank's handle on the pair's last packed message,
     /// repacked in place once the receiver has released its own.
     staging: Vec<Payload>,
-    /// Per pair: outstanding credits of a same-node pair; remote pairs ride
-    /// the credit tag channel.
+    /// Per pair: credits this rank holds and has not spent — returned by a
+    /// same-node consumer, or received as one of the pair's group messages
+    /// (which count once for every pair of the group).
     local_credits: Vec<u32>,
     /// The one empty message every remote credit sends: a credit is its
     /// tag, so each send shares this handle instead of allocating.
@@ -845,18 +904,16 @@ impl<T: Transport> RankState<'_, T> {
             }
         }
         // Outputs: past a buffer's credit window, every edge must hold a
-        // credit.
+        // credit, or (remote) its group's next one must have arrived.
         for e in edges.outputs.iter().flatten() {
             if iter < self.rings[e.buffer as usize].window {
                 continue;
             }
-            let have = if e.peer_node == self.node {
-                self.local_credits[e.pair as usize] > 0
-            } else {
-                let pair = (e.buffer, task.thread, e.peer_thread);
-                self.ctx
-                    .try_recv_ready(e.peer_node as usize, credit_tag(pair))
-            };
+            let have = self.local_credits[e.pair as usize] > 0
+                || e.credit_group.is_some() && {
+                    let tag = credit_tag(e.buffer, e.peer_thread);
+                    self.ctx.try_recv_ready(e.peer_node as usize, tag)
+                };
             if !have {
                 return false;
             }
@@ -1140,27 +1197,29 @@ impl<T: Transport> RankState<'_, T> {
                 }
             }
             for e in edges {
-                let pair = (bid, task.thread, e.peer_thread);
                 // Backpressure: past the buffer's credit window the
                 // producer must spend one credit per pair before emitting —
                 // proof the consumer has retired the iteration whose ring
-                // slot this emit reuses. Local pairs decrement a counter
-                // (underflow is an executor invariant violation, typed);
-                // remote pairs block on the pair's credit channel, bounded
-                // by the fabric's receive deadline, so a consumer killed
-                // mid-stream surfaces as a typed error, never a hang.
+                // slot this emit reuses. A pair with none left is stuck if
+                // local (an executor invariant violation, typed); a remote
+                // one blocks on its group's credit channel, bounded by the
+                // fabric's receive deadline, so a consumer killed
+                // mid-stream surfaces as a typed error, never a hang. The
+                // group's next credit is that same retirement for every
+                // pair of the group, so it counts once for each.
                 if iter >= self.rings[bid as usize].window {
-                    if e.peer_node == node {
-                        let credits = &mut self.local_credits[e.pair as usize];
-                        if *credits == 0 {
+                    if self.local_credits[e.pair as usize] == 0 {
+                        let Some(g) = e.credit_group else {
                             return Err(RuntimeError::BadProgram(
                                 "internal: streaming credit underflow on a local hand-off".into(),
                             ));
+                        };
+                        self.recv(e.peer_node, credit_tag(bid, e.peer_thread), bid, iter)?;
+                        for &p in &prepared.credit_groups[g as usize].pairs {
+                            self.local_credits[p as usize] += 1;
                         }
-                        *credits -= 1;
-                    } else {
-                        self.recv(e.peer_node, credit_tag(pair), bid, iter)?;
                     }
+                    self.local_credits[e.pair as usize] -= 1;
                     self.stats.credits_retired += 1;
                 }
                 let msg = if bp.aligned {
@@ -1196,30 +1255,45 @@ impl<T: Transport> RankState<'_, T> {
 
     /// Backpressure, consumer side: retiring iteration `iter` frees one
     /// ring slot of every input buffer, so return one credit per input edge
-    /// — except credits no producer iteration will ever spend
-    /// (`src_iter + window >= iterations`), so per-pair issued == retired ==
-    /// `max(0, iterations - window)` exactly; with an infinite window that
-    /// is never. Remote credits ride the retried send path: a fault-plan
-    /// drop backs off and resends, exhaustion is a typed transfer failure.
+    /// — except credits no producer iteration will ever spend — so per-pair
+    /// issued == retired == `max(0, iterations - window)` exactly; with an
+    /// infinite window that is never. A same-node pair's credit is a
+    /// counter; the remote ones travel as one message per credit group,
+    /// over the retried send path: a fault-plan drop backs off and resends,
+    /// exhaustion is a typed transfer failure.
     fn return_credits(&mut self, task: Task, iter: u32) -> Result<(), RuntimeError> {
-        for e in self.prepared.edges(task).inputs.iter().flatten() {
-            let Some(src_iter) = iter.checked_sub(e.delay) else {
-                continue;
-            };
-            let window = self.rings[e.buffer as usize].window;
-            if src_iter as u64 + window as u64 >= self.iterations as u64 {
-                continue;
+        let prepared = self.prepared;
+        let edges = prepared.edges(task);
+        for e in edges.inputs.iter().flatten() {
+            if self.frees_credit(e.buffer, iter) {
+                self.stats.credits_issued += 1;
+                if e.credit_group.is_none() {
+                    self.local_credits[e.pair as usize] += 1;
+                }
             }
-            self.stats.credits_issued += 1;
-            if e.peer_node == self.node {
-                self.local_credits[e.pair as usize] += 1;
-            } else {
-                let pair = (e.buffer, e.peer_thread, task.thread);
+        }
+        for &g in &edges.credit_groups {
+            let group = &prepared.credit_groups[g as usize];
+            if self.frees_credit(group.buffer, iter) {
+                let (node, tag) = (group.producer_node, credit_tag(group.buffer, task.thread));
                 let credit = self.credit.clone();
-                self.send(e.peer_node, credit_tag(pair), &credit, e.buffer, iter)?;
+                self.send(node, tag, &credit, group.buffer, iter)?;
             }
         }
         Ok(())
+    }
+
+    /// Does a consumer retiring iteration `iter` of buffer `bid` free a
+    /// ring slot some producer iteration will spend? Not before the
+    /// buffer's `delay` arc has delivered (`iter < delay` read nothing),
+    /// and not for the last window's worth of producer iterations
+    /// (`src_iter + window >= iterations`).
+    fn frees_credit(&self, bid: u32, iter: u32) -> bool {
+        let delay = self.program.buffers[bid as usize].delay;
+        let window = self.rings[bid as usize].window;
+        iter.checked_sub(delay).is_some_and(|src_iter| {
+            u64::from(src_iter) + u64::from(window) < u64::from(self.iterations)
+        })
     }
 
     /// Blocking receive from `peer`, bounded by the fabric's deadline; a

@@ -36,8 +36,8 @@ pub mod report;
 pub mod striping;
 
 pub use executor::{
-    execute, execute_rank, fabric_to_runtime, prepare, Deposit, Edge, Prepared, RankOutcome,
-    SinkResults, StreamStats, TaskEdges,
+    execute, execute_rank, fabric_to_runtime, prepare, CreditGroup, Deposit, Edge, Prepared,
+    RankOutcome, SinkResults, StreamStats, TaskEdges,
 };
 pub use function::{FnThreadCtx, Kernel, Registry, RuntimeError, StripePayload};
 pub use glue::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc, Task};

@@ -6,7 +6,7 @@
 //! of its own; each suite pulls it in with `mod common;`.
 #![allow(dead_code)]
 
-use sage_runtime::{GlueProgram, SinkResults};
+use sage_runtime::{GlueProgram, LogicalBufferDesc, SinkResults};
 use sage_visualizer::Trace;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -106,27 +106,82 @@ pub fn sink_bytes(program: &GlueProgram, results: &SinkResults, iterations: u32)
 pub fn expected_credits(program: &GlueProgram, depth: u32, caps: &[u32], iters: u32) -> u64 {
     let mut total = 0u64;
     for desc in &program.buffers {
-        let producer = &program.functions[desc.producer as usize];
-        let consumer = &program.functions[desc.consumer as usize];
-        let redist = sage_runtime::Redistribution::plan(
-            &desc.shape,
-            desc.elem_bytes,
-            desc.send_striping,
-            producer.threads as usize,
-            desc.recv_striping,
-            consumer.threads as usize,
-        );
-        let pairs = redist
-            .pairs
-            .iter()
-            .flatten()
-            .filter(|ops| !ops.is_empty())
-            .count() as u64;
-        let cap = caps.get(desc.id as usize).copied().unwrap_or(depth);
-        let window = depth.clamp(1, cap.max(1)) + desc.delay;
-        total += pairs * u64::from(iters.saturating_sub(window));
+        let pairs = nonempty_pairs(program, desc).len() as u64;
+        total += pairs * credited_iterations(desc, depth, caps, iters);
     }
     total
+}
+
+/// The closed-form count of credit *messages* a streaming run sends: one
+/// per (buffer, consumer thread, other node holding a producer thread with
+/// a nonempty pair into it), per iteration past the buffer's window.
+pub fn expected_credit_messages(
+    program: &GlueProgram,
+    depth: u32,
+    caps: &[u32],
+    iters: u32,
+) -> u64 {
+    let mut total = 0u64;
+    for desc in &program.buffers {
+        let producer = &program.functions[desc.producer as usize];
+        let consumer = &program.functions[desc.consumer as usize];
+        let mut groups: Vec<(usize, u32)> = nonempty_pairs(program, desc)
+            .into_iter()
+            .map(|(i, j)| (j, producer.placement[i]))
+            .filter(|&(j, node)| node != consumer.placement[j])
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        total += groups.len() as u64 * credited_iterations(desc, depth, caps, iters);
+    }
+    total
+}
+
+/// The cross-node data messages one iteration sends: the nonempty pairs
+/// whose producer and consumer threads are placed on different nodes.
+pub fn remote_data_pairs(program: &GlueProgram) -> u64 {
+    let mut total = 0u64;
+    for desc in &program.buffers {
+        let producer = &program.functions[desc.producer as usize];
+        let consumer = &program.functions[desc.consumer as usize];
+        total += nonempty_pairs(program, desc)
+            .into_iter()
+            .filter(|&(i, j)| producer.placement[i] != consumer.placement[j])
+            .count() as u64;
+    }
+    total
+}
+
+/// Iterations of buffer `desc` whose retirement returns a credit: those
+/// past the buffer's window (ring depth + delay).
+fn credited_iterations(desc: &LogicalBufferDesc, depth: u32, caps: &[u32], iters: u32) -> u64 {
+    let cap = caps.get(desc.id as usize).copied().unwrap_or(depth);
+    let window = depth.clamp(1, cap.max(1)) + desc.delay;
+    u64::from(iters.saturating_sub(window))
+}
+
+/// Buffer `desc`'s nonempty `(producer thread, consumer thread)` pairs, by
+/// a fresh `Redistribution::plan` of its descriptor.
+fn nonempty_pairs(program: &GlueProgram, desc: &LogicalBufferDesc) -> Vec<(usize, usize)> {
+    let producer = &program.functions[desc.producer as usize];
+    let consumer = &program.functions[desc.consumer as usize];
+    let redist = sage_runtime::Redistribution::plan(
+        &desc.shape,
+        desc.elem_bytes,
+        desc.send_striping,
+        producer.threads as usize,
+        desc.recv_striping,
+        consumer.threads as usize,
+    );
+    let mut pairs = Vec::new();
+    for (i, row) in redist.pairs.iter().enumerate() {
+        for (j, ops) in row.iter().enumerate() {
+            if !ops.is_empty() {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
 }
 
 /// Asserts that every rank recorded a lane and that each lane is

@@ -284,8 +284,10 @@ fn sim_killed_worker_surfaces_typed_failure() {
 
 /// Simulated twins of the two-rank parity and streaming-parity tests:
 /// `fft2d_64` and `beamformer_64` lock-step and at pipeline depth 4 give
-/// the in-process lock-step sink, and a streamed run's credits are the
-/// closed form, on every seed.
+/// the in-process lock-step sink, and a streamed run's credit units and
+/// credit frames are their closed forms, on every seed. Both models run 4
+/// and 8 threads on the 2 ranks, so a credit frame stands for several
+/// pairs.
 #[test]
 fn sim_sinks_match_local_lock_step_and_credits_the_closed_form() {
     const ITERS: u32 = 6;
@@ -295,6 +297,7 @@ fn sim_sinks_match_local_lock_step_and_credits_the_closed_form() {
         let project = Project::from_sexpr(&text, 2).expect("model loads");
         let plan = sage::check::pipeline_plan(&program, &project.hardware).expect("plan");
         let caps: Vec<u32> = plan.buffers.iter().map(|b| b.safe_depth).collect();
+        let data_frames = common::remote_data_pairs(&program) * u64::from(ITERS);
         for depth in [None, Some(4)] {
             let params = JobParams {
                 pipeline: depth,
@@ -311,6 +314,18 @@ fn sim_sinks_match_local_lock_step_and_credits_the_closed_form() {
                     depth.map_or(0, |d| common::expected_credits(&program, d, &caps, ITERS));
                 assert_eq!(exec.stream.credits_issued, credits, "{model} seed {seed}");
                 assert_eq!(exec.stream.credits_retired, credits, "{model} seed {seed}");
+                let credit_frames = depth.map_or(0, |d| {
+                    common::expected_credit_messages(&program, d, &caps, ITERS)
+                });
+                assert!(
+                    depth.is_none() || (0 < credit_frames && credit_frames < credits),
+                    "{model}: {credit_frames} credit frames for {credits} units"
+                );
+                assert_eq!(
+                    exec.report.metrics.total_messages() - data_frames,
+                    credit_frames,
+                    "{model} at depth {depth:?}, seed {seed}: credit frames"
+                );
                 if seed == 0 {
                     let again = sim_job(seed, &params, 2, &|_| {});
                     assert_eq!(

@@ -17,13 +17,17 @@
 //!    stranded a ring slot — the two ways a credit loop deadlocks or
 //!    corrupts under load.
 //!
+//! A third closed form counts fabric messages: every cross-node pair's
+//! data each iteration, plus one credit per (buffer, consumer thread,
+//! producer node) group per iteration past the window.
+//!
 //! Depths are deliberately allowed to exceed the proven per-buffer caps:
 //! the executor must clamp each ring to its cap, and the expected-credit
 //! formula pins that clamping down.
 
 mod common;
 
-use common::expected_credits;
+use common::{expected_credit_messages, expected_credits, remote_data_pairs};
 use proptest::prelude::*;
 use sage::fabric::Payload;
 use sage::fuzz::gen::{chain_model, Stage};
@@ -45,12 +49,13 @@ fn striping(bit: bool) -> Striping {
 
 /// Builds a random source -> id-stages -> sink chain from packed strategy
 /// bits: stage `i` reads `pattern` bits `2i` (input striping) and `2i + 1`
-/// (output striping), and runs 1 + bit `i` of `threads` threads.
+/// (output striping), and runs 1 + bit `i` of `threads` threads, doubled
+/// when bit `8 + i` is set (so up to 4 threads on the 2 nodes).
 fn chain(seed: u32, nstages: usize, pattern: u32, threads: u32) -> AppGraph {
     let stages: Vec<Stage> = (0..nstages)
         .map(|i| {
             (
-                1 + (threads >> i & 1) as usize,
+                (1 + (threads >> i & 1) as usize) << (threads >> (8 + i) & 1),
                 striping(pattern >> (2 * i) & 1 == 1),
                 striping(pattern >> (2 * i + 1) & 1 == 1),
             )
@@ -135,6 +140,92 @@ proptest! {
         // Lock-step charges the credit machinery nothing.
         prop_assert_eq!(base.stream.credits_issued, 0u64);
     }
+
+    /// A streamed run's fabric messages are its remote data pairs every
+    /// iteration plus one credit per credit group past the window, on
+    /// chains whose stages run up to twice as many threads as there are
+    /// nodes (so one credit message stands for several pairs); lock-step
+    /// sends the data alone.
+    #[test]
+    fn streaming_sends_data_pairs_plus_the_credit_message_closed_form(
+        seed in 0u32..1_000_000,
+        nstages in 1usize..4,
+        pattern in 0u32..=u32::MAX,
+        threads in 0u32..(1 << 11),
+        depth in 1u32..5,
+        iters in 1u32..9,
+    ) {
+        let app = chain(seed, nstages, pattern, threads);
+        let (program, caps, project) =
+            streamable(Project::new(app, HardwareShelf::cspi_with_nodes(NODES)));
+        let data = remote_data_pairs(&program) * u64::from(iters);
+        let want = data + expected_credit_messages(&program, depth, &caps, iters);
+        let base = RuntimeOptions::paper_faithful().with_probes(false);
+        let stream = base.clone().with_pipeline(depth).with_pipeline_depths(caps.clone());
+        for (options, messages) in [(base, data), (stream, want)] {
+            let exec = project
+                .execute(&program, TimePolicy::Virtual, &options, iters)
+                .expect("runs");
+            prop_assert_eq!(
+                exec.report.metrics.total_messages(),
+                messages,
+                "{:?}", options.issue
+            );
+        }
+    }
+}
+
+/// `project`'s generated program and its proven per-buffer depth caps,
+/// with the project, kernels registered, that runs it.
+fn streamable(mut project: Project) -> (GlueProgram, Vec<u32>, Project) {
+    sage::apps::kernels::register_kernels(&mut project.registry);
+    let (program, _) = project
+        .generate(&Placement::Aligned)
+        .expect("generated models are check-clean");
+    let caps = sage::check::pipeline_plan(&program, &project.hardware)
+        .expect("check-clean programs carry a pipeline proof")
+        .buffers
+        .iter()
+        .map(|b| b.safe_depth)
+        .collect();
+    (program, caps, project)
+}
+
+/// Fan-in ports and `delay` arcs keep the message closed form: the
+/// feedback fan-in model below at 16 x 16 and 4 threads a block on the 2
+/// nodes (a one-iteration feedback loop, and a two-iteration tap merging
+/// into the sink's port beside the direct arc, across corner turns) at
+/// depths 1 to 3.
+#[test]
+fn fan_in_and_delay_arcs_send_the_credit_message_closed_form() {
+    let model = FEEDBACK_FAN_IN_LARGE
+        .replace("256 256", "16 16")
+        .replace("(source 2)", "(source 4)")
+        .replace(" 2 (cost", " 4 (cost")
+        .replace("(sink 2)", "(sink 4)");
+    let (program, caps, project) =
+        streamable(Project::from_sexpr(&model, NODES).expect("model loads"));
+    let iters = 7;
+    for depth in 1..=3 {
+        let options = RuntimeOptions::paper_faithful()
+            .with_probes(false)
+            .with_pipeline(depth)
+            .with_pipeline_depths(caps.clone());
+        let exec = project
+            .execute(&program, TimePolicy::Virtual, &options, iters)
+            .expect("runs");
+        let credits = expected_credit_messages(&program, depth, &caps, iters);
+        assert!(credits > 0, "depth {depth} sends no credit");
+        assert_eq!(
+            exec.report.metrics.total_messages(),
+            remote_data_pairs(&program) * u64::from(iters) + credits,
+            "depth {depth}"
+        );
+        assert_eq!(
+            exec.stream.credits_issued,
+            expected_credits(&program, depth, &caps, iters)
+        );
+    }
 }
 
 /// Depth 1 streaming is the degenerate one-slot window: issue order matches
@@ -204,6 +295,37 @@ fn real_clock_streaming_ledgers_credits_through_the_shared_credit() {
     );
 }
 
+/// The benchmark's streaming beamformer (32 x 32, 16 threads on 2 nodes,
+/// depth 8) on the real clock: 128 remote data pairs a frame fall into 16
+/// credit groups, so over 200 frames 192 retirements per group send 15.36
+/// credit messages a frame where one per pair would send 122.88.
+#[test]
+fn real_clock_beamformer_sends_one_credit_per_group() {
+    let app = sage::apps::beamformer::sage_model(32, 16);
+    let (program, caps, project) =
+        streamable(Project::new(app, HardwareShelf::cspi_with_nodes(NODES)));
+    let (depth, iters) = (8, 200);
+    let options = RuntimeOptions::paper_faithful()
+        .with_probes(false)
+        .with_pipeline(depth)
+        .with_pipeline_depths(caps.clone());
+    let exec = project
+        .execute(&program, TimePolicy::Real, &options, iters)
+        .expect("runs");
+    let credits = expected_credit_messages(&program, depth, &caps, iters);
+    assert_eq!(credits * 100, 1536 * u64::from(iters), "15.36 a frame");
+    assert_eq!(remote_data_pairs(&program), 128);
+    assert_eq!(
+        exec.report.metrics.total_messages(),
+        128 * u64::from(iters) + credits
+    );
+    let units = expected_credits(&program, depth, &caps, iters);
+    assert_eq!(
+        (exec.stream.credits_issued, exec.stream.credits_retired),
+        (units, units)
+    );
+}
+
 /// One end of a transfer as the edge tables should describe it, with the
 /// pair named by its `(buffer, producer thread, consumer thread)` key
 /// instead of its dense index.
@@ -269,7 +391,7 @@ fn edge_tables_match_a_brute_force_walk_of_the_pair_matrices() {
                 .iter()
                 .map(|b| program.plan_buffer(b).expect("plannable"))
                 .collect();
-            let mut pairs = 0;
+            let (mut pairs, mut groups_seen) = (0, 0);
             for f in &program.functions {
                 for t in 0..f.threads as usize {
                     let mut inputs: Vec<(&str, Vec<EdgeKey>)> = Vec::new();
@@ -323,9 +445,33 @@ fn edge_tables_match_a_brute_force_walk_of_the_pair_matrices() {
                     let inputs: Vec<Vec<EdgeKey>> = inputs.into_iter().map(|(_, g)| g).collect();
                     assert_eq!(named(&edges.inputs), inputs, "{what}: inputs");
                     assert_eq!(named(&edges.outputs), outputs, "{what}: outputs");
+                    // A cross-node input edge names the credit group of its
+                    // (buffer, producer node) into this thread, and the task
+                    // lists each such group once, in first-named order.
+                    let mut listed: Vec<u32> = Vec::new();
+                    for e in edges.inputs.iter().flatten() {
+                        let remote = e.peer_node != f.placement[t];
+                        assert_eq!(e.credit_group.is_some(), remote, "{what}: {e:?}");
+                        let Some(g) = e.credit_group else { continue };
+                        let group = &prepared.credit_groups()[g as usize];
+                        let key = (group.buffer, group.producer_node);
+                        assert_eq!(key, (e.buffer, e.peer_node), "{what}");
+                        assert!(group.pairs.contains(&e.pair), "{what}: {e:?}");
+                        if !listed.contains(&g) {
+                            listed.push(g);
+                        }
+                    }
+                    assert_eq!(edges.credit_groups, listed, "{what}: credit groups");
+                    groups_seen += listed.len();
                 }
             }
             assert_eq!(key_of_pair.len(), pairs, "seed index {index}: pair count");
+            let groups = prepared.credit_groups();
+            assert_eq!(
+                groups_seen,
+                groups.len(),
+                "seed index {index}: a group listed twice"
+            );
             checked += 1;
         }
     }
