@@ -368,6 +368,7 @@ fn parse_model_form(v: &Ast) -> Result<AppGraph, ModelIoError> {
 /// through, shared by [`model_from_sexpr`] and [`crate::load`]. A syntax
 /// error is reported with its `line:column` resolved against the source
 /// text, beside the byte offset it points at.
+#[allow(clippy::disallowed_methods)] // the one call (`clippy.toml`)
 pub(crate) fn read_forms(src: &str) -> Result<Vec<Ast>, (ModelIoError, usize)> {
     parse_program(src).map_err(|e| {
         let (line, col) = sage_alter::line_col_at(src, e.offset());

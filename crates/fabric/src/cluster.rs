@@ -785,6 +785,61 @@ mod tests {
         );
     }
 
+    /// This thread's voluntary context switches: one per park that slept.
+    #[cfg(target_os = "linux")]
+    fn sleeps() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let field = (status.lines()).find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        field.unwrap().trim().parse().unwrap()
+    }
+
+    /// A send wakes its destination and nobody else: node 2 stays parked
+    /// through 4,000 messages between nodes 0 and 1, so it sleeps a handful
+    /// of times (its one park, and a lock it may meet on the way out), not
+    /// once per message.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_send_wakes_no_bystander() {
+        const ROUNDS: u32 = 2_000;
+        let cluster =
+            Cluster::new(machine(3), TimePolicy::Real).with_recv_timeout(Duration::from_secs(10));
+        let (results, _) = cluster.run(|ctx| match ctx.id() {
+            0 => {
+                let bystander = &ctx.shared.mailboxes[2].queues;
+                while bystander.lock().unwrap().parked == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                for round in 0..ROUNDS {
+                    send(ctx, 1, 1, &round.to_le_bytes());
+                    recv(ctx, 1, 2);
+                }
+                send(ctx, 2, 3, b"done");
+                0
+            }
+            1 => {
+                for _ in 0..ROUNDS {
+                    let m = recv(ctx, 0, 1);
+                    send(ctx, 0, 2, &m);
+                }
+                0
+            }
+            _ => {
+                let before = sleeps();
+                assert_eq!(recv(ctx, 0, 3), b"done");
+                sleeps() - before
+            }
+        });
+        assert!(results[2] <= 8, "the bystander slept {} times", results[2]);
+    }
+
+    /// The mailbox map hashes with the fixed `KeyHasher`, never SipHash's
+    /// keyed default: another hasher fails to compile here.
+    #[test]
+    fn the_mailbox_map_hashes_with_the_fixed_hasher() {
+        let queues = Queues::default();
+        let _: &BuildHasherDefault<KeyHasher> = queues.by_key.hasher();
+    }
+
     /// Strict ping-pong parks a receiver on nearly every message, and a
     /// one-way burst queues behind a receiver that may or may not be
     /// parked: a lost wake-up surfaces as a typed `RecvTimeout`.

@@ -171,8 +171,9 @@ impl Payload {
     }
 
     /// `true` when this is the only handle on the allocation, i.e. mutation
-    /// and [`Payload::into_vec`] are free.
-    pub fn is_unique(&self) -> bool {
+    /// and [`Payload::into_vec`] are free. Crate-private: whether a buffer
+    /// can be reused is [`Payload::rescratch`]'s decision, not a caller's.
+    pub(crate) fn is_unique(&self) -> bool {
         Arc::strong_count(&self.bytes) == 1
     }
 

@@ -38,6 +38,9 @@
 //! *delivery*, never job *results*.
 
 #![warn(missing_docs)]
+// `clippy.toml`'s thread and timer list, for the library; Cargo.toml
+// leaves the lint off for the integration tests.
+#![deny(clippy::disallowed_methods)]
 
 pub mod client;
 pub mod launch;

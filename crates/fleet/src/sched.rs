@@ -354,6 +354,9 @@ impl Scheduler {
     /// Connects to every fleet worker, exchanges versions, wires the mesh
     /// (each worker learns every other worker's data-plane address), and
     /// starts one reader thread per worker.
+    // One reader thread per worker link: a blocking read is the event
+    // that a result, a death or a drain reply arrived.
+    #[allow(clippy::disallowed_methods)]
     pub fn connect(addrs: &[String], cfg: SchedConfig) -> Result<Arc<Scheduler>, NetError> {
         if addrs.is_empty() {
             return Err(NetError::Protocol("fleet needs at least one worker".into()));
@@ -550,6 +553,7 @@ pub fn serve_sched(listener: TcpListener, sched: Arc<Scheduler>) -> Result<(), N
                 let stop = stop.clone();
                 // Detached on purpose: a client that connects and idles
                 // must not block the drain-triggered shutdown.
+                #[allow(clippy::disallowed_methods)]
                 std::thread::spawn(move || handle_client(&conn, &sched, &stop));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}

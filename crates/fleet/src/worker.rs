@@ -179,6 +179,8 @@ fn send_result(writer: &Mutex<TcpStream>, job: u32, report: RankReport) {
 }
 
 /// Starts the [`CHAOS_EXIT_ENV`] countdown, if the variable asks for one.
+// A fault injector, off unless the variable is set: a timer is its point.
+#[allow(clippy::disallowed_methods)]
 fn arm_chaos_exit() {
     let Some(ms) = std::env::var(CHAOS_EXIT_ENV)
         .ok()

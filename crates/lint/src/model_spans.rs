@@ -94,6 +94,9 @@ impl ModelSpans {
 
 #[cfg(test)]
 mod tests {
+    // The tests index hand-parsed forms directly.
+    #![allow(clippy::disallowed_methods)]
+
     use super::*;
 
     const SRC: &str = r#"; model

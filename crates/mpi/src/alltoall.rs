@@ -113,8 +113,12 @@ mod tests {
         });
         for (me, (_, out)) in runs.iter().enumerate() {
             for (src, received) in out.iter().enumerate() {
-                assert!(!received.is_unique(), "me={me} src={src} was copied");
-                assert_eq!(received.as_ptr(), runs[src].0[me].as_ptr());
+                let sent = &runs[src].0[me];
+                assert_eq!(
+                    received.as_ptr(),
+                    sent.as_ptr(),
+                    "me={me} src={src} was copied"
+                );
             }
         }
     }

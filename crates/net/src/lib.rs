@@ -53,11 +53,11 @@
 //! only the wire underneath changes.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod error;
 mod mesh;
+// The crate's one `unsafe` block: the `poll(2)` call.
 #[allow(unsafe_code)]
 pub mod poll;
 pub mod proto;

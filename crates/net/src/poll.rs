@@ -50,6 +50,9 @@ extern "C" {
 /// Blocks until an entry of `fds` is ready or `timeout` passes (`None`:
 /// no limit), retrying `EINTR` against the same deadline. Returns how many
 /// entries are ready; 0 is a timeout.
+// The socket driver's readiness wait turns its timeout into a deadline on
+// the clock (`clippy.toml` keeps the clock from the mesh core).
+#[allow(clippy::disallowed_methods)]
 pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
     let deadline = timeout.map(|t| Instant::now() + t);
     loop {

@@ -28,6 +28,10 @@
 //! reader per link), `PeerFailed` when a peer is gone and its queue is
 //! drained, `RecvTimeout` when a receive outlives its deadline.
 
+// The socket driver: its links are `TcpStream`s (`clippy.toml` keeps them
+// out of the rest of the crate).
+#![allow(clippy::disallowed_types)]
+
 use crate::error::NetError;
 use crate::mesh::{hello, Beats, Driver, IoPass, Mailbox, PeerInput, PeerLink};
 use crate::poll::{self, PollFd};
@@ -106,13 +110,17 @@ impl Sockets {
     }
 }
 
+// The socket driver: the clock, the timed park and the `poll(2)` waits the
+// mesh core leaves to it, each method allowing only what it is for.
 impl Driver for Sockets {
     type Link = TcpStream;
 
+    #[allow(clippy::disallowed_methods)]
     fn now(&self) -> Instant {
         Instant::now()
     }
 
+    #[allow(clippy::disallowed_methods)]
     fn park<'a, S>(
         &self,
         _: &'a Mutex<S>,
@@ -130,10 +138,12 @@ impl Driver for Sockets {
         self.parked.notify_all();
     }
 
+    #[allow(clippy::disallowed_methods)]
     fn wait_writable(&self, link: &TcpStream) -> std::io::Result<()> {
         poll::wait(&mut [PollFd::writable(link)], None).map(drop)
     }
 
+    #[allow(clippy::disallowed_methods)]
     fn wait_readable(
         &self,
         links: &[&TcpStream],
@@ -305,6 +315,8 @@ impl MeshCore {
     /// rank; see [`MeshCore::establish`]): connects downward with
     /// retry/backoff, accepts upward on `listener`, and starts the one I/O
     /// thread.
+    // Starts the endpoint's one I/O thread.
+    #[allow(clippy::disallowed_methods)]
     pub fn connect(
         rank: usize,
         peers: &[String],
@@ -341,6 +353,9 @@ fn halves(stream: TcpStream) -> Result<(TcpStream, TcpStream), NetError> {
 
 /// Takes the next connection off the nonblocking `listener`, waiting in
 /// `poll(2)` until `deadline`.
+// Mesh establishment, before the core exists: the driver's own clock and
+// readiness wait.
+#[allow(clippy::disallowed_methods)]
 fn accept(listener: &TcpListener, deadline: Instant) -> Result<(TcpStream, TcpStream), NetError> {
     loop {
         match listener.accept() {
@@ -511,6 +526,9 @@ impl<D: Driver> Transport for JobTransport<D> {
 
 /// Dials `addr`, retrying with exponential backoff while the peer process
 /// comes up.
+// One of the two timers in the mesh and the fleet: the backoff between dial
+// attempts, before any socket exists to wait on.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
     let mut backoff = CONNECT_BACKOFF_SECS;
     let mut last_err = None;
@@ -533,10 +551,24 @@ pub(crate) fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
 
 #[cfg(test)]
 mod tests {
+    // Socket tests drive real sockets, threads and clocks.
+    #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
     use super::*;
     use crate::mesh::Take;
     use std::io::Read;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The mesh's one knob is the beat: the connect backoff, the staleness
+    /// allowance (`MISSED_BEATS`) and the receive deadline are constants. A
+    /// new field fails to compile here until it has a second setting in use.
+    #[test]
+    fn the_beat_is_the_one_setting() {
+        let NetConfig { heartbeat } = NetConfig::default().with_heartbeat_ms(Some(5));
+        assert_eq!(heartbeat, Duration::from_millis(5));
+        let NetConfig { heartbeat } = NetConfig::default().with_heartbeat_ms(None);
+        assert_eq!(heartbeat, Duration::from_millis(200));
+    }
 
     /// Builds an N-rank loopback mesh, one transport per thread.
     fn mesh(n: usize) -> Vec<TcpTransport> {

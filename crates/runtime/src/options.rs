@@ -243,5 +243,27 @@ mod tests {
         assert_eq!(o.issue, IssuePolicy::Validate(3));
         assert_eq!(o.clone().with_pipeline(2).issue, IssuePolicy::Streaming(2));
         assert_eq!(o.with_pipeline_validate(1).issue, IssuePolicy::LockStep);
+        // Six values, each set by a preset or a `with_` method: a knob with one
+        // setting in use is a constant instead (`BufferScheme`'s costs,
+        // `sage-mpi`'s). A new field fails to compile here until it has a
+        // second setting and a line below.
+        let RuntimeOptions {
+            buffer_scheme,
+            probes,
+            faults,
+            issue,
+            pipeline_depths,
+            race_detect,
+        } = RuntimeOptions::optimized()
+            .with_probes(true)
+            .with_faults(FaultPlan::new(7).fail_node(1, 0.5))
+            .with_pipeline(2)
+            .with_pipeline_depths(vec![1])
+            .with_race_detect(true);
+        assert_eq!(buffer_scheme, BufferScheme::Shared);
+        assert!(probes && race_detect);
+        assert_ne!(faults, FaultPlan::default());
+        assert_eq!(issue, IssuePolicy::Streaming(2));
+        assert_eq!(pipeline_depths, [1]);
     }
 }

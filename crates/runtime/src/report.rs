@@ -278,7 +278,11 @@ mod tests {
     #[test]
     fn merge_folds_clean_ranks_into_one_run() {
         let wall = Duration::from_millis(7);
-        let exec = Execution::merge(vec![Some(ok(0)), Some(ok(1))], wall, 4).expect("clean run");
+        let reports = vec![Some(ok(0)), Some(ok(1))];
+        let recorded: Vec<*const ProbeEvent> = (reports.iter().flatten())
+            .map(|r| r.events.as_ptr())
+            .collect();
+        let exec = Execution::merge(reports, wall, 4).expect("clean run");
         assert_eq!(exec.results.stripe(7, 0, 0), Some(&[0u8, 0][..]));
         assert_eq!(exec.results.stripe(7, 0, 1), Some(&[1u8, 1][..]));
         assert_eq!(exec.results.len(), 2);
@@ -294,6 +298,10 @@ mod tests {
             .map(|lane| lane.iter().map(|e| e.time).collect())
             .collect();
         assert_eq!(lanes, vec![vec![1.0], vec![0.0]], "one lane per rank");
+        let moved: Vec<*const ProbeEvent> = (exec.trace.lanes().iter())
+            .map(|lane| lane.as_ptr())
+            .collect();
+        assert_eq!(moved, recorded, "each lane is moved in, not copied");
         let walked: Vec<u32> = exec.trace.in_time_order().map(|(r, _)| r).collect();
         assert_eq!(walked, vec![1, 0], "the walk across ranks is in time order");
     }

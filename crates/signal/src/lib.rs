@@ -15,6 +15,9 @@
 
 #![warn(missing_docs)]
 
+// The crate's only `unsafe`: the byte <-> sample casts of `view` and
+// `with_view_mut`, in one module.
+#[allow(unsafe_code)]
 pub mod complex;
 pub mod cost;
 pub mod fft;

@@ -56,12 +56,19 @@ impl ProbeEvent {
 mod tests {
     use super::*;
 
+    /// An event row names no rank: the lane it sits in does. A new field
+    /// (a `node` column, say) fails to compile here.
     #[test]
     fn construction() {
-        let e = ProbeEvent::new(1.5, EventKind::FnStart, 7, 3);
-        assert_eq!(e.time, 1.5);
-        assert_eq!(e.kind, EventKind::FnStart);
-        assert_eq!(e.id, 7);
-        assert_eq!(e.iteration, 3);
+        let ProbeEvent {
+            time,
+            kind,
+            id,
+            iteration,
+        } = ProbeEvent::new(1.5, EventKind::FnStart, 7, 3);
+        assert_eq!(time, 1.5);
+        assert_eq!(kind, EventKind::FnStart);
+        assert_eq!(id, 7);
+        assert_eq!(iteration, 3);
     }
 }

@@ -212,8 +212,8 @@ impl Args {
             .transpose()
     }
 
-    /// A count from 1 with a default: node, worker, rank, daemon and slot
-    /// counts, which a zero would leave nothing to run on.
+    /// A count from 1 with a default: node, worker, rank, daemon, slot and
+    /// iteration counts, which a zero would leave nothing to run on.
     fn positive_or<T: std::str::FromStr + PartialOrd + From<u8>>(
         &self,
         name: &str,
@@ -715,8 +715,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         depth => depth,
     };
+    let iters: u32 = args.positive_or("iters", 3)?;
     let mut pre = preflight(args, path, nodes, true)?;
-    let iters: u32 = args.num_or("iters", 3)?;
     sage::apps::kernels::register_kernels(&mut pre.project.registry);
     let (project, program, plan) = (&pre.project, &pre.program, &pre.plan);
     let options = if args.has("optimized") {
@@ -820,11 +820,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("launch needs a model file")?;
     let workers: usize = args.positive_or("workers", 4)?;
+    let iters: u32 = args.positive_or("iters", 3)?;
     let pre = preflight(args, path, workers, true)?;
     let opts = LaunchOptions {
         workers,
         heartbeat_ms: args.positive("heartbeat-ms")?,
-        params: job_params(args, &pre, args.num_or("iters", 3)?)?,
+        params: job_params(args, &pre, iters)?,
     };
     let exec = sage::fleet::launch(&opts, &spawn_local_fleet).map_err(|e| e.to_string())?;
     summarize("", &pre.program.app_name, "worker processes", &exec);
@@ -927,8 +928,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("submit needs a model file")?;
     let addr = args.get("sched").ok_or("submit needs --sched ADDR")?;
     let ranks: usize = args.positive_or("ranks", 4)?;
+    let iters: u32 = args.positive_or("iters", 3)?;
     let pre = preflight(args, path, ranks, true)?;
-    let iters: u32 = args.num_or("iters", 3)?;
     let spec = sage::fleet::SubmitSpec {
         tenant: args.get("tenant").unwrap_or("").to_string(),
         ..sage::fleet::SubmitSpec::with_params(job_params(args, &pre, iters)?, ranks as u32)
@@ -1009,7 +1010,7 @@ fn fuzz_replay(stem: &str, iters_override: Option<u32>) -> Result<(), String> {
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
     use sage::fuzz::{diff::DiffConfig, run_fuzz, FuzzOptions};
     if let Some(stem) = args.get("replay") {
-        return fuzz_replay(stem, args.num("iters")?);
+        return fuzz_replay(stem, args.positive("iters")?);
     }
     let tcp = match args.get("transport") {
         None | Some("local") => false,
@@ -1020,7 +1021,7 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         seed: args.num_or("seed", 1)?,
         count: args.num_or("count", 16)?,
         diff: DiffConfig {
-            iterations: args.num_or("iters", 2)?,
+            iterations: args.positive_or("iters", 2)?,
             tcp,
             fault_rounds: args.num_or("fault-rounds", 2)?,
         },

@@ -315,6 +315,26 @@ fn sage_cli_rejects_unknown_flags_and_bad_numbers() {
         ),
         (&["sched", "--spawn", "1", "--slots", "0"], "--slots"),
         (&["sched", "--spawn", "0"], "--spawn"),
+        // Zero iterations is no run: never a throughput line over nothing
+        // or a fuzz verdict on an empty sink.
+        (&["run", &model, "--iters", "0"], "--iters"),
+        (
+            &["run", &model, "--pipeline", "4", "--iters", "0"],
+            "--iters",
+        ),
+        (
+            &["launch", &model, "--workers", "2", "--iters", "0"],
+            "--iters",
+        ),
+        (
+            &["submit", &model, "--sched", "127.0.0.1:9", "--iters", "0"],
+            "--iters",
+        ),
+        (&["fuzz", "--count", "2", "--iters", "0"], "--iters"),
+        (
+            &["fuzz", "--replay", "no-such-bundle", "--iters", "0"],
+            "--iters",
+        ),
     ] {
         let out = std::process::Command::new(common::sage_bin())
             .args(args)
