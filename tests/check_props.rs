@@ -9,14 +9,22 @@
 //! fuzz` corpus generator) and only uses kernels the `sage fleet` daemon
 //! registers (`workload.matrix`, the built-in `id`), so every case is a
 //! real distributed run of the real binary.
+//!
+//! The same generator also drives the deadlock pass both ways: with a few
+//! schedule slots swapped, `SAGE040` fires exactly when an in-test walk of
+//! the schedules stalls.
 
 mod common;
 
 use proptest::prelude::*;
 use sage::fuzz::gen::{chain_model, Stage};
+use sage::fuzz::gen::{gen_model, GenConfig};
 use sage::prelude::*;
+use sage_check::Checker;
 use sage_core::model_io;
 use sage_fleet::{JobParams, LaunchOptions};
+use sage_runtime::{GlueProgram, Task};
+use std::collections::{HashMap, HashSet};
 
 fn dt() -> DataType {
     DataType::complex_matrix(8, 8)
@@ -154,5 +162,75 @@ proptest! {
             common::sink_bytes(&program, &armed.results, iters),
             "arming the race detector changed the sink bytes"
         );
+    }
+}
+
+/// Whether one iteration of `program`'s node schedules stalls: each node
+/// runs its schedule in order, and a task runs once every delay-0 producer
+/// with a non-empty planned pair into it has run.
+fn schedule_walk_stalls(program: &GlueProgram) -> bool {
+    let mut producers: HashMap<Task, Vec<Task>> = HashMap::new();
+    for b in program.buffers.iter().filter(|b| b.delay == 0) {
+        let Ok(plan) = program.plan_buffer(b) else {
+            continue;
+        };
+        for (i, row) in plan.pairs.iter().enumerate() {
+            for (j, _) in row.iter().enumerate().filter(|(_, iv)| !iv.is_empty()) {
+                let task = |fn_id, thread| Task { fn_id, thread };
+                let into = producers.entry(task(b.consumer, j as u32)).or_default();
+                into.push(task(b.producer, i as u32));
+            }
+        }
+    }
+    let mut ran: HashSet<Task> = HashSet::new();
+    let mut next = vec![0usize; program.node_count()];
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (node, sched) in program.schedules.iter().enumerate() {
+            while let Some(&t) = sched.get(next[node]) {
+                if !producers
+                    .get(&t)
+                    .is_none_or(|ps| ps.iter().all(|p| ran.contains(p)))
+                {
+                    break;
+                }
+                ran.insert(t);
+                next[node] += 1;
+                progressed = true;
+            }
+        }
+    }
+    next.iter()
+        .zip(&program.schedules)
+        .any(|(&n, sched)| n < sched.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `SAGE040` is exact: on a generated program with a few tasks of its
+    /// node schedules swapped, the deadlock pass reports a wait-for cycle
+    /// if and only if a walk of the schedules stalls.
+    #[test]
+    fn sage040_fires_exactly_when_a_schedule_walk_stalls(
+        seed in 1u64..100_000,
+        swaps in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 0..4),
+    ) {
+        let gm = gen_model(seed, &GenConfig::default());
+        let generated = Project::new(gm.app, HardwareShelf::cspi_with_nodes(gm.nodes))
+            .generate(&Placement::Aligned);
+        prop_assume!(generated.is_ok());
+        let (mut program, _) = generated.unwrap();
+        for (node, a, b) in swaps {
+            let sched = &mut program.schedules[node % gm.nodes];
+            let len = sched.len();
+            sched.swap(a % len, b % len);
+        }
+        let hw = HardwareShelf::cspi_with_nodes(gm.nodes);
+        let checker = Checker::new(&program, &hw, None);
+        prop_assume!(checker.preamble().is_empty());
+        let deadlock = checker.deadlock().diags.iter().any(|d| d.code == "SAGE040");
+        prop_assert_eq!(deadlock, schedule_walk_stalls(&program));
     }
 }
