@@ -11,121 +11,29 @@
 //!   thread that sends it a non-empty stripe, per the session's
 //!   redistribution plans (the executor's own).
 //!
-//! Any cycle in the union means no task on the cycle can ever run: a
+//! Both are edges of the session's one order relation; this pass asks it
+//! for a cycle among the delay-0 ones. Any cycle in the union means no task on the cycle can ever run: a
 //! communication deadlock (`SAGE040`), reported with the full blocking
 //! chain. A buffer the preamble could not plan (`SAGE054`/`SAGE019`)
 //! moves no stripes and contributes no edges.
 
-use crate::{stripes, BufferPlans, Checker};
-use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
+use crate::order::{Order, Wait};
+use crate::Checker;
+use sage_lint::{Diagnostic, Diagnostics};
 use sage_runtime::{GlueProgram, Task};
-use std::collections::HashMap;
-
-/// Why one task waits for another.
-#[derive(Clone, Copy, Debug)]
-enum Wait {
-    /// Scheduled after the other task on `node`.
-    Program { node: u32 },
-    /// Receives a stripe of logical buffer `buffer` from the other task.
-    Recv { buffer: u32 },
-}
 
 /// Reports a wait-for cycle among a validated program's tasks (`SAGE040`).
-pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
-    let (program, spans) = (cx.program, cx.spans);
-    // Vertices: every scheduled task.
-    let mut tasks: Vec<Task> = Vec::new();
-    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
-    for sched in &program.schedules {
-        for &t in sched {
-            index.insert((t.fn_id, t.thread), tasks.len());
-            tasks.push(t);
-        }
-    }
-
-    let mut edges: Vec<Vec<(usize, Wait)>> = vec![Vec::new(); tasks.len()];
-
-    // Program-order edges: each task waits for its predecessor on the node.
-    for (node, sched) in program.schedules.iter().enumerate() {
-        for pair in sched.windows(2) {
-            let earlier = index[&(pair[0].fn_id, pair[0].thread)];
-            let later = index[&(pair[1].fn_id, pair[1].thread)];
-            edges[later].push((earlier, Wait::Program { node: node as u32 }));
-        }
-    }
-
-    // Communication edges from the session's redistribution plans.
-    // `delay` arcs cross the iteration boundary: the consumer reads the
-    // payload emitted `delay` iterations earlier (zeros at start-up), so
-    // it never waits on this iteration's producer and contributes no
-    // wait-for edge.
-    for s in stripes(program, plans).filter(|s| s.b.delay == 0) {
-        let producer = index[&(s.b.producer, s.i)];
-        let consumer = index[&(s.b.consumer, s.j)];
-        edges[consumer].push((producer, Wait::Recv { buffer: s.b.id }));
-    }
-
-    if let Some(cycle) = find_cycle(&edges) {
-        diags.push(cycle_diag(program, &tasks, &cycle, spans));
-    }
-}
-
-/// Finds one cycle in the wait-for graph: returns the chain
-/// `[(task, wait), ...]` where each entry waits for the *next* entry (and
-/// the last waits for the first).
-fn find_cycle(edges: &[Vec<(usize, Wait)>]) -> Option<Vec<(usize, Wait)>> {
-    let n = edges.len();
-    let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        // Stack frames: (vertex, next out-edge, wait that led here).
-        let mut stack: Vec<(usize, usize, Option<Wait>)> = vec![(start, 0, None)];
-        color[start] = 1;
-        while let Some(&mut (u, ref mut next, _)) = stack.last_mut() {
-            if *next < edges[u].len() {
-                let (v, wait) = edges[u][*next];
-                *next += 1;
-                match color[v] {
-                    0 => {
-                        color[v] = 1;
-                        stack.push((v, 0, Some(wait)));
-                    }
-                    1 => {
-                        // Back edge u -> v: the cycle is v..=u on the stack
-                        // plus this edge. Frame k+1's stored wait labels the
-                        // edge from frame k, and the back edge closes `u` ->
-                        // `v` via `wait`.
-                        let pos = stack.iter().position(|&(w, _, _)| w == v).unwrap();
-                        let waits = stack[pos + 1..].iter().map(|&(_, _, w)| w.unwrap());
-                        let on_cycle = stack[pos..].iter().map(|&(w, _, _)| w);
-                        return Some(on_cycle.zip(waits.chain([wait])).collect());
-                    }
-                    _ => {}
-                }
-            } else {
-                color[u] = 2;
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
-fn task_name(program: &GlueProgram, t: Task) -> String {
-    format!("{}[{}]", program.functions[t.fn_id as usize].name, t.thread)
-}
-
-fn cycle_diag(
-    program: &GlueProgram,
-    tasks: &[Task],
-    cycle: &[(usize, Wait)],
-    spans: Option<&ModelSpans>,
-) -> Diagnostic {
+/// `delay` arcs cross the iteration boundary: the consumer reads the
+/// payload emitted `delay` iterations earlier (zeros at start-up), so it
+/// never waits on this iteration's producer and contributes no edge.
+pub(crate) fn check(cx: &Checker<'_>, order: &Order<'_>, diags: &mut Diagnostics) {
+    let Some(cycle) = order.cycle() else {
+        return;
+    };
+    let program = cx.program;
     let names: Vec<String> = cycle
         .iter()
-        .map(|&(v, _)| task_name(program, tasks[v]))
+        .map(|&(p, _)| task_name(program, order.task(p)))
         .collect();
     let mut d = Diagnostic::error(
         "SAGE040",
@@ -136,15 +44,17 @@ fn cycle_diag(
             names.join(" -> "),
         ),
     );
-    for (k, &(_, wait)) in cycle.iter().enumerate() {
+    for (k, &(p, wait)) in cycle.iter().enumerate() {
         let waiter = &names[k];
         let waited = &names[(k + 1) % names.len()];
         let note = match wait {
-            Wait::Program { node } => format!(
+            Wait::Program => format!(
                 "`{waiter}` cannot start until `{waited}` finishes: it is \
-                 scheduled after `{waited}` on node {node}"
+                 scheduled after `{waited}` on node {}",
+                order.at(p).0
             ),
-            Wait::Recv { buffer } => {
+            Wait::Recv(e) => {
+                let buffer = order.syncs[e].buffer;
                 let b = &program.buffers[buffer as usize];
                 format!(
                     "`{waiter}` blocks receiving logical buffer {buffer} \
@@ -159,14 +69,18 @@ fn cycle_diag(
         "every task on the cycle waits forever; reorder the schedule or \
          change the mapping so producers run before their consumers",
     );
-    let first = &program.functions[tasks[cycle[0].0].fn_id as usize].name;
-    d.with_span_opt(spans.and_then(|s| s.block(first)))
+    let first = &program.functions[order.task(cycle[0].0).fn_id as usize].name;
+    diags.push(d.with_span_opt(cx.spans.and_then(|s| s.block(first))));
+}
+
+fn task_name(program: &GlueProgram, t: Task) -> String {
+    format!("{}[{}]", program.functions[t.fn_id as usize].name, t.thread)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Checker;
+    use sage_lint::ModelSpans;
     use sage_model::{HardwareShelf, Properties, Striping};
     use sage_runtime::{FnRole, FunctionDescriptor, LogicalBufferDesc};
 

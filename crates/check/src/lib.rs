@@ -17,13 +17,17 @@
 //! [`GlueProgram::validate`] and the program/hardware node count
 //! (`SAGE041`), then every buffer's redistribution plan through the
 //! run-time's own planner (`SAGE054` degenerate, `SAGE019` unstripeable) —
-//! exactly once, and owns the plans. Every method is a pass over them and
-//! reports the preamble's findings followed by its own:
+//! exactly once, and owns the plans. On them the session builds, once and
+//! for the first pass that asks, one order relation: a position per
+//! scheduled task, the program-order and lock-step wraparound edges, and a
+//! sync edge per planned transfer pair. Every method is a pass that
+//! queries it and reports the preamble's findings followed by its own:
 //!
-//! * [`Checker::deadlock`] — [`deadlock`]: wait-for cycles over the
-//!   per-node schedules and the planned transfers (`SAGE040`);
+//! * [`Checker::deadlock`] — [`deadlock`]: a wait-for cycle among the
+//!   order's delay-0 edges (`SAGE040`);
 //! * [`Checker::race`] — [`race`]: static happens-before race proofs over
-//!   every input-port group: unordered overlapping writes (`SAGE070`),
+//!   every input-port group, from the order's all-pairs closure (the only
+//!   pass that builds it): unordered overlapping writes (`SAGE070`),
 //!   read/write races (`SAGE071`), depth-conditional orderings that cap the
 //!   pipeline plan (`SAGE072`), and benign same-value splats (`SAGE073`) —
 //!   all cross-validated by the run-time's vector-clock detector
@@ -37,10 +41,11 @@
 //!   (function-table wiring: use-before-init `SAGE052`, double-write
 //!   `SAGE053`; kernel shape and dtype contracts `SAGE054`), [`transfers`]
 //!   (every send has exactly one compatible receive `SAGE050`, tag
-//!   collisions and byte mismatches `SAGE051`), [`memory`] (per-node
+//!   collisions `SAGE051`), [`memory`] (per-node
 //!   high-water-mark against DRAM `SAGE055`, per-iteration wire time
 //!   against the link capacities `SAGE056`), then the race and pipeline
-//!   passes above — the race proof is computed once per session and shared;
+//!   passes above — the order and the race proof are computed once per
+//!   session and shared;
 //! * [`Checker::peaks`] — the memory walk's per-node prediction, for
 //!   cross-validation against a real run.
 //!
@@ -56,14 +61,16 @@
 
 pub mod deadlock;
 pub mod memory;
+mod order;
 pub mod pipeline;
 pub mod race;
 pub mod structure;
 pub mod transfers;
 
+use order::Order;
 use sage_lint::{Diagnostic, Diagnostics, ModelSpans};
 use sage_model::HardwareSpec;
-use sage_runtime::{GlueProgram, LogicalBufferDesc, Redistribution, Task};
+use sage_runtime::{GlueProgram, Redistribution};
 use std::cell::OnceCell;
 
 /// Per-buffer redistribution plans; `None` where the descriptor is
@@ -81,6 +88,9 @@ pub struct Checker<'a> {
     /// `None` when the program is malformed or disagrees with the hardware:
     /// the passes have nothing sound to walk.
     plans: Option<BufferPlans>,
+    /// The one order relation over `plans`, built for the first pass that
+    /// asks, and the race analysis proven on it.
+    order: OnceCell<Order<'a>>,
     races: OnceCell<race::RaceAnalysis>,
 }
 
@@ -100,6 +110,7 @@ impl<'a> Checker<'a> {
             spans,
             preamble,
             plans,
+            order: OnceCell::new(),
             races: OnceCell::new(),
         }
     }
@@ -111,9 +122,14 @@ impl<'a> Checker<'a> {
         &self.preamble
     }
 
+    fn order(&self, plans: &BufferPlans) -> &Order<'a> {
+        self.order.get_or_init(|| Order::new(self.program, plans))
+    }
+
     fn races(&self, plans: &BufferPlans) -> &race::RaceAnalysis {
+        let order = self.order(plans);
         self.races
-            .get_or_init(|| race::analyze(self.program, plans))
+            .get_or_init(|| race::analyze(self.program, plans, order))
     }
 
     /// The full battery (`sage check`): wiring, kernel contracts, transfer
@@ -123,13 +139,14 @@ impl<'a> Checker<'a> {
         let Some(plans) = &self.plans else {
             return diags;
         };
+        let order = self.order(plans);
         structure::check_wiring(self, plans, &mut diags);
         structure::check_kernel_contracts(self, plans, &mut diags);
-        transfers::check(self, plans, &mut diags);
-        memory::check(self, plans, &mut diags);
+        transfers::check(self, order, &mut diags);
+        memory::check(self, plans, order, &mut diags);
         let races = self.races(plans);
         race::report(self, races, &mut diags);
-        pipeline::check(self, plans, &races.capped, None, &mut diags);
+        pipeline::check(self, plans, order, &races.capped, None, &mut diags);
         diags
     }
 
@@ -138,7 +155,7 @@ impl<'a> Checker<'a> {
     pub fn deadlock(&self) -> Diagnostics {
         let mut diags = self.preamble.clone();
         if let Some(plans) = &self.plans {
-            deadlock::check(self, plans, &mut diags);
+            deadlock::check(self, self.order(plans), &mut diags);
         }
         diags
     }
@@ -157,8 +174,8 @@ impl<'a> Checker<'a> {
     ) -> (Option<pipeline::PipelinePlan>, Diagnostics) {
         let mut diags = self.preamble.clone();
         let plan = self.plans.as_ref().map(|plans| {
-            let capped = &self.races(plans).capped;
-            pipeline::check(self, plans, capped, requested, &mut diags)
+            let (order, capped) = (self.order(plans), &self.races(plans).capped);
+            pipeline::check(self, plans, order, capped, requested, &mut diags)
         });
         (plan, diags)
     }
@@ -185,7 +202,7 @@ impl<'a> Checker<'a> {
     /// `None` unless the preamble is clean.
     pub fn peaks(&self) -> Option<Vec<usize>> {
         let plans = self.plans.as_ref().filter(|_| self.preamble.is_empty())?;
-        let peaks = memory::node_peaks(self.program, plans);
+        let peaks = memory::node_peaks(self.program, plans, self.order(plans));
         Some(peaks.into_iter().map(|(peak, _)| peak).collect())
     }
 }
@@ -244,44 +261,6 @@ pub fn check_program(
 pub fn pipeline_plan(program: &GlueProgram, hw: &HardwareSpec) -> Option<pipeline::PipelinePlan> {
     let (plan, diags) = Checker::new(program, hw, None).pipeline(None);
     plan.filter(|_| diags.error_count() == 0)
-}
-
-/// One planned stripe: `bytes` moving from producer thread `i` of buffer
-/// `b` to its consumer thread `j`.
-pub(crate) struct Stripe<'a> {
-    pub b: &'a LogicalBufferDesc,
-    pub i: u32,
-    pub j: u32,
-    pub bytes: usize,
-}
-
-impl Stripe<'_> {
-    /// The nodes the stripe leaves and lands on.
-    pub fn nodes(&self, program: &GlueProgram) -> (usize, usize) {
-        let on = |fn_id, thread| program.node_of(Task { fn_id, thread }) as usize;
-        (on(self.b.producer, self.i), on(self.b.consumer, self.j))
-    }
-}
-
-/// Every non-empty stripe the session's plans move, in (buffer, producer
-/// thread, consumer thread) order — the walk the passes start from.
-pub(crate) fn stripes<'a>(
-    program: &'a GlueProgram,
-    plans: &'a BufferPlans,
-) -> impl Iterator<Item = Stripe<'a>> {
-    let planned = program.buffers.iter().zip(plans);
-    planned.flat_map(|(b, plan)| {
-        let rows = plan.iter().flat_map(|plan| plan.pairs.iter().enumerate());
-        rows.flat_map(move |(i, row)| {
-            let moved = row.iter().enumerate().filter(|(_, iv)| !iv.is_empty());
-            moved.map(move |(j, iv)| Stripe {
-                b,
-                i: i as u32,
-                j: j as u32,
-                bytes: iv.iter().map(|(s, e)| e - s).sum(),
-            })
-        })
-    })
 }
 
 /// A human-readable label for a logical buffer: id and both endpoints.

@@ -8,10 +8,10 @@
 //! `SAGE055`; the per-iteration wire time of a node's off-node
 //! redistribution traffic against the link capacities is `SAGE056`.
 
-use crate::{buffer_label, stripes, BufferPlans, Checker};
+use crate::order::Order;
+use crate::{buffer_label, BufferPlans, Checker};
 use sage_lint::{Diagnostic, Diagnostics};
 use sage_runtime::{GlueProgram, Layout};
-use std::collections::HashMap;
 
 /// Per-iteration wire-time budget per node. A node whose redistribution
 /// traffic alone takes longer than this per data set cannot meet any
@@ -27,7 +27,11 @@ pub const COMM_FEASIBLE_SECS: f64 = 0.1;
 /// the slot that produces it to the slot that consumes it. The figure is a
 /// lower bound for any buffer scheme — which is exactly why the executor's
 /// measured `mem_high_water` must never exceed it.
-pub(crate) fn node_peaks(program: &GlueProgram, plans: &BufferPlans) -> Vec<(usize, usize)> {
+pub(crate) fn node_peaks(
+    program: &GlueProgram,
+    plans: &BufferPlans,
+    order: &Order<'_>,
+) -> Vec<(usize, usize)> {
     // Same-node hand-off live ranges: node -> (producer slot, consumer
     // slot, bytes).
     let mut handoffs: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); program.node_count()];
@@ -35,33 +39,16 @@ pub(crate) fn node_peaks(program: &GlueProgram, plans: &BufferPlans) -> Vec<(usi
     // from one iteration into the next, so they are resident at every slot
     // (a d-deep delay keeps d payloads in flight at once).
     let mut resident: Vec<usize> = vec![0; program.node_count()];
-    let slot_of: HashMap<(u32, u32), (usize, usize)> = program
-        .schedules
-        .iter()
-        .enumerate()
-        .flat_map(|(node, sched)| {
-            sched
-                .iter()
-                .enumerate()
-                .map(move |(slot, t)| ((t.fn_id, t.thread), (node, slot)))
-        })
-        .collect();
-    for s in stripes(program, plans) {
-        let (src_node, dst_node) = s.nodes(program);
-        if src_node != dst_node {
+    for e in &order.syncs {
+        let ((node, ps), (dst_node, cs)) = (order.at(e.from), order.at(e.to));
+        if node != dst_node {
             continue;
         }
-        if s.b.delay > 0 {
-            resident[src_node] += s.bytes * s.b.delay as usize;
-            continue;
+        if e.delay > 0 {
+            resident[node] += e.bytes * e.delay as usize;
+        } else {
+            handoffs[node].push((ps, cs, e.bytes));
         }
-        let (Some(&(_, ps)), Some(&(_, cs))) = (
-            slot_of.get(&(s.b.producer, s.i)),
-            slot_of.get(&(s.b.consumer, s.j)),
-        ) else {
-            continue;
-        };
-        handoffs[src_node].push((ps, cs, s.bytes));
     }
 
     program
@@ -102,7 +89,12 @@ pub(crate) fn node_peaks(program: &GlueProgram, plans: &BufferPlans) -> Vec<(usi
 
 /// Checks per-node memory high-water-marks (`SAGE055`) and bandwidth
 /// feasibility (`SAGE056`) against the hardware model.
-pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnostics) {
+pub(crate) fn check(
+    cx: &Checker<'_>,
+    plans: &BufferPlans,
+    order: &Order<'_>,
+    diags: &mut Diagnostics,
+) {
     let (program, hw, spans) = (cx.program, cx.hw, cx.spans);
     let caps = hw.capacities();
     let flat = hw.flatten();
@@ -112,20 +104,20 @@ pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnosti
     let mut wire_secs = vec![0.0f64; program.node_count()];
     let mut wire_bytes = vec![0usize; program.node_count()];
 
-    for s in stripes(program, plans) {
-        let (src_node, dst_node) = s.nodes(program);
+    for e in &order.syncs {
+        let (src_node, dst_node) = order.nodes(e);
         if src_node != dst_node {
             let secs = hw
                 .link_between(&flat[src_node], &flat[dst_node])
-                .transfer_secs(s.bytes);
+                .transfer_secs(e.bytes);
             for node in [src_node, dst_node] {
                 wire_secs[node] += secs;
-                wire_bytes[node] += s.bytes;
+                wire_bytes[node] += e.bytes;
             }
         }
     }
 
-    let peaks = node_peaks(program, plans);
+    let peaks = node_peaks(program, plans, order);
     for (node, sched) in program.schedules.iter().enumerate() {
         if sched.is_empty() {
             continue;
@@ -159,7 +151,7 @@ pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnosti
         if wire_secs[node] > COMM_FEASIBLE_SECS {
             // Name the heaviest buffer through this node to point somewhere
             // actionable.
-            let heaviest = heaviest_buffer(program, plans, node);
+            let heaviest = heaviest_buffer(order, plans.len(), node);
             let mut d = Diagnostic::warning(
                 "SAGE056",
                 format!(
@@ -186,12 +178,12 @@ pub(crate) fn check(cx: &Checker<'_>, plans: &BufferPlans, diags: &mut Diagnosti
 
 /// The buffer moving the most cross-node bytes through `node`, if any
 /// (the lowest id on a tie).
-fn heaviest_buffer(program: &GlueProgram, plans: &BufferPlans, node: usize) -> Option<u32> {
-    let mut through = vec![0usize; plans.len()];
-    for s in stripes(program, plans) {
-        let (src, dst) = s.nodes(program);
+fn heaviest_buffer(order: &Order<'_>, buffers: usize, node: usize) -> Option<u32> {
+    let mut through = vec![0usize; buffers];
+    for e in &order.syncs {
+        let (src, dst) = order.nodes(e);
         if src != dst && (src == node || dst == node) {
-            through[s.b.id as usize] += s.bytes;
+            through[e.buffer as usize] += e.bytes;
         }
     }
     let heaviest = (0..through.len()).rev().max_by_key(|&bid| through[bid])?;

@@ -30,7 +30,8 @@
 //! harness's pipelined scheduling axis, and `sage run
 //! --pipeline-validate`.
 
-use crate::{buffer_label, memory, stripes, BufferPlans, Checker};
+use crate::order::Order;
+use crate::{buffer_label, memory, BufferPlans, Checker};
 use sage_lint::{Diagnostic, Diagnostics, JsonWriter};
 use sage_model::HardwareSpec;
 use sage_runtime::{GlueProgram, Task};
@@ -146,45 +147,6 @@ impl PipelinePlan {
     }
 }
 
-/// Shortest function-level path `from ⇝ to` over the buffer dataflow
-/// edges, as function names (BFS; used to report the cycle a delay arc
-/// closes: `to --delay--> from ⇝ to`).
-fn path_between(program: &GlueProgram, from: u32, to: u32) -> Option<Vec<String>> {
-    let nf = program.functions.len();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nf];
-    for b in &program.buffers {
-        adj[b.producer as usize].push(b.consumer);
-    }
-    let mut parent: Vec<Option<u32>> = vec![None; nf];
-    let mut queue = std::collections::VecDeque::from([from]);
-    let mut seen = vec![false; nf];
-    seen[from as usize] = true;
-    while let Some(f) = queue.pop_front() {
-        if f == to {
-            let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = parent[cur as usize].expect("BFS parent chain");
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(
-                path.into_iter()
-                    .map(|f| program.functions[f as usize].name.clone())
-                    .collect(),
-            );
-        }
-        for &n in &adj[f as usize] {
-            if !seen[n as usize] {
-                seen[n as usize] = true;
-                parent[n as usize] = Some(f);
-                queue.push_back(n);
-            }
-        }
-    }
-    None
-}
-
 /// Proves the per-buffer and overall safe pipeline depths for a
 /// structurally valid program. `race_capped` lists the buffers the race
 /// pass proved depth-conditional (`SAGE072`); each is capped at lock-step
@@ -193,6 +155,7 @@ fn path_between(program: &GlueProgram, from: u32, to: u32) -> Option<Vec<String>
 fn analyze(
     program: &GlueProgram,
     hw: &HardwareSpec,
+    order: &Order<'_>,
     peaks: &[(usize, usize)],
     race_capped: &[u32],
 ) -> PipelinePlan {
@@ -203,9 +166,11 @@ fn analyze(
             (1, DepthLimit::Race)
         } else if b.delay == 0 {
             (UNBOUNDED, DepthLimit::Unbounded)
-        } else if let Some(mut path) = path_between(program, b.consumer, b.producer) {
+        } else if let Some(mut path) = order.dataflow_path(b.consumer, b.producer) {
             // Close the cycle through the delay arc itself.
-            path.push(program.functions[b.consumer as usize].name.clone());
+            path.push(b.consumer);
+            let name = |f: u32| program.functions[f as usize].name.clone();
+            let path = path.into_iter().map(name).collect();
             (1, DepthLimit::Cycle { path })
         } else {
             (1, DepthLimit::Hazard { delay: b.delay })
@@ -265,13 +230,14 @@ fn limiting_node(
 pub(crate) fn check(
     cx: &Checker<'_>,
     plans: &BufferPlans,
+    order: &Order<'_>,
     race_capped: &[u32],
     requested: Option<u32>,
     diags: &mut Diagnostics,
 ) -> PipelinePlan {
     let (program, hw, spans) = (cx.program, cx.hw, cx.spans);
-    let peaks = memory::node_peaks(program, plans);
-    let plan = analyze(program, hw, &peaks, race_capped);
+    let peaks = memory::node_peaks(program, plans, order);
+    let plan = analyze(program, hw, order, &peaks, race_capped);
 
     for (b, bd) in program.buffers.iter().zip(&plan.buffers) {
         // Only delay arcs report here; race caps carry their own `SAGE072`
@@ -280,10 +246,14 @@ pub(crate) fn check(
             continue;
         }
         let label = buffer_label(program, b.id);
-        // Name one concrete endpoint pair: the first planned stripe.
-        let (pi, cj) = stripes(program, plans)
-            .find(|s| s.b.id == b.id)
-            .map_or((0, 0), |s| (s.i, s.j));
+        // Name one concrete endpoint pair: the first planned one.
+        let (pi, cj) = order
+            .syncs
+            .iter()
+            .find(|e| e.buffer == b.id)
+            .map_or((0, 0), |e| {
+                (order.task(e.from).thread, order.task(e.to).thread)
+            });
         let producer = program.task_path(Task {
             fn_id: b.producer,
             thread: pi,

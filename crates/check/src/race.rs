@@ -37,12 +37,12 @@
 //!
 //! [`Redistribution`]: sage_runtime::Redistribution
 
-use crate::{buffer_label, stripes, BufferPlans, Checker};
+use crate::order::Order;
+use crate::{buffer_label, BufferPlans, Checker};
 use sage_lint::{Diagnostic, Diagnostics, JsonWriter};
 use sage_runtime::race::{overlaps, union_intervals};
 use sage_runtime::{GlueProgram, Task};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// One verified race (or depth hazard) between two accesses.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,51 +103,6 @@ impl RaceAnalysis {
     }
 }
 
-/// Per-position shortest iteration-distance matrix: `dist[u][v] = Some(d)`
-/// means an event at position `u` in iteration `i` happens before an event
-/// at `v` in any iteration `>= i + d`.
-struct HbGraph {
-    dist: Vec<Vec<Option<u32>>>,
-}
-
-impl HbGraph {
-    fn new(adj: &[Vec<(usize, u32)>]) -> HbGraph {
-        let n = adj.len();
-        let mut dist = vec![vec![None; n]; n];
-        for (src, row) in dist.iter_mut().enumerate() {
-            // Dijkstra; weights are iteration distances (>= 0).
-            let mut heap = BinaryHeap::new();
-            row[src] = Some(0);
-            heap.push(Reverse((0u32, src)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if row[u] != Some(d) {
-                    continue;
-                }
-                for &(v, w) in &adj[u] {
-                    let nd = d.saturating_add(w);
-                    if row[v].is_none_or(|cur| nd < cur) {
-                        row[v] = Some(nd);
-                        heap.push(Reverse((nd, v)));
-                    }
-                }
-            }
-        }
-        HbGraph { dist }
-    }
-
-    /// Whether an access at position `u`, iteration `i`, is ordered (either
-    /// way) against one at position `v`, iteration `j`.
-    fn ordered(&self, u: usize, i: i64, v: usize, j: i64) -> bool {
-        if u == v {
-            // The same task's invocations are serial across iterations.
-            return i != j;
-        }
-        let fwd = self.dist[u][v].is_some_and(|d| j - i >= d as i64);
-        let bwd = self.dist[v][u].is_some_and(|d| i - j >= d as i64);
-        fwd || bwd
-    }
-}
-
 /// One access to a port version, at the representative version `t*`.
 struct Access {
     write: bool,
@@ -174,56 +129,19 @@ fn describe(program: &GlueProgram, a: &Access) -> String {
 /// Proves the happens-before relation and scans every input-port group for
 /// conflicting access pairs. Pure analysis — no diagnostics; see [`check`]
 /// for the reporting pass.
-pub(crate) fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysis {
-    // ---- Positions: one per scheduled task --------------------------
-    let mut pos_of: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut node_slots: Vec<Vec<usize>> = Vec::with_capacity(program.schedules.len());
-    for sched in &program.schedules {
-        let mut slots = Vec::with_capacity(sched.len());
-        for &task in sched {
-            let p = pos_of.len();
-            pos_of.insert((task.fn_id, task.thread), p);
-            slots.push(p);
-        }
-        node_slots.push(slots);
-    }
-    let n = pos_of.len();
-
-    // ---- Edges ------------------------------------------------------
-    // Lock-step order: slot k -> k+1 (weight 0) plus the wraparound edge
-    // last -> first (weight 1: the next iteration's walk). Product order
-    // drops the wraparound — with several iterations in flight, the only
-    // same-node guarantee left is slot order within an iteration.
-    let mut lockstep: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    let mut product: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for slots in &node_slots {
-        for w in slots.windows(2) {
-            lockstep[w[0]].push((w[1], 0));
-            product[w[0]].push((w[1], 0));
-        }
-        if let (Some(&first), Some(&last)) = (slots.first(), slots.last()) {
-            if first != last {
-                lockstep[last].push((first, 1));
-            }
-        }
-    }
-    // Synchronization edges: a matched transfer of buffer `b` orders the
-    // producer thread's write at iteration `s` before the consumer
-    // thread's read at iteration `s + delay`.
-    let mut sync_edges = 0usize;
-    for s in stripes(program, plans) {
-        let (Some(&pu), Some(&pv)) = (
-            pos_of.get(&(s.b.producer, s.i)),
-            pos_of.get(&(s.b.consumer, s.j)),
-        ) else {
-            continue;
-        };
-        lockstep[pu].push((pv, s.b.delay));
-        product[pu].push((pv, s.b.delay));
-        sync_edges += 1;
-    }
-    let hb_lock = HbGraph::new(&lockstep);
-    let hb_prod = HbGraph::new(&product);
+pub(crate) fn analyze(
+    program: &GlueProgram,
+    plans: &BufferPlans,
+    order: &Order<'_>,
+) -> RaceAnalysis {
+    // Lock-step order keeps each node's wraparound edge (the next
+    // iteration's walk); product order drops it — with several iterations
+    // in flight, the only same-node guarantee left is slot order within an
+    // iteration. Both carry every sync edge: a matched transfer of buffer
+    // `b` orders the producer thread's write at iteration `s` before the
+    // consumer thread's read at iteration `s + delay`.
+    let hb_lock = order.closure(true);
+    let hb_prod = order.closure(false);
 
     // ---- Access sets per (function, input-port group) ---------------
     let mut findings: Vec<RaceFinding> = Vec::new();
@@ -267,7 +185,7 @@ pub(crate) fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysi
                         fn_id: b.producer,
                         thread: i as u32,
                     };
-                    let Some(&pos) = pos_of.get(&(task.fn_id, task.thread)) else {
+                    let Some(pos) = order.position(task) else {
                         continue;
                     };
                     accesses.push(Access {
@@ -296,7 +214,7 @@ pub(crate) fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysi
                     fn_id: f.id,
                     thread: j as u32,
                 };
-                let Some(&pos) = pos_of.get(&(task.fn_id, task.thread)) else {
+                let Some(pos) = order.position(task) else {
                     continue;
                 };
                 accesses.push(Access {
@@ -376,8 +294,8 @@ pub(crate) fn analyze(program: &GlueProgram, plans: &BufferPlans) -> RaceAnalysi
     }
     capped.sort_unstable();
     RaceAnalysis {
-        positions: n,
-        sync_edges,
+        positions: order.len(),
+        sync_edges: order.syncs.len(),
         capped,
         findings,
     }
@@ -470,28 +388,20 @@ mod tests {
     use sage_model::{Properties, Striping};
     use sage_runtime::{FnRole, FunctionDescriptor, GlueProgram, LogicalBufferDesc};
 
-    #[allow(clippy::too_many_arguments)]
-    fn mk_fn(
-        id: u32,
-        name: &str,
-        function: &str,
-        role: FnRole,
-        threads: u32,
-        placement: Vec<u32>,
-        inputs: Vec<u32>,
-        outputs: Vec<u32>,
-    ) -> FunctionDescriptor {
+    /// Function `id`, `name`, running `function` on two threads, one per
+    /// node, with no ports: the base every test's descriptors update.
+    fn mk_fn(id: u32, name: &str, function: &str, role: FnRole) -> FunctionDescriptor {
         FunctionDescriptor {
             id,
             name: name.into(),
             function: function.into(),
             role,
-            threads,
-            placement,
+            threads: 2,
+            placement: vec![0, 1],
             flops: 0.0,
             mem_bytes: 0.0,
-            inputs,
-            outputs,
+            inputs: vec![],
+            outputs: vec![],
             params: Properties::new(),
         }
     }
@@ -524,36 +434,18 @@ mod tests {
         GlueProgram {
             app_name: "racy".into(),
             functions: vec![
-                mk_fn(
-                    0,
-                    "a",
-                    "fill.a",
-                    FnRole::Source,
-                    2,
-                    vec![0, 1],
-                    vec![],
-                    vec![0],
-                ),
-                mk_fn(
-                    1,
-                    "b",
-                    "fill.b",
-                    FnRole::Source,
-                    2,
-                    vec![0, 1],
-                    vec![],
-                    vec![1],
-                ),
-                mk_fn(
-                    2,
-                    "snk",
-                    "sink.null",
-                    FnRole::Sink,
-                    2,
-                    vec![0, 1],
-                    vec![0, 1],
-                    vec![],
-                ),
+                FunctionDescriptor {
+                    outputs: vec![0],
+                    ..mk_fn(0, "a", "fill.a", FnRole::Source)
+                },
+                FunctionDescriptor {
+                    outputs: vec![1],
+                    ..mk_fn(1, "b", "fill.b", FnRole::Source)
+                },
+                FunctionDescriptor {
+                    inputs: vec![0, 1],
+                    ..mk_fn(2, "snk", "sink.null", FnRole::Sink)
+                },
             ],
             buffers: vec![
                 mk_buf(0, 0, 2, Striping::BY_ROWS, Striping::BY_ROWS, 0),
@@ -574,7 +466,7 @@ mod tests {
         let mut diags = sage_lint::Diagnostics::new();
         let plans = structure::plan_buffers(program, None, &mut diags);
         assert_eq!(diags.error_count(), 0);
-        analyze(program, &plans)
+        analyze(program, &plans, &Order::new(program, &plans))
     }
 
     #[test]
@@ -597,26 +489,14 @@ mod tests {
         let program = GlueProgram {
             app_name: "clean".into(),
             functions: vec![
-                mk_fn(
-                    0,
-                    "src",
-                    "fill.a",
-                    FnRole::Source,
-                    2,
-                    vec![0, 1],
-                    vec![],
-                    vec![0],
-                ),
-                mk_fn(
-                    1,
-                    "snk",
-                    "sink.null",
-                    FnRole::Sink,
-                    2,
-                    vec![0, 1],
-                    vec![0],
-                    vec![],
-                ),
+                FunctionDescriptor {
+                    outputs: vec![0],
+                    ..mk_fn(0, "src", "fill.a", FnRole::Source)
+                },
+                FunctionDescriptor {
+                    inputs: vec![0],
+                    ..mk_fn(1, "snk", "sink.null", FnRole::Sink)
+                },
             ],
             buffers: vec![mk_buf(0, 0, 1, Striping::BY_ROWS, Striping::BY_COLS, 0)],
             schedules: (0..2)
