@@ -57,28 +57,20 @@ fn pass_golden(
     check_golden(name, &diags.render("golden.glue", None));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn descriptor(
-    id: u32,
-    name: &str,
-    function: &str,
-    role: FnRole,
-    threads: u32,
-    placement: Vec<u32>,
-    inputs: Vec<u32>,
-    outputs: Vec<u32>,
-) -> FunctionDescriptor {
+/// Function `id`, `name`, running `function` on two threads, one per
+/// node, with no ports: the base every fixture's descriptors update.
+fn descriptor(id: u32, name: &str, function: &str, role: FnRole) -> FunctionDescriptor {
     FunctionDescriptor {
         id,
         name: name.into(),
         function: function.into(),
         role,
-        threads,
-        placement,
+        threads: 2,
+        placement: vec![0, 1],
         flops: 0.0,
         mem_bytes: 0.0,
-        inputs,
-        outputs,
+        inputs: vec![],
+        outputs: vec![],
         params: Properties::new(),
     }
 }
@@ -109,26 +101,14 @@ fn two_stage() -> GlueProgram {
     GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "src",
-                "test.fill",
-                FnRole::Source,
-                2,
-                vec![0, 1],
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "snk",
-                "sink.null",
-                FnRole::Sink,
-                2,
-                vec![0, 1],
-                vec![0],
-                vec![],
-            ),
+            FunctionDescriptor {
+                outputs: vec![0],
+                ..descriptor(0, "src", "test.fill", FnRole::Source)
+            },
+            FunctionDescriptor {
+                inputs: vec![0],
+                ..descriptor(1, "snk", "sink.null", FnRole::Sink)
+            },
         ],
         buffers: vec![buffer(0, 0, 1, vec![4, 4])],
         schedules: vec![vec![t(0, 0), t(1, 0)], vec![t(0, 1), t(1, 1)]],
@@ -167,16 +147,10 @@ fn sage051_duplicate_send() {
     // sent twice (SAGE051) and the function table has a double-write
     // (SAGE053).
     let mut program = two_stage();
-    program.functions.push(descriptor(
-        2,
-        "src2",
-        "test.fill",
-        FnRole::Source,
-        2,
-        vec![0, 1],
-        vec![],
-        vec![0],
-    ));
+    program.functions.push(FunctionDescriptor {
+        outputs: vec![0],
+        ..descriptor(2, "src2", "test.fill", FnRole::Source)
+    });
     program.schedules[0].insert(0, t(2, 0));
     program.schedules[1].insert(0, t(2, 1));
     check_program_golden("sage051_duplicate_send", &program, "SAGE051");
@@ -188,16 +162,10 @@ fn sage052_foreign_input() {
     // use-before-init (SAGE052), and its receives collide with the real
     // consumer's transfer tags (SAGE051).
     let mut program = two_stage();
-    program.functions.push(descriptor(
-        2,
-        "spy",
-        "sink.null",
-        FnRole::Sink,
-        2,
-        vec![0, 1],
-        vec![0],
-        vec![],
-    ));
+    program.functions.push(FunctionDescriptor {
+        inputs: vec![0],
+        ..descriptor(2, "spy", "sink.null", FnRole::Sink)
+    });
     program.schedules[0].push(t(2, 0));
     program.schedules[1].push(t(2, 1));
     check_program_golden("sage052_foreign_input", &program, "SAGE052");
@@ -225,36 +193,19 @@ fn sage054_kernel_contract() {
     let program = GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "src",
-                "test.fill",
-                FnRole::Source,
-                2,
-                vec![0, 1],
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "fft",
-                "isspl.fft_rows",
-                FnRole::Compute,
-                2,
-                vec![0, 1],
-                vec![0],
-                vec![1],
-            ),
-            descriptor(
-                2,
-                "snk",
-                "sink.null",
-                FnRole::Sink,
-                2,
-                vec![0, 1],
-                vec![1],
-                vec![],
-            ),
+            FunctionDescriptor {
+                outputs: vec![0],
+                ..descriptor(0, "src", "test.fill", FnRole::Source)
+            },
+            FunctionDescriptor {
+                inputs: vec![0],
+                outputs: vec![1],
+                ..descriptor(1, "fft", "isspl.fft_rows", FnRole::Compute)
+            },
+            FunctionDescriptor {
+                inputs: vec![1],
+                ..descriptor(2, "snk", "sink.null", FnRole::Sink)
+            },
         ],
         buffers: vec![buffer(0, 0, 1, vec![4, 12]), buffer(1, 1, 2, vec![4, 12])],
         schedules: vec![
@@ -281,26 +232,18 @@ fn sage056_bandwidth_infeasible() {
     let program = GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "src",
-                "test.fill",
-                FnRole::Source,
-                1,
-                vec![0],
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "snk",
-                "sink.null",
-                FnRole::Sink,
-                4,
-                vec![0, 1, 2, 3],
-                vec![0],
-                vec![],
-            ),
+            FunctionDescriptor {
+                threads: 1,
+                placement: vec![0],
+                outputs: vec![0],
+                ..descriptor(0, "src", "test.fill", FnRole::Source)
+            },
+            FunctionDescriptor {
+                threads: 4,
+                placement: vec![0, 1, 2, 3],
+                inputs: vec![0],
+                ..descriptor(1, "snk", "sink.null", FnRole::Sink)
+            },
         ],
         buffers: vec![{
             let mut b = buffer(0, 0, 1, vec![4096, 1024]);
@@ -329,26 +272,18 @@ fn sage057_tag_overflow() {
     let program = GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "src",
-                "test.fill",
-                FnRole::Source,
+            FunctionDescriptor {
                 threads,
-                all.clone(),
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "snk",
-                "sink.null",
-                FnRole::Sink,
+                placement: all.clone(),
+                outputs: vec![0],
+                ..descriptor(0, "src", "test.fill", FnRole::Source)
+            },
+            FunctionDescriptor {
                 threads,
-                all,
-                vec![0],
-                vec![],
-            ),
+                placement: all,
+                inputs: vec![0],
+                ..descriptor(1, "snk", "sink.null", FnRole::Sink)
+            },
         ],
         buffers: vec![{
             let mut b = buffer(0, 0, 1, vec![2050]);
@@ -378,36 +313,20 @@ fn sage061_feedback_cycle() {
     let program = GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "src",
-                "test.fill",
-                FnRole::Source,
-                2,
-                vec![0, 1],
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "m",
-                "workload.mix",
-                FnRole::Compute,
-                2,
-                vec![0, 1],
-                vec![0, 2],
-                vec![1],
-            ),
-            descriptor(
-                2,
-                "fbd",
-                "id",
-                FnRole::Compute,
-                2,
-                vec![0, 1],
-                vec![1],
-                vec![2],
-            ),
+            FunctionDescriptor {
+                outputs: vec![0],
+                ..descriptor(0, "src", "test.fill", FnRole::Source)
+            },
+            FunctionDescriptor {
+                inputs: vec![0, 2],
+                outputs: vec![1],
+                ..descriptor(1, "m", "workload.mix", FnRole::Compute)
+            },
+            FunctionDescriptor {
+                inputs: vec![1],
+                outputs: vec![2],
+                ..descriptor(2, "fbd", "id", FnRole::Compute)
+            },
         ],
         buffers: vec![buffer(0, 0, 1, vec![4, 4]), buffer(1, 1, 2, vec![4, 4]), {
             let mut b = buffer(2, 2, 1, vec![4, 4]);
@@ -450,36 +369,18 @@ fn fan_in_base() -> GlueProgram {
     GlueProgram {
         app_name: "golden".into(),
         functions: vec![
-            descriptor(
-                0,
-                "a",
-                "fill.a",
-                FnRole::Source,
-                2,
-                vec![0, 1],
-                vec![],
-                vec![0],
-            ),
-            descriptor(
-                1,
-                "b",
-                "fill.b",
-                FnRole::Source,
-                2,
-                vec![0, 1],
-                vec![],
-                vec![1],
-            ),
-            descriptor(
-                2,
-                "snk",
-                "sink.null",
-                FnRole::Sink,
-                2,
-                vec![0, 1],
-                vec![0, 1],
-                vec![],
-            ),
+            FunctionDescriptor {
+                outputs: vec![0],
+                ..descriptor(0, "a", "fill.a", FnRole::Source)
+            },
+            FunctionDescriptor {
+                outputs: vec![1],
+                ..descriptor(1, "b", "fill.b", FnRole::Source)
+            },
+            FunctionDescriptor {
+                inputs: vec![0, 1],
+                ..descriptor(2, "snk", "sink.null", FnRole::Sink)
+            },
         ],
         buffers: vec![buffer(0, 0, 2, vec![4, 4]), {
             let mut b = buffer(1, 1, 2, vec![4, 4]);
