@@ -8,10 +8,13 @@
 //! [`Execution`] every caller reads. The root-cause rule for a failed run
 //! lives in that function and nowhere else.
 
-use crate::executor::{Deposit, RankOutcome, SinkResults, StreamStats};
+use crate::executor::{Deposit, RankOutcome, StreamStats};
 use crate::function::RuntimeError;
-use sage_fabric::{FabricMetrics, LinkMetrics, NodeMetrics, RunReport};
+use crate::glue::{FnRole, GlueProgram};
+use crate::striping::{stripe_fault, Layout};
+use sage_fabric::{FabricMetrics, LinkMetrics, NodeMetrics, Payload, RunReport};
 use sage_visualizer::{ProbeEvent, Trace};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// What one rank produced.
@@ -161,9 +164,126 @@ impl Execution {
     }
 }
 
+/// Collected sink deposits: the stripes each sink thread absorbed.
+#[derive(Clone, Debug, Default)]
+pub struct SinkResults {
+    deposits: HashMap<(u32, u32, u32), Payload>,
+}
+
+impl SinkResults {
+    /// The raw stripe a sink thread absorbed, if present.
+    pub fn stripe(&self, fn_id: u32, iteration: u32, thread: u32) -> Option<&[u8]> {
+        self.deposits
+            .get(&(fn_id, iteration, thread))
+            .map(|p| &p[..])
+    }
+
+    /// Reassembles the full payload a sink absorbed on `iteration` by
+    /// stitching its threads' stripes back together via the sink's input
+    /// striping.
+    pub fn assemble(&self, program: &GlueProgram, fn_id: u32, iteration: u32) -> Option<Vec<u8>> {
+        self.try_assemble(program, fn_id, iteration).ok()
+    }
+
+    /// [`SinkResults::assemble`] with a typed error instead of `None`: every
+    /// way reassembly can fail (unknown function, missing stripe, stripe
+    /// shorter than its layout, unstripeable descriptor) reports what went
+    /// wrong as a [`RuntimeError::Assembly`].
+    pub fn try_assemble(
+        &self,
+        program: &GlueProgram,
+        fn_id: u32,
+        iteration: u32,
+    ) -> Result<Vec<u8>, RuntimeError> {
+        let err = |message: String| RuntimeError::Assembly {
+            fn_id,
+            iteration,
+            message,
+        };
+        let f = program
+            .functions
+            .get(fn_id as usize)
+            .ok_or_else(|| err(format!("no function {fn_id} in the table")))?;
+        let bid = *f
+            .inputs
+            .first()
+            .ok_or_else(|| err("function has no input buffer".into()))?;
+        let desc = program
+            .buffers
+            .get(bid as usize)
+            .ok_or_else(|| err(format!("input buffer {bid} not in the buffer table")))?;
+        let threads = f.threads as usize;
+        if let Some(fault) = stripe_fault(&desc.shape, desc.recv_striping, threads, &f.name) {
+            return Err(err(fault));
+        }
+        let total = desc.total_bytes();
+        let mut full = vec![0u8; total];
+        for t in 0..f.threads {
+            let stripe = self
+                .stripe(fn_id, iteration, t)
+                .ok_or_else(|| err(format!("thread {t} deposited no stripe")))?;
+            let layout = Layout::of_thread(
+                &desc.shape,
+                desc.elem_bytes,
+                desc.recv_striping,
+                f.threads as usize,
+                t as usize,
+            );
+            if stripe.len() != layout.len() {
+                return Err(err(format!(
+                    "thread {t} deposited {} bytes, its layout covers {}",
+                    stripe.len(),
+                    layout.len()
+                )));
+            }
+            let mut cursor = 0;
+            for &(s, e) in layout.runs() {
+                full[s..e].copy_from_slice(&stripe[cursor..cursor + (e - s)]);
+                cursor += e - s;
+            }
+        }
+        Ok(full)
+    }
+
+    /// Every sink's assembled output over `iterations` iterations, in
+    /// (function id, iteration) order — the canonical byte stream all
+    /// backends and execution modes must agree on bit-for-bit (frames that
+    /// fail to assemble are skipped). [`crate::fnv1a_64`] of it is the
+    /// fingerprint the CLI prints and the test suite pins.
+    pub fn stream(&self, program: &GlueProgram, iterations: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in program.functions.iter().filter(|f| f.role == FnRole::Sink) {
+            for iter in 0..iterations {
+                if let Some(full) = self.assemble(program, f.id, iter) {
+                    out.extend_from_slice(&full);
+                }
+            }
+        }
+        out
+    }
+
+    /// Records a deposited stripe. Distributed launchers use this to merge
+    /// per-rank deposits back into one result set.
+    pub fn insert(&mut self, fn_id: u32, iteration: u32, thread: u32, bytes: impl Into<Payload>) {
+        self.deposits
+            .insert((fn_id, iteration, thread), bytes.into());
+    }
+
+    /// Number of deposited stripes.
+    pub fn len(&self) -> usize {
+        self.deposits.len()
+    }
+
+    /// `true` if no sink absorbed anything.
+    pub fn is_empty(&self) -> bool {
+        self.deposits.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::pipeline_program;
     use sage_visualizer::EventKind;
 
     fn ok(rank: u32) -> RankReport {
@@ -304,5 +424,45 @@ mod tests {
         assert_eq!(moved, recorded, "each lane is moved in, not copied");
         let walked: Vec<u32> = exec.trace.in_time_order().map(|(r, _)| r).collect();
         assert_eq!(walked, vec![1, 0], "the walk across ranks is in time order");
+    }
+
+    #[test]
+    fn try_assemble_reports_missing_stripes() {
+        let program = pipeline_program(2, 4, 4);
+        let results = SinkResults::default();
+        let err = results.try_assemble(&program, 2, 0).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Assembly { fn_id: 2, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("no stripe"), "{err}");
+        // Short stripe: deposited bytes disagree with the layout. The
+        // message must carry both the actual and expected byte counts
+        // (each thread of this sink's layout covers 8 bytes).
+        let mut results = SinkResults::default();
+        for t in 0..2 {
+            results.insert(2, 0, t, vec![0u8; 3]);
+        }
+        let err = results.try_assemble(&program, 2, 0).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("deposited 3 bytes, its layout covers 8"),
+            "{err}"
+        );
+        // Oversized stripe trips the same branch with the counts swapped
+        // in magnitude — the check is an exact equality, not a floor.
+        let mut results = SinkResults::default();
+        for t in 0..2 {
+            results.insert(2, 0, t, vec![0u8; 9]);
+        }
+        let err = results.try_assemble(&program, 2, 0).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("deposited 9 bytes, its layout covers 8"),
+            "{err}"
+        );
+        // Unknown function id.
+        let err = results.try_assemble(&program, 9, 0).unwrap_err();
+        assert!(err.to_string().contains("no function"), "{err}");
     }
 }
