@@ -16,9 +16,14 @@
 //! The detector is shared across ranks of the in-process cluster, which is
 //! the only backend that runs it: a detector inside one process of a
 //! distributed job would see only its own rank's serial accesses, which are
-//! totally ordered and so never conflict.
+//! totally ordered and so never conflict. It builds its own footprint
+//! tables from the program and the prepared plans, so a run without it
+//! builds none.
 
+use crate::executor::Prepared;
 use crate::function::RuntimeError;
+use crate::glue::{GlueProgram, Task};
+use crate::striping::Layout;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -28,8 +33,7 @@ pub type Intervals = Arc<Vec<(usize, usize)>>;
 /// One recorded access to a port version.
 struct Access {
     write: bool,
-    /// Task path of the accessor, e.g. `` `src[0]` (node 0, slot 0)``.
-    task: String,
+    task: Task,
     rank: u32,
     iteration: u32,
     clock: Vec<u32>,
@@ -38,24 +42,6 @@ struct Access {
     /// identical bytes over identical intervals pass as benign (the dynamic
     /// mirror of `SAGE073`). Zero for reads.
     content: u64,
-}
-
-/// One task's access to one port version, as the executor describes it to
-/// [`RaceState::write`] / [`RaceState::read`].
-pub struct PortAccess<'a> {
-    /// The accessing rank.
-    pub rank: u32,
-    /// `(consumer fn, input-port group, port version)`: the version is the
-    /// consumer iteration the bytes belong to.
-    pub key: (u32, u32, u32),
-    /// The port's `"{fn}.{port}"` label, for the report.
-    pub port: &'a str,
-    /// Task path of the accessor, e.g. `` `src[0]` (node 0, slot 0)``.
-    pub task: String,
-    /// The iteration the accessor is running.
-    pub iteration: u32,
-    /// Global byte intervals touched.
-    pub intervals: Intervals,
 }
 
 /// Accesses keyed by `(consumer fn, input-port group, port version)`.
@@ -74,9 +60,20 @@ struct Inner {
     inserts: usize,
 }
 
-/// Shared vector-clock race-detector state for one run.
-pub struct RaceState {
+/// Shared vector-clock race-detector state for one run of one program.
+pub struct RaceState<'a> {
+    program: &'a GlueProgram,
+    prepared: &'a Prepared,
     inner: Mutex<Inner>,
+    /// Per function, per input port (fan-in group), per consumer thread:
+    /// the global byte intervals the thread's stripe covers. Its read
+    /// footprint.
+    reads: Vec<Vec<Vec<Intervals>>>,
+    /// Per buffer: the consumer function and input port its writes land
+    /// on, and per producer thread the global byte intervals the thread
+    /// contributes (its pair intervals over all consumer threads). Its
+    /// write footprint.
+    writes: Vec<((u32, u32), Vec<Intervals>)>,
 }
 
 /// `a` happens-before-or-equals `b` componentwise.
@@ -129,16 +126,45 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-impl RaceState {
-    /// Fresh detector state for a cluster of `ranks` ranks.
-    pub fn new(ranks: usize) -> RaceState {
+impl<'a> RaceState<'a> {
+    /// Fresh detector state for one run of `program`, whose plans are
+    /// `prepared`, on one rank per node.
+    pub fn new(program: &'a GlueProgram, prepared: &'a Prepared) -> RaceState<'a> {
+        let ranks = program.node_count();
+        let plans = &prepared.plans;
+        let mut writes: Vec<_> = (plans.iter())
+            .map(|bp| {
+                let union = |row: &Vec<_>| Arc::new(union_intervals(row.iter().map(Vec::as_slice)));
+                ((0, 0), bp.plan.pairs.iter().map(union).collect())
+            })
+            .collect();
+        let mut reads = Vec::with_capacity(program.functions.len());
+        for (f, groups) in program.functions.iter().zip(&prepared.input_groups) {
+            let mut ports = Vec::with_capacity(groups.len());
+            for (gi, g) in groups.iter().enumerate() {
+                for &bid in &g.buffers {
+                    writes[bid as usize].0 = (f.id, gi as u32);
+                }
+                // A port's fan-in buffers share its consumer layout
+                // (`prepare` rejects any that do not): the first one's
+                // stands for all.
+                let dst = &plans[g.buffers[0] as usize].plan.dst;
+                let union = |layout: &Layout| Arc::new(union_intervals([layout.runs()]));
+                ports.push(dst.iter().map(union).collect());
+            }
+            reads.push(ports);
+        }
         RaceState {
+            program,
+            prepared,
             inner: Mutex::new(Inner {
                 clocks: vec![vec![0; ranks]; ranks],
                 msgs: HashMap::new(),
                 records: Records::new(),
                 inserts: 0,
             }),
+            reads,
+            writes,
         }
     }
 
@@ -184,41 +210,64 @@ impl RaceState {
         }
     }
 
-    /// Records a write (with content fingerprint `content`) and checks it
-    /// against every earlier access to the same port version.
-    pub fn write(&self, access: PortAccess<'_>, content: u64) -> Result<(), RuntimeError> {
-        self.record(access, true, content)
+    /// `task`, running `iteration` on `rank`, wrote `bytes` to `buffer`:
+    /// records the write on the port version the buffer's delay shifts it
+    /// to and checks it against every earlier access to that version.
+    pub fn write(
+        &self,
+        rank: u32,
+        task: Task,
+        buffer: u32,
+        iteration: u32,
+        bytes: &[u8],
+    ) -> Result<(), RuntimeError> {
+        let ((fn_id, port), regions) = &self.writes[buffer as usize];
+        // A `delay` arc's write at iteration `i` lands on port version
+        // `i + delay`.
+        let delay = self.program.buffers[buffer as usize].delay;
+        let key = (*fn_id, *port, iteration + delay);
+        let intervals = &regions[task.thread as usize];
+        self.record(key, (rank, task, iteration), intervals, Some(bytes))
     }
 
-    /// Records a read and checks it against every earlier write to the same
-    /// port version.
-    pub fn read(&self, access: PortAccess<'_>) -> Result<(), RuntimeError> {
-        self.record(access, false, 0)
+    /// `task`, running `iteration` on `rank`, read its input port `port`:
+    /// records the read and checks it against every earlier write to the
+    /// same port version.
+    pub fn read(
+        &self,
+        rank: u32,
+        task: Task,
+        port: usize,
+        iteration: u32,
+    ) -> Result<(), RuntimeError> {
+        let key = (task.fn_id, port as u32, iteration);
+        let intervals = &self.reads[task.fn_id as usize][port][task.thread as usize];
+        self.record(key, (rank, task, iteration), intervals, None)
     }
 
+    /// Stamps one access by `(rank, task, iteration)` to port version
+    /// `key`, a write if it carries the written bytes, and checks it
+    /// against the accesses recorded there. An empty footprint touches
+    /// nothing and is not recorded.
     fn record(
         &self,
-        access: PortAccess<'_>,
-        write: bool,
-        content: u64,
+        key: (u32, u32, u32),
+        (rank, task, iteration): (u32, Task, u32),
+        intervals: &Intervals,
+        written: Option<&[u8]>,
     ) -> Result<(), RuntimeError> {
-        let PortAccess {
-            rank,
-            key,
-            port,
-            task,
-            iteration,
-            intervals,
-        } = access;
+        if intervals.is_empty() {
+            return Ok(());
+        }
+        let content = written.map_or(0, fnv1a_64);
         let mut g = self.lock();
-        let clock = g.clocks[rank as usize].clone();
         let access = Access {
-            write,
+            write: written.is_some(),
             task,
             rank,
             iteration,
-            clock,
-            intervals,
+            clock: g.clocks[rank as usize].clone(),
+            intervals: intervals.clone(),
             content,
         };
         if let Some(existing) = g.records.get(&key) {
@@ -248,7 +297,7 @@ impl RaceState {
                     format!(
                         "{} by {} at iteration {}",
                         if a.write { "write" } else { "read" },
-                        a.task,
+                        self.program.task_path(a.task),
                         a.iteration
                     )
                 };
@@ -256,8 +305,10 @@ impl RaceState {
                 if second < first {
                     std::mem::swap(&mut first, &mut second);
                 }
+                let f = &self.program.functions[key.0 as usize];
+                let group = &self.prepared.input_groups[key.0 as usize][key.1 as usize];
                 return Err(RuntimeError::RaceDetected {
-                    port: port.to_string(),
+                    port: format!("{}.{}", f.name, group.port),
                     first,
                     second,
                 });
@@ -284,28 +335,86 @@ impl RaceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::prepare;
+    use crate::function::Registry;
+    use crate::glue::{FnRole, FunctionDescriptor, LogicalBufferDesc};
+    use sage_model::{Properties, Striping};
 
-    fn iv(list: &[(usize, usize)]) -> Intervals {
-        Arc::new(list.to_vec())
+    /// Two one-thread sources, `a` on node 0 and `b` on node 1, fan in to
+    /// port `snk.in`, which `snk` replicates over one thread per node: every
+    /// write and every read covers the whole 16-byte port.
+    fn fan_in() -> (GlueProgram, Prepared) {
+        let function = |id: u32, name: &str, role, placement: Vec<u32>| FunctionDescriptor {
+            id,
+            name: name.into(),
+            function: if role == FnRole::Sink {
+                "sink.null"
+            } else {
+                "source.zero"
+            }
+            .into(),
+            role,
+            threads: placement.len() as u32,
+            placement,
+            flops: 0.0,
+            mem_bytes: 0.0,
+            inputs: if role == FnRole::Sink {
+                vec![0, 1]
+            } else {
+                vec![]
+            },
+            outputs: if role == FnRole::Sink {
+                vec![]
+            } else {
+                vec![id]
+            },
+            params: Properties::new(),
+        };
+        let buffer = |id: u32| LogicalBufferDesc {
+            id,
+            producer: id,
+            producer_port: "out".into(),
+            consumer: 2,
+            consumer_port: "in".into(),
+            shape: vec![16],
+            elem_bytes: 1,
+            send_striping: Striping::Replicated,
+            recv_striping: Striping::Replicated,
+            delay: 0,
+        };
+        let task = |fn_id, thread| Task { fn_id, thread };
+        let program = GlueProgram {
+            app_name: "fan_in".into(),
+            functions: vec![
+                function(0, "a", FnRole::Source, vec![0]),
+                function(1, "b", FnRole::Source, vec![1]),
+                function(2, "snk", FnRole::Sink, vec![0, 1]),
+            ],
+            buffers: vec![buffer(0), buffer(1)],
+            schedules: vec![vec![task(0, 0), task(2, 0)], vec![task(1, 0), task(2, 1)]],
+        };
+        let prepared = prepare(&program, &Registry::new()).unwrap();
+        (program, prepared)
     }
 
-    /// An access by `task` on `rank` to version `key` of port `snk.in`.
-    fn at(
-        rank: u32,
-        key: (u32, u32, u32),
-        task: &str,
-        iteration: u32,
-        list: &[(usize, usize)],
-    ) -> PortAccess<'static> {
-        PortAccess {
-            rank,
-            key,
-            port: "snk.in",
-            task: task.into(),
-            iteration,
-            intervals: iv(list),
-        }
-    }
+    const A: Task = Task {
+        fn_id: 0,
+        thread: 0,
+    };
+    const B: Task = Task {
+        fn_id: 1,
+        thread: 0,
+    };
+    const SNK: [Task; 2] = [
+        Task {
+            fn_id: 2,
+            thread: 0,
+        },
+        Task {
+            fn_id: 2,
+            thread: 1,
+        },
+    ];
 
     #[test]
     fn interval_overlap() {
@@ -316,12 +425,12 @@ mod tests {
 
     #[test]
     fn unordered_cross_rank_writes_race() {
-        let s = RaceState::new(2);
+        let (program, prepared) = fan_in();
+        let s = RaceState::new(&program, &prepared);
         s.task_begin(0);
         s.task_begin(1);
-        let key = (2, 0, 0);
-        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 1).unwrap();
-        let err = s.write(at(1, key, "`b[0]`", 0, &[(4, 12)]), 2).unwrap_err();
+        s.write(0, A, 0, 0, &[1]).unwrap();
+        let err = s.write(1, B, 1, 0, &[2]).unwrap_err();
         match err {
             RuntimeError::RaceDetected {
                 port,
@@ -329,8 +438,8 @@ mod tests {
                 second,
             } => {
                 assert_eq!(port, "snk.in");
-                assert!(first.contains("`a[0]`") || second.contains("`a[0]`"));
-                assert!(first.contains("`b[0]`") || second.contains("`b[0]`"));
+                assert!(first.contains("`a[0]` (node 0, slot 0)"), "{first}");
+                assert!(second.contains("`b[0]` (node 1, slot 0)"), "{second}");
             }
             other => panic!("expected RaceDetected, got {other}"),
         }
@@ -338,51 +447,50 @@ mod tests {
 
     #[test]
     fn message_join_orders_accesses() {
-        let s = RaceState::new(2);
-        let key = (2, 0, 0);
+        let (program, prepared) = fan_in();
+        let s = RaceState::new(&program, &prepared);
         s.task_begin(0);
-        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 1).unwrap();
+        s.write(0, A, 0, 0, &[1]).unwrap();
         s.stamp_send(0, 42);
         s.task_begin(1);
         s.join_recv(1, 42);
         // Rank 1 joined rank 0's clock, so its read is ordered after the
         // write and its own later write dominates too.
-        s.read(at(1, key, "`c[1]`", 0, &[(0, 8)])).unwrap();
-        s.write(at(1, key, "`b[1]`", 0, &[(0, 8)]), 2).unwrap();
+        s.read(1, SNK[1], 0, 0).unwrap();
+        s.write(1, B, 1, 0, &[2]).unwrap();
     }
 
     #[test]
     fn identical_splat_is_benign() {
-        let s = RaceState::new(2);
-        let key = (2, 0, 0);
+        let (program, prepared) = fan_in();
+        let s = RaceState::new(&program, &prepared);
         s.task_begin(0);
         s.task_begin(1);
-        s.write(at(0, key, "`a[0]`", 0, &[(0, 8)]), 7).unwrap();
+        s.write(0, A, 0, 0, &[7]).unwrap();
         // Same intervals, same content hash: benign even though unordered.
-        s.write(at(1, key, "`b[0]`", 0, &[(0, 8)]), 7).unwrap();
+        s.write(1, B, 1, 0, &[7]).unwrap();
         // Different content on the same region is a race.
-        let err = s.write(at(1, key, "`c[0]`", 0, &[(0, 8)]), 9).unwrap_err();
+        let err = s.write(1, B, 1, 0, &[9]).unwrap_err();
         assert!(matches!(err, RuntimeError::RaceDetected { .. }));
     }
 
     #[test]
     fn different_versions_never_conflict() {
-        let s = RaceState::new(2);
+        let (program, prepared) = fan_in();
+        let s = RaceState::new(&program, &prepared);
         s.task_begin(0);
         s.task_begin(1);
-        s.write(at(0, (2, 0, 0), "`a[0]`", 0, &[(0, 8)]), 1)
-            .unwrap();
-        s.write(at(1, (2, 0, 1), "`b[0]`", 1, &[(0, 8)]), 2)
-            .unwrap();
+        s.write(0, A, 0, 0, &[1]).unwrap();
+        s.write(1, B, 1, 1, &[2]).unwrap();
     }
 
     #[test]
     fn reads_on_both_ranks_do_not_conflict() {
-        let s = RaceState::new(2);
+        let (program, prepared) = fan_in();
+        let s = RaceState::new(&program, &prepared);
         s.task_begin(0);
         s.task_begin(1);
-        let key = (2, 0, 0);
-        s.read(at(0, key, "`a[0]`", 0, &[(0, 8)])).unwrap();
-        s.read(at(1, key, "`b[1]`", 0, &[(0, 8)])).unwrap();
+        s.read(0, SNK[0], 0, 0).unwrap();
+        s.read(1, SNK[1], 0, 0).unwrap();
     }
 }
