@@ -174,7 +174,14 @@ impl<'a> Checker<'a> {
     ) -> (Option<pipeline::PipelinePlan>, Diagnostics) {
         let mut diags = self.preamble.clone();
         let plan = self.plans.as_ref().map(|plans| {
-            let (order, capped) = (self.order(plans), &self.races(plans).capped);
+            // Only a `SAGE072` ordering caps a buffer, and only where the
+            // lock-step and the pipelined orders disagree. Without a `delay`
+            // arc every access to a port version is at one iteration, and a
+            // path of zero weight uses no wraparound edge (each weighs 1),
+            // so the two orders agree: the race proof could cap nothing.
+            let delayed = self.program.buffers.iter().any(|b| b.delay > 0);
+            let races = delayed.then(|| self.races(plans));
+            let (order, capped) = (self.order(plans), races.map_or(&[][..], |r| &r.capped));
             pipeline::check(self, plans, order, capped, requested, &mut diags)
         });
         (plan, diags)

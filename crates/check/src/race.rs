@@ -565,6 +565,21 @@ mod tests {
         );
     }
 
+    /// `sage pipeline` builds the race proof only when a `delay` arc lets
+    /// it cap a buffer: without one its caps are empty, and the two
+    /// happens-before closures it costs are never built.
+    #[test]
+    fn the_pipeline_pass_proves_races_only_with_a_delay_arc() {
+        let hw = sage_model::HardwareShelf::cspi_with_nodes(2);
+        let mut program = racy_program();
+        for delay in [0, 1] {
+            program.buffers[1].delay = delay;
+            let checker = crate::Checker::new(&program, &hw, None);
+            assert!(checker.pipeline(None).0.is_some(), "delay {delay}");
+            assert_eq!(checker.races.get().is_some(), delay > 0, "delay {delay}");
+        }
+    }
+
     #[test]
     fn delay_mismatch_is_depth_conditional() {
         // Two writers into one port, one arc delayed: within lock-step the
