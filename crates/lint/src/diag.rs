@@ -219,11 +219,11 @@ code_registry! {
     (
         "SAGE051",
         Severity::Error,
-        "transfer tag collision or byte-count mismatch",
-        "Two transfers collide on one tag (buffer, source thread, \
-         destination thread), or the matched send and receive disagree on \
-         the byte count. The runtime's mailbox would deliver the wrong \
-         message to one of them.",
+        "transfer tag collision",
+        "One transfer tag (buffer, source thread, destination thread) is \
+         sent by more than one task, or received by more than one task. \
+         The runtime's mailbox would deliver the wrong message to one of \
+         them. The diagnostic names every task that shares the tag.",
     ),
     (
         "SAGE052",
