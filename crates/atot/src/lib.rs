@@ -19,7 +19,6 @@
 //!   crossover, elitism; deterministic under a seed);
 //! * [`baselines`] — round-robin / random / greedy-load / aligned mappers
 //!   used as comparison points;
-//! * [`latency`] — latency-constraint evaluation;
 //! * [`trades`] — architecture trade studies sweeping platforms and node
 //!   counts.
 
@@ -27,7 +26,6 @@
 
 pub mod baselines;
 pub mod ga;
-pub mod latency;
 pub mod schedule;
 pub mod taskgraph;
 pub mod trades;
